@@ -74,7 +74,13 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.next()
                 rhs = self.power()
-                acc = acc / rhs if val == "/" else acc * rhs
+                if val == "*":
+                    acc = acc * rhs
+                else:
+                    try:
+                        acc = acc / rhs
+                    except ZeroDivisionError:
+                        raise InputError("division by zero") from None
             elif kind in ("int", "ident") or (kind == "op" and val == "("):
                 acc = acc * self.power()  # juxtaposition
             else:

@@ -28,7 +28,7 @@ import random
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement
-from .irred import rational_poly_irreducible
+from .irred import _clear_denominators, rational_poly_irreducible
 from .linalg import (
     Matrix,
     ad_matrix,
@@ -37,7 +37,15 @@ from .linalg import (
     invariant_factors,
     similar,
 )
-from .poly import Poly, is_irreducible_finite, separable_part
+from .poly import (
+    Poly,
+    _divide_out,
+    _factor_raw,
+    gas_shape,
+    is_irreducible_finite,
+    roots_in_finite_field,
+    separable_part,
+)
 
 MAX_DIM_FINITE = 32
 MAX_DIM_RATIONAL = 9
@@ -124,10 +132,7 @@ class AdReport:
 
 def _poly_roots_in_field(f: Poly):
     """Roots of f in its coefficient field, with multiplicities."""
-    field = f.field
-    if field.order is not None:
-        from .poly import roots_in_finite_field
-
+    if f.field.order is not None:
         return roots_in_finite_field(f)
     return _rational_roots(f)
 
@@ -137,33 +142,22 @@ def _rational_roots(f: Poly):
     F = f.field
     k = F.base
     roots = []
-    work = f
+    work = f.raw
     # constants first: every element of K is a cheap candidate
     for cpay in k.enumerate_payloads():
         cand = F.constant(FieldElement(k, cpay))
-        mult = 0
-        while work.degree() >= 1:
-            quo, remdr = divmod(work, Poly(F, [-cand, 1]))
-            if not remdr.is_zero():
-                break
-            work = quo
-            mult += 1
+        work, mult = _divide_out(F, work, (F.neg(cand.payload), F.one))
         if mult:
             roots.append((cand, mult))
-    if work.degree() >= 1:
-        roots.extend(_nonconstant_rational_roots(work))
+    if len(work) > 1:
+        roots.extend(_nonconstant_rational_roots(Poly.from_raw(F, work)))
     return roots
 
 
 def _nonconstant_rational_roots(f: Poly):
     """Non-constant K(Z) roots via divisors of the cleared constant and lead."""
     F = f.field
-    k = F.base
-    common = (k.one,)
-    for num, den in f.raw:
-        if len(den) > 1:
-            common = rp.mul(k, common, rp.divmod_(k, den, rp.gcd(k, common, den))[0])
-    cols = [rp.mul(k, num, rp.divmod_(k, common, den)[0]) for num, den in f.raw]
+    cols, k = _clear_denominators(f)
     const, lead = cols[0], cols[-1]
     if not const:
         raise ConsistencyError("zero root should have been removed already")
@@ -173,20 +167,14 @@ def _nonconstant_rational_roots(f: Poly):
         raise CapExceededError("root candidate count exceeds the search cap")
     units = [u for u in k.enumerate_payloads() if u != k.zero]
     roots = []
-    work = f
+    work = f.raw
     for nd in num_divs:
         for dd in den_divs:
             if len(nd) == 1 and len(dd) == 1:
                 continue  # constant candidates were already scanned
             for u in units:
                 cand = F.fraction(rp.scale(k, nd, u), dd)
-                mult = 0
-                while work.degree() >= 1:
-                    quo, remdr = divmod(work, Poly(F, [-cand, 1]))
-                    if not remdr.is_zero():
-                        break
-                    work = quo
-                    mult += 1
+                work, mult = _divide_out(F, work, (F.neg(cand.payload), F.one))
                 if mult:
                     roots.append((cand, mult))
     return roots
@@ -194,8 +182,6 @@ def _nonconstant_rational_roots(f: Poly):
 
 def _monic_divisors(k, a):
     """All monic divisors of a nonzero raw polynomial over a finite field."""
-    from .poly import _factor_raw
-
     factors = _factor_raw(k, rp.monic(k, a))
     divisors = [(k.one,)]
     for piece, mult in factors:
@@ -208,18 +194,6 @@ def _monic_divisors(k, a):
         divisors = grown
     # dedupe (repeated factors produce duplicates) and fix the order
     return sorted(set(divisors), key=lambda d: (len(d), tuple(k.sort_key(c) for c in d)))
-
-
-def _root_multiplicity(f: Poly, root):
-    mult = 0
-    lin = Poly(f.field, [-root, 1])
-    while f.degree() >= 1:
-        quo, remdr = divmod(f, lin)
-        if not remdr.is_zero():
-            break
-        f = quo
-        mult += 1
-    return mult
 
 
 def _subfield_check(values):
@@ -266,7 +240,7 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     accounted = 0
     for f in inv_ad:
         for r, _ in roots:
-            accounted += _root_multiplicity(f, r)
+            accounted += _divide_out(field, f.raw, (field.neg(r.payload), field.one))[1]
     c1 = accounted == m * m
 
     c2, c2_witness = _subfield_check(eigenvalues)
@@ -331,25 +305,15 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
 
 
 def _recover_and_certify(a, field, m, mu_a, eigenvalues, dims, inv_ad, diagonalizable):
-    p = field.char
     if mu_a.degree() != m:
         raise ConsistencyError("cyclic matrix whose minimal polynomial degree differs from its size")
     sep = separable_part(mu_a)
     q, e = sep.q, sep.e
-    deg_q = q.degree()
-    n = 0
-    t = 1
-    while t < deg_q:
-        t *= p
-        n += 1
-    if t != deg_q or n < 1:
-        raise ConsistencyError(f"separable part has degree {deg_q}, not a power of {p}")
-    # q must be X^(p^n) - X - a
-    expected_shape = Poly.x_power(field, deg_q) - Poly.x(field)
-    diff = expected_shape - q
-    if diff.degree() not in (0, float("-inf")):
+    shape = gas_shape(q)
+    if shape is None:
         raise ConsistencyError(f"separable part {q} is not of the form X^(p^n) - X - a")
-    a_const = -q.coeff(0)
+    p, n, a_const = shape
+    deg_q = q.degree()
     if len(eigenvalues) != deg_q:
         raise ConsistencyError(
             f"eigenvalue count {len(eigenvalues)} differs from p^n = {deg_q}"

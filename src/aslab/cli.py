@@ -57,7 +57,11 @@ def _cmd_analyze_ad(args):
         if not text.lstrip().startswith("{"):
             with open(text) as fh:
                 text = fh.read()
-        mat = Matrix.from_json_dict(json.loads(text), field=field)
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"--matrix is not valid JSON: {exc}") from None
+        mat = Matrix.from_json_dict(data, field=field)
     elif args.poly:
         mat = companion(Poly.from_string(field, args.poly))
     else:

@@ -23,7 +23,7 @@ import threading
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement, embed_subfield, frobenius
-from .poly import Poly, min_poly_in_quotient
+from .poly import Poly, extend_echelon, gas_shape, min_poly_in_quotient, reduce_by_echelon
 
 SUBSPACE_MAX_ORDER = 729
 
@@ -402,23 +402,15 @@ class PrimitiveElementResult:
         )
 
 
-def _gas_shape(q: Poly):
-    """Check q = X^(p^n) - X - a and return (p, n, a)."""
-    field = q.field
-    p = field.char
-    deg = q.degree()
-    n = 0
-    t = 1
-    while t < deg:
-        t *= p
-        n += 1
-    if t != deg or n < 1 or not q.is_monic():
-        raise InputError("expected a monic polynomial of degree p^n")
-    shape = Poly.x_power(field, deg) - Poly.x(field)
-    diff = shape - q
-    if diff.degree() not in (0, float("-inf")):
+def _gas_parameters(r: SubspaceR, q: Poly):
+    """(p, n) of q = X^(p^n) - X - a, with R checked to live in GF(p^n)."""
+    shape = gas_shape(q)
+    if shape is None:
         raise InputError("expected the shape X^(p^n) - X - a")
-    return p, n, -q.coeff(0)
+    p, n, _a = shape
+    if r.ambient.char != p or r.ambient.order != p**n:
+        raise InputError("subspace must live in the subfield of p^n elements")
+    return p, n
 
 
 def _constant_embedding(ambient, field):
@@ -445,10 +437,8 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
     certified to be p^(n - dim R) through a minimal polynomial computation.
     """
     field = q.field
-    p, n, _a = _gas_shape(q)
+    p, n = _gas_parameters(r, q)
     ambient = r.ambient
-    if ambient.char != p or ambient.order != p**n:
-        raise InputError("subspace must live in the subfield of p^n elements")
     if check_irreducible:
         if field.order is not None:
             from .poly import is_irreducible_finite
@@ -542,10 +532,8 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     Returns a dict with the rendered mu and the verification flags.
     """
     field = q.field
-    p, n, _a = _gas_shape(q)
+    p, n = _gas_parameters(r, q)
     ambient = r.ambient
-    if ambient.char != p or ambient.order != p**n:
-        raise InputError("subspace must live in the subfield of p^n elements")
     to_f = _constant_embedding(ambient, field)
     qraw = q.raw
     m = r.dim
@@ -588,23 +576,12 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     echelon = []
     for vec in powers:
         row = list(vec) + [field.zero] * (p**n - len(vec))
-        for evec, piv in echelon:
-            cc = row[piv]
-            if cc != field.zero:
-                row = [field.sub(x, field.mul(cc, y)) for x, y in zip(row, evec)]
-        piv = next((i for i, cc in enumerate(row) if cc != field.zero), None)
-        if piv is None:
+        if not extend_echelon(field, echelon, row):
             raise ConsistencyError("powers of alpha_R are linearly dependent too early")
-        inv = field.inv(row[piv])
-        echelon.append(([field.mul(cc, inv) for cc in row], piv))
 
     def in_span(vec):
         row = list(vec) + [field.zero] * (p**n - len(vec))
-        for evec, piv in echelon:
-            cc = row[piv]
-            if cc != field.zero:
-                row = [field.sub(x, field.mul(cc, y)) for x, y in zip(row, evec)]
-        return all(cc == field.zero for cc in row)
+        return all(cc == field.zero for cc in reduce_by_echelon(field, echelon, row))
 
     coeffs_in_e = all(in_span(c) for c in mu)
     if not coeffs_in_e:

@@ -18,6 +18,11 @@ omitted it defaults to the lexicographically smallest monic irreducible
 produces the same field on every machine.
 
 Finite fields are capped at 3^6 = 729 elements.
+
+The finite-field kernels shared by the package live here: is_prime,
+rabin_irreducible (for monic raw polynomials over any finite descriptor;
+poly.is_irreducible_finite wraps it) and monic_irreducibles, whose locked
+cache also supplies default_modulus.
 """
 
 import itertools
@@ -280,37 +285,53 @@ class PrimeField(FieldDescriptor):
         return f"GF({self.p})"
 
 
-def _fp_is_irreducible(p, f):
-    """Irreducibility over GF(p) via x^(p^d) == x tests on the degree divisors."""
-    k = PrimeField(p)
+def rabin_irreducible(k, f):
+    """Rabin's test: whether the monic raw polynomial f is irreducible over
+    the finite field k (x^(q^n) == x, and gcd(x^(q^(n/l)) - x, f) = 1 for
+    every prime l dividing n = deg f)."""
     n = len(f) - 1
-    if n <= 0:
-        return False
-    x = (0, 1)
-    xq = rp.pow_mod(k, x, p**n, f)
-    if xq != rp.rem(k, x, f):
+    if n < 2:
+        return n == 1
+    q = k.order
+    x = (k.zero, k.one)
+    if rp.pow_mod(k, x, q**n, f) != rp.rem(k, x, f):
         return False
     for ell in range(2, n + 1):
         if n % ell == 0 and is_prime(ell):
-            xd = rp.pow_mod(k, x, p ** (n // ell), f)
-            if rp.gcd(k, rp.sub(k, xd, x), f) != (1,):
+            xd = rp.pow_mod(k, x, q ** (n // ell), f)
+            if rp.gcd(k, rp.sub(k, xd, x), f) != (k.one,):
                 return False
     return True
 
 
-_modulus_cache = {}
+_irreducible_cache = {}
+_irreducible_lock = threading.Lock()
+
+
+def monic_irreducibles(k, degree, count):
+    """First `count` monic irreducible raw polynomials of the degree over the
+    finite field k, in enumeration order of their coefficient tails."""
+    key = (k, degree)
+    with _irreducible_lock:
+        cached = _irreducible_cache.get(key, [])
+    if len(cached) >= count:
+        return cached[:count]
+    out = []
+    for tail in itertools.product(k.enumerate_payloads(), repeat=degree):
+        cand = tuple(tail) + (k.one,)
+        if rabin_irreducible(k, cand):
+            out.append(cand)
+            if len(out) == count:
+                break
+    with _irreducible_lock:
+        if len(out) > len(_irreducible_cache.get(key, [])):
+            _irreducible_cache[key] = out
+    return list(out)
 
 
 def default_modulus(p, n):
     """Lexicographically smallest monic irreducible of degree n over GF(p)."""
-    key = (p, n)
-    if key not in _modulus_cache:
-        for tail in itertools.product(range(p), repeat=n):
-            f = rp.trim(PrimeField(p), tail + (1,))
-            if _fp_is_irreducible(p, f):
-                _modulus_cache[key] = f
-                break
-    return _modulus_cache[key]
+    return monic_irreducibles(PrimeField(p), n, 1)[0]
 
 
 class ExtensionField(FieldDescriptor):
@@ -332,7 +353,7 @@ class ExtensionField(FieldDescriptor):
             modulus = rp.trim(self.base, tuple(c % p for c in modulus))
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise InputError("modulus must be monic of the stated degree")
-            if not _fp_is_irreducible(p, modulus):
+            if not rabin_irreducible(self.base, modulus):
                 raise InputError("modulus is reducible over the prime field")
         self.modulus = modulus
         self.order = p**n
@@ -643,6 +664,9 @@ class _RawPoly:
 
     def __neg__(self):
         return _RawPoly(rp.neg(self.k, self.coeffs), self.k)
+
+    def __truediv__(self, other):
+        raise InputError("a modulus cannot contain '/'")
 
     def __pow__(self, n):
         out = _RawPoly((self.k.one,), self.k)

@@ -14,9 +14,11 @@ lemma, the input being primitive with unit leading coefficient).  Caps:
 |K| <= 9 and total degree <= 12.
 """
 
+import itertools
+
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, RationalFunctionField
+from .fields import FieldElement, RationalFunctionField, monic_irreducibles
 from .poly import Poly, _factor_raw, is_irreducible_finite
 
 ORACLE_MAX_FIELD = 9
@@ -225,55 +227,9 @@ def _clear_denominators(h: Poly):
     k = F.base
     common = (k.one,)
     for num, den in h.raw:
-        common = rp.mul(k, common, rp.divmod_(k, den, rp.gcd(k, common, den))[0]) \
-            if len(den) > 1 else common
-    cols = []
-    for num, den in h.raw:
-        scaled = rp.mul(k, num, rp.divmod_(k, common, den)[0])
-        cols.append(scaled)
-    return cols, k
-
-
-_irreducible_cache = {}
-
-
-def _monic_irreducibles(k, degree, count):
-    """First `count` monic irreducible raw polys of the degree, in order."""
-    import itertools
-
-    key = (k, degree)
-    cached = _irreducible_cache.get(key, [])
-    if len(cached) >= count:
-        return cached[:count]
-    out = []
-    for tail in itertools.product(k.enumerate_payloads(), repeat=degree):
-        cand = rp.trim(k, tuple(tail) + (k.one,))
-        if len(cand) != degree + 1:
-            continue
-        if _raw_irreducible(k, cand):
-            out.append(cand)
-            if len(out) >= count:
-                break
-    _irreducible_cache[key] = out
-    return out
-
-
-def _raw_irreducible(k, f):
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    q = k.order
-    x = (k.zero, k.one)
-    if rp.pow_mod(k, x, q**n, f) != rp.rem(k, x, f):
-        return False
-    for ell in range(2, n + 1):
-        if n % ell == 0 and all(ell % d for d in range(2, ell)):
-            xd = rp.pow_mod(k, x, q ** (n // ell), f)
-            if rp.gcd(k, rp.sub(k, xd, x), f) != (k.one,):
-                return False
-    return True
+        if len(den) > 1:
+            common = rp.mul(k, common, rp.divmod_(k, den, rp.gcd(k, common, den))[0])
+    return [rp.mul(k, num, rp.divmod_(k, common, den)[0]) for num, den in h.raw], k
 
 
 def _divisor_products(quot, factors, k):
@@ -297,28 +253,12 @@ def _divisor_products(quot, factors, k):
         for take in range(mult + 1):
             walk(idx + 1, deg_left - d * take, cur)
             if take < mult and d * (take + 1) <= deg_left:
-                cur = _xpoly_mul(quot, cur, piece)
+                cur = rp.mul(quot, cur, piece)
             else:
                 break
 
     walk(0, k, (quot.one,))
     return list(results)
-
-
-def _xpoly_mul(quot, a, b):
-    """Multiply polynomials in X with coefficients in the quotient field."""
-    if not a or not b:
-        return ()
-    out = [quot.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == quot.zero:
-            continue
-        for j, y in enumerate(b):
-            if y != quot.zero:
-                out[i + j] = quot.add(out[i + j], quot.mul(x, y))
-    while out and out[-1] == quot.zero:
-        out.pop()
-    return tuple(out)
 
 
 def _bivariate_divides(k, num_cols, div_cols):
@@ -397,7 +337,7 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
         d = min(dmax, need)
         degrees.append(d)
         need -= d
-    pools = {d: _monic_irreducibles(k, d, degrees.count(d)) for d in set(degrees)}
+    pools = {d: monic_irreducibles(k, d, degrees.count(d)) for d in set(degrees)}
     used = {d: 0 for d in set(degrees)}
     moduli = []
     for d in degrees:
@@ -430,7 +370,7 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
             total *= len(divs)
         if total > _COMBINATION_LIMIT:
             raise CapExceededError("candidate combination count exceeds the oracle cap")
-        for combo in _cartesian(options):
+        for combo in itertools.product(*options):
             cand_cols = []
             ok = True
             for j in range(kdeg + 1):
@@ -471,15 +411,6 @@ def _lift_factor(F, k, cand_cols, substituted_lead):
         coeffs.append(F.fraction(rp.mul(k, cand_cols[j], power), den))
         power = rp.mul(k, power, substituted_lead)
     return Poly(F, coeffs)
-
-
-def _cartesian(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _cartesian(lists[1:]):
-            yield (head,) + tail
 
 
 def rational_poly_irreducible(f: Poly) -> bool:

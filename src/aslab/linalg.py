@@ -4,7 +4,10 @@ Provides companion / Kronecker / Pascal constructors, kernels and
 eigenspaces by Gaussian elimination, invariant factors through the Smith
 normal form of XI - M over F[X], similarity testing, and Jordan types of
 nilpotent matrices from rank sequences.  All pivot choices are fixed, so
-every function is deterministic.
+every function is deterministic.  Gaussian elimination over the field lives
+in _row_echelon alone; _kernel, the payload-level kernel basis built on it,
+also serves poly's Berlekamp split, whose quotient-field descriptors have
+no validate_payload.
 
 Size caps: 100x100 over rational function fields (entry growth), 1024x1024
 over finite fields.
@@ -182,46 +185,16 @@ class Matrix:
     def rank(self):
         return len(_row_echelon(self.field, [list(r) for r in self.rows])[1])
 
-    def det(self):
-        if not self.is_square():
-            raise InputError("determinant needs a square matrix")
-        k = self.field
-        mat = [list(r) for r in self.rows]
-        n = self.nrows
-        detval = k.one
-        for c in range(n):
-            piv = next((i for i in range(c, n) if mat[i][c] != k.zero), None)
-            if piv is None:
-                return FieldElement(k, k.zero)
-            if piv != c:
-                mat[c], mat[piv] = mat[piv], mat[c]
-                detval = k.neg(detval)
-            detval = k.mul(detval, mat[c][c])
-            inv = k.inv(mat[c][c])
-            for i in range(c + 1, n):
-                if mat[i][c] != k.zero:
-                    f = k.mul(mat[i][c], inv)
-                    mat[i] = [k.sub(a, k.mul(f, b)) for a, b in zip(mat[i], mat[c])]
-        return FieldElement(k, detval)
-
     def is_invertible(self):
         return self.is_square() and self.rank() == self.nrows
 
     def kernel_basis(self):
         """Canonical kernel basis (one vector per free column of the RREF)."""
         k = self.field
-        mat, pivots = _row_echelon(k, [list(r) for r in self.rows], reduced=True)
-        pivot_cols = {c: r for r, c in enumerate(pivots)}
-        basis = []
-        for c in range(self.ncols):
-            if c in pivot_cols:
-                continue
-            vec = [k.zero] * self.ncols
-            vec[c] = k.one
-            for pc, prow in pivot_cols.items():
-                vec[pc] = k.neg(mat[prow][c])
-            basis.append(tuple(FieldElement(k, v) for v in vec))
-        return basis
+        return [
+            tuple(FieldElement(k, v) for v in vec)
+            for vec in _kernel(k, [list(r) for r in self.rows])
+        ]
 
     def to_json_dict(self):
         return {
@@ -269,6 +242,24 @@ def _row_echelon(k, mat, reduced=False):
         if r == nrows:
             break
     return mat, pivots
+
+
+def _kernel(k, mat):
+    """Kernel basis, as payload tuples, of a list-of-rows matrix over any
+    descriptor with zero/one/neg/mul/sub/inv; mat is reduced in place."""
+    ncols = len(mat[0])
+    mat, pivots = _row_echelon(k, mat, reduced=True)
+    pivot_cols = {c: r for r, c in enumerate(pivots)}
+    basis = []
+    for c in range(ncols):
+        if c in pivot_cols:
+            continue
+        vec = [k.zero] * ncols
+        vec[c] = k.one
+        for pc, prow in pivot_cols.items():
+            vec[pc] = k.neg(mat[prow][c])
+        basis.append(tuple(vec))
+    return basis
 
 
 def companion(f: Poly) -> Matrix:

@@ -4,6 +4,12 @@ finite fields, and minimal polynomials in quotient rings.
 
 The zero polynomial has degree MINUS_INFINITY (a genuine minus infinity, so
 degree comparisons behave), never -1.
+
+Kernels shared with ad_analyzer and dickson live here: _divide_out (the
+multiplicity of a divisor, hence of a root), gas_shape (recognises
+X^(p^n) - X - a), and the incremental echelon extend_echelon /
+reduce_by_echelon behind min_poly_in_quotient.  Irreducibility comes from
+fields.rabin_irreducible and the Berlekamp kernel from linalg._kernel.
 """
 
 import itertools
@@ -11,7 +17,7 @@ import itertools
 from . import _ringops as rp
 from ._exprparse import parse_expression
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, _raw_poly_str
+from .fields import FieldElement, _raw_poly_str, rabin_irreducible
 
 MINUS_INFINITY = float("-inf")
 
@@ -310,29 +316,29 @@ def separable_part(h: Poly) -> SeparableDecomposition:
 
 def is_irreducible_finite(f: Poly) -> bool:
     """Deterministic irreducibility test over a finite field."""
-    field = f.field
-    if field.order is None:
+    if f.field.order is None:
         raise InputError("irreducibility test requires a finite field")
-    n = f.degree()
-    if n is MINUS_INFINITY or n == 0:
-        return False
-    if n == 1:
-        return True
-    q = field.order
-    raw = rp.monic(field, f.raw)
-    x = (field.zero, field.one)
-    if rp.pow_mod(field, x, q**n, raw) != rp.rem(field, x, raw):
-        return False
-    for ell in range(2, n + 1):
-        if n % ell == 0 and _small_prime(ell):
-            xd = rp.pow_mod(field, x, q ** (n // ell), raw)
-            if rp.gcd(field, rp.sub(field, xd, x), raw) != (field.one,):
-                return False
-    return True
+    if f.degree() < 2:
+        return f.degree() == 1
+    return rabin_irreducible(f.field, rp.monic(f.field, f.raw))
 
 
-def _small_prime(n):
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+def gas_shape(q: Poly):
+    """(p, n, a) when q = X^(p^n) - X - a with n >= 1, otherwise None."""
+    field = q.field
+    p = field.char
+    deg = q.degree()
+    n = 0
+    t = 1
+    while t < deg:
+        t *= p
+        n += 1
+    if t != deg or n < 1 or not q.is_monic():
+        return None
+    diff = Poly.x_power(field, deg) - Poly.x(field) - q
+    if diff.degree() > 0:
+        return None
+    return p, n, -q.coeff(0)
 
 
 def factor_finite(f: Poly):
@@ -376,13 +382,7 @@ def _factor_raw(field, m):
         g = rp.gcd(field, rp.sub(field, xq, x), m)
         if len(g) > 1:
             for piece in _equal_degree_split(field, g, d):
-                mult = 0
-                while True:
-                    quo, remdr = rp.divmod_(field, m, piece)
-                    if remdr:
-                        break
-                    m = quo
-                    mult += 1
+                m, mult = _divide_out(field, m, piece)
                 found.append((piece, mult))
         d += 1
     found.sort(key=lambda fm: (len(fm[0]), tuple(field.sort_key(c) for c in fm[0])))
@@ -394,11 +394,7 @@ def _equal_degree_split(field, g, d):
     if len(g) - 1 == d:
         return [g]
     if d == 1:
-        roots = [
-            a for a in field.enumerate_payloads()
-            if rp.evaluate(field, g, a) == field.zero
-        ]
-        return [(field.neg(a), field.one) for a in roots]
+        return [(field.neg(a), field.one) for a in _raw_roots(field, g)]
     if field.order**d <= _EXHAUSTIVE_LIMIT and field.order <= 81:
         return _equal_degree_exhaustive(field, g, d)
     return _berlekamp_split(field, g, d)
@@ -433,15 +429,17 @@ def _berlekamp_split(field, g, d):
         row[i] = field.sub(row[i], field.one)
         rows.append(row)
         xi = rp.rem(field, rp.mul(field, xi, xq), g)
-    basis = _null_space(field, rows, n)
+    from .linalg import _kernel
+
+    basis = _kernel(field, [list(col) for col in zip(*rows)])
     pieces = [g]
     for b in basis:
-        if len(rp.trim(field, b)) <= 1:
-            continue  # constants do not split anything
         btrim = rp.trim(field, b)
+        if len(btrim) <= 1:
+            continue  # constants do not split anything
         # the useful shift values s are the roots of the minimal polynomial
         # of b in F_q[X]/(g); scan only those instead of the whole field
-        shifts = _element_residues(field, btrim, g)
+        shifts = _raw_roots(field, _min_dependence(field, btrim, g))
         next_pieces = []
         for piece in pieces:
             if len(piece) - 1 == d:
@@ -464,98 +462,31 @@ def _berlekamp_split(field, g, d):
     raise ConsistencyError("Berlekamp sweep failed to separate equal-degree factors")
 
 
-def _element_residues(field, b, g):
-    """Roots in F_q of the minimal polynomial of b modulo g, in order."""
-    n = len(g) - 1
-    echelon = []
-    power = (field.one,)
-    combo_poly = None
-    for j in range(n + 1):
-        vec = list(power) + [field.zero] * (n - len(power))
-        combo = [field.zero] * (j + 1)
-        combo[j] = field.one
-        for evec, piv, ecombo in echelon:
-            c = vec[piv]
-            if c != field.zero:
-                vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, evec)]
-                for i, y in enumerate(ecombo):
-                    combo[i] = field.sub(combo[i], field.mul(c, y))
-        piv = next((i for i, c in enumerate(vec) if c != field.zero), None)
-        if piv is None:
-            combo_poly = rp.trim(field, combo)
-            break
-        inv = field.inv(vec[piv])
-        echelon.append((
-            [field.mul(c, inv) for c in vec],
-            piv,
-            [field.mul(c, inv) for c in combo],
-        ))
-        power = rp.rem(field, rp.mul(field, power, b), g)
-    if combo_poly is None:
-        raise ConsistencyError("no dependence found for a subalgebra element")
-    return [
-        s for s in field.enumerate_payloads()
-        if rp.evaluate(field, combo_poly, s) == field.zero
-    ]
-
-
-def _null_space(field, rows, n):
-    """Null space basis of the matrix whose i-th ROW is the image of e_i."""
-    # transpose so columns are images; then standard kernel computation
-    mat = [[rows[j][i] for j in range(n)] for i in range(n)]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, n):
-            if mat[i][c] != field.zero:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = field.inv(mat[r][c])
-        mat[r] = [field.mul(v, inv) for v in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][c] != field.zero:
-                factor = mat[i][c]
-                mat[i] = [
-                    field.sub(v, field.mul(factor, w)) for v, w in zip(mat[i], mat[r])
-                ]
-        pivots[c] = r
-        r += 1
-    basis = []
-    for c in range(n):
-        if c in pivots:
-            continue
-        vec = [field.zero] * n
-        vec[c] = field.one
-        for pc, prow in pivots.items():
-            vec[pc] = field.neg(mat[prow][c])
-        basis.append(tuple(vec))
-    return basis
-
-
 def roots_in_finite_field(f: Poly):
     """Roots with multiplicities over a finite coefficient field, by scan."""
     field = f.field
     if field.order is None:
         raise InputError("root scan requires a finite field")
-    out = []
-    for a in field.enumerate_payloads():
-        if rp.evaluate(field, f.raw, a) == field.zero:
-            elem = FieldElement(field, a)
-            mult = 0
-            g = f
-            lin = Poly(field, [field.neg(a), 1])
-            while True:
-                quo, remdr = divmod(g, lin)
-                if not remdr.is_zero():
-                    break
-                g = quo
-                mult += 1
-            out.append((elem, mult))
-    return out
+    return [
+        (FieldElement(field, a), _divide_out(field, f.raw, (field.neg(a), field.one))[1])
+        for a in _raw_roots(field, f.raw)
+    ]
+
+
+def _raw_roots(field, f):
+    """Roots in a finite field of a raw polynomial, in enumeration order."""
+    return [a for a in field.enumerate_payloads() if rp.evaluate(field, f, a) == field.zero]
+
+
+def _divide_out(k, f, d):
+    """(f / d^m, m) for the largest m with d^m dividing the nonzero raw f."""
+    mult = 0
+    while len(f) >= len(d):
+        quo, remdr = rp.divmod_(k, f, d)
+        if remdr:
+            break
+        f, mult = quo, mult + 1
+    return f, mult
 
 
 def min_poly_in_quotient(u: Poly, q: Poly) -> Poly:
@@ -568,28 +499,55 @@ def min_poly_in_quotient(u: Poly, q: Poly) -> Poly:
         raise InputError("quotient modulus must be monic of degree >= 1")
     if u.field != q.field:
         raise InputError("u and q must live over the same field")
-    field = q.field
-    n = q.degree()
-    uraw = rp.rem(field, u.raw, q.raw)
-    # echelon rows: (vector, pivot, combo) with combo tracking powers of u
+    return Poly.from_raw(q.field, _min_dependence(q.field, rp.rem(q.field, u.raw, q.raw), q.raw))
+
+
+def _min_dependence(field, u, m):
+    """Monic raw minimal polynomial of the reduced raw u in field[X]/(m), m
+    monic: the first linear dependence among 1, u, u^2, ... reduced mod m.
+
+    Each echelon row carries the combination of powers of u it stands for,
+    so the dependence is read off the reduced combination directly.
+    """
+    n = len(m) - 1
     echelon = []
     power = (field.one,)
     for j in range(n + 1):
         vec = list(power) + [field.zero] * (n - len(power))
-        combo = [field.zero] * (j + 1)
-        combo[j] = field.one
-        for evec, piv, ecombo in echelon:
-            c = vec[piv]
-            if c != field.zero:
-                vec = [field.sub(a, field.mul(c, b)) for a, b in zip(vec, evec)]
-                for i, b in enumerate(ecombo):
-                    combo[i] = field.sub(combo[i], field.mul(c, b))
-        piv = next((i for i, c in enumerate(vec) if c != field.zero), None)
-        if piv is None:
-            return Poly.from_raw(field, combo).monic()
-        inv = field.inv(vec[piv])
-        vec = [field.mul(c, inv) for c in vec]
-        combo = [field.mul(c, inv) for c in combo]
-        echelon.append((vec, piv, combo))
-        power = rp.rem(field, rp.mul(field, power, uraw), q.raw)
+        combo = [field.zero] * j + [field.one]
+        if not extend_echelon(field, echelon, vec, combo):
+            return tuple(combo)  # combo[j] is still one: already monic
+        power = rp.rem(field, rp.mul(field, power, u), m)
     raise ConsistencyError("no linear dependence found within the dimension bound")
+
+
+def reduce_by_echelon(field, echelon, vec, combo=None):
+    """vec minus its components along the echelon rows (row, pivot, combo).
+
+    When combo is given, the same row operations are applied to it in place
+    using the rows' combos, which tracks what the reduced vector stands for.
+    """
+    for evec, piv, ecombo in echelon:
+        c = vec[piv]
+        if c != field.zero:
+            vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, evec)]
+            if combo is not None:
+                for i, y in enumerate(ecombo):
+                    combo[i] = field.sub(combo[i], field.mul(c, y))
+    return vec
+
+
+def extend_echelon(field, echelon, vec, combo=None):
+    """Reduce vec (and combo) by the echelon and append the result scaled to
+    a unit pivot; returns False, appending nothing, if vec reduces to zero."""
+    vec = reduce_by_echelon(field, echelon, vec, combo)
+    piv = next((i for i, c in enumerate(vec) if c != field.zero), None)
+    if piv is None:
+        return False
+    inv = field.inv(vec[piv])
+    echelon.append((
+        [field.mul(c, inv) for c in vec],
+        piv,
+        None if combo is None else [field.mul(c, inv) for c in combo],
+    ))
+    return True

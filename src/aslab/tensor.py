@@ -17,7 +17,7 @@ commutator operator on a direct sum of equal-size blocks J_(p^e)(alpha_i):
 import math
 
 from .errors import CapExceededError, InputError
-from .fields import make_field
+from .fields import PrimeField, make_field
 from .linalg import (
     JordanType,
     Matrix,
@@ -40,7 +40,7 @@ class TensorInstance:
     def __init__(self, p, n, m, alpha=0, beta=0):
         if n < 1 or m < 1:
             raise InputError("block sizes must be >= 1")
-        self.field = make_field(f"GF({p})")
+        self.field = PrimeField(p)
         self.p = p
         self.n = n
         self.m = m

@@ -5,6 +5,7 @@ exact tolerances and prints a single PASS/FAIL line; the determinism
 criterion reruns every suite and compares the JSON byte for byte.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -14,6 +15,17 @@ from aslab.fields import enumerate_elements, make_field
 from aslab.poly import Poly
 
 SEED = 0
+# first 16 hex digits of the SHA-256 of each suite's canonical JSON at SEED;
+# a change here is a change of results and must be justified as a fix
+SUITE_HASHES = {
+    "forward": "8e6c3bcb95ae1692",
+    "converse": "011652424b202e90",
+    "tensor": "2c2a7ba9d28c0eac",
+    "blocksum": "3689de0286c14d21",
+    "dickson": "08ac28929a1d4aa3",
+    "irred": "1ebe787923b2dc0e",
+    "similarity": "e9f7ec967ab42d4a",
+}
 
 
 @pytest.fixture(scope="module")
@@ -76,7 +88,8 @@ def test_criterion_7_similarity_suite(suite_results):
 
 
 def test_criterion_8_determinism(suite_results):
-    """Every suite rerun with the same seed is byte-identical."""
+    """Every suite rerun with the same seed is byte-identical, and hashes to
+    its pinned value, so the bytes also match across commits."""
     ok = True
     for name in acceptance.SUITES:
         first = json.dumps(suite_results[name], separators=(",", ":")).encode()
@@ -84,6 +97,10 @@ def test_criterion_8_determinism(suite_results):
         if first != again:
             ok = False
             print(f"  suite {name} is not byte-stable")
+        digest = hashlib.sha256(first).hexdigest()[:16]
+        if digest != SUITE_HASHES[name]:
+            ok = False
+            print(f"  suite {name} hashes to {digest}, pinned {SUITE_HASHES[name]}")
     print(f"criterion 8 (determinism): {'PASS' if ok else 'FAIL'}")
     assert ok
 

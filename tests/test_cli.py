@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from aslab.cli import main
 
 
@@ -113,6 +115,25 @@ def test_bad_poly_exits_2(capsys):
 
 def test_missing_input_exits_2(capsys):
     assert run_cli(capsys, "analyze-ad", "--field", "GF(2)")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze-ad", "--field", "GF(3)", "--matrix", '{"field": "GF(3)", "entries": [["1'),
+        ("analyze-ad", "--field", "GF(3)(Z)", "--poly", "X^2-X-1/(3*Z)"),
+        ("analyze-ad", "--field", "GF(2^2; mod=t^2+t+1/t)", "--poly", "X"),
+        ("decompose-tensor", "--p", "4", "--n", "1", "--m", "2"),
+        ("decompose-tensor", "--p", "9", "--n", "2", "--m", "3"),
+    ],
+    ids=["truncated-matrix-json", "zero-denominator", "division-in-modulus", "p-4", "p-9"],
+)
+def test_malformed_input_exits_2_with_one_error_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 def test_byte_identical_reruns(capsys):

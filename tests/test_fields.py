@@ -1,8 +1,12 @@
+import itertools
 import random
+import sys
+import threading
 
 import pytest
 
 from aslab import _ringops as rp
+from aslab import fields
 from aslab.errors import CapExceededError, InputError
 from aslab.fields import (
     embed_subfield,
@@ -10,6 +14,7 @@ from aslab.fields import (
     frobenius,
     is_pth_power_coeffs,
     make_field,
+    rabin_irreducible,
 )
 from aslab.poly import Poly
 
@@ -35,12 +40,69 @@ def test_make_field_gf4_modulus_is_the_unique_irreducible_quadratic():
     assert f4.modulus == (1, 1, 1)
 
 
+def _mobius(n):
+    result, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if n > 1 else result
+
+
+@pytest.mark.parametrize(
+    "spec, max_degree", [("GF(2)", 4), ("GF(3)", 4), ("GF(4)", 4), ("GF(9)", 2)]
+)
+def test_rabin_test_counts_match_gauss_formula(spec, max_degree):
+    # Gauss: GF(q) has (1/d) * sum over j | d of mu(d/j) q^j monic
+    # irreducibles of degree d; count what the Rabin test accepts
+    k = make_field(spec)
+    q = k.order
+    for d in range(1, max_degree + 1):
+        expected = sum(_mobius(d // j) * q**j for j in range(1, d + 1) if d % j == 0) // d
+        accepted = sum(
+            rabin_irreducible(k, tail + (k.one,))
+            for tail in itertools.product(k.enumerate_payloads(), repeat=d)
+        )
+        assert accepted == expected, (spec, d)
+
+
+def test_irreducible_cache_under_threads():
+    # more threads than cores fill and read the shared cache at once, with a
+    # tiny switch interval; each must get the sequential answer and the
+    # cache must end up holding the longest list asked for
+    k = make_field("GF(3)")
+    expected = {c: fields.monic_irreducibles(k, 3, c) for c in (1, 4, 8)}
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(50):
+            fields._irreducible_cache.clear()
+            results = []
+            threads = [
+                threading.Thread(
+                    target=lambda c=c: results.append((c, fields.monic_irreducibles(k, 3, c)))
+                )
+                for c in (1, 4, 8) * 3
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert sorted(c for c, _ in results) == sorted((1, 4, 8) * 3)
+            assert all(res == expected[c] for c, res in results)
+            assert fields._irreducible_cache[(k, 3)] == expected[8]
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
 def test_default_modulus_lex_smallest_low_degree_first():
     # rebuild the rule independently: scan coefficient vectors (c0, c1, ...)
     # in lexicographic order with c0 compared first, keep the first monic
     # polynomial with no nontrivial monic divisor
-    import itertools
-
     def brute_irreducible(coeffs, p):
         n = len(coeffs) - 1
         for d in range(1, n):

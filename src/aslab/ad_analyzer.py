@@ -257,7 +257,8 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     else:
         c3 = False
 
-    dims = [(v, len(eigenspace(ad, v))) for v in eigenvalues]
+    # dimensions from ranks; bases are built only for the invertibility sweep
+    dims = [(v, m * m - ad.scalar_shift(-v).rank()) for v in eigenvalues]
     diagonalizable = sum(d for _, d in dims) == m * m
 
     failures = []

@@ -54,9 +54,12 @@ def _cmd_analyze_ad(args):
     field = make_field(args.field)
     if args.matrix:
         text = args.matrix
-        if not text.lstrip().startswith("{"):
-            with open(text) as fh:
-                text = fh.read()
+        if not text.lstrip().startswith(("{", "[")):
+            try:
+                with open(text) as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise InputError(f"cannot read --matrix file: {exc}") from None
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -1,13 +1,16 @@
 """Dense exact linear algebra over the supported fields.
 
 Provides companion / Kronecker / Pascal constructors, kernels and
-eigenspaces by Gaussian elimination, invariant factors through the Smith
-normal form of XI - M over F[X], similarity testing, and Jordan types of
-nilpotent matrices from rank sequences.  All pivot choices are fixed, so
-every function is deterministic.  Gaussian elimination over the field lives
-in _row_echelon alone; _kernel, the payload-level kernel basis built on it,
-also serves poly's Berlekamp split, whose quotient-field descriptors have
-no validate_payload.
+eigenspaces by Gaussian elimination, invariant factors from Krylov chains
+over F, similarity testing, and Jordan types of nilpotent matrices from
+rank sequences.  All pivot choices are fixed, so every function is
+deterministic.  Gaussian elimination over the field lives in _row_echelon
+alone; _kernel, the payload-level kernel basis built on it, also serves
+poly's Berlekamp split, whose quotient-field descriptors have no
+validate_payload.  invariant_factors reduces its Krylov vectors with poly's
+incremental echelon and runs the Smith normal form over F[X]
+(_smith_diagonal) only on the small matrix of chain relations (Storjohann,
+"An O(n^3) algorithm for the Frobenius normal form", ISSAC 1998).
 
 Size caps: 100x100 over rational function fields (entry growth), 1024x1024
 over finite fields.
@@ -18,7 +21,7 @@ import math
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement
-from .poly import Poly, factor_finite
+from .poly import Poly, extend_echelon, factor_finite
 
 MAX_FINITE_DIM = 1024
 MAX_RATIONAL_DIM = 100
@@ -206,9 +209,14 @@ class Matrix:
     def from_json_dict(cls, data, field=None):
         from .fields import make_field
 
+        entries = data.get("entries") if isinstance(data, dict) else None
+        if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+            raise InputError('matrix JSON must be an object with an "entries" list of rows')
         if field is None:
+            if not isinstance(data.get("field"), str):
+                raise InputError('matrix JSON needs a "field" string')
             field = make_field(data["field"])
-        return cls(field, data["entries"])
+        return cls(field, entries)
 
     def __str__(self):
         return "[" + "; ".join(
@@ -220,7 +228,8 @@ class Matrix:
 
 
 def _row_echelon(k, mat, reduced=False):
-    """In-place echelon form; returns (matrix, pivot column list)."""
+    """In-place echelon form of a list of row lists; returns (matrix, pivot
+    column list).  Row updates touch only the pivot row's nonzero entries."""
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots = []
@@ -232,11 +241,14 @@ def _row_echelon(k, mat, reduced=False):
         mat[r], mat[piv] = mat[piv], mat[r]
         inv = k.inv(mat[r][c])
         mat[r] = [k.mul(v, inv) for v in mat[r]]
+        support = [(j, b) for j, b in enumerate(mat[r]) if b != k.zero]
         rng = range(nrows) if reduced else range(r + 1, nrows)
         for i in rng:
             if i != r and mat[i][c] != k.zero:
-                f = mat[i][c]
-                mat[i] = [k.sub(a, k.mul(f, b)) for a, b in zip(mat[i], mat[r])]
+                row = mat[i]
+                f = row[c]
+                for j, b in support:
+                    row[j] = k.sub(row[j], k.mul(f, b))
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -411,26 +423,43 @@ class InvariantFactorList:
 
 
 def invariant_factors(m: Matrix) -> InvariantFactorList:
-    """Invariant factors of m via the Smith normal form of XI - m over F[X].
+    """Invariant factors of m from Krylov chains over its field.
 
-    Pivot rule: smallest degree, then leftmost column, then topmost row;
-    diagonal entries are normalized monic at the end.
+    F^n splits into chains v, mv, m^2 v, ... started from e_0, e_1, ...,
+    skipping every e_i already in the span.  Each new vector is reduced by
+    the incremental echelon (poly.extend_echelon), whose combination records
+    what the reduced vector stands for, so chain j ends in one relation
+    X^(d_j) v_j + sum_s c_s X^(l_s) v_(chain s) = 0.  These relations present
+    F^n as an F[X]-module, so the Smith form of their k x k triangular
+    matrix over F[X], k the number of chains, gives the invariant factors.
     """
     if not m.is_square():
         raise InputError("invariant factors need a square matrix")
     k = m.field
     n = m.nrows
-    grid = []
+    zero = k.zero
+    columns = [[(i, a) for i, a in enumerate(col) if a != zero] for col in zip(*m.rows)]
+    echelon = []
+    place = []  # (chain, power) of each vector in the echelon, in order
+    relations = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            a = k.neg(m.rows[i][j])
-            if i == j:
-                row.append(rp.trim(k, (a, k.one)))
-            else:
-                row.append(rp.trim(k, (a,)))
-        grid.append(row)
-    diag = _smith_diagonal(k, grid)
+        vec = [zero] * n
+        vec[i] = k.one
+        chain = len(relations)
+        power = 0
+        while True:
+            combo = [zero] * len(place) + [k.one]
+            place.append((chain, power))
+            if not extend_echelon(k, echelon, vec, combo):
+                break
+            vec = _apply(k, columns, vec)
+            power += 1
+        # vec lies in the span: combo closes the chain, unless the chain is
+        # empty because e_i itself was already spanned
+        if power:
+            relations.append(_relation_row(k, combo, place))
+        place.pop()
+    diag = _smith_diagonal(k, relations)
     nontrivial = [Poly.from_raw(k, d) for d in diag if len(d) > 1]
     total = sum(f.degree() for f in nontrivial)
     if total != n:
@@ -438,67 +467,98 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
     return InvariantFactorList(nontrivial)
 
 
-def _smith_diagonal(k, grid):
-    """Smith normal form diagonal of a square polynomial matrix, monic."""
-    n = len(grid)
+def _apply(k, columns, vec):
+    """m times vec, m given by its columns' nonzero (row, entry) pairs."""
+    out = [k.zero] * len(vec)
+    for v, col in zip(vec, columns):
+        if v != k.zero:
+            for i, a in col:
+                out[i] = k.add(out[i], k.mul(a, v))
+    return out
+
+
+def _relation_row(k, combo, place):
+    """{chain: F[X] entry} for the relation
+    sum_s combo[s] * X^(power s) * v_(chain s) = 0."""
+    coeffs = {}
+    for (chain, power), a in zip(place, combo):
+        if a != k.zero:
+            col = coeffs.setdefault(chain, [])
+            col.extend([k.zero] * (power + 1 - len(col)))
+            col[power] = a
+    return {chain: rp.trim(k, col) for chain, col in coeffs.items()}
+
+
+def _smith_diagonal(k, rows):
+    """Smith normal form diagonal, monic, of a square polynomial matrix given
+    as one {column: nonzero raw entry} dict per row; the dicts are consumed.
+
+    Pivot rule: smallest degree, then leftmost column, then topmost row;
+    diagonal entries are normalized monic at the end.  Rows are sparse so
+    that each pivot search and sweep costs the nonzero entries only.
+    """
+    n = len(rows)
     diag = []
     for s in range(n):
         while True:
-            # locate minimal-degree nonzero pivot in the trailing block
-            best = None
-            for j in range(s, n):
-                for i in range(s, n):
-                    e = grid[i][j]
-                    if e and (best is None or len(e) < len(grid[best[0]][best[1]])):
-                        best = (i, j)
-                if best is not None and len(grid[best[0]][best[1]]) == 1:
-                    break
+            # rows and columns before s are finished: all that is left lies
+            # in the trailing block
+            best = min(
+                ((len(e), j, i) for i in range(s, n) for j, e in rows[i].items()),
+                default=None,
+            )
             if best is None:
                 diag.append(())
                 break
-            bi, bj = best
-            if bi != s:
-                grid[s], grid[bi] = grid[bi], grid[s]
+            _, bj, bi = best
+            rows[s], rows[bi] = rows[bi], rows[s]
             if bj != s:
-                for row in grid:
-                    row[s], row[bj] = row[bj], row[s]
-            # clear row s and column s
+                for row in rows[s:]:
+                    a, b = row.pop(s, None), row.pop(bj, None)
+                    if a:
+                        row[bj] = a
+                    if b:
+                        row[s] = b
+            top = rows[s]
+            piv = top[s]
+            # clear column s, then row s
             dirty = False
-            for i in range(s + 1, n):
-                if grid[i][s]:
-                    q, r = rp.divmod_(k, grid[i][s], grid[s][s])
+            for row in rows[s + 1:]:
+                if s in row:
+                    q, r = rp.divmod_(k, row[s], piv)
                     if q:
-                        for j in range(s, n):
-                            if grid[s][j]:
-                                grid[i][j] = rp.sub(k, grid[i][j], rp.mul(k, q, grid[s][j]))
-                    if grid[i][s]:
+                        for j, e in top.items():
+                            _put(row, j, rp.sub(k, row.get(j, ()), rp.mul(k, q, e)))
+                    if r:
                         dirty = True
-            for j in range(s + 1, n):
-                if grid[s][j]:
-                    q, r = rp.divmod_(k, grid[s][j], grid[s][s])
-                    if q:
-                        for i in range(s, n):
-                            if grid[i][s]:
-                                grid[i][j] = rp.sub(k, grid[i][j], rp.mul(k, q, grid[i][s]))
-                    if grid[s][j]:
-                        dirty = True
+            for j in [j for j in top if j != s]:
+                q, r = rp.divmod_(k, top[j], piv)
+                if q:
+                    for row in rows[s:]:
+                        if s in row:
+                            _put(row, j, rp.sub(k, row.get(j, ()), rp.mul(k, q, row[s])))
+                if r:
+                    dirty = True
             if dirty:
                 continue
             # pivot must divide the rest of the block
-            offender = None
-            for i in range(s + 1, n):
-                for j in range(s + 1, n):
-                    if grid[i][j] and rp.rem(k, grid[i][j], grid[s][s]):
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            offender = next(
+                (row for row in rows[s + 1:] if any(rp.rem(k, e, piv) for e in row.values())),
+                None,
+            )
             if offender is None:
-                diag.append(rp.monic(k, grid[s][s]))
+                diag.append(rp.monic(k, piv))
                 break
-            for j in range(s, n):
-                grid[s][j] = rp.add(k, grid[s][j], grid[offender][j])
+            for j, e in offender.items():
+                _put(top, j, rp.add(k, top.get(j, ()), e))
     return diag
+
+
+def _put(row, j, e):
+    if e:
+        row[j] = e
+    else:
+        row.pop(j, None)
 
 
 def similar(a: Matrix, b: Matrix) -> bool:

@@ -522,17 +522,22 @@ def _min_dependence(field, u, m):
 
 
 def reduce_by_echelon(field, echelon, vec, combo=None):
-    """vec minus its components along the echelon rows (row, pivot, combo).
+    """vec minus its components along the echelon rows, as a new list.
 
+    Echelon rows are (row, pivot, combo) with row and combo stored as their
+    nonzero (index, value) pairs, so sparse rows cost only their nonzeros.
     When combo is given, the same row operations are applied to it in place
     using the rows' combos, which tracks what the reduced vector stands for.
     """
-    for evec, piv, ecombo in echelon:
+    vec = list(vec)
+    zero = field.zero
+    for row, piv, ecombo in echelon:
         c = vec[piv]
-        if c != field.zero:
-            vec = [field.sub(x, field.mul(c, y)) for x, y in zip(vec, evec)]
+        if c != zero:
+            for i, y in row:
+                vec[i] = field.sub(vec[i], field.mul(c, y))
             if combo is not None:
-                for i, y in enumerate(ecombo):
+                for i, y in ecombo:
                     combo[i] = field.sub(combo[i], field.mul(c, y))
     return vec
 
@@ -546,8 +551,12 @@ def extend_echelon(field, echelon, vec, combo=None):
         return False
     inv = field.inv(vec[piv])
     echelon.append((
-        [field.mul(c, inv) for c in vec],
+        _scaled_nonzeros(field, vec, inv),
         piv,
-        None if combo is None else [field.mul(c, inv) for c in combo],
+        None if combo is None else _scaled_nonzeros(field, combo, inv),
     ))
     return True
+
+
+def _scaled_nonzeros(field, vec, c):
+    return [(i, field.mul(x, c)) for i, x in enumerate(vec) if x != field.zero]

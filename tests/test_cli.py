@@ -125,8 +125,14 @@ def test_missing_input_exits_2(capsys):
         ("analyze-ad", "--field", "GF(2^2; mod=t^2+t+1/t)", "--poly", "X"),
         ("decompose-tensor", "--p", "4", "--n", "1", "--m", "2"),
         ("decompose-tensor", "--p", "9", "--n", "2", "--m", "3"),
+        ("analyze-ad", "--field", "GF(2)", "--matrix", "/missing.json"),
+        ("analyze-ad", "--field", "GF(2)", "--matrix", "[1,2]"),
+        ("analyze-ad", "--field", "GF(2)", "--matrix", '{"field":"GF(2)"}'),
     ],
-    ids=["truncated-matrix-json", "zero-denominator", "division-in-modulus", "p-4", "p-9"],
+    ids=[
+        "truncated-matrix-json", "zero-denominator", "division-in-modulus", "p-4", "p-9",
+        "missing-matrix-file", "matrix-json-list", "matrix-json-without-entries",
+    ],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

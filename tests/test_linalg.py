@@ -2,11 +2,13 @@ import random
 
 import pytest
 
+from aslab import _ringops as rp
 from aslab.errors import CapExceededError, InputError
 from aslab.fields import enumerate_elements, make_field
 from aslab.linalg import (
     InvariantFactorList,
     Matrix,
+    _smith_diagonal,
     ad_matrix,
     companion,
     direct_sum,
@@ -168,6 +170,67 @@ def test_invariant_factor_chain_and_degree_sum_seeded():
             for f, g in zip(inv, inv.factors[1:]):
                 assert (g % f).is_zero()
             assert all(f.is_monic() for f in inv)
+
+
+def _smith_of_xi_minus(m):
+    """Nontrivial Smith diagonal of the full n x n matrix XI - m over F[X]."""
+    k = m.field
+    rows = []
+    for i, row in enumerate(m.rows):
+        entries = {}
+        for j, a in enumerate(row):
+            e = rp.trim(k, (k.neg(a), k.one) if i == j else (k.neg(a),))
+            if e:
+                entries[j] = e
+        rows.append(entries)
+    return [Poly.from_raw(k, d) for d in _smith_diagonal(k, rows) if len(d) > 1]
+
+
+def _adversarial_matrices(field, rng):
+    one = field.one_element()
+    lam = field.element(field.random_payload(rng))
+    yield Matrix.zeros(field, 4)
+    yield Matrix.identity(field, 4) * lam
+    yield direct_sum(
+        jordan_block(field, lam, 2), jordan_block(field, 0, 3),
+        jordan_block(field, lam, 2), jordan_block(field, lam, 1),
+    )
+    sparse = [[field.zero] * 6 for _ in range(6)]
+    for _ in range(5):
+        sparse[rng.randrange(6)][rng.randrange(6)] = field.random_payload(rng)
+    yield Matrix(field, sparse)
+    yield ad_matrix(direct_sum(jordan_block(field, 0, 2), jordan_block(field, one, 1)))
+    yield random_matrix(field, 5, rng)
+
+
+def test_invariant_factors_agree_with_full_smith_and_jordan_ranks():
+    # two routes: the Smith form of the full XI - M, which skips the Krylov
+    # chains, and Jordan block counts from ranks of (M - lam)^j, which share
+    # no code with any Smith form
+    rng = random.Random(73)
+    for spec in ("GF(2)", "GF(3)", "GF(4)", "GF(9)", "GF(3)(Z)"):
+        field = make_field(spec)
+        if field.order is not None:
+            lambdas = list(enumerate_elements(field))
+        else:
+            lambdas = [field.element(s) for s in ("0", "1", "Z", "Z+1")]
+        for m in _adversarial_matrices(field, rng):
+            inv = invariant_factors(m)
+            assert list(inv) == _smith_of_xi_minus(m)
+            assert poly_at_matrix(inv.minimal_polynomial(), m).is_zero()
+            n = m.nrows
+            for lam in lambdas:
+                shifted = m.scalar_shift(-lam)
+                root = Poly.from_raw(field, (field.neg(lam.payload), field.one))
+                power, prev_rank = Matrix.identity(field, n), n
+                for j in range(1, n + 1):
+                    power = power * shifted
+                    rank = power.rank()
+                    divisible = sum(1 for f in inv if (f % root**j).is_zero())
+                    assert divisible == prev_rank - rank, (spec, str(lam), j)
+                    if rank == prev_rank:
+                        break
+                    prev_rank = rank
 
 
 def test_invariant_factor_list_validates_chain():

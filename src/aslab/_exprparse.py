@@ -5,11 +5,19 @@ values: the caller supplies a table mapping identifiers to values and a
 lifting function for integer literals, and the values themselves carry the
 ring operations through the usual Python operators.  Adjacent factors
 multiply, so "2X" and "(t+1)Z^2" parse as expected.
+
+Every string is parsed twice: first over degree bounds (_Degree), then
+over the caller's values.  An exponent, or a degree some subexpression can
+reach, above MAX_EXPONENT raises CapExceededError in the first pass, before
+any value is built, so "X^40000000" and "(X^4096)^4096" fail at once
+instead of exhausting memory.
 """
 
 import re
 
-from .errors import InputError
+from .errors import CapExceededError, InputError
+
+MAX_EXPONENT = 4096
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(\*\*|[-+*/^()]))")
 
@@ -32,6 +40,37 @@ def _tokenize(s):
             tokens.append(("op", op))
         pos = m.end()
     return tokens
+
+
+class _Degree:
+    """Upper bound on the degree of a parsed value: identifiers count 1,
+    integers 0, sums take the larger bound, products and quotients add
+    them, powers multiply."""
+
+    __slots__ = ("d",)
+
+    def __init__(self, d):
+        if d > MAX_EXPONENT:
+            raise CapExceededError(f"degree {d} exceeds cap {MAX_EXPONENT}")
+        self.d = d
+
+    def __add__(self, other):
+        return _Degree(max(self.d, other.d))
+
+    __sub__ = __add__
+
+    def __mul__(self, other):
+        return _Degree(self.d + other.d)
+
+    __truediv__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __pow__(self, n):
+        if n > MAX_EXPONENT:
+            raise CapExceededError(f"exponent {n} exceeds cap {MAX_EXPONENT}")
+        return _Degree(self.d * n)
 
 
 class _Parser:
@@ -119,6 +158,7 @@ def parse_expression(s, atoms, make_int):
     tokens = _tokenize(s)
     if not tokens:
         raise InputError("empty expression")
+    _Parser(tokens, dict.fromkeys(atoms, _Degree(1)), lambda i: _Degree(0)).expr()
     parser = _Parser(tokens, atoms, make_int)
     result = parser.expr()
     if parser.pos != len(tokens):

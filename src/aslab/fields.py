@@ -17,12 +17,19 @@ omitted it defaults to the lexicographically smallest monic irreducible
 (coefficient vectors compared low-degree-first), so a given spec always
 produces the same field on every machine.
 
-Finite fields are capped at 3^6 = 729 elements.
+Finite fields are capped at 3^6 = 729 elements.  GF(p^n) arithmetic runs
+through exp/log/Zech-log tables built once per (p, n, modulus) from the
+polynomial operations in _ringops (see _log_tables): a product, inverse or
+power is one dict lookup and one list lookup, and a sum goes through the
+Zech table, log(1 + g^k).  The payloads stay the coefficient tuples above,
+so printing, parsing, enumeration and random draws are unchanged.
 
 The finite-field kernels shared by the package live here: is_prime,
 rabin_irreducible (for monic raw polynomials over any finite descriptor;
-poly.is_irreducible_finite wraps it) and monic_irreducibles, whose locked
-cache also supplies default_modulus.
+poly.is_irreducible_finite wraps it), monic_irreducibles, whose locked
+cache also supplies default_modulus, and the locked table cache of
+_log_tables with the _TabulatedField methods that read it, shared by
+ExtensionField and the oracle's K[Z]/(m) (irred._QuotientFieldOps).
 """
 
 import itertools
@@ -31,7 +38,7 @@ import threading
 
 from . import _ringops as rp
 from ._exprparse import parse_expression
-from .errors import CapExceededError, InputError
+from .errors import CapExceededError, ConsistencyError, InputError
 
 MAX_FIELD_SIZE = 729
 
@@ -241,6 +248,9 @@ class PrimeField(FieldDescriptor):
     def add(self, a, b):
         return (a + b) % self.p
 
+    def sub(self, a, b):
+        return (a - b) % self.p
+
     def neg(self, a):
         return -a % self.p
 
@@ -334,7 +344,143 @@ def default_modulus(p, n):
     return monic_irreducibles(PrimeField(p), n, 1)[0]
 
 
-class ExtensionField(FieldDescriptor):
+# log of zero: far enough below every log that a sum or difference with it
+# stays negative, so one sign test catches a zero operand
+_LOG_ZERO = -(1 << 30)
+
+_table_cache = {}
+_table_lock = threading.Lock()
+
+
+def _log_tables(k, modulus, padded):
+    """Exp/log/Zech-log tables of the field k[T]/(modulus), built once per
+    (k, modulus, padded) and shared (Huber, IEEE Trans. IT 1990).
+
+    k is a finite descriptor and modulus a monic irreducible raw polynomial
+    of degree d over it.  Payloads are the residues as raw polynomials of
+    degree < d, trimmed, or padded with zeros to length d when padded is
+    true.  Returns (q1, exp, log, zech, neg) with q1 = k.order^d - 1 and g
+    the first primitive element in enumeration order:
+      exp[i] = g^i for 0 <= i < 2*q1 (doubled: a sum of two logs needs no
+               modulo);
+      log[a] = i with g^i = a, and _LOG_ZERO for zero;
+      zech[j] = log(1 + g^j), with period q1 and length 2*q1, so that every
+               difference of logs in (-2*q1, 2*q1) indexes it directly;
+      neg = log(-1).
+    There is no addition table: a q x q table would hold 531441 entries at
+    q = 729, where these hold about 5q.
+    """
+    key = (k, modulus, padded)
+    with _table_lock:
+        tables = _table_cache.get(key)
+    if tables is None:
+        tables = _build_log_tables(k, modulus, padded)
+        with _table_lock:
+            tables = _table_cache.setdefault(key, tables)
+    return tables
+
+
+def _build_log_tables(k, modulus, padded):
+    d = len(modulus) - 1
+    q1 = k.order**d - 1
+    one = (k.one,)
+    ells = [ell for ell in range(2, q1 + 1) if q1 % ell == 0 and is_prime(ell)]
+    # itertools.product varies its last slot fastest; reversed, the lowest
+    # coefficient varies fastest, which is the enumeration order
+    for digits in itertools.product(k.enumerate_payloads(), repeat=d):
+        g = rp.trim(k, digits[::-1])
+        if g and all(rp.pow_mod(k, g, q1 // ell, modulus) != one for ell in ells):
+            break
+    powers = []
+    cur = one
+    for _ in range(q1):
+        powers.append(cur)
+        cur = rp.rem(k, rp.mul(k, cur, g), modulus)
+    raw_log = {a: i for i, a in enumerate(powers)}
+    if cur != one or len(raw_log) != q1:
+        raise ConsistencyError("log tables: the modulus is not irreducible")
+    zech = [raw_log.get(rp.add(k, one, a), _LOG_ZERO) for a in powers]
+    neg = raw_log[rp.neg(k, one)]
+    if padded:
+        powers = [a + (k.zero,) * (d - len(a)) for a in powers]
+    log = {a: i for i, a in enumerate(powers)}
+    log[(k.zero,) * d if padded else ()] = _LOG_ZERO
+    return q1, powers + powers, log, zech + zech, neg
+
+
+class _TabulatedField:
+    """Field operations on the tables of _log_tables.  A subclass calls
+    _init_tables in its constructor and sets zero, one, order and char."""
+
+    def _init_tables(self, k, modulus, padded):
+        self._q1, self._exp, self._log, self._zech, self._neg = _log_tables(
+            k, modulus, padded
+        )
+
+    def add(self, a, b):
+        log = self._log
+        la = log[a]
+        lb = log[b]
+        if la < 0:
+            return b
+        if lb < 0:
+            return a
+        s = la + self._zech[lb - la]
+        return self._exp[s] if s >= 0 else self.zero
+
+    def sub(self, a, b):
+        log = self._log
+        la = log[a]
+        lb = log[b] + self._neg  # log(-b), below 2*q1
+        if lb < 0:
+            return a
+        if la < 0:
+            return self._exp[lb]
+        s = la + self._zech[lb - la]
+        return self._exp[s] if s >= 0 else self.zero
+
+    def neg(self, a):
+        s = self._log[a] + self._neg
+        return self._exp[s] if s >= 0 else self.zero
+
+    def mul(self, a, b):
+        log = self._log
+        s = log[a] + log[b]
+        return self._exp[s] if s >= 0 else self.zero
+
+    def inv(self, a):
+        la = self._log[a]
+        if la < 0:
+            raise ZeroDivisionError("inverse of zero")
+        return self._exp[self._q1 - la]
+
+    def div(self, a, b):
+        log = self._log
+        lb = log[b]
+        if lb < 0:
+            raise ZeroDivisionError("inverse of zero")
+        s = log[a] + self._q1 - lb
+        return self._exp[s] if s >= 0 else self.zero
+
+    def pow_int(self, a, n):
+        la = self._log[a]
+        if la < 0:
+            if n < 0:
+                raise ZeroDivisionError("inverse of zero")
+            return self.one if n == 0 else self.zero
+        return self._exp[la * n % self._q1]
+
+    def frobenius(self, a):
+        la = self._log[a]
+        return self._exp[la * self.char % self._q1] if la >= 0 else self.zero
+
+    def pth_root(self, a):
+        # Frobenius is bijective: the inverse is x -> x^(q/p).
+        la = self._log[a]
+        return self._exp[la * (self.order // self.char) % self._q1] if la >= 0 else self.zero
+
+
+class ExtensionField(_TabulatedField, FieldDescriptor):
     kind = "extension"
 
     def __init__(self, p, n, modulus=None):
@@ -360,6 +506,7 @@ class ExtensionField(FieldDescriptor):
         self.char = p
         self.zero = (0,) * n
         self.one = (1,) + (0,) * (n - 1)
+        self._init_tables(self.base, modulus, padded=True)
 
     def __eq__(self, other):
         return (
@@ -372,30 +519,6 @@ class ExtensionField(FieldDescriptor):
     def __hash__(self):
         return hash(("extension", self.p, self.n, self.modulus))
 
-    def _pad(self, a):
-        return tuple(a) + (0,) * (self.n - len(a))
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
-
-    def mul(self, a, b):
-        prod = rp.mul(self.base, rp.trim(self.base, a), rp.trim(self.base, b))
-        return self._pad(rp.rem(self.base, prod, self.modulus))
-
-    def inv(self, a):
-        at = rp.trim(self.base, a)
-        if not at:
-            raise ZeroDivisionError("inverse of zero")
-        g, s, _ = rp.xgcd(self.base, at, self.modulus)
-        if g != (1,):
-            raise ZeroDivisionError("modulus not irreducible")
-        return self._pad(s)
-
     def from_int(self, i):
         return (i % self.p,) + (0,) * (self.n - 1)
 
@@ -405,15 +528,8 @@ class ExtensionField(FieldDescriptor):
             raise InputError(f"invalid GF({self.p}^{self.n}) payload {a!r}")
         return a
 
-    def frobenius(self, a):
-        return self.pow_int(a, self.p)
-
-    def pth_root(self, a):
-        # Frobenius is bijective: the inverse is x -> x^(p^(n-1)).
-        return self.pow_int(a, self.p ** (self.n - 1))
-
     def gen(self):
-        return FieldElement(self, self._pad((0, 1)))
+        return FieldElement(self, (0, 1) + (0,) * (self.n - 2))
 
     def enumerate_payloads(self):
         for i in range(self.order):
@@ -670,8 +786,12 @@ class _RawPoly:
 
     def __pow__(self, n):
         out = _RawPoly((self.k.one,), self.k)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
         return out
 
 

@@ -18,7 +18,7 @@ import itertools
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, RationalFunctionField, monic_irreducibles
+from .fields import FieldElement, RationalFunctionField, _TabulatedField, monic_irreducibles
 from .poly import Poly, _factor_raw, is_irreducible_finite
 
 ORACLE_MAX_FIELD = 9
@@ -163,42 +163,24 @@ def gas_irreducible(inst: GasInstance) -> GasIrreducibility:
     )
 
 
-class _QuotientFieldOps:
-    """Payload-level field ops for K[Z]/(m), m irreducible over finite K."""
+class _QuotientFieldOps(_TabulatedField):
+    """Payload-level field ops for K[Z]/(m), m irreducible over finite K.
+
+    Payloads are residues as trimmed raw polynomials over K; the arithmetic
+    runs on the exp/log/Zech-log tables of fields._log_tables, cached per
+    (K, m), the same builder that serves GF(p^n).
+    """
 
     kind = "quotient"
 
     def __init__(self, base, modulus):
         self.base = base
-        self.modulus = modulus
         self.deg = len(modulus) - 1
         self.order = base.order**self.deg
         self.char = base.char
         self.zero = ()
         self.one = (base.one,)
-
-    def add(self, a, b):
-        return rp.add(self.base, a, b)
-
-    def sub(self, a, b):
-        return rp.sub(self.base, a, b)
-
-    def neg(self, a):
-        return rp.neg(self.base, a)
-
-    def mul(self, a, b):
-        return rp.rem(self.base, rp.mul(self.base, a, b), self.modulus)
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero")
-        g, s, _ = rp.xgcd(self.base, a, self.modulus)
-        if g != (self.base.one,):
-            raise ConsistencyError("quotient modulus is not irreducible")
-        return s
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        self._init_tables(base, modulus, padded=False)
 
     def from_int(self, i):
         v = self.base.from_int(i)

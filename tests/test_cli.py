@@ -142,6 +142,35 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze-ad", "--field", "GF(2)(Z)", "--poly", "X^40000000-X"),
+        ("irreducible", "--K", "GF(2)", "--n", "1", "--g", "Z^30000001"),
+    ],
+    ids=["analyze-ad-huge-exponent", "irreducible-huge-exponent"],
+)
+def test_huge_exponent_is_refused_before_the_power_is_built(capsys, argv):
+    # either polynomial would take hundreds of MB; the parser must refuse
+    # the exponent before building anything of that size
+    import time
+    import tracemalloc
+
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "exceeds cap" in lines[0]
+    assert elapsed < 1.0
+    assert peak < 4 * 2**20
+
+
 def test_byte_identical_reruns(capsys):
     args = ("analyze-ad", "--field", "GF(2)(Z)", "--poly", "X^2-X-Z", "--seed", "5")
     _, out1, _ = run_cli(capsys, args[0], *args[1:])

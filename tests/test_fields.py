@@ -314,3 +314,179 @@ def test_embed_cache_is_stable():
 def test_embed_rejects_non_divisible_degrees():
     with pytest.raises(InputError):
         embed_subfield(make_field("GF(4)"), make_field("GF(8)"))
+
+
+# ---------------------------------------------------------------------------
+# log/Zech tables against the polynomial reference
+
+def _extension_specs():
+    specs = []
+    for p in range(2, 30):
+        if fields.is_prime(p):
+            n = 2
+            while p**n <= fields.MAX_FIELD_SIZE:
+                specs.append(f"GF({p}^{n})")
+                n += 1
+    # non-default moduli: the default for GF(8) is t^3+t+1, for GF(9) t^2+1
+    return specs + ["GF(2^3; mod=t^3+t^2+1)", "GF(3^2; mod=t^2+t+2)"]
+
+
+class _Reference:
+    """Field operations of k[T]/(m) straight from _ringops, on raw (trimmed)
+    polynomials, with the payload convention of the field under test."""
+
+    def __init__(self, k, modulus, width):
+        self.k, self.m, self.width = k, modulus, width
+
+    def raw(self, a):
+        return rp.trim(self.k, a)
+
+    def payload(self, raw):
+        if self.width is None:
+            return raw
+        return tuple(raw) + (self.k.zero,) * (self.width - len(raw))
+
+    def add(self, a, b):
+        return self.payload(rp.add(self.k, self.raw(a), self.raw(b)))
+
+    def sub(self, a, b):
+        return self.payload(rp.sub(self.k, self.raw(a), self.raw(b)))
+
+    def neg(self, a):
+        return self.payload(rp.neg(self.k, self.raw(a)))
+
+    def mul(self, a, b):
+        return self.payload(rp.rem(self.k, rp.mul(self.k, self.raw(a), self.raw(b)), self.m))
+
+    def inv(self, a):
+        g, s, _ = rp.xgcd(self.k, self.raw(a), self.m)
+        assert g == (self.k.one,)
+        return self.payload(s)
+
+    def pow_int(self, a, n):
+        if n < 0:
+            a, n = self.inv(a), -n
+        return self.payload(rp.pow_mod(self.k, self.raw(a), n, self.m))
+
+
+def _check_against_reference(field, ref, pairs, exponents):
+    for a, b in pairs:
+        assert field.add(a, b) == ref.add(a, b)
+        assert field.sub(a, b) == ref.sub(a, b)
+        assert field.mul(a, b) == ref.mul(a, b)
+        if b != field.zero:
+            assert field.div(a, b) == ref.mul(a, ref.inv(b))
+    for a in {a for a, _ in pairs}:
+        assert field.neg(a) == ref.neg(a)
+        for n in exponents:
+            if a != field.zero or n >= 0:
+                assert field.pow_int(a, n) == ref.pow_int(a, n)
+        if a != field.zero:
+            assert field.inv(a) == ref.inv(a)
+
+
+def _pairs(field, rng):
+    elems = list(field.enumerate_payloads())
+    if len(elems) <= 27:
+        return list(itertools.product(elems, repeat=2))
+    return [(rng.choice(elems), rng.choice(elems)) for _ in range(40)] + [
+        (field.zero, rng.choice(elems)), (rng.choice(elems), field.zero)
+    ]
+
+
+@pytest.mark.parametrize("spec", _extension_specs())
+def test_extension_tables_match_polynomial_reference(spec):
+    field = make_field(spec)
+    ref = _Reference(field.base, field.modulus, field.n)
+    rng = random.Random(spec)
+    exponents = (-field.order, -3, -1, 0, 1, 2, field.p, field.order - 1, field.order + 5)
+    _check_against_reference(field, ref, _pairs(field, rng), exponents)
+    q_over_p = field.order // field.p
+    for a in rng.sample(list(field.enumerate_payloads()), min(field.order, 20)):
+        assert field.frobenius(a) == ref.pow_int(a, field.p)
+        assert field.pth_root(a) == ref.pow_int(a, q_over_p)
+        assert field.frobenius(field.pth_root(a)) == a
+
+
+def test_table_zero_cases():
+    for spec in ("GF(4)", "GF(9)", "GF(729)"):
+        field = make_field(spec)
+        zero, one = field.zero, field.one
+        with pytest.raises(ZeroDivisionError):
+            field.inv(zero)
+        with pytest.raises(ZeroDivisionError):
+            field.pow_int(zero, -1)
+        with pytest.raises(ZeroDivisionError):
+            field.div(one, zero)
+        assert field.pow_int(zero, 0) == one
+        assert field.pow_int(zero, 5) == zero
+        assert field.mul(zero, one) == zero and field.div(zero, one) == zero
+        assert field.add(one, field.neg(one)) == zero
+        assert field.sub(one, one) == zero
+
+
+def test_gf9_generator_search_skips_t():
+    # the default modulus t^2 + 1 makes t a fourth root of unity, so the
+    # tables must find another generator: t + 1, the next in enumeration order
+    field = make_field("GF(9)")
+    t = (0, 1)
+    assert field.modulus == (1, 0, 1)
+    assert field.pow_int(t, 4) == field.one and field.pow_int(t, 2) != field.one
+    q1, exp, log, zech, neg = fields._log_tables(field.base, field.modulus, True)
+    assert q1 == 8 and exp[1] == (1, 1)
+    assert sorted(exp[:q1]) == sorted(a for a in field.enumerate_payloads() if a != field.zero)
+    assert len(exp) == 2 * q1 and len(zech) == 2 * q1 and len(log) == 9
+    assert exp[neg] == (2, 0)
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(9)"])
+def test_quotient_field_tables_match_polynomial_reference(spec):
+    from aslab.irred import _QuotientFieldOps
+
+    k = make_field(spec)
+    rng = random.Random(spec)
+    for d in (1, 2, 3):
+        if k.order**d > fields.MAX_FIELD_SIZE:
+            continue
+        for m in fields.monic_irreducibles(k, d, 2 if d < 3 else 1):
+            quot = _QuotientFieldOps(k, m)
+            ref = _Reference(k, m, None)
+            exponents = (-quot.order, -2, -1, 0, 1, 3, quot.order)
+            _check_against_reference(quot, ref, _pairs(quot, rng), exponents)
+
+
+def test_log_table_cache_under_threads():
+    # threads that build the same field at once must all end up with the one
+    # cached table object, equal to a sequential build
+    expected = fields._build_log_tables(make_field("GF(3)"), fields.default_modulus(3, 6), True)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            fields._table_cache.clear()
+            results = []
+            threads = [
+                threading.Thread(target=lambda: results.append(make_field("GF(729)")))
+                for _ in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 6
+            assert len(fields._table_cache) == 1
+            (cached,) = fields._table_cache.values()
+            assert cached == expected
+            assert all(f._exp is cached[1] and f._log is cached[2] for f in results)
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_raw_poly_power_matches_repeated_multiplication():
+    k = make_field("GF(3)")
+    base = fields._RawPoly((1, 2, 1), k)
+    acc = fields._RawPoly((1,), k)
+    for n in range(12):
+        assert (base**n).coeffs == acc.coeffs
+        acc = acc * base

@@ -43,6 +43,23 @@ def test_parse_print_roundtrip_seeded():
             assert Poly.from_string(field, str(f)) == f
 
 
+def test_parse_exponent_cap():
+    from aslab._exprparse import MAX_EXPONENT
+
+    f3 = make_field("GF(3)")
+    assert Poly.from_string(f3, "X^729-X").degree() == 729
+    assert Poly.from_string(f3, f"X^{MAX_EXPONENT}").degree() == MAX_EXPONENT
+    for s in (
+        f"X^{MAX_EXPONENT + 1}", "(X+1)^40000000", "X^2-X^30000001", "2^40000000",
+        f"(X^{MAX_EXPONENT})^{MAX_EXPONENT}", f"((X^{MAX_EXPONENT})^{MAX_EXPONENT})^0",
+        f"X^{MAX_EXPONENT}*X", f"X^{MAX_EXPONENT}/X",
+    ):
+        with pytest.raises(CapExceededError):
+            Poly.from_string(f3, s)
+    with pytest.raises(CapExceededError):
+        make_field(f"GF(2^3; mod=t^{MAX_EXPONENT + 1}+t+1)")
+
+
 def test_parse_examples():
     f2z = make_field("GF(2)(Z)")
     h = Poly.from_string(f2z, "X^2-X-Z")

@@ -281,7 +281,7 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
         recovered = _recover_and_certify(
             a, field, m, mu_a, eigenvalues, dims, inv_ad, diagonalizable
         )
-        invertibility = check_eigenvector_invertibility(a, eigenvalues=eigenvalues, seed=seed)
+        invertibility = _eigenvector_invertibility(a, ad, eigenvalues, seed)
         if not invertibility.all_invertible:
             raise ConsistencyError(
                 "certified matrix has a non-invertible ad eigenvector: "
@@ -350,8 +350,6 @@ def check_eigenvector_invertibility(
     never raised, so the reducible cases can be inspected too.
     """
     _check_caps(a)
-    field = a.field
-    m = a.nrows
     ad = ad_matrix(a)
     if eigenvalues is None:
         if report is not None:
@@ -359,6 +357,13 @@ def check_eigenvector_invertibility(
         else:
             mu = invariant_factors(ad).minimal_polynomial()
             eigenvalues = [r for r, _ in _poly_roots_in_field(mu)]
+    return _eigenvector_invertibility(a, ad, eigenvalues, seed)
+
+
+def _eigenvector_invertibility(a, ad, eigenvalues, seed):
+    """check_eigenvector_invertibility with ad = ad_matrix(a) already built."""
+    field = a.field
+    m = a.nrows
     rng = random.Random(seed)
     failures = []
     checked = 0

@@ -8,6 +8,7 @@ when set, overrides --seed.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -243,7 +244,10 @@ def _cmd_grid(args):
     return 0 if doc["passed"] else 1
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parse_args returns a
+    fresh Namespace on every call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="aslab",
         description="Exact computations around generalized Artin-Schreier polynomials",
@@ -312,8 +316,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     env_seed = os.environ.get("ASLAB_SEED")
     if env_seed is not None:
         try:

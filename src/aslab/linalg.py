@@ -10,18 +10,24 @@ poly's Berlekamp split, whose quotient-field descriptors have no
 validate_payload.  invariant_factors reduces its Krylov vectors with poly's
 incremental echelon and runs the Smith normal form over F[X]
 (_smith_diagonal) only on the small matrix of chain relations (Storjohann,
-"An O(n^3) algorithm for the Frobenius normal form", ISSAC 1998).
+"An O(n^3) algorithm for the Frobenius normal form", ISSAC 1998).  That
+Smith form has two phases: row and column sweeps reach some diagonal form,
+and factor refinement of its entries into a pairwise coprime base closes it
+into the divisibility chain (Bach, Driscoll and Shallit, "Factor
+refinement", J. Algorithms 1993), so no pivot is tested against the rest of
+the matrix.
 
 Size caps: 100x100 over rational function fields (entry growth), 1024x1024
 over finite fields.
 """
 
+import collections
 import math
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement
-from .poly import Poly, extend_echelon, factor_finite
+from .poly import Poly, _divide_out, extend_echelon, factor_finite
 
 MAX_FINITE_DIM = 1024
 MAX_RATIONAL_DIM = 100
@@ -491,11 +497,37 @@ def _relation_row(k, combo, place):
 
 def _smith_diagonal(k, rows):
     """Smith normal form diagonal, monic, of a square polynomial matrix given
-    as one {column: nonzero raw entry} dict per row; the dicts are consumed.
+    as one {column: nonzero raw entry} dict per row.
 
-    Pivot rule: smallest degree, then leftmost column, then topmost row;
-    diagonal entries are normalized monic at the end.  Rows are sparse so
-    that each pivot search and sweep costs the nonzero entries only.
+    Two phases.  Phase 1 reaches some diagonal form: a row whose only entry
+    is on the diagonal, in a column no other row touches, is finished as it
+    stands, and _diagonalize eliminates the rest.  Phase 2, _close_diagonal,
+    turns that diagonal into the Smith diagonal; unit entries come first and
+    zero entries last.  The Smith form is unique, so the pivot rule only
+    steers phase 1 and never shows in the result.
+    """
+    uses = collections.Counter(j for row in rows for j in row)
+    diag = []
+    coupled = []
+    for i, row in enumerate(rows):
+        if len(row) == 1 and i in row and uses[i] == 1:
+            diag.append(row[i])
+        else:
+            coupled.append(i)
+    # coupled rows touch coupled columns only, so they form a square block
+    col = {j: s for s, j in enumerate(coupled)}
+    diag.extend(_diagonalize(k, [{col[j]: e for j, e in rows[i].items()} for i in coupled]))
+    return _close_diagonal(k, diag)
+
+
+def _diagonalize(k, rows):
+    """Diagonal entries of some diagonal form of a square sparse polynomial
+    matrix, by row and column sweeps; the dicts are consumed.
+
+    Pivot rule: smallest degree, then leftmost column, then topmost row.  A
+    pivot is accepted as soon as its row and column are clear; whether it
+    divides the rest is left to _close_diagonal.  Rows are sparse so that
+    each pivot search and sweep costs the nonzero entries only.
     """
     n = len(rows)
     diag = []
@@ -508,8 +540,7 @@ def _smith_diagonal(k, rows):
                 default=None,
             )
             if best is None:
-                diag.append(())
-                break
+                return diag + [()] * (n - s)
             _, bj, bi = best
             rows[s], rows[bi] = rows[bi], rows[s]
             if bj != s:
@@ -521,7 +552,8 @@ def _smith_diagonal(k, rows):
                         row[s] = b
             top = rows[s]
             piv = top[s]
-            # clear column s, then row s
+            # clear column s, then row s; a nonzero remainder is a smaller
+            # pivot candidate, so the search runs again
             dirty = False
             for row in rows[s + 1:]:
                 if s in row:
@@ -539,19 +571,62 @@ def _smith_diagonal(k, rows):
                             _put(row, j, rp.sub(k, row.get(j, ()), rp.mul(k, q, row[s])))
                 if r:
                     dirty = True
-            if dirty:
-                continue
-            # pivot must divide the rest of the block
-            offender = next(
-                (row for row in rows[s + 1:] if any(rp.rem(k, e, piv) for e in row.values())),
-                None,
-            )
-            if offender is None:
-                diag.append(rp.monic(k, piv))
+            if not dirty:
+                diag.append(piv)
                 break
-            for j, e in offender.items():
-                _put(top, j, rp.add(k, top.get(j, ()), e))
     return diag
+
+
+def _close_diagonal(k, diag):
+    """Smith diagonal, monic, equivalent to the diagonal matrix diag.
+
+    The distinct nonzero entries, made monic, are refined into a pairwise
+    coprime base (_coprime_base).  Each base element b occurs in each entry
+    to some power; the i-th invariant factor takes b to the i-th smallest of
+    those exponents, so each factor divides the next.
+    """
+    entries = [rp.monic(k, d) for d in diag if d]
+    distinct = list(dict.fromkeys(entries))
+    base = _coprime_base(k, distinct)
+    mults = {e: [_divide_out(k, e, b)[1] for b in base] for e in distinct}
+    columns = [sorted(mults[e][t] for e in entries) for t in range(len(base))]
+    out = []
+    for i in range(len(entries)):
+        f = (k.one,)
+        for b, column in zip(base, columns):
+            for _ in range(column[i]):
+                f = rp.mul(k, f, b)
+        out.append(f)
+    return out + [()] * (len(diag) - len(entries))
+
+
+def _coprime_base(k, polys):
+    """Pairwise coprime monic nonconstant polynomials such that each of the
+    given monic polynomials is a product of their powers (factor refinement:
+    Bach, Driscoll and Shallit, "Factor refinement", J. Algorithms 1993).
+
+    Each split lowers the total degree of the base plus the pending work, so
+    the loop ends.
+    """
+    base = []
+    todo = list(polys)
+    while todo:
+        a = todo.pop()
+        if len(a) < 2:
+            continue
+        for i, b in enumerate(base):
+            g = rp.gcd(k, a, b)
+            if len(g) < 2:
+                continue
+            if g == b:
+                todo.append(rp.divmod_(k, a, b)[0])
+            else:
+                del base[i]
+                todo += [g, rp.divmod_(k, b, g)[0], rp.divmod_(k, a, g)[0]]
+            break
+        else:
+            base.append(a)
+    return base
 
 
 def _put(row, j, e):

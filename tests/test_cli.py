@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import aslab
 from aslab.cli import main
 
 
@@ -215,3 +220,37 @@ def test_consistency_failure_exits_3(capsys, monkeypatch):
     )
     assert code == 3
     assert "consistency" in err
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of the CLI run in a new interpreter."""
+    env = {k: v for k, v in os.environ.items() if k != "ASLAB_SEED"}
+    src = str(pathlib.Path(aslab.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["COLUMNS"] = "80"
+    done = subprocess.run(
+        [sys.executable, "-m", "aslab.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_consecutive_calls_print_what_a_fresh_process_prints(capsys, monkeypatch):
+    # the parser is built once per process: no option, default or usage
+    # error of one call may show in the next
+    monkeypatch.delenv("ASLAB_SEED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")
+    plain = ["decompose-tensor", "--p", "2", "--n", "1", "--m", "2"]
+    text = ["--format", "text", *plain]
+    seeded = ["--seed", "5", *plain]
+    usage_error = ["decompose-tensor", "--p", "two", "--n", "1", "--m", "2"]
+    fresh = {tuple(argv): _fresh_process(argv) for argv in (plain, text, seeded, usage_error)}
+    assert fresh[tuple(usage_error)][0] == 2
+    for first, second in ((text, plain), (seeded, plain), (usage_error, plain)):
+        for argv in (first, second):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            assert (code, out, err) == fresh[tuple(argv)], argv

@@ -233,6 +233,142 @@ def test_invariant_factors_agree_with_full_smith_and_jordan_ranks():
                     prev_rank = rank
 
 
+def _reference_smith_diagonal(k, rows):
+    """Reference Smith finish, with no coprime-base closure: eliminate pivot
+    by pivot (smallest degree, leftmost column, topmost row)
+    and accept a pivot only once it divides every entry of the trailing
+    block, adding an offending row to the pivot row otherwise."""
+    n = len(rows)
+    diag = []
+    for s in range(n):
+        while True:
+            best = min(
+                ((len(e), j, i) for i in range(s, n) for j, e in rows[i].items()),
+                default=None,
+            )
+            if best is None:
+                diag.append(())
+                break
+            _, bj, bi = best
+            rows[s], rows[bi] = rows[bi], rows[s]
+            if bj != s:
+                for row in rows[s:]:
+                    a, b = row.pop(s, None), row.pop(bj, None)
+                    if a:
+                        row[bj] = a
+                    if b:
+                        row[s] = b
+            top = rows[s]
+            piv = top[s]
+            dirty = False
+            for row in rows[s + 1:]:
+                if s in row:
+                    q, r = rp.divmod_(k, row[s], piv)
+                    if q:
+                        for j, e in top.items():
+                            _put_entry(row, j, rp.sub(k, row.get(j, ()), rp.mul(k, q, e)))
+                    if r:
+                        dirty = True
+            for j in [j for j in top if j != s]:
+                q, r = rp.divmod_(k, top[j], piv)
+                if q:
+                    for row in rows[s:]:
+                        if s in row:
+                            _put_entry(row, j, rp.sub(k, row.get(j, ()), rp.mul(k, q, row[s])))
+                if r:
+                    dirty = True
+            if dirty:
+                continue
+            offender = next(
+                (row for row in rows[s + 1:] if any(rp.rem(k, e, piv) for e in row.values())),
+                None,
+            )
+            if offender is None:
+                diag.append(rp.monic(k, piv))
+                break
+            for j, e in offender.items():
+                _put_entry(top, j, rp.add(k, top.get(j, ()), e))
+    return diag
+
+
+def _put_entry(row, j, e):
+    if e:
+        row[j] = e
+    else:
+        row.pop(j, None)
+
+
+def _smith_test_matrices(k, rng):
+    """Sparse polynomial matrices, one {column: raw entry} dict per row."""
+    x = (k.zero, k.one)
+    b = (k.one, k.one)  # X + 1
+    shared = [
+        b, rp.mul(k, b, b), rp.mul(k, x, b),
+        rp.mul(k, x, rp.trim(k, (k.from_int(2), k.one))),  # X(X+1), X(X+2)
+        rp.mul(k, x, rp.mul(k, b, b)),
+    ]
+
+    if k.order is None:
+        # over K(Z), coefficients from a few polynomials in Z keep the
+        # reference's elimination from growing large fractions
+        small = [k.element(c).payload for c in ("0", "1", "2", "Z", "Z+1", "2*Z")]
+
+        def coeff():
+            return rng.choice(small)
+    else:
+
+        def coeff():
+            return k.random_payload(rng)
+
+    def unit():
+        while True:
+            c = coeff()
+            if c != k.zero:
+                return (c,)
+
+    def entry():
+        # a unit, a non-monic multiple of a shared entry, or degree <= 2
+        choice = rng.randrange(4)
+        if choice == 0:
+            return unit()
+        if choice == 1:
+            return rp.scale(k, rng.choice(shared), unit()[0])
+        return rp.trim(k, tuple(coeff() for _ in range(rng.randrange(1, 4))))
+
+    def diagonal(entries):
+        return [{i: e} if e else {} for i, e in enumerate(entries)]
+
+    # repeated and factor-sharing entries, units and zeros, all on the diagonal
+    yield diagonal(shared + shared[:2] + [unit(), unit(), (), ()])
+    yield diagonal([rp.scale(k, rng.choice(shared), unit()[0]) for _ in range(7)])
+    yield diagonal([shared[2], shared[3]])
+    for _ in range(6):
+        n = rng.randrange(3, 8)
+        rows = diagonal([entry() for _ in range(n)])
+        # couple a few rows; the rest stay isolated diagonal rows
+        coupled = rng.sample(range(n), rng.randrange(2, n + 1))
+        for _ in range(rng.randrange(1, 2 * n)):
+            i, j = rng.choice(coupled), rng.choice(coupled)
+            e = entry()
+            if e:
+                rows[i][j] = e
+        yield rows
+    # singular: zero diagonal entries inside the coupled block, a repeated row
+    rows = diagonal([shared[0], (), shared[2], (), unit()])
+    rows[1][2] = shared[3]
+    rows[3] = dict(rows[2])
+    yield rows
+
+
+def test_smith_diagonal_matches_reference_finish():
+    rng = random.Random(89)
+    for spec in ("GF(2)", "GF(3)", "GF(9)", "GF(3)(Z)"):
+        k = make_field(spec)
+        for rows in _smith_test_matrices(k, rng):
+            expected = _reference_smith_diagonal(k, [dict(r) for r in rows])
+            assert _smith_diagonal(k, [dict(r) for r in rows]) == expected, (spec, rows)
+
+
 def test_invariant_factor_list_validates_chain():
     f2 = make_field("GF(2)")
     with pytest.raises(Exception):

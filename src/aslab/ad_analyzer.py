@@ -41,6 +41,7 @@ from .poly import (
     Poly,
     _divide_out,
     _factor_raw,
+    _monic_divisors,
     gas_shape,
     is_irreducible_finite,
     roots_in_finite_field,
@@ -161,8 +162,13 @@ def _nonconstant_rational_roots(f: Poly):
     const, lead = cols[0], cols[-1]
     if not const:
         raise ConsistencyError("zero root should have been removed already")
-    num_divs = _monic_divisors(k, const)
-    den_divs = _monic_divisors(k, lead)
+    num_divs, den_divs = (
+        sorted(
+            _monic_divisors(k, _factor_raw(k, rp.monic(k, a))),
+            key=lambda d: (len(d), tuple(k.sort_key(c) for c in d)),
+        )
+        for a in (const, lead)
+    )
     if len(num_divs) * len(den_divs) * (k.order - 1) > _ROOT_CANDIDATE_CAP:
         raise CapExceededError("root candidate count exceeds the search cap")
     units = [u for u in k.enumerate_payloads() if u != k.zero]
@@ -178,22 +184,6 @@ def _nonconstant_rational_roots(f: Poly):
                 if mult:
                     roots.append((cand, mult))
     return roots
-
-
-def _monic_divisors(k, a):
-    """All monic divisors of a nonzero raw polynomial over a finite field."""
-    factors = _factor_raw(k, rp.monic(k, a))
-    divisors = [(k.one,)]
-    for piece, mult in factors:
-        grown = []
-        for d in divisors:
-            cur = d
-            for _ in range(mult + 1):
-                grown.append(cur)
-                cur = rp.mul(k, cur, piece)
-        divisors = grown
-    # dedupe (repeated factors produce duplicates) and fix the order
-    return sorted(set(divisors), key=lambda d: (len(d), tuple(k.sort_key(c) for c in d)))
 
 
 def _subfield_check(values):

@@ -267,9 +267,6 @@ class SubspaceR:
             raise InputError("element set is not closed under addition and scaling")
         return cls(ambient, basis, span.values())
 
-    def contains(self, x):
-        return self.ambient.element(x).sort_key() in {v.sort_key() for v in self.elements}
-
     def is_frobenius_invariant(self):
         image = {frobenius(v).sort_key() for v in self.elements}
         return image == {v.sort_key() for v in self.elements}
@@ -303,12 +300,6 @@ def _check_subspace_caps(field, m):
         raise InputError("subspace dimension out of range")
     if n > 4 and not (field.char == 3 and n == 6 and m <= 2):
         raise CapExceededError("subspace sweeps are capped at n <= 4 (n = 6 only for p = 3, m <= 2)")
-
-
-def _as_vector(field, x):
-    if field.kind == "prime":
-        return (x.payload,)
-    return tuple(x.payload)
 
 
 def _from_vector(field, vec):

@@ -19,7 +19,7 @@ import itertools
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement, RationalFunctionField, _TabulatedField, monic_irreducibles
-from .poly import Poly, _factor_raw, is_irreducible_finite
+from .poly import Poly, _factor_raw, _monic_divisors, is_irreducible_finite
 
 ORACLE_MAX_FIELD = 9
 ORACLE_MAX_TOTAL_DEGREE = 12
@@ -214,35 +214,6 @@ def _clear_denominators(h: Poly):
     return [rp.mul(k, num, rp.divmod_(k, common, den)[0]) for num, den in h.raw], k
 
 
-def _divisor_products(quot, factors, k):
-    """All monic degree-k divisors of a factored polynomial over quot.
-
-    Polynomials in X over the quotient field are tuples of payloads, low
-    degree first; factors is the (piece, multiplicity) list of the complete
-    factorization.
-    """
-    results = {}
-
-    def walk(idx, deg_left, acc):
-        if deg_left == 0:
-            results.setdefault(acc, None)
-            return
-        if idx == len(factors):
-            return
-        piece, mult = factors[idx]
-        d = len(piece) - 1
-        cur = acc
-        for take in range(mult + 1):
-            walk(idx + 1, deg_left - d * take, cur)
-            if take < mult and d * (take + 1) <= deg_left:
-                cur = rp.mul(quot, cur, piece)
-            else:
-                break
-
-    walk(0, k, (quot.one,))
-    return list(results)
-
-
 def _bivariate_divides(k, num_cols, div_cols):
     """Exact division test in K[Z][X] by a monic-in-X divisor."""
     num = [list(c) for c in num_cols]
@@ -347,7 +318,7 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
         options = []
         total = 1
         for quot, m, factors in points:
-            divs = _divisor_products(quot, factors, kdeg)
+            divs = _monic_divisors(quot, factors, kdeg)
             options.append(divs)
             total *= len(divs)
         if total > _COMBINATION_LIMIT:

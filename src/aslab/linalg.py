@@ -4,18 +4,17 @@ Provides companion / Kronecker / Pascal constructors, kernels and
 eigenspaces by Gaussian elimination, invariant factors from Krylov chains
 over F, similarity testing, and Jordan types of nilpotent matrices from
 rank sequences.  All pivot choices are fixed, so every function is
-deterministic.  Gaussian elimination over the field lives in _row_echelon
-alone; _kernel, the payload-level kernel basis built on it, also serves
-poly's Berlekamp split, whose quotient-field descriptors have no
-validate_payload.  invariant_factors reduces its Krylov vectors with poly's
-incremental echelon and runs the Smith normal form over F[X]
-(_smith_diagonal) only on the small matrix of chain relations (Storjohann,
-"An O(n^3) algorithm for the Frobenius normal form", ISSAC 1998).  That
-Smith form has two phases: row and column sweeps reach some diagonal form,
-and factor refinement of its entries into a pairwise coprime base closes it
-into the divisibility chain (Bach, Driscoll and Shallit, "Factor
-refinement", J. Algorithms 1993), so no pivot is tested against the rest of
-the matrix.
+deterministic.  This module has no Gaussian elimination of its own: ranks,
+kernels and the Krylov vectors of invariant_factors all go through poly's
+incremental echelon (extend_echelon, and _kernel on top of it, which also
+serves poly's Berlekamp split).  invariant_factors runs the Smith normal
+form over F[X] (_smith_diagonal) only on the small matrix of chain
+relations (Storjohann, "An O(n^3) algorithm for the Frobenius normal form",
+ISSAC 1998).  That Smith form has two phases: row and column sweeps reach
+some diagonal form, and factor refinement of its entries into a pairwise
+coprime base closes it into the divisibility chain (Bach, Driscoll and
+Shallit, "Factor refinement", J. Algorithms 1993), so no pivot is tested
+against the rest of the matrix.
 
 Size caps: 100x100 over rational function fields (entry growth), 1024x1024
 over finite fields.
@@ -27,7 +26,7 @@ import math
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement
-from .poly import Poly, _divide_out, extend_echelon, factor_finite
+from .poly import Poly, _divide_out, _kernel, extend_echelon, factor_finite
 
 MAX_FINITE_DIM = 1024
 MAX_RATIONAL_DIM = 100
@@ -177,9 +176,6 @@ class Matrix:
             n >>= 1
         return result
 
-    def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)))
-
     def scalar_shift(self, c):
         """self + c*I."""
         if not self.is_square():
@@ -192,7 +188,8 @@ class Matrix:
         return Matrix(k, out)
 
     def rank(self):
-        return len(_row_echelon(self.field, [list(r) for r in self.rows])[1])
+        echelon = []
+        return sum(extend_echelon(self.field, echelon, row) for row in self.rows)
 
     def is_invertible(self):
         return self.is_square() and self.rank() == self.nrows
@@ -202,7 +199,7 @@ class Matrix:
         k = self.field
         return [
             tuple(FieldElement(k, v) for v in vec)
-            for vec in _kernel(k, [list(r) for r in self.rows])
+            for vec in _kernel(k, list(zip(*self.rows)))
         ]
 
     def to_json_dict(self):
@@ -231,53 +228,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field.spec_string()}, {self.nrows}x{self.ncols})"
-
-
-def _row_echelon(k, mat, reduced=False):
-    """In-place echelon form of a list of row lists; returns (matrix, pivot
-    column list).  Row updates touch only the pivot row's nonzero entries."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if mat[i][c] != k.zero), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = k.inv(mat[r][c])
-        mat[r] = [k.mul(v, inv) for v in mat[r]]
-        support = [(j, b) for j, b in enumerate(mat[r]) if b != k.zero]
-        rng = range(nrows) if reduced else range(r + 1, nrows)
-        for i in rng:
-            if i != r and mat[i][c] != k.zero:
-                row = mat[i]
-                f = row[c]
-                for j, b in support:
-                    row[j] = k.sub(row[j], k.mul(f, b))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return mat, pivots
-
-
-def _kernel(k, mat):
-    """Kernel basis, as payload tuples, of a list-of-rows matrix over any
-    descriptor with zero/one/neg/mul/sub/inv; mat is reduced in place."""
-    ncols = len(mat[0])
-    mat, pivots = _row_echelon(k, mat, reduced=True)
-    pivot_cols = {c: r for r, c in enumerate(pivots)}
-    basis = []
-    for c in range(ncols):
-        if c in pivot_cols:
-            continue
-        vec = [k.zero] * ncols
-        vec[c] = k.one
-        for pc, prow in pivot_cols.items():
-            vec[pc] = k.neg(mat[prow][c])
-        basis.append(tuple(vec))
-    return basis
 
 
 def companion(f: Poly) -> Matrix:
@@ -420,9 +370,6 @@ class InvariantFactorList:
 
     def minimal_polynomial(self):
         return self.factors[-1]
-
-    def characteristic_degree(self):
-        return sum(f.degree() for f in self.factors)
 
     def __repr__(self):
         return "[" + ", ".join(str(f) for f in self.factors) + "]"
@@ -758,21 +705,3 @@ def elementary_divisors_from_invariant(inv: InvariantFactorList):
             counts[key] = counts.get(key, 0) + 1
             order[key] = (prime.degree(), prime.sort_key(), mult)
     return sorted(counts.items(), key=lambda it: order[it[0]])
-
-
-def invariant_factors_from_elementary(divisors) -> InvariantFactorList:
-    """Rebuild the invariant factor chain from ((prime, exponent), mult)."""
-    per_prime = {}
-    for (prime, exp), mult in divisors:
-        per_prime.setdefault(prime, []).extend([exp] * mult)
-    depth = max((len(v) for v in per_prime.values()), default=0)
-    factors = []
-    for i in range(depth):
-        f = None
-        for prime, exps in per_prime.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                term = prime ** exps_sorted[i]
-                f = term if f is None else f * term
-        factors.append(f)
-    return InvariantFactorList(list(reversed(factors)))

@@ -5,11 +5,14 @@ finite fields, and minimal polynomials in quotient rings.
 The zero polynomial has degree MINUS_INFINITY (a genuine minus infinity, so
 degree comparisons behave), never -1.
 
-Kernels shared with ad_analyzer and dickson live here: _divide_out (the
-multiplicity of a divisor, hence of a root), gas_shape (recognises
-X^(p^n) - X - a), and the incremental echelon extend_echelon /
-reduce_by_echelon behind min_poly_in_quotient.  Irreducibility comes from
-fields.rabin_irreducible and the Berlekamp kernel from linalg._kernel.
+Kernels shared with ad_analyzer, dickson, irred and linalg live here:
+_divide_out (the multiplicity of a divisor, hence of a root), gas_shape
+(recognises X^(p^n) - X - a), _monic_divisors (divisors from a
+factorization), and the incremental echelon extend_echelon /
+reduce_by_echelon.  That echelon is the only Gaussian elimination in aslab:
+min_poly_in_quotient, linalg's ranks and invariant factors, dickson's span
+test, and _kernel (the Berlekamp split's and linalg's kernels) all run on
+it.  Irreducibility comes from fields.rabin_irreducible.
 """
 
 import itertools
@@ -389,6 +392,27 @@ def _factor_raw(field, m):
     return found
 
 
+def _monic_divisors(field, factors, deg=None):
+    """Monic divisors of the product of a complete factorization's
+    (piece, multiplicity) pairs, only those of degree deg if it is given.
+
+    Divisors come in lexicographic order of their exponent vectors, the
+    first piece's exponent varying slowest; irred's oracle relies on it.
+    """
+    cap = float("inf") if deg is None else deg
+    divisors = [(field.one,)]
+    for piece, mult in factors:
+        grown = []
+        for cur in divisors:
+            for take in range(mult + 1):
+                grown.append(cur)
+                if take == mult or len(cur) + len(piece) - 2 > cap:
+                    break
+                cur = rp.mul(field, cur, piece)
+        divisors = grown
+    return [d for d in divisors if deg is None or len(d) - 1 == deg]
+
+
 def _equal_degree_split(field, g, d):
     """Split a squarefree product of degree-d irreducibles into its factors."""
     if len(g) - 1 == d:
@@ -420,18 +444,16 @@ def _berlekamp_split(field, g, d):
     """Deterministic Berlekamp splitting: sweep gcd(g, b - s) over all s."""
     n = len(g) - 1
     q = field.order
-    # rows of the Frobenius-minus-identity matrix acting on F_q[X]/(g)
+    # columns of the Frobenius-minus-identity matrix acting on F_q[X]/(g)
     xq = rp.pow_mod(field, (field.zero, field.one), q, g)
-    rows = []
+    columns = []
     xi = (field.one,)
     for i in range(n):
-        row = list(xi) + [field.zero] * (n - len(xi))
-        row[i] = field.sub(row[i], field.one)
-        rows.append(row)
+        col = list(xi) + [field.zero] * (n - len(xi))
+        col[i] = field.sub(col[i], field.one)
+        columns.append(col)
         xi = rp.rem(field, rp.mul(field, xi, xq), g)
-    from .linalg import _kernel
-
-    basis = _kernel(field, [list(col) for col in zip(*rows)])
+    basis = _kernel(field, columns)
     pieces = [g]
     for b in basis:
         btrim = rp.trim(field, b)
@@ -556,6 +578,24 @@ def extend_echelon(field, echelon, vec, combo=None):
         None if combo is None else _scaled_nonzeros(field, combo, inv),
     ))
     return True
+
+
+def _kernel(field, columns):
+    """Kernel basis, as payload tuples, of the matrix with these columns.
+
+    The columns enter the incremental echelon in order, each with the unit
+    combination e_c.  A column that reduces to zero leaves e_c minus its
+    unique dependence on the earlier independent columns: the free-column
+    vector of the reduced row echelon form, so the basis is canonical.
+    """
+    n = len(columns)
+    echelon = []
+    basis = []
+    for c, col in enumerate(columns):
+        combo = [field.zero] * c + [field.one]
+        if not extend_echelon(field, echelon, col, combo):
+            basis.append(tuple(combo) + (field.zero,) * (n - c - 1))
+    return basis
 
 
 def _scaled_nonzeros(field, vec, c):

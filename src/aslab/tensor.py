@@ -121,16 +121,6 @@ def ad_elementary_divisors_blocksum(eigs, e, p):
     return out
 
 
-def blocksum_minimal_polynomial(eigs, e, p) -> Poly:
-    """Product of (X - gamma)^(p^e) over the distinct differences gamma."""
-    divisors = ad_elementary_divisors_blocksum(eigs, e, p)
-    result = None
-    for lin, power, _ in divisors:
-        term = lin**power
-        result = term if result is None else result * term
-    return result
-
-
 def blocksum_ad_matrix(eigs, e, p) -> Matrix:
     """The explicit ad matrix of the direct sum, for cross-checking."""
     if not eigs:

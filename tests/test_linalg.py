@@ -15,7 +15,6 @@ from aslab.linalg import (
     eigenspace,
     elementary_divisors_from_invariant,
     invariant_factors,
-    invariant_factors_from_elementary,
     jordan_block,
     kron,
     nilpotent_jordan_type,
@@ -106,6 +105,74 @@ def test_ad_matches_bracket_on_matrix_units():
 
 
 # ---------------------------------------------------------------------------
+# rank and kernel against a full Gauss-Jordan reduction
+
+def _reference_rref(k, rows):
+    """Reduced row echelon form by full Gauss-Jordan elimination: (rows,
+    pivot columns)."""
+    mat = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(mat[0])):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != k.zero), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = k.inv(mat[r][c])
+        mat[r] = [k.mul(v, inv) for v in mat[r]]
+        for i, row in enumerate(mat):
+            if i != r and row[c] != k.zero:
+                f = row[c]
+                mat[i] = [k.sub(a, k.mul(f, b)) for a, b in zip(row, mat[r])]
+        pivots.append(c)
+    return mat, pivots
+
+
+def _reference_kernel(k, mat, pivots):
+    """One vector per free column c of the RREF: e_c minus column c's
+    entries in the pivot rows, placed at the pivot columns."""
+    basis = []
+    for c in range(len(mat[0])):
+        if c in pivots:
+            continue
+        vec = [k.zero] * len(mat[0])
+        vec[c] = k.one
+        for r, pc in enumerate(pivots):
+            vec[pc] = k.neg(mat[r][c])
+        basis.append(tuple(vec))
+    return basis
+
+
+def _rank_kernel_cases(k, rng):
+    def rand(r, c, density=0.7):
+        return [
+            [k.random_payload(rng) if rng.random() < density else k.zero for _ in range(c)]
+            for _ in range(r)
+        ]
+
+    dup_row = rand(4, 4)
+    dup_row[2] = list(dup_row[0])
+    dup_col = rand(3, 5)
+    for row in dup_col:
+        row[4] = row[1]
+    cases = [rand(2, 5), rand(5, 2), rand(1, 4), rand(4, 1), [[k.zero] * 3] * 2, dup_row, dup_col]
+    cases += [rand(rng.randrange(1, 6), rng.randrange(1, 6), rng.random()) for _ in range(25)]
+    return cases
+
+
+def test_rank_and_kernel_match_full_gauss_jordan_reference():
+    rng = random.Random(61)
+    for spec in ("GF(2)", "GF(3)", "GF(4)", "GF(9)", "GF(3)(Z)"):
+        k = make_field(spec)
+        for rows in _rank_kernel_cases(k, rng):
+            m = Matrix(k, rows)
+            mat, pivots = _reference_rref(k, rows)
+            assert m.rank() == len(pivots), (spec, str(m))
+            kernel = [tuple(x.payload for x in vec) for vec in m.kernel_basis()]
+            assert kernel == _reference_kernel(k, mat, pivots), (spec, str(m))
+
+
+# ---------------------------------------------------------------------------
 # eigenspaces
 
 def test_eigenspace_identity():
@@ -166,7 +233,7 @@ def test_invariant_factor_chain_and_degree_sum_seeded():
             size = rng.randrange(2, 6)
             a = random_matrix(field, size, rng)
             inv = invariant_factors(a)
-            assert inv.characteristic_degree() == size
+            assert sum(f.degree() for f in inv) == size
             for f, g in zip(inv, inv.factors[1:]):
                 assert (g % f).is_zero()
             assert all(f.is_monic() for f in inv)
@@ -624,7 +691,9 @@ def test_elementary_divisors_roundtrip():
     )
     inv = invariant_factors(m)
     ed = elementary_divisors_from_invariant(inv)
-    assert invariant_factors_from_elementary(ed) == inv
+    assert [(str(prime), exp, mult) for (prime, exp), mult in ed] == [
+        ("X", 2, 1), ("X+2", 1, 1), ("X+2", 2, 1)
+    ]
 
 
 def test_poly_at_matrix():

@@ -8,7 +8,6 @@ from aslab.tensor import (
     ad_elementary_divisors_blocksum,
     binomial_divisibility,
     blocksum_ad_matrix,
-    blocksum_minimal_polynomial,
     tensor_jordan_type_formula,
     tensor_jordan_type_oracle,
 )
@@ -114,8 +113,6 @@ def test_blocksum_single_block():
     f2 = make_field("GF(2)")
     out = ad_elementary_divisors_blocksum([f2.element(0)], 1, 2)
     assert [(str(lin), pe, mult) for lin, pe, mult in out] == [("X", 2, 2)]
-    mp = blocksum_minimal_polynomial([f2.element(0)], 1, 2)
-    assert str(mp) == "X^2"
 
 
 def test_blocksum_two_eigenvalues_e0():

@@ -105,7 +105,7 @@ def run_converse_suite(seed=0, count=200):
         inconsistencies = 0
         for i in range(count):
             size = 2 + (i % 3)
-            mat = Matrix(
+            mat = Matrix.from_raw(
                 field,
                 [
                     [field.random_payload(rng) for _ in range(size)]

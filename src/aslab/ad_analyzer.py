@@ -28,7 +28,7 @@ import random
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement
-from .irred import _clear_denominators, rational_poly_irreducible
+from .irred import _clear_denominators, irreducible
 from .linalg import (
     Matrix,
     ad_matrix,
@@ -43,7 +43,6 @@ from .poly import (
     _factor_raw,
     _monic_divisors,
     gas_shape,
-    is_irreducible_finite,
     roots_in_finite_field,
     separable_part,
 )
@@ -238,14 +237,7 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     inv_a = invariant_factors(a)
     cyclic = len(inv_a) == 1
     mu_a = inv_a.minimal_polynomial()
-    if cyclic:
-        if field.order is not None:
-            mu_irreducible = is_irreducible_finite(mu_a)
-        else:
-            mu_irreducible = rational_poly_irreducible(mu_a)
-        c3 = mu_irreducible
-    else:
-        c3 = False
+    c3 = cyclic and irreducible(mu_a)
 
     # dimensions from ranks; bases are built only for the invertibility sweep
     dims = [(v, m * m - ad.scalar_shift(-v).rank()) for v in eigenvalues]
@@ -321,18 +313,12 @@ def _recover_and_certify(a, field, m, mu_a, eigenvalues, dims, inv_ad, diagonali
         raise ConsistencyError("invariant factors of ad A differ from the certified shape")
     if diagonalizable != (e == 0):
         raise ConsistencyError("diagonalizability disagrees with the separability exponent")
-    if field.order is not None:
-        q_irred = is_irreducible_finite(q)
-    else:
-        q_irred = rational_poly_irreducible(q)
-    if not q_irred:
+    if not irreducible(q):
         raise ConsistencyError(f"recovered polynomial {q} is reducible")
     return {"p": p, "n": n, "e": e, "a": a_const, "q": q, "h": mu_a}
 
 
-def check_eigenvector_invertibility(
-    a: Matrix, report: AdReport = None, eigenvalues=None, seed: int = 0
-) -> InvertibilityVerdict:
+def check_eigenvector_invertibility(a: Matrix, seed: int = 0) -> InvertibilityVerdict:
     """Reshape every ad-eigenvector to an m x m matrix and test invertibility.
 
     Checks each basis vector of every eigenspace plus 10 seeded random
@@ -341,12 +327,8 @@ def check_eigenvector_invertibility(
     """
     _check_caps(a)
     ad = ad_matrix(a)
-    if eigenvalues is None:
-        if report is not None:
-            eigenvalues = report.eigenvalues
-        else:
-            mu = invariant_factors(ad).minimal_polynomial()
-            eigenvalues = [r for r, _ in _poly_roots_in_field(mu)]
+    mu = invariant_factors(ad).minimal_polynomial()
+    eigenvalues = [r for r, _ in _poly_roots_in_field(mu)]
     return _eigenvector_invertibility(a, ad, eigenvalues, seed)
 
 
@@ -358,8 +340,9 @@ def _eigenvector_invertibility(a, ad, eigenvalues, seed):
     failures = []
     checked = 0
     sampled = 0
+    zero = field.zero
     for v in eigenvalues:
-        basis = eigenspace(ad, v)
+        basis = [[x.payload for x in vec] for vec in eigenspace(ad, v)]
         for idx, vec in enumerate(basis):
             checked += 1
             if not _reshape(field, m, vec).is_invertible():
@@ -367,13 +350,13 @@ def _eigenvector_invertibility(a, ad, eigenvalues, seed):
         for _ in range(10):
             if not basis:
                 break
-            coeffs = [FieldElement(field, field.random_payload(rng)) for _ in basis]
-            if all(c.payload == field.zero for c in coeffs):
-                coeffs[0] = field.one_element()
-            combo = [field.zero_element()] * (m * m)
+            coeffs = [field.random_payload(rng) for _ in basis]
+            if all(c == zero for c in coeffs):
+                coeffs[0] = field.one
+            combo = [zero] * (m * m)
             for c, vec in zip(coeffs, basis):
-                combo = [acc + c * x for acc, x in zip(combo, vec)]
-            if all(x.payload == field.zero for x in combo):
+                combo = [field.add(acc, field.mul(c, x)) for acc, x in zip(combo, vec)]
+            if all(x == zero for x in combo):
                 continue
             sampled += 1
             if not _reshape(field, m, combo).is_invertible():
@@ -382,7 +365,8 @@ def _eigenvector_invertibility(a, ad, eigenvalues, seed):
 
 
 def _reshape(field, m, vec):
-    return Matrix(field, [[vec[i * m + j] for j in range(m)] for i in range(m)])
+    """The m x m matrix of a payload vector of length m^2, row-major."""
+    return Matrix.from_raw(field, [vec[i * m:(i + 1) * m] for i in range(m)])
 
 
 def check_similarity_shift(a: Matrix, b) -> bool:

@@ -23,6 +23,7 @@ import threading
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement, embed_subfield, frobenius
+from .irred import irreducible
 from .poly import Poly, extend_echelon, gas_shape, min_poly_in_quotient, reduce_by_echelon
 
 SUBSPACE_MAX_ORDER = 729
@@ -430,17 +431,8 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
     field = q.field
     p, n = _gas_parameters(r, q)
     ambient = r.ambient
-    if check_irreducible:
-        if field.order is not None:
-            from .poly import is_irreducible_finite
-
-            ok = is_irreducible_finite(q)
-        else:
-            from .irred import rational_poly_irreducible
-
-            ok = rational_poly_irreducible(q)
-        if not ok:
-            raise InputError("q is reducible; the Galois correspondence does not apply")
+    if check_irreducible and not irreducible(q):
+        raise InputError("q is reducible; the Galois correspondence does not apply")
     to_f = _constant_embedding(ambient, field)
     m = r.dim
     qraw = q.raw

@@ -17,6 +17,12 @@ omitted it defaults to the lexicographically smallest monic irreducible
 (coefficient vectors compared low-degree-first), so a given spec always
 produces the same field on every machine.
 
+FieldDescriptor.payload_of is the single point where values from outside
+(FieldElements, ints, element strings, payloads) are checked and turned
+into payloads; element, Poly(...) and Matrix(...) all go through it, and
+code that computes payloads itself skips it (Poly.from_raw,
+Matrix.from_raw).
+
 Finite fields are capped at 3^6 = 729 elements.  GF(p^n) arithmetic runs
 through exp/log/Zech-log tables built once per (p, n, modulus) from the
 polynomial operations in _ringops (see _log_tables): a product, inverse or
@@ -98,12 +104,8 @@ class FieldElement:
         raise AttributeError("FieldElement is immutable")
 
     def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise InputError("elements of structurally different fields do not mix")
-            return other.payload
-        if isinstance(other, int):
-            return self.field.from_int(other)
+        if isinstance(other, (FieldElement, int)):
+            return self.field.payload_of(other)
         return None
 
     def __add__(self, other):
@@ -182,17 +184,22 @@ class FieldDescriptor:
 
     kind = None
 
-    def element(self, value):
-        """Build an element from a payload, int, string or FieldElement."""
+    def payload_of(self, value):
+        """Canonical payload of a FieldElement of this field, an int, an
+        element string or a payload; raises InputError for anything else."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise InputError("element belongs to a different field")
-            return value
+            return value.payload
         if isinstance(value, str):
-            return self.parse_element(value)
+            return self.parse_element(value).payload
         if isinstance(value, int):
-            return FieldElement(self, self.from_int(value))
-        return FieldElement(self, self.validate_payload(value))
+            return self.from_int(value)
+        return self.validate_payload(value)
+
+    def element(self, value):
+        """Build an element from a payload, int, string or FieldElement."""
+        return FieldElement(self, self.payload_of(value))
 
     def __call__(self, value):
         return self.element(value)
@@ -523,10 +530,13 @@ class ExtensionField(_TabulatedField, FieldDescriptor):
         return (i % self.p,) + (0,) * (self.n - 1)
 
     def validate_payload(self, a):
-        a = tuple(a)
-        if len(a) != self.n or not all(isinstance(c, int) and 0 <= c < self.p for c in a):
+        if (
+            not isinstance(a, (tuple, list))
+            or len(a) != self.n
+            or not all(isinstance(c, int) and 0 <= c < self.p for c in a)
+        ):
             raise InputError(f"invalid GF({self.p}^{self.n}) payload {a!r}")
-        return a
+        return tuple(a)
 
     def gen(self):
         return FieldElement(self, (0, 1) + (0,) * (self.n - 2))
@@ -642,10 +652,16 @@ class RationalFunctionField(FieldDescriptor):
         return (num, (self.base.one,))
 
     def validate_payload(self, a):
-        num, den = a
+        if not (
+            isinstance(a, (tuple, list))
+            and len(a) == 2
+            and all(isinstance(part, (tuple, list)) for part in a)
+        ):
+            raise InputError(f"invalid {self.spec_string()} payload {a!r}")
         k = self.base
-        num = tuple(k.validate_payload(c) for c in num)
-        den = tuple(k.validate_payload(c) for c in den)
+        num, den = (tuple(k.validate_payload(c) for c in part) for part in a)
+        if not rp.trim(k, den):
+            raise InputError("fraction payload has a zero denominator")
         canon = self._canon(rp.trim(k, num), rp.trim(k, den))
         if canon != (num, den):
             raise InputError("fraction payload is not in reduced canonical form")

@@ -366,8 +366,11 @@ def _lift_factor(F, k, cand_cols, substituted_lead):
     return Poly(F, coeffs)
 
 
-def rational_poly_irreducible(f: Poly) -> bool:
-    """Irreducibility over K(Z) for a polynomial with unit X-lead, via the oracle."""
+def irreducible(f: Poly) -> bool:
+    """Irreducibility of f over its field: Rabin's test over a finite field,
+    the bivariate oracle over K(Z) (for f with unit X-lead)."""
+    if f.field.order is not None:
+        return is_irreducible_finite(f)
     return bivariate_irreducible_oracle(f)
 
 

@@ -16,8 +16,11 @@ coprime base closes it into the divisibility chain (Bach, Driscoll and
 Shallit, "Factor refinement", J. Algorithms 1993), so no pivot is tested
 against the rest of the matrix.
 
-Size caps: 100x100 over rational function fields (entry growth), 1024x1024
-over finite fields.
+Matrix(field, rows) converts and validates every entry (FieldDescriptor.
+payload_of) and is meant for values from outside; every matrix computed
+here from payloads is built with Matrix.from_raw, which checks only the
+shape and the size caps: 100x100 over rational function fields (entry
+growth), 1024x1024 over finite fields.
 """
 
 import collections
@@ -38,35 +41,23 @@ class Matrix:
     __slots__ = ("field", "rows", "nrows", "ncols")
 
     def __init__(self, field, rows):
-        grid = []
-        width = None
-        for row in rows:
-            converted = []
-            for v in row:
-                if isinstance(v, FieldElement):
-                    if v.field != field:
-                        raise InputError("entry from a different field")
-                    converted.append(v.payload)
-                elif isinstance(v, int):
-                    converted.append(field.from_int(v))
-                elif isinstance(v, str):
-                    converted.append(field.parse_element(v).payload)
-                else:
-                    converted.append(field.validate_payload(v))
-            if width is None:
-                width = len(converted)
-            elif len(converted) != width:
-                raise InputError("ragged matrix rows")
-            grid.append(tuple(converted))
-        if not grid or width == 0:
-            raise InputError("matrix must be nonempty")
-        cap = MAX_RATIONAL_DIM if field.kind == "rational-function" else MAX_FINITE_DIM
-        if len(grid) > cap or width > cap:
-            raise CapExceededError(f"matrix size exceeds cap {cap}")
+        rows = _checked_rows(field, rows)
+        payload_of = field.payload_of
+        self._fill(field, tuple(tuple(payload_of(v) for v in row) for row in rows))
+
+    @classmethod
+    def from_raw(cls, field, rows):
+        """Matrix of payload rows computed inside aslab: the payloads are
+        trusted, only the shape and the size cap are checked."""
+        obj = object.__new__(cls)
+        obj._fill(field, _checked_rows(field, rows))
+        return obj
+
+    def _fill(self, field, rows):
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", tuple(grid))
-        object.__setattr__(self, "nrows", len(grid))
-        object.__setattr__(self, "ncols", width)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "nrows", len(rows))
+        object.__setattr__(self, "ncols", len(rows[0]))
 
     def __setattr__(self, *args):
         raise AttributeError("Matrix is immutable")
@@ -75,12 +66,12 @@ class Matrix:
     def zeros(cls, field, n, m=None):
         m = n if m is None else m
         z = field.zero
-        return cls(field, [[z] * m for _ in range(n)])
+        return cls.from_raw(field, [[z] * m for _ in range(n)])
 
     @classmethod
     def identity(cls, field, n):
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.from_raw(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     def entry(self, i, j):
         return FieldElement(self.field, self.rows[i][j])
@@ -103,7 +94,7 @@ class Matrix:
     def __add__(self, other):
         self._check_same_shape(other)
         k = self.field
-        return Matrix(
+        return Matrix.from_raw(
             k,
             [
                 [k.add(a, b) for a, b in zip(r1, r2)]
@@ -114,7 +105,7 @@ class Matrix:
     def __sub__(self, other):
         self._check_same_shape(other)
         k = self.field
-        return Matrix(
+        return Matrix.from_raw(
             k,
             [
                 [k.sub(a, b) for a, b in zip(r1, r2)]
@@ -124,7 +115,7 @@ class Matrix:
 
     def __neg__(self):
         k = self.field
-        return Matrix(k, [[k.neg(v) for v in row] for row in self.rows])
+        return Matrix.from_raw(k, [[k.neg(v) for v in row] for row in self.rows])
 
     def _check_same_shape(self, other):
         if not isinstance(other, Matrix) or other.field != self.field:
@@ -151,10 +142,10 @@ class Matrix:
                             acc = k.add(acc, k.mul(a, b))
                     orow.append(acc)
                 out.append(orow)
-            return Matrix(k, out)
+            return Matrix.from_raw(k, out)
         if isinstance(other, (FieldElement, int)):
-            c = other.payload if isinstance(other, FieldElement) else k.from_int(other)
-            return Matrix(k, [[k.mul(v, c) for v in row] for row in self.rows])
+            c = k.payload_of(other)
+            return Matrix.from_raw(k, [[k.mul(v, c) for v in row] for row in self.rows])
         return NotImplemented
 
     def __rmul__(self, other):
@@ -181,11 +172,11 @@ class Matrix:
         if not self.is_square():
             raise InputError("scalar shift needs a square matrix")
         k = self.field
-        c = c.payload if isinstance(c, FieldElement) else k.from_int(c)
+        c = k.payload_of(c)
         out = [list(row) for row in self.rows]
         for i in range(self.nrows):
             out[i][i] = k.add(out[i][i], c)
-        return Matrix(k, out)
+        return Matrix.from_raw(k, out)
 
     def rank(self):
         echelon = []
@@ -230,6 +221,20 @@ class Matrix:
         return f"Matrix({self.field.spec_string()}, {self.nrows}x{self.ncols})"
 
 
+def _checked_rows(field, rows):
+    """rows as a tuple of tuples, nonempty, rectangular and within the cap."""
+    rows = tuple(map(tuple, rows))
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise InputError("ragged matrix rows")
+    if not width:
+        raise InputError("matrix must be nonempty")
+    cap = MAX_RATIONAL_DIM if field.kind == "rational-function" else MAX_FINITE_DIM
+    if len(rows) > cap or width > cap:
+        raise CapExceededError(f"matrix size exceeds cap {cap}")
+    return rows
+
+
 def companion(f: Poly) -> Matrix:
     """Companion matrix: ones on the subdiagonal, negated coefficients of f
     in the last column."""
@@ -244,7 +249,7 @@ def companion(f: Poly) -> Matrix:
         rows[i][i - 1] = k.one
     for i in range(m):
         rows[i][m - 1] = k.neg(f.raw[i] if i < len(f.raw) else k.zero)
-    return Matrix(k, rows)
+    return Matrix.from_raw(k, rows)
 
 
 def direct_sum(*mats) -> Matrix:
@@ -263,7 +268,7 @@ def direct_sum(*mats) -> Matrix:
                 out[ro + i][co + j] = v
         ro += m.nrows
         co += m.ncols
-    return Matrix(k, out)
+    return Matrix.from_raw(k, out)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -280,18 +285,18 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
                     k.mul(av, bv) if av != k.zero else k.zero for bv in b.rows[ib]
                 )
             out.append(row)
-    return Matrix(k, out)
+    return Matrix.from_raw(k, out)
 
 
 def jordan_block(field, eigenvalue, size) -> Matrix:
     """Upper triangular Jordan block."""
-    lam = field.element(eigenvalue).payload
+    lam = field.payload_of(eigenvalue)
     rows = [[field.zero] * size for _ in range(size)]
     for i in range(size):
         rows[i][i] = lam
         if i + 1 < size:
             rows[i][i + 1] = field.one
-    return Matrix(field, rows)
+    return Matrix.from_raw(field, rows)
 
 
 def poly_at_matrix(f: Poly, m: Matrix) -> Matrix:
@@ -328,7 +333,7 @@ def ad_matrix(a: Matrix) -> Matrix:
                 if a.rows[kk][j] != z:
                     c = i * m + kk
                     out[r][c] = k.sub(out[r][c], a.rows[kk][j])
-    return Matrix(k, out)
+    return Matrix.from_raw(k, out)
 
 
 def eigenspace(m: Matrix, lam) -> list:
@@ -608,7 +613,7 @@ def pascal_similarity(f: Poly, b) -> Matrix:
     for i in range(m):
         for j in range(i, m):
             rows[i][j] = (k.element(math.comb(j, i)) * b ** (j - i)).payload
-    s = Matrix(k, rows)
+    s = Matrix.from_raw(k, rows)
     lhs = companion(f.shifted(b)).scalar_shift(b) * s
     rhs = s * companion(f)
     if lhs != rhs:

@@ -15,8 +15,6 @@ test, and _kernel (the Berlekamp split's and linalg's kernels) all run on
 it.  Irreducibility comes from fields.rabin_irreducible.
 """
 
-import itertools
-
 from . import _ringops as rp
 from ._exprparse import parse_expression
 from .errors import CapExceededError, ConsistencyError, InputError
@@ -26,9 +24,6 @@ MINUS_INFINITY = float("-inf")
 
 FACTOR_MAX_FIELD = 729
 FACTOR_MAX_DEGREE = 64
-# beyond this many candidates, exhaustive equal-degree search hands over to
-# the deterministic Berlekamp sweep
-_EXHAUSTIVE_LIMIT = 50_000
 
 
 class Poly:
@@ -37,18 +32,8 @@ class Poly:
     __slots__ = ("field", "raw")
 
     def __init__(self, field, coeffs):
-        payloads = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.field != field:
-                    raise InputError("coefficient from a different field")
-                payloads.append(c.payload)
-            elif isinstance(c, int):
-                payloads.append(field.from_int(c))
-            else:
-                payloads.append(field.validate_payload(c))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "raw", rp.trim(field, payloads))
+        object.__setattr__(self, "raw", rp.trim(field, [field.payload_of(c) for c in coeffs]))
 
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
@@ -129,12 +114,8 @@ class Poly:
             if other.field != self.field:
                 raise InputError("polynomials over different fields do not mix")
             return other.raw
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise InputError("coefficient from a different field")
-            return rp.trim(self.field, (other.payload,))
-        if isinstance(other, int):
-            return rp.trim(self.field, (self.field.from_int(other),))
+        if isinstance(other, (FieldElement, int)):
+            return rp.trim(self.field, (self.field.payload_of(other),))
         return None
 
     def __add__(self, other):
@@ -214,13 +195,9 @@ class Poly:
         return bool(self.raw)
 
     def evaluate(self, x):
-        if isinstance(x, FieldElement):
-            if x.field != self.field:
-                raise InputError("evaluation point from a different field")
-            return FieldElement(self.field, rp.evaluate(self.field, self.raw, x.payload))
-        if isinstance(x, int):
-            return self.evaluate(FieldElement(self.field, self.field.from_int(x)))
-        raise InputError("can only evaluate at a field element")
+        if not isinstance(x, (FieldElement, int)):
+            raise InputError("can only evaluate at a field element")
+        return FieldElement(self.field, rp.evaluate(self.field, self.raw, self.field.payload_of(x)))
 
     def __call__(self, x):
         return self.evaluate(x)
@@ -234,8 +211,6 @@ class Poly:
 
     def shifted(self, b):
         """self(X + b)."""
-        if isinstance(b, int):
-            b = FieldElement(self.field, self.field.from_int(b))
         return self.compose(Poly(self.field, [b, 1]))
 
     def derivative(self):
@@ -419,25 +394,7 @@ def _equal_degree_split(field, g, d):
         return [g]
     if d == 1:
         return [(field.neg(a), field.one) for a in _raw_roots(field, g)]
-    if field.order**d <= _EXHAUSTIVE_LIMIT and field.order <= 81:
-        return _equal_degree_exhaustive(field, g, d)
     return _berlekamp_split(field, g, d)
-
-
-def _equal_degree_exhaustive(field, g, d):
-    out = []
-    count = (len(g) - 1) // d
-    for tail in itertools.product(field.enumerate_payloads(), repeat=d):
-        cand = rp.trim(field, tail + (field.one,))
-        quo, remdr = rp.divmod_(field, g, cand)
-        if not remdr:
-            out.append(cand)
-            g = quo
-            if len(out) == count:
-                break
-    if len(out) != count:
-        raise ConsistencyError("equal-degree search lost a factor")
-    return out
 
 
 def _berlekamp_split(field, g, d):

@@ -133,10 +133,19 @@ def test_missing_input_exits_2(capsys):
         ("analyze-ad", "--field", "GF(2)", "--matrix", "/missing.json"),
         ("analyze-ad", "--field", "GF(2)", "--matrix", "[1,2]"),
         ("analyze-ad", "--field", "GF(2)", "--matrix", '{"field":"GF(2)"}'),
+        ("analyze-ad", "--field", "GF(4)", "--matrix", '{"entries": [[null]]}'),
+        ("analyze-ad", "--field", "GF(4)", "--matrix", '{"entries": [[1.5]]}'),
+        ("analyze-ad", "--field", "GF(2)(Z)", "--matrix", '{"entries": [[1.5]]}'),
+        ("analyze-ad", "--field", "GF(2)(Z)", "--matrix", '{"entries": [[[1,2,3]]]}'),
+        ("analyze-ad", "--field", "GF(2)(Z)", "--matrix", '{"entries": [[[[1],[0]]]]}'),
+        ("analyze-ad", "--field", "GF(2)(Z)", "--matrix", '{"entries": [[[1,[1]]]]}'),
+        ("analyze-ad", "--field", "GF(4)(Z)", "--matrix", '{"entries": [[[[1],[[1,0]]]]]}'),
     ],
     ids=[
         "truncated-matrix-json", "zero-denominator", "division-in-modulus", "p-4", "p-9",
         "missing-matrix-file", "matrix-json-list", "matrix-json-without-entries",
+        "null-ext-payload", "float-ext-payload", "float-kz-payload", "three-part-kz-payload",
+        "zero-denominator-kz-payload", "int-numerator-kz-payload", "int-coefficient-kz-payload",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, argv):

@@ -11,7 +11,7 @@ from aslab.irred import (
     bivariate_irreducible_oracle,
     coprime_difference_irreducible,
     gas_irreducible,
-    rational_poly_irreducible,
+    irreducible,
 )
 from aslab.poly import Poly
 
@@ -168,9 +168,13 @@ def test_oracle_against_literal_enumeration():
 
 
 def test_rational_poly_irreducible_wrapper():
+    # irreducible() dispatches: the oracle over K(Z), Rabin over a finite field
     f3z = make_field("GF(3)(Z)")
-    assert rational_poly_irreducible(Poly.from_string(f3z, "X^3-X-Z"))
-    assert not rational_poly_irreducible(Poly.from_string(f3z, "X^2-Z^2"))
+    assert irreducible(Poly.from_string(f3z, "X^3-X-Z"))
+    assert not irreducible(Poly.from_string(f3z, "X^2-Z^2"))
+    f3 = make_field("GF(3)")
+    assert irreducible(Poly.from_string(f3, "X^3-X-1"))
+    assert not irreducible(Poly.from_string(f3, "X^3-X"))
 
 
 def test_oracle_handles_fraction_coefficients():

@@ -716,6 +716,34 @@ def test_matrix_size_caps():
         Matrix.zeros(f2z, 101)
 
 
+def test_public_matrix_validates_and_from_raw_trusts_canonical_rows():
+    f3, f9, f3z = make_field("GF(3)"), make_field("GF(9)"), make_field("GF(3)(Z)")
+    bad = [
+        (f3, [[f9.one_element()]], InputError),  # element of another field
+        (f9, [[(1, 2, 0)]], InputError),  # payload of the wrong length
+        (f9, [[None]], InputError),
+        (f3z, [[((1,), (1,), (1,))]], InputError),  # three parts, not (num, den)
+        (f3z, [[((2,), (2,))]], InputError),  # fraction with a non-monic denominator
+        (f3z, [[((1, 1), (1, 1))]], InputError),  # fraction not in lowest terms
+        (f3, [[1, 2], [0]], InputError),  # ragged rows
+        (f3, [], InputError),
+        (f3, [[]], InputError),
+        (f3, [[0] * 1025], CapExceededError),
+        (f3z, [[0]] * 101, CapExceededError),
+    ]
+    for field, rows, error in bad:
+        with pytest.raises(error):
+            Matrix(field, rows)
+    with pytest.raises(InputError):
+        Matrix.identity(f3, 2).scalar_shift(f9.one_element())
+    rng = random.Random(5)
+    for field in (f3, f9, f3z):
+        for size in (1, 2, 3):
+            rows = [[field.random_payload(rng) for _ in range(size + 1)] for _ in range(size)]
+            assert Matrix.from_raw(field, rows) == Matrix(field, rows)
+    assert Matrix(f3z, [["Z/(Z+1)", 2]]) == Matrix.from_raw(f3z, [[((0, 1), (1, 1)), ((2,), (1,))]])
+
+
 def test_kron_shapes_and_values():
     f3 = make_field("GF(3)")
     a = Matrix(f3, [[1, 2], [0, 1]])

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from aslab import _ringops as rp
 from aslab.errors import CapExceededError, InputError
-from aslab.fields import enumerate_elements, make_field
+from aslab.fields import enumerate_elements, make_field, rabin_irreducible
 from aslab.poly import (
     MINUS_INFINITY,
     Poly,
+    _equal_degree_split,
     factor_finite,
     gcd,
     is_irreducible_finite,
@@ -235,16 +237,67 @@ def test_factor_caps():
 
 
 def test_factor_berlekamp_path_on_larger_field():
-    # two distinct quadratic factors over GF(729): 729^2 candidates would be
-    # enumerated by the exhaustive route, so this exercises the sweep path
+    # two distinct irreducible quadratics over GF(729), X^2 - a and
+    # X^2 - X - b with the first constants in enumeration order that make
+    # them irreducible; their product splits by the Berlekamp sweep
     field = make_field("GF(729)")
     xs = enumerate_elements(field)
-    a, b = xs[3], xs[5]
-    f1 = Poly.x_power(field, 2) - Poly.constant(field, a)
-    f2 = Poly.x_power(field, 2) - Poly.x(field) - Poly.constant(field, b)
-    if is_irreducible_finite(f1) and is_irreducible_finite(f2):
-        factors = factor_finite(f1 * f2)
-        assert sorted(str(p) for p, _ in factors) == sorted([str(f1), str(f2)])
+    x2 = Poly.x_power(field, 2)
+    families = (
+        (x2 - Poly.constant(field, a) for a in xs),
+        (x2 - Poly.x(field) - Poly.constant(field, b) for b in xs),
+    )
+    f1, f2 = (next((f for f in fam if is_irreducible_finite(f)), None) for fam in families)
+    assert f1 is not None and f2 is not None
+    factors = factor_finite(f1 * f2)
+    assert sorted((str(p), m) for p, m in factors) == sorted([(str(f1), 1), (str(f2), 1)])
+
+
+def _exhaustive_equal_degree_split(field, g, d):
+    """Reference: the search over every monic degree-d candidate in
+    enumeration order that once served small fields."""
+    out = []
+    count = (len(g) - 1) // d
+    for tail in itertools.product(field.enumerate_payloads(), repeat=d):
+        cand = rp.trim(field, tail + (field.one,))
+        quo, remdr = rp.divmod_(field, g, cand)
+        if not remdr:
+            out.append(cand)
+            g = quo
+            if len(out) == count:
+                break
+    assert len(out) == count
+    return out
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)", "GF(8)", "GF(9)", "GF(27)"])
+def test_equal_degree_split_matches_exhaustive_search(spec):
+    # seeded products of 2-3 distinct degree-d irreducibles; every (field, d)
+    # with at most 50000 candidates, the range the exhaustive search covered
+    field = make_field(spec)
+    rng = random.Random(spec)
+    for d in range(2, 5):
+        if field.order**d > 50_000:
+            continue
+        for _ in range(3):
+            # GF(2) has one irreducible quadratic and two cubics, so the
+            # draws are bounded and a single piece is skipped
+            want = rng.randrange(2, 4)
+            pieces = set()
+            for _ in range(200):
+                cand = tuple(field.random_payload(rng) for _ in range(d)) + (field.one,)
+                if rabin_irreducible(field, cand):
+                    pieces.add(cand)
+                    if len(pieces) == want:
+                        break
+            if len(pieces) < 2:
+                continue
+            g = (field.one,)
+            for piece in pieces:
+                g = rp.mul(field, g, piece)
+            split = _equal_degree_split(field, g, d)
+            assert len(split) == len(pieces)
+            assert set(split) == pieces == set(_exhaustive_equal_degree_split(field, g, d))
 
 
 # ---------------------------------------------------------------------------

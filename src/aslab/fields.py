@@ -186,14 +186,15 @@ class FieldDescriptor:
 
     def payload_of(self, value):
         """Canonical payload of a FieldElement of this field, an int, an
-        element string or a payload; raises InputError for anything else."""
+        element string or a payload; raises InputError for anything else,
+        a bool included (JSON true is not a field element)."""
         if isinstance(value, FieldElement):
             if value.field != self:
                 raise InputError("element belongs to a different field")
             return value.payload
         if isinstance(value, str):
             return self.parse_element(value).payload
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return self.from_int(value)
         return self.validate_payload(value)
 
@@ -273,7 +274,7 @@ class PrimeField(FieldDescriptor):
         return i % self.p
 
     def validate_payload(self, a):
-        if not isinstance(a, int) or not 0 <= a < self.p:
+        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.p:
             raise InputError(f"invalid GF({self.p}) payload {a!r}")
         return a
 
@@ -335,6 +336,10 @@ def monic_irreducibles(k, degree, count):
         return cached[:count]
     out = []
     for tail in itertools.product(k.enumerate_payloads(), repeat=degree):
+        # X divides a tail with constant term zero, and the constant term
+        # varies slowest, so these come first; only X itself is irreducible
+        if degree >= 2 and tail[0] == k.zero:
+            continue
         cand = tuple(tail) + (k.one,)
         if rabin_irreducible(k, cand):
             out.append(cand)
@@ -533,7 +538,9 @@ class ExtensionField(_TabulatedField, FieldDescriptor):
         if (
             not isinstance(a, (tuple, list))
             or len(a) != self.n
-            or not all(isinstance(c, int) and 0 <= c < self.p for c in a)
+            or not all(
+                isinstance(c, int) and not isinstance(c, bool) and 0 <= c < self.p for c in a
+            )
         ):
             raise InputError(f"invalid GF({self.p}^{self.n}) payload {a!r}")
         return tuple(a)

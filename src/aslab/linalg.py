@@ -6,8 +6,12 @@ over F, similarity testing, and Jordan types of nilpotent matrices from
 rank sequences.  All pivot choices are fixed, so every function is
 deterministic.  This module has no Gaussian elimination of its own: ranks,
 kernels and the Krylov vectors of invariant_factors all go through poly's
-incremental echelon (extend_echelon, and _kernel on top of it, which also
-serves poly's Berlekamp split).  invariant_factors runs the Smith normal
+incremental echelon (its row algebra, and _kernel on top of it, which also
+serves poly's Berlekamp split).  The row representation follows the field:
+over GF(2) each row, Krylov vector and combination is packed into a Python
+int, and m times v is the XOR of m's packed columns at the set bits of v;
+over every other field they are payload lists, and m's columns are kept as
+their nonzero entries.  invariant_factors runs the Smith normal
 form over F[X] (_smith_diagonal) only on the small matrix of chain
 relations (Storjohann, "An O(n^3) algorithm for the Frobenius normal form",
 ISSAC 1998).  That Smith form has two phases: row and column sweeps reach
@@ -29,7 +33,7 @@ import math
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement
-from .poly import Poly, _divide_out, _kernel, extend_echelon, factor_finite
+from .poly import Poly, _divide_out, _kernel, _row_algebra, factor_finite
 
 MAX_FINITE_DIM = 1024
 MAX_RATIONAL_DIM = 100
@@ -179,8 +183,9 @@ class Matrix:
         return Matrix.from_raw(k, out)
 
     def rank(self):
+        rows = _row_algebra(self.field)
         echelon = []
-        return sum(extend_echelon(self.field, echelon, row) for row in self.rows)
+        return sum(rows.extend(echelon, rows.pack(row), None)[0] for row in self.rows)
 
     def is_invertible(self):
         return self.is_square() and self.rank() == self.nrows
@@ -385,7 +390,7 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
 
     F^n splits into chains v, mv, m^2 v, ... started from e_0, e_1, ...,
     skipping every e_i already in the span.  Each new vector is reduced by
-    the incremental echelon (poly.extend_echelon), whose combination records
+    the incremental echelon (poly._row_algebra), whose combination records
     what the reduced vector stands for, so chain j ends in one relation
     X^(d_j) v_j + sum_s c_s X^(l_s) v_(chain s) = 0.  These relations present
     F^n as an F[X]-module, so the Smith form of their k x k triangular
@@ -395,27 +400,26 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
         raise InputError("invariant factors need a square matrix")
     k = m.field
     n = m.nrows
-    zero = k.zero
-    columns = [[(i, a) for i, a in enumerate(col) if a != zero] for col in zip(*m.rows)]
+    rows = _row_algebra(k)
+    columns = rows.columns(m.rows)
     echelon = []
     place = []  # (chain, power) of each vector in the echelon, in order
     relations = []
     for i in range(n):
-        vec = [zero] * n
-        vec[i] = k.one
+        vec = rows.unit(i, n)
         chain = len(relations)
         power = 0
         while True:
-            combo = [zero] * len(place) + [k.one]
             place.append((chain, power))
-            if not extend_echelon(k, echelon, vec, combo):
+            added, combo = rows.extend(echelon, vec, rows.unit(len(place) - 1, len(place)))
+            if not added:
                 break
-            vec = _apply(k, columns, vec)
+            vec = rows.apply(columns, vec)
             power += 1
         # vec lies in the span: combo closes the chain, unless the chain is
         # empty because e_i itself was already spanned
         if power:
-            relations.append(_relation_row(k, combo, place))
+            relations.append(_relation_row(k, rows.unpack(combo, len(place)), place))
         place.pop()
     diag = _smith_diagonal(k, relations)
     nontrivial = [Poly.from_raw(k, d) for d in diag if len(d) > 1]
@@ -423,16 +427,6 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
     if total != n:
         raise ConsistencyError("Smith normal form degrees do not sum to the size")
     return InvariantFactorList(nontrivial)
-
-
-def _apply(k, columns, vec):
-    """m times vec, m given by its columns' nonzero (row, entry) pairs."""
-    out = [k.zero] * len(vec)
-    for v, col in zip(vec, columns):
-        if v != k.zero:
-            for i, a in col:
-                out[i] = k.add(out[i], k.mul(a, v))
-    return out
 
 
 def _relation_row(k, combo, place):

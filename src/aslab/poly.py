@@ -12,7 +12,13 @@ factorization), and the incremental echelon extend_echelon /
 reduce_by_echelon.  That echelon is the only Gaussian elimination in aslab:
 min_poly_in_quotient, linalg's ranks and invariant factors, dickson's span
 test, and _kernel (the Berlekamp split's and linalg's kernels) all run on
-it.  Irreducibility comes from fields.rabin_irreducible.
+it.  Its row representation is chosen per field (_row_algebra): over GF(2)
+every echelon row, reduced vector and combination is a Python int with bit
+i holding coordinate i, reduced by XOR; over every other field it is a list
+of payloads.  extend_echelon and reduce_by_echelon take and return payload
+lists over every field; ranks, _kernel and linalg's Krylov chains pack
+their vectors once and call the row algebra directly.  Irreducibility comes
+from fields.rabin_irreducible.
 """
 
 from . import _ringops as rp
@@ -184,7 +190,9 @@ class Poly:
     def __eq__(self, other):
         if isinstance(other, Poly):
             return self.field == other.field and self.raw == other.raw
-        if isinstance(other, (FieldElement, int)):
+        if isinstance(other, int):
+            return self.raw == rp.trim(self.field, (self.field.from_int(other),))
+        if isinstance(other, FieldElement):
             return self.raw == self._coerce(other)
         return NotImplemented
 
@@ -500,41 +508,20 @@ def _min_dependence(field, u, m):
     raise ConsistencyError("no linear dependence found within the dimension bound")
 
 
-def reduce_by_echelon(field, echelon, vec, combo=None):
-    """vec minus its components along the echelon rows, as a new list.
-
-    Echelon rows are (row, pivot, combo) with row and combo stored as their
-    nonzero (index, value) pairs, so sparse rows cost only their nonzeros.
-    When combo is given, the same row operations are applied to it in place
-    using the rows' combos, which tracks what the reduced vector stands for.
-    """
-    vec = list(vec)
-    zero = field.zero
-    for row, piv, ecombo in echelon:
-        c = vec[piv]
-        if c != zero:
-            for i, y in row:
-                vec[i] = field.sub(vec[i], field.mul(c, y))
-            if combo is not None:
-                for i, y in ecombo:
-                    combo[i] = field.sub(combo[i], field.mul(c, y))
-    return vec
+def reduce_by_echelon(field, echelon, vec):
+    """vec minus its components along the echelon rows, as a new list."""
+    rows = _row_algebra(field)
+    return rows.unpack(rows.reduce(echelon, rows.pack(vec), None)[0], len(vec))
 
 
 def extend_echelon(field, echelon, vec, combo=None):
     """Reduce vec (and combo) by the echelon and append the result scaled to
     a unit pivot; returns False, appending nothing, if vec reduces to zero."""
-    vec = reduce_by_echelon(field, echelon, vec, combo)
-    piv = next((i for i, c in enumerate(vec) if c != field.zero), None)
-    if piv is None:
-        return False
-    inv = field.inv(vec[piv])
-    echelon.append((
-        _scaled_nonzeros(field, vec, inv),
-        piv,
-        None if combo is None else _scaled_nonzeros(field, combo, inv),
-    ))
-    return True
+    rows = _row_algebra(field)
+    added, c = rows.extend(echelon, rows.pack(vec), None if combo is None else rows.pack(combo))
+    if combo is not None:
+        combo[:] = rows.unpack(c, len(combo))
+    return added
 
 
 def _kernel(field, columns):
@@ -545,15 +532,151 @@ def _kernel(field, columns):
     unique dependence on the earlier independent columns: the free-column
     vector of the reduced row echelon form, so the basis is canonical.
     """
+    rows = _row_algebra(field)
     n = len(columns)
     echelon = []
     basis = []
     for c, col in enumerate(columns):
-        combo = [field.zero] * c + [field.one]
-        if not extend_echelon(field, echelon, col, combo):
-            basis.append(tuple(combo) + (field.zero,) * (n - c - 1))
+        added, combo = rows.extend(echelon, rows.pack(col), rows.unit(c, c + 1))
+        if not added:
+            basis.append(tuple(rows.unpack(combo, n)))
     return basis
+
+
+def _row_algebra(field):
+    """The representation of the echelon's rows, vectors and combos over
+    field: packed ints over GF(2), payload lists over every other field."""
+    if field.kind == "prime" and field.p == 2:
+        return _BIT_ROWS
+    return _PayloadRows(field)
+
+
+class _PayloadRows:
+    """Vectors as lists of payloads.  Echelon rows are (row, pivot, combo)
+    with row and combo stored as their nonzero (index, value) pairs, so
+    sparse rows cost only their nonzeros; a combo is updated in place."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def pack(self, vec):
+        """vec, a sequence of payloads, in this representation."""
+        return vec
+
+    def unpack(self, v, n):
+        """v as a list of n payloads."""
+        return v + [self.field.zero] * (n - len(v))
+
+    def unit(self, i, n):
+        """The i-th unit vector of length n."""
+        v = [self.field.zero] * n
+        v[i] = self.field.one
+        return v
+
+    def reduce(self, echelon, v, c):
+        """(v reduced by the echelon as a new list, c reduced alike)."""
+        field = self.field
+        zero = field.zero
+        v = list(v)
+        for row, piv, ecombo in echelon:
+            a = v[piv]
+            if a != zero:
+                for i, y in row:
+                    v[i] = field.sub(v[i], field.mul(a, y))
+                if c is not None:
+                    for i, y in ecombo:
+                        c[i] = field.sub(c[i], field.mul(a, y))
+        return v, c
+
+    def extend(self, echelon, v, c):
+        """(whether v is independent of the echelon, reduced c); an
+        independent v is appended, scaled to a unit pivot."""
+        field = self.field
+        v, c = self.reduce(echelon, v, c)
+        piv = next((i for i, a in enumerate(v) if a != field.zero), None)
+        if piv is None:
+            return False, c
+        inv = field.inv(v[piv])
+        echelon.append((
+            _scaled_nonzeros(field, v, inv),
+            piv,
+            None if c is None else _scaled_nonzeros(field, c, inv),
+        ))
+        return True, c
+
+    def columns(self, matrix_rows):
+        """The matrix's columns as their nonzero (row, entry) pairs."""
+        zero = self.field.zero
+        return [[(i, a) for i, a in enumerate(col) if a != zero] for col in zip(*matrix_rows)]
+
+    def apply(self, columns, v):
+        """The matrix with these columns times v."""
+        field = self.field
+        out = [field.zero] * len(v)
+        for a, col in zip(v, columns):
+            if a != field.zero:
+                for i, y in col:
+                    out[i] = field.add(out[i], field.mul(y, a))
+        return out
 
 
 def _scaled_nonzeros(field, vec, c):
     return [(i, field.mul(x, c)) for i, x in enumerate(vec) if x != field.zero]
+
+
+# GF(2) payloads 0 and 1 to the binary digits int(_, 2) reads, and back
+_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+class _BitRows:
+    """GF(2) vectors packed into Python ints, bit i holding coordinate i,
+    as the rows of M4RI (Albrecht, Bard and Hart, "Algorithm 898: Efficient
+    multiplication of dense matrices over GF(2)", ACM TOMS 37, 2010).  A
+    pivot is the lowest set bit and already a unit, so a reduction step is
+    one XOR of the row and one of its combo; no combo is the empty combo 0.
+    """
+
+    @staticmethod
+    def pack(vec):
+        return int(bytes(vec[::-1]).translate(_TO_DIGITS) or b"0", 2)
+
+    @staticmethod
+    def unpack(v, n):
+        return list(format(v, f"0{n}b")[::-1].encode().translate(_FROM_DIGITS))
+
+    @staticmethod
+    def unit(i, n):
+        return 1 << i
+
+    @staticmethod
+    def reduce(echelon, v, c):
+        c = c or 0
+        for row, piv, ecombo in echelon:
+            if v >> piv & 1:
+                v ^= row
+                c ^= ecombo
+        return v, c
+
+    def extend(self, echelon, v, c):
+        v, c = self.reduce(echelon, v, c)
+        if not v:
+            return False, c
+        echelon.append((v, (v & -v).bit_length() - 1, c))
+        return True, c
+
+    def columns(self, matrix_rows):
+        return [self.pack(col) for col in zip(*matrix_rows)]
+
+    @staticmethod
+    def apply(columns, v):
+        """XOR of the columns at the set bits of v."""
+        out = 0
+        while v:
+            low = v & -v
+            out ^= columns[low.bit_length() - 1]
+            v ^= low
+        return out
+
+
+_BIT_ROWS = _BitRows()

@@ -140,12 +140,16 @@ def test_missing_input_exits_2(capsys):
         ("analyze-ad", "--field", "GF(2)(Z)", "--matrix", '{"entries": [[[[1],[0]]]]}'),
         ("analyze-ad", "--field", "GF(2)(Z)", "--matrix", '{"entries": [[[1,[1]]]]}'),
         ("analyze-ad", "--field", "GF(4)(Z)", "--matrix", '{"entries": [[[[1],[[1,0]]]]]}'),
+        ("analyze-ad", "--field", "GF(2)", "--matrix", '{"entries": [[true]]}'),
+        ("analyze-ad", "--field", "GF(4)", "--matrix", '{"entries": [[[true, false]]]}'),
+        ("analyze-ad", "--field", "GF(2)(Z)", "--matrix", '{"entries": [[[[true],[1]]]]}'),
     ],
     ids=[
         "truncated-matrix-json", "zero-denominator", "division-in-modulus", "p-4", "p-9",
         "missing-matrix-file", "matrix-json-list", "matrix-json-without-entries",
         "null-ext-payload", "float-ext-payload", "float-kz-payload", "three-part-kz-payload",
         "zero-denominator-kz-payload", "int-numerator-kz-payload", "int-coefficient-kz-payload",
+        "bool-prime-entry", "bool-ext-payload", "bool-kz-coefficient",
     ],
 )
 def test_malformed_input_exits_2_with_one_error_line(capsys, argv):

@@ -69,6 +69,29 @@ def test_rabin_test_counts_match_gauss_formula(spec, max_degree):
         assert accepted == expected, (spec, d)
 
 
+def test_monic_irreducibles_skipping_constant_zero_matches_full_scan():
+    # the reference scans every tail, constant term zero included
+    def full_scan(k, degree, count):
+        out = []
+        for tail in itertools.product(k.enumerate_payloads(), repeat=degree):
+            cand = tuple(tail) + (k.one,)
+            if rabin_irreducible(k, cand):
+                out.append(cand)
+                if len(out) == count:
+                    break
+        return out
+
+    for spec, max_degree in (("GF(2)", 8), ("GF(3)", 5), ("GF(5)", 3)):
+        k = make_field(spec)
+        for d in range(1, max_degree + 1):
+            for count in (1, 3):
+                # drop the cached list so that the enumeration itself runs
+                fields._irreducible_cache.pop((k, d), None)
+                assert fields.monic_irreducibles(k, d, count) == full_scan(k, d, count), (
+                    spec, d, count,
+                )
+
+
 def test_irreducible_cache_under_threads():
     # more threads than cores fill and read the shared cache at once, with a
     # tiny switch interval; each must get the sequential answer and the
@@ -264,6 +287,21 @@ def test_division_by_zero():
 def test_elements_of_different_fields_do_not_mix():
     with pytest.raises(InputError):
         make_field("GF(4)").element(1) + make_field("GF(9)").element(1)
+
+
+def test_bool_is_not_a_field_element():
+    for spec, payload in (("GF(2)", True), ("GF(4)", (True, False)), ("GF(2)(Z)", ((True,), (1,)))):
+        k = make_field(spec)
+        with pytest.raises(InputError):
+            k.element(True)
+        with pytest.raises(InputError):
+            k.payload_of(payload)
+    f2 = make_field("GF(2)")
+    with pytest.raises(InputError):
+        f2.element(1) + True
+    # equality with a bool compares as int equality does and never raises
+    assert f2.element(1) == True  # noqa: E712
+    assert Poly.one(f2) == True and Poly.zero(f2) != True  # noqa: E712
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from aslab.linalg import (
     similar,
     verify_companion_composition,
 )
-from aslab.poly import Poly, roots_in_finite_field
+from aslab.poly import Poly, min_poly_in_quotient, roots_in_finite_field
 
 
 def random_matrix(field, size, rng):
@@ -170,6 +170,53 @@ def test_rank_and_kernel_match_full_gauss_jordan_reference():
             assert m.rank() == len(pivots), (spec, str(m))
             kernel = [tuple(x.payload for x in vec) for vec in m.kernel_basis()]
             assert kernel == _reference_kernel(k, mat, pivots), (spec, str(m))
+
+
+# ---------------------------------------------------------------------------
+# GF(2) against GF(4): the packed GF(2) rows against the payload-list rows
+
+def _gf2_cases(rng):
+    """Square 0/1 matrices: random ones of sizes 1-9, 64, 65 and 130, their
+    block sum, and the zero, identity, nilpotent and duplicate-row cases."""
+    f2 = make_field("GF(2)")
+    rand = lambda n, density=0.5: [
+        [int(rng.random() < density) for _ in range(n)] for _ in range(n)
+    ]
+    small = [rand(n, rng.choice((0.2, 0.5, 0.8))) for n in range(1, 10)]
+    cases = small + [rand(64), rand(65, 0.1), rand(130)]
+    cases.append(direct_sum(*(Matrix(f2, rows) for rows in small)).rows)
+    cases += [[[0] * 65] * 65, Matrix.identity(f2, 65).rows, jordan_block(f2, 0, 130).rows]
+    for n in (9, 65):
+        dup = rand(n)
+        dup[n - 1] = list(dup[0])
+        dup[n // 2] = list(dup[1])
+        cases.append(dup)
+    return cases
+
+
+def test_gf2_linear_algebra_matches_the_same_matrix_over_gf4():
+    # rank, the RREF kernel basis, the Smith form over F[X] and minimal
+    # polynomials do not change under field extension; over GF(4) the rows
+    # are payload lists, so this compares the two row algebras
+    f2, f4 = make_field("GF(2)"), make_field("GF(4)")
+    lift = lambda raw: tuple((v, 0) for v in raw)
+    rng = random.Random(88)
+    for rows in _gf2_cases(rng):
+        m2 = Matrix(f2, rows)
+        m4 = Matrix(f4, [lift(row) for row in rows])
+        label = f"{m2.nrows}x{m2.ncols}"
+        assert m2.rank() == m4.rank(), label
+        kernel2 = [lift(x.payload for x in vec) for vec in m2.kernel_basis()]
+        assert kernel2 == [tuple(x.payload for x in vec) for vec in m4.kernel_basis()], label
+        inv2 = [lift(f.raw) for f in invariant_factors(m2)]
+        assert inv2 == [f.raw for f in invariant_factors(m4)], label
+    for d in list(range(1, 10)) + [64, 65]:
+        q = [rng.randrange(2) for _ in range(d)] + [1]
+        for u in ([rng.randrange(2) for _ in range(d)], [0], [1], [0, 1]):
+            for modulus in (q, [0] * d + [1]):
+                mp2 = min_poly_in_quotient(Poly(f2, u), Poly(f2, modulus))
+                mp4 = min_poly_in_quotient(Poly(f4, lift(u)), Poly(f4, lift(modulus)))
+                assert lift(mp2.raw) == mp4.raw, (d, u, modulus)
 
 
 # ---------------------------------------------------------------------------

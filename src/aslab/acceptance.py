@@ -136,7 +136,7 @@ def run_converse_suite(seed=0, count=200):
 
 
 def run_tensor_suite(seed=0):
-    """Closed formula vs rank-sequence oracle for Jordan block tensors."""
+    """Closed formula vs invariant-factor oracle for Jordan block tensors."""
     records = []
     mismatches = []
     total = 0

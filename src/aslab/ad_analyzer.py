@@ -19,6 +19,11 @@ X^(p^(n+e)) - X^(p^e), ad A is diagonalizable exactly when e = 0, and every
 eigenvector of ad A is invertible.  Any certification failure raises
 ConsistencyError since it would contradict a proven statement.
 
+The invariant factors of ad A give c1 and every eigenspace dimension; when
+all three conditions hold, each eigenspace is also built as a kernel, whose
+basis must have that dimension, and its vectors feed the invertibility
+sweep.
+
 build_gas_companion goes the other way: from (p, n, e, a) it constructs the
 companion matrix of X^(p^(n+e)) - X^(p^e) - a.
 """
@@ -226,11 +231,18 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     roots = _poly_roots_in_field(mu_ad)
     eigenvalues = sorted((r for r, _ in roots), key=lambda v: v.sort_key())
 
+    # one pass over the (eigenvalue v, invariant factor f) pairs: c1 counts
+    # the multiplicity of X - v in each f, and every f that X - v divides is
+    # one cyclic summand F[X]/(f) adding one dimension to ker(ad - vI)
     accounted = 0
-    for f in inv_ad:
-        for r, _ in roots:
-            accounted += _divide_out(field, f.raw, (field.neg(r.payload), field.one))[1]
+    dims = []
+    for v in eigenvalues:
+        lin = (field.neg(v.payload), field.one)
+        mults = [_divide_out(field, f.raw, lin)[1] for f in inv_ad]
+        accounted += sum(mults)
+        dims.append((v, sum(1 for mult in mults if mult)))
     c1 = accounted == m * m
+    diagonalizable = sum(d for _, d in dims) == m * m
 
     c2, c2_witness = _subfield_check(eigenvalues)
 
@@ -238,10 +250,6 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     cyclic = len(inv_a) == 1
     mu_a = inv_a.minimal_polynomial()
     c3 = cyclic and irreducible(mu_a)
-
-    # dimensions from ranks; bases are built only for the invertibility sweep
-    dims = [(v, m * m - ad.scalar_shift(-v).rank()) for v in eigenvalues]
-    diagonalizable = sum(d for _, d in dims) == m * m
 
     failures = []
     if not c1:
@@ -263,7 +271,7 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
         recovered = _recover_and_certify(
             a, field, m, mu_a, eigenvalues, dims, inv_ad, diagonalizable
         )
-        invertibility = _eigenvector_invertibility(a, ad, eigenvalues, seed)
+        invertibility = _eigenvector_invertibility(a, _eigenspaces(ad, dims), seed)
         if not invertibility.all_invertible:
             raise ConsistencyError(
                 "certified matrix has a non-invertible ad eigenvector: "
@@ -328,12 +336,27 @@ def check_eigenvector_invertibility(a: Matrix, seed: int = 0) -> InvertibilityVe
     _check_caps(a)
     ad = ad_matrix(a)
     mu = invariant_factors(ad).minimal_polynomial()
-    eigenvalues = [r for r, _ in _poly_roots_in_field(mu)]
-    return _eigenvector_invertibility(a, ad, eigenvalues, seed)
+    bases = [(r, eigenspace(ad, r)) for r, _ in _poly_roots_in_field(mu)]
+    return _eigenvector_invertibility(a, bases, seed)
 
 
-def _eigenvector_invertibility(a, ad, eigenvalues, seed):
-    """check_eigenvector_invertibility with ad = ad_matrix(a) already built."""
+def _eigenspaces(ad, dims):
+    """(v, eigenspace basis) for each (v, dim) read off the invariant
+    factors; the kernel is a second route to that dimension."""
+    bases = []
+    for v, d in dims:
+        basis = eigenspace(ad, v)
+        if len(basis) != d:
+            raise ConsistencyError(
+                f"eigenspace at {v} has a basis of {len(basis)} vectors, but "
+                f"the invariant factors of ad A give dimension {d}"
+            )
+        bases.append((v, basis))
+    return bases
+
+
+def _eigenvector_invertibility(a, bases, seed):
+    """check_eigenvector_invertibility on given (eigenvalue, basis) pairs."""
     field = a.field
     m = a.nrows
     rng = random.Random(seed)
@@ -341,8 +364,8 @@ def _eigenvector_invertibility(a, ad, eigenvalues, seed):
     checked = 0
     sampled = 0
     zero = field.zero
-    for v in eigenvalues:
-        basis = [[x.payload for x in vec] for vec in eigenspace(ad, v)]
+    for v, basis in bases:
+        basis = [[x.payload for x in vec] for vec in basis]
         for idx, vec in enumerate(basis):
             checked += 1
             if not _reshape(field, m, vec).is_invertible():
@@ -383,18 +406,9 @@ def check_similarity_shift(a: Matrix, b) -> bool:
 
 def contains_subfield(field, n) -> bool:
     """Whether GF(p^n) embeds in the field, by splitting X^(p^n) - X."""
-    p = field.char
-    target = p**n
-    if field.order is not None:
-        count = sum(
-            1
-            for c in field.enumerate_payloads()
-            if field.pow_int(c, target) == c
-        )
-        return count == target
-    base = field.base
-    count = sum(1 for c in base.enumerate_payloads() if base.pow_int(c, target) == c)
-    return count == target
+    target = field.char**n
+    k = field if field.order is not None else field.base
+    return sum(1 for c in k.enumerate_payloads() if k.pow_int(c, target) == c) == target
 
 
 def build_gas_companion(field, n: int, e: int, a) -> Matrix:

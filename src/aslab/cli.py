@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import acceptance
+from . import acceptance, irred
 from .ad_analyzer import analyze
 from .dickson import (
     SubspaceR,
@@ -190,7 +190,7 @@ def _cmd_irreducible(args):
         degz = max(
             (len(num) - 1 for num, _den in h.raw if num), default=0
         )
-        if K.order <= 9 and degx + degz <= 12:
+        if K.order <= irred.ORACLE_MAX_FIELD and degx + degz <= irred.ORACLE_MAX_TOTAL_DEGREE:
             oracle_checked = True
             oracle_agrees = bivariate_irreducible_oracle(h) == bool(verdict)
     result = {

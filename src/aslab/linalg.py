@@ -2,8 +2,8 @@
 
 Provides companion / Kronecker / Pascal constructors, kernels and
 eigenspaces by Gaussian elimination, invariant factors from Krylov chains
-over F, similarity testing, and Jordan types of nilpotent matrices from
-rank sequences.  All pivot choices are fixed, so every function is
+over F, similarity testing, and Jordan types of nilpotent matrices read off
+their invariant factors.  All pivot choices are fixed, so every function is
 deterministic.  This module has no Gaussian elimination of its own: ranks,
 kernels and the Krylov vectors of invariant_factors all go through poly's
 incremental echelon (its row algebra, and _kernel on top of it, which also
@@ -156,20 +156,6 @@ class Matrix:
         if isinstance(other, (FieldElement, int)):
             return self.__mul__(other)
         return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        if not self.is_square():
-            raise InputError("matrix power needs a square matrix")
-        result = Matrix.identity(self.field, self.nrows)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def scalar_shift(self, c):
         """self + c*I."""
@@ -668,27 +654,18 @@ class JordanType:
 
 
 def nilpotent_jordan_type(n: Matrix) -> JordanType:
-    """Block sizes of a nilpotent matrix from its rank sequence."""
+    """Block sizes of a nilpotent matrix: the degrees of its invariant
+    factors, each a power of X (one Jordan block per cyclic summand)."""
     if not n.is_square():
         raise InputError("Jordan type needs a square matrix")
-    dim = n.nrows
-    ranks = [dim]
-    power = n
-    while True:
-        r = power.rank()
-        ranks.append(r)
-        if r == 0:
-            break
-        if len(ranks) > dim + 1:
+    k = n.field
+    zero = k.zero_element()
+    blocks = []
+    for f in invariant_factors(n):
+        if any(c != k.zero for c in f.raw[:-1]):
             raise InputError("matrix is not nilpotent")
-        power = power * n
-    zero = n.field.zero_element()
-    sizes = []
-    for k_ in range(1, len(ranks)):
-        at_least_k = ranks[k_ - 1] - ranks[k_]
-        at_least_k1 = ranks[k_] - ranks[k_ + 1] if k_ + 1 < len(ranks) else 0
-        sizes.extend([k_] * (at_least_k - at_least_k1))
-    return JordanType([(zero, sz) for sz in sizes])
+        blocks.append((zero, f.degree()))
+    return JordanType(blocks)
 
 
 def elementary_divisors_from_invariant(inv: InvariantFactorList):

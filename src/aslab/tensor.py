@@ -4,10 +4,11 @@ For blocks J_n(alpha) and J_m(beta) over GF(p) with m = p^e and n <= m, the
 product splits as n isomorphic indecomposables of dimension p^e with the
 single eigenvalue alpha + beta; tensor_jordan_type_formula returns that
 closed answer.  tensor_jordan_type_oracle computes the decomposition for
-arbitrary block sizes from the rank sequence of the explicit Kronecker
-operator and serves as the independent check.  The oracle also covers sizes
-with no closed form, e.g. J_2 tensor J_3 over GF(2) splits as [4, 2], and
-the characteristic-0 Clebsch-Gordan pattern (m+n-1, m+n-3, ...) fails here.
+arbitrary block sizes, up to n*m = 256, from the invariant factors of the
+explicit Kronecker operator and serves as the independent check.  The
+oracle also covers sizes with no closed form, e.g. J_2 tensor J_3 over
+GF(2) splits as [4, 2], and the characteristic-0 Clebsch-Gordan pattern
+(m+n-1, m+n-3, ...) fails here.
 
 ad_elementary_divisors_blocksum gives the elementary divisors of the
 commutator operator on a direct sum of equal-size blocks J_(p^e)(alpha_i):
@@ -76,7 +77,8 @@ def tensor_jordan_type_formula(inst: TensorInstance) -> JordanType:
 
 
 def tensor_jordan_type_oracle(inst: TensorInstance) -> JordanType:
-    """Rank-sequence decomposition of the explicit Kronecker operator."""
+    """Jordan type of the explicit Kronecker operator, read off the
+    invariant factors of its nilpotent part (n*m at most ORACLE_MAX_DIM)."""
     if inst.n * inst.m > ORACLE_MAX_DIM:
         raise CapExceededError(f"dimension {inst.n * inst.m} exceeds cap {ORACLE_MAX_DIM}")
     k = inst.field

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from aslab import ad_analyzer
 from aslab.ad_analyzer import (
     analyze,
     build_gas_companion,
@@ -10,9 +11,16 @@ from aslab.ad_analyzer import (
     check_similarity_shift,
     contains_subfield,
 )
-from aslab.errors import CapExceededError, InputError
+from aslab.errors import CapExceededError, ConsistencyError, InputError
 from aslab.fields import make_field
-from aslab.linalg import Matrix, companion, jordan_block
+from aslab.linalg import (
+    Matrix,
+    ad_matrix,
+    companion,
+    direct_sum,
+    eigenspace,
+    jordan_block,
+)
 from aslab.poly import Poly, factor_finite
 
 
@@ -124,6 +132,46 @@ def test_analyze_json_is_stable():
     d1 = json.dumps(analyze(a, seed=4).to_json_dict())
     d2 = json.dumps(analyze(a, seed=4).to_json_dict())
     assert d1 == d2
+
+
+# ---------------------------------------------------------------------------
+# eigenspace dimensions, read off the invariant factors of ad A
+
+def _eigenspace_dims_by_rank(a, eigenvalues):
+    ad = ad_matrix(a)
+    return [(v, a.nrows**2 - ad.scalar_shift(-v).rank()) for v in eigenvalues]
+
+
+def test_eigenspace_dims_equal_corank_of_ad_shift():
+    rng = random.Random(2024)
+    mats = []
+    for spec, sizes in (("GF(2)", (1, 2, 3, 4, 5)), ("GF(3)", (2, 3, 4)),
+                        ("GF(4)", (2, 3, 4)), ("GF(9)", (2, 3))):
+        field = make_field(spec)
+        for size in sizes:
+            mats += [
+                Matrix(field, [[field.random_payload(rng) for _ in range(size)]
+                               for _ in range(size)])
+                for _ in range(4)
+            ]
+            mats += [Matrix.identity(field, size), jordan_block(field, 1, size)]
+        mats.append(direct_sum(jordan_block(field, 0, 2), jordan_block(field, 1, 1)))
+    for spec, e in (("GF(2)(Z)", 0), ("GF(2)(Z)", 1), ("GF(3)(Z)", 0)):
+        mats.append(build_gas_companion(make_field(spec), 1, e, "Z"))
+    for a in mats:
+        rep = analyze(a)
+        assert list(rep.eigenspace_dims) == _eigenspace_dims_by_rank(a, rep.eigenvalues), a
+        assert rep.diagonalizable == (sum(d for _, d in rep.eigenspace_dims) == a.nrows**2)
+
+
+def test_eigenspace_basis_short_of_the_invariant_factor_dimension(monkeypatch):
+    def short_eigenspace(m, lam):
+        return eigenspace(m, lam)[:-1]
+
+    monkeypatch.setattr(ad_analyzer, "eigenspace", short_eigenspace)
+    f2z = make_field("GF(2)(Z)")
+    with pytest.raises(ConsistencyError, match=r"eigenspace at 0 .* 1 vectors.* dimension 2"):
+        analyze(build_gas_companion(f2z, 1, 0, "Z"))
 
 
 # ---------------------------------------------------------------------------

@@ -678,8 +678,61 @@ def test_jordan_type_of_kronecker_action_vs_independent_oracle():
 
 def test_nilpotent_jordan_type_rejects_non_nilpotent():
     f2 = make_field("GF(2)")
-    with pytest.raises(InputError):
-        nilpotent_jordan_type(Matrix.identity(f2, 2))
+    f3 = make_field("GF(3)")
+    f3z = make_field("GF(3)(Z)")
+    with pytest.raises(InputError, match="square"):
+        nilpotent_jordan_type(Matrix.zeros(f3, 2, 3))
+    # the companion of X^2 + X and J_2(0) + I_1 are singular: X divides an
+    # invariant factor that is not a power of X
+    for n in (Matrix.identity(f2, 2),
+              companion(Poly.from_string(f3, "X^2+X")),
+              direct_sum(jordan_block(f3, 0, 2), Matrix.identity(f3, 1)),
+              jordan_block(f3z, 0, 3).scalar_shift(f3z.element("Z"))):
+        with pytest.raises(InputError, match="not nilpotent"):
+            nilpotent_jordan_type(n)
+
+
+def _rank_sequence_jordan_sizes(n):
+    """Block sizes from the ranks of N, N^2, ...: the number of blocks of
+    size at least k is rank(N^(k-1)) - rank(N^k)."""
+    ranks = [n.nrows, n.rank()]
+    power = n
+    while ranks[-1]:
+        power = power * n
+        ranks.append(power.rank())
+    at_least = [a - b for a, b in zip(ranks, ranks[1:])] + [0]
+    sizes = []
+    for k in range(1, len(at_least)):
+        sizes += [k] * (at_least[k - 1] - at_least[k])
+    return sorted(sizes, reverse=True)
+
+
+def _strictly_upper(field, size, rng):
+    return Matrix.from_raw(field, [
+        [field.random_payload(rng) if j > i else field.zero for j in range(size)]
+        for i in range(size)
+    ])
+
+
+def test_nilpotent_jordan_type_matches_rank_sequences():
+    cases = []
+    for p in (2, 3, 5, 7):
+        k = make_field(f"GF({p})")
+        for n in range(1, 25):
+            for m in range(1, 24 // n + 1):
+                cases.append(
+                    kron(jordan_block(k, 0, n), Matrix.identity(k, m))
+                    + kron(Matrix.identity(k, n), jordan_block(k, 0, m))
+                )
+    rng = random.Random(41)
+    for spec, sizes in (("GF(4)", range(1, 9)), ("GF(9)", range(1, 9)),
+                        ("GF(3)(Z)", range(1, 6))):
+        k = make_field(spec)
+        for size in sizes:
+            cases += [Matrix.zeros(k, size), jordan_block(k, 0, size)]
+            cases += [_strictly_upper(k, size, rng) for _ in range(3)]
+    for n in cases:
+        assert nilpotent_jordan_type(n).sizes() == _rank_sequence_jordan_sizes(n), n
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from aslab.errors import CapExceededError, InputError
@@ -41,7 +43,7 @@ def test_formula_rejects_non_p_power_and_large_n():
 
 
 # ---------------------------------------------------------------------------
-# rank-sequence oracle
+# invariant-factor oracle
 
 def test_oracle_j2_tensor_j3():
     assert tensor_jordan_type_oracle(TensorInstance(2, 2, 3)).sizes() == [4, 2]
@@ -65,6 +67,18 @@ def test_oracle_trivial_product():
 def test_oracle_cap():
     with pytest.raises(CapExceededError):
         tensor_jordan_type_oracle(TensorInstance(2, 17, 17))
+
+
+def test_oracle_at_its_cap_in_bounded_time():
+    # n*m = 256 = ORACLE_MAX_DIM: ranks of dense matrix powers took 15-20 s
+    # on a 2-core Xeon VM, the invariant factors of the operator about 0.2 s
+    t0 = time.perf_counter()
+    jt = tensor_jordan_type_oracle(TensorInstance(3, 16, 16))
+    elapsed = time.perf_counter() - t0
+    assert jt.dimension() == 256
+    assert elapsed < 2.0
+    with pytest.raises(CapExceededError):
+        tensor_jordan_type_oracle(TensorInstance(3, 17, 16))
 
 
 def test_formula_equals_oracle_small_grid():

@@ -47,6 +47,7 @@ from .poly import (
     _divide_out,
     _factor_raw,
     _monic_divisors,
+    gas_poly,
     gas_shape,
     roots_in_finite_field,
     separable_part,
@@ -316,7 +317,7 @@ def _recover_and_certify(a, field, m, mu_a, eigenvalues, dims, inv_ad, diagonali
     for v, d in dims:
         if d != pne:
             raise ConsistencyError(f"eigenspace at {v} has dimension {d}, expected {pne}")
-    expected_factor = Poly.x_power(field, pne) - Poly.x_power(field, p**e)
+    expected_factor = gas_poly(field, n, e, 0)
     if len(inv_ad) != pne or any(f != expected_factor for f in inv_ad):
         raise ConsistencyError("invariant factors of ad A differ from the certified shape")
     if diagonalizable != (e == 0):
@@ -419,11 +420,4 @@ def build_gas_companion(field, n: int, e: int, a) -> Matrix:
         raise InputError(
             f"{field.spec_string()} does not contain the subfield of {field.char}^{n} elements"
         )
-    a = field.element(a)
-    p = field.char
-    h = (
-        Poly.x_power(field, p ** (n + e))
-        - Poly.x_power(field, p**e)
-        - Poly.constant(field, a)
-    )
-    return companion(h)
+    return companion(gas_poly(field, n, e, a))

@@ -25,7 +25,7 @@ from .errors import ConsistencyError, InputError
 from .fields import make_field
 from .irred import GasInstance, bivariate_irreducible_oracle, gas_irreducible
 from .linalg import Matrix, companion
-from .poly import Poly
+from .poly import Poly, gas_poly
 from .tensor import (
     TensorInstance,
     closed_formula_applies,
@@ -97,22 +97,22 @@ def _cmd_decompose_tensor(args):
 
 def _standard_q(field, n, a_str):
     a = field.parse_element(a_str)
-    return (
-        Poly.x_power(field, field.char**n)
-        - Poly.x(field)
-        - Poly.constant(field, a)
-    ), a
+    return gas_poly(field, n, 0, a), a
 
 
 def _cmd_primitive_element(args):
     field = make_field(args.field)
-    if field.kind == "rational-function":
-        ambient = field.base
-    else:
-        ambient = field
-    q, a = _standard_q(field, args.n, args.a)
+    p, n = field.char, args.n
+    if n < 1:
+        raise InputError("need n >= 1")
+    # R lives in the subfield of p^n elements: the coefficient field itself
+    # when that is its size (a custom modulus included), else GF(p^n),
+    # which primitive_element embeds into it
+    k = field.base if field.kind == "rational-function" else field
+    ambient = k if k.order == p**n else make_field(f"GF({p}^{n})")
+    q, a = _standard_q(field, n, args.a)
     basis = [ambient.parse_element(s.strip()) for s in args.subspace.split(",") if s.strip()]
-    r = SubspaceR.from_basis(ambient, basis) if basis else SubspaceR.from_basis(ambient, [])
+    r = SubspaceR.from_basis(ambient, basis)
     res = primitive_element(r, q, check_irreducible=args.certify)
     result = {
         "field": field.spec_string(),

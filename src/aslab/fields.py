@@ -21,7 +21,10 @@ FieldDescriptor.payload_of is the single point where values from outside
 (FieldElements, ints, element strings, payloads) are checked and turned
 into payloads; element, Poly(...) and Matrix(...) all go through it, and
 code that computes payloads itself skips it (Poly.from_raw,
-Matrix.from_raw).
+Matrix.from_raw).  Element strings are read by the one
+FieldDescriptor.parse_element over each kind's parse atoms, atoms(): none
+for GF(p), t for GF(p^n), Z plus the base field's atoms for K(Z);
+Poly.from_string reads the same table.
 
 Finite fields are capped at 3^6 = 729 elements.  GF(p^n) arithmetic runs
 through exp/log/Zech-log tables built once per (p, n, modulus) from the
@@ -205,6 +208,11 @@ class FieldDescriptor:
     def __call__(self, value):
         return self.element(value)
 
+    def parse_element(self, s):
+        """The element an expression string such as "t+1" or "(Z+1)/Z"
+        denotes, over the identifiers of atoms()."""
+        return parse_expression(s, self.atoms(), lambda i: FieldElement(self, self.from_int(i)))
+
     def zero_element(self):
         return FieldElement(self, self.zero)
 
@@ -296,8 +304,9 @@ class PrimeField(FieldDescriptor):
     def payload_str(self, a):
         return str(a)
 
-    def parse_element(self, s):
-        return parse_expression(s, {}, lambda i: FieldElement(self, i % self.p))
+    def atoms(self):
+        """Identifiers of element strings and their values: none for GF(p)."""
+        return {}
 
     def spec_string(self):
         return f"GF({self.p})"
@@ -567,10 +576,8 @@ class ExtensionField(_TabulatedField, FieldDescriptor):
     def payload_str(self, a):
         return _raw_poly_str(self.base, rp.trim(self.base, a), "t")
 
-    def parse_element(self, s):
-        return parse_expression(
-            s, {"t": self.gen()}, lambda i: FieldElement(self, self.from_int(i))
-        )
+    def atoms(self):
+        return {"t": self.gen()}
 
     def spec_string(self):
         if self.modulus == default_modulus(self.p, self.n):
@@ -714,11 +721,10 @@ class RationalFunctionField(FieldDescriptor):
             ds = "(" + ds + ")"
         return f"{ns}/{ds}"
 
-    def parse_element(self, s):
+    def atoms(self):
         atoms = {"Z": self.gen()}
-        if self.base.kind == "extension":
-            atoms["t"] = self.constant(self.base.gen())
-        return parse_expression(s, atoms, lambda i: FieldElement(self, self.from_int(i)))
+        atoms.update((name, self.constant(c)) for name, c in self.base.atoms().items())
+        return atoms
 
     def spec_string(self):
         return self.base.spec_string() + "(Z)"
@@ -872,12 +878,9 @@ def embed_subfield(small, big):
             powers = [big.one]
         else:
             root = None
-            modulus = small.modulus
+            modulus = tuple(big.from_int(c) for c in small.modulus)
             for cand in big.enumerate_payloads():
-                acc = big.zero
-                for c in reversed(modulus):
-                    acc = big.add(big.mul(acc, cand), big.from_int(c))
-                if acc == big.zero:
+                if rp.evaluate(big, modulus, cand) == big.zero:
                     root = cand
                     break
             if root is None:

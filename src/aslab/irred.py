@@ -15,15 +15,21 @@ lemma, the input being primitive with unit leading coefficient).  Caps:
 """
 
 import itertools
+import math
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, RationalFunctionField, _TabulatedField, monic_irreducibles
-from .poly import Poly, _factor_raw, _monic_divisors, is_irreducible_finite
+from .fields import (
+    MAX_FIELD_SIZE,
+    FieldElement,
+    RationalFunctionField,
+    _TabulatedField,
+    monic_irreducibles,
+)
+from .poly import Poly, _factor_raw, _monic_divisors, gas_poly, is_irreducible_finite
 
 ORACLE_MAX_FIELD = 9
 ORACLE_MAX_TOTAL_DEGREE = 12
-_POINT_FIELD_LIMIT = 729
 _COMBINATION_LIMIT = 500_000
 
 
@@ -68,13 +74,7 @@ class GasInstance:
         """The polynomial X^(p^(n+e)) - X^(p^e) - g(Z^r) over K(Z)."""
         F = self.rational_field()
         gzr = self.g.substitute_x_power(self.r)  # g(Z^r) as a poly in Z over K
-        const = F.fraction(gzr.raw, (self.K.one,))
-        h = (
-            Poly.x_power(F, self.p ** (self.n + self.e))
-            - Poly.x_power(F, self.p**self.e)
-            - Poly.constant(F, const)
-        )
-        return h
+        return gas_poly(F, self.n, self.e, F.fraction(gzr.raw, (self.K.one,)))
 
     def __repr__(self):
         return (
@@ -144,12 +144,7 @@ def gas_irreducible(inst: GasInstance) -> GasIrreducibility:
     qg = [K.zero] * ((len(inst.g.raw) - 1) * r0 * p ** (s - 1) + 1)
     for kidx, root in enumerate(roots):
         qg[kidx * r0 * p ** (s - 1)] = root
-    qg_const = F.fraction(qg, (K.one,))
-    witness = (
-        Poly.x_power(F, p ** (inst.n + inst.e - 1))
-        - Poly.x_power(F, p ** (inst.e - 1))
-        - Poly.constant(F, qg_const)
-    )
+    witness = gas_poly(F, inst.n, inst.e - 1, F.fraction(qg, (K.one,)))
     if witness**p != inst.build_h():
         raise ConsistencyError("constructed p-th root does not recompose the input")
     return GasIrreducibility(
@@ -282,7 +277,7 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
 
     # choose moduli: degrees as large as the point-field cap allows
     dmax = 1
-    while k.order ** (dmax + 1) <= _POINT_FIELD_LIMIT:
+    while k.order ** (dmax + 1) <= MAX_FIELD_SIZE:
         dmax += 1
     need = degz + 1
     degrees = []
@@ -382,9 +377,7 @@ def coprime_difference_irreducible(f: Poly, g: Poly) -> bool:
     """
     if f.field != g.field or f.field.order is None:
         raise InputError("f and g must be polynomials over one finite field")
-    from math import gcd as igcd
-
-    if igcd(f.degree(), g.degree()) != 1:
+    if math.gcd(f.degree(), g.degree()) != 1:
         raise InputError("degrees of f and g must be coprime")
     K = f.field
     F = RationalFunctionField(K)

@@ -6,19 +6,19 @@ over F, similarity testing, and Jordan types of nilpotent matrices read off
 their invariant factors.  All pivot choices are fixed, so every function is
 deterministic.  This module has no Gaussian elimination of its own: ranks,
 kernels and the Krylov vectors of invariant_factors all go through poly's
-incremental echelon (its row algebra, and _kernel on top of it, which also
-serves poly's Berlekamp split).  The row representation follows the field:
-over GF(2) each row, Krylov vector and combination is packed into a Python
-int, and m times v is the XOR of m's packed columns at the set bits of v;
-over every other field they are payload lists, and m's columns are kept as
-their nonzero entries.  invariant_factors runs the Smith normal
-form over F[X] (_smith_diagonal) only on the small matrix of chain
-relations (Storjohann, "An O(n^3) algorithm for the Frobenius normal form",
-ISSAC 1998).  That Smith form has two phases: row and column sweeps reach
-some diagonal form, and factor refinement of its entries into a pairwise
-coprime base closes it into the divisibility chain (Bach, Driscoll and
-Shallit, "Factor refinement", J. Algorithms 1993), so no pivot is tested
-against the rest of the matrix.
+row algebra (_row_algebra, the only interface to the incremental echelon,
+and _kernel on top of it, which also serves poly's Berlekamp split).  The
+row representation follows the field: over GF(2) each row, Krylov vector
+and combination is packed into a Python int, and m times v is the XOR of
+m's packed columns at the set bits of v; over every other field they are
+payload lists, and m's columns are kept as their nonzero entries.
+invariant_factors runs the Smith normal form over F[X] (_smith_diagonal)
+only on the small matrix of chain relations (Storjohann, "An O(n^3)
+algorithm for the Frobenius normal form", ISSAC 1998).  That Smith form has
+two phases: row and column sweeps reach some diagonal form, and factor
+refinement of its entries into a pairwise coprime base closes it into the
+divisibility chain (Bach, Driscoll and Shallit, "Factor refinement", J.
+Algorithms 1993), so no pivot is tested against the rest of the matrix.
 
 Matrix(field, rows) converts and validates every entry (FieldDescriptor.
 payload_of) and is meant for values from outside; every matrix computed
@@ -32,7 +32,7 @@ import math
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement
+from .fields import FieldElement, make_field
 from .poly import Poly, _divide_out, _kernel, _row_algebra, factor_finite
 
 MAX_FINITE_DIM = 1024
@@ -192,8 +192,6 @@ class Matrix:
 
     @classmethod
     def from_json_dict(cls, data, field=None):
-        from .fields import make_field
-
         entries = data.get("entries") if isinstance(data, dict) else None
         if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
             raise InputError('matrix JSON must be an object with an "entries" list of rows')

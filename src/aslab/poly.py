@@ -5,20 +5,21 @@ finite fields, and minimal polynomials in quotient rings.
 The zero polynomial has degree MINUS_INFINITY (a genuine minus infinity, so
 degree comparisons behave), never -1.
 
-Kernels shared with ad_analyzer, dickson, irred and linalg live here:
-_divide_out (the multiplicity of a divisor, hence of a root), gas_shape
-(recognises X^(p^n) - X - a), _monic_divisors (divisors from a
-factorization), and the incremental echelon extend_echelon /
-reduce_by_echelon.  That echelon is the only Gaussian elimination in aslab:
-min_poly_in_quotient, linalg's ranks and invariant factors, dickson's span
-test, and _kernel (the Berlekamp split's and linalg's kernels) all run on
-it.  Its row representation is chosen per field (_row_algebra): over GF(2)
+Kernels shared with acceptance, ad_analyzer, cli, dickson, irred and linalg
+live here: gas_poly (builds X^(p^(n+e)) - X^(p^e) - a, the one place the
+paper's polynomial is constructed) and gas_shape (recognises
+X^(p^n) - X - a), _divide_out (the multiplicity of a divisor, hence of a
+root), _monic_divisors (divisors from a factorization), and the row
+algebra of the incremental echelon, _row_algebra.  That echelon is the only
+Gaussian elimination in aslab, and the row algebra is its only interface:
+min_poly_in_quotient, linalg's ranks and invariant factors, and _kernel
+(the Berlekamp split's and linalg's kernels) pack their vectors once and
+call it directly.  Its row representation is chosen per field: over GF(2)
 every echelon row, reduced vector and combination is a Python int with bit
 i holding coordinate i, reduced by XOR; over every other field it is a list
-of payloads.  extend_echelon and reduce_by_echelon take and return payload
-lists over every field; ranks, _kernel and linalg's Krylov chains pack
-their vectors once and call the row algebra directly.  Irreducibility comes
-from fields.rabin_irreducible.
+of payloads.  Poly.from_string reads its constants from the field's parse
+atoms (FieldDescriptor.atoms).  Irreducibility comes from
+fields.rabin_irreducible.
 """
 
 from . import _ringops as rp
@@ -28,7 +29,6 @@ from .fields import FieldElement, _raw_poly_str, rabin_irreducible
 
 MINUS_INFINITY = float("-inf")
 
-FACTOR_MAX_FIELD = 729
 FACTOR_MAX_DEGREE = 64
 
 
@@ -73,15 +73,8 @@ class Poly:
 
     @classmethod
     def from_string(cls, field, s, var="X"):
-        atoms = {var: cls.x(field)}
-        if field.kind == "rational-function":
-            atoms["Z"] = cls.constant(field, field.gen())
-            if field.base.kind == "extension":
-                atoms["t"] = cls.constant(field, field.constant(field.base.gen()))
-        elif field.kind == "extension":
-            atoms["t"] = cls.constant(field, field.gen())
-        if var in ("Z", "t"):
-            atoms[var] = cls.x(field)
+        atoms = {name: cls.constant(field, c) for name, c in field.atoms().items()}
+        atoms[var] = cls.x(field)
         value = parse_expression(s, atoms, lambda i: cls(field, [i]))
         if isinstance(value, FieldElement):
             value = cls(field, [value])
@@ -309,6 +302,13 @@ def is_irreducible_finite(f: Poly) -> bool:
     return rabin_irreducible(f.field, rp.monic(f.field, f.raw))
 
 
+def gas_poly(field, n, e, a) -> Poly:
+    """X^(p^(n+e)) - X^(p^e) - a over field, p its characteristic: the
+    generalized Artin-Schreier polynomial, X^(p^n) - X - a when e = 0."""
+    p = field.char
+    return Poly.x_power(field, p ** (n + e)) - Poly.x_power(field, p**e) - Poly.constant(field, a)
+
+
 def gas_shape(q: Poly):
     """(p, n, a) when q = X^(p^n) - X - a with n >= 1, otherwise None."""
     field = q.field
@@ -319,12 +319,10 @@ def gas_shape(q: Poly):
     while t < deg:
         t *= p
         n += 1
-    if t != deg or n < 1 or not q.is_monic():
+    a = -q.coeff(0)
+    if t != deg or n < 1 or q != gas_poly(field, n, 0, a):
         return None
-    diff = Poly.x_power(field, deg) - Poly.x(field) - q
-    if diff.degree() > 0:
-        return None
-    return p, n, -q.coeff(0)
+    return p, n, a
 
 
 def factor_finite(f: Poly):
@@ -337,8 +335,6 @@ def factor_finite(f: Poly):
     field = f.field
     if field.order is None:
         raise InputError("factor_finite requires a finite field")
-    if field.order > FACTOR_MAX_FIELD:
-        raise CapExceededError(f"field size {field.order} exceeds cap {FACTOR_MAX_FIELD}")
     if f.is_zero():
         raise InputError("cannot factor the zero polynomial")
     if f.degree() > FACTOR_MAX_DEGREE:
@@ -497,31 +493,17 @@ def _min_dependence(field, u, m):
     so the dependence is read off the reduced combination directly.
     """
     n = len(m) - 1
+    rows = _row_algebra(field)
     echelon = []
     power = (field.one,)
     for j in range(n + 1):
-        vec = list(power) + [field.zero] * (n - len(power))
-        combo = [field.zero] * j + [field.one]
-        if not extend_echelon(field, echelon, vec, combo):
-            return tuple(combo)  # combo[j] is still one: already monic
+        vec = rows.pack(list(power) + [field.zero] * (n - len(power)))
+        added, combo = rows.extend(echelon, vec, rows.unit(j, j + 1))
+        if not added:
+            # combo[j] is still one: already monic
+            return tuple(rows.unpack(combo, j + 1))
         power = rp.rem(field, rp.mul(field, power, u), m)
     raise ConsistencyError("no linear dependence found within the dimension bound")
-
-
-def reduce_by_echelon(field, echelon, vec):
-    """vec minus its components along the echelon rows, as a new list."""
-    rows = _row_algebra(field)
-    return rows.unpack(rows.reduce(echelon, rows.pack(vec), None)[0], len(vec))
-
-
-def extend_echelon(field, echelon, vec, combo=None):
-    """Reduce vec (and combo) by the echelon and append the result scaled to
-    a unit pivot; returns False, appending nothing, if vec reduces to zero."""
-    rows = _row_algebra(field)
-    added, c = rows.extend(echelon, rows.pack(vec), None if combo is None else rows.pack(combo))
-    if combo is not None:
-        combo[:] = rows.unpack(c, len(combo))
-    return added
 
 
 def _kernel(field, columns):

@@ -84,6 +84,29 @@ def test_primitive_element_subcommand(capsys):
     assert res["degree_over_f"] == 2 and res["property_p"]
 
 
+def test_primitive_element_over_a_larger_field(capsys):
+    # the subspace lives in GF(4), embedded into GF(16)
+    code, out, _ = run_cli(
+        capsys, "primitive-element", "--field", "GF(16)(Z)", "--n", "2",
+        "--a", "Z", "--subspace", "1",
+    )
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["alpha_h"] == "X^2+X"
+    assert res["degree_over_f"] == 2
+    assert res["minimal_polynomial"] == "X^2+X+Z"
+
+
+@pytest.mark.parametrize("field, n", [("GF(2)(Z)", "2"), ("GF(4)(Z)", "0"), ("GF(16)(Z)", "90000")])
+def test_primitive_element_without_the_subfield_exits_2(capsys, field, n):
+    code, out, err = run_cli(
+        capsys, "primitive-element", "--field", field, "--n", n, "--a", "Z", "--subspace", "1",
+    )
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_subfield_lattice_json_and_dot(capsys):
     code, out, _ = run_cli(capsys, "subfield-lattice", "--p", "2", "--n", "2", "--a", "Z")
     assert code == 0

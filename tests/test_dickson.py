@@ -1,5 +1,8 @@
+import types
+
 import pytest
 
+from aslab import dickson
 from aslab.dickson import (
     SubspaceR,
     dickson_phi,
@@ -10,17 +13,13 @@ from aslab.dickson import (
     primitive_element,
     property_p,
 )
-from aslab.errors import CapExceededError, InputError
+from aslab.errors import CapExceededError, ConsistencyError, InputError
 from aslab.fields import enumerate_elements, frobenius, make_field
-from aslab.poly import Poly
+from aslab.poly import Poly, gas_poly
 
 
 def standard_q(field, n):
-    return (
-        Poly.x_power(field, field.char**n)
-        - Poly.x(field)
-        - Poly.constant(field, field.gen())
-    )
+    return gas_poly(field, n, 0, field.gen())
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +333,26 @@ def test_minpoly_product_gf4_example():
     rep = intermediate_minpoly_product(SubspaceR.from_basis(f4, [f4.element(1)]), q)
     assert rep["mu"] == "X^2+X+(a^2+a)"
     assert rep["reconstructs_q"] and rep["coefficients_in_fixed_field"]
+
+
+@pytest.mark.parametrize(
+    "fake_alpha, message",
+    [
+        # powers of a constant repeat at once
+        ("1", "linearly dependent too early"),
+        # 1 and alpha^2 are independent, but mu's constant alpha^2 + alpha
+        # lies outside their span
+        ("X^2", "outside F\\[alpha_R\\]"),
+    ],
+)
+def test_minpoly_product_span_certificate_rejects_a_wrong_alpha(monkeypatch, fake_alpha, message):
+    f4z = make_field("GF(4)(Z)")
+    q = standard_q(f4z, 2)
+    r = SubspaceR.from_basis(f4z.base, [f4z.base.element(1)])
+    fake = types.SimpleNamespace(alpha_h=Poly.from_string(f4z, fake_alpha))
+    monkeypatch.setattr(dickson, "primitive_element", lambda *args: fake)
+    with pytest.raises(ConsistencyError, match=message):
+        intermediate_minpoly_product(r, q)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from aslab.poly import (
     Poly,
     _equal_degree_split,
     factor_finite,
+    gas_poly,
+    gas_shape,
     gcd,
     is_irreducible_finite,
     min_poly_in_quotient,
@@ -339,3 +341,68 @@ def test_min_poly_divides_dimension():
         mp = min_poly_in_quotient(u, q)
         assert 3 % mp.degree() == 0
         assert (mp.compose(u) % q).is_zero()
+
+
+def _reference_min_poly(field, u, m):
+    """The first dependence among 1, u, u^2, ... mod m by an echelon of
+    payload lists with unit pivots, each row carrying its combination of
+    powers: the loop min_poly_in_quotient ran before it called the row
+    algebra, written out with no code shared with poly's echelon."""
+    n = len(m) - 1
+    zero = field.zero
+    echelon = []
+    power = (field.one,)
+    for j in range(n + 1):
+        vec = list(power) + [zero] * (n - len(power))
+        combo = [zero] * j + [field.one]
+        for row, piv, row_combo in echelon:
+            a = vec[piv]
+            if a != zero:
+                vec = [field.sub(x, field.mul(a, y)) for x, y in zip(vec, row)]
+                for i, y in enumerate(row_combo):
+                    combo[i] = field.sub(combo[i], field.mul(a, y))
+        piv = next((i for i, x in enumerate(vec) if x != zero), None)
+        if piv is None:
+            return tuple(combo)
+        inv = field.inv(vec[piv])
+        echelon.append(([field.mul(x, inv) for x in vec], piv, [field.mul(x, inv) for x in combo]))
+        power = rp.rem(field, rp.mul(field, power, u), m)
+    raise AssertionError("no dependence within the dimension bound")
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(9)", "GF(3)(Z)"])
+def test_min_poly_matches_payload_echelon_reference(spec):
+    field = make_field(spec)
+    rng = random.Random(31)
+    max_degree = 3 if field.order is None else 7
+    for _ in range(25):
+        q = random_poly(field, rng.randrange(1, max_degree + 1), rng, monic=True)
+        u = random_poly(field, rng.randrange(2 * q.degree()), rng)
+        expected = _reference_min_poly(field, rp.rem(field, u.raw, q.raw), q.raw)
+        assert min_poly_in_quotient(u, q) == Poly.from_raw(field, expected), (spec, str(u), str(q))
+
+
+# ---------------------------------------------------------------------------
+# the generalized Artin-Schreier polynomial
+
+@pytest.mark.parametrize(
+    "spec, constants",
+    [
+        ("GF(2)", ["0", "1"]),
+        ("GF(9)", ["0", "1", "t", "2*t+1"]),
+        ("GF(3)(Z)", ["0", "2", "Z", "(Z+1)/Z^2"]),
+        ("GF(4)(Z)", ["0", "t", "Z", "t*Z+1", "1/(Z+t)"]),
+    ],
+)
+def test_gas_poly_matches_coefficient_list(spec, constants):
+    field = make_field(spec)
+    p = field.char
+    for n, e, text in itertools.product((1, 2), (0, 1), constants):
+        a = field.element(text)
+        coeffs = [field.zero_element()] * (p ** (n + e) + 1)
+        coeffs[-1] = field.one_element()
+        coeffs[p**e] = coeffs[p**e] - 1
+        coeffs[0] = coeffs[0] - a
+        assert gas_poly(field, n, e, a) == Poly(field, coeffs), (spec, n, e, text)
+        if e == 0:
+            assert gas_shape(gas_poly(field, n, 0, a)) == (p, n, a)

@@ -123,6 +123,18 @@ def evaluate(k, a, x):
     return acc
 
 
+def power(k, a, n):
+    """a**n for n >= 0, by square-and-multiply with no modulus."""
+    result = None
+    while n:
+        if n & 1:
+            result = a if result is None else mul(k, result, a)
+        n >>= 1
+        if n:
+            a = mul(k, a, a)
+    return (k.one,) if result is None else result
+
+
 def pow_mod(k, a, n, m):
     """a**n reduced modulo m (m nonzero)."""
     result = rem(k, (k.one,), m)

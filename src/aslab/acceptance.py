@@ -6,6 +6,7 @@ fixed seed, so rerunning a suite must reproduce its output byte for byte;
 the determinism suite does exactly that comparison.
 """
 
+import itertools
 import json
 import random
 
@@ -19,7 +20,7 @@ from .dickson import (
     property_p,
 )
 from .errors import InputError
-from .fields import enumerate_elements, make_field
+from .fields import enumerate_elements, make_field, p_power_split
 from .irred import GasInstance, bivariate_irreducible_oracle, gas_irreducible
 from .linalg import (
     Matrix,
@@ -185,8 +186,6 @@ def run_tensor_suite(seed=0):
 def run_blocksum_suite(seed=0):
     """Elementary divisor formula vs explicit ad computation on block sums."""
     records = []
-    import itertools
-
     failures = []
     total = 0
     for p in (2, 3):
@@ -388,10 +387,7 @@ def run_irred_suite(seed=0):
             if len(degs) != 1:
                 profile_failures.append([spec, str(a), sorted(degs)])
                 continue
-            d = degs.pop()
-            while d % K.char == 0:
-                d //= K.char
-            if d != 1:
+            if p_power_split(degs.pop(), K.char)[1] != 1:
                 profile_failures.append([spec, str(a), "degree not a p-power"])
     _check(records, "factor degrees of X^(p^2)-X-a are equal p-powers over GF(4), GF(9)",
            not profile_failures, failures=profile_failures)

@@ -47,6 +47,7 @@ from .poly import (
     _divide_out,
     _factor_raw,
     _monic_divisors,
+    _raw_sort_key,
     gas_poly,
     gas_shape,
     roots_in_finite_field,
@@ -170,7 +171,7 @@ def _nonconstant_rational_roots(f: Poly):
     num_divs, den_divs = (
         sorted(
             _monic_divisors(k, _factor_raw(k, rp.monic(k, a))),
-            key=lambda d: (len(d), tuple(k.sort_key(c) for c in d)),
+            key=lambda d: _raw_sort_key(k, d),
         )
         for a in (const, lead)
     )
@@ -406,10 +407,10 @@ def check_similarity_shift(a: Matrix, b) -> bool:
 
 
 def contains_subfield(field, n) -> bool:
-    """Whether GF(p^n) embeds in the field, by splitting X^(p^n) - X."""
-    target = field.char**n
-    k = field if field.order is not None else field.base
-    return sum(1 for c in k.enumerate_payloads() if k.pow_int(c, target) == c) == target
+    """Whether GF(p^n) embeds in the field: n divides the degree of the
+    finite field, or of the base of K(Z), over GF(p) (Lidl and
+    Niederreiter, Finite Fields, Thm 2.6)."""
+    return n >= 1 and field.n % n == 0
 
 
 def build_gas_companion(field, n: int, e: int, a) -> Matrix:

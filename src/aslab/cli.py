@@ -130,13 +130,18 @@ def _cmd_primitive_element(args):
 
 
 def _cmd_subfield_lattice(args):
-    field = make_field(f"GF({args.p**args.n})(Z)")
+    if args.n < 1:
+        raise InputError("need n >= 1")
+    field = make_field(f"GF({args.p}^{args.n})(Z)")
     ambient = field.base
     q, a = _standard_q(field, args.n, args.a)
+    # the top dimension has the tightest subspace cap: enumerate it first,
+    # so an input over the cap is refused before any primitive element
+    levels = [enumerate_subspaces(ambient, m) for m in range(args.n, -1, -1)]
     entries = []
     subspaces = []
-    for m in range(args.n + 1):
-        for r in enumerate_subspaces(ambient, m):
+    for level in reversed(levels):
+        for r in level:
             res = primitive_element(r, q)
             subspaces.append(r)
             entries.append(

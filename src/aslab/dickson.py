@@ -18,7 +18,8 @@ case alpha_R = f_R(alpha) for f_R(Y) = prod (Y + b).
 
 The degrees come from poly.min_poly_in_quotient; the test-only
 intermediate_minpoly_product certifies that the coefficients of mu lie in
-F[alpha_R] by two ranks (Matrix.rank).
+F[alpha_R] by two ranks (Matrix.rank).  Both map R's elements into F with
+fields.embed_subfield, whether F is finite or K(Z).
 """
 
 import itertools
@@ -26,7 +27,14 @@ import threading
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, _raw_poly_str, embed_subfield, enumerate_elements, frobenius
+from .fields import (
+    FieldElement,
+    _raw_poly_str,
+    embed_subfield,
+    enumerate_elements,
+    frobenius,
+    p_power_split,
+)
 from .irred import irreducible
 from .linalg import Matrix
 from .poly import Poly, gas_shape, min_poly_in_quotient
@@ -196,15 +204,8 @@ def dickson_phi(m: int, p: int) -> DicksonForm:
         phi = _mv_add(_mv_frobenius(phi, p), _mv_neg(correction, p), p)
     fs = {}
     for mono, c in phi.items():
-        a_exp = mono[0]
-        j = None
-        t = 1
-        for cand in range(m + 1):
-            if t == a_exp:
-                j = cand
-                break
-            t *= p
-        if j is None:
+        j, rest = p_power_split(mono[0], p) if mono[0] else (0, 0)
+        if rest != 1 or j > m:
             raise ConsistencyError("Dickson expansion has an unexpected A-power")
         bmono = (0,) + mono[1:]
         fs.setdefault(j, {})[bmono] = c
@@ -408,21 +409,6 @@ def _gas_parameters(r: SubspaceR, q: Poly):
     return p, n
 
 
-def _constant_embedding(ambient, field):
-    """Map elements of the coefficient subfield into the working field."""
-    if field == ambient:
-        return lambda x: x
-    if field.kind == "rational-function":
-        if field.base == ambient:
-            return field.constant
-        if field.base.char == ambient.char and field.base.n % ambient.n == 0:
-            emb = embed_subfield(ambient, field.base)
-            return lambda x: field.constant(emb(x))
-        raise InputError("subspace field does not embed in the coefficient field")
-    emb = embed_subfield(ambient, field)
-    return emb
-
-
 def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> PrimitiveElementResult:
     """Primitive element alpha_R of the fixed field attached to R.
 
@@ -436,7 +422,7 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
     ambient = r.ambient
     if check_irreducible and not irreducible(q):
         raise InputError("q is reducible; the Galois correspondence does not apply")
-    to_f = _constant_embedding(ambient, field)
+    to_f = embed_subfield(ambient, field)
     m = r.dim
     qraw = q.raw
 
@@ -508,7 +494,7 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     field = q.field
     p, n = _gas_parameters(r, q)
     ambient = r.ambient
-    to_f = _constant_embedding(ambient, field)
+    to_f = embed_subfield(ambient, field)
     qraw = q.raw
     m = r.dim
 

@@ -34,11 +34,14 @@ Zech table, log(1 + g^k).  The payloads stay the coefficient tuples above,
 so printing, parsing, enumeration and random draws are unchanged.
 
 The finite-field kernels shared by the package live here: is_prime,
-rabin_irreducible (for monic raw polynomials over any finite descriptor;
-poly.is_irreducible_finite wraps it), monic_irreducibles, whose locked
-cache also supplies default_modulus, and the locked table cache of
-_log_tables with the _TabulatedField methods that read it, shared by
-ExtensionField and the oracle's K[Z]/(m) (irred._QuotientFieldOps).
+p_power_split (n = m * p^s), rabin_irreducible (for monic raw polynomials
+over any finite descriptor; poly.is_irreducible_finite wraps it),
+monic_irreducibles, whose locked cache also supplies default_modulus, the
+locked table cache of _log_tables with the _TabulatedField methods that
+read it, shared by ExtensionField and the oracle's K[Z]/(m)
+(irred._QuotientFieldOps), and residues, the enumeration order of every
+such field.  embed_subfield is the one embedding of GF(p^m) into GF(p^n)
+or into GF(p^n)(Z).
 """
 
 import itertools
@@ -50,6 +53,15 @@ from ._exprparse import parse_expression
 from .errors import CapExceededError, ConsistencyError, InputError
 
 MAX_FIELD_SIZE = 729
+
+
+def p_power_split(n, p):
+    """(s, m) with n = m * p^s and p not dividing m, for n >= 1."""
+    s = 0
+    while n % p == 0:
+        n //= p
+        s += 1
+    return s, n
 
 
 def is_prime(n):
@@ -373,6 +385,18 @@ _table_cache = {}
 _table_lock = threading.Lock()
 
 
+def residues(k, d, padded):
+    """The residues of k[T]/(m), m of degree d over the finite k, in
+    enumeration order: raw polynomials of degree < d, the lowest
+    coefficient varying fastest, trimmed, or padded with zeros to length d
+    when padded is true.  Every tabulated field enumerates its payloads
+    here."""
+    # itertools.product varies its last slot fastest; reversed, the lowest
+    # coefficient varies fastest
+    for digits in itertools.product(k.enumerate_payloads(), repeat=d):
+        yield digits[::-1] if padded else rp.trim(k, digits[::-1])
+
+
 def _log_tables(k, modulus, padded):
     """Exp/log/Zech-log tables of the field k[T]/(modulus), built once per
     (k, modulus, padded) and shared (Huber, IEEE Trans. IT 1990).
@@ -406,10 +430,7 @@ def _build_log_tables(k, modulus, padded):
     q1 = k.order**d - 1
     one = (k.one,)
     ells = [ell for ell in range(2, q1 + 1) if q1 % ell == 0 and is_prime(ell)]
-    # itertools.product varies its last slot fastest; reversed, the lowest
-    # coefficient varies fastest, which is the enumeration order
-    for digits in itertools.product(k.enumerate_payloads(), repeat=d):
-        g = rp.trim(k, digits[::-1])
+    for g in residues(k, d, padded=False):
         if g and all(rp.pow_mod(k, g, q1 // ell, modulus) != one for ell in ells):
             break
     powers = []
@@ -434,9 +455,13 @@ class _TabulatedField:
     _init_tables in its constructor and sets zero, one, order and char."""
 
     def _init_tables(self, k, modulus, padded):
+        self._residue_shape = (k, len(modulus) - 1, padded)
         self._q1, self._exp, self._log, self._zech, self._neg = _log_tables(
             k, modulus, padded
         )
+
+    def enumerate_payloads(self):
+        return residues(*self._residue_shape)
 
     def add(self, a, b):
         log = self._log
@@ -556,15 +581,6 @@ class ExtensionField(_TabulatedField, FieldDescriptor):
 
     def gen(self):
         return FieldElement(self, (0, 1) + (0,) * (self.n - 2))
-
-    def enumerate_payloads(self):
-        for i in range(self.order):
-            digits = []
-            v = i
-            for _ in range(self.n):
-                v, r = divmod(v, self.p)
-                digits.append(r)
-            yield tuple(digits)
 
     def random_payload(self, rng):
         return tuple(rng.randrange(self.p) for _ in range(self.n))
@@ -775,18 +791,11 @@ def make_field(spec):
 def _prime_power(q):
     if q < 2:
         raise InputError(f"{q} is not a prime power")
-    for p in range(2, q + 1):
-        if q % p == 0:
-            n = 0
-            while q % p == 0:
-                q //= p
-                n += 1
-            if q != 1:
-                raise InputError("field order is not a prime power")
-            if not is_prime(p):
-                raise InputError(f"{p} is not prime")
-            return p, n
-    raise InputError(f"{q} is not a prime power")
+    p = next(f for f in range(2, q + 1) if q % f == 0)  # prime: the least divisor
+    n, rest = p_power_split(q, p)
+    if rest != 1:
+        raise InputError("field order is not a prime power")
+    return p, n
 
 
 class _RawPoly:
@@ -814,14 +823,7 @@ class _RawPoly:
         raise InputError("a modulus cannot contain '/'")
 
     def __pow__(self, n):
-        out = _RawPoly((self.k.one,), self.k)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _RawPoly(rp.power(self.k, self.coeffs, n), self.k)
 
 
 def frobenius(x: FieldElement) -> FieldElement:
@@ -860,13 +862,24 @@ _embedding_lock = threading.Lock()
 
 
 def embed_subfield(small, big):
-    """Embedding GF(p^m) -> GF(p^n) for m | n, as a callable on elements.
+    """Embedding GF(p^m) -> F for m | n, as a callable on elements, where F
+    is GF(p^n) or a rational function field GF(p^n)(Z) (then the embedding
+    into the base followed by the constant map).
 
     Realized by locating the first root (in enumeration order) of the small
     field's modulus inside the big field; the choice is cached per descriptor
-    pair, so repeated calls commute with each other.
+    pair, so repeated calls commute with each other.  A field embeds in
+    itself, and in its own K(Z), directly: t is the first root of its own
+    modulus, so the search would return the identity anyway.
     """
-    if small.kind == "rational-function" or big.kind == "rational-function":
+    if small == big:
+        return big.element
+    if big.kind == "rational-function":
+        if small == big.base:
+            return big.constant
+        into_base = embed_subfield(small, big.base)
+        return lambda x: big.constant(into_base(x))
+    if small.kind == "rational-function":
         raise InputError("subfield embeddings are defined for finite fields only")
     if small.char != big.char or big.n % small.n != 0:
         raise InputError(f"{small.spec_string()} does not embed in {big.spec_string()}")

@@ -10,8 +10,10 @@ for a monic-in-X factor in K[Z][X].  Candidate factors are reconstructed by
 Chinese remaindering from complete univariate factorizations of the input
 at enough irreducible moduli m(Z), then confirmed by exact bivariate
 division; a factor exists in K(Z)[X] iff one is found this way (Gauss's
-lemma, the input being primitive with unit leading coefficient).  Caps:
-|K| <= 9 and total degree <= 12.
+lemma, the input being primitive with unit leading coefficient).  The
+moduli are the first monic irreducibles of the largest degree d with
+|K|^d <= 729, plus one of the remaining degree, so their degrees sum to
+deg_Z + 1.  Caps: |K| <= 9 and total degree <= 12.
 """
 
 import itertools
@@ -25,6 +27,7 @@ from .fields import (
     RationalFunctionField,
     _TabulatedField,
     monic_irreducibles,
+    p_power_split,
 )
 from .poly import Poly, _factor_raw, _monic_divisors, gas_poly, is_irreducible_finite
 
@@ -60,11 +63,8 @@ class GasInstance:
         self.g = g
 
     def r_decomposition(self):
-        """r = r0 * p^s with p not dividing r0."""
-        r0, s = self.r, 0
-        while r0 % self.p == 0:
-            r0 //= self.p
-            s += 1
+        """(r0, s) with r = r0 * p^s and p not dividing r0."""
+        s, r0 = p_power_split(self.r, self.p)
         return r0, s
 
     def rational_field(self):
@@ -181,16 +181,6 @@ class _QuotientFieldOps(_TabulatedField):
         v = self.base.from_int(i)
         return (v,) if v != self.base.zero else ()
 
-    def enumerate_payloads(self):
-        basepays = list(self.base.enumerate_payloads())
-        for i in range(self.order):
-            digits = []
-            v = i
-            for _ in range(self.deg):
-                v, rdig = divmod(v, self.base.order)
-                digits.append(basepays[rdig])
-            yield rp.trim(self.base, digits)
-
     def sort_key(self, a):
         padded = tuple(a) + (self.base.zero,) * (self.deg - len(a))
         return tuple(self.base.sort_key(c) for c in padded)
@@ -247,14 +237,8 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
         # becomes c_j * lead^(degx-1-j), a polynomial, and irreducibility
         # over K(Z) is unchanged
         substituted_lead = lead
-        newcols = []
-        for j in range(degx):
-            power = (k.one,)
-            for _ in range(degx - 1 - j):
-                power = rp.mul(k, power, lead)
-            newcols.append(rp.mul(k, cols[j], power))
-        newcols.append((k.one,))
-        cols = newcols
+        cols = [rp.mul(k, cols[j], rp.power(k, lead, degx - 1 - j)) for j in range(degx)]
+        cols.append((k.one,))
     elif lead[0] != k.one:
         c = k.inv(lead[0])
         cols = [rp.scale(k, col, c) for col in cols]
@@ -275,22 +259,15 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
         cand = [(c,) if c != k.zero else () for c in piece]
         return False, _lift_factor(h.field, k, cand, substituted_lead)
 
-    # choose moduli: degrees as large as the point-field cap allows
+    # choose moduli: degrees as large as the point-field cap allows, summing
+    # to degz + 1
     dmax = 1
     while k.order ** (dmax + 1) <= MAX_FIELD_SIZE:
         dmax += 1
-    need = degz + 1
-    degrees = []
-    while need > 0:
-        d = min(dmax, need)
-        degrees.append(d)
-        need -= d
-    pools = {d: monic_irreducibles(k, d, degrees.count(d)) for d in set(degrees)}
-    used = {d: 0 for d in set(degrees)}
-    moduli = []
-    for d in degrees:
-        moduli.append(pools[d][used[d]])
-        used[d] += 1
+    full, rest = divmod(degz + 1, dmax)
+    moduli = monic_irreducibles(k, dmax, full)
+    if rest:
+        moduli += monic_irreducibles(k, rest, 1)
 
     points = []
     for m in moduli:
@@ -350,9 +327,7 @@ def _lift_factor(F, k, cand_cols, substituted_lead):
     # undo Y = lead * X: the monic factor in X has coefficient
     # cand[j] * lead^(j - kdeg) at X^j
     kdeg = len(cand_cols) - 1
-    den = (k.one,)
-    for _ in range(kdeg):
-        den = rp.mul(k, den, substituted_lead)
+    den = rp.power(k, substituted_lead, kdeg)
     coeffs = []
     power = (k.one,)
     for j in range(kdeg + 1):

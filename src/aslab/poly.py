@@ -25,7 +25,7 @@ fields.rabin_irreducible.
 from . import _ringops as rp
 from ._exprparse import parse_expression
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, _raw_poly_str, rabin_irreducible
+from .fields import FieldElement, _raw_poly_str, p_power_split, rabin_irreducible
 
 MINUS_INFINITY = float("-inf")
 
@@ -151,14 +151,7 @@ class Poly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        result = Poly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return Poly.from_raw(self.field, rp.power(self.field, self.raw, n))
 
     def __divmod__(self, other):
         r = self._coerce(other)
@@ -231,7 +224,7 @@ class Poly:
         return Poly.from_raw(self.field, rp.pow_mod(self.field, self.raw, n, r))
 
     def sort_key(self):
-        return (len(self.raw), tuple(self.field.sort_key(c) for c in self.raw))
+        return _raw_sort_key(self.field, self.raw)
 
     def to_string(self, var="X"):
         return _raw_poly_str(self.field, self.raw, var)
@@ -312,17 +305,14 @@ def gas_poly(field, n, e, a) -> Poly:
 def gas_shape(q: Poly):
     """(p, n, a) when q = X^(p^n) - X - a with n >= 1, otherwise None."""
     field = q.field
-    p = field.char
     deg = q.degree()
-    n = 0
-    t = 1
-    while t < deg:
-        t *= p
-        n += 1
-    a = -q.coeff(0)
-    if t != deg or n < 1 or q != gas_poly(field, n, 0, a):
+    if deg < 2:
         return None
-    return p, n, a
+    n, rest = p_power_split(deg, field.char)
+    a = -q.coeff(0)
+    if rest != 1 or q != gas_poly(field, n, 0, a):
+        return None
+    return field.char, n, a
 
 
 def factor_finite(f: Poly):
@@ -367,8 +357,14 @@ def _factor_raw(field, m):
                 m, mult = _divide_out(field, m, piece)
                 found.append((piece, mult))
         d += 1
-    found.sort(key=lambda fm: (len(fm[0]), tuple(field.sort_key(c) for c in fm[0])))
+    found.sort(key=lambda fm: _raw_sort_key(field, fm[0]))
     return found
+
+
+def _raw_sort_key(field, a):
+    """Sort key of a raw polynomial: by degree, then coefficientwise from the
+    constant term up."""
+    return (len(a), tuple(field.sort_key(c) for c in a))
 
 
 def _monic_divisors(field, factors, deg=None):

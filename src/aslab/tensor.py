@@ -18,7 +18,7 @@ commutator operator on a direct sum of equal-size blocks J_(p^e)(alpha_i):
 import math
 
 from .errors import CapExceededError, InputError
-from .fields import PrimeField, make_field
+from .fields import PrimeField, make_field, p_power_split
 from .linalg import (
     JordanType,
     Matrix,
@@ -52,23 +52,14 @@ class TensorInstance:
         return f"TensorInstance(p={self.p}, n={self.n}, m={self.m}, alpha={self.alpha}, beta={self.beta})"
 
 
-def _p_power_exponent(m, p):
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    return e if m == 1 else None
-
-
 def closed_formula_applies(p, n, m) -> bool:
     """Whether the closed decomposition applies: m a p-power and n <= m."""
-    return _p_power_exponent(m, p) is not None and n <= m
+    return p_power_split(m, p)[1] == 1 and n <= m
 
 
 def tensor_jordan_type_formula(inst: TensorInstance) -> JordanType:
     """Closed form for n <= m = p^e: n blocks of size p^e at alpha + beta."""
-    e = _p_power_exponent(inst.m, inst.p)
-    if e is None:
+    if p_power_split(inst.m, inst.p)[1] != 1:
         raise InputError(f"no closed formula: {inst.m} is not a power of {inst.p}")
     if inst.n > inst.m:
         raise InputError("closed formula needs n <= m")
@@ -96,6 +87,17 @@ def binomial_divisibility(p, e, i) -> bool:
     return math.comb(p**e, i) % p == 0
 
 
+def _eigenvalue_field(eigs, p):
+    """The field of the block eigenvalues: that of the first one when it is a
+    field element, GF(p) when they are ints."""
+    if not eigs:
+        raise InputError("need at least one block eigenvalue")
+    field = eigs[0].field if hasattr(eigs[0], "field") else make_field(f"GF({p})")
+    if field.order is None or field.char != p:
+        raise InputError("eigenvalues must lie in a finite field of characteristic p")
+    return field
+
+
 def ad_elementary_divisors_blocksum(eigs, e, p):
     """Elementary divisors of ad on a direct sum of blocks J_(p^e)(alpha_i).
 
@@ -103,11 +105,7 @@ def ad_elementary_divisors_blocksum(eigs, e, p):
     one per distinct eigenvalue difference gamma, with multiplicity
     p^e * m(gamma) where m(gamma) counts ordered pairs achieving gamma.
     """
-    if not eigs:
-        raise InputError("need at least one block eigenvalue")
-    field = eigs[0].field if hasattr(eigs[0], "field") else make_field(f"GF({p})")
-    if field.order is None or field.char != p:
-        raise InputError("eigenvalues must lie in a finite field of characteristic p")
+    field = _eigenvalue_field(eigs, p)
     eigs = [field.element(a) for a in eigs]
     pe = p**e
     counts = {}
@@ -125,8 +123,6 @@ def ad_elementary_divisors_blocksum(eigs, e, p):
 
 def blocksum_ad_matrix(eigs, e, p) -> Matrix:
     """The explicit ad matrix of the direct sum, for cross-checking."""
-    if not eigs:
-        raise InputError("need at least one block eigenvalue")
-    field = eigs[0].field if hasattr(eigs[0], "field") else make_field(f"GF({p})")
+    field = _eigenvalue_field(eigs, p)
     blocks = [jordan_block(field, a, p**e) for a in eigs]
     return ad_matrix(direct_sum(*blocks))

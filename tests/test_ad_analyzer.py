@@ -104,6 +104,50 @@ def test_analyze_reducible_cyclic_matrix():
     assert "reducible" in rep.failures[0]
 
 
+@pytest.mark.parametrize(
+    "spec, entries, eigenvalues, dims",
+    [
+        ("GF(2)(Z)", [["Z", "0"], ["0", "0"]], ["0", "Z"], [["0", 2], ["Z", 2]]),
+        (
+            "GF(3)(Z)",
+            [["Z", "1"], ["0", "Z/(Z+1)"]],
+            ["0", "Z^2/(Z+1)", "2*Z^2/(Z+1)"],
+            [["0", 2], ["Z^2/(Z+1)", 1], ["2*Z^2/(Z+1)", 1]],
+        ),
+    ],
+)
+def test_analyze_finds_nonconstant_rational_eigenvalues(spec, entries, eigenvalues, dims):
+    rep = analyze(Matrix(make_field(spec), entries)).to_json_dict()
+    assert rep["eigenvalues"] == eigenvalues
+    assert rep["eigenspace_dims"] == dims
+    assert rep["c1"] and not rep["c2"]
+
+
+def test_rational_root_candidates_are_capped():
+    # 9 monic divisors of Z^2+Z times 728 units of GF(729) exceed 4096
+    f729z = make_field("GF(729)(Z)")
+    with pytest.raises(CapExceededError, match="root candidate"):
+        analyze(Matrix(f729z, [["Z^2+Z", "0"], ["0", "0"]]))
+
+
+def _reference_contains_subfield(field, n):
+    """The root count that contains_subfield used to make: GF(p^n) embeds
+    when X^(p^n) - X has p^n roots in the (base) field."""
+    target = field.char**n
+    k = field if field.order is not None else field.base
+    return sum(1 for c in k.enumerate_payloads() if k.pow_int(c, target) == c) == target
+
+
+def test_contains_subfield_matches_the_root_count():
+    specs = ("GF(2)", "GF(4)", "GF(8)", "GF(16)", "GF(64)", "GF(3)", "GF(9)", "GF(729)",
+             "GF(2^3; mod=t^3+t^2+1)", "GF(2)(Z)", "GF(9)(Z)")
+    for spec in specs:
+        field = make_field(spec)
+        for n in range(1, 9):
+            assert contains_subfield(field, n) == _reference_contains_subfield(field, n), (spec, n)
+    assert not contains_subfield(make_field("GF(4)"), 0)
+
+
 def test_analyze_caps():
     f2z = make_field("GF(2)(Z)")
     with pytest.raises(CapExceededError):

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -119,6 +121,46 @@ def test_subfield_lattice_json_and_dot(capsys):
     assert out.startswith("digraph") and "->" in out
 
 
+def test_subfield_lattice_output_is_pinned(capsys):
+    # SHA-256 of the JSON and dot outputs of the largest sweep for p = 2
+    for argv, digest in [
+        ((), "d653d09157d565574751e55dddcce60ef72751d507b1d856a48ed48e1f58f2af"),
+        (("--format", "dot"), "959f0218d04484ff53149df9167cde91ff78993eec981c4bea1f205509c3e81f"),
+    ]:
+        code, out, _ = run_cli(capsys, *argv, "subfield-lattice", "--p", "2", "--n", "4")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("subfield-lattice", "--p", "3", "--n", "6"), "subspace sweeps are capped"),
+        (("subfield-lattice", "--p", "2", "--n", "0"), "need n >= 1"),
+        (("subfield-lattice", "--p", "2", "--n", "-1"), "need n >= 1"),
+        (("subfield-lattice", "--p", "4", "--n", "2"), "4 is not prime"),
+        (("subfield-lattice", "--p", "2", "--n", "100000"), "exceeds cap"),
+        (
+            ("analyze-ad", "--field", "GF(729)(Z)", "--matrix",
+             '{"entries": [["Z^2+Z", "0"], ["0", "0"]]}'),
+            "root candidate count exceeds",
+        ),
+    ],
+    ids=["lattice-over-cap", "lattice-n-0", "lattice-n-negative", "lattice-p-4",
+         "lattice-huge-n", "root-candidate-cap"],
+)
+def test_refusal_is_one_error_line_before_the_work(capsys, argv, message):
+    # the p = 3, n = 6 lattice used to compute every primitive element of
+    # dimension <= 2 (over 11000) before its dimension-3 cap refused it
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+    assert elapsed < 2.0
+
+
 def test_dickson_subcommand(capsys):
     code, out, _ = run_cli(capsys, "dickson", "--p", "3", "--m", "1")
     res = json.loads(out)["result"]
@@ -194,7 +236,6 @@ def test_malformed_input_exits_2_with_one_error_line(capsys, argv):
 def test_huge_exponent_is_refused_before_the_power_is_built(capsys, argv):
     # either polynomial would take hundreds of MB; the parser must refuse
     # the exponent before building anything of that size
-    import time
     import tracemalloc
 
     tracemalloc.start()

@@ -528,3 +528,138 @@ def test_raw_poly_power_matches_repeated_multiplication():
     for n in range(12):
         assert (base**n).coeffs == acc.coeffs
         acc = acc * base
+
+
+# ---------------------------------------------------------------------------
+# one residue enumeration, one subfield embedding, one p-power split
+
+
+def _reference_residues(k, d, padded):
+    """The divmod enumeration that ExtensionField and the oracle's quotient
+    fields each used to carry: residue i has the base-|k| digits of i as its
+    coefficients, lowest first."""
+    basepays = list(k.enumerate_payloads())
+    for i in range(k.order**d):
+        digits = []
+        for _ in range(d):
+            i, r = divmod(i, k.order)
+            digits.append(basepays[r])
+        yield tuple(digits) if padded else rp.trim(k, digits)
+
+
+def test_residue_enumeration_matches_divmod_reference_on_every_extension():
+    for spec in _extension_specs():
+        field = make_field(spec)
+        expected = list(_reference_residues(field.base, field.n, padded=True))
+        assert list(field.enumerate_payloads()) == expected, spec
+        assert [x.payload for x in enumerate_elements(field)] == expected, spec
+
+
+def test_residue_enumeration_matches_divmod_reference_on_quotient_fields():
+    from aslab.irred import _QuotientFieldOps
+
+    for spec in ("GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)"):
+        k = make_field(spec)
+        for d in (1, 2, 3):
+            if k.order**d > fields.MAX_FIELD_SIZE:
+                continue
+            for m in fields.monic_irreducibles(k, d, 2):
+                quot = _QuotientFieldOps(k, m)
+                expected = list(_reference_residues(k, d, padded=False))
+                assert list(quot.enumerate_payloads()) == expected, (spec, m)
+
+
+def _reference_root_embedding(small, big):
+    """The first-root search and Horner map of embed_subfield, without its
+    shortcut for a field into itself."""
+    modulus = tuple(big.from_int(c) for c in small.modulus)
+    root = next(
+        c for c in big.enumerate_payloads() if rp.evaluate(big, modulus, c) == big.zero
+    )
+    powers = [big.one]
+    for _ in range(small.n - 1):
+        powers.append(big.mul(powers[-1], root))
+
+    def embed(x):
+        acc = big.zero
+        for c, w in zip(x.payload, powers):
+            acc = big.add(acc, big.mul(big.from_int(c), w))
+        return acc
+
+    return embed
+
+
+def test_embedding_of_a_field_into_itself_is_the_root_search_identity():
+    # t is the first root of its own modulus in enumeration order
+    for spec in _extension_specs():
+        field = make_field(spec)
+        embed = embed_subfield(field, field)
+        reference = _reference_root_embedding(field, field)
+        for x in enumerate_elements(field):
+            assert embed(x) == x and reference(x) == x.payload, (spec, x)
+
+
+def _reference_constant_embedding(ambient, field):
+    """dickson._constant_embedding, which embed_subfield replaced: a finite
+    field into its own K(Z), or into a K(Z) over an extension of it."""
+    if field == ambient:
+        return lambda x: x
+    if field.kind == "rational-function":
+        if field.base == ambient:
+            return field.constant
+        if field.base.char == ambient.char and field.base.n % ambient.n == 0:
+            emb = embed_subfield(ambient, field.base)
+            return lambda x: field.constant(emb(x))
+        raise InputError("subspace field does not embed in the coefficient field")
+    return embed_subfield(ambient, field)
+
+
+@pytest.mark.parametrize(
+    "small, big",
+    [
+        ("GF(4)", "GF(4)(Z)"),
+        ("GF(4)", "GF(16)(Z)"),
+        ("GF(2)", "GF(8)(Z)"),
+        ("GF(2^3; mod=t^3+t^2+1)", "GF(2^3; mod=t^3+t^2+1)(Z)"),
+        ("GF(9)", "GF(729)(Z)"),
+        ("GF(4)", "GF(16)"),
+    ],
+)
+def test_embed_subfield_matches_the_constant_embedding(small, big):
+    small, big = make_field(small), make_field(big)
+    embed = embed_subfield(small, big)
+    reference = _reference_constant_embedding(small, big)
+    for x in enumerate_elements(small):
+        assert embed(x) == reference(x)
+        assert embed(x).field == big
+
+
+def test_embed_into_a_rational_function_field_checks_the_base():
+    with pytest.raises(InputError):
+        embed_subfield(make_field("GF(8)"), make_field("GF(4)(Z)"))
+    with pytest.raises(InputError):
+        embed_subfield(make_field("GF(4)(Z)"), make_field("GF(16)(Z)"))
+
+
+def test_p_power_split_matches_brute_force():
+    for p in (2, 3, 5, 7):
+        for n in range(1, 5001):
+            s = max(j for j in range(13) if n % p**j == 0)
+            assert fields.p_power_split(n, p) == (s, n // p**s), (n, p)
+
+
+def test_prime_power_of_field_orders():
+    powers = {p**n: (p, n) for p in range(2, 5001) if fields.is_prime(p) for n in range(1, 13)}
+    for q in range(2, 5001):
+        if q in powers:
+            assert fields._prime_power(q) == powers[q]
+        else:
+            with pytest.raises(InputError, match="not a prime power"):
+                fields._prime_power(q)
+
+
+def test_minus_in_a_modulus():
+    field = make_field("GF(3^2; mod=t^2-t-1)")
+    assert field.modulus == (2, 2, 1)
+    assert field.spec_string() == "GF(3^2; mod=t^2+2*t+2)"
+    assert make_field("GF(3^2; mod=-2*t^2-t-1)") == field

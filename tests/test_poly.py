@@ -71,6 +71,24 @@ def test_parse_examples():
     assert h.coeff(0) == -f2z.element("Z") and h.coeff(1) == f2z.element(1)
 
 
+def test_unary_minus():
+    f3z = make_field("GF(3)(Z)")
+    assert str(Poly.from_string(f3z, "-X^2-Z")) == "2*X^2+2*Z"
+    assert str(Poly.from_string(f3z, "-(X-1)")) == "2*X+1"
+    assert str(f3z.parse_element("-Z")) == "2*Z"
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(3)
+    for spec in ("GF(2)", "GF(9)", "GF(3)(Z)"):
+        field = make_field(spec)
+        for a in [(), (field.one,)] + [random_poly(field, d, rng).raw for d in (1, 2, 3)]:
+            acc = (field.one,)
+            for n in range(13):
+                assert rp.power(field, a, n) == acc, (spec, a, n)
+                acc = rp.mul(field, acc, a)
+
+
 def test_divmod_property_seeded():
     rng = random.Random(5)
     for spec in ("GF(3)", "GF(4)", "GF(2)(Z)"):
@@ -406,3 +424,6 @@ def test_gas_poly_matches_coefficient_list(spec, constants):
         assert gas_poly(field, n, e, a) == Poly(field, coeffs), (spec, n, e, text)
         if e == 0:
             assert gas_shape(gas_poly(field, n, 0, a)) == (p, n, a)
+    # below degree 2, or of a degree that is not a power of p, no shape
+    for text in ("0", "1", "X", "X-1", "X^6-X", f"X^{p}+X^2-X", f"X^{p * p}-X^{p}-1"):
+        assert gas_shape(Poly.from_string(field, text)) is None, (spec, text)

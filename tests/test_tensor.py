@@ -159,5 +159,9 @@ def test_blocksum_formula_matches_explicit_ad():
 
 
 def test_blocksum_rejects_empty():
-    with pytest.raises(InputError):
-        ad_elementary_divisors_blocksum([], 0, 2)
+    f3 = make_field("GF(3)")
+    for build in (ad_elementary_divisors_blocksum, blocksum_ad_matrix):
+        with pytest.raises(InputError):
+            build([], 0, 2)
+        with pytest.raises(InputError, match="characteristic p"):
+            build([f3.element(1)], 0, 2)

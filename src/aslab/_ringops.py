@@ -5,6 +5,10 @@ trailing zeros; the zero polynomial is the empty tuple.  Every function takes
 the coefficient field descriptor as its first argument and works on payloads
 directly, so the fraction field and the public Poly class can share one set
 of inner loops without wrapper overhead.
+
+The coefficients may themselves be polynomials over the descriptor PolyRing,
+k[T] or k[T]/(m): so these functions also run in K[Z][X] (the bivariate
+oracle's trial division) and in F[alpha][X] with F[alpha] = F[X]/(q).
 """
 
 
@@ -160,3 +164,26 @@ def compose(k, a, b):
     for c in reversed(a):
         acc = add(k, mul(k, acc, b), (c,) if c != k.zero else ())
     return acc
+
+
+class PolyRing:
+    """k[T], or k[T]/(modulus) for a monic modulus, as a coefficient
+    descriptor: payloads are trimmed raw polynomials over k, reduced modulo
+    the modulus when there is one.  It has no inv, so divmod_ over it needs
+    a monic divisor."""
+
+    def __init__(self, k, modulus=None):
+        self.k, self.modulus, self.zero, self.one = k, modulus, (), (k.one,)
+
+    def add(self, a, b):
+        return add(self.k, a, b)
+
+    def sub(self, a, b):
+        return sub(self.k, a, b)
+
+    def neg(self, a):
+        return neg(self.k, a)
+
+    def mul(self, a, b):
+        prod = mul(self.k, a, b)
+        return prod if self.modulus is None else rem(self.k, prod, self.modulus)

@@ -32,7 +32,7 @@ import random
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement
+from .fields import FieldElement, _subfield_check
 from .irred import _clear_denominators, irreducible
 from .linalg import (
     Matrix,
@@ -190,25 +190,6 @@ def _nonconstant_rational_roots(f: Poly):
                 if mult:
                     roots.append((cand, mult))
     return roots
-
-
-def _subfield_check(values):
-    """Is this finite set of field elements a subfield?  Returns (bool, witness)."""
-    if not values:
-        return False, "empty eigenvalue set"
-    field = values[0].field
-    have = {v.payload for v in values}
-    if field.one not in have:
-        return False, "eigenvalue set does not contain 1"
-    if field.zero not in have:
-        return False, "eigenvalue set does not contain 0"
-    for x in values:
-        for y in values:
-            if (x - y).payload not in have:
-                return False, f"not closed under subtraction: ({x}) - ({y}) missing"
-            if (x * y).payload not in have:
-                return False, f"not closed under multiplication: ({x}) * ({y}) missing"
-    return True, None
 
 
 def _check_caps(a: Matrix):

@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import acceptance, irred
+from . import acceptance
 from .ad_analyzer import analyze
 from .dickson import (
     SubspaceR,
@@ -109,7 +109,7 @@ def _cmd_primitive_element(args):
     # when that is its size (a custom modulus included), else GF(p^n),
     # which primitive_element embeds into it
     k = field.base if field.kind == "rational-function" else field
-    ambient = k if k.order == p**n else make_field(f"GF({p}^{n})")
+    ambient = k if k.n == n else make_field(f"GF({p}^{n})")
     q, a = _standard_q(field, n, args.a)
     basis = [ambient.parse_element(s.strip()) for s in args.subspace.split(",") if s.strip()]
     r = SubspaceR.from_basis(ambient, basis)
@@ -189,15 +189,9 @@ def _cmd_irreducible(args):
     verdict = gas_irreducible(inst)
     oracle_checked = False
     oracle_agrees = None
-    if not args.no_oracle:
-        h = inst.build_h()
-        degx = h.degree()
-        degz = max(
-            (len(num) - 1 for num, _den in h.raw if num), default=0
-        )
-        if K.order <= irred.ORACLE_MAX_FIELD and degx + degz <= irred.ORACLE_MAX_TOTAL_DEGREE:
-            oracle_checked = True
-            oracle_agrees = bivariate_irreducible_oracle(h) == bool(verdict)
+    if not args.no_oracle and inst.oracle_reaches():
+        oracle_checked = True
+        oracle_agrees = bivariate_irreducible_oracle(inst.build_h()) == bool(verdict)
     result = {
         "K": K.spec_string(),
         "n": args.n,

@@ -18,8 +18,13 @@ case alpha_R = f_R(alpha) for f_R(Y) = prod (Y + b).
 
 The degrees come from poly.min_poly_in_quotient; the test-only
 intermediate_minpoly_product certifies that the coefficients of mu lie in
-F[alpha_R] by two ranks (Matrix.rank).  Both map R's elements into F with
-fields.embed_subfield, whether F is finite or K(Z).
+F[alpha_R] by two ranks (Matrix.rank), and computes mu and the conjugate
+product with _ringops over the coefficient ring F[alpha] = F[X]/(q)
+(_ringops.PolyRing).  Both map R's elements into F with
+fields.embed_subfield, whether F is finite or K(Z).  A subspace is spanned
+by the one helper _span, whether it comes from a basis or from its
+elements, and SubspaceR.is_subfield is fields._subfield_check, the test
+analyze applies to eigenvalue sets.
 """
 
 import itertools
@@ -29,6 +34,7 @@ from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import (
     FieldElement,
+    _subfield_check,
     _raw_poly_str,
     embed_subfield,
     enumerate_elements,
@@ -223,6 +229,19 @@ def dickson_phi(m: int, p: int) -> DicksonForm:
 # ---------------------------------------------------------------------------
 # subspaces of GF(p^n) over GF(p)
 
+def _span(ambient, vectors):
+    """(basis, span): the vectors that enlarge the GF(p)-span, in order, and
+    that span as {sort key: element}, grown one vector at a time."""
+    zero = ambient.zero_element()
+    span, basis = {zero.sort_key(): zero}, []
+    for x in vectors:
+        if x.sort_key() not in span:
+            basis.append(x)
+            steps = [x * c for c in range(1, ambient.char)]
+            span.update((u.sort_key(), u) for u in [v + w for v in span.values() for w in steps])
+    return basis, span
+
+
 class SubspaceR:
     """GF(p)-subspace of a finite field, with basis and materialized elements."""
 
@@ -239,35 +258,16 @@ class SubspaceR:
     @classmethod
     def from_basis(cls, ambient, basis):
         basis = [ambient.element(b) for b in basis]
-        p = ambient.char
-        seen = {}
-        for coeffs in itertools.product(range(p), repeat=len(basis)):
-            acc = ambient.zero_element()
-            for c, b in zip(coeffs, basis):
-                if c:
-                    acc = acc + b * c
-            seen[acc.sort_key()] = acc
-        if len(seen) != p ** len(basis):
+        independent, span = _span(ambient, basis)
+        if len(independent) != len(basis):
             raise InputError("basis is linearly dependent over the prime field")
-        return cls(ambient, basis, seen.values())
+        return cls(ambient, basis, span.values())
 
     @classmethod
     def from_elements(cls, ambient, elements):
         elements = [ambient.element(x) for x in elements]
         seen = {x.sort_key(): x for x in elements}
-        basis = []
-        span = {ambient.zero_element().sort_key(): ambient.zero_element()}
-        p = ambient.char
-        for x in sorted(seen.values(), key=lambda v: v.sort_key()):
-            if x.sort_key() in span:
-                continue
-            basis.append(x)
-            new_span = dict(span)
-            for v in span.values():
-                for c in range(1, p):
-                    w = v + x * c
-                    new_span[w.sort_key()] = w
-            span = new_span
+        basis, span = _span(ambient, sorted(seen.values(), key=lambda v: v.sort_key()))
         if set(span) != set(seen):
             raise InputError("element set is not closed under addition and scaling")
         return cls(ambient, basis, span.values())
@@ -277,10 +277,7 @@ class SubspaceR:
         return image == {v.sort_key() for v in self.elements}
 
     def is_subfield(self):
-        keys = {v.sort_key() for v in self.elements}
-        if self.ambient.one_element().sort_key() not in keys:
-            return False
-        return all((x * y).sort_key() in keys for x in self.elements for y in self.elements)
+        return _subfield_check(self.elements)[0]
 
     def sort_key(self):
         return tuple(v.sort_key() for v in self.elements)
@@ -497,30 +494,14 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     to_f = embed_subfield(ambient, field)
     qraw = q.raw
     m = r.dim
-
-    def qmul(u, v):
-        return rp.rem(field, rp.mul(field, u, v), qraw)
-
-    def lin_factor(shift_payload):
-        # X - (alpha + shift): constant term is -(alpha + shift) in K
-        alpha_plus = rp.trim(field, (shift_payload, field.one))
-        return [tuple(field.neg(c) for c in alpha_plus), (field.one,)]
-
-    def kpoly_mul(a, b):
-        out = [()] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = rp.add(field, out[i + j], qmul(x, y))
-        return out
+    fa = rp.PolyRing(field, qraw)  # F[alpha] = F[X]/(q)
 
     def mu_for_shift(c_payload):
-        acc = [(field.one,)]
+        # prod over b in R of X - (alpha + b + c), over F[alpha]
+        acc = (fa.one,)
         for b in r.elements:
             shift = field.add(to_f(b).payload, c_payload)
-            acc = kpoly_mul(acc, lin_factor(shift))
+            acc = rp.mul(fa, acc, (fa.neg((shift, field.one)), fa.one))
         return acc
 
     mu = mu_for_shift(field.zero)
@@ -532,14 +513,14 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     cur = (field.one,)
     for _ in range(dim_e):
         powers.append(cur)
-        cur = qmul(cur, alpha_r.raw)
+        cur = fa.mul(cur, alpha_r.raw)
 
     def rank(vecs):
         return Matrix.from_raw(field, [v + (field.zero,) * (p**n - len(v)) for v in vecs]).rank()
 
     if rank(powers) != dim_e:
         raise ConsistencyError("powers of alpha_R are linearly dependent too early")
-    coeffs_in_e = rank(powers + mu) == dim_e
+    coeffs_in_e = rank(powers + list(mu)) == dim_e
     if not coeffs_in_e:
         raise ConsistencyError("a coefficient of mu lies outside F[alpha_R]")
 
@@ -552,17 +533,10 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
         reps.append(c)
         for v in r.elements:
             covered.add((v + c).sort_key())
-    big = [(field.one,)]
+    big = (fa.one,)
     for c in reps:
-        big = kpoly_mul(big, mu_for_shift(to_f(c).payload))
-    ok_product = len(big) == p**n + 1
-    if ok_product:
-        for i, kc in enumerate(big):
-            qc = qraw[i] if i < len(qraw) else field.zero
-            expected = rp.trim(field, (qc,))
-            if rp.trim(field, kc) != expected:
-                ok_product = False
-                break
+        big = rp.mul(fa, big, mu_for_shift(to_f(c).payload))
+    ok_product = big == tuple(rp.trim(field, (c,)) for c in qraw)
     if not ok_product:
         raise ConsistencyError("conjugate product does not reconstruct q")
 

@@ -26,7 +26,9 @@ FieldDescriptor.parse_element over each kind's parse atoms, atoms(): none
 for GF(p), t for GF(p^n), Z plus the base field's atoms for K(Z);
 Poly.from_string reads the same table.
 
-Finite fields are capped at 3^6 = 729 elements.  GF(p^n) arithmetic runs
+Finite fields are capped at 3^6 = 729 elements, checked before any
+primality test, divisor search or power (_check_field_size, on
+power_exceeds, which never forms a huge p^n).  GF(p^n) arithmetic runs
 through exp/log/Zech-log tables built once per (p, n, modulus) from the
 polynomial operations in _ringops (see _log_tables): a product, inverse or
 power is one dict lookup and one list lookup, and a sum goes through the
@@ -41,10 +43,15 @@ locked table cache of _log_tables with the _TabulatedField methods that
 read it, shared by ExtensionField and the oracle's K[Z]/(m)
 (irred._QuotientFieldOps), and residues, the enumeration order of every
 such field.  embed_subfield is the one embedding of GF(p^m) into GF(p^n)
-or into GF(p^n)(Z).
+or into GF(p^n)(Z); it takes the first root of _raw_roots, the one root
+scan of a raw polynomial over a finite field (poly's root and
+equal-degree splitting code reads it too).  _subfield_check is the one
+test whether a finite set of elements is a subfield (analyze's c2 and
+SubspaceR.is_subfield).
 """
 
 import itertools
+import math
 import re
 import threading
 
@@ -56,12 +63,29 @@ MAX_FIELD_SIZE = 729
 
 
 def p_power_split(n, p):
-    """(s, m) with n = m * p^s and p not dividing m, for n >= 1."""
+    """(s, m) with n = m * p^s and p not dividing m, for n >= 1 and p >= 2."""
+    if n < 1 or p < 2:
+        raise InputError(f"p_power_split needs n >= 1 and p >= 2, got n = {n}, p = {p}")
     s = 0
     while n % p == 0:
         n //= p
         s += 1
     return s, n
+
+
+def power_exceeds(p, n, bound):
+    """Whether p**n > bound, for p >= 2 and n >= 0, without forming a huge
+    power: 2**n already exceeds bound once n reaches its bit length."""
+    return n >= bound.bit_length() or p**n > bound
+
+
+def _check_field_size(p, n):
+    """Refuse a field of p^n elements over MAX_FIELD_SIZE.  Run before any
+    primality test, divisor search or power, so a huge p or n costs
+    nothing; p < 2 or n < 1 passes, for the callers' own messages."""
+    if p >= 2 and n >= 1 and power_exceeds(p, n, MAX_FIELD_SIZE):
+        size = p if n == 1 else f"{p}^{n}"
+        raise CapExceededError(f"field size {size} exceeds cap {MAX_FIELD_SIZE}")
 
 
 def is_prime(n):
@@ -256,10 +280,9 @@ class PrimeField(FieldDescriptor):
     kind = "prime"
 
     def __init__(self, p):
+        _check_field_size(p, 1)
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
-        if p > MAX_FIELD_SIZE:
-            raise CapExceededError(f"field size {p} exceeds cap {MAX_FIELD_SIZE}")
         self.p = p
         self.n = 1
         self.order = p
@@ -530,12 +553,11 @@ class ExtensionField(_TabulatedField, FieldDescriptor):
     kind = "extension"
 
     def __init__(self, p, n, modulus=None):
+        _check_field_size(p, n)
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
         if n < 2:
             raise InputError("extension degree must be at least 2; use GF(p) for n=1")
-        if p**n > MAX_FIELD_SIZE:
-            raise CapExceededError(f"field size {p}^{n} exceeds cap {MAX_FIELD_SIZE}")
         self.p = p
         self.n = n
         self.base = PrimeField(p)
@@ -767,9 +789,11 @@ def make_field(spec):
     modstr = m.group(3)
     if n is None:
         # "GF(q)": factor q as p^n
+        _check_field_size(q, 1)
         p, n = _prime_power(q)
     else:
         p = q
+        _check_field_size(p, n)
         if not is_prime(p):
             raise InputError(f"{p} is not prime")
     if n == 1:
@@ -791,7 +815,8 @@ def make_field(spec):
 def _prime_power(q):
     if q < 2:
         raise InputError(f"{q} is not a prime power")
-    p = next(f for f in range(2, q + 1) if q % f == 0)  # prime: the least divisor
+    # prime: the least divisor, q itself when none is at most sqrt(q)
+    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
     n, rest = p_power_split(q, p)
     if rest != 1:
         raise InputError("field order is not a prime power")
@@ -857,6 +882,30 @@ def is_pth_power_coeffs(g) -> bool:
     return True
 
 
+def _subfield_check(values):
+    """Is this finite set of field elements a subfield?  Returns (bool, witness)."""
+    if not values:
+        return False, "empty eigenvalue set"
+    field = values[0].field
+    have = {v.payload for v in values}
+    if field.one not in have:
+        return False, "eigenvalue set does not contain 1"
+    if field.zero not in have:
+        return False, "eigenvalue set does not contain 0"
+    for x in values:
+        for y in values:
+            if (x - y).payload not in have:
+                return False, f"not closed under subtraction: ({x}) - ({y}) missing"
+            if (x * y).payload not in have:
+                return False, f"not closed under multiplication: ({x}) * ({y}) missing"
+    return True, None
+
+
+def _raw_roots(field, f):
+    """Roots in a finite field of a raw polynomial, in enumeration order."""
+    return [a for a in field.enumerate_payloads() if rp.evaluate(field, f, a) == field.zero]
+
+
 _embedding_cache = {}
 _embedding_lock = threading.Lock()
 
@@ -890,14 +939,10 @@ def embed_subfield(small, big):
         if small.kind == "prime":
             powers = [big.one]
         else:
-            root = None
-            modulus = tuple(big.from_int(c) for c in small.modulus)
-            for cand in big.enumerate_payloads():
-                if rp.evaluate(big, modulus, cand) == big.zero:
-                    root = cand
-                    break
-            if root is None:
+            roots = _raw_roots(big, tuple(big.from_int(c) for c in small.modulus))
+            if not roots:
                 raise InputError("modulus has no root in the big field")
+            root = roots[0]
             powers = [big.one]
             for _ in range(small.n - 1):
                 powers.append(big.mul(powers[-1], root))

@@ -8,12 +8,18 @@ verified as a witness.
 bivariate_irreducible_oracle is the independent check: an exhaustive search
 for a monic-in-X factor in K[Z][X].  Candidate factors are reconstructed by
 Chinese remaindering from complete univariate factorizations of the input
-at enough irreducible moduli m(Z), then confirmed by exact bivariate
-division; a factor exists in K(Z)[X] iff one is found this way (Gauss's
-lemma, the input being primitive with unit leading coefficient).  The
-moduli are the first monic irreducibles of the largest degree d with
-|K|^d <= 729, plus one of the remaining degree, so their degrees sum to
-deg_Z + 1.  Caps: |K| <= 9 and total degree <= 12.
+at enough irreducible moduli m(Z), then confirmed by exact division in
+K[Z][X] (_ringops.divmod_ over the coefficient ring _ringops.PolyRing(K));
+a factor exists in K(Z)[X] iff one is found this way (Gauss's lemma, the
+input being primitive with unit leading coefficient).  The moduli are the
+first monic irreducibles of the largest degree d with |K|^d <= 729, plus
+one of the remaining degree, so their degrees sum to deg_Z + 1.  Caps:
+|K| <= 9 and total degree <= 12.  On a GAS instance the one decision
+whether the oracle can run is GasInstance.oracle_reaches, made from
+(K, p^(n+e), r * deg g) before h is built; the oracle's own check after
+clearing denominators serves every other input.  The p-th root witness is
+capped at X-degree p^(n+e) <= WITNESS_MAX_X_DEGREE and Z-degree
+r * deg g <= WITNESS_MAX_Z_DEGREE, checked before it is built.
 """
 
 import itertools
@@ -28,12 +34,18 @@ from .fields import (
     _TabulatedField,
     monic_irreducibles,
     p_power_split,
+    power_exceeds,
 )
 from .poly import Poly, _factor_raw, _monic_divisors, gas_poly, is_irreducible_finite
 
 ORACLE_MAX_FIELD = 9
 ORACLE_MAX_TOTAL_DEGREE = 12
 _COMBINATION_LIMIT = 500_000
+# the p-th root witness of gas_irreducible, checked by Q^p == h: h has
+# X-degree p^(n+e) and Z-degree r * deg g, and Q^p costs about the Z-degree
+# times the number of terms of g
+WITNESS_MAX_X_DEGREE = 1 << 16
+WITNESS_MAX_Z_DEGREE = 1024
 
 
 class GasInstance:
@@ -66,6 +78,14 @@ class GasInstance:
         """(r0, s) with r = r0 * p^s and p not dividing r0."""
         s, r0 = p_power_split(self.r, self.p)
         return r0, s
+
+    def oracle_reaches(self):
+        """Whether bivariate_irreducible_oracle runs on build_h(), from |K| and
+        the total degree p^(n+e) + r * deg g, without building h."""
+        budget = ORACLE_MAX_TOTAL_DEGREE - self.r * self.g.degree()
+        return self.K.order <= ORACLE_MAX_FIELD and not power_exceeds(
+            self.p, self.n + self.e, budget
+        )
 
     def rational_field(self):
         return RationalFunctionField(self.K)
@@ -139,7 +159,18 @@ def gas_irreducible(inst: GasInstance) -> GasIrreducibility:
                 s,
             )
         roots.append(root)
-    # all conditions fail: h = Q^p with Q built from p-th roots of g
+    # all conditions fail: h = Q^p with Q built from p-th roots of g; Q^p
+    # is checked against h, so refuse before building either past the caps
+    if power_exceeds(p, inst.n + inst.e, WITNESS_MAX_X_DEGREE):
+        raise CapExceededError(
+            f"the p-th power witness needs X-degree {p}^{inst.n + inst.e}, "
+            f"over cap {WITNESS_MAX_X_DEGREE}"
+        )
+    if inst.r * inst.g.degree() > WITNESS_MAX_Z_DEGREE:
+        raise CapExceededError(
+            f"the p-th power witness needs Z-degree r * deg g = {inst.r * inst.g.degree()}, "
+            f"over cap {WITNESS_MAX_Z_DEGREE}"
+        )
     F = inst.rational_field()
     qg = [K.zero] * ((len(inst.g.raw) - 1) * r0 * p ** (s - 1) + 1)
     for kidx, root in enumerate(roots):
@@ -197,23 +228,6 @@ def _clear_denominators(h: Poly):
         if len(den) > 1:
             common = rp.mul(k, common, rp.divmod_(k, den, rp.gcd(k, common, den))[0])
     return [rp.mul(k, num, rp.divmod_(k, common, den)[0]) for num, den in h.raw], k
-
-
-def _bivariate_divides(k, num_cols, div_cols):
-    """Exact division test in K[Z][X] by a monic-in-X divisor."""
-    num = [list(c) for c in num_cols]
-    nd = len(num) - 1
-    dd = len(div_cols) - 1
-    if dd > nd:
-        return False
-    for i in range(nd - dd, -1, -1):
-        c = rp.trim(k, num[i + dd])
-        if not c:
-            continue
-        for j in range(dd + 1):
-            if div_cols[j]:
-                num[i + j] = list(rp.sub(k, rp.trim(k, num[i + j]), rp.mul(k, c, div_cols[j])))
-    return all(not rp.trim(k, col) for col in num)
 
 
 def bivariate_irreducible_oracle(h: Poly, return_factor=False):
@@ -286,6 +300,7 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
         _, inv_mi, _ = rp.xgcd(k, rp.rem(k, mi, m), m)
         crt_basis.append(rp.rem(k, rp.mul(k, mi, inv_mi), big_m))
 
+    kz = rp.PolyRing(k)
     for kdeg in range(1, degx // 2 + 1):
         options = []
         total = 1
@@ -313,7 +328,8 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
                 continue
             if cand_cols[-1] != (k.one,):
                 continue
-            if _bivariate_divides(k, cols, cand_cols):
+            # exact division in K[Z][X] by the monic-in-X candidate
+            if not rp.divmod_(kz, cols, cand_cols)[1]:
                 if return_factor:
                     return False, _lift_factor(h.field, k, cand_cols, substituted_lead)
                 return False

@@ -25,7 +25,7 @@ fields.rabin_irreducible.
 from . import _ringops as rp
 from ._exprparse import parse_expression
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, _raw_poly_str, p_power_split, rabin_irreducible
+from .fields import FieldElement, _raw_poly_str, _raw_roots, p_power_split, rabin_irreducible
 
 MINUS_INFINITY = float("-inf")
 
@@ -450,11 +450,6 @@ def roots_in_finite_field(f: Poly):
         (FieldElement(field, a), _divide_out(field, f.raw, (field.neg(a), field.one))[1])
         for a in _raw_roots(field, f.raw)
     ]
-
-
-def _raw_roots(field, f):
-    """Roots in a finite field of a raw polynomial, in enumeration order."""
-    return [a for a in field.enumerate_payloads() if rp.evaluate(field, f, a) == field.zero]
 
 
 def _divide_out(k, f, d):

@@ -161,6 +161,74 @@ def test_refusal_is_one_error_line_before_the_work(capsys, argv, message):
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("analyze-ad", "--field", "GF(1000000007)", "--poly", "X^2"),
+         "field size 1000000007 exceeds cap 729"),
+        (("analyze-ad", "--field", "GF(1000000000000000003^2)", "--poly", "X^2"),
+         "field size 1000000000000000003^2 exceeds cap 729"),
+        (("analyze-ad", "--field", "GF(3^100000000)", "--poly", "X^2"),
+         "field size 3^100000000 exceeds cap 729"),
+        (("decompose-tensor", "--p", "1000000000000000003", "--n", "1", "--m", "1"),
+         "field size 1000000000000000003 exceeds cap 729"),
+        (("primitive-element", "--field", "GF(4)(Z)", "--n", "1000000000", "--a", "Z"),
+         "field size 2^1000000000 exceeds cap 729"),
+        (("decompose-tensor", "--p", "4", "--n", "1", "--m", "1"), "4 is not prime"),
+        (("irreducible", "--K", "GF(2)", "--n", "26", "--e", "1", "--r", "2", "--g", "Z",
+          "--no-oracle"), "X-degree 2^27, over cap 65536"),
+        (("irreducible", "--K", "GF(2)", "--n", "16", "--e", "1", "--r", "2", "--g", "Z"),
+         "X-degree 2^17, over cap 65536"),
+        (("irreducible", "--K", "GF(3)", "--n", "10", "--e", "1", "--r", "3", "--g", "Z"),
+         "X-degree 3^11, over cap 65536"),
+        (("irreducible", "--K", "GF(2)", "--n", "1", "--e", "1", "--r", "2048", "--g", "Z"),
+         "Z-degree r * deg g = 2048, over cap 1024"),
+        (("irreducible", "--K", "GF(2)", "--n", "1", "--e", "1", "--r", str(2**40), "--g", "Z"),
+         f"Z-degree r * deg g = {2**40}, over cap 1024"),
+    ],
+    ids=["prime-order-1e9", "huge-prime-squared", "3-to-the-1e8", "tensor-huge-prime",
+         "primitive-huge-n", "tensor-p-4", "witness-n-26", "witness-x-edge-2",
+         "witness-x-edge-3", "witness-z-edge", "witness-huge-r"],
+)
+def test_caps_are_refused_before_the_work(capsys, argv, message):
+    # each of these ran past a 5-10 s timeout, or ended in a MemoryError
+    # traceback, before its cap was checked ahead of the work
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize(
+    "argv, condition",
+    [
+        # the inside edges of both witness caps, the costliest inputs they let through
+        (("--K", "GF(2)", "--n", "15", "--e", "1", "--r", "2", "--g", "Z"), "pth-power"),
+        (("--K", "GF(3)", "--n", "9", "--e", "1", "--r", "3", "--g", "Z"), "pth-power"),
+        (("--K", "GF(4)", "--n", "15", "--e", "1", "--r", "2", "--g", "(Z+t)^511"), "pth-power"),
+        (("--K", "GF(2)", "--n", "1", "--e", "1", "--r", "1024", "--g", "Z"), "pth-power"),
+        # no witness: the criterion decides without building anything
+        (("--K", "GF(2)", "--n", "26", "--e", "1", "--r", "3", "--g", "Z", "--no-oracle"),
+         "r-coprime-to-p"),
+        (("--K", "GF(2)", "--n", "26", "--g", "Z"), "r-coprime-to-p"),
+    ],
+    ids=["x-edge-2", "x-edge-3", "x-and-z-edge-dense-g", "z-edge", "no-witness", "oracle-out-of-reach"],
+)
+def test_irreducible_within_the_caps_runs_in_a_second(capsys, argv, condition):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "irreducible", *argv)
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["condition"] == condition
+    # the oracle cannot reach any of these, so h = X^(p^(n+e)) - ... is never built for it
+    assert result["oracle_checked"] is False and result["oracle_agrees"] is None
+    assert elapsed < 1.0
+
+
 def test_dickson_subcommand(capsys):
     code, out, _ = run_cli(capsys, "dickson", "--p", "3", "--m", "1")
     res = json.loads(out)["result"]

@@ -1,3 +1,4 @@
+import itertools
 import types
 
 import pytest
@@ -376,3 +377,51 @@ def test_root_plane_of_additive_product_in_gf729():
             Poly.x_power(f729, 3) - Poly.x(f729) - Poly.constant(f729, f729.element(j))
         )
     assert prod == poly
+
+
+# ---------------------------------------------------------------------------
+# one span, one subfield test: the deleted loops as references
+
+def _product_span(ambient, basis):
+    """The span by the product over coefficient tuples that from_basis ran."""
+    out = {}
+    for coeffs in itertools.product(range(ambient.char), repeat=len(basis)):
+        acc = ambient.zero_element()
+        for c, b in zip(coeffs, basis):
+            if c:
+                acc = acc + b * c
+        out[acc.sort_key()] = acc
+    return out
+
+
+def _loop_is_subfield(r):
+    """The multiplication loop that SubspaceR.is_subfield ran."""
+    keys = {v.sort_key() for v in r.elements}
+    if r.ambient.one_element().sort_key() not in keys:
+        return False
+    return all((x * y).sort_key() in keys for x in r.elements for y in r.elements)
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(27)", "GF(25)"])
+def test_span_and_subfield_test_match_the_deleted_loops(spec):
+    ambient = make_field(spec)
+    subfields = 0
+    for m in range(ambient.n + 1):
+        for r in enumerate_subspaces(ambient, m):
+            span = _product_span(ambient, list(r.basis))
+            assert tuple(sorted(span.values(), key=lambda v: v.sort_key())) == r.elements
+            again = SubspaceR.from_elements(ambient, reversed(r.elements))
+            assert again == r and again.dim == m
+            assert r.is_subfield() == _loop_is_subfield(r)
+            subfields += r.is_subfield()
+    # GF(p^n) has one subfield per divisor of n
+    assert subfields == sum(1 for d in range(1, ambient.n + 1) if ambient.n % d == 0)
+
+
+def test_from_basis_and_from_elements_keep_their_messages():
+    f9 = make_field("GF(9)")
+    t = f9.gen()
+    with pytest.raises(InputError, match="linearly dependent"):
+        SubspaceR.from_basis(f9, [t, t * 2])
+    with pytest.raises(InputError, match="not closed under addition"):
+        SubspaceR.from_elements(f9, [f9.zero_element(), t, t * 2, f9.one_element()])

@@ -2,6 +2,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 
 import pytest
 
@@ -663,3 +664,68 @@ def test_minus_in_a_modulus():
     assert field.modulus == (2, 2, 1)
     assert field.spec_string() == "GF(3^2; mod=t^2+2*t+2)"
     assert make_field("GF(3^2; mod=-2*t^2-t-1)") == field
+
+
+def test_p_power_split_rejects_n_below_1_and_p_below_2():
+    # both used to loop forever
+    for n, p in ((0, 2), (-3, 2), (5, 1), (5, 0), (0, 1)):
+        with pytest.raises(InputError, match="n >= 1 and p >= 2"):
+            fields.p_power_split(n, p)
+
+
+def test_power_exceeds_matches_the_power():
+    for p in (2, 3, 5, 7, 10**18 + 3):
+        for n in range(0, 40):
+            for bound in (-5, 0, 1, 2, 11, 12, 729, 730, 65536):
+                assert fields.power_exceeds(p, n, bound) == (p**n > bound), (p, n, bound)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: make_field("GF(1000000007)"), "field size 1000000007 exceeds cap 729"),
+        (lambda: make_field("GF(1000000000000000003^2)"),
+         "field size 1000000000000000003^2 exceeds cap 729"),
+        (lambda: make_field("GF(3^100000000)"), "field size 3^100000000 exceeds cap 729"),
+        (lambda: make_field("GF(2^1000000000000)(Z)"), "field size 2^1000000000000 exceeds cap"),
+        (lambda: fields.PrimeField(10**18 + 3), "field size 1000000000000000003 exceeds cap"),
+        (lambda: fields.ExtensionField(3, 10**8), "field size 3^100000000 exceeds cap"),
+        (lambda: make_field("GF(1024)"), "field size 1024 exceeds cap 729"),
+    ],
+    ids=["prime-1e9", "huge-prime-squared", "3-to-the-1e8", "kz-huge-n", "prime-field",
+         "extension-field", "gf-1024"],
+)
+def test_field_size_cap_comes_before_primality_and_divisor_search(build, message):
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceededError, match=message.replace("^", r"\^")):
+        build()
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("GF(4^2)", "4 is not prime"),
+        ("GF(1^5)", "1 is not prime"),
+        ("GF(0^3)", "0 is not prime"),
+        ("GF(0)", "0 is not a prime power"),
+        ("GF(1)", "1 is not a prime power"),
+        ("GF(6)", "not a prime power"),
+        ("GF(2^0)", "extension degree must be at least 2"),
+        ("GF(4^1; mod=t)", "4 is not prime"),
+    ],
+)
+def test_small_bad_specs_keep_their_messages(spec, message):
+    with pytest.raises(InputError, match=message.replace("^", r"\^")) as info:
+        make_field(spec)
+    assert not isinstance(info.value, CapExceededError)
+
+
+def test_embed_subfield_takes_the_first_of_the_raw_roots():
+    for small, big in (("GF(4)", "GF(16)"), ("GF(8)", "GF(64)"), ("GF(9)", "GF(729)")):
+        small, big = make_field(small), make_field(big)
+        modulus = tuple(big.from_int(c) for c in small.modulus)
+        roots = fields._raw_roots(big, modulus)
+        # the modulus splits into distinct linear factors over the big field
+        assert len(roots) == small.n and all(rp.evaluate(big, modulus, a) == big.zero for a in roots)
+        assert embed_subfield(small, big)(small.gen()).payload == roots[0]

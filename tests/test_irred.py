@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -237,3 +238,91 @@ def test_coprime_difference_rejects_common_degree_factor():
         coprime_difference_irreducible(
             Poly.from_string(f3, "X^2"), Poly.from_string(f3, "Z^2", var="Z")
         )
+
+
+# ---------------------------------------------------------------------------
+# _ringops over K[Z]; the oracle's reach decided from the parameters
+
+def _column_divides(k, num_cols, div_cols):
+    """The deleted column-by-column K[Z][X] division test, as reference."""
+    num = [list(c) for c in num_cols]
+    nd = len(num) - 1
+    dd = len(div_cols) - 1
+    if dd > nd:
+        return False
+    for i in range(nd - dd, -1, -1):
+        c = rp.trim(k, num[i + dd])
+        if not c:
+            continue
+        for j in range(dd + 1):
+            if div_cols[j]:
+                num[i + j] = list(rp.sub(k, rp.trim(k, num[i + j]), rp.mul(k, c, div_cols[j])))
+    return all(not rp.trim(k, col) for col in num)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])
+def test_divmod_over_kz_matches_the_deleted_division_test(spec):
+    k = make_field(spec)
+    kz = rp.PolyRing(k)
+    rng = random.Random(spec)
+
+    def kz_poly(deg):
+        return rp.trim(k, tuple(k.random_payload(rng) for _ in range(deg + 1)))
+
+    divides = 0
+    for _ in range(300):
+        div = [kz_poly(rng.randrange(3)) for _ in range(rng.randrange(1, 3))] + [kz.one]
+        cof = [kz_poly(rng.randrange(3)) for _ in range(rng.randrange(0, 3))] + [kz.one]
+        num = rp.mul(kz, cof, div)
+        if rng.random() < 0.5:
+            num = rp.add(kz, num, (kz_poly(2),))
+        num = list(num)
+        quo, rem = rp.divmod_(kz, num, div)
+        assert (not rem) == _column_divides(k, num, div)
+        assert rp.add(kz, rp.mul(kz, quo, div), rem) == tuple(num)
+        divides += not rem
+    assert 0 < divides < 300
+
+
+def test_poly_ring_with_a_modulus_reduces_products():
+    k = make_field("GF(3)")
+    m = (1, 0, 1)  # T^2 + 1, irreducible over GF(3)
+    ring = rp.PolyRing(k, m)
+    t = (0, 1)
+    assert ring.mul(t, t) == (2,)  # T^2 = -1
+    assert rp.mul(ring, (t, ring.one), (t, ring.one)) == ((2,), (0, 2), ring.one)
+
+
+def test_oracle_reach_matches_the_built_polynomial():
+    # the decision the CLI made from h's payloads, on a grid around the cap
+    for spec in ("GF(2)", "GF(3)", "GF(4)", "GF(9)", "GF(16)"):
+        K = make_field(spec)
+        for n, e, r, g in itertools.product((1, 2, 3), (0, 1), (1, 2, 3, 6), ("Z", "Z^2+Z+1")):
+            if Poly.from_string(K, g, var="Z").degree() % K.char == 0:
+                continue
+            inst = GasInstance(K, n, e, r, g)
+            if inst.p ** (n + e) > 64:
+                assert not inst.oracle_reaches()
+                continue
+            h = inst.build_h()
+            degz = max((len(num) - 1 for num, _den in h.raw if num), default=0)
+            expected = K.order <= 9 and h.degree() + degz <= 12
+            assert inst.oracle_reaches() == expected, inst
+
+
+def test_oracle_reach_needs_no_power():
+    t0 = time.perf_counter()
+    inst = GasInstance(make_field("GF(2)"), 10**12, 10**12, 1, "Z")
+    assert not inst.oracle_reaches()
+    assert gas_irreducible(inst).condition == "r-coprime-to-p"
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_witness_caps_refuse_before_building():
+    f2 = make_field("GF(2)")
+    assert gas_irreducible(GasInstance(f2, 15, 1, 2, "Z")).condition == "pth-power"
+    with pytest.raises(CapExceededError, match="X-degree 2\\^17, over cap 65536"):
+        gas_irreducible(GasInstance(f2, 16, 1, 2, "Z"))
+    assert gas_irreducible(GasInstance(f2, 1, 1, 1024, "Z")).condition == "pth-power"
+    with pytest.raises(CapExceededError, match="Z-degree r \\* deg g = 1026, over cap 1024"):
+        gas_irreducible(GasInstance(f2, 1, 1, 342, "Z^3+Z+1"))

@@ -10,6 +10,7 @@ from aslab.tensor import (
     ad_elementary_divisors_blocksum,
     binomial_divisibility,
     blocksum_ad_matrix,
+    closed_formula_applies,
     tensor_jordan_type_formula,
     tensor_jordan_type_oracle,
 )
@@ -165,3 +166,13 @@ def test_blocksum_rejects_empty():
             build([], 0, 2)
         with pytest.raises(InputError, match="characteristic p"):
             build([f3.element(1)], 0, 2)
+
+
+def test_closed_formula_applies_refuses_m_0_and_p_1():
+    # p_power_split looped forever on both
+    t0 = time.perf_counter()
+    for p, n, m in ((2, 1, 0), (1, 1, 1), (1, 2, 5), (3, 1, -9)):
+        with pytest.raises(InputError, match="n >= 1 and p >= 2"):
+            closed_formula_applies(p, n, m)
+    assert time.perf_counter() - t0 < 1.0
+    assert closed_formula_applies(2, 3, 4) and not closed_formula_applies(2, 5, 4)

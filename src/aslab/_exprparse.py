@@ -11,6 +11,10 @@ over the caller's values.  An exponent, or a degree some subexpression can
 reach, above MAX_EXPONENT raises CapExceededError in the first pass, before
 any value is built, so "X^40000000" and "(X^4096)^4096" fail at once
 instead of exhausting memory.
+
+int_literal converts the decimal literals of expressions and field specs:
+one longer than Python's int-string limit (sys.get_int_max_str_digits(),
+4300 digits by default) is an InputError, not a ValueError.
 """
 
 import re
@@ -18,6 +22,18 @@ import re
 from .errors import CapExceededError, InputError
 
 MAX_EXPONENT = 4096
+
+
+def int_literal(digits):
+    """The int of a decimal literal, raising InputError rather than Python's
+    ValueError when it is over the int-string limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise InputError(
+            f"integer literal of {len(digits)} digits is over Python's int-string limit"
+        ) from None
+
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|(\*\*|[-+*/^()]))")
 
@@ -32,7 +48,7 @@ def _tokenize(s):
                 raise InputError(f"cannot parse {s!r} at position {pos}")
             break
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1))))
+            tokens.append(("int", int_literal(m.group(1))))
         elif m.group(2) is not None:
             tokens.append(("ident", m.group(2)))
         else:

@@ -32,7 +32,7 @@ import random
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, _subfield_check
+from .fields import FieldElement, _raw_roots, _subfield_check
 from .irred import _clear_denominators, irreducible
 from .linalg import (
     Matrix,
@@ -50,7 +50,6 @@ from .poly import (
     _raw_sort_key,
     gas_poly,
     gas_shape,
-    roots_in_finite_field,
     separable_part,
 )
 
@@ -138,9 +137,9 @@ class AdReport:
 
 
 def _poly_roots_in_field(f: Poly):
-    """Roots of f in its coefficient field, with multiplicities."""
+    """Roots of f in its coefficient field."""
     if f.field.order is not None:
-        return roots_in_finite_field(f)
+        return [FieldElement(f.field, a) for a in _raw_roots(f.field, f.raw)]
     return _rational_roots(f)
 
 
@@ -150,12 +149,13 @@ def _rational_roots(f: Poly):
     k = F.base
     roots = []
     work = f.raw
-    # constants first: every element of K is a cheap candidate
+    # constants first: every element of K is a cheap candidate; dividing
+    # them out leaves less for the non-constant search
     for cpay in k.enumerate_payloads():
         cand = F.constant(FieldElement(k, cpay))
         work, mult = _divide_out(F, work, (F.neg(cand.payload), F.one))
         if mult:
-            roots.append((cand, mult))
+            roots.append(cand)
     if len(work) > 1:
         roots.extend(_nonconstant_rational_roots(Poly.from_raw(F, work)))
     return roots
@@ -188,7 +188,7 @@ def _nonconstant_rational_roots(f: Poly):
                 cand = F.fraction(rp.scale(k, nd, u), dd)
                 work, mult = _divide_out(F, work, (F.neg(cand.payload), F.one))
                 if mult:
-                    roots.append((cand, mult))
+                    roots.append(cand)
     return roots
 
 
@@ -211,8 +211,7 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     inv_ad = invariant_factors(ad)
 
     mu_ad = inv_ad.minimal_polynomial()
-    roots = _poly_roots_in_field(mu_ad)
-    eigenvalues = sorted((r for r, _ in roots), key=lambda v: v.sort_key())
+    eigenvalues = sorted(_poly_roots_in_field(mu_ad), key=lambda v: v.sort_key())
 
     # one pass over the (eigenvalue v, invariant factor f) pairs: c1 counts
     # the multiplicity of X - v in each f, and every f that X - v divides is
@@ -319,7 +318,7 @@ def check_eigenvector_invertibility(a: Matrix, seed: int = 0) -> InvertibilityVe
     _check_caps(a)
     ad = ad_matrix(a)
     mu = invariant_factors(ad).minimal_polynomial()
-    bases = [(r, eigenspace(ad, r)) for r, _ in _poly_roots_in_field(mu)]
+    bases = [(r, eigenspace(ad, r)) for r in _poly_roots_in_field(mu)]
     return _eigenvector_invertibility(a, bases, seed)
 
 

@@ -3,14 +3,13 @@
 Every analysis is a subcommand emitting JSON with a stable key order and a
 schema_version field.  Exit codes: 0 success, 1 grid-suite failure, 2 bad
 input or violated precondition, 3 internal consistency failure (a result
-that contradicts a certified claim).  The environment variable ASLAB_SEED,
-when set, overrides --seed.
+that contradicts a certified claim).  --seed is the one way to set the
+seed of the sampled checks.
 """
 
 import argparse
 import functools
 import json
-import os
 import sys
 
 from . import acceptance
@@ -65,6 +64,12 @@ def _cmd_analyze_ad(args):
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputError(f"--matrix is not valid JSON: {exc}") from None
+        except ValueError:
+            # json.loads raises a plain ValueError for an integer literal
+            # over Python's int-string limit
+            raise InputError(
+                "--matrix has an integer literal over Python's int-string limit"
+            ) from None
         mat = Matrix.from_json_dict(data, field=field)
     elif args.poly:
         mat = companion(Poly.from_string(field, args.poly))
@@ -316,13 +321,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    env_seed = os.environ.get("ASLAB_SEED")
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            print("error: ASLAB_SEED must be an integer", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
     except InputError as exc:

@@ -15,7 +15,10 @@ fields never mix.  Field specs are parsed from strings such as "GF(2)",
 "GF(4)", "GF(2^3; mod=t^3+t^2+1)" and "GF(3)(Z)"; when the modulus is
 omitted it defaults to the lexicographically smallest monic irreducible
 (coefficient vectors compared low-degree-first), so a given spec always
-produces the same field on every machine.
+produces the same field on every machine.  An element equals only an
+element of the same field with the same payload, never an int (in GF(3)
+both 1 and 4 would equal F(1)), so equal values hash equally; Poly
+equality is the same.
 
 FieldDescriptor.payload_of is the single point where values from outside
 (FieldElements, ints, element strings, payloads) are checked and turned
@@ -48,6 +51,13 @@ scan of a raw polynomial over a finite field (poly's root and
 equal-degree splitting code reads it too).  _subfield_check is the one
 test whether a finite set of elements is a subfield (analyze's c2 and
 SubspaceR.is_subfield).
+
+residues is also the one payload form of every tabulated field: coefficient
+tuples of full length d, zeros included.  Each field kind has one power,
+pow_int: Python's pow in GF(p), a table lookup in a tabulated field, and a
+power of numerator and denominator in K(Z).  pth_roots is the one p-th-root
+test, verified by a p-th power (is_pth_power_coeffs and irred's
+criterion).  A modulus string is parsed as a polynomial in t over GF(p)(t).
 """
 
 import itertools
@@ -56,7 +66,7 @@ import re
 import threading
 
 from . import _ringops as rp
-from ._exprparse import parse_expression
+from ._exprparse import int_literal, parse_expression
 from .errors import CapExceededError, ConsistencyError, InputError
 
 MAX_FIELD_SIZE = 729
@@ -196,10 +206,10 @@ class FieldElement:
         return FieldElement(self.field, self.field.pow_int(self.payload, n))
 
     def __eq__(self, other):
+        # no int branch: in GF(3), 1 and 4 would both equal F(1), and no
+        # hash could agree with that
         if isinstance(other, FieldElement):
             return self.field == other.field and self.payload == other.payload
-        if isinstance(other, int):
-            return self.payload == self.field.from_int(other)
         return NotImplemented
 
     def __hash__(self):
@@ -261,17 +271,6 @@ class FieldDescriptor:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def pow_int(self, a, n):
-        if n < 0:
-            a, n = self.inv(a), -n
-        result = self.one
-        while n:
-            if n & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return result
-
     def __repr__(self):
         return self.spec_string()
 
@@ -312,6 +311,11 @@ class PrimeField(FieldDescriptor):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, self.p - 2, self.p)
+
+    def pow_int(self, a, n):
+        if a == 0 and n < 0:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, n, self.p)
 
     def from_int(self, i):
         return i % self.p
@@ -408,27 +412,25 @@ _table_cache = {}
 _table_lock = threading.Lock()
 
 
-def residues(k, d, padded):
+def residues(k, d):
     """The residues of k[T]/(m), m of degree d over the finite k, in
-    enumeration order: raw polynomials of degree < d, the lowest
-    coefficient varying fastest, trimmed, or padded with zeros to length d
-    when padded is true.  Every tabulated field enumerates its payloads
-    here."""
+    enumeration order: the coefficients of a polynomial of degree < d,
+    lowest first, zeros included up to length d, the lowest coefficient
+    varying fastest.  Every tabulated field enumerates its payloads here."""
     # itertools.product varies its last slot fastest; reversed, the lowest
     # coefficient varies fastest
     for digits in itertools.product(k.enumerate_payloads(), repeat=d):
-        yield digits[::-1] if padded else rp.trim(k, digits[::-1])
+        yield digits[::-1]
 
 
-def _log_tables(k, modulus, padded):
+def _log_tables(k, modulus):
     """Exp/log/Zech-log tables of the field k[T]/(modulus), built once per
-    (k, modulus, padded) and shared (Huber, IEEE Trans. IT 1990).
+    (k, modulus) and shared (Huber, IEEE Trans. IT 1990).
 
     k is a finite descriptor and modulus a monic irreducible raw polynomial
-    of degree d over it.  Payloads are the residues as raw polynomials of
-    degree < d, trimmed, or padded with zeros to length d when padded is
-    true.  Returns (q1, exp, log, zech, neg) with q1 = k.order^d - 1 and g
-    the first primitive element in enumeration order:
+    of degree d over it.  Payloads are the length-d coefficient tuples of
+    residues.  Returns (q1, exp, log, zech, neg) with q1 = k.order^d - 1
+    and g the first primitive element in enumeration order:
       exp[i] = g^i for 0 <= i < 2*q1 (doubled: a sum of two logs needs no
                modulo);
       log[a] = i with g^i = a, and _LOG_ZERO for zero;
@@ -438,22 +440,24 @@ def _log_tables(k, modulus, padded):
     There is no addition table: a q x q table would hold 531441 entries at
     q = 729, where these hold about 5q.
     """
-    key = (k, modulus, padded)
+    key = (k, modulus)
     with _table_lock:
         tables = _table_cache.get(key)
     if tables is None:
-        tables = _build_log_tables(k, modulus, padded)
+        tables = _build_log_tables(k, modulus)
         with _table_lock:
             tables = _table_cache.setdefault(key, tables)
     return tables
 
 
-def _build_log_tables(k, modulus, padded):
+def _build_log_tables(k, modulus):
     d = len(modulus) - 1
     q1 = k.order**d - 1
     one = (k.one,)
     ells = [ell for ell in range(2, q1 + 1) if q1 % ell == 0 and is_prime(ell)]
-    for g in residues(k, d, padded=False):
+    for g in residues(k, d):
+        # trim first: the zero residue (0, ..., 0) is truthy
+        g = rp.trim(k, g)
         if g and all(rp.pow_mod(k, g, q1 // ell, modulus) != one for ell in ells):
             break
     powers = []
@@ -466,10 +470,9 @@ def _build_log_tables(k, modulus, padded):
         raise ConsistencyError("log tables: the modulus is not irreducible")
     zech = [raw_log.get(rp.add(k, one, a), _LOG_ZERO) for a in powers]
     neg = raw_log[rp.neg(k, one)]
-    if padded:
-        powers = [a + (k.zero,) * (d - len(a)) for a in powers]
+    powers = [a + (k.zero,) * (d - len(a)) for a in powers]
     log = {a: i for i, a in enumerate(powers)}
-    log[(k.zero,) * d if padded else ()] = _LOG_ZERO
+    log[(k.zero,) * d] = _LOG_ZERO
     return q1, powers + powers, log, zech + zech, neg
 
 
@@ -477,11 +480,9 @@ class _TabulatedField:
     """Field operations on the tables of _log_tables.  A subclass calls
     _init_tables in its constructor and sets zero, one, order and char."""
 
-    def _init_tables(self, k, modulus, padded):
-        self._residue_shape = (k, len(modulus) - 1, padded)
-        self._q1, self._exp, self._log, self._zech, self._neg = _log_tables(
-            k, modulus, padded
-        )
+    def _init_tables(self, k, modulus):
+        self._residue_shape = (k, len(modulus) - 1)
+        self._q1, self._exp, self._log, self._zech, self._neg = _log_tables(k, modulus)
 
     def enumerate_payloads(self):
         return residues(*self._residue_shape)
@@ -574,7 +575,7 @@ class ExtensionField(_TabulatedField, FieldDescriptor):
         self.char = p
         self.zero = (0,) * n
         self.one = (1,) + (0,) * (n - 1)
-        self._init_tables(self.base, modulus, padded=True)
+        self._init_tables(self.base, modulus)
 
     def __eq__(self, other):
         return (
@@ -698,6 +699,11 @@ class RationalFunctionField(FieldDescriptor):
             raise ZeroDivisionError("inverse of zero")
         return self._canon(ad, an)
 
+    def pow_int(self, a, n):
+        # a coprime pair stays coprime, a monic denominator monic: no gcd
+        num, den = self.inv(a) if n < 0 else a
+        return (rp.power(self.base, num, abs(n)), rp.power(self.base, den, abs(n)))
+
     def from_int(self, i):
         v = self.base.from_int(i)
         num = () if v == self.base.zero else (v,)
@@ -784,8 +790,8 @@ def make_field(spec):
     m = _FIELD_RE.match(spec)
     if not m:
         raise InputError(f"malformed field spec {spec!r}")
-    q = int(m.group(1))
-    n = int(m.group(2)) if m.group(2) else None
+    q = int_literal(m.group(1))
+    n = int_literal(m.group(2)) if m.group(2) else None
     modstr = m.group(3)
     if n is None:
         # "GF(q)": factor q as p^n
@@ -802,13 +808,11 @@ def make_field(spec):
         return PrimeField(p)
     modulus = None
     if modstr is not None:
-        k1 = PrimeField(p)
-        val = parse_expression(
-            modstr,
-            {"t": _RawPoly((k1.zero, k1.one), k1)},
-            lambda i: _RawPoly((i % p,) if i % p else (), k1),
-        )
-        modulus = val.coeffs
+        if "/" in modstr:
+            raise InputError("a modulus cannot contain '/'")
+        # a polynomial in t over GF(p) is the numerator of a GF(p)(t) element
+        ft = RationalFunctionField(PrimeField(p))
+        modulus = parse_expression(modstr, {"t": ft.gen()}, ft.element).payload[0]
     return ExtensionField(p, n, modulus)
 
 
@@ -821,34 +825,6 @@ def _prime_power(q):
     if rest != 1:
         raise InputError("field order is not a prime power")
     return p, n
-
-
-class _RawPoly:
-    """Minimal polynomial-over-GF(p) value for parsing modulus strings."""
-
-    __slots__ = ("coeffs", "k")
-
-    def __init__(self, coeffs, k):
-        self.coeffs = rp.trim(k, coeffs)
-        self.k = k
-
-    def __add__(self, other):
-        return _RawPoly(rp.add(self.k, self.coeffs, other.coeffs), self.k)
-
-    def __sub__(self, other):
-        return _RawPoly(rp.sub(self.k, self.coeffs, other.coeffs), self.k)
-
-    def __mul__(self, other):
-        return _RawPoly(rp.mul(self.k, self.coeffs, other.coeffs), self.k)
-
-    def __neg__(self):
-        return _RawPoly(rp.neg(self.k, self.coeffs), self.k)
-
-    def __truediv__(self, other):
-        raise InputError("a modulus cannot contain '/'")
-
-    def __pow__(self, n):
-        return _RawPoly(rp.power(self.k, self.coeffs, n), self.k)
 
 
 def frobenius(x: FieldElement) -> FieldElement:
@@ -865,21 +841,22 @@ def enumerate_elements(field):
     return [FieldElement(field, p) for p in field.enumerate_payloads()]
 
 
-def is_pth_power_coeffs(g) -> bool:
-    """Whether every coefficient of g lies in K^p (K the coefficient field).
+def pth_roots(k, payloads):
+    """The p-th roots of the payloads in the finite field k, in order, or
+    None when one is not a p-th power.  The Frobenius of a finite field is
+    onto, but each root is verified by its p-th power, so the test stays
+    meaningful if an imperfect coefficient ring is ever added."""
+    roots = [k.pth_root(c) for c in payloads]
+    verified = all(k.pow_int(r, k.char) == c for r, c in zip(roots, payloads))
+    return roots if verified else None
 
-    Over a finite field the Frobenius is onto, so the answer is always True;
-    each root is recomputed and verified so the check stays meaningful if an
-    imperfect coefficient ring is ever added.
-    """
+
+def is_pth_power_coeffs(g) -> bool:
+    """Whether every coefficient of g lies in K^p (K the coefficient field)."""
     field = g.field
     if field.kind == "rational-function":
         raise InputError("is_pth_power_coeffs expects a polynomial over a finite field")
-    for c in g.coeffs:
-        root = field.pth_root(c.payload)
-        if field.pow_int(root, field.char) != c.payload:
-            return False
-    return True
+    return pth_roots(field, g.raw) is not None
 
 
 def _subfield_check(values):

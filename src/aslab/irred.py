@@ -1,7 +1,8 @@
 """Irreducibility of X^(p^(n+e)) - X^(p^e) - g(Z^r) over K(Z), K finite.
 
 gas_irreducible decides by criterion: the polynomial is irreducible exactly
-when p does not divide r, or e = 0, or g has a coefficient outside K^p.
+when p does not divide r, or e = 0, or g has a coefficient outside K^p
+(fields.pth_roots).
 When all three fail it is a p-th power, and the p-th root is produced and
 verified as a witness.
 
@@ -20,6 +21,10 @@ whether the oracle can run is GasInstance.oracle_reaches, made from
 clearing denominators serves every other input.  The p-th root witness is
 capped at X-degree p^(n+e) <= WITNESS_MAX_X_DEGREE and Z-degree
 r * deg g <= WITNESS_MAX_Z_DEGREE, checked before it is built.
+
+The univariate factorizations run over K[Z]/(m) (_QuotientFieldOps), whose
+payloads are coefficient tuples of length deg m, the payload form of
+GF(p^n).
 """
 
 import itertools
@@ -35,6 +40,7 @@ from .fields import (
     monic_irreducibles,
     p_power_split,
     power_exceeds,
+    pth_roots,
 )
 from .poly import Poly, _factor_raw, _monic_divisors, gas_poly, is_irreducible_finite
 
@@ -146,19 +152,16 @@ def gas_irreducible(inst: GasInstance) -> GasIrreducibility:
             s,
         )
     K = inst.K
-    roots = []
-    for c in inst.g.raw:
-        root = K.pth_root(c)
-        if K.pow_int(root, p) != c:
-            return GasIrreducibility(
-                True,
-                "coefficients-not-pth-powers",
-                f"a coefficient of g lies outside K^{p} (r = {r0} * {p}^{s}, e = {inst.e})",
-                None,
-                r0,
-                s,
-            )
-        roots.append(root)
+    roots = pth_roots(K, inst.g.raw)
+    if roots is None:
+        return GasIrreducibility(
+            True,
+            "coefficients-not-pth-powers",
+            f"a coefficient of g lies outside K^{p} (r = {r0} * {p}^{s}, e = {inst.e})",
+            None,
+            r0,
+            s,
+        )
     # all conditions fail: h = Q^p with Q built from p-th roots of g; Q^p
     # is checked against h, so refuse before building either past the caps
     if power_exceeds(p, inst.n + inst.e, WITNESS_MAX_X_DEGREE):
@@ -192,9 +195,10 @@ def gas_irreducible(inst: GasInstance) -> GasIrreducibility:
 class _QuotientFieldOps(_TabulatedField):
     """Payload-level field ops for K[Z]/(m), m irreducible over finite K.
 
-    Payloads are residues as trimmed raw polynomials over K; the arithmetic
-    runs on the exp/log/Zech-log tables of fields._log_tables, cached per
-    (K, m), the same builder that serves GF(p^n).
+    Payloads are residues as length-deg(m) coefficient tuples over K, the
+    form of GF(p^n) payloads (fields.residues); the arithmetic runs on the
+    exp/log/Zech-log tables of fields._log_tables, cached per (K, m), the
+    same builder that serves GF(p^n).
     """
 
     kind = "quotient"
@@ -204,17 +208,15 @@ class _QuotientFieldOps(_TabulatedField):
         self.deg = len(modulus) - 1
         self.order = base.order**self.deg
         self.char = base.char
-        self.zero = ()
-        self.one = (base.one,)
-        self._init_tables(base, modulus, padded=False)
+        self.zero = (base.zero,) * self.deg
+        self.one = (base.one,) + self.zero[1:]
+        self._init_tables(base, modulus)
 
     def from_int(self, i):
-        v = self.base.from_int(i)
-        return (v,) if v != self.base.zero else ()
+        return (self.base.from_int(i),) + self.zero[1:]
 
     def sort_key(self, a):
-        padded = tuple(a) + (self.base.zero,) * (self.deg - len(a))
-        return tuple(self.base.sort_key(c) for c in padded)
+        return tuple(self.base.sort_key(c) for c in a)
 
 
 def _clear_denominators(h: Poly):
@@ -286,7 +288,9 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
     points = []
     for m in moduli:
         quot = _QuotientFieldOps(k, m)
-        himg = tuple(rp.rem(k, col, m) for col in cols)
+        # the residues of the columns, in the quotient's payload form
+        rems = (rp.rem(k, col, m) for col in cols)
+        himg = tuple(r + quot.zero[len(r):] for r in rems)
         factors = _factor_raw(quot, himg)
         points.append((quot, m, factors))
 
@@ -316,9 +320,8 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
             for j in range(kdeg + 1):
                 acc = ()
                 for basis, divc in zip(crt_basis, combo):
-                    coeff = divc[j] if j < len(divc) else ()
-                    if coeff:
-                        acc = rp.add(k, acc, rp.mul(k, coeff, basis))
+                    # divc has degree kdeg; rp.mul trims its coefficient
+                    acc = rp.add(k, acc, rp.mul(k, divc[j], basis))
                 acc = rp.rem(k, acc, big_m)
                 if len(acc) - 1 > degz:
                     ok = False

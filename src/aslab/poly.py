@@ -174,12 +174,10 @@ class Poly:
         return q
 
     def __eq__(self, other):
+        # a Poly equals only a Poly: an int or constant branch could not
+        # agree with the hash (see FieldElement.__eq__)
         if isinstance(other, Poly):
             return self.field == other.field and self.raw == other.raw
-        if isinstance(other, int):
-            return self.raw == rp.trim(self.field, (self.field.from_int(other),))
-        if isinstance(other, FieldElement):
-            return self.raw == self._coerce(other)
         return NotImplemented
 
     def __hash__(self):

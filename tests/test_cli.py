@@ -185,10 +185,15 @@ def test_refusal_is_one_error_line_before_the_work(capsys, argv, message):
          "Z-degree r * deg g = 2048, over cap 1024"),
         (("irreducible", "--K", "GF(2)", "--n", "1", "--e", "1", "--r", str(2**40), "--g", "Z"),
          f"Z-degree r * deg g = {2**40}, over cap 1024"),
+        (("decompose-tensor", "--p", "2", "--n", "100000000", "--m", "134217728"),
+         "100000000 blocks exceed cap 65536"),
+        (("decompose-tensor", "--p", "2", "--n", "65537", "--m", "131072"),
+         "65537 blocks exceed cap 65536"),
     ],
     ids=["prime-order-1e9", "huge-prime-squared", "3-to-the-1e8", "tensor-huge-prime",
          "primitive-huge-n", "tensor-p-4", "witness-n-26", "witness-x-edge-2",
-         "witness-x-edge-3", "witness-z-edge", "witness-huge-r"],
+         "witness-x-edge-3", "witness-z-edge", "witness-huge-r", "tensor-formula-1e8",
+         "tensor-formula-edge"],
 )
 def test_caps_are_refused_before_the_work(capsys, argv, message):
     # each of these ran past a 5-10 s timeout, or ended in a MemoryError
@@ -227,6 +232,45 @@ def test_irreducible_within_the_caps_runs_in_a_second(capsys, argv, condition):
     # the oracle cannot reach any of these, so h = X^(p^(n+e)) - ... is never built for it
     assert result["oracle_checked"] is False and result["oracle_agrees"] is None
     assert elapsed < 1.0
+
+
+def test_decompose_tensor_formula_at_its_block_cap_runs_in_a_second(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "decompose-tensor", "--p", "2", "--n", "65536", "--m", "65536")
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["method"] == "formula" and result["blocks"] == [65536] * 65536
+    assert elapsed < 1.0
+
+
+@pytest.fixture
+def default_int_string_limit():
+    """Python's default int-string limit of 4300 digits, whatever the
+    environment sets."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python converts integer strings of any length")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--field", "GF(" + "7" * 5000 + ")", "--poly", "X^2"),
+        ("--field", "GF(2)", "--poly", "X+" + "1" * 5000),
+        ("--field", "GF(2)", "--matrix", '{"entries": [[' + "1" * 5000 + "]]}"),
+    ],
+    ids=["field-spec", "poly", "matrix-json"],
+)
+def test_literal_over_the_int_string_limit_exits_2(capsys, default_int_string_limit, argv):
+    # each of these ended in a ValueError traceback (exit 1)
+    code, out, err = run_cli(capsys, "analyze-ad", *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "int-string limit" in lines[0]
 
 
 def test_dickson_subcommand(capsys):
@@ -328,14 +372,6 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
-def test_seed_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("ASLAB_SEED", "42")
-    _, out, _ = run_cli(capsys, "decompose-tensor", "--p", "2", "--n", "1", "--m", "2")
-    assert json.loads(out)["seed"] == 42
-    monkeypatch.setenv("ASLAB_SEED", "notanint")
-    assert run_cli(capsys, "decompose-tensor", "--p", "2", "--n", "1", "--m", "2")[0] == 2
-
-
 def test_grid_quick_suite(capsys):
     code, out, err = run_cli(capsys, "grid", "--suite", "quick")
     assert code == 0
@@ -369,7 +405,7 @@ def test_consistency_failure_exits_3(capsys, monkeypatch):
 
 def _fresh_process(argv):
     """(exit code, stdout, stderr) of the CLI run in a new interpreter."""
-    env = {k: v for k, v in os.environ.items() if k != "ASLAB_SEED"}
+    env = dict(os.environ)
     src = str(pathlib.Path(aslab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env["COLUMNS"] = "80"
@@ -383,7 +419,6 @@ def _fresh_process(argv):
 def test_consecutive_calls_print_what_a_fresh_process_prints(capsys, monkeypatch):
     # the parser is built once per process: no option, default or usage
     # error of one call may show in the next
-    monkeypatch.delenv("ASLAB_SEED", raising=False)
     monkeypatch.setenv("COLUMNS", "80")
     plain = ["decompose-tensor", "--p", "2", "--n", "1", "--m", "2"]
     text = ["--format", "text", *plain]

@@ -32,7 +32,6 @@ def mostly_valid(valid, bad):
 ints = mostly_valid(
     st.integers(1, 4), st.one_of(st.sampled_from(HUGE), st.sampled_from((-(10**20), -1, 0)))
 )
-small_ints = st.integers(-1, 4)
 
 FINITE_SPECS = ("GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(9)", "GF(2^3; mod=t^3+t^2+1)", "GF(729)")
 KZ_SPECS = ("GF(2)(Z)", "GF(3)(Z)", "GF(4)(Z)")
@@ -40,7 +39,7 @@ BAD_SPECS = (
     "GF(1000000007)", "GF(1000000000000000003^2)", "GF(3^100000000)", "GF(2^1000000000000)(Z)",
     "GF(1024)", "GF(6)", "GF(4^2)", "GF(0)", "GF(1^5)", "GF(2^0)", "GF(", "GF()", "", "Q",
     "GF(2)(Z)(Z)", "GF(2^2; mod=t^2)", "GF(2^2; mod=t^2+t+1/t)", "GF(2^2; mod=t^3+t+1)",
-    "GF(x)", "GF(2)(Y)", "gf(2)",
+    "GF(x)", "GF(2)(Y)", "gf(2)", "GF(" + "7" * 5000 + ")", "GF(2^" + "1" * 5000 + ")",
 )
 specs = mostly_valid(st.sampled_from(FINITE_SPECS + KZ_SPECS), st.sampled_from(BAD_SPECS))
 finite_specs = mostly_valid(st.sampled_from(FINITE_SPECS), st.sampled_from(KZ_SPECS + BAD_SPECS))
@@ -48,7 +47,7 @@ finite_specs = mostly_valid(st.sampled_from(FINITE_SPECS), st.sampled_from(KZ_SP
 BAD_EXPRS = (
     "", "X^", "(", "X)", "X^^2", "X**", "X^99999999", "X^30000001", "Z^30000001",
     "(X^4096)^4096", "1/(Z-Z)", "X/0", "Y", "t", "X^-1", "2^X", "X+*2", "X^(1+1)",
-    "(Z+1)^4097", str(10**40), "X^" + str(2**64),
+    "(Z+1)^4097", str(10**40), "X^" + str(2**64), "X+" + "1" * 5000,
 )
 
 
@@ -98,8 +97,9 @@ def argvs(draw):
         elif source == 1:
             argv += ["--matrix", draw(matrices())]
     elif command == "decompose-tensor":
-        # n stays small: a closed-formula answer lists n blocks
-        argv = ["--p", num(), "--n", str(draw(small_ints)), "--m", num()]
+        # a huge n with m a huge power of p reaches the closed formula's
+        # block cap
+        argv = ["--p", num(), "--n", num(), "--m", num()]
         if draw(st.booleans()):
             argv += ["--alpha", draw(st.sampled_from(("0", "1", "2", "t", "Z", "")))]
     elif command == "primitive-element":

@@ -8,6 +8,7 @@ import pytest
 
 from aslab import _ringops as rp
 from aslab import fields
+from aslab._exprparse import parse_expression
 from aslab.errors import CapExceededError, InputError
 from aslab.fields import (
     embed_subfield,
@@ -185,7 +186,7 @@ def test_descriptor_structural_equality():
     assert make_field("GF(4)") != make_field("GF(9)")
     x = make_field("GF(4)").element("t")
     y = make_field("GF(4)").element("t")
-    assert x == y and x + y == 0
+    assert x == y and x + y == make_field("GF(2^2)")(0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def test_frobenius_on_gf4_generator():
     f4 = make_field("GF(4)")
     t = f4.element("t")
     assert frobenius(t) == f4.element("t+1")
-    assert frobenius(f4.element(0)) == 0
+    assert frobenius(f4.element(0)) == f4.element(0)
 
 
 def test_frobenius_additive_multiplicative_small_fields():
@@ -248,9 +249,9 @@ def test_field_axioms_on_seeded_triples():
             assert (x + y) + z == x + (y + z)
             assert (x * y) * z == x * (y * z)
             assert x * (y + z) == x * y + x * z
-            assert x + (-x) == 0
-            if y != 0:
-                assert y * (1 / y) == 1
+            assert x + (-x) == field(0)
+            if y != field(0):
+                assert y * (1 / y) == field(1)
                 assert (x / y) * y == x
 
 
@@ -261,7 +262,7 @@ def test_fraction_canonical_form_after_ops():
     for _ in range(200):
         x = field.element(field.random_payload(rng))
         y = field.element(field.random_payload(rng))
-        for v in (x + y, x * y, x - y) + ((x / y,) if y != 0 else ()):
+        for v in (x + y, x * y, x - y) + ((x / y,) if y != field(0) else ()):
             num, den = v.payload
             assert den[-1] == base.one  # monic denominator
             if num:
@@ -300,9 +301,10 @@ def test_bool_is_not_a_field_element():
     f2 = make_field("GF(2)")
     with pytest.raises(InputError):
         f2.element(1) + True
-    # equality with a bool compares as int equality does and never raises
-    assert f2.element(1) == True  # noqa: E712
-    assert Poly.one(f2) == True and Poly.zero(f2) != True  # noqa: E712
+    # an element or polynomial equals no bool (nor int), and comparing
+    # never raises
+    assert f2.element(1) != True and not f2.element(1) == True  # noqa: E712
+    assert Poly.one(f2) != True and Poly.zero(f2) != False  # noqa: E712
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +341,7 @@ def test_embed_gf4_into_gf16_is_a_ring_hom():
             assert emb(x * y) == emb(x) * emb(y)
     # the image of t satisfies the small modulus t^2 + t + 1
     im = emb(f4.element("t"))
-    assert im * im + im + 1 == 0
+    assert im * im + im + 1 == f16(0)
 
 
 def test_embed_cache_is_stable():
@@ -372,7 +374,8 @@ def _extension_specs():
 
 class _Reference:
     """Field operations of k[T]/(m) straight from _ringops, on raw (trimmed)
-    polynomials, with the payload convention of the field under test."""
+    polynomials, returning payloads in the tabulated form: coefficient
+    tuples of length width = deg m."""
 
     def __init__(self, k, modulus, width):
         self.k, self.m, self.width = k, modulus, width
@@ -381,8 +384,6 @@ class _Reference:
         return rp.trim(self.k, a)
 
     def payload(self, raw):
-        if self.width is None:
-            return raw
         return tuple(raw) + (self.k.zero,) * (self.width - len(raw))
 
     def add(self, a, b):
@@ -471,7 +472,7 @@ def test_gf9_generator_search_skips_t():
     t = (0, 1)
     assert field.modulus == (1, 0, 1)
     assert field.pow_int(t, 4) == field.one and field.pow_int(t, 2) != field.one
-    q1, exp, log, zech, neg = fields._log_tables(field.base, field.modulus, True)
+    q1, exp, log, zech, neg = fields._log_tables(field.base, field.modulus)
     assert q1 == 8 and exp[1] == (1, 1)
     assert sorted(exp[:q1]) == sorted(a for a in field.enumerate_payloads() if a != field.zero)
     assert len(exp) == 2 * q1 and len(zech) == 2 * q1 and len(log) == 9
@@ -489,7 +490,7 @@ def test_quotient_field_tables_match_polynomial_reference(spec):
             continue
         for m in fields.monic_irreducibles(k, d, 2 if d < 3 else 1):
             quot = _QuotientFieldOps(k, m)
-            ref = _Reference(k, m, None)
+            ref = _Reference(k, m, d)
             exponents = (-quot.order, -2, -1, 0, 1, 3, quot.order)
             _check_against_reference(quot, ref, _pairs(quot, rng), exponents)
 
@@ -497,7 +498,7 @@ def test_quotient_field_tables_match_polynomial_reference(spec):
 def test_log_table_cache_under_threads():
     # threads that build the same field at once must all end up with the one
     # cached table object, equal to a sequential build
-    expected = fields._build_log_tables(make_field("GF(3)"), fields.default_modulus(3, 6), True)
+    expected = fields._build_log_tables(make_field("GF(3)"), fields.default_modulus(3, 6))
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -522,36 +523,27 @@ def test_log_table_cache_under_threads():
         sys.setswitchinterval(old_interval)
 
 
-def test_raw_poly_power_matches_repeated_multiplication():
-    k = make_field("GF(3)")
-    base = fields._RawPoly((1, 2, 1), k)
-    acc = fields._RawPoly((1,), k)
-    for n in range(12):
-        assert (base**n).coeffs == acc.coeffs
-        acc = acc * base
-
-
 # ---------------------------------------------------------------------------
 # one residue enumeration, one subfield embedding, one p-power split
 
 
-def _reference_residues(k, d, padded):
+def _reference_residues(k, d):
     """The divmod enumeration that ExtensionField and the oracle's quotient
     fields each used to carry: residue i has the base-|k| digits of i as its
-    coefficients, lowest first."""
+    coefficients, lowest first, all d of them."""
     basepays = list(k.enumerate_payloads())
     for i in range(k.order**d):
         digits = []
         for _ in range(d):
             i, r = divmod(i, k.order)
             digits.append(basepays[r])
-        yield tuple(digits) if padded else rp.trim(k, digits)
+        yield tuple(digits)
 
 
 def test_residue_enumeration_matches_divmod_reference_on_every_extension():
     for spec in _extension_specs():
         field = make_field(spec)
-        expected = list(_reference_residues(field.base, field.n, padded=True))
+        expected = list(_reference_residues(field.base, field.n))
         assert list(field.enumerate_payloads()) == expected, spec
         assert [x.payload for x in enumerate_elements(field)] == expected, spec
 
@@ -566,7 +558,7 @@ def test_residue_enumeration_matches_divmod_reference_on_quotient_fields():
                 continue
             for m in fields.monic_irreducibles(k, d, 2):
                 quot = _QuotientFieldOps(k, m)
-                expected = list(_reference_residues(k, d, padded=False))
+                expected = list(_reference_residues(k, d))
                 assert list(quot.enumerate_payloads()) == expected, (spec, m)
 
 
@@ -729,3 +721,162 @@ def test_embed_subfield_takes_the_first_of_the_raw_roots():
         # the modulus splits into distinct linear factors over the big field
         assert len(roots) == small.n and all(rp.evaluate(big, modulus, a) == big.zero for a in roots)
         assert embed_subfield(small, big)(small.gen()).payload == roots[0]
+
+
+# ---------------------------------------------------------------------------
+# one power per field kind, one modulus parser, one p-th-root test, and
+# the value contract
+
+
+def _square_and_multiply(field, a, n):
+    """The generic power every field kind without its own pow_int used to
+    inherit, on mul and inv only."""
+    if n < 0:
+        a, n = field.inv(a), -n
+    result = field.one
+    while n:
+        if n & 1:
+            result = field.mul(result, a)
+        a = field.mul(a, a)
+        n >>= 1
+    return result
+
+
+@pytest.mark.parametrize(
+    "spec", ["GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(2)(Z)", "GF(9)(Z)"]
+)
+def test_pow_int_matches_square_and_multiply(spec):
+    field = make_field(spec)
+    rng = random.Random(spec)
+    values = [field.zero, field.one] + [field.random_payload(rng) for _ in range(12)]
+    for a in values:
+        for n in range(-6, 13):
+            if a == field.zero and n < 0:
+                with pytest.raises(ZeroDivisionError):
+                    field.pow_int(a, n)
+                continue
+            got = field.pow_int(a, n)
+            assert got == _square_and_multiply(field, a, n), (a, n)
+            # canonical without a gcd of its own: validate_payload checks
+            assert field.validate_payload(got) == got
+    assert field.pow_int(field.zero, 0) == field.one
+
+
+class _ModulusPoly:
+    """The polynomial value that make_field used to parse a modulus with:
+    its own add, sub, mul, neg and power over GF(p), refusing '/'."""
+
+    __slots__ = ("coeffs", "k")
+
+    def __init__(self, coeffs, k):
+        self.coeffs = rp.trim(k, coeffs)
+        self.k = k
+
+    def __add__(self, other):
+        return _ModulusPoly(rp.add(self.k, self.coeffs, other.coeffs), self.k)
+
+    def __sub__(self, other):
+        return _ModulusPoly(rp.sub(self.k, self.coeffs, other.coeffs), self.k)
+
+    def __mul__(self, other):
+        return _ModulusPoly(rp.mul(self.k, self.coeffs, other.coeffs), self.k)
+
+    def __neg__(self):
+        return _ModulusPoly(rp.neg(self.k, self.coeffs), self.k)
+
+    def __truediv__(self, other):
+        raise InputError("a modulus cannot contain '/'")
+
+    def __pow__(self, n):
+        return _ModulusPoly(rp.power(self.k, self.coeffs, n), self.k)
+
+
+def _reference_modulus(p, text):
+    k = make_field(f"GF({p})")
+    return parse_expression(
+        text,
+        {"t": _ModulusPoly((k.zero, k.one), k)},
+        lambda i: _ModulusPoly((i % p,) if i % p else (), k),
+    ).coeffs
+
+
+def test_modulus_parse_matches_the_reference_on_every_default_modulus():
+    for spec in _extension_specs():
+        default = make_field(spec)
+        text = fields._raw_poly_str(default.base, default.modulus, "t")
+        field = make_field(f"GF({default.p}^{default.n}; mod={text})")
+        assert field.modulus == _reference_modulus(default.p, text) == default.modulus, spec
+        assert field == default
+
+
+@pytest.mark.parametrize(
+    "p, n, text",
+    [
+        (2, 3, "t^3+t^2+1"),
+        (3, 2, "t^2-t-1"),
+        (5, 2, "t^2-2"),
+        (7, 2, "t^2 - 3"),
+        (5, 2, "-3+t^2"),
+        (3, 2, "t^2+2t+2"),
+        (2, 4, "t t^3+t+1"),
+        (3, 3, "t^3 - t - 1 + 3t^2 + 2t^0 - 2"),
+        (2, 3, "1t^3+t^2t^0+3"),
+        (3, 2, "t^2 + 4"),
+        (7, 2, "t^2+7t+4"),
+    ],
+)
+def test_custom_modulus_parse_matches_the_reference(p, n, text):
+    expected = _reference_modulus(p, text)
+    assert make_field(f"GF({p}^{n}; mod={text})").modulus == expected
+
+
+def test_modulus_refuses_division_with_the_same_message():
+    # _FIELD_RE admits no ')' in a modulus, so every '/' here is unparenthesised
+    for text in ("t^2+t+1/t", "t^2/1+t+1", "t^2+t+1/0"):
+        with pytest.raises(InputError, match="a modulus cannot contain '/'"):
+            _reference_modulus(2, text)
+        with pytest.raises(InputError, match="a modulus cannot contain '/'"):
+            make_field(f"GF(2^2; mod={text})")
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(9)", "GF(25)", "GF(27)", "GF(729)"])
+def test_pth_roots_on_extension_fields(spec):
+    field = make_field(spec)
+    payloads = list(field.enumerate_payloads())
+    roots = fields.pth_roots(field, payloads)
+    assert [field.pow_int(r, field.p) for r in roots] == payloads
+    assert roots == [field.pth_root(a) for a in payloads]
+    assert fields.pth_roots(field, []) == []
+
+
+def test_pth_roots_reports_a_coefficient_without_a_root():
+    # a field whose pth_root is the identity has no verified root of t over GF(4)
+    f4 = make_field("GF(4)")
+
+    class NoRoots(type(f4)):
+        def pth_root(self, a):
+            return a
+
+    broken = NoRoots(2, 2)
+    assert fields.pth_roots(broken, [f4.zero, f4.one]) == [f4.zero, f4.one]
+    assert fields.pth_roots(broken, [f4.one, f4.gen().payload]) is None
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)", "GF(9)", "GF(27)", "GF(3)(Z)", "GF(4)(Z)"])
+def test_equal_values_hash_equally(spec):
+    field = make_field(spec)
+    rng = random.Random(spec)
+    elements = [field(i) for i in range(-1, 5)]
+    elements += [field.element(field.random_payload(rng)) for _ in range(10)]
+    # the same values again, built by arithmetic instead of from payloads
+    rebuilt = [(x + field(1)) - field(1) for x in elements]
+    polys = [Poly.constant(field, x) for x in elements] + [Poly.x(field) + x for x in rebuilt]
+    values = elements + rebuilt + polys + list(range(-1, 5)) + [True, False]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+                assert y == x and not x != y
+    assert len({field(1), 1}) == 2 and field(1) != 1 and 1 != field(1)
+    assert Poly.constant(field, field(1)) != field(1)
+    assert len(set(elements) | set(rebuilt)) == len(set(elements))

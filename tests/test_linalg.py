@@ -44,14 +44,14 @@ def random_monic(field, deg, rng):
 def test_companion_1x1():
     f5 = make_field("GF(5)")
     c = companion(Poly.from_string(f5, "X-3"))
-    assert c.nrows == 1 and c.entry(0, 0) == 3
+    assert c.nrows == 1 and c.entry(0, 0) == f5(3)
 
 
 def test_companion_convention_example():
     f2z = make_field("GF(2)(Z)")
     c = companion(Poly.from_string(f2z, "X^2-X-Z"))
-    assert c.entry(0, 0) == 0 and c.entry(0, 1) == f2z.element("Z")
-    assert c.entry(1, 0) == 1 and c.entry(1, 1) == 1
+    assert c.entry(0, 0) == f2z(0) and c.entry(0, 1) == f2z.element("Z")
+    assert c.entry(1, 0) == f2z(1) and c.entry(1, 1) == f2z(1)
 
 
 def test_companion_characteristic_polynomial_seeded():
@@ -849,4 +849,4 @@ def test_kron_shapes_and_values():
     a = Matrix(f3, [[1, 2], [0, 1]])
     b = Matrix(f3, [[2]])
     k = kron(a, b)
-    assert k.nrows == 2 and k.entry(0, 1) == 1  # 2*2 = 4 = 1 mod 3
+    assert k.nrows == 2 and k.entry(0, 1) == f3(1)  # 2*2 = 4 = 1 mod 3

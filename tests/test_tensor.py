@@ -6,6 +6,7 @@ from aslab.errors import CapExceededError, InputError
 from aslab.fields import make_field
 from aslab.linalg import elementary_divisors_from_invariant, invariant_factors
 from aslab.tensor import (
+    FORMULA_MAX_BLOCKS,
     TensorInstance,
     ad_elementary_divisors_blocksum,
     binomial_divisibility,
@@ -23,7 +24,7 @@ def test_formula_single_row():
     jt = tensor_jordan_type_formula(TensorInstance(2, 1, 4, alpha=0, beta=1))
     assert jt.sizes() == [4]
     ev, _ = jt.blocks[0]
-    assert ev == 1
+    assert ev == make_field("GF(2)")(1)
 
 
 def test_formula_two_blocks_of_four():
@@ -41,6 +42,16 @@ def test_formula_rejects_non_p_power_and_large_n():
         tensor_jordan_type_formula(TensorInstance(2, 2, 3))
     with pytest.raises(InputError):
         tensor_jordan_type_formula(TensorInstance(2, 5, 4))
+
+
+def test_formula_block_cap_is_checked_before_the_list():
+    edge = tensor_jordan_type_formula(TensorInstance(2, FORMULA_MAX_BLOCKS, 1 << 17))
+    assert edge.sizes() == [1 << 17] * FORMULA_MAX_BLOCKS
+    for n, m in ((FORMULA_MAX_BLOCKS + 1, 1 << 17), (10**8, 1 << 27), (2**60, 2**64)):
+        t0 = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"{n} blocks exceed cap"):
+            tensor_jordan_type_formula(TensorInstance(2, n, m))
+        assert time.perf_counter() - t0 < 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +73,7 @@ def test_oracle_trivial_product():
     jt = tensor_jordan_type_oracle(TensorInstance(3, 1, 1, alpha=1, beta=2))
     assert jt.sizes() == [1]
     ev, _ = jt.blocks[0]
-    assert ev == 0  # 1 + 2 = 0 in GF(3)
+    assert ev == make_field("GF(3)")(0)  # 1 + 2 = 0 in GF(3)
 
 
 def test_oracle_cap():
@@ -101,7 +112,7 @@ def test_block_sizes_independent_of_eigenvalues():
             jt = tensor_jordan_type_oracle(inst)
             assert jt.sizes() == base
             ev, _ = jt.blocks[0]
-            assert ev == (a + b) % 3
+            assert ev == make_field("GF(3)")((a + b) % 3)
 
 
 # ---------------------------------------------------------------------------

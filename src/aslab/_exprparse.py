@@ -10,7 +10,9 @@ Every string is parsed twice: first over degree bounds (_Degree), then
 over the caller's values.  An exponent, or a degree some subexpression can
 reach, above MAX_EXPONENT raises CapExceededError in the first pass, before
 any value is built, so "X^40000000" and "(X^4096)^4096" fail at once
-instead of exhausting memory.
+instead of exhausting memory.  Parentheses nest at most MAX_NESTING deep,
+checked before the parser recurses into them, so a deeply nested string
+is refused instead of overflowing Python's recursion limit.
 
 int_literal converts the decimal literals of expressions and field specs:
 one longer than Python's int-string limit (sys.get_int_max_str_digits(),
@@ -22,6 +24,7 @@ import re
 from .errors import CapExceededError, InputError
 
 MAX_EXPONENT = 4096
+MAX_NESTING = 100
 
 
 def int_literal(digits):
@@ -93,6 +96,7 @@ class _Parser:
     def __init__(self, tokens, atoms, make_int):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.atoms = atoms
         self.make_int = make_int
 
@@ -161,7 +165,11 @@ class _Parser:
                 raise InputError(f"unknown symbol {val!r}")
             return self.atoms[val]
         if kind == "op" and val == "(":
+            if self.depth >= MAX_NESTING:
+                raise CapExceededError(f"parentheses nest deeper than cap {MAX_NESTING}")
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             kind, val = self.next()
             if (kind, val) != ("op", ")"):
                 raise InputError("unbalanced parentheses")

@@ -22,7 +22,14 @@ ConsistencyError since it would contradict a proven statement.
 The invariant factors of ad A give c1 and every eigenspace dimension; when
 all three conditions hold, each eigenspace is also built as a kernel, whose
 basis must have that dimension, and its vectors feed the invertibility
-sweep.
+sweep.  The sweep reshapes each basis vector, and 10 seeded combinations
+per eigenvalue, into m x m matrices.  Over K(Z) each is first specialised
+at Z = z0 for a fixed, bounded list of points z0
+(fields.specialisation_points: all of K, then GF(|K|^2)).  Where no
+denominator vanishes, det(M)(z0) = det(M(z0)), so an invertible M(z0)
+certifies M: the deterministic, one-sided half of Schwartz (J. ACM 27,
+1980).  Only a matrix that no point certifies is built and ranked exactly
+over K(Z), so a singular one is still found and reported.
 
 build_gas_companion goes the other way: from (p, n, e, a) it constructs the
 companion matrix of X^(p^(n+e)) - X^(p^e) - a.
@@ -32,7 +39,7 @@ import random
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, _raw_roots, _subfield_check
+from .fields import FieldElement, _raw_roots, _subfield_check, specialise
 from .irred import _clear_denominators, irreducible
 from .linalg import (
     Matrix,
@@ -41,6 +48,7 @@ from .linalg import (
     eigenspace,
     invariant_factors,
     similar,
+    specialised_invertible,
 )
 from .poly import (
     Poly,
@@ -338,9 +346,18 @@ def _eigenspaces(ad, dims):
 
 
 def _eigenvector_invertibility(a, bases, seed):
-    """check_eigenvector_invertibility on given (eigenvalue, basis) pairs."""
+    """check_eigenvector_invertibility on given (eigenvalue, basis) pairs.
+
+    Over K(Z) each matrix is tried at the specialisation points first
+    (linalg.specialised_invertible), with each basis vector specialised
+    once per point and each combination formed at the point from the
+    specialised coefficients and basis; only a matrix that no point
+    certifies is built and ranked exactly.  A certified combination is
+    nonzero, so it counts as sampled; the rng draws the same coefficients
+    either way."""
     field = a.field
     m = a.nrows
+    rational = field.kind == "rational-function"
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -348,9 +365,14 @@ def _eigenvector_invertibility(a, bases, seed):
     zero = field.zero
     for v, basis in bases:
         basis = [[x.payload for x in vec] for vec in basis]
+        basis_at = _specialised_basis(field, basis)
         for idx, vec in enumerate(basis):
             checked += 1
-            if not _reshape(field, m, vec).is_invertible():
+            if rational and specialised_invertible(
+                field, m, lambda i, point: basis_at(i, point)[idx]
+            ):
+                continue
+            if _reshape(field, m, vec).rank() != m:
                 failures.append(f"basis vector {idx} at eigenvalue {v} is singular")
         for _ in range(10):
             if not basis:
@@ -358,15 +380,51 @@ def _eigenvector_invertibility(a, bases, seed):
             coeffs = [field.random_payload(rng) for _ in basis]
             if all(c == zero for c in coeffs):
                 coeffs[0] = field.one
+            if rational and specialised_invertible(
+                field, m, lambda i, point: _combination_at(field, coeffs, basis_at(i, point), point)
+            ):
+                sampled += 1
+                continue
             combo = [zero] * (m * m)
             for c, vec in zip(coeffs, basis):
                 combo = [field.add(acc, field.mul(c, x)) for acc, x in zip(combo, vec)]
             if all(x == zero for x in combo):
                 continue
             sampled += 1
-            if not _reshape(field, m, combo).is_invertible():
+            if _reshape(field, m, combo).rank() != m:
                 failures.append(f"sampled combination at eigenvalue {v} is singular")
     return InvertibilityVerdict(not failures, checked, sampled, failures)
+
+
+def _specialised_basis(field, basis):
+    """basis_at(i, point): the K(Z) basis at the i-th specialisation point,
+    None for a vector with a pole there, computed once per point."""
+    at_point = {}
+
+    def basis_at(i, point):
+        if i not in at_point:
+            at_point[i] = [specialise(field, vec, point) for vec in basis]
+        return at_point[i]
+
+    return basis_at
+
+
+def _combination_at(field, coeffs, vecs, point):
+    """sum c * vec over the K(Z) coefficients and the specialised vectors
+    at the point, or None when a term cannot be specialised there."""
+    cs = specialise(field, coeffs, point)
+    if cs is None:
+        return None
+    target = point[0]
+    combo = None
+    for exact, c, vec in zip(coeffs, cs, vecs):
+        if exact == field.zero:
+            continue
+        if vec is None:
+            return None
+        term = [target.mul(c, x) for x in vec]
+        combo = term if combo is None else [target.add(s, t) for s, t in zip(combo, term)]
+    return combo
 
 
 def _reshape(field, m, vec):

@@ -70,6 +70,8 @@ def _cmd_analyze_ad(args):
             raise InputError(
                 "--matrix has an integer literal over Python's int-string limit"
             ) from None
+        except RecursionError:
+            raise InputError("--matrix nests too deeply for the JSON reader") from None
         mat = Matrix.from_json_dict(data, field=field)
     elif args.poly:
         mat = companion(Poly.from_string(field, args.poly))

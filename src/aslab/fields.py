@@ -58,6 +58,10 @@ pow_int: Python's pow in GF(p), a table lookup in a tabulated field, and a
 power of numerator and denominator in K(Z).  pth_roots is the one p-th-root
 test, verified by a p-th power (is_pth_power_coeffs and irred's
 criterion).  A modulus string is parsed as a polynomial in t over GF(p)(t).
+
+specialise is the one map Z -> z0 from K(Z) into a tabulated field, at the
+points of specialisation_points (all of K, then GF(|K|^2) through
+embed_subfield, at most SPECIALISATION_TRIES); it reports a pole as None.
 """
 
 import itertools
@@ -680,6 +684,16 @@ class RationalFunctionField(FieldDescriptor):
             rp.add(k, rp.mul(k, an, bd), rp.mul(k, bn, ad)), rp.mul(k, ad, bd)
         )
 
+    def sub(self, a, b):
+        k = self.base
+        an, ad = a
+        bn, bd = b
+        if len(ad) == 1 and len(bd) == 1:
+            return (rp.sub(k, an, bn), (k.one,))
+        return self._canon(
+            rp.sub(k, rp.mul(k, an, bd), rp.mul(k, bn, ad)), rp.mul(k, ad, bd)
+        )
+
     def neg(self, a):
         return (rp.neg(self.base, a[0]), a[1])
 
@@ -940,3 +954,55 @@ def embed_subfield(small, big):
         return FieldElement(big, acc)
 
     return embed
+
+
+SPECIALISATION_TRIES = 32
+
+_points_cache = {}
+_points_lock = threading.Lock()
+
+
+def specialisation_points(k):
+    """The points z0 at which K(Z) values over the finite field k are
+    specialised, in a fixed order: every element of k, then the elements
+    outside k of GF(|k|^2) when it fits MAX_FIELD_SIZE (the least extension
+    of degree >= 2 that does), at most SPECIALISATION_TRIES in all.
+
+    A point is (target, coeff, z0): z0 is a payload of target, k itself or
+    GF(|k|^2), and coeff maps each payload of k to its image in target
+    (embed_subfield).  Cached per k."""
+    with _points_lock:
+        points = _points_cache.get(k)
+    if points is None:
+        points = [(k, {c: c for c in k.enumerate_payloads()}, z0) for z0 in k.enumerate_payloads()]
+        if not power_exceeds(k.order, 2, MAX_FIELD_SIZE):
+            big = ExtensionField(k.p, 2 * k.n)
+            embed = embed_subfield(k, big)
+            coeff = {c: embed(c).payload for c in k.enumerate_payloads()}
+            image = set(coeff.values())
+            points += [(big, coeff, z0) for z0 in big.enumerate_payloads() if z0 not in image]
+        points = points[:SPECIALISATION_TRIES]
+        with _points_lock:
+            points = _points_cache.setdefault(k, points)
+    return points
+
+
+def specialise(field, payloads, point):
+    """The K(Z) payloads at Z = z0, as payloads of the point's target field
+    (a point of specialisation_points(field.base)), or None when a
+    denominator vanishes at z0.  Where no denominator vanishes, Z -> z0 is
+    a ring map, so it commutes with sums, products and determinants:
+    det(M)(z0) = det(M(z0)), and an invertible M(z0) proves M invertible."""
+    target, coeff, z0 = point
+    out = []
+    seen = {}  # a vector repeats its entries, zero above all
+    for a in payloads:
+        x = seen.get(a)
+        if x is None:
+            num, den = a
+            d = rp.evaluate(target, [coeff[c] for c in den], z0)
+            if d == target.zero:
+                return None
+            x = seen[a] = target.div(rp.evaluate(target, [coeff[c] for c in num], z0), d)
+        out.append(x)
+    return out

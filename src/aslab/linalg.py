@@ -25,6 +25,11 @@ payload_of) and is meant for values from outside; every matrix computed
 here from payloads is built with Matrix.from_raw, which checks only the
 shape and the size caps: 100x100 over rational function fields (entry
 growth), 1024x1024 over finite fields.
+
+Matrix.is_invertible over K(Z) tries the specialisations Z -> z0 first
+(specialised_invertible on fields.specialise); an invertible M(z0) with no
+pole proves M invertible, and only when no point certifies does the exact
+rank over K(Z) decide.
 """
 
 import collections
@@ -32,7 +37,7 @@ import math
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, make_field
+from .fields import FieldElement, make_field, specialisation_points, specialise
 from .poly import Poly, _divide_out, _kernel, _row_algebra, factor_finite
 
 MAX_FINITE_DIM = 1024
@@ -169,12 +174,21 @@ class Matrix:
         return Matrix.from_raw(k, out)
 
     def rank(self):
-        rows = _row_algebra(self.field)
-        echelon = []
-        return sum(rows.extend(echelon, rows.pack(row), None)[0] for row in self.rows)
+        return _rank(self.field, self.rows)
 
     def is_invertible(self):
-        return self.is_square() and self.rank() == self.nrows
+        """Over K(Z), certified at the specialisation points first
+        (specialised_invertible); the exact rank decides only when none
+        certifies."""
+        if not self.is_square():
+            return False
+        if self.field.kind == "rational-function":
+            entries = [x for row in self.rows for x in row]
+            if specialised_invertible(
+                self.field, self.nrows, lambda i, point: specialise(self.field, entries, point)
+            ):
+                return True
+        return self.rank() == self.nrows
 
     def kernel_basis(self):
         """Canonical kernel basis (one vector per free column of the RREF)."""
@@ -208,6 +222,27 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field.spec_string()}, {self.nrows}x{self.ncols})"
+
+
+def _rank(field, rows):
+    """Rank of the payload rows over field."""
+    algebra = _row_algebra(field)
+    echelon = []
+    return sum(algebra.extend(echelon, algebra.pack(row), None)[0] for row in rows)
+
+
+def specialised_invertible(field, m, entries_at):
+    """Whether an m x m matrix over K(Z) is invertible at one of the
+    specialisation points of its base field, which proves it invertible
+    (fields.specialise).  entries_at(i, point) gives its m*m entries,
+    row-major, at the i-th point, as payloads of the point's field, or None
+    when a denominator vanishes there.  One-sided: a singular matrix never
+    certifies, and it costs at most fields.SPECIALISATION_TRIES tries."""
+    for i, point in enumerate(specialisation_points(field.base)):
+        vec = entries_at(i, point)
+        if vec is not None and _rank(point[0], [vec[r * m:(r + 1) * m] for r in range(m)]) == m:
+            return True
+    return False
 
 
 def _checked_rows(field, rows):

@@ -246,6 +246,39 @@ def test_zero_eigenspace_of_certified_matrix_is_a_field():
     assert verdict.all_invertible
 
 
+@pytest.mark.parametrize(
+    "spec, seed, counts, singular",
+    [
+        # (checked, sampled), then per eigenvalue: singular basis vectors
+        # (the first ones) and singular sampled combinations
+        ("GF(2)(Z)", 0, (4, 20), [("0", 2, 7), ("Z", 2, 1)]),
+        ("GF(2)(Z)", 5, (4, 20), [("0", 2, 7), ("Z", 2, 5)]),
+        ("GF(3)(Z)", 1, (4, 30), [("0", 2, 2), ("Z", 1, 10), ("2*Z", 1, 10)]),
+    ],
+)
+def test_reducible_kz_witnesses_are_kept_by_the_fallback(spec, seed, counts, singular):
+    # diag(0, Z): E_12 and E_21 are rank one, so no point certifies them
+    # and the exact rank reports every witness, as before specialisation
+    f = make_field(spec)
+    verdict = check_eigenvector_invertibility(Matrix(f, [[0, 0], [0, "Z"]]), seed=seed)
+    assert not verdict.all_invertible
+    assert (verdict.checked, verdict.sampled) == counts
+    expected = []
+    for v, basis, combos in singular:
+        expected += [f"basis vector {i} at eigenvalue {v} is singular" for i in range(basis)]
+        expected += [f"sampled combination at eigenvalue {v} is singular"] * combos
+    assert verdict.failures == expected
+
+
+@pytest.mark.parametrize("spec, n, e", [("GF(3)(Z)", 1, 0), ("GF(3)(Z)", 1, 1), ("GF(4)(Z)", 2, 0)])
+def test_certified_kz_sweep_needs_no_exact_rank(spec, n, e, monkeypatch):
+    a = build_gas_companion(make_field(spec), n, e, "Z")
+    monkeypatch.setattr(Matrix, "rank", lambda self: pytest.fail("exact rank reached"))
+    verdict = check_eigenvector_invertibility(a, seed=4)
+    assert verdict.all_invertible and verdict.failures == []
+    assert verdict.sampled == 10 * a.field.char**n  # 10 per eigenvalue
+
+
 # ---------------------------------------------------------------------------
 # shift similarity
 

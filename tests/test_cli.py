@@ -273,6 +273,32 @@ def test_literal_over_the_int_string_limit_exits_2(capsys, default_int_string_li
     assert len(lines) == 1 and lines[0].startswith("error:") and "int-string limit" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--poly", "(" * 3000 + "X" + ")" * 3000), "parentheses nest deeper than cap 100"),
+        (("--matrix", "[" * 100000 + "]" * 100000), "nests too deeply"),
+        (("--matrix", '{"entries": [["' + "(" * 3000 + "1" + ")" * 3000 + '"]]}'),
+         "parentheses nest deeper than cap 100"),
+    ],
+    ids=["poly", "matrix-json", "matrix-entry"],
+)
+def test_deep_nesting_exits_2(capsys, argv, message):
+    # the first two ended in a RecursionError traceback (exit 1)
+    code, out, err = run_cli(capsys, "analyze-ad", "--field", "GF(2)", *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+
+def test_nesting_at_the_cap_parses(capsys):
+    depth = 100
+    poly = "(" * depth + "X^2+X+1" + ")" * depth
+    code, out, _ = run_cli(capsys, "analyze-ad", "--field", "GF(2)", "--poly", poly)
+    assert code == 0
+    assert json.loads(out)["result"]["size"] == 2
+
+
 def test_dickson_subcommand(capsys):
     code, out, _ = run_cli(capsys, "dickson", "--p", "3", "--m", "1")
     res = json.loads(out)["result"]

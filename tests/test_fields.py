@@ -880,3 +880,70 @@ def test_equal_values_hash_equally(spec):
     assert len({field(1), 1}) == 2 and field(1) != 1 and 1 != field(1)
     assert Poly.constant(field, field(1)) != field(1)
     assert len(set(elements) | set(rebuilt)) == len(set(elements))
+
+
+@pytest.mark.parametrize("spec", ["GF(2)(Z)", "GF(3)(Z)", "GF(4)(Z)", "GF(9)(Z)"])
+def test_rational_function_sub_is_add_of_the_negation(spec):
+    field = make_field(spec)
+    rng = random.Random(17)
+    for _ in range(200):
+        a, b = field.random_payload(rng), field.random_payload(rng)
+        assert field.sub(a, b) == field.add(a, field.neg(b))
+    assert field.sub(field.one, field.one) == field.zero
+
+
+@pytest.mark.parametrize(
+    "spec, k_points, ext_order",
+    [("GF(2)", 2, 4), ("GF(3)", 3, 9), ("GF(4)", 4, 16), ("GF(27)", 27, 729), ("GF(31)", 31, None)],
+)
+def test_specialisation_points_are_k_then_the_quadratic_extension(spec, k_points, ext_order):
+    k = make_field(spec)
+    points = fields.specialisation_points(k)
+    assert points is fields.specialisation_points(k)  # cached
+    # all of k, and the rest of the extension: ext_order points in all
+    assert len(points) == min(ext_order or k_points, fields.SPECIALISATION_TRIES)
+    assert [z0 for target, _, z0 in points[:k_points]] == list(k.enumerate_payloads())
+    assert all(target == k for target, _, _ in points[:k_points])
+    ext = points[k_points:]
+    assert all(target.order == ext_order for target, _, _ in ext)
+    if ext:
+        big, coeff, _ = ext[0]
+        image = set(coeff.values())
+        assert len(image) == k.order
+        assert all(z0 not in image for _, _, z0 in ext)
+        # the coefficient map is the field embedding
+        for a in k.enumerate_payloads():
+            for b in k.enumerate_payloads():
+                assert coeff[k.add(a, b)] == big.add(coeff[a], coeff[b])
+                assert coeff[k.mul(a, b)] == big.mul(coeff[a], coeff[b])
+
+
+@pytest.mark.parametrize("spec", ["GF(2)(Z)", "GF(3)(Z)", "GF(4)(Z)"])
+def test_specialise_is_a_ring_map_where_the_denominators_live(spec):
+    field = make_field(spec)
+    rng = random.Random(23)
+    usable = 0
+    for point in fields.specialisation_points(field.base):
+        target = point[0]
+        for _ in range(20):
+            a, b = field.random_payload(rng), field.random_payload(rng)
+            at = fields.specialise(field, [a, b], point)
+            both = [field.add(a, b), field.sub(a, b), field.mul(a, b)]
+            if at is None:
+                continue
+            usable += 1
+            x, y = at
+            assert fields.specialise(field, both, point) == [
+                target.add(x, y), target.sub(x, y), target.mul(x, y)
+            ]
+            if b != field.zero and y != target.zero:
+                assert fields.specialise(field, [field.div(a, b)], point) == [target.div(x, y)]
+    assert usable >= 20
+
+
+def test_specialise_refuses_a_pole():
+    f3z = make_field("GF(3)(Z)")
+    x = f3z.parse_element("1/(Z+1)").payload
+    points = fields.specialisation_points(f3z.base)
+    assert [fields.specialise(f3z, [x], pt) for pt in points[:3]] == [[1], [2], None]
+    assert fields.specialise(f3z, [], points[0]) == []

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from aslab import _ringops as rp
+from aslab import fields, linalg
 from aslab.errors import CapExceededError, InputError
-from aslab.fields import enumerate_elements, make_field
+from aslab.fields import SPECIALISATION_TRIES, enumerate_elements, make_field, specialise
 from aslab.linalg import (
     InvariantFactorList,
     Matrix,
@@ -21,6 +22,7 @@ from aslab.linalg import (
     pascal_similarity,
     poly_at_matrix,
     similar,
+    specialised_invertible,
     verify_companion_composition,
 )
 from aslab.poly import Poly, min_poly_in_quotient, roots_in_finite_field
@@ -850,3 +852,150 @@ def test_kron_shapes_and_values():
     b = Matrix(f3, [[2]])
     k = kron(a, b)
     assert k.nrows == 2 and k.entry(0, 1) == f3(1)  # 2*2 = 4 = 1 mod 3
+
+
+# ---------------------------------------------------------------------------
+# invertibility over K(Z): specialisation first, the exact rank as fallback
+
+def _laplace_det(m):
+    """Determinant by cofactor expansion over FieldElements: no elimination,
+    so it shares no code with the rank or the specialisation."""
+
+    def det(rows):
+        if len(rows) == 1:
+            return rows[0][0]
+        total = rows[0][0] - rows[0][0]
+        for j, a in enumerate(rows[0]):
+            term = a * det([r[:j] + r[j + 1:] for r in rows[1:]])
+            total = total - term if j % 2 else total + term
+        return total
+
+    return det([[m.entry(i, j) for j in range(m.ncols)] for i in range(m.nrows)])
+
+
+def _kz_matrices(field, seed):
+    """Seeded K(Z) matrices of sizes 1-4, each followed by one made
+    rank-deficient by construction: its last row a K(Z) combination of the
+    others (the zero matrix at size 1)."""
+    rng = random.Random(seed)
+    out = []
+    for size in (1, 2, 3, 4):
+        for _ in range(6):
+            rows = [[field.random_payload(rng) for _ in range(size)] for _ in range(size)]
+            last = [field.zero] * size
+            for row in rows[:-1]:
+                c = field.random_payload(rng)
+                last = [field.add(acc, field.mul(c, x)) for acc, x in zip(last, row)]
+            out.append((Matrix.from_raw(field, rows), None))
+            out.append((Matrix.from_raw(field, rows[:-1] + [last]), False))
+    return out
+
+
+def _invertibility_disagreements(spec, seed):
+    """The seeded matrices on which is_invertible disagrees with the
+    determinant, or with the construction."""
+    field = make_field(spec)
+    bad = []
+    for m, expected in _kz_matrices(field, seed):
+        got = m.is_invertible()
+        if got != bool(_laplace_det(m)) or expected not in (None, got):
+            bad.append(m)
+    return bad
+
+
+@pytest.mark.parametrize("spec", ["GF(2)(Z)", "GF(3)(Z)", "GF(4)(Z)"])
+def test_kz_invertibility_matches_the_determinant(spec):
+    assert _invertibility_disagreements(spec, 11) == []
+
+
+@pytest.mark.parametrize("spec", ["GF(2)(Z)", "GF(3)(Z)", "GF(4)(Z)"])
+def test_kz_invertibility_is_mostly_certified_without_the_exact_rank(spec, monkeypatch):
+    field = make_field(spec)
+    exact = []
+    real_rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: exact.append(self) or real_rank(self))
+    invertible = certified = 0
+    for m, expected in _kz_matrices(field, 11):
+        before = len(exact)
+        if expected is None and m.is_invertible():
+            invertible += 1
+            certified += len(exact) == before
+    assert invertible >= 16 and certified >= invertible * 3 // 4
+
+
+def test_a_specialised_rank_that_overclaims_is_caught(monkeypatch):
+    # the mutant: every specialised M(z0) has full rank, singular or not
+    real = linalg._rank
+    monkeypatch.setattr(
+        linalg, "_rank", lambda field, rows: len(rows) if field.order is not None else real(field, rows)
+    )
+    assert _invertibility_disagreements("GF(3)(Z)", 11)
+
+
+def _certifying_points(field, m, entries):
+    """Indices of the points specialised_invertible tries before it
+    certifies, and its verdict."""
+    tried = []
+
+    def at(i, point):
+        tried.append(i)
+        return specialise(field, entries, point)
+
+    return tried, specialised_invertible(field, m, at)
+
+
+@pytest.mark.parametrize("spec, det", [("GF(2)(Z)", "Z^2+Z"), ("GF(3)(Z)", "Z^3-Z")])
+def test_a_determinant_vanishing_on_k_is_certified_at_the_extension_points(spec, det, monkeypatch):
+    field = make_field(spec)
+    m = Matrix(field, [[det]])
+    k = field.base.order
+    tried, verdict = _certifying_points(field, 1, [m.rows[0][0]])
+    assert verdict and tried == list(range(k + 1))
+    assert fields.specialisation_points(field.base)[k][0].order == k * k
+    monkeypatch.setattr(Matrix, "rank", lambda self: pytest.fail("exact rank reached"))
+    assert m.is_invertible()
+
+
+def test_denominators_vanishing_on_k_skip_those_points(monkeypatch):
+    f2z = make_field("GF(2)(Z)")
+    # det = 1/(Z+1) - 1 = Z/(Z+1), nonzero; both points of GF(2) are poles
+    m = Matrix(f2z, [["1/(Z^2+Z)", 1], [1, "Z"]])
+    entries = [x for row in m.rows for x in row]
+    points = fields.specialisation_points(f2z.base)
+    assert [specialise(f2z, entries, pt) is None for pt in points] == [True, True, False, False]
+    tried, verdict = _certifying_points(f2z, 2, entries)
+    assert verdict and tried == [0, 1, 2]
+    monkeypatch.setattr(Matrix, "rank", lambda self: pytest.fail("exact rank reached"))
+    assert m.is_invertible()
+
+
+def test_denominators_vanishing_everywhere_fall_back_to_the_exact_rank():
+    f2z = make_field("GF(2)(Z)")
+    # Z^4 + Z vanishes on all of GF(4), so no point is usable
+    m = Matrix(f2z, [["1/(Z^4+Z)", 0], [0, 1]])
+    entries = [x for row in m.rows for x in row]
+    assert all(specialise(f2z, entries, pt) is None for pt in fields.specialisation_points(f2z.base))
+    assert _certifying_points(f2z, 2, entries) == ([0, 1, 2, 3], False)
+    assert m.is_invertible()
+    assert not Matrix(f2z, [["1/(Z^4+Z)", 1], ["1/(Z^4+Z)", 1]]).is_invertible()
+
+
+@pytest.mark.parametrize(
+    "spec, tries",
+    [("GF(2)(Z)", 4), ("GF(3)(Z)", 9), ("GF(4)(Z)", 16), ("GF(9)(Z)", SPECIALISATION_TRIES),
+     ("GF(31)(Z)", 31), ("GF(729)(Z)", SPECIALISATION_TRIES)],
+)
+def test_a_singular_matrix_makes_the_capped_tries_then_one_exact_rank(spec, tries, monkeypatch):
+    field = make_field(spec)
+    # singular: the second row is Z times the first
+    m = Matrix(field, [["Z+1", "1/Z"], ["Z^2+Z", 1]])
+    specialised = []
+    monkeypatch.setattr(
+        linalg, "specialise", lambda *args: specialised.append(args) or specialise(*args)
+    )
+    exact = []
+    real_rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda self: exact.append(self) or real_rank(self))
+    assert not m.is_invertible()
+    assert len(specialised) == tries <= SPECIALISATION_TRIES
+    assert exact == [m]

@@ -35,6 +35,7 @@ build_gas_companion goes the other way: from (p, n, e, a) it constructs the
 companion matrix of X^(p^(n+e)) - X^(p^e) - a.
 """
 
+import math
 import random
 
 from . import _ringops as rp
@@ -176,15 +177,16 @@ def _nonconstant_rational_roots(f: Poly):
     const, lead = cols[0], cols[-1]
     if not const:
         raise ConsistencyError("zero root should have been removed already")
-    num_divs, den_divs = (
-        sorted(
-            _monic_divisors(k, _factor_raw(k, rp.monic(k, a))),
-            key=lambda d: _raw_sort_key(k, d),
-        )
-        for a in (const, lead)
-    )
-    if len(num_divs) * len(den_divs) * (k.order - 1) > _ROOT_CANDIDATE_CAP:
+    factorisations = [_factor_raw(k, rp.monic(k, a)) for a in (const, lead)]
+    # a product of distinct irreducible pieces has prod (mult + 1) monic
+    # divisors: count them before expanding and sorting any
+    count = math.prod(mult + 1 for pieces in factorisations for _, mult in pieces)
+    if count * (k.order - 1) > _ROOT_CANDIDATE_CAP:
         raise CapExceededError("root candidate count exceeds the search cap")
+    num_divs, den_divs = (
+        sorted(_monic_divisors(k, pieces), key=lambda d: _raw_sort_key(k, d))
+        for pieces in factorisations
+    )
     units = [u for u in k.enumerate_payloads() if u != k.zero]
     roots = []
     work = f.raw

@@ -16,11 +16,19 @@ degree law [F[alpha_R] : F] = p^(n-m), and tests "property P": all c_j lie
 in the prime field exactly when R is invariant under x -> x^p, in which
 case alpha_R = f_R(alpha) for f_R(Y) = prod (Y + b).
 
-The degrees come from poly.min_poly_in_quotient; the test-only
-intermediate_minpoly_product certifies that the coefficients of mu lie in
-F[alpha_R] by two ranks (Matrix.rank), and computes mu and the conjugate
-product with _ringops over the coefficient ring F[alpha] = F[X]/(q)
-(_ringops.PolyRing).  Both map R's elements into F with
+The degree law comes in closed form, with no linear algebra over F: f_R
+right-divides Y^(p^n) - Y under composition, Y^(p^n) - Y = g_R(f_R(Y))
+(Ore), and _linearized_cofactor solves for g_R over GF(p^n), its leftover
+equations checking the division.  So g_R(X) - a annihilates alpha_R, and
+for m < n the powers 1, alpha_R, ..., alpha_R^(p^(n-m)-1) have distinct
+X-degrees below deg q, which bounds the degree from below: g_R(X) - a is
+the minimal polynomial.  poly.min_poly_in_quotient stays the tests'
+independent route.
+
+The test-only intermediate_minpoly_product certifies that the coefficients
+of mu lie in F[alpha_R] by two ranks (Matrix.rank), and computes mu and the
+conjugate product with _ringops over the coefficient ring
+F[alpha] = F[X]/(q) (_ringops.PolyRing).  Both map R's elements into F with
 fields.embed_subfield, whether F is finite or K(Z).  A subspace is spanned
 by the one helper _span, whether it comes from a basis or from its
 elements, and SubspaceR.is_subfield is fields._subfield_check, the test
@@ -43,7 +51,7 @@ from .fields import (
 )
 from .irred import irreducible
 from .linalg import Matrix
-from .poly import Poly, gas_shape, min_poly_in_quotient
+from .poly import Poly, gas_shape
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +404,40 @@ class PrimitiveElementResult:
 
 
 def _gas_parameters(r: SubspaceR, q: Poly):
-    """(p, n) of q = X^(p^n) - X - a, with R checked to live in GF(p^n)."""
+    """(p, n, a) of q = X^(p^n) - X - a, with R checked to live in GF(p^n)."""
     shape = gas_shape(q)
     if shape is None:
         raise InputError("expected the shape X^(p^n) - X - a")
     p, n, _a = shape
     if r.ambient.char != p or r.ambient.order != p**n:
         raise InputError("subspace must live in the subfield of p^n elements")
-    return p, n
+    return shape
+
+
+def _linearized_cofactor(k, f, n):
+    """g_0..g_(n-m), payloads of the finite field k, with
+    Y^(p^n) - Y = g(f(Y)) for g(Y) = sum g_i Y^(p^i) and the monic
+    p-polynomial f(Y) = sum f_j Y^(p^j) given by f_0..f_m.
+
+    The coefficient of Y^(p^t) in g(f(Y)) is the sum over i + j = t of
+    g_i f_j^(p^i).  Solved top-down from t = n, each equation fixes
+    g_(t-m), since f_m = 1; the m equations t < m are left over and check
+    that f right-divides Y^(p^n) - Y (Ore): ConsistencyError if one fails.
+    """
+    p, m = k.char, len(f) - 1
+    g = [k.zero] * (n - m + 1)
+    for t in range(n, -1, -1):
+        want = k.one if t == n else k.neg(k.one) if t == 0 else k.zero
+        for i in range(max(t - m + 1, 0), min(t, n - m) + 1):
+            want = k.sub(want, k.mul(g[i], k.pow_int(f[t - i], p**i)))
+        if t >= m:
+            g[t - m] = want
+        elif want != k.zero:
+            raise ConsistencyError(
+                f"right division of Y^({p}^{n}) - Y by f_R fails at the "
+                f"coefficient of Y^({p}^{t}), f_R of degree {p}^{m}"
+            )
+    return g
 
 
 def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> PrimitiveElementResult:
@@ -412,10 +446,11 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
     Computes the product over R in F[X]/(q) and, independently, the Dickson
     recursion evaluated at (alpha, basis); the two must agree, the
     p-polynomial coefficients are read off f_R, and the degree over F is
-    certified to be p^(n - dim R) through a minimal polynomial computation.
+    certified to be p^(n - dim R) by the minimal polynomial g_R(X) - a,
+    with Y^(p^n) - Y = g_R(f_R(Y)) (_linearized_cofactor).
     """
     field = q.field
-    p, n = _gas_parameters(r, q)
+    p, n, a = _gas_parameters(r, q)
     ambient = r.ambient
     if check_irreducible and not irreducible(q):
         raise InputError("q is reducible; the Galois correspondence does not apply")
@@ -466,15 +501,28 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
     if rp.rem(field, rp.trim(field, rebuilt), qraw) != prod:
         raise ConsistencyError("p-polynomial coefficients do not rebuild alpha_R")
 
-    alpha_h = Poly.from_raw(field, prod)
-    mp = min_poly_in_quotient(alpha_h, q)
-    expected_degree = p ** (n - m)
-    if mp.degree() != expected_degree:
+    # the minimal polynomial g_R(X) - a.  Routes 1-3 certify
+    # alpha_R = f_R(alpha), so g_R(alpha_R) = alpha^(p^n) - alpha = a, and
+    # g_R(X) - a, monic of degree p^(n-m), annihilates alpha_R.  For m < n,
+    # alpha_R has X-degree p^m, so 1, alpha_R, ..., alpha_R^(p^(n-m)-1) have
+    # the distinct X-degrees k p^m < p^n = deg q: none is reduced mod q, they
+    # are independent over F, and no polynomial of lower degree annihilates
+    # alpha_R.  For m = n, alpha_R = a and the degree 1 needs no bound.
+    if m < n and len(prod) - 1 != p**m:
         raise ConsistencyError(
-            f"degree of alpha_R over F is {mp.degree()}, expected {expected_degree}"
+            f"lower bound on [F(alpha_R):F]: alpha_R has X-degree {len(prod) - 1}, "
+            f"expected {p}^{m}"
         )
+    g = _linearized_cofactor(ambient, [c.payload for c in coeffs] + [ambient.one], n)
+    degree = p ** (n - m)
+    mp = [field.zero] * (degree + 1)
+    for i, gi in enumerate(g):
+        mp[p**i] = to_f(FieldElement(ambient, gi)).payload
+    mp[0] = field.neg(a.payload)
     prime_flag = all(ambient.frobenius(c.payload) == c.payload for c in coeffs)
-    return PrimitiveElementResult(r, alpha_h, coeffs, expected_degree, prime_flag, mp)
+    return PrimitiveElementResult(
+        r, Poly.from_raw(field, prod), coeffs, degree, prime_flag, Poly.from_raw(field, mp)
+    )
 
 
 def intermediate_minpoly_product(r: SubspaceR, q: Poly):
@@ -489,7 +537,7 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     Returns a dict with the rendered mu and the verification flags.
     """
     field = q.field
-    p, n = _gas_parameters(r, q)
+    p, n, _a = _gas_parameters(r, q)
     ambient = r.ambient
     to_f = embed_subfield(ambient, field)
     qraw = q.raw

@@ -130,6 +130,21 @@ def test_rational_root_candidates_are_capped():
         analyze(Matrix(f729z, [["Z^2+Z", "0"], ["0", "0"]]))
 
 
+def test_rational_root_cap_is_checked_before_the_divisors(monkeypatch):
+    # (Z^11 - Z)^2 has 3^11 monic divisors over GF(11): the count comes from
+    # the factorisation, so no divisor is expanded or sorted before the cap
+    # refuses (expanding them first took 2.3 s on a 2-core Xeon VM)
+    def expand(*args):
+        raise AssertionError("divisors expanded before the cap check")
+
+    monkeypatch.setattr(ad_analyzer, "_monic_divisors", expand)
+    f11z = make_field("GF(11)(Z)")
+    t0 = time.perf_counter()
+    with pytest.raises(CapExceededError, match="root candidate"):
+        analyze(Matrix(f11z, [["Z^11-Z", "0"], ["0", "0"]]))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def _reference_contains_subfield(field, n):
     """The root count that contains_subfield used to make: GF(p^n) embeds
     when X^(p^n) - X has p^n roots in the (base) field."""

@@ -16,7 +16,7 @@ from aslab.dickson import (
 )
 from aslab.errors import CapExceededError, ConsistencyError, InputError
 from aslab.fields import enumerate_elements, frobenius, make_field
-from aslab.poly import Poly, gas_poly
+from aslab.poly import Poly, gas_poly, min_poly_in_quotient
 
 
 def standard_q(field, n):
@@ -214,14 +214,22 @@ def test_property_p_fails_for_some_line_and_coefficients_leave_prime_field():
 # primitive elements
 
 def test_alpha_for_full_group_is_the_constant_term():
-    for spec, n in (("GF(2)(Z)", 1), ("GF(4)(Z)", 2)):
+    # m = n: alpha_R = alpha^(p^n) - alpha = a, with minimal polynomial X - a
+    for spec, n, a_spec in (
+        ("GF(2)(Z)", 1, "Z"),
+        ("GF(4)(Z)", 2, "Z"),
+        ("GF(9)(Z)", 2, "t*Z+1"),
+        ("GF(8)(Z)", 3, "(Z+1)/(Z^2+Z+1)"),
+        ("GF(4)", 2, "0"),
+    ):
         field = make_field(spec)
-        q = standard_q(field, n)
-        ambient = field.base
+        a = field.parse_element(a_spec)
+        ambient = field.base if field.order is None else field
         r = SubspaceR.from_elements(ambient, enumerate_elements(ambient))
-        res = primitive_element(r, q)
-        assert res.alpha_h == Poly.constant(field, field.gen())
+        res = primitive_element(r, gas_poly(field, n, 0, a))
+        assert res.alpha_h == Poly.constant(field, a)
         assert res.degree_over_f == 1
+        assert res.minimal_polynomial == Poly.x(field) - Poly.constant(field, a)
 
 
 def test_alpha_for_subfield_is_power_difference():
@@ -261,6 +269,64 @@ def test_degree_law_over_gf8():
             res = primitive_element(r, q)
             assert res.degree_over_f == 2 ** (3 - m)
             assert (res.minimal_polynomial.compose(res.alpha_h) % q).is_zero()
+
+
+@pytest.mark.parametrize("a_spec", ["Z", "Z+1", "t*Z+1", "(Z+1)/(Z^2+Z+1)"])
+@pytest.mark.parametrize("spec, n", [("GF(8)", 3), ("GF(16)", 4), ("GF(27)", 3), ("GF(81)", 4)])
+def test_minimal_polynomial_matches_the_krylov_chain(spec, n, a_spec):
+    # g_R(X) - a against the first linear dependence among the powers of
+    # alpha_R mod q (min_poly_in_quotient), for every subspace
+    ambient = make_field(spec)
+    field = make_field(spec + "(Z)")
+    q = gas_poly(field, n, 0, field.parse_element(a_spec))
+    for m in range(n + 1):
+        for r in enumerate_subspaces(ambient, m):
+            res = primitive_element(r, q)
+            assert str(res.minimal_polynomial) == str(min_poly_in_quotient(res.alpha_h, q))
+            assert res.minimal_polynomial.degree() == res.degree_over_f == ambient.char ** (n - m)
+
+
+@pytest.mark.parametrize("spec, sub, n", [("GF(16)", "GF(4)", 2), ("GF(64)", "GF(8)", 3), ("GF(81)", "GF(9)", 2)])
+def test_minimal_polynomial_over_a_finite_field_matches_the_krylov_chain(spec, sub, n):
+    # F strictly contains GF(p^n) and a lies in F, 0 first; q is reducible
+    # for some a (for a = 0 it splits completely), and the law still holds
+    # in F[X]/(q)
+    field, ambient = make_field(spec), make_field(sub)
+    elements = enumerate_elements(field)
+    for a in elements[:3] + elements[-2:]:
+        q = gas_poly(field, n, 0, a)
+        for m in range(n + 1):
+            for r in enumerate_subspaces(ambient, m):
+                res = primitive_element(r, q)
+                assert str(res.minimal_polynomial) == str(min_poly_in_quotient(res.alpha_h, q))
+
+
+def test_linearized_cofactor_composes_back():
+    # g_R(f_R(Y)) = Y^(p^n) - Y, by composing the two polynomials over GF(p^n)
+    f27 = make_field("GF(27)")
+    for m in range(4):
+        for r in enumerate_subspaces(f27, m)[:5]:
+            fr, _ = f_r_polynomial(r)
+            fs = [fr.raw[3**j] for j in range(m + 1)]
+            g = dickson._linearized_cofactor(f27, fs, 3)
+            raw = [f27.zero] * (3 ** (3 - m) + 1)
+            for i, gi in enumerate(g):
+                raw[3**i] = gi
+            assert Poly.from_raw(f27, raw).compose(fr) == Poly.x_power(f27, 27) - Poly.x(f27)
+
+
+def test_linearized_cofactor_refuses_a_non_divisor():
+    # Y^3 - cY has the roots 0 and the square roots of c; for c a non-square
+    # of GF(9) they lie outside GF(9), so Y^3 - cY does not right-divide
+    # Y^9 - Y and the leftover equation at Y^(3^0) fails
+    f9 = make_field("GF(9)")
+    c = next(x for x in enumerate_elements(f9) if x != f9(0) and x**4 != f9.one_element())
+    with pytest.raises(ConsistencyError, match="right division .* coefficient of Y\\^\\(3\\^0\\)"):
+        dickson._linearized_cofactor(f9, [(-c).payload, f9.one], 2)
+    # for the square c^2, Y^3 - c^2 Y = f_R for R = {0, c, -c}, and
+    # g_R = Y^3 + c^6 Y
+    s = c * c
+    assert dickson._linearized_cofactor(f9, [(-s).payload, f9.one], 2) == [(s**3).payload, f9.one]
 
 
 def test_primitive_element_certify_flag():

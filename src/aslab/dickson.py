@@ -8,13 +8,14 @@ element
 
     alpha_R = prod over b in R of (alpha + b),
 
-a monic p-polynomial in alpha of degree p^dim(R) whose coefficients c_j are
-the classical Dickson invariants evaluated at any basis of R.  This module
-enumerates the subspaces, computes alpha_R along two independent routes
-(direct product in F[X]/(q) and the Dickson recursion), certifies the
-degree law [F[alpha_R] : F] = p^(n-m), and tests "property P": all c_j lie
-in the prime field exactly when R is invariant under x -> x^p, in which
-case alpha_R = f_R(alpha) for f_R(Y) = prod (Y + b).
+a monic p-polynomial in alpha of degree p^dim(R): alpha_R = f_R(alpha) for
+f_R(Y) = prod (Y + b) = sum c_j Y^(p^j), whose coefficients c_j are the
+classical Dickson invariants evaluated at any basis of R.  This module
+enumerates the subspaces, computes f_R along two independent routes over
+GF(p^n) (the expanded product and the Dickson recursion on the coefficient
+vector), embeds it into F[X]/(q) once, certifies the degree law
+[F[alpha_R] : F] = p^(n-m), and tests "property P": all c_j lie in the
+prime field exactly when R is invariant under x -> x^p.
 
 The degree law comes in closed form, with no linear algebra over F: f_R
 right-divides Y^(p^n) - Y under composition, Y^(p^n) - Y = g_R(f_R(Y))
@@ -359,7 +360,9 @@ def property_p(r: SubspaceR) -> bool:
 
 
 def f_r_polynomial(r: SubspaceR):
-    """The product f_R(Y) = prod over b in R of (Y + b), expanded.
+    """The product f_R(Y) = prod over b in R of (Y + b), expanded over the
+    ambient field GF(p^n): route 1 of primitive_element, whose Dickson
+    recursion must reproduce it coefficient by coefficient.
 
     Returns (poly, prime_coefficients) where the flag records whether every
     coefficient lies in the prime field.
@@ -443,10 +446,15 @@ def _linearized_cofactor(k, f, n):
 def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> PrimitiveElementResult:
     """Primitive element alpha_R of the fixed field attached to R.
 
-    Computes the product over R in F[X]/(q) and, independently, the Dickson
-    recursion evaluated at (alpha, basis); the two must agree, the
-    p-polynomial coefficients are read off f_R, and the degree over F is
-    certified to be p^(n - dim R) by the minimal polynomial g_R(X) - a,
+    Both routes run over GF(p^n), on the p-polynomial
+    f_R(Y) = prod over b in R of (Y + b) = sum c_j Y^(p^j): route 1 expands
+    the product (f_r_polynomial), route 2 runs the Dickson recursion on the
+    coefficient vector of phi_i(Y) = sum phi_i[j] Y^(p^j), phi_0 = Y, with
+    phi_(i+1)[j] = phi_i[j-1]^p - s^(p-1) phi_i[j] for s = phi_i(b_(i+1)).
+    The two must agree coefficient by coefficient.  F is touched once, at
+    the end: alpha_R = f_R(alpha) is sum c_j X^(p^j) embedded into F[X] and
+    reduced mod q, which changes it only for dim R = n.  The degree over F
+    is certified to be p^(n - dim R) by the minimal polynomial g_R(X) - a,
     with Y^(p^n) - Y = g_R(f_R(Y)) (_linearized_cofactor).
     """
     field = q.field
@@ -456,64 +464,53 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
         raise InputError("q is reducible; the Galois correspondence does not apply")
     to_f = embed_subfield(ambient, field)
     m = r.dim
-    qraw = q.raw
 
-    # route 1: product of (alpha + b) over all b in R
-    prod = (field.one,)
-    for b in r.elements:
-        bf = to_f(b)
-        prod = rp.mul(field, prod, (bf.payload, field.one))
-    prod = rp.rem(field, prod, qraw)
+    # route 1: the product of (Y + b) over all b in R
+    fr, _ = f_r_polynomial(r)
 
-    # route 2: Dickson recursion, evaluated numerically in F[X]/(q);
-    # scalar_values[j] carries phi_i(b_(j+1), b_1..b_i) along the levels
-    phi_alpha = rp.rem(field, (field.zero, field.one), qraw)
-    scalar_values = [to_f(b) for b in r.basis]  # phi_0 of each b_i
+    # route 2: the Dickson recursion on the p-polynomial coefficients;
+    # scalar_values[j] carries phi_i(b_(j+1)) along the levels
+    k = ambient
+    phi = [k.one]
+    scalar_values = [b.payload for b in r.basis]  # phi_0 of each b_i
     for i in range(m):
-        s = scalar_values[i]  # phi_i evaluated at b_(i+1)
-        s_pow = s ** (p - 1)
-        phi_alpha = rp.sub(
-            field,
-            rp.pow_mod(field, phi_alpha, p, qraw),
-            rp.scale(field, phi_alpha, s_pow.payload),
-        )
+        s_pow = k.pow_int(scalar_values[i], p - 1)  # s = phi_i(b_(i+1))
+        phi = [
+            k.sub(k.frobenius(prev), k.mul(s_pow, c))
+            for prev, c in zip([k.zero] + phi, phi + [k.zero])
+        ]
         for j in range(i + 1, m):
             v = scalar_values[j]
-            scalar_values[j] = v**p - s_pow * v
+            scalar_values[j] = k.sub(k.frobenius(v), k.mul(s_pow, v))
 
-    if phi_alpha != prod:
+    # the expanded recursion against the product; a stray coefficient at a
+    # degree that is not a power of p also shows here
+    expanded = [k.zero] * (p**m + 1)
+    for j, c in enumerate(phi):
+        expanded[p**j] = c
+    if rp.trim(k, expanded) != fr.raw:
         raise ConsistencyError("product route and Dickson recursion disagree")
+    coeffs = [FieldElement(k, c) for c in phi[:m]]
 
-    # coefficients from the expanded f_R, cross-checked as a third route
-    fr, _ = f_r_polynomial(r)
-    coeffs = []
-    rebuilt = [field.zero] * (p**m + 1)
-    t = 1
-    for j in range(m):
-        c = fr.coeff(t)
-        coeffs.append(c)
-        rebuilt[t] = to_f(c).payload
-        t *= p
-    rebuilt[p**m] = field.one
-    for i, c in enumerate(fr.raw):
-        if c != ambient.zero and i not in {p**j for j in range(m + 1)}:
-            raise ConsistencyError("f_R is not a p-polynomial")
-    if rp.rem(field, rp.trim(field, rebuilt), qraw) != prod:
-        raise ConsistencyError("p-polynomial coefficients do not rebuild alpha_R")
+    # alpha_R = f_R(alpha), the one step over F
+    lifted = [field.zero] * (p**m + 1)
+    for j, c in enumerate(phi):
+        lifted[p**j] = to_f(FieldElement(k, c)).payload
+    prod = rp.rem(field, tuple(lifted), q.raw)
 
-    # the minimal polynomial g_R(X) - a.  Routes 1-3 certify
-    # alpha_R = f_R(alpha), so g_R(alpha_R) = alpha^(p^n) - alpha = a, and
-    # g_R(X) - a, monic of degree p^(n-m), annihilates alpha_R.  For m < n,
-    # alpha_R has X-degree p^m, so 1, alpha_R, ..., alpha_R^(p^(n-m)-1) have
-    # the distinct X-degrees k p^m < p^n = deg q: none is reduced mod q, they
-    # are independent over F, and no polynomial of lower degree annihilates
+    # the minimal polynomial g_R(X) - a.  alpha_R = f_R(alpha), so
+    # g_R(alpha_R) = alpha^(p^n) - alpha = a, and g_R(X) - a, monic of
+    # degree p^(n-m), annihilates alpha_R.  For m < n, alpha_R has X-degree
+    # p^m, so 1, alpha_R, ..., alpha_R^(p^(n-m)-1) have the distinct
+    # X-degrees i p^m < p^n = deg q: none is reduced mod q, they are
+    # independent over F, and no polynomial of lower degree annihilates
     # alpha_R.  For m = n, alpha_R = a and the degree 1 needs no bound.
     if m < n and len(prod) - 1 != p**m:
         raise ConsistencyError(
             f"lower bound on [F(alpha_R):F]: alpha_R has X-degree {len(prod) - 1}, "
             f"expected {p}^{m}"
         )
-    g = _linearized_cofactor(ambient, [c.payload for c in coeffs] + [ambient.one], n)
+    g = _linearized_cofactor(ambient, phi, n)  # phi[m] = 1
     degree = p ** (n - m)
     mp = [field.zero] * (degree + 1)
     for i, gi in enumerate(g):

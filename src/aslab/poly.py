@@ -451,13 +451,28 @@ def roots_in_finite_field(f: Poly):
 
 
 def _divide_out(k, f, d):
-    """(f / d^m, m) for the largest m with d^m dividing the nonzero raw f."""
-    mult = 0
-    while len(f) >= len(d):
-        quo, remdr = rp.divmod_(k, f, d)
+    """(f / d^m, m) for the largest m with d^m dividing the nonzero raw f.
+
+    d is divided out one power at a time up to d^8, so m < 8, which is what
+    the root and invariant-factor multiplicities of analyze nearly always
+    see, costs m + 1 divisions and no squaring.  Beyond that f is divided
+    by d^2, d^4, ... while they divide; what is left is below the first
+    power that failed, and the powers below it take it out by its binary
+    digits, so m in the thousands costs a few dozen divisions.
+    """
+    mult, powers = 0, [d]  # powers[i] = d^(2^i)
+    while len(f) >= len(powers[-1]):
+        quo, remdr = rp.divmod_(k, f, powers[-1])
         if remdr:
             break
-        f, mult = quo, mult + 1
+        f, mult = quo, mult + (1 << len(powers) - 1)
+        if mult >= 8:
+            powers.append(rp.mul(k, powers[-1], powers[-1]))
+    for i in range(len(powers) - 2, -1, -1):
+        if len(f) >= len(powers[i]):
+            quo, remdr = rp.divmod_(k, f, powers[i])
+            if not remdr:
+                f, mult = quo, mult + (1 << i)
     return f, mult
 
 

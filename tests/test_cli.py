@@ -207,6 +207,21 @@ def test_caps_are_refused_before_the_work(capsys, argv, message):
     assert elapsed < 1.0
 
 
+def test_a_root_of_multiplicity_4000_is_refused_within_3_s(capsys):
+    # Z^2+Z+1 = (Z-1)^2 over GF(3): the root search factors (Z-1)^4000
+    # before its cap refuses the candidates; dividing (Z-1) out one power at
+    # a time took 10 s on a 2-core Xeon VM
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "analyze-ad", "--field", "GF(3)(Z)", "--poly", "X^2+(Z^2+Z+1)^2000*X"
+    )
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "root candidate" in lines[0]
+    assert elapsed < 3.0
+
+
 @pytest.mark.parametrize(
     "argv, condition",
     [

@@ -3,6 +3,7 @@ import types
 
 import pytest
 
+from aslab import _ringops as rp
 from aslab import dickson
 from aslab.dickson import (
     SubspaceR,
@@ -15,7 +16,7 @@ from aslab.dickson import (
     property_p,
 )
 from aslab.errors import CapExceededError, ConsistencyError, InputError
-from aslab.fields import enumerate_elements, frobenius, make_field
+from aslab.fields import embed_subfield, enumerate_elements, frobenius, make_field
 from aslab.poly import Poly, gas_poly, min_poly_in_quotient
 
 
@@ -271,17 +272,30 @@ def test_degree_law_over_gf8():
             assert (res.minimal_polynomial.compose(res.alpha_h) % q).is_zero()
 
 
+def _product_over_f(r, q):
+    """alpha_R as the product of (X + b) over F itself, reduced mod q: the
+    product route primitive_element ran before both routes moved to GF(p^n)."""
+    field = q.field
+    to_f = embed_subfield(r.ambient, field)
+    prod = (field.one,)
+    for b in r.elements:
+        prod = rp.mul(field, prod, (to_f(b).payload, field.one))
+    return Poly.from_raw(field, rp.rem(field, prod, q.raw))
+
+
 @pytest.mark.parametrize("a_spec", ["Z", "Z+1", "t*Z+1", "(Z+1)/(Z^2+Z+1)"])
 @pytest.mark.parametrize("spec, n", [("GF(8)", 3), ("GF(16)", 4), ("GF(27)", 3), ("GF(81)", 4)])
 def test_minimal_polynomial_matches_the_krylov_chain(spec, n, a_spec):
     # g_R(X) - a against the first linear dependence among the powers of
-    # alpha_R mod q (min_poly_in_quotient), for every subspace
+    # alpha_R mod q (min_poly_in_quotient), and alpha_R against the product
+    # over F, for every subspace
     ambient = make_field(spec)
     field = make_field(spec + "(Z)")
     q = gas_poly(field, n, 0, field.parse_element(a_spec))
     for m in range(n + 1):
         for r in enumerate_subspaces(ambient, m):
             res = primitive_element(r, q)
+            assert res.alpha_h == _product_over_f(r, q)
             assert str(res.minimal_polynomial) == str(min_poly_in_quotient(res.alpha_h, q))
             assert res.minimal_polynomial.degree() == res.degree_over_f == ambient.char ** (n - m)
 
@@ -289,8 +303,8 @@ def test_minimal_polynomial_matches_the_krylov_chain(spec, n, a_spec):
 @pytest.mark.parametrize("spec, sub, n", [("GF(16)", "GF(4)", 2), ("GF(64)", "GF(8)", 3), ("GF(81)", "GF(9)", 2)])
 def test_minimal_polynomial_over_a_finite_field_matches_the_krylov_chain(spec, sub, n):
     # F strictly contains GF(p^n) and a lies in F, 0 first; q is reducible
-    # for some a (for a = 0 it splits completely), and the law still holds
-    # in F[X]/(q)
+    # for some a (for a = 0 it splits completely); alpha_R is still the
+    # product over F, and the law still holds in F[X]/(q)
     field, ambient = make_field(spec), make_field(sub)
     elements = enumerate_elements(field)
     for a in elements[:3] + elements[-2:]:
@@ -298,7 +312,35 @@ def test_minimal_polynomial_over_a_finite_field_matches_the_krylov_chain(spec, s
         for m in range(n + 1):
             for r in enumerate_subspaces(ambient, m):
                 res = primitive_element(r, q)
+                assert res.alpha_h == _product_over_f(r, q)
                 assert str(res.minimal_polynomial) == str(min_poly_in_quotient(res.alpha_h, q))
+
+
+@pytest.mark.parametrize(
+    "degree",
+    [1, 3, 9, 0, 2, 4, 8],
+    ids=["Y", "Y^3", "Y^9", "Y^0", "Y^2", "Y^4", "Y^8"],
+)
+def test_a_changed_product_is_refused(monkeypatch, degree):
+    # f_R of a plane of GF(27) with one coefficient moved, at a power of 3
+    # (a wrong c_j, or a wrong leading 1) or at any other degree (a product
+    # that is no p-polynomial): the recursion no longer matches it
+    f27z = make_field("GF(27)(Z)")
+    f27 = f27z.base
+    q = standard_q(f27z, 3)
+    r = enumerate_subspaces(f27, 2)[5]
+    assert primitive_element(r, q).degree_over_f == 3
+    product = f_r_polynomial
+
+    def changed(subspace):
+        poly, in_prime = product(subspace)
+        raw = list(poly.raw)
+        raw[degree] = f27.add(raw[degree], f27.one)
+        return Poly.from_raw(f27, raw), in_prime
+
+    monkeypatch.setattr(dickson, "f_r_polynomial", changed)
+    with pytest.raises(ConsistencyError, match="product route and Dickson recursion disagree"):
+        primitive_element(r, q)
 
 
 def test_linearized_cofactor_composes_back():

@@ -9,6 +9,7 @@ from aslab.fields import enumerate_elements, make_field, rabin_irreducible
 from aslab.poly import (
     MINUS_INFINITY,
     Poly,
+    _divide_out,
     _equal_degree_split,
     factor_finite,
     gas_poly,
@@ -427,3 +428,28 @@ def test_gas_poly_matches_coefficient_list(spec, constants):
     # below degree 2, or of a degree that is not a power of p, no shape
     for text in ("0", "1", "X", "X-1", "X^6-X", f"X^{p}+X^2-X", f"X^{p * p}-X^{p}-1"):
         assert gas_shape(Poly.from_string(field, text)) is None, (spec, text)
+
+
+def _one_power_at_a_time(k, f, d):
+    """The loop _divide_out ran before it squared: one division per power."""
+    mult = 0
+    while len(f) >= len(d):
+        quo, remdr = rp.divmod_(k, f, d)
+        if remdr:
+            break
+        f, mult = quo, mult + 1
+    return f, mult
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(9)", "GF(3)(Z)"])
+def test_divide_out_matches_one_power_at_a_time(spec):
+    # d^mult times a random quadratic, d monic of degree 1-3 (linear over
+    # K(Z)); the cofactor may hold d again, so only >= mult is known
+    field = make_field(spec)
+    rng = random.Random(7)
+    for mult in range(41):
+        d = random_poly(field, 1 if field.order is None else 1 + mult % 3, rng, monic=True).raw
+        f = rp.mul(field, rp.power(field, d, mult), random_poly(field, 2, rng).raw)
+        quo, got = _divide_out(field, f, d)
+        assert (quo, got) == _one_power_at_a_time(field, f, d)
+        assert got >= mult

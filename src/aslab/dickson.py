@@ -17,6 +17,11 @@ vector), embeds it into F[X]/(q) once, certifies the degree law
 [F[alpha_R] : F] = p^(n-m), and tests "property P": all c_j lie in the
 prime field exactly when R is invariant under x -> x^p.
 
+The recursion is written once, _dickson_recursion, over any coefficient
+descriptor: primitive_element runs it over GF(p^n) on a basis of R, and
+dickson_phi over GF(p)[A, B_1..B_m] (_MvRing) on B_1..B_m, which gives the
+symbolic forms.
+
 The degree law comes in closed form, with no linear algebra over F: f_R
 right-divides Y^(p^n) - Y under composition, Y^(p^n) - Y = g_R(f_R(Y))
 (Ore), and _linearized_cofactor solves for g_R over GF(p^n), its leftover
@@ -37,7 +42,6 @@ analyze applies to eigenvalue sets.
 """
 
 import itertools
-import threading
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
@@ -48,7 +52,7 @@ from .fields import (
     embed_subfield,
     enumerate_elements,
     frobenius,
-    p_power_split,
+    memoised,
 )
 from .irred import irreducible
 from .linalg import Matrix
@@ -56,52 +60,79 @@ from .poly import Poly, gas_shape
 
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials over GF(p), for the symbolic Dickson forms
-# slot 0 is A, slots 1..m are B_1..B_m; monomial -> coefficient dicts
+# the Dickson recursion, over GF(p^n) and over GF(p)[A, B_1..B_m]
 
-def _mv_add(a, b, p):
-    out = dict(a)
-    for mono, c in b.items():
-        v = (out.get(mono, 0) + c) % p
-        if v:
-            out[mono] = v
-        else:
-            out.pop(mono, None)
-    return out
+def _dickson_recursion(k, basis):
+    """c_0..c_m of f(Y) = prod over b in span(basis) of (Y + b)
+    = sum c_j Y^(p^j), with c_m = 1.
 
-
-def _mv_mul(a, b, p):
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = tuple(x + y for x, y in zip(m1, m2))
-            v = (out.get(mono, 0) + c1 * c2) % p
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-    return out
-
-
-def _mv_neg(a, p):
-    return {m: (-c) % p for m, c in a.items()}
+    k is a coefficient descriptor of characteristic p with zero, one, add,
+    sub, mul, pow_int and frobenius, and the basis lies in k.  Starting from
+    phi = Y, each b replaces phi(Y) by phi(Y)^p - phi(b)^(p-1) phi(Y), which
+    vanishes on the span grown by b; on the coefficient vector,
+    phi[j] <- phi[j-1]^p - s^(p-1) phi[j] with s = sum phi[j] b^(p^j).
+    """
+    p = k.char
+    phi = [k.one]
+    for b in basis:
+        s, b_pj = k.zero, b
+        for c in phi:
+            s = k.add(s, k.mul(c, b_pj))
+            b_pj = k.frobenius(b_pj)
+        s_pow = k.pow_int(s, p - 1)
+        phi = [
+            k.sub(k.frobenius(prev), k.mul(s_pow, c))
+            for prev, c in zip([k.zero] + phi, phi + [k.zero])
+        ]
+    return phi
 
 
-def _mv_frobenius(a, p):
-    # coefficients live in GF(p), so (sum c m)^p = sum c m^p
-    return {tuple(e * p for e in mono): c for mono, c in a.items()}
+class _MvRing:
+    """GF(p)[A, B_1..B_m] as a coefficient descriptor for _dickson_recursion:
+    elements are {monomial: coefficient} dicts without zero coefficients,
+    a monomial the exponent tuple of (A, B_1, ..., B_m)."""
 
+    def __init__(self, p, m):
+        self.char = p
+        self.width = m + 1
+        self.zero = {}
+        self.one = {(0,) * self.width: 1}
 
-def _mv_subst_a(a, slot, p):
-    """Substitute A := B_slot (move the slot-0 exponent onto B_slot)."""
-    out = {}
-    for mono, c in a.items():
-        lst = list(mono)
-        lst[slot] += lst[0]
-        lst[0] = 0
-        mono2 = tuple(lst)
-        out[mono2] = (out.get(mono2, 0) + c) % p
-    return {m: c for m, c in out.items() if c}
+    def variable(self, slot, c=1):
+        """c A for slot 0, c B_i for slot i."""
+        return {tuple(int(i == slot) for i in range(self.width)): c}
+
+    def _collect(self, terms):
+        out = {}
+        for mono, c in terms:
+            out[mono] = out.get(mono, 0) + c
+        return {mono: c % self.char for mono, c in out.items() if c % self.char}
+
+    def add(self, a, b):
+        return self._collect(itertools.chain(a.items(), b.items()))
+
+    def neg(self, a):
+        return {mono: -c % self.char for mono, c in a.items()}
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        return self._collect(
+            (tuple(x + y for x, y in zip(m1, m2)), c1 * c2)
+            for m1, c1 in a.items()
+            for m2, c2 in b.items()
+        )
+
+    def pow_int(self, a, e):
+        out = self.one
+        for _ in range(e):
+            out = self.mul(out, a)
+        return out
+
+    def frobenius(self, a):
+        # coefficients live in GF(p), so (sum c m)^p = sum c m^p
+        return {tuple(e * self.char for e in mono): c for mono, c in a.items()}
 
 
 def _mv_eval(a, values, field):
@@ -173,66 +204,38 @@ class DicksonForm:
 
     def expanded_product(self):
         """Direct expansion of the defining product, for cross-checks."""
-        p, m = self.p, self.m
-        width = m + 1
-        acc = {(0,) * width: 1}
-        unit = [0] * width
-        for s in itertools.product(range(p), repeat=m):
-            mono_a = tuple([1] + unit[:-1])
-            form = {mono_a: 1}
+        ring = _MvRing(self.p, self.m)
+        acc = ring.one
+        for s in itertools.product(range(self.p), repeat=self.m):
+            form = ring.variable(0)
             for i, si in enumerate(s, start=1):
                 if si:
-                    mono_b = [0] * width
-                    mono_b[i] = 1
-                    form = _mv_add(form, {tuple(mono_b): si}, p)
-            acc = _mv_mul(acc, form, p)
+                    form = ring.add(form, ring.variable(i, si))
+            acc = ring.mul(acc, form)
         return acc
 
 
 _dickson_cache = {}
-_dickson_lock = threading.Lock()
 
 
 def dickson_phi(m: int, p: int) -> DicksonForm:
-    """Dickson form of rank m over GF(p), by the Frobenius recursion.
-
-    Starts from A and applies phi -> phi^p - phi(B_i, ...)^(p-1) * phi at
-    each level; capped at m <= 4 and p in {2, 3} (the expansions grow fast).
+    """Dickson form of rank m over GF(p): _dickson_recursion over
+    GF(p)[A, B_1..B_m] on the basis B_1..B_m, built once per (m, p);
+    capped at m <= 4 and p in {2, 3} (the expansions grow fast).
     """
     if p not in (2, 3):
         raise CapExceededError("Dickson forms are computed for p in {2, 3}")
     if not 0 <= m <= 4:
         raise CapExceededError("Dickson forms are capped at m <= 4")
-    key = (m, p)
-    with _dickson_lock:
-        cached = _dickson_cache.get(key)
-    if cached is not None:
-        return cached
-    width = m + 1
-    phi = {tuple([1] + [0] * m): 1}  # A
-    for i in range(1, m + 1):
-        at_bi = _mv_subst_a(phi, i, p)
-        scaler = at_bi
-        for _ in range(p - 2):
-            scaler = _mv_mul(scaler, at_bi, p)
-        correction = _mv_mul(scaler, phi, p)
-        phi = _mv_add(_mv_frobenius(phi, p), _mv_neg(correction, p), p)
-    fs = {}
-    for mono, c in phi.items():
-        j, rest = p_power_split(mono[0], p) if mono[0] else (0, 0)
-        if rest != 1 or j > m:
-            raise ConsistencyError("Dickson expansion has an unexpected A-power")
-        bmono = (0,) + mono[1:]
-        fs.setdefault(j, {})[bmono] = c
-    for j in range(m):
-        fs.setdefault(j, {})
-    top = fs.pop(m, {(0,) * width: 1})
-    if top != {(0,) * width: 1}:
-        raise ConsistencyError("Dickson expansion is not monic in A^(p^m)")
-    form = DicksonForm(m, p, phi, fs)
-    with _dickson_lock:
-        _dickson_cache[key] = form
-    return form
+    return _dickson_form(m, p)
+
+
+@memoised(_dickson_cache)
+def _dickson_form(m, p):
+    ring = _MvRing(p, m)
+    coeffs = _dickson_recursion(ring, [ring.variable(i) for i in range(1, m + 1)])
+    phi = {(p**j,) + mono[1:]: c for j, cj in enumerate(coeffs) for mono, c in cj.items()}
+    return DicksonForm(m, p, phi, coeffs[:m])
 
 
 # ---------------------------------------------------------------------------
@@ -443,60 +446,50 @@ def _linearized_cofactor(k, f, n):
     return g
 
 
+def _spread(k, coeffs, p):
+    """The raw polynomial sum coeffs[j] Y^(p^j) over k."""
+    out = [k.zero] * (p ** (len(coeffs) - 1) + 1)
+    for j, c in enumerate(coeffs):
+        out[p**j] = c
+    return tuple(out)
+
+
 def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> PrimitiveElementResult:
     """Primitive element alpha_R of the fixed field attached to R.
 
     Both routes run over GF(p^n), on the p-polynomial
     f_R(Y) = prod over b in R of (Y + b) = sum c_j Y^(p^j): route 1 expands
-    the product (f_r_polynomial), route 2 runs the Dickson recursion on the
-    coefficient vector of phi_i(Y) = sum phi_i[j] Y^(p^j), phi_0 = Y, with
-    phi_(i+1)[j] = phi_i[j-1]^p - s^(p-1) phi_i[j] for s = phi_i(b_(i+1)).
-    The two must agree coefficient by coefficient.  F is touched once, at
-    the end: alpha_R = f_R(alpha) is sum c_j X^(p^j) embedded into F[X] and
-    reduced mod q, which changes it only for dim R = n.  The degree over F
+    the product (f_r_polynomial), route 2 runs _dickson_recursion on a
+    basis of R.  The two must agree coefficient by coefficient.  F is
+    touched once, at the end: alpha_R = f_R(alpha) is sum c_j X^(p^j)
+    embedded into F[X] and reduced mod q, which changes it only for
+    dim R = n.  The degree over F
     is certified to be p^(n - dim R) by the minimal polynomial g_R(X) - a,
     with Y^(p^n) - Y = g_R(f_R(Y)) (_linearized_cofactor).
     """
-    field = q.field
+    field, k = q.field, r.ambient
     p, n, a = _gas_parameters(r, q)
-    ambient = r.ambient
     if check_irreducible and not irreducible(q):
         raise InputError("q is reducible; the Galois correspondence does not apply")
-    to_f = embed_subfield(ambient, field)
+    to_f = embed_subfield(k, field)
     m = r.dim
 
     # route 1: the product of (Y + b) over all b in R
     fr, _ = f_r_polynomial(r)
 
-    # route 2: the Dickson recursion on the p-polynomial coefficients;
-    # scalar_values[j] carries phi_i(b_(j+1)) along the levels
-    k = ambient
-    phi = [k.one]
-    scalar_values = [b.payload for b in r.basis]  # phi_0 of each b_i
-    for i in range(m):
-        s_pow = k.pow_int(scalar_values[i], p - 1)  # s = phi_i(b_(i+1))
-        phi = [
-            k.sub(k.frobenius(prev), k.mul(s_pow, c))
-            for prev, c in zip([k.zero] + phi, phi + [k.zero])
-        ]
-        for j in range(i + 1, m):
-            v = scalar_values[j]
-            scalar_values[j] = k.sub(k.frobenius(v), k.mul(s_pow, v))
-
-    # the expanded recursion against the product; a stray coefficient at a
-    # degree that is not a power of p also shows here
-    expanded = [k.zero] * (p**m + 1)
-    for j, c in enumerate(phi):
-        expanded[p**j] = c
-    if rp.trim(k, expanded) != fr.raw:
+    # route 2: the Dickson recursion on the p-polynomial coefficients,
+    # checked against the product; a stray coefficient at a degree that is
+    # not a power of p also shows here
+    phi = _dickson_recursion(k, [b.payload for b in r.basis])
+    if _spread(k, phi, p) != fr.raw:
         raise ConsistencyError("product route and Dickson recursion disagree")
     coeffs = [FieldElement(k, c) for c in phi[:m]]
 
     # alpha_R = f_R(alpha), the one step over F
-    lifted = [field.zero] * (p**m + 1)
-    for j, c in enumerate(phi):
-        lifted[p**j] = to_f(FieldElement(k, c)).payload
-    prod = rp.rem(field, tuple(lifted), q.raw)
+    def lift(c):
+        return to_f(FieldElement(k, c)).payload
+
+    prod = rp.rem(field, _spread(field, [lift(c) for c in phi], p), q.raw)
 
     # the minimal polynomial g_R(X) - a.  alpha_R = f_R(alpha), so
     # g_R(alpha_R) = alpha^(p^n) - alpha = a, and g_R(X) - a, monic of
@@ -510,13 +503,10 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
             f"lower bound on [F(alpha_R):F]: alpha_R has X-degree {len(prod) - 1}, "
             f"expected {p}^{m}"
         )
-    g = _linearized_cofactor(ambient, phi, n)  # phi[m] = 1
+    g = _linearized_cofactor(k, phi, n)  # phi[m] = 1
     degree = p ** (n - m)
-    mp = [field.zero] * (degree + 1)
-    for i, gi in enumerate(g):
-        mp[p**i] = to_f(FieldElement(ambient, gi)).payload
-    mp[0] = field.neg(a.payload)
-    prime_flag = all(ambient.frobenius(c.payload) == c.payload for c in coeffs)
+    mp = (field.neg(a.payload),) + _spread(field, [lift(gi) for gi in g], p)[1:]
+    prime_flag = all(k.frobenius(c.payload) == c.payload for c in coeffs)
     return PrimitiveElementResult(
         r, Poly.from_raw(field, prod), coeffs, degree, prime_flag, Poly.from_raw(field, mp)
     )

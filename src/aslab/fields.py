@@ -42,10 +42,12 @@ The finite-field kernels shared by the package live here: is_prime,
 p_power_split (n = m * p^s), rabin_irreducible (for monic raw polynomials
 over any finite descriptor; poly.is_irreducible_finite wraps it),
 monic_irreducibles, whose locked cache also supplies default_modulus, the
-locked table cache of _log_tables with the _TabulatedField methods that
-read it, shared by ExtensionField and the oracle's K[Z]/(m)
+tables of _log_tables with the _TabulatedField methods that read them,
+shared by ExtensionField and the oracle's K[Z]/(m)
 (irred._QuotientFieldOps), and residues, the enumeration order of every
-such field.  embed_subfield is the one embedding of GF(p^m) into GF(p^n)
+such field.  memoised is the one build-once cache: the log tables, the
+embedding powers, the specialisation points and dickson's symbolic forms
+are each built once per argument tuple, also under threads.  embed_subfield is the one embedding of GF(p^m) into GF(p^n)
 or into GF(p^n)(Z); it takes the first root of _raw_roots, the one root
 scan of a raw polynomial over a finite field (poly's root and
 equal-degree splitting code reads it too).  _subfield_check is the one
@@ -64,6 +66,7 @@ points of specialisation_points (all of K, then GF(|K|^2) through
 embed_subfield, at most SPECIALISATION_TRIES); it reports a pole as None.
 """
 
+import functools
 import itertools
 import math
 import re
@@ -74,6 +77,29 @@ from ._exprparse import int_literal, parse_expression
 from .errors import CapExceededError, ConsistencyError, InputError
 
 MAX_FIELD_SIZE = 729
+
+
+def memoised(cache):
+    """Decorator: build(*args), never None, is built once per argument tuple
+    and kept in the dict cache under that tuple.  The build runs outside
+    the lock and setdefault keeps the first value stored, so threads that
+    race on an empty entry all return the one object."""
+    lock = threading.Lock()
+
+    def decorate(build):
+        @functools.wraps(build)
+        def cached(*args):
+            with lock:
+                value = cache.get(args)
+            if value is None:
+                value = build(*args)
+                with lock:
+                    value = cache.setdefault(args, value)
+            return value
+
+        return cached
+
+    return decorate
 
 
 def p_power_split(n, p):
@@ -413,7 +439,6 @@ def default_modulus(p, n):
 _LOG_ZERO = -(1 << 30)
 
 _table_cache = {}
-_table_lock = threading.Lock()
 
 
 def residues(k, d):
@@ -427,7 +452,7 @@ def residues(k, d):
         yield digits[::-1]
 
 
-def _log_tables(k, modulus):
+def _build_log_tables(k, modulus):
     """Exp/log/Zech-log tables of the field k[T]/(modulus), built once per
     (k, modulus) and shared (Huber, IEEE Trans. IT 1990).
 
@@ -444,17 +469,6 @@ def _log_tables(k, modulus):
     There is no addition table: a q x q table would hold 531441 entries at
     q = 729, where these hold about 5q.
     """
-    key = (k, modulus)
-    with _table_lock:
-        tables = _table_cache.get(key)
-    if tables is None:
-        tables = _build_log_tables(k, modulus)
-        with _table_lock:
-            tables = _table_cache.setdefault(key, tables)
-    return tables
-
-
-def _build_log_tables(k, modulus):
     d = len(modulus) - 1
     q1 = k.order**d - 1
     one = (k.one,)
@@ -478,6 +492,9 @@ def _build_log_tables(k, modulus):
     log = {a: i for i, a in enumerate(powers)}
     log[(k.zero,) * d] = _LOG_ZERO
     return q1, powers + powers, log, zech + zech, neg
+
+
+_log_tables = memoised(_table_cache)(_build_log_tables)
 
 
 class _TabulatedField:
@@ -898,7 +915,18 @@ def _raw_roots(field, f):
 
 
 _embedding_cache = {}
-_embedding_lock = threading.Lock()
+
+
+@memoised(_embedding_cache)
+def _embedding_powers(small, big):
+    """Payloads in big of the powers 1, r, ..., r^(m-1) of the first root r
+    of the small field's modulus (just 1 for a prime small field)."""
+    if small.kind == "prime":
+        return [big.one]
+    roots = _raw_roots(big, tuple(big.from_int(c) for c in small.modulus))
+    if not roots:
+        raise InputError("modulus has no root in the big field")
+    return [big.pow_int(roots[0], i) for i in range(small.n)]
 
 
 def embed_subfield(small, big):
@@ -923,22 +951,7 @@ def embed_subfield(small, big):
         raise InputError("subfield embeddings are defined for finite fields only")
     if small.char != big.char or big.n % small.n != 0:
         raise InputError(f"{small.spec_string()} does not embed in {big.spec_string()}")
-    key = (small, big)
-    with _embedding_lock:
-        powers = _embedding_cache.get(key)
-    if powers is None:
-        if small.kind == "prime":
-            powers = [big.one]
-        else:
-            roots = _raw_roots(big, tuple(big.from_int(c) for c in small.modulus))
-            if not roots:
-                raise InputError("modulus has no root in the big field")
-            root = roots[0]
-            powers = [big.one]
-            for _ in range(small.n - 1):
-                powers.append(big.mul(powers[-1], root))
-        with _embedding_lock:
-            _embedding_cache[key] = powers
+    powers = _embedding_powers(small, big)
 
     def embed(x):
         if isinstance(x, FieldElement):
@@ -959,9 +972,9 @@ def embed_subfield(small, big):
 SPECIALISATION_TRIES = 32
 
 _points_cache = {}
-_points_lock = threading.Lock()
 
 
+@memoised(_points_cache)
 def specialisation_points(k):
     """The points z0 at which K(Z) values over the finite field k are
     specialised, in a fixed order: every element of k, then the elements
@@ -971,20 +984,14 @@ def specialisation_points(k):
     A point is (target, coeff, z0): z0 is a payload of target, k itself or
     GF(|k|^2), and coeff maps each payload of k to its image in target
     (embed_subfield).  Cached per k."""
-    with _points_lock:
-        points = _points_cache.get(k)
-    if points is None:
-        points = [(k, {c: c for c in k.enumerate_payloads()}, z0) for z0 in k.enumerate_payloads()]
-        if not power_exceeds(k.order, 2, MAX_FIELD_SIZE):
-            big = ExtensionField(k.p, 2 * k.n)
-            embed = embed_subfield(k, big)
-            coeff = {c: embed(c).payload for c in k.enumerate_payloads()}
-            image = set(coeff.values())
-            points += [(big, coeff, z0) for z0 in big.enumerate_payloads() if z0 not in image]
-        points = points[:SPECIALISATION_TRIES]
-        with _points_lock:
-            points = _points_cache.setdefault(k, points)
-    return points
+    points = [(k, {c: c for c in k.enumerate_payloads()}, z0) for z0 in k.enumerate_payloads()]
+    if not power_exceeds(k.order, 2, MAX_FIELD_SIZE):
+        big = ExtensionField(k.p, 2 * k.n)
+        embed = embed_subfield(k, big)
+        coeff = {c: embed(c).payload for c in k.enumerate_payloads()}
+        image = set(coeff.values())
+        points += [(big, coeff, z0) for z0 in big.enumerate_payloads() if z0 not in image]
+    return points[:SPECIALISATION_TRIES]
 
 
 def specialise(field, payloads, point):

@@ -7,8 +7,8 @@ degree comparisons behave), never -1.
 
 Kernels shared with acceptance, ad_analyzer, cli, dickson, irred and linalg
 live here: gas_poly (builds X^(p^(n+e)) - X^(p^e) - a, the one place the
-paper's polynomial is constructed) and gas_shape (recognises
-X^(p^n) - X - a), _divide_out (the multiplicity of a divisor, hence of a
+paper's polynomial is constructed) and gas_shape (reads
+X^(p^n) - X - a off the coefficients), _divide_out (the multiplicity of a divisor, hence of a
 root), _monic_divisors (divisors from a factorization), and the row
 algebra of the incremental echelon, _row_algebra.  That echelon is the only
 Gaussian elimination in aslab, and the row algebra is its only interface:
@@ -301,16 +301,15 @@ def gas_poly(field, n, e, a) -> Poly:
 
 
 def gas_shape(q: Poly):
-    """(p, n, a) when q = X^(p^n) - X - a with n >= 1, otherwise None."""
-    field = q.field
-    deg = q.degree()
-    if deg < 2:
+    """(p, n, a) when q = X^(p^n) - X - a with n >= 1, otherwise None,
+    read off q's coefficients."""
+    field, raw = q.field, q.raw
+    if len(raw) < 3 or raw[-1] != field.one or raw[1] != field.neg(field.one):
         return None
-    n, rest = p_power_split(deg, field.char)
-    a = -q.coeff(0)
-    if rest != 1 or q != gas_poly(field, n, 0, a):
+    n, rest = p_power_split(len(raw) - 1, field.char)
+    if rest != 1 or any(c != field.zero for c in raw[2:-1]):
         return None
-    return field.char, n, a
+    return field.char, n, -q.coeff(0)
 
 
 def factor_finite(f: Poly):

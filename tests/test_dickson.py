@@ -1,4 +1,9 @@
+import hashlib
 import itertools
+import json
+import random
+import sys
+import threading
 import types
 
 import pytest
@@ -40,15 +45,67 @@ def test_phi_1_coefficient():
     assert form3.coefficient_string(0) == "2*B_1^2"
 
 
-def test_phi_2_matches_direct_product():
-    for p in (2, 3):
-        form = dickson_phi(2, p)
-        assert form.phi == form.expanded_product()
+def test_phi_matches_direct_product():
+    # every form within the cap but (4, 3), whose expansion takes about
+    # 20 s; test_rank_4_char_3_coefficients_match_product_route checks it
+    for m, p in itertools.product(range(5), (2, 3)):
+        if (m, p) != (4, 3):
+            form = dickson_phi(m, p)
+            assert form.phi == form.expanded_product(), (m, p)
 
 
-def test_phi_3_matches_direct_product_char2():
-    form = dickson_phi(3, 2)
-    assert form.phi == form.expanded_product()
+def test_rank_4_char_3_coefficients_match_product_route():
+    # f_j at a basis of a 4-dimensional subspace of GF(729) is the
+    # coefficient of Y^(3^j) in the expanded product over its 81 elements
+    f729 = make_field("GF(729)")
+    form = dickson_phi(4, 3)
+    rng = random.Random(17)
+    checked = 0
+    while checked < 3:
+        basis = [f729.element(f729.random_payload(rng)) for _ in range(4)]
+        try:
+            r = SubspaceR.from_basis(f729, basis)
+        except InputError:
+            continue
+        fr, _ = f_r_polynomial(r)
+        for j in range(4):
+            assert form.evaluate_coefficient(j, basis) == fr.coeff(3**j), (j, r)
+        checked += 1
+
+
+def test_forms_within_the_cap_are_pinned():
+    # the printed strings of all ten forms within the cap
+    rows = [
+        [p, m, f.phi_string(), [f.coefficient_string(j) for j in range(m)]]
+        for p in (2, 3)
+        for m in range(5)
+        for f in [dickson_phi(m, p)]
+    ]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    assert digest == "6797d7e33794f1b3"
+
+
+def test_form_cache_under_threads():
+    # threads that ask for one uncached form at once all get the cached object
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            dickson._dickson_cache.pop((4, 3), None)
+            results = []
+            threads = [
+                threading.Thread(target=lambda: results.append(dickson_phi(4, 3)))
+                for _ in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 6
+            assert all(form is dickson._dickson_cache[(4, 3)] for form in results)
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
 def test_phi_rejects_out_of_cap():

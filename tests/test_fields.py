@@ -352,6 +352,31 @@ def test_embed_cache_is_stable():
     assert e1(t) == e2(t)
 
 
+def test_embedding_cache_under_threads():
+    # threads that embed GF(9) into an uncached GF(729) at once all get the
+    # cached powers of the one root
+    f9, f729 = make_field("GF(9)"), make_field("GF(729)")
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            fields._embedding_cache.clear()
+            results = []
+            threads = [
+                threading.Thread(target=lambda: results.append(fields._embedding_powers(f9, f729)))
+                for _ in range(6)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 6
+            assert all(powers is fields._embedding_cache[(f9, f729)] for powers in results)
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
 def test_embed_rejects_non_divisible_degrees():
     with pytest.raises(InputError):
         embed_subfield(make_field("GF(4)"), make_field("GF(8)"))

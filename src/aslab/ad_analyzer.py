@@ -19,14 +19,15 @@ X^(p^(n+e)) - X^(p^e), ad A is diagonalizable exactly when e = 0, and every
 eigenvector of ad A is invertible.  Any certification failure raises
 ConsistencyError since it would contradict a proven statement.
 
-The invariant factors of ad A give c1 and every eigenspace dimension; when
-all three conditions hold, each eigenspace is also built as a kernel, whose
-basis must have that dimension, and its vectors feed the invertibility
-sweep.  The sweep reshapes each basis vector, and 10 seeded combinations
-per eigenvalue, into m x m matrices.  Over K(Z) each is first specialised
-at Z = z0 for a fixed, bounded list of points z0
-(fields.specialisation_points: all of K, then GF(|K|^2)).  Where no
-denominator vanishes, det(M)(z0) = det(M(z0)), so an invertible M(z0)
+c3 is decided first, from the invariant factors of A, so an oracle refusal
+comes before ad A is built.  The invariant factors of ad A give c1 and
+every eigenspace dimension; when all three conditions hold, each eigenspace
+is also built as a kernel, whose basis must have that dimension, and its
+vectors feed the invertibility sweep.  The sweep reshapes each basis
+vector, and 10 seeded combinations per eigenvalue, into m x m matrices.
+Over K(Z) each is first specialised at Z = z0 for a fixed, bounded list of
+points z0 (fields.specialisation_points: all of K, then GF(|K|^2)).  Where
+no denominator vanishes, det(M)(z0) = det(M(z0)), so an invertible M(z0)
 certifies M: the deterministic, one-sided half of Schwartz (J. ACM 27,
 1980).  Only a matrix that no point certifies is built and ranked exactly
 over K(Z), so a singular one is still found and reported.
@@ -217,6 +218,13 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     _check_caps(a)
     field = a.field
     m = a.nrows
+    # c3 first: over K(Z) it may end in the oracle's cap, which is then
+    # refused before ad A is built
+    inv_a = invariant_factors(a)
+    cyclic = len(inv_a) == 1
+    mu_a = inv_a.minimal_polynomial()
+    c3 = cyclic and irreducible(mu_a)
+
     ad = ad_matrix(a)
     inv_ad = invariant_factors(ad)
 
@@ -237,11 +245,6 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     diagonalizable = sum(d for _, d in dims) == m * m
 
     c2, c2_witness = _subfield_check(eigenvalues)
-
-    inv_a = invariant_factors(a)
-    cyclic = len(inv_a) == 1
-    mu_a = inv_a.minimal_polynomial()
-    c3 = cyclic and irreducible(mu_a)
 
     failures = []
     if not c1:

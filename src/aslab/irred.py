@@ -356,10 +356,12 @@ def _lift_factor(F, k, cand_cols, substituted_lead):
 
 
 def irreducible(f: Poly) -> bool:
-    """Irreducibility of f over its field: Rabin's test over a finite field,
-    the bivariate oracle over K(Z) (for f with unit X-lead)."""
+    """Irreducibility of f over its field: Rabin's test over a finite field;
+    over K(Z), False when X divides f, else the bivariate oracle (unit X-lead)."""
     if f.field.order is not None:
         return is_irreducible_finite(f)
+    if f.degree() >= 2 and f.raw[0] == f.field.zero:
+        return False
     return bivariate_irreducible_oracle(f)
 
 

@@ -19,6 +19,8 @@ two phases: row and column sweeps reach some diagonal form, and factor
 refinement of its entries into a pairwise coprime base closes it into the
 divisibility chain (Bach, Driscoll and Shallit, "Factor refinement", J.
 Algorithms 1993), so no pivot is tested against the rest of the matrix.
+Both phases are written once against a polynomial algebra (_poly_algebra):
+over GF(2) each polynomial is one Python int, bit i the coefficient of X^i.
 
 Matrix(field, rows) converts and validates every entry (FieldDescriptor.
 payload_of) and is meant for values from outside; every matrix computed
@@ -33,12 +35,14 @@ rank over K(Z) decide.
 """
 
 import collections
+import functools
 import math
+import operator
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement, make_field, specialisation_points, specialise
-from .poly import Poly, _divide_out, _kernel, _row_algebra, factor_finite
+from .poly import _BIT_ROWS, Poly, _divide_out, _kernel, _row_algebra, factor_finite
 
 MAX_FINITE_DIM = 1024
 MAX_RATIONAL_DIM = 100
@@ -227,7 +231,7 @@ class Matrix:
 def _rank(field, rows):
     """Rank of the payload rows over field."""
     algebra = _row_algebra(field)
-    echelon = []
+    echelon = {}
     return sum(algebra.extend(echelon, algebra.pack(row), None)[0] for row in rows)
 
 
@@ -421,7 +425,7 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
     n = m.nrows
     rows = _row_algebra(k)
     columns = rows.columns(m.rows)
-    echelon = []
+    echelon = {}
     place = []  # (chain, power) of each vector in the echelon, in order
     relations = []
     for i in range(n):
@@ -469,31 +473,109 @@ def _smith_diagonal(k, rows):
     stands, and _diagonalize eliminates the rest.  Phase 2, _close_diagonal,
     turns that diagonal into the Smith diagonal; unit entries come first and
     zero entries last.  The Smith form is unique, so the pivot rule only
-    steers phase 1 and never shows in the result.
+    steers phase 1 and never shows in the result.  Both phases run in
+    _poly_algebra(k); entries come in and go out as raw tuples.
     """
+    ring = _poly_algebra(k)
     uses = collections.Counter(j for row in rows for j in row)
     diag = []
     coupled = []
     for i, row in enumerate(rows):
         if len(row) == 1 and i in row and uses[i] == 1:
-            diag.append(row[i])
+            diag.append(ring.pack(row[i]))
         else:
             coupled.append(i)
     # coupled rows touch coupled columns only, so they form a square block
     col = {j: s for s, j in enumerate(coupled)}
-    diag.extend(_diagonalize(k, [{col[j]: e for j, e in rows[i].items()} for i in coupled]))
-    return _close_diagonal(k, diag)
+    block = [{col[j]: ring.pack(e) for j, e in rows[i].items()} for i in coupled]
+    diag.extend(_diagonalize(ring, block))
+    return [ring.unpack(d) for d in _close_diagonal(ring, diag)]
 
 
-def _diagonalize(k, rows):
+def _poly_algebra(k):
+    """F[X] for the Smith finish: packed ints over GF(2), raw tuples over
+    every other field; size is the coefficient count (0 for zero)."""
+    if k.kind == "prime" and k.p == 2:
+        return _GF2X
+    return _TuplePolys(k)
+
+
+class _TuplePolys:
+    """F[X] on _ringops raw tuples."""
+
+    zero = ()
+    size = len
+    pack = unpack = tuple
+
+    def __init__(self, k):
+        self.one = (k.one,)
+        self.sub, self.mul, self.divmod, self.monic, self.gcd = (
+            functools.partial(f, k) for f in (rp.sub, rp.mul, rp.divmod_, rp.monic, rp.gcd)
+        )
+        self.multiplicity = lambda a, b: _divide_out(k, a, b)[1]
+
+
+class _GF2X:
+    """GF(2)[X] on Python ints, bit i holding the coefficient of X^i, the
+    packing of poly._BitRows: subtraction is XOR, multiplication and
+    division shift and XOR, and every nonzero polynomial is monic."""
+
+    zero, one, size = 0, 1, int.bit_length
+    sub = operator.xor
+    monic = operator.pos
+    pack = staticmethod(_BIT_ROWS.pack)
+
+    @staticmethod
+    def unpack(a):
+        return tuple(_BIT_ROWS.unpack(a, a.bit_length())) if a else ()
+
+    @staticmethod
+    def mul(a, b):
+        if a.bit_length() < b.bit_length():
+            a, b = b, a
+        out = 0
+        while b:
+            low = b & -b
+            out ^= a << low.bit_length() - 1
+            b ^= low
+        return out
+
+    @staticmethod
+    def divmod(a, b):
+        n = b.bit_length()
+        if not n:
+            raise ZeroDivisionError("division by zero polynomial")
+        q, shift = 0, a.bit_length() - n
+        while shift >= 0:
+            q |= 1 << shift
+            a ^= b << shift
+            shift = a.bit_length() - n
+        return q, a
+
+    @staticmethod
+    def gcd(a, b):
+        while b:
+            a, b = b, _GF2X.divmod(a, b)[1]
+        return a
+
+    @staticmethod
+    def multiplicity(a, b):
+        mult, (q, r) = 0, _GF2X.divmod(a, b)
+        while not r:
+            mult, (q, r) = mult + 1, _GF2X.divmod(q, b)
+        return mult
+
+
+def _diagonalize(ring, rows):
     """Diagonal entries of some diagonal form of a square sparse polynomial
-    matrix, by row and column sweeps; the dicts are consumed.
+    matrix over ring, by row and column sweeps; the dicts are consumed.
 
-    Pivot rule: smallest degree, then leftmost column, then topmost row.  A
+    Pivot rule: smallest size, then leftmost column, then topmost row.  A
     pivot is accepted as soon as its row and column are clear; whether it
     divides the rest is left to _close_diagonal.  Rows are sparse so that
     each pivot search and sweep costs the nonzero entries only.
     """
+    size, zero = ring.size, ring.zero
     n = len(rows)
     diag = []
     for s in range(n):
@@ -501,11 +583,11 @@ def _diagonalize(k, rows):
             # rows and columns before s are finished: all that is left lies
             # in the trailing block
             best = min(
-                ((len(e), j, i) for i in range(s, n) for j, e in rows[i].items()),
+                ((size(e), j, i) for i in range(s, n) for j, e in rows[i].items()),
                 default=None,
             )
             if best is None:
-                return diag + [()] * (n - s)
+                return diag + [zero] * (n - s)
             _, bj, bi = best
             rows[s], rows[bi] = rows[bi], rows[s]
             if bj != s:
@@ -522,18 +604,18 @@ def _diagonalize(k, rows):
             dirty = False
             for row in rows[s + 1:]:
                 if s in row:
-                    q, r = rp.divmod_(k, row[s], piv)
+                    q, r = ring.divmod(row[s], piv)
                     if q:
                         for j, e in top.items():
-                            _put(row, j, rp.sub(k, row.get(j, ()), rp.mul(k, q, e)))
+                            _put(row, j, ring.sub(row.get(j, zero), ring.mul(q, e)))
                     if r:
                         dirty = True
             for j in [j for j in top if j != s]:
-                q, r = rp.divmod_(k, top[j], piv)
+                q, r = ring.divmod(top[j], piv)
                 if q:
                     for row in rows[s:]:
                         if s in row:
-                            _put(row, j, rp.sub(k, row.get(j, ()), rp.mul(k, q, row[s])))
+                            _put(row, j, ring.sub(row.get(j, zero), ring.mul(q, row[s])))
                 if r:
                     dirty = True
             if not dirty:
@@ -542,33 +624,33 @@ def _diagonalize(k, rows):
     return diag
 
 
-def _close_diagonal(k, diag):
-    """Smith diagonal, monic, equivalent to the diagonal matrix diag.
+def _close_diagonal(ring, diag):
+    """Smith diagonal, monic, over ring, equivalent to the diagonal matrix diag.
 
     The distinct nonzero entries, made monic, are refined into a pairwise
     coprime base (_coprime_base).  Each base element b occurs in each entry
     to some power; the i-th invariant factor takes b to the i-th smallest of
     those exponents, so each factor divides the next.
     """
-    entries = [rp.monic(k, d) for d in diag if d]
+    entries = [ring.monic(d) for d in diag if d]
     distinct = list(dict.fromkeys(entries))
-    base = _coprime_base(k, distinct)
-    mults = {e: [_divide_out(k, e, b)[1] for b in base] for e in distinct}
+    base = _coprime_base(ring, distinct)
+    mults = {e: [ring.multiplicity(e, b) for b in base] for e in distinct}
     columns = [sorted(mults[e][t] for e in entries) for t in range(len(base))]
     out = []
     for i in range(len(entries)):
-        f = (k.one,)
+        f = ring.one
         for b, column in zip(base, columns):
             for _ in range(column[i]):
-                f = rp.mul(k, f, b)
+                f = ring.mul(f, b)
         out.append(f)
-    return out + [()] * (len(diag) - len(entries))
+    return out + [ring.zero] * (len(diag) - len(entries))
 
 
-def _coprime_base(k, polys):
-    """Pairwise coprime monic nonconstant polynomials such that each of the
-    given monic polynomials is a product of their powers (factor refinement:
-    Bach, Driscoll and Shallit, "Factor refinement", J. Algorithms 1993).
+def _coprime_base(ring, polys):
+    """Pairwise coprime monic nonconstant polynomials over ring such that each
+    of the given monic polynomials is a product of their powers (factor
+    refinement: Bach, Driscoll and Shallit, J. Algorithms 1993).
 
     Each split lowers the total degree of the base plus the pending work, so
     the loop ends.
@@ -577,17 +659,17 @@ def _coprime_base(k, polys):
     todo = list(polys)
     while todo:
         a = todo.pop()
-        if len(a) < 2:
+        if ring.size(a) < 2:
             continue
         for i, b in enumerate(base):
-            g = rp.gcd(k, a, b)
-            if len(g) < 2:
+            g = ring.gcd(a, b)
+            if ring.size(g) < 2:
                 continue
             if g == b:
-                todo.append(rp.divmod_(k, a, b)[0])
+                todo.append(ring.divmod(a, b)[0])
             else:
                 del base[i]
-                todo += [g, rp.divmod_(k, b, g)[0], rp.divmod_(k, a, g)[0]]
+                todo += [g, ring.divmod(b, g)[0], ring.divmod(a, g)[0]]
             break
         else:
             base.append(a)

@@ -14,10 +14,10 @@ algebra of the incremental echelon, _row_algebra.  That echelon is the only
 Gaussian elimination in aslab, and the row algebra is its only interface:
 min_poly_in_quotient, linalg's ranks and invariant factors, and _kernel
 (the Berlekamp split's and linalg's kernels) pack their vectors once and
-call it directly.  Its row representation is chosen per field: over GF(2)
-every echelon row, reduced vector and combination is a Python int with bit
-i holding coordinate i, reduced by XOR; over every other field it is a list
-of payloads.  Poly.from_string reads its constants from the field's parse
+call it directly.  The echelon is a dict from pivot to (row, combination),
+whose representation is chosen per field: over GF(2) a Python int with bit
+i holding coordinate i, reduced by XOR at the vector's set bits; over every
+other field a list of payloads.  Poly.from_string reads its constants from the field's parse
 atoms (FieldDescriptor.atoms).  Irreducibility comes from
 fields.rabin_irreducible.
 """
@@ -497,7 +497,7 @@ def _min_dependence(field, u, m):
     """
     n = len(m) - 1
     rows = _row_algebra(field)
-    echelon = []
+    echelon = {}
     power = (field.one,)
     for j in range(n + 1):
         vec = rows.pack(list(power) + [field.zero] * (n - len(power)))
@@ -519,7 +519,7 @@ def _kernel(field, columns):
     """
     rows = _row_algebra(field)
     n = len(columns)
-    echelon = []
+    echelon = {}
     basis = []
     for c, col in enumerate(columns):
         added, combo = rows.extend(echelon, rows.pack(col), rows.unit(c, c + 1))
@@ -537,8 +537,8 @@ def _row_algebra(field):
 
 
 class _PayloadRows:
-    """Vectors as lists of payloads.  Echelon rows are (row, pivot, combo)
-    with row and combo stored as their nonzero (index, value) pairs, so
+    """Vectors as lists of payloads.  The echelon maps each pivot to its
+    (row, combo), both stored as their nonzero (index, value) pairs, so
     sparse rows cost only their nonzeros; a combo is updated in place."""
 
     def __init__(self, field):
@@ -563,7 +563,8 @@ class _PayloadRows:
         field = self.field
         zero = field.zero
         v = list(v)
-        for row, piv, ecombo in echelon:
+        # in insertion order: a row is zero at the pivots of earlier rows
+        for piv, (row, ecombo) in echelon.items():
             a = v[piv]
             if a != zero:
                 for i, y in row:
@@ -582,11 +583,10 @@ class _PayloadRows:
         if piv is None:
             return False, c
         inv = field.inv(v[piv])
-        echelon.append((
+        echelon[piv] = (
             _scaled_nonzeros(field, v, inv),
-            piv,
             None if c is None else _scaled_nonzeros(field, c, inv),
-        ))
+        )
         return True, c
 
     def columns(self, matrix_rows):
@@ -620,6 +620,8 @@ class _BitRows:
     multiplication of dense matrices over GF(2)", ACM TOMS 37, 2010).  A
     pivot is the lowest set bit and already a unit, so a reduction step is
     one XOR of the row and one of its combo; no combo is the empty combo 0.
+    The echelon maps each pivot bit to its (row, combo), so a reduction
+    looks up only the set bits of the vector.
     """
 
     @staticmethod
@@ -636,9 +638,18 @@ class _BitRows:
 
     @staticmethod
     def reduce(echelon, v, c):
+        # w holds the set bits of v not yet visited, lowest first; the row
+        # at pivot b clears bit b and touches only the bits above it
         c = c or 0
-        for row, piv, ecombo in echelon:
-            if v >> piv & 1:
+        w = v
+        while w:
+            low = w & -w
+            entry = echelon.get(low.bit_length() - 1)
+            if entry is None:
+                w ^= low
+            else:
+                row, ecombo = entry
+                w ^= row
                 v ^= row
                 c ^= ecombo
         return v, c
@@ -647,7 +658,7 @@ class _BitRows:
         v, c = self.reduce(echelon, v, c)
         if not v:
             return False, c
-        echelon.append((v, (v & -v).bit_length() - 1, c))
+        echelon[(v & -v).bit_length() - 1] = (v, c)
         return True, c
 
     def columns(self, matrix_rows):

@@ -1,9 +1,11 @@
+import hashlib
+import json
 import random
 import time
 
 import pytest
 
-from aslab import ad_analyzer
+from aslab import ad_analyzer, irred
 from aslab.ad_analyzer import (
     analyze,
     build_gas_companion,
@@ -183,9 +185,66 @@ def test_analyze_gf2_20x20_in_bounded_time():
     assert elapsed < 3.0
 
 
+def _report_digest(report):
+    data = json.dumps(report.to_json_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(data.encode()).hexdigest()[:16]
+
+
+def _seeded_gf2(seed, m):
+    rng = random.Random(seed)
+    return Matrix(make_field("GF(2)"), [[rng.randrange(2) for _ in range(m)] for _ in range(m)])
+
+
+@pytest.mark.parametrize(
+    "build, digest",
+    [
+        # 88 s before the Smith finish ran on packed GF(2)[X] (2-core Xeon VM)
+        (lambda: _seeded_gf2(32003, 32), "c0917713b154a9b5"),
+        # 49-56 s before
+        (lambda: _seeded_gf2(32000, 32), "ba4242353a3acaac"),
+        (lambda: companion(Poly.from_string(make_field("GF(2)"), "X^32+X^7+X^3+X^2+1")),
+         "36cca3231d6f2e6a"),
+    ],
+    ids=["random-32003", "random-32000", "irreducible-companion"],
+)
+def test_analyze_gf2_at_the_32x32_cap_in_bounded_time(build, digest):
+    # ad of a 32 x 32 matrix is 1024 x 1024, the largest the cap admits;
+    # the digests are those of the reports before the packed Smith finish
+    a = build()
+    t0 = time.perf_counter()
+    report = analyze(a)
+    elapsed = time.perf_counter() - t0
+    assert _report_digest(report) == digest
+    assert elapsed < 15.0
+
+
+def test_c3_is_decided_before_ad_is_built(monkeypatch):
+    # the oracle refuses mu_A = X^9 - X^3 - 1/(Z+1) at its total-degree cap;
+    # that refusal comes before ad A and its invariant factors are computed
+    def no_ad(*args):
+        raise AssertionError("ad A built before c3 was decided")
+
+    monkeypatch.setattr(ad_analyzer, "ad_matrix", no_ad)
+    a = build_gas_companion(make_field("GF(3)(Z)"), 1, 1, "1/(Z+1)")
+    with pytest.raises(CapExceededError, match="total degree"):
+        analyze(a)
+
+
+def test_c3_is_false_without_the_oracle_when_x_divides_mu(monkeypatch):
+    # X^2 + (Z^2+Z+1)^7 X has total degree 16, over the oracle's cap 12, but
+    # X divides it, so it is reducible and the oracle is never asked
+    def no_oracle(*args):
+        raise AssertionError("oracle asked about a polynomial that X divides")
+
+    monkeypatch.setattr(irred, "bivariate_irreducible_oracle", no_oracle)
+    f = Poly.from_string(make_field("GF(3)(Z)"), "X^2+(Z^2+Z+1)^7*X")
+    report = analyze(companion(f))
+    assert report.c1 and not report.c3
+    assert "reducible" in report.failures[-1]
+
+
 def test_analyze_json_is_stable():
     f2z = make_field("GF(2)(Z)")
-    import json
 
     a = build_gas_companion(f2z, 1, 0, "Z")
     d1 = json.dumps(analyze(a, seed=4).to_json_dict())

@@ -222,6 +222,17 @@ def test_a_root_of_multiplicity_4000_is_refused_within_3_s(capsys):
     assert elapsed < 3.0
 
 
+def test_a_polynomial_over_the_oracle_cap_that_x_divides_answers(capsys):
+    # total degree 16 is over the oracle's cap 12; X divides it, so c3 is
+    # false without the oracle (this exited 2 when c3 came last)
+    code, out, err = run_cli(
+        capsys, "analyze-ad", "--field", "GF(3)(Z)", "--poly", "X^2+(Z^2+Z+1)^7*X"
+    )
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["c3"] is False and result["c1"] is True
+
+
 @pytest.mark.parametrize(
     "argv, condition",
     [

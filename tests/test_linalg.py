@@ -3,7 +3,7 @@ import random
 import pytest
 
 from aslab import _ringops as rp
-from aslab import fields, linalg
+from aslab import fields, linalg, poly
 from aslab.errors import CapExceededError, InputError
 from aslab.fields import SPECIALISATION_TRIES, enumerate_elements, make_field, specialise
 from aslab.linalg import (
@@ -25,7 +25,13 @@ from aslab.linalg import (
     specialised_invertible,
     verify_companion_composition,
 )
-from aslab.poly import Poly, min_poly_in_quotient, roots_in_finite_field
+from aslab.poly import (
+    Poly,
+    _kernel,
+    _min_dependence,
+    min_poly_in_quotient,
+    roots_in_finite_field,
+)
 
 
 def random_matrix(field, size, rng):
@@ -999,3 +1005,126 @@ def test_a_singular_matrix_makes_the_capped_tries_then_one_exact_rank(spec, trie
     assert not m.is_invertible()
     assert len(specialised) == tries <= SPECIALISATION_TRIES
     assert exact == [m]
+
+
+# ---------------------------------------------------------------------------
+# the packed GF(2) kernels against payload-list and tuple references
+
+
+def _gf2_differential_matrices():
+    """Seeded random ad matrices (m <= 12) and three 196 x 196 block sums
+    of seven size-2 Jordan blocks, all over GF(2)."""
+    f2 = make_field("GF(2)")
+    rng = random.Random(181)
+    for m in (1, 2, 3, 4, 5, 5, 6, 7, 8, 10, 12):
+        yield ad_matrix(random_matrix(f2, m, rng))
+    for _ in range(3):
+        blocks = [jordan_block(f2, rng.randrange(2), 2) for _ in range(7)]
+        yield ad_matrix(direct_sum(*blocks))
+
+
+def _with_payload_rows(monkeypatch, run):
+    """run() with the echelon on payload lists, GF(2) included."""
+    with monkeypatch.context() as patch:
+        for module in (poly, linalg):
+            patch.setattr(module, "_row_algebra", poly._PayloadRows)
+        return run()
+
+
+def test_pivot_table_echelon_matches_payload_rows(monkeypatch):
+    f2 = make_field("GF(2)")
+    for mat in _gf2_differential_matrices():
+        columns = [list(col) for col in zip(*mat.rows)]
+
+        def run():
+            return (
+                linalg._rank(f2, mat.rows),
+                _kernel(f2, columns),
+                invariant_factors(mat),
+            )
+
+        assert run() == _with_payload_rows(monkeypatch, run), mat
+    rng = random.Random(182)
+    for deg in (1, 2, 5, 17, 40, 64):
+        for _ in range(3):
+            m = random_monic(f2, deg, rng).raw
+            u = rp.trim(f2, tuple(rng.randrange(2) for _ in range(deg)))
+
+            def run():
+                return _min_dependence(f2, u, m)
+
+            assert run() == _with_payload_rows(monkeypatch, run), (u, m)
+
+
+def _gf2_relation_matrices(rng):
+    """Sparse GF(2)[X] matrices, one {column: raw entry} dict per row, with
+    entries of degree up to about 200: random ones, and products of high
+    powers of a few shared factors, so that the coprime base and the
+    multiplicities work on multi-word ints."""
+    k = make_field("GF(2)")
+    shared = [(1, 1), (1, 1, 1), (1, 0, 0, 1, 1), (1, 1, 0, 0, 0, 0, 1)]
+
+    def power_product():
+        f = (1,)
+        for g in rng.sample(shared, rng.randrange(1, 3)):
+            f = rp.mul(k, f, rp.power(k, g, rng.randrange(1, 40)))
+        return f
+
+    def entry():
+        if rng.randrange(3):
+            return power_product()
+        return rp.trim(k, tuple(rng.randrange(2) for _ in range(rng.randrange(1, 201))))
+
+    for _ in range(8):
+        n = rng.randrange(2, 5)
+        rows = [{i: entry()} for i in range(n)]
+        coupled = rng.sample(range(n), rng.randrange(2, n + 1))
+        for _ in range(rng.randrange(1, 2 * n)):
+            e = entry()
+            if e:
+                rows[rng.choice(coupled)][rng.choice(coupled)] = e
+        yield rows
+    # a zero and a unit on the diagonal, a repeated row
+    big = power_product()
+    yield [{0: big}, {}, {2: (1,)}, {0: big, 3: shared[1]}, {0: big, 3: shared[1]}]
+
+
+def test_packed_smith_finish_matches_reference():
+    k = make_field("GF(2)")
+    rng = random.Random(183)
+    for rows in _gf2_relation_matrices(rng):
+        expected = _reference_smith_diagonal(k, [dict(r) for r in rows])
+        got = _smith_diagonal(k, [dict(r) for r in rows])
+        assert got == expected, rows
+        assert all(isinstance(d, tuple) for d in got)
+
+
+def test_packed_gf2_polynomials_match_ringops():
+    k = make_field("GF(2)")
+    ring = linalg._GF2X
+    rng = random.Random(184)
+    polys = [()] + [
+        rp.trim(k, tuple(rng.randrange(2) for _ in range(rng.randrange(1, 260))))
+        for _ in range(24)
+    ]
+    for a, b in zip(polys, polys[1:] + polys[:1]):
+        pa, pb = ring.pack(a), ring.pack(b)
+        assert ring.unpack(pa) == a and ring.size(pa) == len(a)
+        assert ring.unpack(ring.mul(pa, pb)) == rp.mul(k, a, b)
+        assert ring.unpack(ring.sub(pa, pb)) == rp.sub(k, a, b)
+        if b:
+            q, r = ring.divmod(pa, pb)
+            assert (ring.unpack(q), ring.unpack(r)) == rp.divmod_(k, a, b)
+            assert ring.unpack(ring.gcd(pa, pb)) == rp.gcd(k, a, b)
+        if len(b) > 1 and a:
+            f = rp.mul(k, a, rp.power(k, b, 3))
+            assert ring.multiplicity(ring.pack(f), pb) == _divide_out_count(k, f, b)
+
+
+def _divide_out_count(k, f, d):
+    mult = 0
+    while True:
+        q, r = rp.divmod_(k, f, d)
+        if r:
+            return mult
+        f, mult = q, mult + 1

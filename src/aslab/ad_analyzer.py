@@ -58,6 +58,7 @@ from .poly import (
     _factor_raw,
     _monic_divisors,
     _raw_sort_key,
+    _row_algebra,
     gas_poly,
     gas_shape,
     separable_part,
@@ -234,11 +235,13 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     # one pass over the (eigenvalue v, invariant factor f) pairs: c1 counts
     # the multiplicity of X - v in each f, and every f that X - v divides is
     # one cyclic summand F[X]/(f) adding one dimension to ker(ad - vI)
+    ring = _row_algebra(field)
+    packed = [ring.pack(f.raw) for f in inv_ad]
     accounted = 0
     dims = []
     for v in eigenvalues:
-        lin = (field.neg(v.payload), field.one)
-        mults = [_divide_out(field, f.raw, lin)[1] for f in inv_ad]
+        lin = ring.pack((field.neg(v.payload), field.one))
+        mults = [ring.multiplicity(f, lin) for f in packed]
         accounted += sum(mults)
         dims.append((v, sum(1 for mult in mults if mult)))
     c1 = accounted == m * m

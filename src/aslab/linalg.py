@@ -4,23 +4,21 @@ Provides companion / Kronecker / Pascal constructors, kernels and
 eigenspaces by Gaussian elimination, invariant factors from Krylov chains
 over F, similarity testing, and Jordan types of nilpotent matrices read off
 their invariant factors.  All pivot choices are fixed, so every function is
-deterministic.  This module has no Gaussian elimination of its own: ranks,
-kernels and the Krylov vectors of invariant_factors all go through poly's
-row algebra (_row_algebra, the only interface to the incremental echelon,
-and _kernel on top of it, which also serves poly's Berlekamp split).  The
-row representation follows the field: over GF(2) each row, Krylov vector
-and combination is packed into a Python int, and m times v is the XOR of
-m's packed columns at the set bits of v; over every other field they are
-payload lists, and m's columns are kept as their nonzero entries.
+deterministic.  This module has no Gaussian elimination and no polynomial
+algebra of its own: ranks, kernels, the Krylov vectors of invariant_factors
+and their Smith finish all run in poly's row algebra (_row_algebra, the
+only interface to the incremental echelon, and _kernel on top of it, which
+also serves poly's Berlekamp split), one representation per field: over
+GF(2) a vector, a combination and a polynomial are each one Python int,
+over every other field payload lists and _ringops tuples.
 invariant_factors runs the Smith normal form over F[X] (_smith_diagonal)
 only on the small matrix of chain relations (Storjohann, "An O(n^3)
-algorithm for the Frobenius normal form", ISSAC 1998).  That Smith form has
-two phases: row and column sweeps reach some diagonal form, and factor
-refinement of its entries into a pairwise coprime base closes it into the
-divisibility chain (Bach, Driscoll and Shallit, "Factor refinement", J.
-Algorithms 1993), so no pivot is tested against the rest of the matrix.
-Both phases are written once against a polynomial algebra (_poly_algebra):
-over GF(2) each polynomial is one Python int, bit i the coefficient of X^i.
+algorithm for the Frobenius normal form", ISSAC 1998), read off the
+echelon's combinations.  That Smith form has two phases: row and column
+sweeps reach some diagonal form, and factor refinement of its entries into
+a pairwise coprime base closes it into the divisibility chain (Bach,
+Driscoll and Shallit, "Factor refinement", J. Algorithms 1993), so no pivot
+is tested against the rest of the matrix.
 
 Matrix(field, rows) converts and validates every entry (FieldDescriptor.
 payload_of) and is meant for values from outside; every matrix computed
@@ -34,15 +32,13 @@ pole proves M invertible, and only when no point certifies does the exact
 rank over K(Z) decide.
 """
 
+import bisect
 import collections
-import functools
 import math
-import operator
 
-from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement, make_field, specialisation_points, specialise
-from .poly import _BIT_ROWS, Poly, _divide_out, _kernel, _row_algebra, factor_finite
+from .poly import Poly, _kernel, _row_algebra, factor_finite
 
 MAX_FINITE_DIM = 1024
 MAX_RATIONAL_DIM = 100
@@ -418,6 +414,10 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
     X^(d_j) v_j + sum_s c_s X^(l_s) v_(chain s) = 0.  These relations present
     F^n as an F[X]-module, so the Smith form of their k x k triangular
     matrix over F[X], k the number of chains, gives the invariant factors.
+
+    The echelon indexes its vectors as they come, so chain s holds indices
+    starts[s] .. starts[s+1]-1 in power order, and its F[X] entry in a
+    relation is that segment of the combination.
     """
     if not m.is_square():
         raise InputError("invariant factors need a square matrix")
@@ -426,144 +426,67 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
     rows = _row_algebra(k)
     columns = rows.columns(m.rows)
     echelon = {}
-    place = []  # (chain, power) of each vector in the echelon, in order
+    starts = []  # echelon index of each chain's first vector
     relations = []
     for i in range(n):
         vec = rows.unit(i, n)
-        chain = len(relations)
-        power = 0
+        start = len(echelon)
         while True:
-            place.append((chain, power))
-            added, combo = rows.extend(echelon, vec, rows.unit(len(place) - 1, len(place)))
+            index = len(echelon)
+            added, combo = rows.extend(echelon, vec, rows.unit(index, index + 1))
             if not added:
                 break
             vec = rows.apply(columns, vec)
-            power += 1
         # vec lies in the span: combo closes the chain, unless the chain is
         # empty because e_i itself was already spanned
-        if power:
-            relations.append(_relation_row(k, rows.unpack(combo, len(place)), place))
-        place.pop()
-    diag = _smith_diagonal(k, relations)
-    nontrivial = [Poly.from_raw(k, d) for d in diag if len(d) > 1]
+        if index > start:
+            starts.append(start)
+            # combo touches the chains from the one holding its lowest
+            # coordinate up to this one, which ends at the closing index
+            first = bisect.bisect_right(starts, rows.low(combo)) - 1
+            bounds = starts[first:] + [index + 1]
+            relation = {}
+            for s, (lo, hi) in enumerate(zip(bounds, bounds[1:]), first):
+                entry = rows.segment(combo, lo, hi)
+                if entry:
+                    relation[s] = entry
+            relations.append(relation)
+    nontrivial = [
+        Poly.from_raw(k, rows.unpack(d, rows.size(d)))
+        for d in _smith_diagonal(rows, relations)
+        if rows.size(d) > 1
+    ]
     total = sum(f.degree() for f in nontrivial)
     if total != n:
         raise ConsistencyError("Smith normal form degrees do not sum to the size")
     return InvariantFactorList(nontrivial)
 
 
-def _relation_row(k, combo, place):
-    """{chain: F[X] entry} for the relation
-    sum_s combo[s] * X^(power s) * v_(chain s) = 0."""
-    coeffs = {}
-    for (chain, power), a in zip(place, combo):
-        if a != k.zero:
-            col = coeffs.setdefault(chain, [])
-            col.extend([k.zero] * (power + 1 - len(col)))
-            col[power] = a
-    return {chain: rp.trim(k, col) for chain, col in coeffs.items()}
-
-
-def _smith_diagonal(k, rows):
-    """Smith normal form diagonal, monic, of a square polynomial matrix given
-    as one {column: nonzero raw entry} dict per row.
+def _smith_diagonal(ring, rows):
+    """Smith normal form diagonal, monic, of a square polynomial matrix over
+    ring, a poly._row_algebra, given as one {column: nonzero entry} dict per
+    row; the entries in and the diagonal out are ring elements.
 
     Two phases.  Phase 1 reaches some diagonal form: a row whose only entry
     is on the diagonal, in a column no other row touches, is finished as it
     stands, and _diagonalize eliminates the rest.  Phase 2, _close_diagonal,
     turns that diagonal into the Smith diagonal; unit entries come first and
     zero entries last.  The Smith form is unique, so the pivot rule only
-    steers phase 1 and never shows in the result.  Both phases run in
-    _poly_algebra(k); entries come in and go out as raw tuples.
+    steers phase 1 and never shows in the result.
     """
-    ring = _poly_algebra(k)
     uses = collections.Counter(j for row in rows for j in row)
     diag = []
     coupled = []
     for i, row in enumerate(rows):
         if len(row) == 1 and i in row and uses[i] == 1:
-            diag.append(ring.pack(row[i]))
+            diag.append(row[i])
         else:
             coupled.append(i)
     # coupled rows touch coupled columns only, so they form a square block
     col = {j: s for s, j in enumerate(coupled)}
-    block = [{col[j]: ring.pack(e) for j, e in rows[i].items()} for i in coupled]
+    block = [{col[j]: e for j, e in rows[i].items()} for i in coupled]
     diag.extend(_diagonalize(ring, block))
-    return [ring.unpack(d) for d in _close_diagonal(ring, diag)]
-
-
-def _poly_algebra(k):
-    """F[X] for the Smith finish: packed ints over GF(2), raw tuples over
-    every other field; size is the coefficient count (0 for zero)."""
-    if k.kind == "prime" and k.p == 2:
-        return _GF2X
-    return _TuplePolys(k)
-
-
-class _TuplePolys:
-    """F[X] on _ringops raw tuples."""
-
-    zero = ()
-    size = len
-    pack = unpack = tuple
-
-    def __init__(self, k):
-        self.one = (k.one,)
-        self.sub, self.mul, self.divmod, self.monic, self.gcd = (
-            functools.partial(f, k) for f in (rp.sub, rp.mul, rp.divmod_, rp.monic, rp.gcd)
-        )
-        self.multiplicity = lambda a, b: _divide_out(k, a, b)[1]
-
-
-class _GF2X:
-    """GF(2)[X] on Python ints, bit i holding the coefficient of X^i, the
-    packing of poly._BitRows: subtraction is XOR, multiplication and
-    division shift and XOR, and every nonzero polynomial is monic."""
-
-    zero, one, size = 0, 1, int.bit_length
-    sub = operator.xor
-    monic = operator.pos
-    pack = staticmethod(_BIT_ROWS.pack)
-
-    @staticmethod
-    def unpack(a):
-        return tuple(_BIT_ROWS.unpack(a, a.bit_length())) if a else ()
-
-    @staticmethod
-    def mul(a, b):
-        if a.bit_length() < b.bit_length():
-            a, b = b, a
-        out = 0
-        while b:
-            low = b & -b
-            out ^= a << low.bit_length() - 1
-            b ^= low
-        return out
-
-    @staticmethod
-    def divmod(a, b):
-        n = b.bit_length()
-        if not n:
-            raise ZeroDivisionError("division by zero polynomial")
-        q, shift = 0, a.bit_length() - n
-        while shift >= 0:
-            q |= 1 << shift
-            a ^= b << shift
-            shift = a.bit_length() - n
-        return q, a
-
-    @staticmethod
-    def gcd(a, b):
-        while b:
-            a, b = b, _GF2X.divmod(a, b)[1]
-        return a
-
-    @staticmethod
-    def multiplicity(a, b):
-        mult, (q, r) = 0, _GF2X.divmod(a, b)
-        while not r:
-            mult, (q, r) = mult + 1, _GF2X.divmod(q, b)
-        return mult
+    return _close_diagonal(ring, diag)
 
 
 def _diagonalize(ring, rows):

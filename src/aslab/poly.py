@@ -17,10 +17,14 @@ min_poly_in_quotient, linalg's ranks and invariant factors, and _kernel
 call it directly.  The echelon is a dict from pivot to (row, combination),
 whose representation is chosen per field: over GF(2) a Python int with bit
 i holding coordinate i, reduced by XOR at the vector's set bits; over every
-other field a list of payloads.  Poly.from_string reads its constants from the field's parse
-atoms (FieldDescriptor.atoms).  Irreducibility comes from
-fields.rabin_irreducible.
+other field a list of payloads.  The same algebra is F[X] for linalg's
+Smith finish and analyze's multiplicities, bit i over GF(2) holding the
+coefficient of X^i and _ringops tuples elsewhere.  Poly.from_string reads
+its constants from the field's parse atoms (FieldDescriptor.atoms).
+Irreducibility comes from fields.rabin_irreducible.
 """
+
+import operator
 
 from . import _ringops as rp
 from ._exprparse import parse_expression
@@ -529,20 +533,31 @@ def _kernel(field, columns):
 
 
 def _row_algebra(field):
-    """The representation of the echelon's rows, vectors and combos over
-    field: packed ints over GF(2), payload lists over every other field."""
+    """The echelon's rows, vectors and combos and linalg's Smith finish's F[X]
+    over field: packed ints over GF(2), the one place GF(2) is told apart,
+    and payload lists and _ringops tuples over every other field."""
     if field.kind == "prime" and field.p == 2:
         return _BIT_ROWS
     return _PayloadRows(field)
 
 
+def _ringop(name):
+    """A _PayloadRows method running _ringops.<name> over its field; the
+    name is looked up at each call, so a tracer that rebinds it sees it."""
+    return lambda self, *args: getattr(rp, name)(self.field, *args)
+
+
 class _PayloadRows:
     """Vectors as lists of payloads.  The echelon maps each pivot to its
     (row, combo), both stored as their nonzero (index, value) pairs, so
-    sparse rows cost only their nonzeros; a combo is updated in place."""
+    sparse rows cost only their nonzeros; a combo is updated in place.
+    As F[X] for the Smith finish, polynomials are _ringops raw tuples and
+    size is the coefficient count (0 for zero).
+    """
 
     def __init__(self, field):
         self.field = field
+        self.one = (field.one,)
 
     def pack(self, vec):
         """vec, a sequence of payloads, in this representation."""
@@ -550,7 +565,7 @@ class _PayloadRows:
 
     def unpack(self, v, n):
         """v as a list of n payloads."""
-        return v + [self.field.zero] * (n - len(v))
+        return list(v) + [self.field.zero] * (n - len(v))
 
     def unit(self, i, n):
         """The i-th unit vector of length n."""
@@ -558,8 +573,18 @@ class _PayloadRows:
         v[i] = self.field.one
         return v
 
-    def reduce(self, echelon, v, c):
-        """(v reduced by the echelon as a new list, c reduced alike)."""
+    def low(self, v):
+        """Index of the first nonzero coordinate of v, None when v is zero."""
+        zero = self.field.zero
+        return next((i for i, a in enumerate(v) if a != zero), None)
+
+    def segment(self, v, lo, hi):
+        """Coordinates lo .. hi-1 of v as a polynomial, lo the constant term."""
+        return rp.trim(self.field, v[lo:hi])
+
+    def extend(self, echelon, v, c):
+        """(whether v is independent of the echelon, c reduced alike); an
+        independent v is appended, scaled to a unit pivot."""
         field = self.field
         zero = field.zero
         v = list(v)
@@ -572,14 +597,7 @@ class _PayloadRows:
                 if c is not None:
                     for i, y in ecombo:
                         c[i] = field.sub(c[i], field.mul(a, y))
-        return v, c
-
-    def extend(self, echelon, v, c):
-        """(whether v is independent of the echelon, reduced c); an
-        independent v is appended, scaled to a unit pivot."""
-        field = self.field
-        v, c = self.reduce(echelon, v, c)
-        piv = next((i for i, a in enumerate(v) if a != field.zero), None)
+        piv = self.low(v)
         if piv is None:
             return False, c
         inv = field.inv(v[piv])
@@ -604,6 +622,14 @@ class _PayloadRows:
                     out[i] = field.add(out[i], field.mul(y, a))
         return out
 
+    zero = ()
+    size = len
+    sub, mul, divmod, monic, gcd = map(_ringop, ("sub", "mul", "divmod_", "monic", "gcd"))
+
+    def multiplicity(self, a, b):
+        """The largest m with b^m dividing the nonzero a."""
+        return _divide_out(self.field, a, b)[1]
+
 
 def _scaled_nonzeros(field, vec, c):
     return [(i, field.mul(x, c)) for i, x in enumerate(vec) if x != field.zero]
@@ -621,7 +647,10 @@ class _BitRows:
     pivot is the lowest set bit and already a unit, so a reduction step is
     one XOR of the row and one of its combo; no combo is the empty combo 0.
     The echelon maps each pivot bit to its (row, combo), so a reduction
-    looks up only the set bits of the vector.
+    looks up only the set bits of the vector.  The same packing is GF(2)[X]
+    for the Smith finish, bit i the coefficient of X^i: subtraction is XOR,
+    multiplication and division shift and XOR, every nonzero polynomial is
+    monic, and size is the coefficient count (0 for zero).
     """
 
     @staticmethod
@@ -637,7 +666,15 @@ class _BitRows:
         return 1 << i
 
     @staticmethod
-    def reduce(echelon, v, c):
+    def low(v):
+        """Index of the lowest set bit of the nonzero v."""
+        return (v & -v).bit_length() - 1
+
+    @staticmethod
+    def segment(v, lo, hi):
+        return v >> lo & (1 << hi - lo) - 1
+
+    def extend(self, echelon, v, c):
         # w holds the set bits of v not yet visited, lowest first; the row
         # at pivot b clears bit b and touches only the bits above it
         c = c or 0
@@ -652,13 +689,9 @@ class _BitRows:
                 w ^= row
                 v ^= row
                 c ^= ecombo
-        return v, c
-
-    def extend(self, echelon, v, c):
-        v, c = self.reduce(echelon, v, c)
         if not v:
             return False, c
-        echelon[(v & -v).bit_length() - 1] = (v, c)
+        echelon[self.low(v)] = (v, c)
         return True, c
 
     def columns(self, matrix_rows):
@@ -673,6 +706,47 @@ class _BitRows:
             out ^= columns[low.bit_length() - 1]
             v ^= low
         return out
+
+    zero, one = 0, 1
+    size = staticmethod(int.bit_length)
+    sub = operator.xor
+    monic = operator.pos
+
+    @staticmethod
+    def mul(a, b):
+        if a.bit_length() < b.bit_length():
+            a, b = b, a
+        out = 0
+        while b:
+            low = b & -b
+            out ^= a << low.bit_length() - 1
+            b ^= low
+        return out
+
+    @staticmethod
+    def divmod(a, b):
+        n = b.bit_length()
+        if not n:
+            raise ZeroDivisionError("division by zero polynomial")
+        q, shift = 0, a.bit_length() - n
+        while shift >= 0:
+            q |= 1 << shift
+            a ^= b << shift
+            shift = a.bit_length() - n
+        return q, a
+
+    @staticmethod
+    def gcd(a, b):
+        while b:
+            a, b = b, _BitRows.divmod(a, b)[1]
+        return a
+
+    @staticmethod
+    def multiplicity(a, b):
+        mult, (q, r) = 0, _BitRows.divmod(a, b)
+        while not r:
+            mult, (q, r) = mult + 1, _BitRows.divmod(q, b)
+        return mult
 
 
 _BIT_ROWS = _BitRows()

@@ -1,9 +1,10 @@
+import json
 import random
 
 import pytest
 
 from aslab import _ringops as rp
-from aslab import fields, linalg, poly
+from aslab import ad_analyzer, fields, linalg, poly
 from aslab.errors import CapExceededError, InputError
 from aslab.fields import SPECIALISATION_TRIES, enumerate_elements, make_field, specialise
 from aslab.linalg import (
@@ -29,6 +30,7 @@ from aslab.poly import (
     Poly,
     _kernel,
     _min_dependence,
+    gas_poly,
     min_poly_in_quotient,
     roots_in_finite_field,
 )
@@ -305,7 +307,15 @@ def _smith_of_xi_minus(m):
             if e:
                 entries[j] = e
         rows.append(entries)
-    return [Poly.from_raw(k, d) for d in _smith_diagonal(k, rows) if len(d) > 1]
+    return [Poly.from_raw(k, d) for d in _raw_smith_diagonal(k, rows) if len(d) > 1]
+
+
+def _raw_smith_diagonal(k, rows):
+    """_smith_diagonal in k's row algebra on rows of raw tuple entries:
+    the entries are packed and the diagonal comes back as raw tuples."""
+    ring = poly._row_algebra(k)
+    packed = [{j: ring.pack(e) for j, e in row.items()} for row in rows]
+    return [rp.trim(k, ring.unpack(d, ring.size(d))) for d in _smith_diagonal(ring, packed)]
 
 
 def _adversarial_matrices(field, rng):
@@ -488,7 +498,7 @@ def test_smith_diagonal_matches_reference_finish():
         k = make_field(spec)
         for rows in _smith_test_matrices(k, rng):
             expected = _reference_smith_diagonal(k, [dict(r) for r in rows])
-            assert _smith_diagonal(k, [dict(r) for r in rows]) == expected, (spec, rows)
+            assert _raw_smith_diagonal(k, [dict(r) for r in rows]) == expected, (spec, rows)
 
 
 def test_invariant_factor_list_validates_chain():
@@ -1024,9 +1034,10 @@ def _gf2_differential_matrices():
 
 
 def _with_payload_rows(monkeypatch, run):
-    """run() with the echelon on payload lists, GF(2) included."""
+    """run() with the echelon and the Smith finish on payload lists and
+    tuples, GF(2) included."""
     with monkeypatch.context() as patch:
-        for module in (poly, linalg):
+        for module in (poly, linalg, ad_analyzer):
             patch.setattr(module, "_row_algebra", poly._PayloadRows)
         return run()
 
@@ -1054,6 +1065,44 @@ def test_pivot_table_echelon_matches_payload_rows(monkeypatch):
                 return _min_dependence(f2, u, m)
 
             assert run() == _with_payload_rows(monkeypatch, run), (u, m)
+
+
+def test_packed_segment_and_low_match_payload_rows():
+    # an unmasked segment would still give the right invariant factors (it
+    # adds X-shifted later chains to each entry, a unimodular column
+    # operation), so segment is checked on its own
+    f2 = make_field("GF(2)")
+    bits, payloads = poly._BIT_ROWS, poly._PayloadRows(f2)
+    rng = random.Random(186)
+    for _ in range(200):
+        n = rng.randrange(1, 150)
+        vec = [rng.randrange(2) for _ in range(n)]
+        vec[rng.randrange(n)] = 1
+        packed = bits.pack(vec)
+        assert bits.low(packed) == payloads.low(vec)
+        lo = rng.randrange(n)
+        hi = rng.randrange(lo, n + 1)
+        seg = bits.segment(packed, lo, hi)
+        assert rp.trim(f2, bits.unpack(seg, bits.size(seg))) == payloads.segment(vec, lo, hi)
+    assert payloads.low([0, 0]) is None
+
+
+def test_analyze_report_matches_payload_rows(monkeypatch):
+    # the whole analysis, the Krylov relations read off packed combos and
+    # the eigenvalue multiplicities included, against the payload algebra
+    f2 = make_field("GF(2)")
+    rng = random.Random(185)
+    mats = [random_matrix(f2, m, rng) for m in (1, 2, 3, 4, 5, 6, 7, 8, 8)]
+    mats += [
+        companion(gas_poly(f2, n, e, a)) for n, e in ((1, 1), (1, 2), (2, 1)) for a in (0, 1)
+    ]
+    for a in mats:
+
+        def run():
+            report = ad_analyzer.analyze(a)
+            return json.dumps(report.to_json_dict(), sort_keys=True)
+
+        assert run() == _with_payload_rows(monkeypatch, run), a
 
 
 def _gf2_relation_matrices(rng):
@@ -1094,28 +1143,32 @@ def test_packed_smith_finish_matches_reference():
     rng = random.Random(183)
     for rows in _gf2_relation_matrices(rng):
         expected = _reference_smith_diagonal(k, [dict(r) for r in rows])
-        got = _smith_diagonal(k, [dict(r) for r in rows])
+        got = _raw_smith_diagonal(k, [dict(r) for r in rows])
         assert got == expected, rows
         assert all(isinstance(d, tuple) for d in got)
 
 
 def test_packed_gf2_polynomials_match_ringops():
     k = make_field("GF(2)")
-    ring = linalg._GF2X
+    ring = poly._BIT_ROWS
     rng = random.Random(184)
     polys = [()] + [
         rp.trim(k, tuple(rng.randrange(2) for _ in range(rng.randrange(1, 260))))
         for _ in range(24)
     ]
+
+    def unpack(d):
+        return rp.trim(k, ring.unpack(d, ring.size(d)))
+
     for a, b in zip(polys, polys[1:] + polys[:1]):
         pa, pb = ring.pack(a), ring.pack(b)
-        assert ring.unpack(pa) == a and ring.size(pa) == len(a)
-        assert ring.unpack(ring.mul(pa, pb)) == rp.mul(k, a, b)
-        assert ring.unpack(ring.sub(pa, pb)) == rp.sub(k, a, b)
+        assert unpack(pa) == a and ring.size(pa) == len(a)
+        assert unpack(ring.mul(pa, pb)) == rp.mul(k, a, b)
+        assert unpack(ring.sub(pa, pb)) == rp.sub(k, a, b)
         if b:
             q, r = ring.divmod(pa, pb)
-            assert (ring.unpack(q), ring.unpack(r)) == rp.divmod_(k, a, b)
-            assert ring.unpack(ring.gcd(pa, pb)) == rp.gcd(k, a, b)
+            assert (unpack(q), unpack(r)) == rp.divmod_(k, a, b)
+            assert unpack(ring.gcd(pa, pb)) == rp.gcd(k, a, b)
         if len(b) > 1 and a:
             f = rp.mul(k, a, rp.power(k, b, 3))
             assert ring.multiplicity(ring.pack(f), pb) == _divide_out_count(k, f, b)

@@ -42,6 +42,7 @@ from .tensor import (
 )
 
 FORWARD_GRID = ((2, 1, 0), (2, 1, 1), (2, 2, 0), (3, 1, 0), (3, 1, 1))
+CONVERSE_COUNT = 200  # random matrices per field
 
 
 def _check(records, name, ok, **detail):
@@ -96,7 +97,7 @@ def run_forward_suite(seed=0):
     return _result("forward", seed, records)
 
 
-def run_converse_suite(seed=0, count=200):
+def run_converse_suite(seed=0):
     """Random matrices: recovery succeeds exactly on certified inputs."""
     records = []
     for spec in ("GF(2)", "GF(3)"):
@@ -104,7 +105,7 @@ def run_converse_suite(seed=0, count=200):
         rng = random.Random((seed, spec).__repr__())
         passing = 0
         inconsistencies = 0
-        for i in range(count):
+        for i in range(CONVERSE_COUNT):
             size = 2 + (i % 3)
             mat = Matrix.from_raw(
                 field,
@@ -126,7 +127,7 @@ def run_converse_suite(seed=0, count=200):
                     inconsistencies += 1
         _check(
             records,
-            f"{spec}: {count} matrices, every pass recovers an irreducible q "
+            f"{spec}: {CONVERSE_COUNT} matrices, every pass recovers an irreducible q "
             "and every failure names a violated condition",
             inconsistencies == 0,
             passing=passing,

@@ -155,27 +155,17 @@ def _poly_roots_in_field(f: Poly):
 
 
 def _rational_roots(f: Poly):
-    """Roots in K(Z) of a polynomial over K(Z), by bounded divisor search."""
+    """Roots in K(Z) of a polynomial over K(Z), by bounded divisor search:
+    X is divided out (the zero root), then every u * nd / dd is tried, nd and
+    dd monic divisors of the cleared constant term and lead, u in K*, after
+    the count is capped.  The sorted divisors put nd = dd = 1 first, so the
+    constants follow zero in enumeration order."""
     F = f.field
-    k = F.base
     roots = []
-    work = f.raw
-    # constants first: every element of K is a cheap candidate; dividing
-    # them out leaves less for the non-constant search
-    for cpay in k.enumerate_payloads():
-        cand = F.constant(FieldElement(k, cpay))
-        work, mult = _divide_out(F, work, (F.neg(cand.payload), F.one))
-        if mult:
-            roots.append(cand)
-    if len(work) > 1:
-        roots.extend(_nonconstant_rational_roots(Poly.from_raw(F, work)))
-    return roots
-
-
-def _nonconstant_rational_roots(f: Poly):
-    """Non-constant K(Z) roots via divisors of the cleared constant and lead."""
-    F = f.field
-    cols, k = _clear_denominators(f)
+    work, mult = _divide_out(F, f.raw, (F.zero, F.one))
+    if mult:
+        roots.append(F.zero_element())
+    cols, k = _clear_denominators(Poly.from_raw(F, work))
     const, lead = cols[0], cols[-1]
     if not const:
         raise ConsistencyError("zero root should have been removed already")
@@ -190,12 +180,8 @@ def _nonconstant_rational_roots(f: Poly):
         for pieces in factorisations
     )
     units = [u for u in k.enumerate_payloads() if u != k.zero]
-    roots = []
-    work = f.raw
     for nd in num_divs:
         for dd in den_divs:
-            if len(nd) == 1 and len(dd) == 1:
-                continue  # constant candidates were already scanned
             for u in units:
                 cand = F.fraction(rp.scale(k, nd, u), dd)
                 work, mult = _divide_out(F, work, (F.neg(cand.payload), F.one))
@@ -393,9 +379,7 @@ def _eigenvector_invertibility(a, bases, seed):
             ):
                 sampled += 1
                 continue
-            combo = [zero] * (m * m)
-            for c, vec in zip(coeffs, basis):
-                combo = [field.add(acc, field.mul(c, x)) for acc, x in zip(combo, vec)]
+            combo = _combination(field, coeffs, basis)
             if all(x == zero for x in combo):
                 continue
             sampled += 1
@@ -421,17 +405,20 @@ def _combination_at(field, coeffs, vecs, point):
     """sum c * vec over the K(Z) coefficients and the specialised vectors
     at the point, or None when a term cannot be specialised there."""
     cs = specialise(field, coeffs, point)
-    if cs is None:
+    # a nonzero coefficient that vanishes at z0 still needs its vector there
+    if cs is None or any(vec is None for c, vec in zip(coeffs, vecs) if c != field.zero):
         return None
-    target = point[0]
+    return _combination(point[0], cs, vecs)
+
+
+def _combination(field, coeffs, vecs):
+    """sum c * vec over the field, skipping zero coefficients (whose vectors
+    may be None); None when every coefficient is zero."""
     combo = None
-    for exact, c, vec in zip(coeffs, cs, vecs):
-        if exact == field.zero:
-            continue
-        if vec is None:
-            return None
-        term = [target.mul(c, x) for x in vec]
-        combo = term if combo is None else [target.add(s, t) for s, t in zip(combo, term)]
+    for c, vec in zip(coeffs, vecs):
+        if c != field.zero:
+            term = [field.mul(c, x) for x in vec]
+            combo = term if combo is None else [field.add(s, t) for s, t in zip(combo, term)]
     return combo
 
 

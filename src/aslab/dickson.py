@@ -327,8 +327,6 @@ def enumerate_subspaces(field, m: int):
     _check_subspace_caps(field, m)
     n = field.n
     p = field.char
-    if m == 0:
-        return [SubspaceR(field, [], [field.zero_element()])]
     out = []
     for pivots in itertools.combinations(range(n), m):
         free_positions = []

@@ -295,9 +295,6 @@ class FieldDescriptor:
     def one_element(self):
         return FieldElement(self, self.one)
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 

@@ -12,13 +12,16 @@ Chinese remaindering from complete univariate factorizations of the input
 at enough irreducible moduli m(Z), then confirmed by exact division in
 K[Z][X] (_ringops.divmod_ over the coefficient ring _ringops.PolyRing(K));
 a factor exists in K(Z)[X] iff one is found this way (Gauss's lemma, the
-input being primitive with unit leading coefficient).  The moduli are the
-first monic irreducibles of the largest degree d with |K|^d <= 729, plus
-one of the remaining degree, so their degrees sum to deg_Z + 1.  Caps:
-|K| <= 9 and total degree <= 12.  On a GAS instance the one decision
-whether the oracle can run is GasInstance.oracle_reaches, made from
-(K, p^(n+e), r * deg g) before h is built; the oracle's own check after
-clearing denominators serves every other input.  The p-th root witness is
+input being primitive with unit leading coefficient).  Every input, made
+monic by X -> Y / lead, takes this search, constant coefficients included
+(one modulus of degree 1): it never reaches Rabin's test, so the oracle
+and the criterion are two routes.  The moduli are the first monic
+irreducibles of the largest degree d with |K|^d <= 729, plus one of the
+remaining degree, so their degrees sum to deg_Z + 1.  Caps: |K| <= 9 and
+total degree <= 12.  On a GAS instance the one decision whether the
+oracle can run is GasInstance.oracle_reaches, made from (K, p^(n+e),
+r * deg g) before h is built; the oracle's own check after clearing
+denominators serves every other input.  The p-th root witness is
 capped at X-degree p^(n+e) <= WITNESS_MAX_X_DEGREE and Z-degree
 r * deg g <= WITNESS_MAX_Z_DEGREE, checked before it is built.
 
@@ -233,12 +236,14 @@ def _clear_denominators(h: Poly):
 
 
 def bivariate_irreducible_oracle(h: Poly, return_factor=False):
-    """Exhaustive irreducibility check for h in K[Z][X], monic-unit lead in X.
+    """Exhaustive irreducibility check for h in K(Z)[X].
 
-    Independent of the criterion: factors the input at irreducible moduli
-    m(Z) with degrees summing past deg_Z(h), stitches candidate divisors by
-    Chinese remaindering, and trial-divides.  Returns a bool, or with
-    return_factor=True a (bool, factor Poly or None) pair.
+    Independent of the criterion: clears denominators, makes the input
+    monic in X by one substitution, factors it at irreducible moduli m(Z)
+    with degrees summing past its Z-degree, stitches candidate divisors by
+    Chinese remaindering, and trial-divides.  Every input takes this path,
+    constant coefficients included.  Returns a bool, or with
+    return_factor=True a (bool, monic factor Poly or None) pair.
     """
     cols, k = _clear_denominators(h)
     if k.order > ORACLE_MAX_FIELD:
@@ -247,17 +252,11 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
     if degx < 1:
         raise InputError("oracle expects positive degree in X")
     lead = cols[-1]
-    substituted_lead = None
-    if len(lead) != 1:
-        # monicize by the substitution X -> Y / lead: the coefficient of Y^j
-        # becomes c_j * lead^(degx-1-j), a polynomial, and irreducibility
-        # over K(Z) is unchanged
-        substituted_lead = lead
-        cols = [rp.mul(k, cols[j], rp.power(k, lead, degx - 1 - j)) for j in range(degx)]
-        cols.append((k.one,))
-    elif lead[0] != k.one:
-        c = k.inv(lead[0])
-        cols = [rp.scale(k, col, c) for col in cols]
+    # monicize by the substitution X -> Y / lead: the coefficient of Y^j
+    # becomes c_j * lead^(degx-1-j), a polynomial, and irreducibility over
+    # K(Z) is unchanged; a constant lead keeps every column's Z-degree
+    cols = [rp.mul(k, cols[j], rp.power(k, lead, degx - 1 - j)) for j in range(degx)]
+    cols.append((k.one,))
     # monic in X, hence primitive in K[Z]
     degz = max(len(col) - 1 for col in cols if col)
     if degx + degz > ORACLE_MAX_TOTAL_DEGREE:
@@ -266,14 +265,6 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
         )
     if degx == 1:
         return (True, None) if return_factor else True
-    if degz == 0:
-        f_univ = Poly.from_raw(k, tuple(col[0] if col else k.zero for col in cols))
-        verdict = is_irreducible_finite(f_univ)
-        if verdict or not return_factor:
-            return (verdict, None) if return_factor else verdict
-        piece = _factor_raw(k, f_univ.raw)[0][0]
-        cand = [(c,) if c != k.zero else () for c in piece]
-        return False, _lift_factor(h.field, k, cand, substituted_lead)
 
     # choose moduli: degrees as large as the point-field cap allows, summing
     # to degz + 1
@@ -334,24 +325,22 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
             # exact division in K[Z][X] by the monic-in-X candidate
             if not rp.divmod_(kz, cols, cand_cols)[1]:
                 if return_factor:
-                    return False, _lift_factor(h.field, k, cand_cols, substituted_lead)
+                    return False, _lift_factor(h.field, k, cand_cols, lead)
                 return False
     return (True, None) if return_factor else True
 
 
-def _lift_factor(F, k, cand_cols, substituted_lead):
-    """Map a monic factor of the (possibly monicized) polynomial back to F[X]."""
-    if substituted_lead is None:
-        return Poly(F, [F.fraction(c, (k.one,)) for c in cand_cols])
-    # undo Y = lead * X: the monic factor in X has coefficient
-    # cand[j] * lead^(j - kdeg) at X^j
+def _lift_factor(F, k, cand_cols, lead):
+    """Map a monic factor of the monicized polynomial back to F[X]: undo
+    Y = lead * X, so the monic factor in X has coefficient
+    cand[j] * lead^(j - kdeg) at X^j."""
     kdeg = len(cand_cols) - 1
-    den = rp.power(k, substituted_lead, kdeg)
+    den = rp.power(k, lead, kdeg)
     coeffs = []
     power = (k.one,)
     for j in range(kdeg + 1):
         coeffs.append(F.fraction(rp.mul(k, cand_cols[j], power), den))
-        power = rp.mul(k, power, substituted_lead)
+        power = rp.mul(k, power, lead)
     return Poly(F, coeffs)
 
 

@@ -659,7 +659,9 @@ class _BitRows:
 
     @staticmethod
     def unpack(v, n):
-        return list(format(v, f"0{n}b")[::-1].encode().translate(_FROM_DIGITS))
+        # format writes zero as one digit even at width 0
+        digits = format(v, f"0{n}b") if v else "0" * n
+        return list(digits[::-1].encode().translate(_FROM_DIGITS))
 
     @staticmethod
     def unit(i, n):

@@ -125,6 +125,31 @@ def test_analyze_finds_nonconstant_rational_eigenvalues(spec, entries, eigenvalu
     assert rep["c1"] and not rep["c2"]
 
 
+@pytest.mark.parametrize(
+    "spec, roots, rootless",
+    [
+        ("GF(2)(Z)", ["0", "1", "1", "Z", "Z+1", "1/Z", "(Z+1)/Z", "(Z+1)/Z"], "X^2+X+1"),
+        ("GF(2)(Z)", ["1", "Z", "Z", "1/Z"], "X^2+X+1"),
+        ("GF(3)(Z)", ["0", "0", "2", "1", "Z", "Z+1", "1/Z", "(Z+1)/Z"], "X^2+1"),
+        ("GF(3)(Z)", ["2", "2", "(Z+1)/Z", "Z", "1"], "X^2+X+2"),
+        ("GF(3)(Z)", ["0", "Z+1", "1/Z", "1/Z"], "X^2+1"),
+    ],
+)
+def test_rational_roots_are_exactly_the_linear_factors(spec, roots, rootless):
+    # zero comes first, then the constants in enumeration order, whatever
+    # the order of the factors; check_eigenvector_invertibility draws its
+    # combinations in this order
+    F = make_field(spec)
+    f = Poly.from_string(F, rootless)
+    for r in roots:
+        f = f * Poly.from_string(F, f"X-({r})")
+    found = [str(v) for v in ad_analyzer._poly_roots_in_field(f)]
+    constants = [str(F.constant(c)) for c in F.base.enumerate_payloads()]
+    expected_constants = [c for c in constants if c in roots]
+    assert found[:len(expected_constants)] == expected_constants
+    assert sorted(found) == sorted({str(F.parse_element(r)) for r in roots})
+
+
 def test_rational_root_candidates_are_capped():
     # 9 monic divisors of Z^2+Z times 728 units of GF(729) exceed 4096
     f729z = make_field("GF(729)(Z)")

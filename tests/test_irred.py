@@ -6,7 +6,7 @@ import pytest
 
 from aslab import _ringops as rp
 from aslab.errors import CapExceededError, InputError
-from aslab.fields import make_field
+from aslab.fields import FieldElement, make_field
 from aslab.irred import (
     GasInstance,
     bivariate_irreducible_oracle,
@@ -14,7 +14,7 @@ from aslab.irred import (
     gas_irreducible,
     irreducible,
 )
-from aslab.poly import Poly
+from aslab.poly import Poly, is_irreducible_finite
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +101,30 @@ def test_oracle_univariate_fallback():
     f2z = make_field("GF(2)(Z)")
     assert bivariate_irreducible_oracle(Poly.from_string(f2z, "X^2+X+1"))
     assert not bivariate_irreducible_oracle(Poly.from_string(f2z, "X^2+1"))
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])
+def test_oracle_on_constant_coefficients_matches_rabin(spec):
+    # constant coefficients take the CRT search with one modulus of degree
+    # 1, monicized like every input; Rabin's test over K is the other route
+    k = make_field(spec)
+    F = make_field(f"{spec}(Z)")
+    elements = list(k.enumerate_payloads())
+    units = [c for c in elements if c != k.zero]
+    rng = random.Random(20)
+    inputs = [tuple(rng.choice(elements) for _ in range(d)) + (rng.choice(units),)
+              for d in (2, 3, 4, 5, 6) for _ in range(12)]
+    if k.order == 3:
+        inputs += [(1, 1, 0, 2), (1, 0, 2), (2, 0, 2), (0, 1, 0, 0, 2)]  # 2*X^3+X+1, ...
+    for raw in inputs:
+        h = Poly(F, [F.constant(FieldElement(k, c)) for c in raw])
+        verdict, factor = bivariate_irreducible_oracle(h, return_factor=True)
+        assert verdict == is_irreducible_finite(Poly(k, list(raw))), raw
+        if verdict:
+            assert factor is None
+        else:
+            assert factor.is_monic() and 1 <= factor.degree() < h.degree(), raw
+            assert (h % factor).is_zero(), raw
 
 
 def test_oracle_caps():

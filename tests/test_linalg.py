@@ -315,7 +315,7 @@ def _raw_smith_diagonal(k, rows):
     the entries are packed and the diagonal comes back as raw tuples."""
     ring = poly._row_algebra(k)
     packed = [{j: ring.pack(e) for j, e in row.items()} for row in rows]
-    return [rp.trim(k, ring.unpack(d, ring.size(d))) for d in _smith_diagonal(ring, packed)]
+    return [tuple(ring.unpack(d, ring.size(d))) for d in _smith_diagonal(ring, packed)]
 
 
 def _adversarial_matrices(field, rng):
@@ -1085,6 +1085,20 @@ def test_packed_segment_and_low_match_payload_rows():
         seg = bits.segment(packed, lo, hi)
         assert rp.trim(f2, bits.unpack(seg, bits.size(seg))) == payloads.segment(vec, lo, hi)
     assert payloads.low([0, 0]) is None
+
+
+def test_packed_unpack_matches_payload_rows():
+    # format writes zero as one digit even at width 0, so the packed size-0
+    # unpack once gave [0] where the payload algebra gives []
+    f2 = make_field("GF(2)")
+    bits, payloads = poly._BIT_ROWS, poly._PayloadRows(f2)
+    assert bits.unpack(0, 0) == payloads.unpack((), 0) == []
+    assert bits.unpack(bits.zero, bits.size(bits.zero)) == []
+    assert payloads.unpack(payloads.zero, payloads.size(payloads.zero)) == []
+    rng = random.Random(20)
+    for n in (1, 2, 7, 64, 65, 150):
+        for vec in ([0] * n, [1] * n, [rng.randrange(2) for _ in range(n)]):
+            assert bits.unpack(bits.pack(vec), n) == payloads.unpack(vec, n) == vec
 
 
 def test_analyze_report_matches_payload_rows(monkeypatch):

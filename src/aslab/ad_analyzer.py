@@ -23,11 +23,13 @@ c3 is decided first, from the invariant factors of A, so an oracle refusal
 comes before ad A is built.  The invariant factors of ad A give c1 and
 every eigenspace dimension; when all three conditions hold, each eigenspace
 is also built as a kernel, whose basis must have that dimension, and its
-vectors feed the invertibility sweep.  The sweep reshapes each basis
-vector, and 10 seeded combinations per eigenvalue, into m x m matrices.
-Over K(Z) each is first specialised at Z = z0 for a fixed, bounded list of
-points z0 (fields.specialisation_points: all of K, then GF(|K|^2)).  Where
-no denominator vanishes, det(M)(z0) = det(M(z0)), so an invertible M(z0)
+vectors feed the invertibility sweep.  The sweep runs one loop over
+coefficient vectors per eigenvalue, the unit vectors (each basis vector)
+and then 10 seeded combinations, and tests each combination, reshaped to
+an m x m matrix, with linalg.invertible.  Over K(Z) that first specialises
+it at Z = z0 for a fixed, bounded list of points z0
+(fields.specialisation_points: all of K, then GF(|K|^2)).  Where no
+denominator vanishes, det(M)(z0) = det(M(z0)), so an invertible M(z0)
 certifies M: the deterministic, one-sided half of Schwartz (J. ACM 27,
 1980).  Only a matrix that no point certifies is built and ranked exactly
 over K(Z), so a singular one is still found and reported.
@@ -49,8 +51,8 @@ from .linalg import (
     companion,
     eigenspace,
     invariant_factors,
+    invertible,
     similar,
-    specialised_invertible,
 )
 from .poly import (
     Poly,
@@ -342,16 +344,14 @@ def _eigenspaces(ad, dims):
 def _eigenvector_invertibility(a, bases, seed):
     """check_eigenvector_invertibility on given (eigenvalue, basis) pairs.
 
-    Over K(Z) each matrix is tried at the specialisation points first
-    (linalg.specialised_invertible), with each basis vector specialised
-    once per point and each combination formed at the point from the
-    specialised coefficients and basis; only a matrix that no point
-    certifies is built and ranked exactly.  A certified combination is
-    nonzero, so it counts as sampled; the rng draws the same coefficients
-    either way."""
+    One loop per eigenvalue over coefficient vectors, the unit vectors and
+    then 10 seeded draws, each through linalg.invertible: at a K(Z)
+    specialisation point the combination is formed from the specialised
+    coefficients and basis (each vector specialised once per point).  The
+    basis is independent and no draw is all zero, so every combination is
+    nonzero; checks draw nothing from the rng, so the draws come first."""
     field = a.field
     m = a.nrows
-    rational = field.kind == "rational-function"
     rng = random.Random(seed)
     failures = []
     checked = 0
@@ -360,31 +360,26 @@ def _eigenvector_invertibility(a, bases, seed):
     for v, basis in bases:
         basis = [[x.payload for x in vec] for vec in basis]
         basis_at = _specialised_basis(field, basis)
-        for idx, vec in enumerate(basis):
-            checked += 1
-            if rational and specialised_invertible(
-                field, m, lambda i, point: basis_at(i, point)[idx]
-            ):
-                continue
-            if _reshape(field, m, vec).rank() != m:
-                failures.append(f"basis vector {idx} at eigenvalue {v} is singular")
-        for _ in range(10):
-            if not basis:
-                break
+        vectors = []
+        for idx in range(len(basis)):
+            unit = [zero] * len(basis)
+            unit[idx] = field.one
+            vectors.append((f"basis vector {idx}", unit))
+        for _ in range(10 if basis else 0):
             coeffs = [field.random_payload(rng) for _ in basis]
             if all(c == zero for c in coeffs):
                 coeffs[0] = field.one
-            if rational and specialised_invertible(
-                field, m, lambda i, point: _combination_at(field, coeffs, basis_at(i, point), point)
+            vectors.append(("sampled combination", coeffs))
+        checked += len(basis)
+        sampled += len(vectors) - len(basis)
+        for label, coeffs in vectors:
+            if not invertible(
+                field,
+                m,
+                lambda: _combination(field, coeffs, basis),
+                lambda i, point: _combination_at(field, coeffs, basis_at(i, point), point),
             ):
-                sampled += 1
-                continue
-            combo = _combination(field, coeffs, basis)
-            if all(x == zero for x in combo):
-                continue
-            sampled += 1
-            if _reshape(field, m, combo).rank() != m:
-                failures.append(f"sampled combination at eigenvalue {v} is singular")
+                failures.append(f"{label} at eigenvalue {v} is singular")
     return InvertibilityVerdict(not failures, checked, sampled, failures)
 
 
@@ -420,11 +415,6 @@ def _combination(field, coeffs, vecs):
             term = [field.mul(c, x) for x in vec]
             combo = term if combo is None else [field.add(s, t) for s, t in zip(combo, term)]
     return combo
-
-
-def _reshape(field, m, vec):
-    """The m x m matrix of a payload vector of length m^2, row-major."""
-    return Matrix.from_raw(field, [vec[i * m:(i + 1) * m] for i in range(m)])
 
 
 def check_similarity_shift(a: Matrix, b) -> bool:

@@ -184,10 +184,6 @@ class DicksonForm:
         self.phi = phi
         self.fs = fs
 
-    def coefficient(self, j):
-        """f_j as a monomial dict in B_1..B_m (slot 0 unused)."""
-        return self.fs[j]
-
     def coefficient_string(self, j):
         names = ["A"] + [f"B_{i}" for i in range(1, self.m + 1)]
         return _mv_string(self.fs[j], names)

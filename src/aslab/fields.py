@@ -42,9 +42,9 @@ The finite-field kernels shared by the package live here: is_prime,
 p_power_split (n = m * p^s), rabin_irreducible (for monic raw polynomials
 over any finite descriptor; poly.is_irreducible_finite wraps it),
 monic_irreducibles, whose locked cache also supplies default_modulus, the
-tables of _log_tables with the _TabulatedField methods that read them,
-shared by ExtensionField and the oracle's K[Z]/(m)
-(irred._QuotientFieldOps), and residues, the enumeration order of every
+tables of _log_tables, _TabulatedField, the one k[T]/(m) field on those
+tables (one constructor for ExtensionField and the oracle's K[Z]/(m),
+irred._QuotientFieldOps), and residues, the enumeration order of every
 such field.  memoised is the one build-once cache: the log tables, the
 embedding powers, the specialisation points and dickson's symbolic forms
 are each built once per argument tuple, also under threads.  embed_subfield is the one embedding of GF(p^m) into GF(p^n)
@@ -495,15 +495,23 @@ _log_tables = memoised(_table_cache)(_build_log_tables)
 
 
 class _TabulatedField:
-    """Field operations on the tables of _log_tables.  A subclass calls
-    _init_tables in its constructor and sets zero, one, order and char."""
+    """The field k[T]/(modulus), modulus monic irreducible over the finite
+    field k, with its operations on the tables of _log_tables."""
 
-    def _init_tables(self, k, modulus):
-        self._residue_shape = (k, len(modulus) - 1)
+    def __init__(self, k, modulus):
+        d = len(modulus) - 1
+        self.base = k
+        self.order = k.order**d
+        self.char = k.char
+        self.zero = (k.zero,) * d
+        self.one = (k.one,) + self.zero[1:]
         self._q1, self._exp, self._log, self._zech, self._neg = _log_tables(k, modulus)
 
+    def from_int(self, i):
+        return (self.base.from_int(i),) + self.zero[1:]
+
     def enumerate_payloads(self):
-        return residues(*self._residue_shape)
+        return residues(self.base, len(self.zero))
 
     def add(self, a, b):
         log = self._log
@@ -579,21 +587,17 @@ class ExtensionField(_TabulatedField, FieldDescriptor):
             raise InputError("extension degree must be at least 2; use GF(p) for n=1")
         self.p = p
         self.n = n
-        self.base = PrimeField(p)
+        base = PrimeField(p)
         if modulus is None:
             modulus = default_modulus(p, n)
         else:
-            modulus = rp.trim(self.base, tuple(c % p for c in modulus))
+            modulus = rp.trim(base, tuple(c % p for c in modulus))
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise InputError("modulus must be monic of the stated degree")
-            if not rabin_irreducible(self.base, modulus):
+            if not rabin_irreducible(base, modulus):
                 raise InputError("modulus is reducible over the prime field")
         self.modulus = modulus
-        self.order = p**n
-        self.char = p
-        self.zero = (0,) * n
-        self.one = (1,) + (0,) * (n - 1)
-        self._init_tables(self.base, modulus)
+        _TabulatedField.__init__(self, base, modulus)
 
     def __eq__(self, other):
         return (
@@ -605,9 +609,6 @@ class ExtensionField(_TabulatedField, FieldDescriptor):
 
     def __hash__(self):
         return hash(("extension", self.p, self.n, self.modulus))
-
-    def from_int(self, i):
-        return (i % self.p,) + (0,) * (self.n - 1)
 
     def validate_payload(self, a):
         if (

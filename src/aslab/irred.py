@@ -25,8 +25,9 @@ denominators serves every other input.  The p-th root witness is
 capped at X-degree p^(n+e) <= WITNESS_MAX_X_DEGREE and Z-degree
 r * deg g <= WITNESS_MAX_Z_DEGREE, checked before it is built.
 
-The univariate factorizations run over K[Z]/(m) (_QuotientFieldOps), whose
-payloads are coefficient tuples of length deg m, the payload form of
+The univariate factorizations run over K[Z]/(m) (_QuotientFieldOps), the
+fields._TabulatedField of (K, m) with its own kind and a forward sort key;
+its payloads are coefficient tuples of length deg m, the payload form of
 GF(p^n).
 """
 
@@ -199,24 +200,12 @@ class _QuotientFieldOps(_TabulatedField):
     """Payload-level field ops for K[Z]/(m), m irreducible over finite K.
 
     Payloads are residues as length-deg(m) coefficient tuples over K, the
-    form of GF(p^n) payloads (fields.residues); the arithmetic runs on the
-    exp/log/Zech-log tables of fields._log_tables, cached per (K, m), the
-    same builder that serves GF(p^n).
+    form of GF(p^n) payloads (fields.residues); the constructor and the
+    arithmetic are fields._TabulatedField's, on the tables of
+    fields._log_tables, cached per (K, m), as for GF(p^n).
     """
 
     kind = "quotient"
-
-    def __init__(self, base, modulus):
-        self.base = base
-        self.deg = len(modulus) - 1
-        self.order = base.order**self.deg
-        self.char = base.char
-        self.zero = (base.zero,) * self.deg
-        self.one = (base.one,) + self.zero[1:]
-        self._init_tables(base, modulus)
-
-    def from_int(self, i):
-        return (self.base.from_int(i),) + self.zero[1:]
 
     def sort_key(self, a):
         return tuple(self.base.sort_key(c) for c in a)
@@ -252,10 +241,14 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
     if degx < 1:
         raise InputError("oracle expects positive degree in X")
     lead = cols[-1]
+    # lead^i for i < degx, shared by the monicization and _lift_factor
+    lead_powers = list(
+        itertools.accumulate([lead] * (degx - 1), lambda a, b: rp.mul(k, a, b), initial=(k.one,))
+    )
     # monicize by the substitution X -> Y / lead: the coefficient of Y^j
     # becomes c_j * lead^(degx-1-j), a polynomial, and irreducibility over
     # K(Z) is unchanged; a constant lead keeps every column's Z-degree
-    cols = [rp.mul(k, cols[j], rp.power(k, lead, degx - 1 - j)) for j in range(degx)]
+    cols = [rp.mul(k, cols[j], lead_powers[degx - 1 - j]) for j in range(degx)]
     cols.append((k.one,))
     # monic in X, hence primitive in K[Z]
     degz = max(len(col) - 1 for col in cols if col)
@@ -325,22 +318,19 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
             # exact division in K[Z][X] by the monic-in-X candidate
             if not rp.divmod_(kz, cols, cand_cols)[1]:
                 if return_factor:
-                    return False, _lift_factor(h.field, k, cand_cols, lead)
+                    return False, _lift_factor(h.field, k, cand_cols, lead_powers)
                 return False
     return (True, None) if return_factor else True
 
 
-def _lift_factor(F, k, cand_cols, lead):
+def _lift_factor(F, k, cand_cols, lead_powers):
     """Map a monic factor of the monicized polynomial back to F[X]: undo
     Y = lead * X, so the monic factor in X has coefficient
-    cand[j] * lead^(j - kdeg) at X^j."""
+    cand[j] * lead^(j - kdeg) at X^j.  lead_powers[i] = lead^i for
+    i < deg_X h, and kdeg <= deg_X h // 2 is below that."""
     kdeg = len(cand_cols) - 1
-    den = rp.power(k, lead, kdeg)
-    coeffs = []
-    power = (k.one,)
-    for j in range(kdeg + 1):
-        coeffs.append(F.fraction(rp.mul(k, cand_cols[j], power), den))
-        power = rp.mul(k, power, lead)
+    den = lead_powers[kdeg]
+    coeffs = [F.fraction(rp.mul(k, cand_cols[j], lead_powers[j]), den) for j in range(kdeg + 1)]
     return Poly(F, coeffs)
 
 

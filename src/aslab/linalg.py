@@ -26,10 +26,10 @@ here from payloads is built with Matrix.from_raw, which checks only the
 shape and the size caps: 100x100 over rational function fields (entry
 growth), 1024x1024 over finite fields.
 
-Matrix.is_invertible over K(Z) tries the specialisations Z -> z0 first
-(specialised_invertible on fields.specialise); an invertible M(z0) with no
-pole proves M invertible, and only when no point certifies does the exact
-rank over K(Z) decide.
+invertible (Matrix.is_invertible, ad_analyzer's sweep) over K(Z) tries the
+specialisations Z -> z0 first (specialised_invertible on fields.specialise);
+an invertible M(z0) with no pole proves M invertible.  Only when no point
+certifies, or over a finite field, are the entries built and ranked exactly.
 """
 
 import bisect
@@ -177,18 +177,14 @@ class Matrix:
         return _rank(self.field, self.rows)
 
     def is_invertible(self):
-        """Over K(Z), certified at the specialisation points first
-        (specialised_invertible); the exact rank decides only when none
-        certifies."""
+        """invertible on the entries, row-major."""
         if not self.is_square():
             return False
-        if self.field.kind == "rational-function":
-            entries = [x for row in self.rows for x in row]
-            if specialised_invertible(
-                self.field, self.nrows, lambda i, point: specialise(self.field, entries, point)
-            ):
-                return True
-        return self.rank() == self.nrows
+        k = self.field
+        entries = [x for row in self.rows for x in row]
+        return invertible(
+            k, self.nrows, lambda: entries, lambda i, point: specialise(k, entries, point)
+        )
 
     def kernel_basis(self):
         """Canonical kernel basis (one vector per free column of the RREF)."""
@@ -229,6 +225,17 @@ def _rank(field, rows):
     algebra = _row_algebra(field)
     echelon = {}
     return sum(algebra.extend(echelon, algebra.pack(row), None)[0] for row in rows)
+
+
+def invertible(field, m, entries, entries_at):
+    """Whether an m x m matrix over field is invertible.  Over K(Z) the
+    specialisation points decide first (specialised_invertible, entries_at);
+    only when none certifies, or over a finite field, are its m*m payloads
+    built by entries(), row-major, and ranked exactly with Matrix.rank."""
+    if field.kind == "rational-function" and specialised_invertible(field, m, entries_at):
+        return True
+    vec = entries()
+    return Matrix.from_raw(field, [vec[r * m:(r + 1) * m] for r in range(m)]).rank() == m
 
 
 def specialised_invertible(field, m, entries_at):

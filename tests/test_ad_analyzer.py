@@ -6,6 +6,7 @@ import time
 import pytest
 
 from aslab import ad_analyzer, irred
+from aslab.acceptance import FORWARD_GRID
 from aslab.ad_analyzer import (
     analyze,
     build_gas_companion,
@@ -376,6 +377,18 @@ def test_certified_kz_sweep_needs_no_exact_rank(spec, n, e, monkeypatch):
     verdict = check_eigenvector_invertibility(a, seed=4)
     assert verdict.all_invertible and verdict.failures == []
     assert verdict.sampled == 10 * a.field.char**n  # 10 per eigenvalue
+
+
+@pytest.mark.parametrize(
+    "spec, n, e, a",
+    [(f"GF({p**n})(Z)", n, e, "Z") for p, n, e in FORWARD_GRID] + [("GF(9)", 1, 0, 1)],
+)
+def test_sweep_checks_every_basis_vector_and_ten_draws_per_eigenvalue(spec, n, e, a):
+    report = analyze(build_gas_companion(make_field(spec), n, e, a), seed=2)
+    verdict = report.eigenvector_invertibility
+    assert verdict.all_invertible and verdict.failures == []
+    assert verdict.checked == sum(d for _, d in report.eigenspace_dims)
+    assert verdict.sampled == 10 * len(report.eigenvalues)
 
 
 # ---------------------------------------------------------------------------

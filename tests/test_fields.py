@@ -504,6 +504,39 @@ def test_gf9_generator_search_skips_t():
     assert exp[neg] == (2, 0)
 
 
+@pytest.mark.parametrize("spec", ["GF(3)", "GF(4)", "GF(9)"])
+def test_from_int_is_the_base_constant_on_every_tabulated_field(spec):
+    from aslab.irred import _QuotientFieldOps
+
+    k = make_field(spec)
+    tabulated = [_QuotientFieldOps(k, m) for m in fields.monic_irreducibles(k, 2, 2)]
+    if k.kind == "extension":
+        tabulated.append(k)
+    for f in tabulated:
+        d = len(f.zero)
+        for i in (-1, 0, 1, k.char, k.char + 1):
+            assert f.from_int(i) == (f.base.from_int(i),) + (f.base.zero,) * (d - 1), (f, i)
+    if k.kind == "extension":
+        # independent of the shared constructor: i mod p in the constant slot
+        for i in (-1, 0, 1, k.char, k.char + 1):
+            assert k.from_int(i) == (i % k.p,) + (0,) * (k.n - 1)
+
+
+@pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
+def test_quotient_over_a_prime_field_is_set_up_as_the_extension(p, d):
+    from aslab.irred import _QuotientFieldOps
+
+    k = make_field(f"GF({p})")
+    for m in fields.monic_irreducibles(k, d, 2):
+        quot = _QuotientFieldOps(k, m)
+        ext = fields.ExtensionField(p, d, m)
+        # independent of the shared constructor
+        expected = (p**d, p, (0,) * d, (1,) + (0,) * (d - 1))
+        assert (quot.order, quot.char, quot.zero, quot.one) == expected
+        assert (ext.order, ext.char, ext.zero, ext.one) == expected
+        assert list(quot.enumerate_payloads()) == list(ext.enumerate_payloads())
+
+
 @pytest.mark.parametrize("spec", ["GF(4)", "GF(9)"])
 def test_quotient_field_tables_match_polynomial_reference(spec):
     from aslab.irred import _QuotientFieldOps

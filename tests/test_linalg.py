@@ -939,6 +939,27 @@ def test_kz_invertibility_is_mostly_certified_without_the_exact_rank(spec, monke
     assert invertible >= 16 and certified >= invertible * 3 // 4
 
 
+@pytest.mark.parametrize("spec", ["GF(2)(Z)", "GF(3)(Z)", "GF(4)(Z)", "GF(3)", "GF(9)"])
+def test_invertible_matches_the_determinant_and_builds_nothing_once_certified(spec):
+    # the same seeded construction serves the finite fields, where no
+    # point is tried and the exact rank decides every matrix
+    field = make_field(spec)
+    rational = field.kind == "rational-function"
+    for m, expected in _kz_matrices(field, 17):
+        entries = [x for row in m.rows for x in row]
+
+        def at(i, point):
+            assert rational, "a specialisation point tried over a finite field"
+            return specialise(field, entries, point)
+
+        if rational and specialised_invertible(field, m.nrows, at):
+            exact = lambda: pytest.fail("entries built after a point certified")  # noqa: E731
+        else:
+            exact = lambda: entries  # noqa: E731
+        got = linalg.invertible(field, m.nrows, exact, at)
+        assert got == bool(_laplace_det(m)) and expected in (None, got)
+
+
 def test_a_specialised_rank_that_overclaims_is_caught(monkeypatch):
     # the mutant: every specialised M(z0) has full rank, singular or not
     real = linalg._rank

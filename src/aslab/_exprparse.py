@@ -10,7 +10,11 @@ Every string is parsed twice: first over degree bounds (_Degree), then
 over the caller's values.  An exponent, or a degree some subexpression can
 reach, above MAX_EXPONENT raises CapExceededError in the first pass, before
 any value is built, so "X^40000000" and "(X^4096)^4096" fail at once
-instead of exhausting memory.  Parentheses nest at most MAX_NESTING deep,
+instead of exhausting memory.  A caller may also cap the degree in one
+variable (var_cap): analyze-ad's --poly refuses "(X+Z+1)^729" over
+GF(727)(Z) there, before the power that would take minutes is built.  Both
+are caps on upper bounds, not on the degree of the value: "X^40-X^40" is
+bounded by 40 though it is 0.  Parentheses nest at most MAX_NESTING deep,
 checked before the parser recurses into them, so a deeply nested string
 is refused instead of overflowing Python's recursion limit.
 
@@ -62,24 +66,28 @@ def _tokenize(s):
 
 
 class _Degree:
-    """Upper bound on the degree of a parsed value: identifiers count 1,
-    integers 0, sums take the larger bound, products and quotients add
-    them, powers multiply."""
+    """Upper bounds on the degree of a parsed value: d in all identifiers
+    together, x in the capped variable alone (cap = (name, limit, message),
+    or None).  Identifiers count 1 (in x only the capped one), integers 0,
+    sums take the larger bound, products and quotients add them, powers
+    multiply."""
 
-    __slots__ = ("d",)
+    __slots__ = ("d", "x", "cap")
 
-    def __init__(self, d):
+    def __init__(self, d, x, cap):
         if d > MAX_EXPONENT:
             raise CapExceededError(f"degree {d} exceeds cap {MAX_EXPONENT}")
-        self.d = d
+        if cap is not None and x > cap[1]:
+            raise CapExceededError(cap[2])
+        self.d, self.x, self.cap = d, x, cap
 
     def __add__(self, other):
-        return _Degree(max(self.d, other.d))
+        return _Degree(max(self.d, other.d), max(self.x, other.x), self.cap)
 
     __sub__ = __add__
 
     def __mul__(self, other):
-        return _Degree(self.d + other.d)
+        return _Degree(self.d + other.d, self.x + other.x, self.cap)
 
     __truediv__ = __mul__
 
@@ -89,7 +97,7 @@ class _Degree:
     def __pow__(self, n):
         if n > MAX_EXPONENT:
             raise CapExceededError(f"exponent {n} exceeds cap {MAX_EXPONENT}")
-        return _Degree(self.d * n)
+        return _Degree(self.d * n, self.x * n, self.cap)
 
 
 class _Parser:
@@ -177,12 +185,17 @@ class _Parser:
         raise InputError(f"unexpected token {val!r}")
 
 
-def parse_expression(s, atoms, make_int):
-    """Parse s into a value, resolving identifiers through atoms."""
+def parse_expression(s, atoms, make_int, var_cap=None):
+    """Parse s into a value, resolving identifiers through atoms.  With
+    var_cap = (name, limit, message), a bound above limit on the degree in
+    the identifier name raises CapExceededError(message) before any value
+    is built."""
     tokens = _tokenize(s)
     if not tokens:
         raise InputError("empty expression")
-    _Parser(tokens, dict.fromkeys(atoms, _Degree(1)), lambda i: _Degree(0)).expr()
+    name = var_cap[0] if var_cap else None
+    bounds = {a: _Degree(1, int(a == name), var_cap) for a in atoms}
+    _Parser(tokens, bounds, lambda i: _Degree(0, 0, var_cap)).expr()
     parser = _Parser(tokens, atoms, make_int)
     result = parser.expr()
     if parser.pos != len(tokens):

@@ -192,14 +192,19 @@ def _rational_roots(f: Poly):
     return roots
 
 
+def size_cap(field):
+    """(largest matrix size analyze takes over field, its refusal past it)."""
+    if field.kind == "rational-function":
+        return MAX_DIM_RATIONAL, f"matrix size exceeds cap {MAX_DIM_RATIONAL} over K(Z)"
+    return MAX_DIM_FINITE, f"matrix size exceeds cap {MAX_DIM_FINITE}"
+
+
 def _check_caps(a: Matrix):
     if not a.is_square():
         raise InputError("analysis needs a square matrix")
-    if a.field.kind == "rational-function":
-        if a.nrows > MAX_DIM_RATIONAL:
-            raise CapExceededError(f"matrix size exceeds cap {MAX_DIM_RATIONAL} over K(Z)")
-    elif a.nrows > MAX_DIM_FINITE:
-        raise CapExceededError(f"matrix size exceeds cap {MAX_DIM_FINITE}")
+    limit, message = size_cap(a.field)
+    if a.nrows > limit:
+        raise CapExceededError(message)
 
 
 def analyze(a: Matrix, seed: int = 0) -> AdReport:

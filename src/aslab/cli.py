@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import acceptance
-from .ad_analyzer import analyze
+from .ad_analyzer import analyze, size_cap
 from .dickson import (
     SubspaceR,
     dickson_phi,
@@ -74,7 +74,9 @@ def _cmd_analyze_ad(args):
             raise InputError("--matrix nests too deeply for the JSON reader") from None
         mat = Matrix.from_json_dict(data, field=field)
     elif args.poly:
-        mat = companion(Poly.from_string(field, args.poly))
+        # the companion is deg x deg, so the parse refuses a degree bound
+        # over analyze's cap before it builds the polynomial
+        mat = companion(Poly.from_string(field, args.poly, degree_cap=size_cap(field)))
     else:
         raise InputError("analyze-ad needs --poly or --matrix")
     report = analyze(mat, seed=args.seed)

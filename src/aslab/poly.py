@@ -17,9 +17,11 @@ min_poly_in_quotient, linalg's ranks and invariant factors, and _kernel
 call it directly.  The echelon is a dict from pivot to (row, combination),
 whose representation is chosen per field: over GF(2) a Python int with bit
 i holding coordinate i, reduced by XOR at the vector's set bits; over every
-other field a list of payloads.  The same algebra is F[X] for linalg's
-Smith finish and analyze's multiplicities, bit i over GF(2) holding the
-coefficient of X^i and _ringops tuples elsewhere.  Poly.from_string reads
+other field a list of payloads, whose arithmetic over GF(p), p odd, is
+written inline mod p (_PrimeRows) and goes through the field's methods
+over GF(p^n) and K(Z) (_PayloadRows).  The same algebra is F[X] for
+linalg's Smith finish and analyze's multiplicities, bit i over GF(2)
+holding the coefficient of X^i and _ringops tuples elsewhere.  Poly.from_string reads
 its constants from the field's parse atoms (FieldDescriptor.atoms).
 Irreducibility comes from fields.rabin_irreducible.
 """
@@ -76,10 +78,15 @@ class Poly:
         return cls.from_raw(field, (field.zero,) * n + (field.one,))
 
     @classmethod
-    def from_string(cls, field, s, var="X"):
+    def from_string(cls, field, s, var="X", degree_cap=None):
+        """The polynomial in var that s spells over field.  degree_cap =
+        (limit, message) refuses, with CapExceededError(message), a string
+        whose degree bound in var is over limit before anything is built;
+        the bound is the parser's upper bound (_exprparse)."""
         atoms = {name: cls.constant(field, c) for name, c in field.atoms().items()}
         atoms[var] = cls.x(field)
-        value = parse_expression(s, atoms, lambda i: cls(field, [i]))
+        var_cap = None if degree_cap is None else (var, *degree_cap)
+        value = parse_expression(s, atoms, lambda i: cls(field, [i]), var_cap)
         if isinstance(value, FieldElement):
             value = cls(field, [value])
         return value
@@ -534,10 +541,11 @@ def _kernel(field, columns):
 
 def _row_algebra(field):
     """The echelon's rows, vectors and combos and linalg's Smith finish's F[X]
-    over field: packed ints over GF(2), the one place GF(2) is told apart,
-    and payload lists and _ringops tuples over every other field."""
-    if field.kind == "prime" and field.p == 2:
-        return _BIT_ROWS
+    over field, the one place the field kinds are told apart: packed ints
+    over GF(2), payload lists with inline mod-p arithmetic over GF(p) for
+    odd p, and payload lists and _ringops tuples over every other field."""
+    if field.kind == "prime":
+        return _BIT_ROWS if field.p == 2 else _PrimeRows(field)
     return _PayloadRows(field)
 
 
@@ -633,6 +641,46 @@ class _PayloadRows:
 
 def _scaled_nonzeros(field, vec, c):
     return [(i, field.mul(x, c)) for i, x in enumerate(vec) if x != field.zero]
+
+
+class _PrimeRows(_PayloadRows):
+    """_PayloadRows over GF(p), p odd, with the field arithmetic written
+    inline: payloads are the ints 0 .. p-1, so a reduction step is
+    (v[i] - a * y) % p with no method call.  Rows, combos and the pivot
+    dict are those of _PayloadRows, and so is F[X]."""
+
+    def low(self, v):
+        return next((i for i, a in enumerate(v) if a), None)
+
+    def extend(self, echelon, v, c):
+        p = self.field.p
+        v = list(v)
+        for piv, (row, ecombo) in echelon.items():
+            a = v[piv]
+            if a:
+                for i, y in row:
+                    v[i] = (v[i] - a * y) % p
+                if c is not None:
+                    for i, y in ecombo:
+                        c[i] = (c[i] - a * y) % p
+        piv = self.low(v)
+        if piv is None:
+            return False, c
+        inv = pow(v[piv], p - 2, p)
+        echelon[piv] = (
+            [(i, x * inv % p) for i, x in enumerate(v) if x],
+            None if c is None else [(i, x * inv % p) for i, x in enumerate(c) if x],
+        )
+        return True, c
+
+    def apply(self, columns, v):
+        p = self.field.p
+        out = [0] * len(v)
+        for a, col in zip(v, columns):
+            if a:
+                for i, y in col:
+                    out[i] = (out[i] + y * a) % p
+        return out
 
 
 # GF(2) payloads 0 and 1 to the binary digits int(_, 2) reads, and back

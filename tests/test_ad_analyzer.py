@@ -216,18 +216,19 @@ def _report_digest(report):
     return hashlib.sha256(data.encode()).hexdigest()[:16]
 
 
-def _seeded_gf2(seed, m):
+def _seeded(spec, seed, m):
+    field = make_field(spec)
     rng = random.Random(seed)
-    return Matrix(make_field("GF(2)"), [[rng.randrange(2) for _ in range(m)] for _ in range(m)])
+    return Matrix(field, [[rng.randrange(field.p) for _ in range(m)] for _ in range(m)])
 
 
 @pytest.mark.parametrize(
     "build, digest",
     [
         # 88 s before the Smith finish ran on packed GF(2)[X] (2-core Xeon VM)
-        (lambda: _seeded_gf2(32003, 32), "c0917713b154a9b5"),
+        (lambda: _seeded("GF(2)", 32003, 32), "c0917713b154a9b5"),
         # 49-56 s before
-        (lambda: _seeded_gf2(32000, 32), "ba4242353a3acaac"),
+        (lambda: _seeded("GF(2)", 32000, 32), "ba4242353a3acaac"),
         (lambda: companion(Poly.from_string(make_field("GF(2)"), "X^32+X^7+X^3+X^2+1")),
          "36cca3231d6f2e6a"),
     ],
@@ -242,6 +243,24 @@ def test_analyze_gf2_at_the_32x32_cap_in_bounded_time(build, digest):
     elapsed = time.perf_counter() - t0
     assert _report_digest(report) == digest
     assert elapsed < 15.0
+
+
+@pytest.mark.parametrize(
+    "spec, m, digest",
+    [("GF(3)", 16, "1c3c608d9d0b14db"), ("GF(5)", 14, "b4f3fd5894460f5e"),
+     ("GF(727)", 12, "574c2d9b5a6500e6")],
+    ids=["gf3-16", "gf5-14", "gf727-12"],
+)
+def test_analyze_odd_prime_reports_in_bounded_time(spec, m, digest):
+    # ad of random.Random(m)'s m x m matrix runs the inline mod-p row
+    # algebra; the digests are those of the reports on payload-list rows
+    # (1.1-1.9 s there, 0.4-0.8 s inline, on a 2-core Xeon VM)
+    a = _seeded(spec, m, m)
+    t0 = time.perf_counter()
+    report = analyze(a)
+    elapsed = time.perf_counter() - t0
+    assert _report_digest(report) == digest
+    assert elapsed < 5.0
 
 
 def test_c3_is_decided_before_ad_is_built(monkeypatch):

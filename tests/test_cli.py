@@ -189,11 +189,22 @@ def test_refusal_is_one_error_line_before_the_work(capsys, argv, message):
          "100000000 blocks exceed cap 65536"),
         (("decompose-tensor", "--p", "2", "--n", "65537", "--m", "131072"),
          "65537 blocks exceed cap 65536"),
+        # refused by the parse's X-degree bound: building the power over
+        # GF(727)(Z) ran past 100 s, and ^200 took 9.1 s (2-core Xeon VM)
+        (("analyze-ad", "--field", "GF(727)(Z)", "--poly", "(X+Z+1)^729"),
+         "matrix size exceeds cap 9 over K(Z)"),
+        (("analyze-ad", "--field", "GF(3)", "--poly", "(X+1)^33"),
+         "matrix size exceeds cap 32"),
+        # the bound is an upper bound, like the exponent cap: a degree that
+        # cancels still counts
+        (("analyze-ad", "--field", "GF(3)(Z)", "--poly", "X^10-X^10+X"),
+         "matrix size exceeds cap 9 over K(Z)"),
     ],
     ids=["prime-order-1e9", "huge-prime-squared", "3-to-the-1e8", "tensor-huge-prime",
          "primitive-huge-n", "tensor-p-4", "witness-n-26", "witness-x-edge-2",
          "witness-x-edge-3", "witness-z-edge", "witness-huge-r", "tensor-formula-1e8",
-         "tensor-formula-edge"],
+         "tensor-formula-edge", "kz-poly-over-size-cap", "finite-poly-over-size-cap",
+         "poly-bound-over-size-cap"],
 )
 def test_caps_are_refused_before_the_work(capsys, argv, message):
     # each of these ran past a 5-10 s timeout, or ended in a MemoryError

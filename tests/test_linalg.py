@@ -1039,24 +1039,28 @@ def test_a_singular_matrix_makes_the_capped_tries_then_one_exact_rank(spec, trie
 
 
 # ---------------------------------------------------------------------------
-# the packed GF(2) kernels against payload-list and tuple references
+# the packed GF(2) and inline GF(p) kernels against payload-list and tuple
+# references: _PayloadRows(field), the row algebra over GF(p^n) and K(Z),
+# stands in for the field's own (_BitRows over GF(2), _PrimeRows over odd p)
+
+DIFFERENTIAL_FIELDS = ("GF(2)", "GF(3)", "GF(5)", "GF(727)")
 
 
-def _gf2_differential_matrices():
-    """Seeded random ad matrices (m <= 12) and three 196 x 196 block sums
-    of seven size-2 Jordan blocks, all over GF(2)."""
-    f2 = make_field("GF(2)")
+def _differential_matrices(field):
+    """Seeded random ad matrices (m <= 12 over GF(2), m <= 8 over odd p, to
+    keep the payload reference fast) and three 196 x 196 block sums of
+    seven size-2 Jordan blocks, all over the prime field."""
     rng = random.Random(181)
-    for m in (1, 2, 3, 4, 5, 5, 6, 7, 8, 10, 12):
-        yield ad_matrix(random_matrix(f2, m, rng))
+    for m in (1, 2, 3, 4, 5, 5, 6, 7, 8) + ((10, 12) if field.p == 2 else ()):
+        yield ad_matrix(random_matrix(field, m, rng))
     for _ in range(3):
-        blocks = [jordan_block(f2, rng.randrange(2), 2) for _ in range(7)]
+        blocks = [jordan_block(field, rng.randrange(field.p), 2) for _ in range(7)]
         yield ad_matrix(direct_sum(*blocks))
 
 
 def _with_payload_rows(monkeypatch, run):
     """run() with the echelon and the Smith finish on payload lists and
-    tuples, GF(2) included."""
+    tuples, over every field."""
     with monkeypatch.context() as patch:
         for module in (poly, linalg, ad_analyzer):
             patch.setattr(module, "_row_algebra", poly._PayloadRows)
@@ -1064,28 +1068,29 @@ def _with_payload_rows(monkeypatch, run):
 
 
 def test_pivot_table_echelon_matches_payload_rows(monkeypatch):
-    f2 = make_field("GF(2)")
-    for mat in _gf2_differential_matrices():
-        columns = [list(col) for col in zip(*mat.rows)]
-
-        def run():
-            return (
-                linalg._rank(f2, mat.rows),
-                _kernel(f2, columns),
-                invariant_factors(mat),
-            )
-
-        assert run() == _with_payload_rows(monkeypatch, run), mat
-    rng = random.Random(182)
-    for deg in (1, 2, 5, 17, 40, 64):
-        for _ in range(3):
-            m = random_monic(f2, deg, rng).raw
-            u = rp.trim(f2, tuple(rng.randrange(2) for _ in range(deg)))
+    for spec in DIFFERENTIAL_FIELDS:
+        field = make_field(spec)
+        for mat in _differential_matrices(field):
+            columns = [list(col) for col in zip(*mat.rows)]
 
             def run():
-                return _min_dependence(f2, u, m)
+                return (
+                    linalg._rank(field, mat.rows),
+                    _kernel(field, columns),
+                    invariant_factors(mat),
+                )
 
-            assert run() == _with_payload_rows(monkeypatch, run), (u, m)
+            assert run() == _with_payload_rows(monkeypatch, run), (spec, mat)
+        rng = random.Random(182)
+        for deg in (1, 2, 5, 17, 40) + ((64,) if field.p == 2 else ()):
+            for _ in range(3):
+                m = random_monic(field, deg, rng).raw
+                u = rp.trim(field, tuple(field.random_payload(rng) for _ in range(deg)))
+
+                def run():
+                    return _min_dependence(field, u, m)
+
+                assert run() == _with_payload_rows(monkeypatch, run), (spec, u, m)
 
 
 def test_packed_segment_and_low_match_payload_rows():
@@ -1124,20 +1129,25 @@ def test_packed_unpack_matches_payload_rows():
 
 def test_analyze_report_matches_payload_rows(monkeypatch):
     # the whole analysis, the Krylov relations read off packed combos and
-    # the eigenvalue multiplicities included, against the payload algebra
-    f2 = make_field("GF(2)")
-    rng = random.Random(185)
-    mats = [random_matrix(f2, m, rng) for m in (1, 2, 3, 4, 5, 6, 7, 8, 8)]
-    mats += [
-        companion(gas_poly(f2, n, e, a)) for n, e in ((1, 1), (1, 2), (2, 1)) for a in (0, 1)
-    ]
-    for a in mats:
+    # the eigenvalue multiplicities included, against the payload algebra;
+    # the GAS companions are those of degree at most 9
+    for spec in DIFFERENTIAL_FIELDS:
+        field = make_field(spec)
+        rng = random.Random(185)
+        mats = [random_matrix(field, m, rng) for m in (1, 2, 3, 4, 5, 6, 7, 8, 8)]
+        mats += [
+            companion(gas_poly(field, n, e, a))
+            for n, e in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1))
+            if field.p ** (n + e) <= 9
+            for a in (0, 1)
+        ]
+        for a in mats:
 
-        def run():
-            report = ad_analyzer.analyze(a)
-            return json.dumps(report.to_json_dict(), sort_keys=True)
+            def run():
+                report = ad_analyzer.analyze(a)
+                return json.dumps(report.to_json_dict(), sort_keys=True)
 
-        assert run() == _with_payload_rows(monkeypatch, run), a
+            assert run() == _with_payload_rows(monkeypatch, run), (spec, a)
 
 
 def _gf2_relation_matrices(rng):

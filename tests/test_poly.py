@@ -63,6 +63,15 @@ def test_parse_exponent_cap():
             Poly.from_string(f3, s)
     with pytest.raises(CapExceededError):
         make_field(f"GF(2^3; mod=t^{MAX_EXPONENT + 1}+t+1)")
+    # a cap on the degree in X alone: Z counts only toward MAX_EXPONENT,
+    # and every subexpression's bound is checked, not just the result's
+    f3z = make_field("GF(3)(Z)")
+    cap = (9, "degree over 9")
+    assert Poly.from_string(f3z, "(X+Z+1)^9", degree_cap=cap).degree() == 9
+    assert Poly.from_string(f3z, "Z^100*X^9+(Z+1)/Z", degree_cap=cap).degree() == 9
+    for s in ("(X+Z+1)^10", "X^9*X", "X^10/X", "((X+1)^10)^0", "X^10-X^10"):
+        with pytest.raises(CapExceededError, match="degree over 9"):
+            Poly.from_string(f3z, s, degree_cap=cap)
 
 
 def test_parse_examples():

@@ -151,6 +151,15 @@ def pow_mod(k, a, n, m):
     return result
 
 
+def powers_mod(k, a, m):
+    """1, a, a^2, ... reduced modulo m (degree at least 1), without end;
+    each power costs one product and one reduction, when it is asked for."""
+    cur = (k.one,)
+    while True:
+        yield cur
+        cur = rem(k, mul(k, cur, a), m)
+
+
 def derivative(k, a):
     out = []
     for i in range(1, len(a)):

@@ -20,7 +20,7 @@ from .dickson import (
     property_p,
 )
 from .errors import InputError
-from .fields import enumerate_elements, make_field, p_power_split
+from .fields import _first_generator, enumerate_elements, make_field, p_power_split
 from .irred import GasInstance, bivariate_irreducible_oracle, gas_irreducible
 from .linalg import (
     Matrix,
@@ -306,20 +306,7 @@ def _generator_element(field):
     """Smallest multiplicative generator, by enumeration order."""
     if field.order is None:
         raise InputError("generators exist in finite fields only")
-    target = field.order - 1
-    for x in enumerate_elements(field):
-        if not x:
-            continue
-        k = 1
-        acc = x
-        while acc != field.one_element():
-            acc = acc * x
-            k += 1
-            if k > target:
-                break
-        if k == target:
-            return x
-    raise InputError("no generator found")
+    return _first_generator(enumerate_elements(field), field.order - 1, pow, field.one_element())
 
 
 def run_irred_suite(seed=0):

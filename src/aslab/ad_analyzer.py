@@ -20,16 +20,17 @@ eigenvector of ad A is invertible.  Any certification failure raises
 ConsistencyError since it would contradict a proven statement.
 
 c3 is decided first, from the invariant factors of A, so an oracle refusal
-comes before ad A is built.  The invariant factors of ad A give c1 and
-every eigenspace dimension; when all three conditions hold, each eigenspace
-is also built as a kernel, whose basis must have that dimension, and its
-vectors feed the invertibility sweep.  The sweep runs one loop over
-coefficient vectors per eigenvalue, the unit vectors (each basis vector)
-and then 10 seeded combinations, and tests each combination, reshaped to
-an m x m matrix, with linalg.invertible.  Over K(Z) that first specialises
-it at Z = z0 for a fixed, bounded list of points z0
-(fields.specialisation_points: all of K, then GF(|K|^2)).  Where no
-denominator vanishes, det(M)(z0) = det(M(z0)), so an invertible M(z0)
+comes before ad A is built; at e = 0 its verdict on mu_A = q also certifies
+q, and only e >= 1 asks again whether q is irreducible.  The invariant
+factors of ad A give c1 and every eigenspace dimension; when all three
+conditions hold, each eigenspace is also built as a kernel, whose basis
+must have that dimension, and its vectors feed the invertibility sweep.
+The sweep runs one loop over coefficient vectors per eigenvalue, the unit
+vectors (each basis vector) and then 10 seeded combinations, and tests
+each combination, reshaped to an m x m matrix, with linalg.invertible.
+Over K(Z) that first specialises it at Z = z0 for a fixed, bounded list of
+points z0 (fields.specialisation_points: all of K, then GF(|K|^2)).  Where
+no denominator vanishes, det(M)(z0) = det(M(z0)), so an invertible M(z0)
 certifies M: the deterministic, one-sided half of Schwartz (J. ACM 27,
 1980).  Only a matrix that no point certifies is built and ranked exactly
 over K(Z), so a singular one is still found and reported.
@@ -312,7 +313,8 @@ def _recover_and_certify(a, field, m, mu_a, eigenvalues, dims, inv_ad, diagonali
         raise ConsistencyError("invariant factors of ad A differ from the certified shape")
     if diagonalizable != (e == 0):
         raise ConsistencyError("diagonalizability disagrees with the separability exponent")
-    if not irreducible(q):
+    # at e = 0, q is mu_A, whose irreducibility c3 has just decided
+    if e and not irreducible(q):
         raise ConsistencyError(f"recovered polynomial {q} is reducible")
     return {"p": p, "n": n, "e": e, "a": a_const, "q": q, "h": mu_a}
 

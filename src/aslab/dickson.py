@@ -538,11 +538,7 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     # coefficients of mu must lie in the span of powers of alpha_R
     alpha_r = primitive_element(r, q).alpha_h
     dim_e = p ** (n - m)
-    powers = []
-    cur = (field.one,)
-    for _ in range(dim_e):
-        powers.append(cur)
-        cur = fa.mul(cur, alpha_r.raw)
+    powers = list(itertools.islice(rp.powers_mod(field, alpha_r.raw, qraw), dim_e))
 
     def rank(vecs):
         return Matrix.from_raw(field, [v + (field.zero,) * (p**n - len(v)) for v in vecs]).rank()

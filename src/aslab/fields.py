@@ -35,16 +35,18 @@ power_exceeds, which never forms a huge p^n).  GF(p^n) arithmetic runs
 through exp/log/Zech-log tables built once per (p, n, modulus) from the
 polynomial operations in _ringops (see _log_tables): a product, inverse or
 power is one dict lookup and one list lookup, and a sum goes through the
-Zech table, log(1 + g^k).  The payloads stay the coefficient tuples above,
-so printing, parsing, enumeration and random draws are unchanged.
+Zech table, log(1 + g^k), with g the first generator of _first_generator,
+the one search for an element of full multiplicative order (acceptance
+runs it on elements).
 
 The finite-field kernels shared by the package live here: is_prime,
 p_power_split (n = m * p^s), rabin_irreducible (for monic raw polynomials
 over any finite descriptor; poly.is_irreducible_finite wraps it),
 monic_irreducibles, whose locked cache also supplies default_modulus, the
 tables of _log_tables, _TabulatedField, the one k[T]/(m) field on those
-tables (one constructor for ExtensionField and the oracle's K[Z]/(m),
-irred._QuotientFieldOps), and residues, the enumeration order of every
+tables (the oracle's K[Z]/(m), with kind "quotient" and a sort key on the
+coefficients lowest first; ExtensionField is its subclass, with its own
+kind and the reversed key), and residues, the enumeration order of every
 such field.  memoised is the one build-once cache: the log tables, the
 embedding powers, the specialisation points and dickson's symbolic forms
 are each built once per argument tuple, also under threads.  embed_subfield is the one embedding of GF(p^m) into GF(p^n)
@@ -449,6 +451,18 @@ def residues(k, d):
         yield digits[::-1]
 
 
+def _first_generator(candidates, order, power, one):
+    """The first nonzero candidate g with power(g, order // l) != one for
+    every prime l dividing order: an element of multiplicative order
+    `order` when the candidates lie in a field with order + 1 elements
+    (Lidl and Niederreiter, Finite Fields, Thm 2.8)."""
+    ells = [ell for ell in range(2, order + 1) if order % ell == 0 and is_prime(ell)]
+    for g in candidates:
+        if g and all(power(g, order // ell) != one for ell in ells):
+            return g
+    raise ConsistencyError(f"no element of multiplicative order {order}")
+
+
 def _build_log_tables(k, modulus):
     """Exp/log/Zech-log tables of the field k[T]/(modulus), built once per
     (k, modulus) and shared (Huber, IEEE Trans. IT 1990).
@@ -469,17 +483,15 @@ def _build_log_tables(k, modulus):
     d = len(modulus) - 1
     q1 = k.order**d - 1
     one = (k.one,)
-    ells = [ell for ell in range(2, q1 + 1) if q1 % ell == 0 and is_prime(ell)]
-    for g in residues(k, d):
-        # trim first: the zero residue (0, ..., 0) is truthy
-        g = rp.trim(k, g)
-        if g and all(rp.pow_mod(k, g, q1 // ell, modulus) != one for ell in ells):
-            break
-    powers = []
-    cur = one
-    for _ in range(q1):
-        powers.append(cur)
-        cur = rp.rem(k, rp.mul(k, cur, g), modulus)
+    # trimmed: the zero residue (0, ..., 0) is truthy, () is not
+    g = _first_generator(
+        (rp.trim(k, a) for a in residues(k, d)),
+        q1,
+        lambda a, e: rp.pow_mod(k, a, e, modulus),
+        one,
+    )
+    powers = list(itertools.islice(rp.powers_mod(k, g, modulus), q1 + 1))
+    cur = powers.pop()
     raw_log = {a: i for i, a in enumerate(powers)}
     if cur != one or len(raw_log) != q1:
         raise ConsistencyError("log tables: the modulus is not irreducible")
@@ -496,7 +508,11 @@ _log_tables = memoised(_table_cache)(_build_log_tables)
 
 class _TabulatedField:
     """The field k[T]/(modulus), modulus monic irreducible over the finite
-    field k, with its operations on the tables of _log_tables."""
+    field k, with its operations on the tables of _log_tables.  It is the
+    oracle's K[Z]/(m) as it stands; ExtensionField adds the GF(p^n)
+    interface."""
+
+    kind = "quotient"
 
     def __init__(self, k, modulus):
         d = len(modulus) - 1
@@ -565,6 +581,9 @@ class _TabulatedField:
                 raise ZeroDivisionError("inverse of zero")
             return self.one if n == 0 else self.zero
         return self._exp[la * n % self._q1]
+
+    def sort_key(self, a):
+        return tuple(self.base.sort_key(c) for c in a)
 
     def frobenius(self, a):
         la = self._log[a]
@@ -689,25 +708,20 @@ class RationalFunctionField(FieldDescriptor):
         k = self.base
         return FieldElement(self, self._canon(rp.trim(k, num), rp.trim(k, den)))
 
-    def add(self, a, b):
+    def _add_or_sub(self, a, b, op):
+        """a + b or a - b, for op rp.add or rp.sub."""
         k = self.base
         an, ad = a
         bn, bd = b
         if len(ad) == 1 and len(bd) == 1:
-            return (rp.add(k, an, bn), (k.one,))
-        return self._canon(
-            rp.add(k, rp.mul(k, an, bd), rp.mul(k, bn, ad)), rp.mul(k, ad, bd)
-        )
+            return (op(k, an, bn), (k.one,))
+        return self._canon(op(k, rp.mul(k, an, bd), rp.mul(k, bn, ad)), rp.mul(k, ad, bd))
+
+    def add(self, a, b):
+        return self._add_or_sub(a, b, rp.add)
 
     def sub(self, a, b):
-        k = self.base
-        an, ad = a
-        bn, bd = b
-        if len(ad) == 1 and len(bd) == 1:
-            return (rp.sub(k, an, bn), (k.one,))
-        return self._canon(
-            rp.sub(k, rp.mul(k, an, bd), rp.mul(k, bn, ad)), rp.mul(k, ad, bd)
-        )
+        return self._add_or_sub(a, b, rp.sub)
 
     def neg(self, a):
         return (rp.neg(self.base, a[0]), a[1])

@@ -25,9 +25,9 @@ denominators serves every other input.  The p-th root witness is
 capped at X-degree p^(n+e) <= WITNESS_MAX_X_DEGREE and Z-degree
 r * deg g <= WITNESS_MAX_Z_DEGREE, checked before it is built.
 
-The univariate factorizations run over K[Z]/(m) (_QuotientFieldOps), the
-fields._TabulatedField of (K, m) with its own kind and a forward sort key;
-its payloads are coefficient tuples of length deg m, the payload form of
+The univariate factorizations run over K[Z]/(m), fields._TabulatedField
+of (K, m), on the log tables cached per (K, m) as for GF(p^n); its
+payloads are coefficient tuples of length deg m, the payload form of
 GF(p^n).
 """
 
@@ -179,10 +179,8 @@ def gas_irreducible(inst: GasInstance) -> GasIrreducibility:
             f"over cap {WITNESS_MAX_Z_DEGREE}"
         )
     F = inst.rational_field()
-    qg = [K.zero] * ((len(inst.g.raw) - 1) * r0 * p ** (s - 1) + 1)
-    for kidx, root in enumerate(roots):
-        qg[kidx * r0 * p ** (s - 1)] = root
-    witness = gas_poly(F, inst.n, inst.e - 1, F.fraction(qg, (K.one,)))
+    qg = Poly.from_raw(K, roots).substitute_x_power(r0 * p ** (s - 1))
+    witness = gas_poly(F, inst.n, inst.e - 1, F.fraction(qg.raw, (K.one,)))
     if witness**p != inst.build_h():
         raise ConsistencyError("constructed p-th root does not recompose the input")
     return GasIrreducibility(
@@ -194,21 +192,6 @@ def gas_irreducible(inst: GasInstance) -> GasIrreducibility:
         r0,
         s,
     )
-
-
-class _QuotientFieldOps(_TabulatedField):
-    """Payload-level field ops for K[Z]/(m), m irreducible over finite K.
-
-    Payloads are residues as length-deg(m) coefficient tuples over K, the
-    form of GF(p^n) payloads (fields.residues); the constructor and the
-    arithmetic are fields._TabulatedField's, on the tables of
-    fields._log_tables, cached per (K, m), as for GF(p^n).
-    """
-
-    kind = "quotient"
-
-    def sort_key(self, a):
-        return tuple(self.base.sort_key(c) for c in a)
 
 
 def _clear_denominators(h: Poly):
@@ -271,7 +254,7 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
 
     points = []
     for m in moduli:
-        quot = _QuotientFieldOps(k, m)
+        quot = _TabulatedField(k, m)
         # the residues of the columns, in the quotient's payload form
         rems = (rp.rem(k, col, m) for col in cols)
         himg = tuple(r + quot.zero[len(r):] for r in rems)

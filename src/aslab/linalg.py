@@ -102,26 +102,15 @@ class Matrix:
         return hash((self.field, self.rows))
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        k = self.field
-        return Matrix.from_raw(
-            k,
-            [
-                [k.add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        return self._entrywise(other, self.field.add)
 
     def __sub__(self, other):
+        return self._entrywise(other, self.field.sub)
+
+    def _entrywise(self, other, op):
         self._check_same_shape(other)
-        k = self.field
-        return Matrix.from_raw(
-            k,
-            [
-                [k.sub(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        rows = zip(self.rows, other.rows)
+        return Matrix.from_raw(self.field, [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in rows])
 
     def __neg__(self):
         k = self.field
@@ -203,13 +192,20 @@ class Matrix:
 
     @classmethod
     def from_json_dict(cls, data, field=None):
+        """Matrix from {"field": spec, "entries": rows}; a field passed in
+        stands for a missing "field" and must equal a present one."""
         entries = data.get("entries") if isinstance(data, dict) else None
         if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
             raise InputError('matrix JSON must be an object with an "entries" list of rows')
-        if field is None:
+        if "field" in data or field is None:
             if not isinstance(data.get("field"), str):
                 raise InputError('matrix JSON needs a "field" string')
-            field = make_field(data["field"])
+            named = make_field(data["field"])
+            if field is not None and named != field:
+                raise InputError(
+                    f'matrix JSON field {data["field"]} differs from {field.spec_string()}'
+                )
+            field = named
         return cls(field, entries)
 
     def __str__(self):

@@ -412,12 +412,10 @@ def _berlekamp_split(field, g, d):
     # columns of the Frobenius-minus-identity matrix acting on F_q[X]/(g)
     xq = rp.pow_mod(field, (field.zero, field.one), q, g)
     columns = []
-    xi = (field.one,)
-    for i in range(n):
+    for i, xi in zip(range(n), rp.powers_mod(field, xq, g)):
         col = list(xi) + [field.zero] * (n - len(xi))
         col[i] = field.sub(col[i], field.one)
         columns.append(col)
-        xi = rp.rem(field, rp.mul(field, xi, xq), g)
     basis = _kernel(field, columns)
     pieces = [g]
     for b in basis:
@@ -509,14 +507,12 @@ def _min_dependence(field, u, m):
     n = len(m) - 1
     rows = _row_algebra(field)
     echelon = {}
-    power = (field.one,)
-    for j in range(n + 1):
+    for j, power in zip(range(n + 1), rp.powers_mod(field, u, m)):
         vec = rows.pack(list(power) + [field.zero] * (n - len(power)))
         added, combo = rows.extend(echelon, vec, rows.unit(j, j + 1))
         if not added:
             # combo[j] is still one: already monic
             return tuple(rows.unpack(combo, j + 1))
-        power = rp.rem(field, rp.mul(field, power, u), m)
     raise ConsistencyError("no linear dependence found within the dimension bound")
 
 

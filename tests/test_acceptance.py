@@ -105,6 +105,15 @@ def test_criterion_8_determinism(suite_results):
     assert ok
 
 
+@pytest.mark.parametrize(
+    "spec, payload", [("GF(2)", 1), ("GF(3)", 2), ("GF(4)", (0, 1)), ("GF(9)", (1, 1))]
+)
+def test_generator_element_is_the_first_of_full_order(spec, payload):
+    # GF(4) = GF(2)[t]/(t^2+t+1): t has order 3; GF(9) = GF(3)[t]/(t^2+1):
+    # 2 has order 2, t order 4, and 1+t, squaring to 2t, order 8
+    assert acceptance._generator_element(make_field(spec)).payload == payload
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the source display simplifies the product of the degree-3 additive "

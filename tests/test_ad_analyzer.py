@@ -89,6 +89,18 @@ def test_analyze_inseparable_instance():
     assert rep.recovered["e"] == 1
 
 
+@pytest.mark.parametrize("poly, e, calls", [("X^2-X-Z", 0, 1), ("X^4-X^2-Z", 1, 2)])
+def test_recovery_asks_irreducibility_again_only_when_e_is_positive(monkeypatch, poly, e, calls):
+    # at e = 0 the separable part q is mu_A, which c3 has just decided
+    f2z = make_field("GF(2)(Z)")
+    asked = []
+    decide = ad_analyzer.irreducible
+    monkeypatch.setattr(ad_analyzer, "irreducible", lambda f: asked.append(f) or decide(f))
+    rep = analyze(companion(Poly.from_string(f2z, poly)))
+    assert rep.passed() and rep.recovered["e"] == e
+    assert len(asked) == calls
+
+
 def test_analyze_scalar_matrix_fails_c3():
     f2 = make_field("GF(2)")
     rep = analyze(Matrix.identity(f2, 2))

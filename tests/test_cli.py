@@ -38,6 +38,36 @@ def test_analyze_ad_matrix_input(capsys):
     assert json.loads(out)["result"]["c3"] is True
 
 
+@pytest.mark.parametrize(
+    "field, doc_field",
+    [
+        ("GF(2)", "GF(3)"),
+        ("GF(2)", 2),
+        ("GF(2)", None),
+        ("GF(9)", "GF(3^2; mod=t^2+t+2)"),
+        ("GF(2)(Z)", "GF(2)"),
+    ],
+    ids=["other-prime", "non-string", "null", "other-modulus", "base-of-kz"],
+)
+def test_matrix_json_field_other_than_the_field_exits_2(capsys, field, doc_field):
+    mat = json.dumps({"field": doc_field, "entries": [["2", "1"], ["1", "0"]]})
+    code, out, err = run_cli(capsys, "analyze-ad", "--field", field, "--matrix", mat)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "field, doc_field",
+    [("GF(4)", "GF(2^2)"), ("GF(9)", "GF(3^2; mod=t^2+1)"), ("GF(3)(Z)", "GF(3)(Z)")],
+)
+def test_matrix_json_field_naming_the_same_field_is_accepted(capsys, field, doc_field):
+    mat = json.dumps({"field": doc_field, "entries": [["0", "1"], ["1", "1"]]})
+    code, out, _ = run_cli(capsys, "analyze-ad", "--field", field, "--matrix", mat)
+    assert code == 0
+    assert json.loads(out)["result"]["size"] == 2
+
+
 def test_decompose_tensor_oracle(capsys):
     code, out, _ = run_cli(capsys, "decompose-tensor", "--p", "2", "--n", "2", "--m", "3")
     assert code == 0

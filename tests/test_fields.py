@@ -11,6 +11,7 @@ from aslab import fields
 from aslab._exprparse import parse_expression
 from aslab.errors import CapExceededError, InputError
 from aslab.fields import (
+    FieldElement,
     embed_subfield,
     enumerate_elements,
     frobenius,
@@ -506,10 +507,10 @@ def test_gf9_generator_search_skips_t():
 
 @pytest.mark.parametrize("spec", ["GF(3)", "GF(4)", "GF(9)"])
 def test_from_int_is_the_base_constant_on_every_tabulated_field(spec):
-    from aslab.irred import _QuotientFieldOps
+    from aslab.fields import _TabulatedField
 
     k = make_field(spec)
-    tabulated = [_QuotientFieldOps(k, m) for m in fields.monic_irreducibles(k, 2, 2)]
+    tabulated = [_TabulatedField(k, m) for m in fields.monic_irreducibles(k, 2, 2)]
     if k.kind == "extension":
         tabulated.append(k)
     for f in tabulated:
@@ -524,11 +525,11 @@ def test_from_int_is_the_base_constant_on_every_tabulated_field(spec):
 
 @pytest.mark.parametrize("p, d", [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2)])
 def test_quotient_over_a_prime_field_is_set_up_as_the_extension(p, d):
-    from aslab.irred import _QuotientFieldOps
+    from aslab.fields import _TabulatedField
 
     k = make_field(f"GF({p})")
     for m in fields.monic_irreducibles(k, d, 2):
-        quot = _QuotientFieldOps(k, m)
+        quot = _TabulatedField(k, m)
         ext = fields.ExtensionField(p, d, m)
         # independent of the shared constructor
         expected = (p**d, p, (0,) * d, (1,) + (0,) * (d - 1))
@@ -539,7 +540,7 @@ def test_quotient_over_a_prime_field_is_set_up_as_the_extension(p, d):
 
 @pytest.mark.parametrize("spec", ["GF(4)", "GF(9)"])
 def test_quotient_field_tables_match_polynomial_reference(spec):
-    from aslab.irred import _QuotientFieldOps
+    from aslab.fields import _TabulatedField
 
     k = make_field(spec)
     rng = random.Random(spec)
@@ -547,7 +548,7 @@ def test_quotient_field_tables_match_polynomial_reference(spec):
         if k.order**d > fields.MAX_FIELD_SIZE:
             continue
         for m in fields.monic_irreducibles(k, d, 2 if d < 3 else 1):
-            quot = _QuotientFieldOps(k, m)
+            quot = _TabulatedField(k, m)
             ref = _Reference(k, m, d)
             exponents = (-quot.order, -2, -1, 0, 1, 3, quot.order)
             _check_against_reference(quot, ref, _pairs(quot, rng), exponents)
@@ -607,7 +608,7 @@ def test_residue_enumeration_matches_divmod_reference_on_every_extension():
 
 
 def test_residue_enumeration_matches_divmod_reference_on_quotient_fields():
-    from aslab.irred import _QuotientFieldOps
+    from aslab.fields import _TabulatedField
 
     for spec in ("GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)"):
         k = make_field(spec)
@@ -615,7 +616,7 @@ def test_residue_enumeration_matches_divmod_reference_on_quotient_fields():
             if k.order**d > fields.MAX_FIELD_SIZE:
                 continue
             for m in fields.monic_irreducibles(k, d, 2):
-                quot = _QuotientFieldOps(k, m)
+                quot = _TabulatedField(k, m)
                 expected = list(_reference_residues(k, d))
                 assert list(quot.enumerate_payloads()) == expected, (spec, m)
 
@@ -1005,3 +1006,97 @@ def test_specialise_refuses_a_pole():
     points = fields.specialisation_points(f3z.base)
     assert [fields.specialise(f3z, [x], pt) for pt in points[:3]] == [[1], [2], None]
     assert fields.specialise(f3z, [], points[0]) == []
+
+
+# ---------------------------------------------------------------------------
+# one k[T]/(m) field class, one generator search, one power sequence mod m
+
+
+def _tabulated_to_729():
+    """(field, modulus) for every GF(p^n) spec up to 729, custom moduli
+    included, and for K[Z]/(m) over GF(4) and GF(9), two m of each degree."""
+    out = [(f, f.modulus) for f in map(make_field, _extension_specs())]
+    for spec in ("GF(4)", "GF(9)"):
+        k = make_field(spec)
+        for d in (1, 2, 3):
+            if k.order**d <= fields.MAX_FIELD_SIZE:
+                out += [(fields._TabulatedField(k, m), m) for m in fields.monic_irreducibles(k, d, 2)]
+    return out
+
+
+def _first_of_full_order(candidates, order, mul, one):
+    """The first nonzero candidate whose powers first reach one at the
+    order-th, by repeated multiplication."""
+    for a in candidates:
+        if a in ((), 0):
+            continue
+        acc, k = a, 1
+        while acc != one:
+            acc, k = mul(acc, a), k + 1
+        if k == order:
+            return a
+    raise AssertionError("no element of full order")
+
+
+def test_generator_search_matches_brute_force_order_on_every_field_to_729():
+    for p in range(2, fields.MAX_FIELD_SIZE + 1):
+        if fields.is_prime(p):
+            f = make_field(f"GF({p})")
+            expected = _first_of_full_order(range(p), p - 1, lambda a, b: a * b % p, 1)
+            got = fields._first_generator(enumerate_elements(f), p - 1, pow, f.one_element())
+            assert got.payload == expected, p
+    for f, m in _tabulated_to_729():
+        k, d, order = f.base, len(f.zero), f.order - 1
+        # raw polynomial arithmetic mod m, independent of the tables
+        raw = [rp.trim(k, a) for a in fields.residues(k, d)]
+        found = _first_of_full_order(raw, order, lambda a, b: rp.rem(k, rp.mul(k, a, b), m), (k.one,))
+        expected = found + (k.zero,) * (d - len(found))
+        elements = [FieldElement(f, a) for a in f.enumerate_payloads()]
+        one = FieldElement(f, f.one)
+        assert fields._first_generator(elements, order, pow, one).payload == expected, (f, m)
+        assert f._exp[1] == expected, (f, m)
+
+
+def _powers_mod_ring(name):
+    """(coefficient ring, a, m): a of degree above deg m, m not irreducible."""
+    if name == "gf2-quotient-ring":
+        # GF(2)[T]/(T^3+T+1) as the coefficients, m = Y^3 + (1+T)Y + 1 over it
+        ring = rp.PolyRing(make_field("GF(2)"), (1, 1, 0, 1))
+        return ring, ((0, 1), (1,), (), (1, 1), (0, 0, 1)), ((1,), (1, 1), (), (1,))
+    k, deg = make_field(name), {"GF(3)": 4, "GF(9)": 3}[name]
+    rng = random.Random(7)
+    m = tuple(k.random_payload(rng) for _ in range(deg)) + (k.one,)
+    return k, tuple(k.random_payload(rng) for _ in range(deg + 2)), m
+
+
+@pytest.mark.parametrize("name", ["GF(3)", "GF(9)", "gf2-quotient-ring"])
+def test_powers_mod_is_pow_mod_term_by_term(name):
+    k, a, m = _powers_mod_ring(name)
+    powers = list(itertools.islice(rp.powers_mod(k, a, m), 20))
+    assert powers == [rp.pow_mod(k, a, j, m) for j in range(20)]
+    assert len(set(powers)) > 3
+
+
+def test_quotient_kind_and_forward_sort_key_beside_the_extension():
+    for spec in ("GF(3)", "GF(4)"):
+        k = make_field(spec)
+        m = fields.monic_irreducibles(k, 2, 1)[0]
+        quot = fields._TabulatedField(k, m)
+        pays = list(quot.enumerate_payloads())
+        assert quot.kind == "quotient"
+        # coefficientwise, the constant term most significant
+        assert [quot.sort_key(a) for a in pays[:3]] == [
+            (k.sort_key(k.zero), k.sort_key(k.zero)),
+            (k.sort_key(k.one), k.sort_key(k.zero)),
+            (k.sort_key(pays[2][0]), k.sort_key(k.zero)),
+        ]
+        assert sorted(pays, key=quot.sort_key) == sorted(
+            pays, key=lambda a: [k.sort_key(c) for c in a]
+        )
+        assert sorted(pays, key=quot.sort_key) != pays
+    ext = make_field("GF(9)")
+    assert ext.kind == "extension"
+    # reversed: the top coefficient most significant, so the key sorts the
+    # enumeration order, lowest coefficient fastest
+    assert ext.sort_key((2, 1)) == (1, 2)
+    assert sorted(ext.enumerate_payloads(), key=ext.sort_key) == list(ext.enumerate_payloads())

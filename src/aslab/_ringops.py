@@ -9,7 +9,18 @@ of inner loops without wrapper overhead.
 The coefficients may themselves be polynomials over the descriptor PolyRing,
 k[T] or k[T]/(m): so these functions also run in K[Z][X] (the bivariate
 oracle's trial division) and in F[alpha][X] with F[alpha] = F[X]/(q).
+
+pow_mod and powers_mod have a GF(p) path: when k is a prime field and m has
+degree at least 1, every product and reduction mod m runs on lists of ints
+with % p (one pass of Rabin's test, the log tables' powers of g and the
+generator search, Berlekamp's Frobenius columns, poly._min_dependence),
+and the results are the same trimmed tuples.  The field-kind test runs once
+per pow_mod call or power sequence, never per product: mul and divmod_
+keep no such test, since there every call, GF(2) ones included, would pay
+it and the inline path gained nothing on analyze's Krylov and Smith loops.
 """
+
+import operator
 
 
 def trim(k, a):
@@ -141,6 +152,8 @@ def power(k, a, n):
 
 def pow_mod(k, a, n, m):
     """a**n reduced modulo m (m nonzero)."""
+    if _prime_modulus(k, m):
+        return _pow_mod_prime(k, a, n, m)
     result = rem(k, (k.one,), m)
     base = rem(k, a, m)
     while n:
@@ -154,10 +167,74 @@ def pow_mod(k, a, n, m):
 def powers_mod(k, a, m):
     """1, a, a^2, ... reduced modulo m (degree at least 1), without end;
     each power costs one product and one reduction, when it is asked for."""
+    if _prime_modulus(k, m):
+        yield from _powers_mod_prime(k, a, m)
+        return
     cur = (k.one,)
     while True:
         yield cur
         cur = rem(k, mul(k, cur, a), m)
+
+
+def _prime_modulus(k, m):
+    """Whether k is a prime field GF(p) and m has degree at least 1."""
+    return getattr(k, "kind", None) == "prime" and len(m) > 1
+
+
+def _monic_tail(p, m):
+    """The coefficients of T^d mod m over GF(p), d = deg m: the tail of m
+    made monic and negated."""
+    lead_inv = pow(m[-1], p - 2, p)
+    return [-c * lead_inv % p for c in m[:-1]]
+
+
+def _mulmod_prime(p, a, b, tail):
+    """a * b mod m over GF(p) on int lists, as a list of at most d = deg m
+    ints in [0, p); tail is _monic_tail(p, m).  Sums are taken % p only
+    where a coefficient is read or returned."""
+    d = len(tail)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    for i in range(len(out) - 1, d - 1, -1):
+        c = out[i] % p
+        if c:
+            for j, t in enumerate(tail, i - d):
+                out[j] += c * t
+    return [u % p for u in out[:d]]
+
+
+def _pow_mod_prime(k, a, n, m):
+    """pow_mod over GF(p), by square-and-multiply as in power."""
+    p, tail = k.p, _monic_tail(k.p, m)
+    base, result = _mulmod_prime(p, a, (1,), tail), None
+    while n:
+        if n & 1:
+            result = base if result is None else _mulmod_prime(p, result, base, tail)
+        n >>= 1
+        if n:
+            base = _mulmod_prime(p, base, base, tail)
+    return (k.one,) if result is None else trim(k, result)
+
+
+def _powers_mod_prime(k, a, m):
+    """powers_mod over GF(p): the next power is cur * a mod m, a linear map
+    of cur, so each coefficient is one dot product of cur with a column of
+    the matrix whose rows are a * T^j mod m, j < deg m."""
+    p, tail = k.p, _monic_tail(k.p, m)
+    row, rows = _mulmod_prime(p, a, (1,), tail), []
+    row += [0] * (len(tail) - len(row))
+    for _ in tail:
+        rows.append(row)
+        row = [(u + row[-1] * t) % p for u, t in zip([0] + row[:-1], tail)]
+    cols, times = list(zip(*rows)), operator.mul
+    cur = [1] + [0] * (len(tail) - 1)
+    yield (k.one,)
+    while True:
+        cur = [sum(map(times, cur, col)) % p for col in cols]
+        yield trim(k, cur)
 
 
 def derivative(k, a):

@@ -37,7 +37,10 @@ polynomial operations in _ringops (see _log_tables): a product, inverse or
 power is one dict lookup and one list lookup, and a sum goes through the
 Zech table, log(1 + g^k), with g the first generator of _first_generator,
 the one search for an element of full multiplicative order (acceptance
-runs it on elements).
+runs it on elements).  Over GF(p) the tables' powers of g and the
+generator's pow tests take _ringops' GF(p) path (inline % p, see there),
+and the exp, log and Zech entries are read off one list of full-length
+payloads.
 
 The finite-field kernels shared by the package live here: is_prime,
 p_power_split (n = m * p^s), rabin_irreducible (for monic raw polynomials
@@ -49,12 +52,16 @@ coefficients lowest first; ExtensionField is its subclass, with its own
 kind and the reversed key), and residues, the enumeration order of every
 such field.  memoised is the one build-once cache: the log tables, the
 embedding powers, the specialisation points and dickson's symbolic forms
-are each built once per argument tuple, also under threads.  embed_subfield is the one embedding of GF(p^m) into GF(p^n)
-or into GF(p^n)(Z); it takes the first root of _raw_roots, the one root
-scan of a raw polynomial over a finite field (poly's root and
-equal-degree splitting code reads it too).  _subfield_check is the one
-test whether a finite set of elements is a subfield (analyze's c2 and
-SubspaceR.is_subfield).
+are each built once per argument tuple, also under threads.
+embed_subfield is the one embedding of GF(p^m) into GF(p^n) or into
+GF(p^n)(Z); it takes the first root of _raw_roots, the one root scan of a
+raw polynomial over a finite field (poly's root and equal-degree
+splitting code and analyze's eigenvalues read it too).  The scan makes no
+method call per point: Horner on ints over GF(p), in the log domain over a
+tabulated field, with the roots in enumeration order either way, so the
+first root, and so every embedding, is the one a scan of the elements in
+order finds.  _subfield_check is the one test whether a finite set of
+elements is a subfield (analyze's c2 and SubspaceR.is_subfield).
 
 residues is also the one payload form of every tabulated field: coefficient
 tuples of full length d, zeros included.  Each field kind has one power,
@@ -482,25 +489,23 @@ def _build_log_tables(k, modulus):
     """
     d = len(modulus) - 1
     q1 = k.order**d - 1
-    one = (k.one,)
+    zero = (k.zero,) * d
     # trimmed: the zero residue (0, ..., 0) is truthy, () is not
     g = _first_generator(
         (rp.trim(k, a) for a in residues(k, d)),
         q1,
         lambda a, e: rp.pow_mod(k, a, e, modulus),
-        one,
+        (k.one,),
     )
-    powers = list(itertools.islice(rp.powers_mod(k, g, modulus), q1 + 1))
-    cur = powers.pop()
-    raw_log = {a: i for i, a in enumerate(powers)}
-    if cur != one or len(raw_log) != q1:
+    exp = [a + zero[len(a):] for a in itertools.islice(rp.powers_mod(k, g, modulus), q1 + 1)]
+    last = exp.pop()
+    log = {a: i for i, a in enumerate(exp)}
+    if last != exp[0] or len(log) != q1:
         raise ConsistencyError("log tables: the modulus is not irreducible")
-    zech = [raw_log.get(rp.add(k, one, a), _LOG_ZERO) for a in powers]
-    neg = raw_log[rp.neg(k, one)]
-    powers = [a + (k.zero,) * (d - len(a)) for a in powers]
-    log = {a: i for i, a in enumerate(powers)}
-    log[(k.zero,) * d] = _LOG_ZERO
-    return q1, powers + powers, log, zech + zech, neg
+    log[zero] = _LOG_ZERO
+    zech = [log[(k.add(a[0], k.one),) + a[1:]] for a in exp]
+    neg = log[(k.neg(k.one),) + zero[1:]]
+    return q1, exp + exp, log, zech + zech, neg
 
 
 _log_tables = memoised(_table_cache)(_build_log_tables)
@@ -922,8 +927,45 @@ def _subfield_check(values):
 
 
 def _raw_roots(field, f):
-    """Roots in a finite field of a raw polynomial, in enumeration order."""
-    return [a for a in field.enumerate_payloads() if rp.evaluate(field, f, a) == field.zero]
+    """Roots in a finite field of a raw polynomial, in enumeration order:
+    every element for the zero polynomial.
+
+    One Horner pass per point, with no method call.  Over GF(p) on ints
+    over range(p).  Over a tabulated field in the log domain, over the
+    nonzero elements g^i in exp order: with acc the log of the value so far
+    (negative for zero), acc * g^i + c has log acc + i + zech[log c - acc - i];
+    those roots are then put in enumeration order, on the base field's
+    sort key (which follows its own enumeration order) from the top
+    coefficient down, after zero."""
+    if not f:
+        return list(field.enumerate_payloads())
+    top, rest = f[-1], f[-2::-1]
+    roots = []
+    if field.kind == "prime":
+        p = field.p
+        for x in range(p):
+            acc = top
+            for c in rest:
+                acc = (acc * x + c) % p
+            if not acc:
+                roots.append(x)
+        return roots
+    q1, log, zech = field._q1, field._log, field._zech
+    top, rest = log[top], [log[c] for c in rest]
+    for i in range(q1):
+        acc = top
+        for lc in rest:
+            if acc < 0:
+                acc = lc
+            else:
+                acc = (acc + i) % q1
+                if lc >= 0:
+                    acc += zech[lc - acc]
+        if acc < 0:
+            roots.append(field._exp[i])
+    base = field.base
+    roots.sort(key=lambda a: [base.sort_key(c) for c in reversed(a)])
+    return [field.zero] + roots if f[0] == field.zero else roots
 
 
 _embedding_cache = {}

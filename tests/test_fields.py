@@ -430,9 +430,17 @@ class _Reference:
         return self.payload(s)
 
     def pow_int(self, a, n):
+        # square-and-multiply on this class's own mul, not rp.pow_mod, so the
+        # reference does not share the GF(p) power kernel it checks
         if n < 0:
             a, n = self.inv(a), -n
-        return self.payload(rp.pow_mod(self.k, self.raw(a), n, self.m))
+        result = self.payload((self.k.one,))
+        while n:
+            if n & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return result
 
 
 def _check_against_reference(field, ref, pairs, exponents):
@@ -1063,18 +1071,169 @@ def _powers_mod_ring(name):
         # GF(2)[T]/(T^3+T+1) as the coefficients, m = Y^3 + (1+T)Y + 1 over it
         ring = rp.PolyRing(make_field("GF(2)"), (1, 1, 0, 1))
         return ring, ((0, 1), (1,), (), (1, 1), (0, 0, 1)), ((1,), (1, 1), (), (1,))
-    k, deg = make_field(name), {"GF(3)": 4, "GF(9)": 3}[name]
+    k, deg = make_field(name), {"GF(2)": 5, "GF(3)": 4, "GF(9)": 3, "GF(727)": 6}[name]
     rng = random.Random(7)
     m = tuple(k.random_payload(rng) for _ in range(deg)) + (k.one,)
     return k, tuple(k.random_payload(rng) for _ in range(deg + 2)), m
 
 
-@pytest.mark.parametrize("name", ["GF(3)", "GF(9)", "gf2-quotient-ring"])
+def _repeated_products(k, a, count, m):
+    """1, a, a^2, ... mod m, count of them, one rp.rem(rp.mul(...)) each:
+    the method-call path, independent of the GF(p) power kernels."""
+    cur, out = rp.rem(k, (k.one,), m), []
+    for _ in range(count):
+        out.append(cur)
+        cur = rp.rem(k, rp.mul(k, cur, a), m)
+    return out
+
+
+@pytest.mark.parametrize("name", ["GF(2)", "GF(3)", "GF(9)", "GF(727)", "gf2-quotient-ring"])
 def test_powers_mod_is_pow_mod_term_by_term(name):
     k, a, m = _powers_mod_ring(name)
     powers = list(itertools.islice(rp.powers_mod(k, a, m), 20))
     assert powers == [rp.pow_mod(k, a, j, m) for j in range(20)]
+    assert powers == _repeated_products(k, a, 20, m)
     assert len(set(powers)) > 3
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(727)"])
+def test_pow_mod_edge_cases_match_repeated_products(spec):
+    k = make_field(spec)
+    rng = random.Random(spec)
+    monic = tuple(k.random_payload(rng) for _ in range(4)) + (k.one,)
+    non_monic = monic[:-1] + (k.from_int(-1),)  # monic again over GF(2)
+    long_a = tuple(k.random_payload(rng) for _ in range(9)) + (k.one,)
+    cases = [
+        (long_a, monic),  # deg a >= deg m
+        ((), monic),  # a = 0
+        ((k.from_int(-1),), monic),  # a nonzero constant
+        (long_a, non_monic),
+        ((k.zero, k.one), non_monic),
+        (long_a, (k.from_int(-1),)),  # a constant m: every residue is 0
+        ((k.zero, k.one), (k.one, k.one)),  # deg m = 1
+    ]
+    for a, m in cases:
+        expected = _repeated_products(k, a, 12, m)
+        assert [rp.pow_mod(k, a, n, m) for n in range(12)] == expected, (a, m)
+        assert rp.pow_mod(k, a, 0, m) == rp.rem(k, (k.one,), m)
+        if len(m) > 1:
+            assert list(itertools.islice(rp.powers_mod(k, a, m), 12)) == expected, (a, m)
+    # a large exponent, against square-and-multiply on the reference products
+    ref, n = _Reference(k, non_monic, len(non_monic) - 1), k.order**5 + 3
+    assert ref.payload(rp.pow_mod(k, long_a, n, non_monic)) == ref.pow_int(long_a, n)
+    with pytest.raises(ZeroDivisionError):
+        rp.pow_mod(k, long_a, 3, ())
+
+
+def _reference_log_tables(k, modulus):
+    """The log tables as they were built on the _ringops method-call path:
+    trimmed powers of the first generator by repeated products, the Zech
+    entries from those, then padded.  Independent of pow_mod, powers_mod
+    and _first_generator."""
+    d = len(modulus) - 1
+    q1 = k.order**d - 1
+    one = (k.one,)
+    raw = [rp.trim(k, a) for a in fields.residues(k, d)]
+    g = _first_of_full_order(raw, q1, lambda a, b: rp.rem(k, rp.mul(k, a, b), modulus), one)
+    powers = _repeated_products(k, g, q1, modulus)
+    raw_log = {a: i for i, a in enumerate(powers)}
+    zech = [raw_log.get(rp.add(k, one, a), fields._LOG_ZERO) for a in powers]
+    neg = raw_log[rp.neg(k, one)]
+    powers = [a + (k.zero,) * (d - len(a)) for a in powers]
+    log = {a: i for i, a in enumerate(powers)}
+    log[(k.zero,) * d] = fields._LOG_ZERO
+    return q1, powers + powers, log, zech + zech, neg
+
+
+def _log_table_cases():
+    """(k, modulus): every GF(p^n) up to 729 with up to 3 moduli each, and
+    quotients of degree 1 to 3 over GF(4), GF(8) and GF(9)."""
+    cases = []
+    for q in range(4, fields.MAX_FIELD_SIZE + 1):
+        p = next(f for f in range(2, q + 1) if q % f == 0)
+        n, rest = fields.p_power_split(q, p)
+        if rest == 1 and n >= 2:
+            k = make_field(f"GF({p})")
+            cases += [(k, m) for m in fields.monic_irreducibles(k, n, 3)]
+    for spec in ("GF(4)", "GF(8)", "GF(9)"):
+        k = make_field(spec)
+        for d in (1, 2, 3):
+            if k.order**d <= fields.MAX_FIELD_SIZE:
+                cases += [(k, m) for m in fields.monic_irreducibles(k, d, 3)]
+    return cases
+
+
+def test_log_tables_match_the_method_call_reference_on_every_field_to_729():
+    cases = _log_table_cases()
+    assert len(cases) > 80
+    for k, m in cases:
+        tables, expected = fields._build_log_tables(k, m), _reference_log_tables(k, m)
+        assert tables == expected, (k, m)
+        # the log dict in the same insertion order: exp order, zero last
+        assert list(tables[2]) == list(expected[2]), (k, m)
+    # and _exp[1], the first generator, on the cached fields themselves
+    for spec in ("GF(9)", "GF(625)", "GF(729)"):
+        f = make_field(spec)
+        assert f._exp[1] == _reference_log_tables(f.base, f.modulus)[1][1]
+
+
+def _scan_roots(field, f):
+    """The per-point root scan: rp.evaluate at every element, in
+    enumeration order."""
+    return [a for a in field.enumerate_payloads() if rp.evaluate(field, f, a) == field.zero]
+
+
+ROOT_SCAN_FIELDS = ("GF(2)", "GF(3)", "GF(727)", "GF(4)", "GF(9)", "GF(512)", "GF(625)",
+                    "GF(729)", "GF(2^3; mod=t^3+t^2+1)",
+                    # K[Z]/(m) for the first two monic irreducibles m of degree d
+                    "GF(4)[Z]/d1", "GF(9)[Z]/d1", "GF(4)[Z]/d2", "GF(9)[Z]/d2")
+
+
+def _root_scan_fields(name):
+    if "/" not in name:
+        return [make_field(name)]
+    spec, d = name.split("[Z]/d")
+    k = make_field(spec)
+    return [fields._TabulatedField(k, m) for m in fields.monic_irreducibles(k, int(d), 2)]
+
+
+@pytest.mark.parametrize("name", ROOT_SCAN_FIELDS)
+def test_raw_roots_match_the_per_point_scan(name):
+    for field in _root_scan_fields(name):
+        _check_raw_roots(field, random.Random(name))
+
+
+def _check_raw_roots(field, rng):
+    elems = list(field.enumerate_payloads())
+    nonzero = elems[1:]
+    polys = [(), (field.one,), (rng.choice(nonzero),)]
+    for deg in (1, 2, 3, 5):
+        # products of linear factors, roots repeated, times a nonzero constant
+        for _ in range(3):
+            f = (rng.choice(nonzero),)
+            for r in [rng.choice(elems) for _ in range(deg)] + [rng.choice(elems)] * 2:
+                f = rp.mul(field, f, (field.neg(r), field.one))
+            polys.append(f)
+        polys += [rp.trim(field, tuple(rng.choice(elems) for _ in range(deg)) + (rng.choice(nonzero),))
+                  for _ in range(3)]
+    # the zero element as a root, and a zero coefficient in the middle
+    polys += [(field.zero, field.one), (field.one, field.zero, field.one), (field.zero, field.zero, field.one)]
+    for f in polys:
+        roots = fields._raw_roots(field, f)
+        # the same list: the same roots in the same (enumeration) order
+        assert roots == _scan_roots(field, f), f
+    # (X^q - X) / (X - b) vanishes at every element but b: each point of the
+    # scan is checked, not only the few roots of the polynomials above
+    b = rng.choice(elems)
+    every = (field.zero, field.neg(field.one)) + (field.zero,) * (len(elems) - 2) + (field.one,)
+    quotient, remainder = rp.divmod_(field, every, (field.neg(b), field.one))
+    assert not remainder
+    assert fields._raw_roots(field, quotient) == [a for a in elems if a != b]
+    # the zero polynomial: every element, in enumeration order
+    assert fields._raw_roots(field, ()) == elems
+    assert fields._raw_roots(field, (field.one,)) == []
+    # the order was tested on more than single roots
+    assert sum(1 for f in polys if len(fields._raw_roots(field, f)) > 1) > 3
 
 
 def test_quotient_kind_and_forward_sort_key_beside_the_extension():

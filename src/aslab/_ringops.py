@@ -10,11 +10,15 @@ The coefficients may themselves be polynomials over the descriptor PolyRing,
 k[T] or k[T]/(m): so these functions also run in K[Z][X] (the bivariate
 oracle's trial division) and in F[alpha][X] with F[alpha] = F[X]/(q).
 
-pow_mod and powers_mod have a GF(p) path: when k is a prime field and m has
-degree at least 1, every product and reduction mod m runs on lists of ints
-with % p (one pass of Rabin's test, the log tables' powers of g and the
-generator search, Berlekamp's Frobenius columns, poly._min_dependence),
-and the results are the same trimmed tuples.  The field-kind test runs once
+square_and_multiply is the one power loop of the package, on a product
+passed in: power's, pow_mod's, dickson's multivariate pow_int and the
+Smith diagonal's in linalg.  pow_mod and powers_mod have a GF(p) path:
+when k is a prime field and m has degree at least 1, every product and
+reduction mod m runs on lists of ints with % p (one pass of Rabin's test,
+the log tables' powers of g and the generator search, Berlekamp's
+Frobenius columns, poly._min_dependence), and the results are the same
+trimmed tuples; in pow_mod that path is only its product, _mulmod_prime,
+under the same loop.  The field-kind test runs once
 per pow_mod call or power sequence, never per product: mul and divmod_
 keep no such test, since there every call, GF(2) ones included, would pay
 it and the inline path gained nothing on analyze's Krylov and Smith loops.
@@ -138,30 +142,38 @@ def evaluate(k, a, x):
     return acc
 
 
-def power(k, a, n):
-    """a**n for n >= 0, by square-and-multiply with no modulus."""
+def square_and_multiply(a, n, times):
+    """a**n for n >= 1 on the product times(x, y), by square-and-multiply
+    (Knuth, TAOCP vol. 2, 4.6.3): bit_length(n) - 1 squarings and
+    popcount(n) - 1 further products.  None for n = 0, so that each caller
+    supplies its own one; a negative n is refused (the shifts never end it)."""
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
     result = None
     while n:
         if n & 1:
-            result = a if result is None else mul(k, result, a)
+            result = a if result is None else times(result, a)
         n >>= 1
         if n:
-            a = mul(k, a, a)
+            a = times(a, a)
+    return result
+
+
+def power(k, a, n):
+    """a**n for n >= 0, with no modulus."""
+    result = square_and_multiply(a, n, lambda x, y: mul(k, x, y))
     return (k.one,) if result is None else result
 
 
 def pow_mod(k, a, n, m):
     """a**n reduced modulo m (m nonzero)."""
     if _prime_modulus(k, m):
-        return _pow_mod_prime(k, a, n, m)
-    result = rem(k, (k.one,), m)
-    base = rem(k, a, m)
-    while n:
-        if n & 1:
-            result = rem(k, mul(k, result, base), m)
-        base = rem(k, mul(k, base, base), m)
-        n >>= 1
-    return result
+        p, tail = k.p, _monic_tail(k.p, m)
+        base = _mulmod_prime(p, a, (1,), tail)
+        result = square_and_multiply(base, n, lambda x, y: _mulmod_prime(p, x, y, tail))
+        return (k.one,) if result is None else trim(k, result)
+    result = square_and_multiply(rem(k, a, m), n, lambda x, y: rem(k, mul(k, x, y), m))
+    return rem(k, (k.one,), m) if result is None else result
 
 
 def powers_mod(k, a, m):
@@ -204,19 +216,6 @@ def _mulmod_prime(p, a, b, tail):
             for j, t in enumerate(tail, i - d):
                 out[j] += c * t
     return [u % p for u in out[:d]]
-
-
-def _pow_mod_prime(k, a, n, m):
-    """pow_mod over GF(p), by square-and-multiply as in power."""
-    p, tail = k.p, _monic_tail(k.p, m)
-    base, result = _mulmod_prime(p, a, (1,), tail), None
-    while n:
-        if n & 1:
-            result = base if result is None else _mulmod_prime(p, result, base, tail)
-        n >>= 1
-        if n:
-            base = _mulmod_prime(p, base, base, tail)
-    return (k.one,) if result is None else trim(k, result)
 
 
 def _powers_mod_prime(k, a, m):

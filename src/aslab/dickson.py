@@ -125,10 +125,8 @@ class _MvRing:
         )
 
     def pow_int(self, a, e):
-        out = self.one
-        for _ in range(e):
-            out = self.mul(out, a)
-        return out
+        out = rp.square_and_multiply(a, e, self.mul)
+        return self.one if out is None else out
 
     def frobenius(self, a):
         # coefficients live in GF(p), so (sum c m)^p = sum c m^p
@@ -221,7 +219,9 @@ def dickson_phi(m: int, p: int) -> DicksonForm:
     """
     if p not in (2, 3):
         raise CapExceededError("Dickson forms are computed for p in {2, 3}")
-    if not 0 <= m <= 4:
+    if m < 0:
+        raise InputError(f"Dickson form rank must be m >= 0, got {m}")
+    if m > 4:
         raise CapExceededError("Dickson forms are capped at m <= 4")
     return _dickson_form(m, p)
 

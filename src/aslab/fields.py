@@ -66,9 +66,12 @@ elements is a subfield (analyze's c2 and SubspaceR.is_subfield).
 residues is also the one payload form of every tabulated field: coefficient
 tuples of full length d, zeros included.  Each field kind has one power,
 pow_int: Python's pow in GF(p), a table lookup in a tabulated field, and a
-power of numerator and denominator in K(Z).  pth_roots is the one p-th-root
-test, verified by a p-th power (is_pth_power_coeffs and irred's
-criterion).  A modulus string is parsed as a polynomial in t over GF(p)(t).
+power of numerator and denominator in K(Z); inv of a finite field, and
+frobenius and pth_root of a tabulated one, are pow_int at -1, p and q/p
+(_TabulatedField.div stays one fused lookup for specialise's hot path).
+pth_roots is the one p-th-root test, verified by a p-th power
+(is_pth_power_coeffs and irred's criterion).  A modulus string is parsed
+as a polynomial in t over GF(p)(t).
 
 specialise is the one map Z -> z0 from K(Z) into a tabulated field, at the
 points of specialisation_points (all of K, then GF(|K|^2) through
@@ -344,9 +347,7 @@ class PrimeField(FieldDescriptor):
         return (a * b) % self.p
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.p - 2, self.p)
+        return self.pow_int(a, -1)
 
     def pow_int(self, a, n):
         if a == 0 and n < 0:
@@ -566,10 +567,7 @@ class _TabulatedField:
         return self._exp[s] if s >= 0 else self.zero
 
     def inv(self, a):
-        la = self._log[a]
-        if la < 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self._exp[self._q1 - la]
+        return self.pow_int(a, -1)
 
     def div(self, a, b):
         log = self._log
@@ -591,13 +589,11 @@ class _TabulatedField:
         return tuple(self.base.sort_key(c) for c in a)
 
     def frobenius(self, a):
-        la = self._log[a]
-        return self._exp[la * self.char % self._q1] if la >= 0 else self.zero
+        return self.pow_int(a, self.char)
 
     def pth_root(self, a):
         # Frobenius is bijective: the inverse is x -> x^(q/p).
-        la = self._log[a]
-        return self._exp[la * (self.order // self.char) % self._q1] if la >= 0 else self.zero
+        return self.pow_int(a, self.order // self.char)
 
 
 class ExtensionField(_TabulatedField, FieldDescriptor):

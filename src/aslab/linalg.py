@@ -37,6 +37,7 @@ import bisect
 import collections
 import math
 
+from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import FieldElement, make_field, specialisation_points, specialise
 from .poly import Poly, _kernel, _row_algebra, factor_finite
@@ -568,8 +569,8 @@ def _close_diagonal(ring, diag):
     for i in range(len(entries)):
         f = ring.one
         for b, column in zip(base, columns):
-            for _ in range(column[i]):
-                f = ring.mul(f, b)
+            if column[i]:
+                f = ring.mul(f, rp.square_and_multiply(b, column[i], ring.mul))
         out.append(f)
     return out + [ring.zero] * (len(diag) - len(entries))
 

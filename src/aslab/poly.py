@@ -433,10 +433,9 @@ def _berlekamp_split(field, g, d):
             remaining = piece
             for s in shifts:
                 h = rp.gcd(field, rp.sub(field, btrim, (s,)), remaining)
-                if 1 < len(h) <= len(remaining):
-                    if len(h) < len(remaining):
-                        next_pieces.append(h)
-                        remaining = rp.divmod_(field, remaining, h)[0]
+                if 1 < len(h) < len(remaining):
+                    next_pieces.append(h)
+                    remaining = rp.divmod_(field, remaining, h)[0]
                 if len(remaining) == 1:
                     break
             if len(remaining) > 1:

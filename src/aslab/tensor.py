@@ -63,10 +63,8 @@ def closed_formula_applies(p, n, m) -> bool:
 
 def tensor_jordan_type_formula(inst: TensorInstance) -> JordanType:
     """Closed form for n <= m = p^e: n blocks of size p^e at alpha + beta."""
-    if p_power_split(inst.m, inst.p)[1] != 1:
-        raise InputError(f"no closed formula: {inst.m} is not a power of {inst.p}")
-    if inst.n > inst.m:
-        raise InputError("closed formula needs n <= m")
+    if not closed_formula_applies(inst.p, inst.n, inst.m):
+        raise InputError(f"no closed formula: needs n <= m and m a power of {inst.p}")
     if inst.n > FORMULA_MAX_BLOCKS:
         raise CapExceededError(f"{inst.n} blocks exceed cap {FORMULA_MAX_BLOCKS}")
     ev = inst.alpha + inst.beta

@@ -175,9 +175,10 @@ def test_subfield_lattice_output_is_pinned(capsys):
              '{"entries": [["Z^2+Z", "0"], ["0", "0"]]}'),
             "root candidate count exceeds",
         ),
+        (("dickson", "--p", "2", "--m", "-1"), "m >= 0"),
     ],
     ids=["lattice-over-cap", "lattice-n-0", "lattice-n-negative", "lattice-p-4",
-         "lattice-huge-n", "root-candidate-cap"],
+         "lattice-huge-n", "root-candidate-cap", "dickson-m-negative"],
 )
 def test_refusal_is_one_error_line_before_the_work(capsys, argv, message):
     # the p = 3, n = 6 lattice used to compute every primitive element of

@@ -127,6 +127,23 @@ def test_phi_rejects_out_of_cap():
         dickson_phi(2, 5)
 
 
+def test_phi_negative_rank_is_bad_input_not_a_cap():
+    with pytest.raises(InputError, match="m >= 0") as info:
+        dickson_phi(-1, 2)
+    assert not isinstance(info.value, CapExceededError)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_mv_ring_pow_int_matches_repeated_products(p):
+    ring = dickson._MvRing(p, 2)
+    a = ring.add(ring.add(ring.variable(0), ring.variable(1, p - 1)), ring.one)
+    for x in (ring.zero, ring.one, ring.variable(2), a, ring.mul(a, ring.variable(1))):
+        acc = ring.one
+        for e in range(6):
+            assert ring.pow_int(x, e) == acc, (x, e)
+            acc = ring.mul(acc, x)
+
+
 def test_phi_value_depends_only_on_the_span():
     # evaluating the full form at two bases of one plane gives equal values
     f9 = make_field("GF(9)")

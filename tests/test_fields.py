@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import sys
@@ -480,6 +481,27 @@ def test_extension_tables_match_polynomial_reference(spec):
         assert field.frobenius(a) == ref.pow_int(a, field.p)
         assert field.pth_root(a) == ref.pow_int(a, q_over_p)
         assert field.frobenius(field.pth_root(a)) == a
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["GF(2)", "GF(3)", "GF(727)", "GF(4)", "GF(8)", "GF(9)", "GF(27)", "GF(625)", "GF(729)",
+     "GF(2^3; mod=t^3+t^2+1)", "GF(9)[Z]/d2"],
+)
+def test_inverse_frobenius_and_pth_root_on_every_element(name):
+    for field in _root_scan_fields(name):
+        p, one = field.char, field.one
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            field.inv(field.zero)
+        for a in field.enumerate_payloads():
+            fa = field.frobenius(a)
+            assert fa == field.pow_int(a, p), a
+            assert field.pth_root(fa) == a, a
+            if p <= 5:
+                # the p-th power as p - 1 products, independent of pow_int
+                assert fa == functools.reduce(field.mul, [a] * p), a
+            if a != field.zero:
+                assert field.mul(a, field.inv(a)) == one, a
 
 
 def test_table_zero_cases():
@@ -1096,7 +1118,7 @@ def test_powers_mod_is_pow_mod_term_by_term(name):
     assert len(set(powers)) > 3
 
 
-@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(727)"])
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(727)", "GF(4)", "GF(9)"])
 def test_pow_mod_edge_cases_match_repeated_products(spec):
     k = make_field(spec)
     rng = random.Random(spec)
@@ -1123,6 +1145,26 @@ def test_pow_mod_edge_cases_match_repeated_products(spec):
     assert ref.payload(rp.pow_mod(k, long_a, n, non_monic)) == ref.pow_int(long_a, n)
     with pytest.raises(ZeroDivisionError):
         rp.pow_mod(k, long_a, 3, ())
+
+
+@pytest.mark.parametrize("name", ["GF(9)", "GF(4)[Z]/d2"])
+def test_generic_pow_mod_makes_one_product_per_squaring_and_extra_bit(name, monkeypatch):
+    # square-and-multiply needs bit_length(n) - 1 squarings and popcount(n) - 1
+    # further products: none before the first bit, none past the top one
+    k = _root_scan_fields(name)[0]
+    rng = random.Random(name)
+    elems = list(k.enumerate_payloads())
+    m = tuple(rng.choice(elems) for _ in range(3)) + (k.one,)
+    a = tuple(rng.choice(elems) for _ in range(4)) + (k.one,)
+    ref = _Reference(k, m, 3)
+    exponents = (1, 2, 9, 729)
+    expected = [ref.pow_int(a, n) for n in exponents]
+    calls, real_mul = [], rp.mul
+    monkeypatch.setattr(rp, "mul", lambda *args: calls.append(1) or real_mul(*args))
+    for n, want in zip(exponents, expected):
+        calls.clear()
+        assert ref.payload(rp.pow_mod(k, a, n, m)) == want, n
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
 
 
 def _reference_log_tables(k, modulus):

@@ -90,13 +90,28 @@ def test_unary_minus():
 
 def test_power_matches_repeated_multiplication():
     rng = random.Random(3)
-    for spec in ("GF(2)", "GF(9)", "GF(3)(Z)"):
+    for spec in ("GF(2)", "GF(3)", "GF(9)", "GF(3)(Z)"):
         field = make_field(spec)
         for a in [(), (field.one,)] + [random_poly(field, d, rng).raw for d in (1, 2, 3)]:
             acc = (field.one,)
-            for n in range(13):
+            for n in range(21):
                 assert rp.power(field, a, n) == acc, (spec, a, n)
                 acc = rp.mul(field, acc, a)
+
+
+def test_square_and_multiply_counts_and_leaves_n_zero_to_the_caller():
+    assert rp.square_and_multiply(3, 0, lambda x, y: pytest.fail("a product for n = 0")) is None
+    for n in range(1, 70):
+        calls = []
+        got = rp.square_and_multiply(3, n, lambda x, y: calls.append(1) or x * y)
+        assert got == 3**n, n
+        assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
+    # a negative exponent used to shift forever: -1 >> 1 is -1
+    field = make_field("GF(3)")
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly.x(field).pow_mod(-1, Poly.from_string(field, "X^2+1"))
+    with pytest.raises(ValueError, match="negative exponent"):
+        rp.power(field, (0, 1), -2)
 
 
 def test_divmod_property_seeded():

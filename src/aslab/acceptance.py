@@ -155,7 +155,6 @@ def run_tensor_suite(seed=0):
     _check(records, "formula equals oracle on the full grid", not mismatches,
            instances=total, mismatches=[list(x) for x in mismatches])
 
-    f2 = make_field("GF(2)")
     sl2_contrast = tensor_jordan_type_oracle(TensorInstance(2, 2, 2))
     _check(records, "J_2 x J_2 over GF(2) splits as [2, 2]",
            sl2_contrast.sizes() == [2, 2], sizes=sl2_contrast.sizes())

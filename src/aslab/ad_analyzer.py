@@ -260,9 +260,7 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     recovered = None
     invertibility = None
     if c1 and c2 and c3:
-        recovered = _recover_and_certify(
-            a, field, m, mu_a, eigenvalues, dims, inv_ad, diagonalizable
-        )
+        recovered = _recover_and_certify(field, m, mu_a, eigenvalues, dims, inv_ad, diagonalizable)
         invertibility = _eigenvector_invertibility(a, _eigenspaces(ad, dims), seed)
         if not invertibility.all_invertible:
             raise ConsistencyError(
@@ -287,7 +285,7 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     )
 
 
-def _recover_and_certify(a, field, m, mu_a, eigenvalues, dims, inv_ad, diagonalizable):
+def _recover_and_certify(field, m, mu_a, eigenvalues, dims, inv_ad, diagonalizable):
     if mu_a.degree() != m:
         raise ConsistencyError("cyclic matrix whose minimal polynomial degree differs from its size")
     sep = separable_part(mu_a)

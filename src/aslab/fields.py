@@ -24,7 +24,9 @@ FieldDescriptor.payload_of is the single point where values from outside
 (FieldElements, ints, element strings, payloads) are checked and turned
 into payloads; element, Poly(...) and Matrix(...) all go through it, and
 code that computes payloads itself skips it (Poly.from_raw,
-Matrix.from_raw).  Element strings are read by the one
+Matrix.from_raw).  FieldElement's binary operators are one body, _binary:
+an int or FieldElement operand goes through payload_of, and any other
+gets the one refusal, NotImplemented.  Element strings are read by the one
 FieldDescriptor.parse_element over each kind's parse atoms, atoms(): none
 for GF(p), t for GF(p^n), Z plus the base field's atoms for K(Z);
 Poly.from_string reads the same table.
@@ -182,6 +184,26 @@ def _raw_poly_str(k, a, var):
     return "+".join(parts)
 
 
+def _binary(name, reflected=False):
+    """The FieldElement operator running the descriptor's method name on
+    the two payloads, the operands swapped when reflected.  An int or a
+    FieldElement operand goes through payload_of; any other operand gets
+    NotImplemented, so Python tries the other side (a Poly, say).  The
+    method is looked up at each call, so a class-level wrapper on the
+    descriptor sees it."""
+
+    def op(self, other):
+        if not isinstance(other, (FieldElement, int)):
+            return NotImplemented
+        field = self.field
+        a, b = self.payload, field.payload_of(other)
+        if reflected:
+            a, b = b, a
+        return FieldElement(field, getattr(field, name)(a, b))
+
+    return op
+
+
 class FieldElement:
     """Immutable element of a field, supporting the usual operators."""
 
@@ -194,50 +216,12 @@ class FieldElement:
     def __setattr__(self, *args):
         raise AttributeError("FieldElement is immutable")
 
-    def _coerce(self, other):
-        if isinstance(other, (FieldElement, int)):
-            return self.field.payload_of(other)
-        return None
-
-    def __add__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.add(self.payload, p))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(self.payload, p))
-
-    def __rsub__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.sub(p, self.payload))
-
-    def __mul__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.payload, p))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(self.payload, p))
-
-    def __rtruediv__(self, other):
-        p = self._coerce(other)
-        if p is None:
-            return NotImplemented
-        return FieldElement(self.field, self.field.div(p, self.payload))
+    __add__ = __radd__ = _binary("add")
+    __sub__ = _binary("sub")
+    __rsub__ = _binary("sub", reflected=True)
+    __mul__ = __rmul__ = _binary("mul")
+    __truediv__ = _binary("div")
+    __rtruediv__ = _binary("div", reflected=True)
 
     def __neg__(self):
         return FieldElement(self.field, self.field.neg(self.payload))

@@ -258,10 +258,16 @@ def _checked_rows(field, rows):
         raise InputError("ragged matrix rows")
     if not width:
         raise InputError("matrix must be nonempty")
-    cap = MAX_RATIONAL_DIM if field.kind == "rational-function" else MAX_FINITE_DIM
-    if len(rows) > cap or width > cap:
-        raise CapExceededError(f"matrix size exceeds cap {cap}")
+    _check_size(field, len(rows), width)
     return rows
+
+
+def _check_size(field, nrows, ncols):
+    """Refuse an nrows x ncols matrix over field's size cap; the builders
+    below call it before they allocate the result."""
+    cap = MAX_RATIONAL_DIM if field.kind == "rational-function" else MAX_FINITE_DIM
+    if nrows > cap or ncols > cap:
+        raise CapExceededError(f"matrix size exceeds cap {cap}")
 
 
 def companion(f: Poly) -> Matrix:
@@ -285,13 +291,14 @@ def direct_sum(*mats) -> Matrix:
     if not mats:
         raise InputError("direct sum of nothing")
     k = mats[0].field
+    if any(m.field != k for m in mats):
+        raise InputError("direct sum over mixed fields")
     n = sum(m.nrows for m in mats)
     c = sum(m.ncols for m in mats)
+    _check_size(k, n, c)
     out = [[k.zero] * c for _ in range(n)]
     ro = co = 0
     for m in mats:
-        if m.field != k:
-            raise InputError("direct sum over mixed fields")
         for i, row in enumerate(m.rows):
             for j, v in enumerate(row):
                 out[ro + i][co + j] = v
@@ -304,6 +311,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     if a.field != b.field:
         raise InputError("Kronecker product over mixed fields")
     k = a.field
+    _check_size(k, a.nrows * b.nrows, a.ncols * b.ncols)
     out = []
     for i in range(a.nrows):
         for ib in range(b.nrows):
@@ -350,6 +358,7 @@ def ad_matrix(a: Matrix) -> Matrix:
     m = a.nrows
     z = k.zero
     n2 = m * m
+    _check_size(k, n2, n2)
     out = [[z] * n2 for _ in range(n2)]
     for i in range(m):
         for j in range(m):

@@ -23,6 +23,10 @@ over GF(p^n) and K(Z) (_PayloadRows).  The same algebra is F[X] for
 linalg's Smith finish and analyze's multiplicities, bit i over GF(2)
 holding the coefficient of X^i and _ringops tuples elsewhere.  Poly.from_string reads
 its constants from the field's parse atoms (FieldDescriptor.atoms).
+Poly's binary operators are one body, _binary, over Poly._coerce, and
+compose, pow_mod and gcd read their operand through Poly._operand: the
+one refusal of an operand that is not a Poly, FieldElement or int is
+NotImplemented from an operator and InputError elsewhere.
 Irreducibility comes from fields.rabin_irreducible.
 """
 
@@ -36,6 +40,22 @@ from .fields import FieldElement, _raw_poly_str, _raw_roots, p_power_split, rabi
 MINUS_INFINITY = float("-inf")
 
 FACTOR_MAX_DEGREE = 64
+
+
+def _binary(name, reflected=False):
+    """The Poly operator running _ringops.<name> on the two coefficient
+    tuples, the operands swapped when reflected.  The operand goes through
+    Poly._coerce; one it cannot read gets NotImplemented.  The name is
+    looked up at each call, so a tracer that rebinds it sees it."""
+
+    def op(self, other):
+        r = self._coerce(other)
+        if r is None:
+            return NotImplemented
+        a, b = (r, self.raw) if reflected else (self.raw, r)
+        return Poly.from_raw(self.field, getattr(rp, name)(self.field, a, b))
+
+    return op
 
 
 class Poly:
@@ -128,33 +148,19 @@ class Poly:
             return rp.trim(self.field, (self.field.payload_of(other),))
         return None
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """_coerce for the methods that cannot hand an operand back to
+        Python: InputError for anything but a Poly, a FieldElement or an
+        int."""
         r = self._coerce(other)
         if r is None:
-            return NotImplemented
-        return Poly.from_raw(self.field, rp.add(self.field, self.raw, r))
+            raise InputError(f"cannot read a {type(other).__name__} as a polynomial")
+        return r
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return Poly.from_raw(self.field, rp.sub(self.field, self.raw, r))
-
-    def __rsub__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return Poly.from_raw(self.field, rp.sub(self.field, r, self.raw))
-
-    def __mul__(self, other):
-        r = self._coerce(other)
-        if r is None:
-            return NotImplemented
-        return Poly.from_raw(self.field, rp.mul(self.field, self.raw, r))
-
-    __rmul__ = __mul__
+    __add__ = __radd__ = _binary("add")
+    __sub__ = _binary("sub")
+    __rsub__ = _binary("sub", reflected=True)
+    __mul__ = __rmul__ = _binary("mul")
 
     def __neg__(self):
         return Poly.from_raw(self.field, rp.neg(self.field, self.raw))
@@ -207,10 +213,7 @@ class Poly:
 
     def compose(self, other):
         """self(other(X))."""
-        r = self._coerce(other)
-        if r is None:
-            raise InputError("cannot compose with this operand")
-        return Poly.from_raw(self.field, rp.compose(self.field, self.raw, r))
+        return Poly.from_raw(self.field, rp.compose(self.field, self.raw, self._operand(other)))
 
     def shifted(self, b):
         """self(X + b)."""
@@ -229,8 +232,7 @@ class Poly:
         return Poly.from_raw(self.field, out)
 
     def pow_mod(self, n, modulus):
-        r = self._coerce(modulus)
-        return Poly.from_raw(self.field, rp.pow_mod(self.field, self.raw, n, r))
+        return Poly.from_raw(self.field, rp.pow_mod(self.field, self.raw, n, self._operand(modulus)))
 
     def sort_key(self):
         return _raw_sort_key(self.field, self.raw)
@@ -245,10 +247,8 @@ class Poly:
         return f"Poly({self.field.spec_string()}, {self})"
 
 
-def gcd(a: Poly, b: Poly) -> Poly:
-    if a.field != b.field:
-        raise InputError("polynomials over different fields do not mix")
-    return Poly.from_raw(a.field, rp.gcd(a.field, a.raw, b.raw))
+def gcd(a: Poly, b) -> Poly:
+    return Poly.from_raw(a.field, rp.gcd(a.field, a.raw, a._operand(b)))
 
 
 class SeparableDecomposition:
@@ -451,6 +451,8 @@ def roots_in_finite_field(f: Poly):
     field = f.field
     if field.order is None:
         raise InputError("root scan requires a finite field")
+    if f.is_zero():
+        raise InputError("cannot scan the roots of the zero polynomial")
     return [
         (FieldElement(field, a), _divide_out(field, f.raw, (field.neg(a), field.one))[1])
         for a in _raw_roots(field, f.raw)

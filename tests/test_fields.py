@@ -1301,3 +1301,56 @@ def test_quotient_kind_and_forward_sort_key_beside_the_extension():
     # enumeration order, lowest coefficient fastest
     assert ext.sort_key((2, 1)) == (1, 2)
     assert sorted(ext.enumerate_payloads(), key=ext.sort_key) == list(ext.enumerate_payloads())
+
+
+# ---------------------------------------------------------------------------
+# the operand path of FieldElement's binary operators
+
+@pytest.mark.parametrize("spec, value", [("GF(3)", 2), ("GF(9)", "t+1"), ("GF(3)(Z)", "(Z+1)/Z")])
+def test_int_on_the_left_swaps_the_operands(spec, value):
+    field = make_field(spec)
+    x = field.element(value)
+    one, two, three = (field.from_int(i) for i in (1, 2, 3))
+    assert 1 - x == FieldElement(field, field.sub(one, x.payload))
+    assert 1 / x == FieldElement(field, field.div(one, x.payload))
+    assert 3 * x == FieldElement(field, field.mul(three, x.payload))
+    assert 2 + x == FieldElement(field, field.add(two, x.payload))
+
+
+def test_a_foreign_operand_falls_back_to_python():
+    f9 = make_field("GF(9)")
+    x = f9.element("t")
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__"):
+        assert getattr(x, op)(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        x + 1.5
+    with pytest.raises(TypeError):
+        1.5 / x
+    # the reflected fallback: Poly.__rmul__ takes the element
+    p = Poly.from_string(f9, "X+t")
+    assert x * p == Poly.from_string(f9, "t*X+t^2")
+
+
+def test_elements_of_two_fields_do_not_mix():
+    f3, f9 = make_field("GF(3)"), make_field("GF(9)")
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b, lambda a, b: a / b):
+        with pytest.raises(InputError):
+            op(f3.one_element(), f9.one_element())
+        with pytest.raises(InputError):
+            op(f9.one_element(), f3.one_element())
+
+
+def test_operators_look_up_the_descriptor_method_at_each_call(monkeypatch):
+    f9 = make_field("GF(9)")
+    x, y = f9.element("t"), f9.element("t+1")
+    calls = []
+    original = fields.ExtensionField.mul
+
+    def counting(self, a, b):
+        calls.append((a, b))
+        return original(self, a, b)
+
+    monkeypatch.setattr(fields.ExtensionField, "mul", counting)
+    assert x * y == FieldElement(f9, original(f9, x.payload, y.payload))
+    assert calls == [(x.payload, y.payload)]

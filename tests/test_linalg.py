@@ -1226,3 +1226,24 @@ def _divide_out_count(k, f, d):
         if r:
             return mult
         f, mult = q, mult + 1
+
+
+@pytest.mark.parametrize("build", ["ad_matrix", "kron", "direct_sum"])
+def test_matrix_builders_refuse_an_over_cap_result_before_allocating(build):
+    import tracemalloc
+
+    f2 = make_field("GF(2)")
+    # 33^2, 40 * 40 and 1025 rows and columns, over the 1024 cap
+    call = {
+        "ad_matrix": lambda i33=Matrix.identity(f2, 33): ad_matrix(i33),
+        "kron": lambda i40=Matrix.identity(f2, 40): kron(i40, i40),
+        "direct_sum": lambda i1=Matrix.identity(f2, 1): direct_sum(*[i1] * 1025),
+    }[build]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20

@@ -17,6 +17,7 @@ from aslab.poly import (
     gcd,
     is_irreducible_finite,
     min_poly_in_quotient,
+    roots_in_finite_field,
     separable_part,
 )
 
@@ -514,3 +515,58 @@ def test_divide_out_matches_one_power_at_a_time(spec):
         quo, got = _divide_out(field, f, d)
         assert (quo, got) == _one_power_at_a_time(field, f, d)
         assert got >= mult
+
+
+# ---------------------------------------------------------------------------
+# the operand path of Poly's binary operators and of compose, pow_mod, gcd
+
+def test_int_on_the_left_of_a_poly_swaps_the_operands():
+    f3 = make_field("GF(3)")
+    p = Poly.from_string(f3, "X^2+2*X")
+    assert 1 - p == Poly.from_raw(f3, rp.sub(f3, (1,), p.raw))
+    assert 2 * p == Poly.from_raw(f3, rp.mul(f3, (2,), p.raw))
+    assert f3.element(2) - p == 2 - p
+
+
+def test_a_poly_refuses_a_foreign_operand():
+    f3 = make_field("GF(3)")
+    p = Poly.from_string(f3, "X+1")
+    assert p.__mul__("X") is NotImplemented and p.__rsub__(1.5) is NotImplemented
+    with pytest.raises(TypeError):
+        p * "X"
+    with pytest.raises(TypeError):
+        1.5 - p
+    for call in (lambda: p.pow_mod(2, "X"), lambda: gcd(p, "X"), lambda: p.compose(1.5)):
+        with pytest.raises(InputError, match="cannot read"):
+            call()
+
+
+def test_polys_over_two_fields_do_not_mix():
+    p3 = Poly.from_string(make_field("GF(3)"), "X+1")
+    p9 = Poly.from_string(make_field("GF(9)"), "X+1")
+    calls = (lambda: p3 + p9, lambda: p9 - p3, lambda: p3 * p9, lambda: divmod(p3, p9),
+             lambda: p3.compose(p9), lambda: p3.pow_mod(2, p9), lambda: gcd(p3, p9))
+    for call in calls:
+        with pytest.raises(InputError, match="do not mix"):
+            call()
+
+
+def test_poly_operators_look_up_ringops_at_each_call(monkeypatch):
+    f9 = make_field("GF(9)")
+    p, q = Poly.from_string(f9, "X+t"), Poly.from_string(f9, "X^2+1")
+    calls = []
+    original = rp.mul
+
+    def counting(k, a, b):
+        calls.append((a, b))
+        return original(k, a, b)
+
+    monkeypatch.setattr(rp, "mul", counting)
+    assert p * q == Poly.from_raw(f9, original(f9, p.raw, q.raw))
+    assert calls == [(p.raw, q.raw)]
+
+
+def test_roots_of_the_zero_polynomial_are_refused():
+    for spec in ("GF(2)", "GF(9)"):
+        with pytest.raises(InputError, match="zero polynomial"):
+            roots_in_finite_field(Poly.zero(make_field(spec)))

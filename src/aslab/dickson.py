@@ -12,7 +12,8 @@ a monic p-polynomial in alpha of degree p^dim(R): alpha_R = f_R(alpha) for
 f_R(Y) = prod (Y + b) = sum c_j Y^(p^j), whose coefficients c_j are the
 classical Dickson invariants evaluated at any basis of R.  This module
 enumerates the subspaces, computes f_R along two independent routes over
-GF(p^n) (the expanded product and the Dickson recursion on the coefficient
+GF(p^n) (the expanded product, multiplied out on the Zech tables by
+fields._linear_product, and the Dickson recursion on the coefficient
 vector), embeds it into F[X]/(q) once, certifies the degree law
 [F[alpha_R] : F] = p^(n-m), and tests "property P": all c_j lie in the
 prime field exactly when R is invariant under x -> x^p.
@@ -36,9 +37,9 @@ of mu lie in F[alpha_R] by two ranks (Matrix.rank), and computes mu and the
 conjugate product with _ringops over the coefficient ring
 F[alpha] = F[X]/(q) (_ringops.PolyRing).  Both map R's elements into F with
 fields.embed_subfield, whether F is finite or K(Z).  A subspace is spanned
-by the one helper _span, whether it comes from a basis or from its
-elements, and SubspaceR.is_subfield is fields._subfield_check, the test
-analyze applies to eigenvalue sets.
+by the one helper _span, on payloads, whether it comes from a basis or
+from its elements, and SubspaceR.is_subfield is fields._subfield_check,
+the test analyze applies to eigenvalue sets.
 """
 
 import itertools
@@ -47,6 +48,7 @@ from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import (
     FieldElement,
+    _linear_product,
     _subfield_check,
     _raw_poly_str,
     embed_subfield,
@@ -239,15 +241,16 @@ def _dickson_form(m, p):
 
 def _span(ambient, vectors):
     """(basis, span): the vectors that enlarge the GF(p)-span, in order, and
-    that span as {sort key: element}, grown one vector at a time."""
-    zero = ambient.zero_element()
-    span, basis = {zero.sort_key(): zero}, []
+    that span as {sort key: element}, grown one vector at a time on
+    payloads, each element wrapped once at the end."""
+    add, mul, key = ambient.add, ambient.mul, ambient.sort_key
+    span, basis = {key(ambient.zero): ambient.zero}, []
     for x in vectors:
-        if x.sort_key() not in span:
+        if key(x.payload) not in span:
             basis.append(x)
-            steps = [x * c for c in range(1, ambient.char)]
-            span.update((u.sort_key(), u) for u in [v + w for v in span.values() for w in steps])
-    return basis, span
+            steps = [mul(x.payload, ambient.from_int(c)) for c in range(1, ambient.char)]
+            span.update((key(u), u) for u in [add(v, w) for v in span.values() for w in steps])
+    return basis, {k: FieldElement(ambient, u) for k, u in span.items()}
 
 
 class SubspaceR:
@@ -358,16 +361,15 @@ def property_p(r: SubspaceR) -> bool:
 
 def f_r_polynomial(r: SubspaceR):
     """The product f_R(Y) = prod over b in R of (Y + b), expanded over the
-    ambient field GF(p^n): route 1 of primitive_element, whose Dickson
+    ambient field GF(p^n) by fields._linear_product (on the Zech tables,
+    or on ints over GF(p)): route 1 of primitive_element, whose Dickson
     recursion must reproduce it coefficient by coefficient.
 
     Returns (poly, prime_coefficients) where the flag records whether every
     coefficient lies in the prime field.
     """
     field = r.ambient
-    acc = (field.one,)
-    for b in r.elements:
-        acc = rp.mul(field, acc, (b.payload, field.one))
+    acc = _linear_product(field, [b.payload for b in r.elements])
     poly = Poly.from_raw(field, acc)
     in_prime = all(field.frobenius(c) == c for c in acc)
     return poly, in_prime

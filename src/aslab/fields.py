@@ -62,7 +62,10 @@ splitting code and analyze's eigenvalues read it too).  The scan makes no
 method call per point: Horner on ints over GF(p), in the log domain over a
 tabulated field, with the roots in enumeration order either way, so the
 first root, and so every embedding, is the one a scan of the elements in
-order finds.  _subfield_check is the one test whether a finite set of
+order finds.  Beside it, _linear_product is the one product of linear
+factors prod (Y + b) over a finite field (dickson's f_R), written the same
+way: one pass per factor, on ints over GF(p) and in the log domain over a
+tabulated field.  _subfield_check is the one test whether a finite set of
 elements is a subfield (analyze's c2 and SubspaceR.is_subfield).
 
 residues is also the one payload form of every tabulated field: coefficient
@@ -946,6 +949,47 @@ def _raw_roots(field, f):
     base = field.base
     roots.sort(key=lambda a: [base.sort_key(c) for c in reversed(a)])
     return [field.zero] + roots if f[0] == field.zero else roots
+
+
+def _linear_product(field, payloads):
+    """The raw monic polynomial prod (Y + b) over b in payloads, over a
+    finite field.
+
+    One pass per factor, with no method call: the step is
+    new[i] = acc[i-1] + b acc[i].  Over GF(p) on ints with % p.  Over a
+    tabulated field in the log domain, acc holding the logs of the
+    coefficients below q1 (negative for zero): b = 0 shifts acc up by one,
+    and otherwise with u = acc[i-1] and y = log b + acc[i], new[i] has log
+    u + zech[y - u] (negative when the two cancel), or y when u is zero,
+    reduced below q1."""
+    if field.kind == "prime":
+        p = field.p
+        acc = [1]
+        for b in payloads:
+            acc = [(u + b * a) % p for u, a in zip([0] + acc, acc + [0])]
+        return tuple(acc)
+    q1, log, zech = field._q1, field._log, field._zech
+    acc = [0]
+    for b in payloads:
+        lb = log[b]
+        if lb < 0:
+            acc = [_LOG_ZERO] + acc
+            continue
+        new, u = [], _LOG_ZERO
+        for a in acc:
+            if a < 0:
+                new.append(u)
+            else:
+                # y < 2*q1 and 0 <= u < q1: zech (length 2*q1) takes y - u
+                y = a + lb
+                if u >= 0:
+                    y = u + zech[y - u]
+                new.append(y - q1 if y >= q1 else y)
+            u = a
+        new.append(u)
+        acc = new
+    exp, zero = field._exp, field.zero
+    return tuple(exp[a] if a >= 0 else zero for a in acc)
 
 
 _embedding_cache = {}

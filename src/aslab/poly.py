@@ -26,7 +26,10 @@ its constants from the field's parse atoms (FieldDescriptor.atoms).
 Poly's binary operators are one body, _binary, over Poly._coerce, and
 compose, pow_mod and gcd read their operand through Poly._operand: the
 one refusal of an operand that is not a Poly, FieldElement or int is
-NotImplemented from an operator and InputError elsewhere.
+NotImplemented from an operator and InputError elsewhere.  The module
+functions (gcd, separable_part, is_irreducible_finite, factor_finite,
+roots_in_finite_field, min_poly_in_quotient) refuse a polynomial argument
+that is not a Poly with the same InputError (_unreadable).
 Irreducibility comes from fields.rabin_irreducible.
 """
 
@@ -154,7 +157,7 @@ class Poly:
         int."""
         r = self._coerce(other)
         if r is None:
-            raise InputError(f"cannot read a {type(other).__name__} as a polynomial")
+            raise _unreadable(other)
         return r
 
     __add__ = __radd__ = _binary("add")
@@ -247,7 +250,21 @@ class Poly:
         return f"Poly({self.field.spec_string()}, {self})"
 
 
+def _unreadable(value):
+    """The one refusal of a value that is not a polynomial."""
+    return InputError(f"cannot read a {type(value).__name__} as a polynomial")
+
+
+def _require_polys(*values):
+    """InputError, through _unreadable, for the first value that is not a
+    Poly: the module functions' check of their polynomial arguments."""
+    for value in values:
+        if not isinstance(value, Poly):
+            raise _unreadable(value)
+
+
 def gcd(a: Poly, b) -> Poly:
+    _require_polys(a)
     return Poly.from_raw(a.field, rp.gcd(a.field, a.raw, a._operand(b)))
 
 
@@ -276,6 +293,7 @@ def separable_part(h: Poly) -> SeparableDecomposition:
     fully contracted polynomial still has repeated roots, in which case no
     such decomposition exists.
     """
+    _require_polys(h)
     if not h.is_monic():
         raise InputError("separable_part expects a monic polynomial")
     if h.degree() < 1:
@@ -297,6 +315,7 @@ def separable_part(h: Poly) -> SeparableDecomposition:
 
 def is_irreducible_finite(f: Poly) -> bool:
     """Deterministic irreducibility test over a finite field."""
+    _require_polys(f)
     if f.field.order is None:
         raise InputError("irreducibility test requires a finite field")
     if f.degree() < 2:
@@ -330,6 +349,7 @@ def factor_finite(f: Poly):
     canonical deterministic order.  The product of the factors times the
     leading coefficient of f reconstructs f.
     """
+    _require_polys(f)
     field = f.field
     if field.order is None:
         raise InputError("factor_finite requires a finite field")
@@ -448,6 +468,7 @@ def _berlekamp_split(field, g, d):
 
 def roots_in_finite_field(f: Poly):
     """Roots with multiplicities over a finite coefficient field, by scan."""
+    _require_polys(f)
     field = f.field
     if field.order is None:
         raise InputError("root scan requires a finite field")
@@ -491,6 +512,7 @@ def min_poly_in_quotient(u: Poly, q: Poly) -> Poly:
     Found as the first linear dependence among 1, u, u^2, ... reduced mod q,
     by incremental Gaussian elimination with exact arithmetic.
     """
+    _require_polys(u, q)
     if not q.is_monic() or q.degree() < 1:
         raise InputError("quotient modulus must be monic of degree >= 1")
     if u.field != q.field:

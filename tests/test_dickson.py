@@ -9,7 +9,7 @@ import types
 import pytest
 
 from aslab import _ringops as rp
-from aslab import dickson
+from aslab import dickson, fields
 from aslab.dickson import (
     SubspaceR,
     dickson_phi,
@@ -258,6 +258,72 @@ def test_f_r_of_subfield_is_additive_power():
     poly, in_prime = f_r_polynomial(r)
     assert poly == Poly.x_power(f9, 3) - Poly.x(f9)
     assert in_prime
+
+
+# ---------------------------------------------------------------------------
+# route 1 on the Zech tables: fields._linear_product, the rp.mul loop that
+# f_r_polynomial ran as its reference
+
+def _mul_product(field, payloads):
+    """prod (Y + b) by one rp.mul per factor."""
+    acc = (field.one,)
+    for b in payloads:
+        acc = rp.mul(field, acc, (b, field.one))
+    return acc
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)", "GF(8)", "GF(2^3; mod=t^3+t^2+1)",
+                                  "GF(9)", "GF(16)", "GF(25)", "GF(27)"])
+def test_linear_product_matches_the_mul_loop_on_every_subspace(spec):
+    field = make_field(spec)
+    for m in range(field.n + 1):
+        for r in enumerate_subspaces(field, m):
+            payloads = [b.payload for b in r.elements]
+            expected = _mul_product(field, payloads)
+            assert fields._linear_product(field, payloads) == expected, r
+            assert f_r_polynomial(r)[0].raw == expected, r
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(9)", "GF(625)", "GF(729)", "GF(727)"])
+def test_linear_product_matches_the_mul_loop_on_random_lists(spec):
+    field = make_field(spec)
+    rng = random.Random(spec)
+    elems = list(field.enumerate_payloads())
+    lists = [[], [field.zero], [field.zero] * 3, [field.one] * field.char]
+    for length in (1, 2, 5, 9, 17):
+        draw = [rng.choice(elems) for _ in range(length)]
+        lists.append(draw)
+        # repeated payloads and zeros
+        lists.append(draw + draw[:3] + [field.zero])
+        # b beside -b: the coefficient of Y cancels in (Y + b)(Y - b)
+        signed = draw + [field.neg(b) for b in draw]
+        rng.shuffle(signed)
+        lists.append(signed)
+    for payloads in lists:
+        expected = _mul_product(field, payloads)
+        assert fields._linear_product(field, payloads) == expected, payloads
+    # over every element the product is Y^q - Y: all but two of the
+    # coefficients cancel, checked here against the closed form
+    every = (field.zero, field.neg(field.one)) + (field.zero,) * (len(elems) - 2) + (field.one,)
+    assert fields._linear_product(field, elems) == every
+
+
+def test_f_r_polynomial_makes_no_field_method_call(monkeypatch):
+    f81 = make_field("GF(81)")
+    (r,) = enumerate_subspaces(f81, 4)
+    calls = []
+    for name in ("add", "mul"):
+        original = getattr(fields.ExtensionField, name)
+
+        def counting(self, a, b, original=original, name=name):
+            calls.append(name)
+            return original(self, a, b)
+
+        monkeypatch.setattr(fields.ExtensionField, name, counting)
+    poly, in_prime = f_r_polynomial(r)
+    assert calls == []
+    # the product over all of GF(81) is Y^81 - Y
+    assert poly == Poly.x_power(f81, 81) - Poly.x(f81) and in_prime
 
 
 def test_property_p_for_subfields():
@@ -596,7 +662,7 @@ def _loop_is_subfield(r):
     return all((x * y).sort_key() in keys for x in r.elements for y in r.elements)
 
 
-@pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(27)", "GF(25)"])
+@pytest.mark.parametrize("spec", ["GF(3)", "GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(27)", "GF(25)"])
 def test_span_and_subfield_test_match_the_deleted_loops(spec):
     ambient = make_field(spec)
     subfields = 0

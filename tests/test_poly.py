@@ -570,3 +570,26 @@ def test_roots_of_the_zero_polynomial_are_refused():
     for spec in ("GF(2)", "GF(9)"):
         with pytest.raises(InputError, match="zero polynomial"):
             roots_in_finite_field(Poly.zero(make_field(spec)))
+
+
+# each module function with a non-Poly polynomial argument, given a Poly q,
+# and the type name its refusal reads
+NON_POLY_CALLS = {
+    "gcd": (lambda q: gcd("X", q), "str"),
+    "min_poly_in_quotient": (lambda q: min_poly_in_quotient(1.5, q), "float"),
+    "min_poly_in_quotient-modulus": (lambda q: min_poly_in_quotient(q, 1.5), "float"),
+    "factor_finite": (lambda q: factor_finite(2), "int"),
+    "roots_in_finite_field": (lambda q: roots_in_finite_field(2), "int"),
+    "is_irreducible_finite": (lambda q: is_irreducible_finite("X"), "str"),
+    "separable_part": (lambda q: separable_part(2), "int"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_POLY_CALLS))
+def test_module_functions_refuse_a_non_poly_argument(name):
+    # the one InputError of Poly._operand, not an AttributeError from
+    # reading .field or .is_monic off the argument
+    call, type_name = NON_POLY_CALLS[name]
+    q = Poly.from_string(make_field("GF(3)"), "X^3-X-1")
+    with pytest.raises(InputError, match=f"^cannot read a {type_name} as a polynomial$"):
+        call(q)

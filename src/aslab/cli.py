@@ -183,7 +183,7 @@ def _lattice_dot(subspaces, entries):
         basis = ", ".join(ent["basis"]) if ent["basis"] else "0"
         label = f"dim {ent['dim']}: span{{{basis}}}\\nalpha_H = {ent['alpha_h']}"
         lines.append(f'  s{i} [label="{label}"];')
-    keysets = [frozenset(v.sort_key() for v in r.elements) for r in subspaces]
+    keysets = [frozenset(r.sort_key()) for r in subspaces]
     for i, ki in enumerate(keysets):
         for j, kj in enumerate(keysets):
             if subspaces[j].dim == subspaces[i].dim + 1 and ki < kj:

@@ -35,11 +35,14 @@ independent route.
 The test-only intermediate_minpoly_product certifies that the coefficients
 of mu lie in F[alpha_R] by two ranks (Matrix.rank), and computes mu and the
 conjugate product with _ringops over the coefficient ring
-F[alpha] = F[X]/(q) (_ringops.PolyRing).  Both map R's elements into F with
-fields.embed_subfield, whether F is finite or K(Z).  A subspace is spanned
-by the one helper _span, on payloads, whether it comes from a basis or
-from its elements, and SubspaceR.is_subfield is fields._subfield_check,
-the test analyze applies to eigenvalue sets.
+F[alpha] = F[X]/(q) (_ringops.PolyRing).  Both map payloads of GF(p^n)
+into F by a lookup in fields._embedding, the one table per field pair,
+whether F is finite or K(Z); elements are wrapped only at the boundary.
+A subspace is spanned once, by the one helper _span on payloads, whether
+it comes from enumerate_subspaces's echelon rows, a basis or its elements;
+SubspaceR keeps the span's sort keys, in order, for its sort key,
+equality, hash and Frobenius test.  SubspaceR.is_subfield is
+fields._subfield_check, the test analyze applies to eigenvalue sets.
 """
 
 import itertools
@@ -48,12 +51,11 @@ from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import (
     FieldElement,
+    _embedding,
     _linear_product,
     _subfield_check,
     _raw_poly_str,
-    embed_subfield,
     enumerate_elements,
-    frobenius,
     memoised,
 )
 from .irred import irreducible
@@ -239,59 +241,59 @@ def _dickson_form(m, p):
 # ---------------------------------------------------------------------------
 # subspaces of GF(p^n) over GF(p)
 
-def _span(ambient, vectors):
-    """(basis, span): the vectors that enlarge the GF(p)-span, in order, and
-    that span as {sort key: element}, grown one vector at a time on
-    payloads, each element wrapped once at the end."""
+def _span(ambient, payloads):
+    """(basis, span): the payloads that enlarge the GF(p)-span, in order,
+    and that span as {sort key: payload}, grown one vector at a time."""
     add, mul, key = ambient.add, ambient.mul, ambient.sort_key
     span, basis = {key(ambient.zero): ambient.zero}, []
-    for x in vectors:
-        if key(x.payload) not in span:
+    for x in payloads:
+        if key(x) not in span:
             basis.append(x)
-            steps = [mul(x.payload, ambient.from_int(c)) for c in range(1, ambient.char)]
+            steps = [mul(x, ambient.from_int(c)) for c in range(1, ambient.char)]
             span.update((key(u), u) for u in [add(v, w) for v in span.values() for w in steps])
-    return basis, {k: FieldElement(ambient, u) for k, u in span.items()}
+    return basis, span
 
 
 class SubspaceR:
-    """GF(p)-subspace of a finite field, with basis and materialized elements."""
+    """GF(p)-subspace of a finite field: a basis, the elements in sort-key
+    order and their sort keys, made from basis payloads and their span as
+    _span returns it.  Each element is wrapped once and each key computed
+    once."""
 
-    __slots__ = ("ambient", "dim", "basis", "elements")
+    __slots__ = ("ambient", "dim", "basis", "elements", "_keys")
 
-    def __init__(self, ambient, basis, elements):
+    def __init__(self, ambient, basis, span):
         self.ambient = ambient
-        self.basis = tuple(basis)
+        self.basis = tuple(FieldElement(ambient, b) for b in basis)
         self.dim = len(self.basis)
-        self.elements = tuple(sorted(elements, key=lambda v: v.sort_key()))
-        if len(self.elements) != ambient.char**self.dim:
-            raise InputError("element count does not match the basis dimension")
+        self._keys = tuple(sorted(span))
+        self.elements = tuple(FieldElement(ambient, span[k]) for k in self._keys)
 
     @classmethod
     def from_basis(cls, ambient, basis):
-        basis = [ambient.element(b) for b in basis]
+        basis = [ambient.payload_of(b) for b in basis]
         independent, span = _span(ambient, basis)
         if len(independent) != len(basis):
             raise InputError("basis is linearly dependent over the prime field")
-        return cls(ambient, basis, span.values())
+        return cls(ambient, basis, span)
 
     @classmethod
     def from_elements(cls, ambient, elements):
-        elements = [ambient.element(x) for x in elements]
-        seen = {x.sort_key(): x for x in elements}
-        basis, span = _span(ambient, sorted(seen.values(), key=lambda v: v.sort_key()))
-        if set(span) != set(seen):
+        seen = {ambient.sort_key(u): u for u in map(ambient.payload_of, elements)}
+        basis, span = _span(ambient, [seen[k] for k in sorted(seen)])
+        if span.keys() != seen.keys():
             raise InputError("element set is not closed under addition and scaling")
-        return cls(ambient, basis, span.values())
+        return cls(ambient, basis, span)
 
     def is_frobenius_invariant(self):
-        image = {frobenius(v).sort_key() for v in self.elements}
-        return image == {v.sort_key() for v in self.elements}
+        key, frob = self.ambient.sort_key, self.ambient.frobenius
+        return {key(frob(v.payload)) for v in self.elements} == set(self._keys)
 
     def is_subfield(self):
         return _subfield_check(self.elements)[0]
 
     def sort_key(self):
-        return tuple(v.sort_key() for v in self.elements)
+        return self._keys
 
     def __eq__(self, other):
         if not isinstance(other, SubspaceR):
@@ -315,12 +317,6 @@ def _check_subspace_caps(field, m):
         raise CapExceededError("subspace sweeps are capped at n <= 4 (n = 6 only for p = 3, m <= 2)")
 
 
-def _from_vector(field, vec):
-    if field.kind == "prime":
-        return FieldElement(field, vec[0])
-    return FieldElement(field, tuple(vec))
-
-
 def enumerate_subspaces(field, m: int):
     """All m-dimensional GF(p)-subspaces, via reduced-row-echelon bases."""
     _check_subspace_caps(field, m)
@@ -339,8 +335,8 @@ def enumerate_subspaces(field, m: int):
                 rows[r][pc] = 1
             for (r, c), v in zip(free_positions, assignment):
                 rows[r][c] = v
-            basis = [_from_vector(field, tuple(row)) for row in rows]
-            out.append(SubspaceR.from_basis(field, basis))
+            basis = [row[0] for row in rows] if field.kind == "prime" else list(map(tuple, rows))
+            out.append(SubspaceR(field, basis, _span(field, basis)[1]))
     out.sort(key=lambda s: s.sort_key())
     return out
 
@@ -467,7 +463,7 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
     p, n, a = _gas_parameters(r, q)
     if check_irreducible and not irreducible(q):
         raise InputError("q is reducible; the Galois correspondence does not apply")
-    to_f = embed_subfield(k, field)
+    to_f = _embedding(k, field)
     m = r.dim
 
     # route 1: the product of (Y + b) over all b in R
@@ -482,10 +478,7 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
     coeffs = [FieldElement(k, c) for c in phi[:m]]
 
     # alpha_R = f_R(alpha), the one step over F
-    def lift(c):
-        return to_f(FieldElement(k, c)).payload
-
-    prod = rp.rem(field, _spread(field, [lift(c) for c in phi], p), q.raw)
+    prod = rp.rem(field, _spread(field, [to_f[c] for c in phi], p), q.raw)
 
     # the minimal polynomial g_R(X) - a.  alpha_R = f_R(alpha), so
     # g_R(alpha_R) = alpha^(p^n) - alpha = a, and g_R(X) - a, monic of
@@ -501,7 +494,7 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
         )
     g = _linearized_cofactor(k, phi, n)  # phi[m] = 1
     degree = p ** (n - m)
-    mp = (field.neg(a.payload),) + _spread(field, [lift(gi) for gi in g], p)[1:]
+    mp = (field.neg(a.payload),) + _spread(field, [to_f[gi] for gi in g], p)[1:]
     prime_flag = all(k.frobenius(c.payload) == c.payload for c in coeffs)
     return PrimitiveElementResult(
         r, Poly.from_raw(field, prod), coeffs, degree, prime_flag, Poly.from_raw(field, mp)
@@ -522,7 +515,7 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     field = q.field
     p, n, _a = _gas_parameters(r, q)
     ambient = r.ambient
-    to_f = embed_subfield(ambient, field)
+    to_f = _embedding(ambient, field)
     qraw = q.raw
     m = r.dim
     fa = rp.PolyRing(field, qraw)  # F[alpha] = F[X]/(q)
@@ -531,7 +524,7 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
         # prod over b in R of X - (alpha + b + c), over F[alpha]
         acc = (fa.one,)
         for b in r.elements:
-            shift = field.add(to_f(b).payload, c_payload)
+            shift = field.add(to_f[b.payload], c_payload)
             acc = rp.mul(fa, acc, (fa.neg((shift, field.one)), fa.one))
         return acc
 
@@ -562,7 +555,7 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
             covered.add((v + c).sort_key())
     big = (fa.one,)
     for c in reps:
-        big = rp.mul(fa, big, mu_for_shift(to_f(c).payload))
+        big = rp.mul(fa, big, mu_for_shift(to_f[c.payload]))
     ok_product = big == tuple(rp.trim(field, (c,)) for c in qraw)
     if not ok_product:
         raise ConsistencyError("conjugate product does not reconstruct q")

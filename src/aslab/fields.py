@@ -53,16 +53,18 @@ tables (the oracle's K[Z]/(m), with kind "quotient" and a sort key on the
 coefficients lowest first; ExtensionField is its subclass, with its own
 kind and the reversed key), and residues, the enumeration order of every
 such field.  memoised is the one build-once cache: the log tables, the
-embedding powers, the specialisation points and dickson's symbolic forms
+embedding tables, the specialisation points and dickson's symbolic forms
 are each built once per argument tuple, also under threads.
-embed_subfield is the one embedding of GF(p^m) into GF(p^n) or into
-GF(p^n)(Z); it takes the first root of _raw_roots, the one root scan of a
-raw polynomial over a finite field (poly's root and equal-degree
-splitting code and analyze's eigenvalues read it too).  The scan makes no
-method call per point: Horner on ints over GF(p), in the log domain over a
-tabulated field, with the roots in enumeration order either way, so the
-first root, and so every embedding, is the one a scan of the elements in
-order finds.  Beside it, _linear_product is the one product of linear
+_embedding is the one embedding of GF(p^m) into GF(p^n) or into
+GF(p^n)(Z): a table from each payload of the small field to its image,
+built once per field pair (embed_subfield wraps it for elements; dickson
+and specialisation_points read it on payloads).  It takes the first root
+of _raw_roots, the one root scan of a raw polynomial over a finite field
+(poly's root and equal-degree splitting code and analyze's eigenvalues
+read it too).  The scan makes no method call per point: Horner on ints
+over GF(p), in the log domain over a tabulated field, with the roots in
+enumeration order either way, so the first root, and so every embedding,
+is the one a scan of the elements in order finds.  Beside it, _linear_product is the one product of linear
 factors prod (Y + b) over a finite field (dickson's f_R), written the same
 way: one pass per factor, on ints over GF(p) and in the log domain over a
 tabulated field.  _subfield_check is the one test whether a finite set of
@@ -80,7 +82,7 @@ as a polynomial in t over GF(p)(t).
 
 specialise is the one map Z -> z0 from K(Z) into a tabulated field, at the
 points of specialisation_points (all of K, then GF(|K|^2) through
-embed_subfield, at most SPECIALISATION_TRIES); it reports a pole as None.
+_embedding's table, at most SPECIALISATION_TRIES); it reports a pole as None.
 """
 
 import functools
@@ -996,53 +998,51 @@ _embedding_cache = {}
 
 
 @memoised(_embedding_cache)
-def _embedding_powers(small, big):
-    """Payloads in big of the powers 1, r, ..., r^(m-1) of the first root r
-    of the small field's modulus (just 1 for a prime small field)."""
+def _embedding(small, big):
+    """The embedding GF(p^m) -> F for m | n as a table: {payload of small:
+    its image in big}, where big is F = GF(p^n) or GF(p^n)(Z).
+
+    A field maps into itself by the identity (t is the first root of its
+    own modulus) and GF(p) by from_int.  Otherwise t maps to r, the first
+    root in enumeration order of small's modulus in big (_raw_roots), and
+    c_0 + c_1 t + ... to c_0 + c_1 r + ....  Into K(Z), the base's table
+    is taken as constants.  Built once per descriptor pair."""
+    if small.kind == "rational-function":
+        raise InputError("subfield embeddings are defined for finite fields only")
+    if big.kind == "rational-function":
+        return {c: big.constant(u).payload for c, u in _embedding(small, big.base).items()}
+    if small.char != big.char or big.n % small.n != 0:
+        raise InputError(f"{small.spec_string()} does not embed in {big.spec_string()}")
+    if small == big:
+        return {c: c for c in small.enumerate_payloads()}
     if small.kind == "prime":
-        return [big.one]
+        return {c: big.from_int(c) for c in small.enumerate_payloads()}
     roots = _raw_roots(big, tuple(big.from_int(c) for c in small.modulus))
     if not roots:
         raise InputError("modulus has no root in the big field")
-    return [big.pow_int(roots[0], i) for i in range(small.n)]
+    powers = [big.pow_int(roots[0], i) for i in range(small.n)]
+    table = {}
+    for x in small.enumerate_payloads():
+        acc = big.zero
+        for c, w in zip(x, powers):
+            acc = big.add(acc, big.mul(big.from_int(c), w))
+        table[x] = acc
+    return table
 
 
 def embed_subfield(small, big):
-    """Embedding GF(p^m) -> F for m | n, as a callable on elements, where F
-    is GF(p^n) or a rational function field GF(p^n)(Z) (then the embedding
-    into the base followed by the constant map).
-
-    Realized by locating the first root (in enumeration order) of the small
-    field's modulus inside the big field; the choice is cached per descriptor
-    pair, so repeated calls commute with each other.  A field embeds in
-    itself, and in its own K(Z), directly: t is the first root of its own
-    modulus, so the search would return the identity anyway.
-    """
+    """Embedding GF(p^m) -> F for m | n, as a callable on elements (or ints,
+    element strings and payloads of small), where F is GF(p^n) or
+    GF(p^n)(Z): the element of F that _embedding's table gives, and for
+    small == big the element itself."""
     if small == big:
         return big.element
-    if big.kind == "rational-function":
-        if small == big.base:
-            return big.constant
-        into_base = embed_subfield(small, big.base)
-        return lambda x: big.constant(into_base(x))
-    if small.kind == "rational-function":
-        raise InputError("subfield embeddings are defined for finite fields only")
-    if small.char != big.char or big.n % small.n != 0:
-        raise InputError(f"{small.spec_string()} does not embed in {big.spec_string()}")
-    powers = _embedding_powers(small, big)
+    table = _embedding(small, big)
 
     def embed(x):
-        if isinstance(x, FieldElement):
-            if x.field != small:
-                raise InputError("element does not belong to the small field")
-            x = x.payload
-        if small.kind == "prime":
-            return FieldElement(big, big.from_int(x))
-        acc = big.zero
-        for c, w in zip(x, powers):
-            if c:
-                acc = big.add(acc, big.mul(big.from_int(c), w))
-        return FieldElement(big, acc)
+        if isinstance(x, FieldElement) and x.field != small:
+            raise InputError("element does not belong to the small field")
+        return FieldElement(big, table[small.payload_of(x)])
 
     return embed
 
@@ -1060,13 +1060,12 @@ def specialisation_points(k):
     of degree >= 2 that does), at most SPECIALISATION_TRIES in all.
 
     A point is (target, coeff, z0): z0 is a payload of target, k itself or
-    GF(|k|^2), and coeff maps each payload of k to its image in target
-    (embed_subfield).  Cached per k."""
-    points = [(k, {c: c for c in k.enumerate_payloads()}, z0) for z0 in k.enumerate_payloads()]
+    GF(|k|^2), and coeff is the table _embedding(k, target) of each
+    payload of k to its image in target.  Cached per k."""
+    points = [(k, _embedding(k, k), z0) for z0 in k.enumerate_payloads()]
     if not power_exceeds(k.order, 2, MAX_FIELD_SIZE):
         big = ExtensionField(k.p, 2 * k.n)
-        embed = embed_subfield(k, big)
-        coeff = {c: embed(c).payload for c in k.enumerate_payloads()}
+        coeff = _embedding(k, big)
         image = set(coeff.values())
         points += [(big, coeff, z0) for z0 in big.enumerate_payloads() if z0 not in image]
     return points[:SPECIALISATION_TRIES]

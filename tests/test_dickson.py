@@ -662,16 +662,28 @@ def _loop_is_subfield(r):
     return all((x * y).sort_key() in keys for x in r.elements for y in r.elements)
 
 
-@pytest.mark.parametrize("spec", ["GF(3)", "GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(27)", "GF(25)"])
+@pytest.mark.parametrize(
+    "spec",
+    ["GF(3)", "GF(4)", "GF(8)", "GF(9)", "GF(16)", "GF(27)", "GF(25)", "GF(2)",
+     "GF(2^3; mod=t^3+t^2+1)"],
+)
 def test_span_and_subfield_test_match_the_deleted_loops(spec):
+    # enumerate_subspaces spans its echelon rows directly; the checked
+    # constructors must build the same subspace, keys and order included
     ambient = make_field(spec)
     subfields = 0
     for m in range(ambient.n + 1):
         for r in enumerate_subspaces(ambient, m):
             span = _product_span(ambient, list(r.basis))
             assert tuple(sorted(span.values(), key=lambda v: v.sort_key())) == r.elements
+            assert r.sort_key() == tuple(v.sort_key() for v in r.elements)
+            by_basis = SubspaceR.from_basis(ambient, r.basis)
+            assert by_basis.basis == r.basis
             again = SubspaceR.from_elements(ambient, reversed(r.elements))
-            assert again == r and again.dim == m
+            assert again.dim == m
+            for other in (by_basis, again):
+                assert other.elements == r.elements and other.sort_key() == r.sort_key()
+                assert other == r and hash(other) == hash(r)
             assert r.is_subfield() == _loop_is_subfield(r)
             subfields += r.is_subfield()
     # GF(p^n) has one subfield per divisor of n

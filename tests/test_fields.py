@@ -356,7 +356,7 @@ def test_embed_cache_is_stable():
 
 def test_embedding_cache_under_threads():
     # threads that embed GF(9) into an uncached GF(729) at once all get the
-    # cached powers of the one root
+    # one cached table
     f9, f729 = make_field("GF(9)"), make_field("GF(729)")
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -365,7 +365,7 @@ def test_embedding_cache_under_threads():
             fields._embedding_cache.clear()
             results = []
             threads = [
-                threading.Thread(target=lambda: results.append(fields._embedding_powers(f9, f729)))
+                threading.Thread(target=lambda: results.append(fields._embedding(f9, f729)))
                 for _ in range(6)
             ]
             for t in threads:
@@ -374,7 +374,7 @@ def test_embedding_cache_under_threads():
                 t.join(timeout=10)
             assert not any(t.is_alive() for t in threads)
             assert len(results) == 6
-            assert all(powers is fields._embedding_cache[(f9, f729)] for powers in results)
+            assert all(table is fields._embedding_cache[(f9, f729)] for table in results)
     finally:
         sys.setswitchinterval(old_interval)
 
@@ -653,8 +653,8 @@ def test_residue_enumeration_matches_divmod_reference_on_quotient_fields():
 
 def _reference_root_embedding(small, big):
     """The first-root search and Horner map of embed_subfield, without its
-    shortcut for a field into itself."""
-    modulus = tuple(big.from_int(c) for c in small.modulus)
+    shortcut for a field into itself.  GF(p) is read as GF(p)[t]/(t)."""
+    modulus = tuple(big.from_int(c) for c in getattr(small, "modulus", (0, 1)))
     root = next(
         c for c in big.enumerate_payloads() if rp.evaluate(big, modulus, c) == big.zero
     )
@@ -664,11 +664,35 @@ def _reference_root_embedding(small, big):
 
     def embed(x):
         acc = big.zero
-        for c, w in zip(x.payload, powers):
+        coeffs = x.payload if small.kind == "extension" else (x.payload,)
+        for c, w in zip(coeffs, powers):
             acc = big.add(acc, big.mul(big.from_int(c), w))
         return acc
 
     return embed
+
+
+def test_embedding_table_matches_the_root_search_on_every_pair():
+    primes = [p for p in range(2, fields.MAX_FIELD_SIZE + 1) if fields.is_prime(p)]
+    finite = [make_field(spec) for spec in [f"GF({p})" for p in primes] + _extension_specs()]
+    pairs = 0
+    for small in finite:
+        for big in finite:
+            if small.char != big.char or big.n % small.n:
+                continue
+            reference = _reference_root_embedding(small, big)
+            expected = {x.payload: reference(x) for x in enumerate_elements(small)}
+            assert fields._embedding(small, big) == expected, (small, big)
+            kz = fields.RationalFunctionField(big)
+            constants = {c: kz.constant(u).payload for c, u in expected.items()}
+            assert fields._embedding(small, kz) == constants, (small, kz)
+            pairs += 1
+    # GF(p) into itself for the 129 primes p <= 729; the m | n pairs into
+    # each GF(p^n), n >= 2: 22 for p = 2, 13 for 3, 7 for 5, 4 for 7 and 2
+    # for each of 11..23; each custom GF(8) and GF(9) from GF(p), itself
+    # and the default field of its order, and into that field and the two
+    # larger ones (GF(64) and GF(512), GF(81) and GF(729))
+    assert pairs == 129 + 22 + 13 + 7 + 4 + 5 * 2 + 6 + 6
 
 
 def test_embedding_of_a_field_into_itself_is_the_root_search_identity():
@@ -714,6 +738,22 @@ def test_embed_subfield_matches_the_constant_embedding(small, big):
     for x in enumerate_elements(small):
         assert embed(x) == reference(x)
         assert embed(x).field == big
+
+
+def test_embed_subfield_reads_its_argument_as_the_small_field_does():
+    f4, f16, f4z = make_field("GF(4)"), make_field("GF(16)"), make_field("GF(4)(Z)")
+    t16 = embed_subfield(f4, f16)(f4.gen())
+    for big, t_image in ((f16, t16), (f4z, f4z.constant(f4.gen()))):
+        embed = embed_subfield(f4, big)
+        # (5, 7) is no GF(4) payload: no corrupt element, no wrong image
+        with pytest.raises(InputError, match="invalid GF\\(2\\^2\\) payload"):
+            embed((5, 7))
+        assert embed(7) == big.one_element()
+        assert embed("t") == t_image == embed((0, 1))
+        with pytest.raises(InputError, match="does not belong to the small field"):
+            embed(f16.gen())
+        with pytest.raises(InputError):
+            embed(1.5)
 
 
 def test_embed_into_a_rational_function_field_checks_the_base():

@@ -17,7 +17,6 @@ from .dickson import (
     f_r_polynomial,
     gaussian_binomial,
     primitive_element,
-    property_p,
 )
 from .errors import InputError
 from .fields import _first_generator, enumerate_elements, make_field, p_power_split
@@ -238,9 +237,7 @@ def run_dickson_suite(seed=0):
                     res = primitive_element(r, q)
                     if res.degree_over_f != p ** (n - m):
                         bad_degree.append((m, [str(b) for b in r.basis]))
-                    fr, fr_prime = f_r_polynomial(r)
-                    frob_inv = property_p(r)
-                    if not (res.property_p == frob_inv == fr_prime):
+                    if res.property_p != r.is_frobenius_invariant():
                         bad_equiv.append((m, [str(b) for b in r.basis]))
                     if r.is_subfield():
                         subfield_checked += 1
@@ -274,7 +271,7 @@ def run_dickson_suite(seed=0):
     detail = {}
     if ok_example:
         r = SubspaceR.from_elements(f729, roots)
-        fr, fr_prime = f_r_polynomial(r)
+        fr = f_r_polynomial(r)
         expected = (
             Poly.x_power(f729, 9) + Poly.x_power(f729, 3) + Poly.x(f729)
         )
@@ -289,7 +286,6 @@ def run_dickson_suite(seed=0):
             and r.dim == 2
             and r.is_frobenius_invariant()
             and not r.is_subfield()
-            and fr_prime
         )
     _check(
         records,
@@ -303,8 +299,6 @@ def run_dickson_suite(seed=0):
 
 def _generator_element(field):
     """Smallest multiplicative generator, by enumeration order."""
-    if field.order is None:
-        raise InputError("generators exist in finite fields only")
     return _first_generator(enumerate_elements(field), field.order - 1, pow, field.one_element())
 
 

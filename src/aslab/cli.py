@@ -22,7 +22,7 @@ from .dickson import (
 )
 from .errors import ConsistencyError, InputError
 from .fields import make_field
-from .irred import GasInstance, bivariate_irreducible_oracle, gas_irreducible
+from .irred import GasInstance, bivariate_irreducible_oracle, gas_irreducible, irreducible
 from .linalg import Matrix, companion
 from .poly import Poly, gas_poly
 from .tensor import (
@@ -122,7 +122,9 @@ def _cmd_primitive_element(args):
     q, a = _standard_q(field, n, args.a)
     basis = [ambient.parse_element(s.strip()) for s in args.subspace.split(",") if s.strip()]
     r = SubspaceR.from_basis(ambient, basis)
-    res = primitive_element(r, q, check_irreducible=args.certify)
+    if args.certify and not irreducible(q):
+        raise InputError("q is reducible; the Galois correspondence does not apply")
+    res = primitive_element(r, q)
     result = {
         "field": field.spec_string(),
         "n": args.n,

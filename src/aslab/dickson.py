@@ -16,7 +16,11 @@ GF(p^n) (the expanded product, multiplied out on the Zech tables by
 fields._linear_product, and the Dickson recursion on the coefficient
 vector), embeds it into F[X]/(q) once, certifies the degree law
 [F[alpha_R] : F] = p^(n-m), and tests "property P": all c_j lie in the
-prime field exactly when R is invariant under x -> x^p.
+prime field exactly when R is invariant under x -> x^p.  f_r_polynomial
+returns f_R alone; primitive_element reads property P off the recursion,
+and SubspaceR.is_frobenius_invariant is the other side.  q is taken as
+given: no irreducibility test runs here (the CLI's --certify runs
+irred.irreducible first), and this module does not import irred.
 
 The recursion is written once, _dickson_recursion, over any coefficient
 descriptor: primitive_element runs it over GF(p^n) on a basis of R, and
@@ -58,7 +62,6 @@ from .fields import (
     enumerate_elements,
     memoised,
 )
-from .irred import irreducible
 from .linalg import Matrix
 from .poly import Poly, gas_shape
 
@@ -350,25 +353,15 @@ def gaussian_binomial(n, m, p):
     return num // den
 
 
-def property_p(r: SubspaceR) -> bool:
-    """Frobenius invariance of the subspace (elementwise x -> x^p)."""
-    return r.is_frobenius_invariant()
-
-
 def f_r_polynomial(r: SubspaceR):
     """The product f_R(Y) = prod over b in R of (Y + b), expanded over the
     ambient field GF(p^n) by fields._linear_product (on the Zech tables,
     or on ints over GF(p)): route 1 of primitive_element, whose Dickson
-    recursion must reproduce it coefficient by coefficient.
-
-    Returns (poly, prime_coefficients) where the flag records whether every
-    coefficient lies in the prime field.
+    recursion must reproduce it coefficient by coefficient.  Returns f_R
+    as a Poly over the ambient field.
     """
     field = r.ambient
-    acc = _linear_product(field, [b.payload for b in r.elements])
-    poly = Poly.from_raw(field, acc)
-    in_prime = all(field.frobenius(c) == c for c in acc)
-    return poly, in_prime
+    return Poly.from_raw(field, _linear_product(field, [b.payload for b in r.elements]))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +439,7 @@ def _spread(k, coeffs, p):
     return tuple(out)
 
 
-def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> PrimitiveElementResult:
+def primitive_element(r: SubspaceR, q: Poly) -> PrimitiveElementResult:
     """Primitive element alpha_R of the fixed field attached to R.
 
     Both routes run over GF(p^n), on the p-polynomial
@@ -461,13 +454,11 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
     """
     field, k = q.field, r.ambient
     p, n, a = _gas_parameters(r, q)
-    if check_irreducible and not irreducible(q):
-        raise InputError("q is reducible; the Galois correspondence does not apply")
     to_f = _embedding(k, field)
     m = r.dim
 
     # route 1: the product of (Y + b) over all b in R
-    fr, _ = f_r_polynomial(r)
+    fr = f_r_polynomial(r)
 
     # route 2: the Dickson recursion on the p-polynomial coefficients,
     # checked against the product; a stray coefficient at a degree that is
@@ -495,7 +486,7 @@ def primitive_element(r: SubspaceR, q: Poly, check_irreducible=False) -> Primiti
     g = _linearized_cofactor(k, phi, n)  # phi[m] = 1
     degree = p ** (n - m)
     mp = (field.neg(a.payload),) + _spread(field, [to_f[gi] for gi in g], p)[1:]
-    prime_flag = all(k.frobenius(c.payload) == c.payload for c in coeffs)
+    prime_flag = all(k.frobenius(c) == c for c in phi)
     return PrimitiveElementResult(
         r, Poly.from_raw(field, prod), coeffs, degree, prime_flag, Poly.from_raw(field, mp)
     )

@@ -57,14 +57,16 @@ embedding tables, the specialisation points and dickson's symbolic forms
 are each built once per argument tuple, also under threads.
 _embedding is the one embedding of GF(p^m) into GF(p^n) or into
 GF(p^n)(Z): a table from each payload of the small field to its image,
-built once per field pair (embed_subfield wraps it for elements; dickson
-and specialisation_points read it on payloads).  It takes the first root
-of _raw_roots, the one root scan of a raw polynomial over a finite field
-(poly's root and equal-degree splitting code and analyze's eigenvalues
-read it too).  The scan makes no method call per point: Horner on ints
-over GF(p), in the log domain over a tabulated field, with the roots in
-enumeration order either way, so the first root, and so every embedding,
-is the one a scan of the elements in order finds.  Beside it, _linear_product is the one product of linear
+built once per field pair, each image c_0 + c_1 r + ... evaluated by
+_ringops.evaluate at a root r (embed_subfield wraps it for elements,
+always through the table; dickson and specialisation_points read it on
+payloads).  r is the first root of _raw_roots, the one root scan of a raw
+polynomial over a finite field (poly's root and equal-degree splitting
+code and analyze's eigenvalues read it too).  The scan makes no method
+call per point: Horner on ints over GF(p), in the log domain over a
+tabulated field, with the roots in enumeration order either way, so the
+first root, and so every embedding, is the one a scan of the elements in
+order finds.  Beside it, _linear_product is the one product of linear
 factors prod (Y + b) over a finite field (dickson's f_R), written the same
 way: one pass per factor, on ints over GF(p) and in the log domain over a
 tabulated field.  _subfield_check is the one test whether a finite set of
@@ -74,8 +76,8 @@ residues is also the one payload form of every tabulated field: coefficient
 tuples of full length d, zeros included.  Each field kind has one power,
 pow_int: Python's pow in GF(p), a table lookup in a tabulated field, and a
 power of numerator and denominator in K(Z); inv of a finite field, and
-frobenius and pth_root of a tabulated one, are pow_int at -1, p and q/p
-(_TabulatedField.div stays one fused lookup for specialise's hot path).
+frobenius and pth_root of a tabulated one, are pow_int at -1, p and q/p,
+and every field divides by the one FieldDescriptor.div, a * b^-1.
 pth_roots is the one p-th-root test, verified by a p-th power
 (is_pth_power_coeffs and irred's criterion).  A modulus string is parsed
 as a polynomial in t over GF(p)(t).
@@ -558,13 +560,7 @@ class _TabulatedField:
     def inv(self, a):
         return self.pow_int(a, -1)
 
-    def div(self, a, b):
-        log = self._log
-        lb = log[b]
-        if lb < 0:
-            raise ZeroDivisionError("inverse of zero")
-        s = log[a] + self._q1 - lb
-        return self._exp[s] if s >= 0 else self.zero
+    div = FieldDescriptor.div
 
     def pow_int(self, a, n):
         la = self._log[a]
@@ -1005,8 +1001,9 @@ def _embedding(small, big):
     A field maps into itself by the identity (t is the first root of its
     own modulus) and GF(p) by from_int.  Otherwise t maps to r, the first
     root in enumeration order of small's modulus in big (_raw_roots), and
-    c_0 + c_1 t + ... to c_0 + c_1 r + ....  Into K(Z), the base's table
-    is taken as constants.  Built once per descriptor pair."""
+    c_0 + c_1 t + ... to c_0 + c_1 r + ..., by _ringops.evaluate at r.
+    Into K(Z), the base's table is taken as constants.  Built once per
+    descriptor pair."""
     if small.kind == "rational-function":
         raise InputError("subfield embeddings are defined for finite fields only")
     if big.kind == "rational-function":
@@ -1020,23 +1017,14 @@ def _embedding(small, big):
     roots = _raw_roots(big, tuple(big.from_int(c) for c in small.modulus))
     if not roots:
         raise InputError("modulus has no root in the big field")
-    powers = [big.pow_int(roots[0], i) for i in range(small.n)]
-    table = {}
-    for x in small.enumerate_payloads():
-        acc = big.zero
-        for c, w in zip(x, powers):
-            acc = big.add(acc, big.mul(big.from_int(c), w))
-        table[x] = acc
-    return table
+    r = roots[0]
+    return {x: rp.evaluate(big, [big.from_int(c) for c in x], r) for x in small.enumerate_payloads()}
 
 
 def embed_subfield(small, big):
     """Embedding GF(p^m) -> F for m | n, as a callable on elements (or ints,
     element strings and payloads of small), where F is GF(p^n) or
-    GF(p^n)(Z): the element of F that _embedding's table gives, and for
-    small == big the element itself."""
-    if small == big:
-        return big.element
+    GF(p^n)(Z): the element of F that _embedding's table gives."""
     table = _embedding(small, big)
 
     def embed(x):

@@ -6,16 +6,19 @@ when p does not divide r, or e = 0, or g has a coefficient outside K^p
 When all three fail it is a p-th power, and the p-th root is produced and
 verified as a witness.
 
-bivariate_irreducible_oracle is the independent check: an exhaustive search
-for a monic-in-X factor in K[Z][X].  Candidate factors are reconstructed by
-Chinese remaindering from complete univariate factorizations of the input
-at enough irreducible moduli m(Z), then confirmed by exact division in
-K[Z][X] (_ringops.divmod_ over the coefficient ring _ringops.PolyRing(K));
-a factor exists in K(Z)[X] iff one is found this way (Gauss's lemma, the
-input being primitive with unit leading coefficient).  Every input, made
-monic by X -> Y / lead, takes this search, constant coefficients included
-(one modulus of degree 1): it never reaches Rabin's test, so the oracle
-and the criterion are two routes.  The moduli are the first monic
+oracle_factor is the independent check: an exhaustive search for a
+monic-in-X factor in K[Z][X], returning the factor found (lifted back to
+K(Z)[X]) or None; bivariate_irreducible_oracle is "oracle_factor finds
+none", the one verdict the criterion is compared with.  Candidate factors
+are reconstructed by Chinese remaindering from complete univariate
+factorizations of the input at enough irreducible moduli m(Z), then
+confirmed by exact division in K[Z][X] (_ringops.divmod_ over the
+coefficient ring _ringops.PolyRing(K)); a factor exists in K(Z)[X] iff
+one is found this way (Gauss's lemma, the input being primitive with unit
+leading coefficient).  Every input, made monic by X -> Y / lead, takes
+this search, constant coefficients included (one modulus of degree 1): it
+never reaches Rabin's test, so the oracle and the criterion are two
+routes.  The moduli are the first monic
 irreducibles of the largest degree d with |K|^d <= 729, plus one of the
 remaining degree, so their degrees sum to deg_Z + 1.  Caps: |K| <= 9 and
 total degree <= 12.  On a GAS instance the one decision whether the
@@ -207,15 +210,19 @@ def _clear_denominators(h: Poly):
     return [rp.mul(k, num, rp.divmod_(k, common, den)[0]) for num, den in h.raw], k
 
 
-def bivariate_irreducible_oracle(h: Poly, return_factor=False):
-    """Exhaustive irreducibility check for h in K(Z)[X].
+def bivariate_irreducible_oracle(h: Poly) -> bool:
+    """Irreducibility of h in K(Z)[X]: oracle_factor finds no factor."""
+    return oracle_factor(h) is None
+
+
+def oracle_factor(h: Poly):
+    """A monic proper factor of h in K(Z)[X], or None when h is irreducible.
 
     Independent of the criterion: clears denominators, makes the input
     monic in X by one substitution, factors it at irreducible moduli m(Z)
     with degrees summing past its Z-degree, stitches candidate divisors by
     Chinese remaindering, and trial-divides.  Every input takes this path,
-    constant coefficients included.  Returns a bool, or with
-    return_factor=True a (bool, monic factor Poly or None) pair.
+    constant coefficients included.
     """
     cols, k = _clear_denominators(h)
     if k.order > ORACLE_MAX_FIELD:
@@ -240,7 +247,7 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
             f"total degree {degx + degz} exceeds cap {ORACLE_MAX_TOTAL_DEGREE}"
         )
     if degx == 1:
-        return (True, None) if return_factor else True
+        return None
 
     # choose moduli: degrees as large as the point-field cap allows, summing
     # to degz + 1
@@ -300,10 +307,8 @@ def bivariate_irreducible_oracle(h: Poly, return_factor=False):
                 continue
             # exact division in K[Z][X] by the monic-in-X candidate
             if not rp.divmod_(kz, cols, cand_cols)[1]:
-                if return_factor:
-                    return False, _lift_factor(h.field, k, cand_cols, lead_powers)
-                return False
-    return (True, None) if return_factor else True
+                return _lift_factor(h.field, k, cand_cols, lead_powers)
+    return None
 
 
 def _lift_factor(F, k, cand_cols, lead_powers):

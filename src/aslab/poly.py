@@ -98,6 +98,8 @@ class Poly:
 
     @classmethod
     def x_power(cls, field, n):
+        if n < 0:
+            raise InputError(f"negative exponent {n}")
         return cls.from_raw(field, (field.zero,) * n + (field.one,))
 
     @classmethod
@@ -109,10 +111,7 @@ class Poly:
         atoms = {name: cls.constant(field, c) for name, c in field.atoms().items()}
         atoms[var] = cls.x(field)
         var_cap = None if degree_cap is None else (var, *degree_cap)
-        value = parse_expression(s, atoms, lambda i: cls(field, [i]), var_cap)
-        if isinstance(value, FieldElement):
-            value = cls(field, [value])
-        return value
+        return parse_expression(s, atoms, lambda i: cls(field, [i]), var_cap)
 
     @property
     def coeffs(self):
@@ -226,7 +225,9 @@ class Poly:
         return Poly.from_raw(self.field, rp.derivative(self.field, self.raw))
 
     def substitute_x_power(self, k):
-        """self(X^k)."""
+        """self(X^k), for k >= 1."""
+        if k < 1:
+            raise InputError(f"X -> X^k needs k >= 1, got {k}")
         if not self.raw:
             return self
         out = [self.field.zero] * ((len(self.raw) - 1) * k + 1)
@@ -235,6 +236,8 @@ class Poly:
         return Poly.from_raw(self.field, out)
 
     def pow_mod(self, n, modulus):
+        if n < 0:
+            raise InputError(f"negative exponent {n}")
         return Poly.from_raw(self.field, rp.pow_mod(self.field, self.raw, n, self._operand(modulus)))
 
     def sort_key(self):
@@ -337,7 +340,7 @@ def gas_shape(q: Poly):
     if len(raw) < 3 or raw[-1] != field.one or raw[1] != field.neg(field.one):
         return None
     n, rest = p_power_split(len(raw) - 1, field.char)
-    if rest != 1 or any(c != field.zero for c in raw[2:-1]):
+    if rest != 1 or raw[2:-1].count(field.zero) != len(raw) - 3:
         return None
     return field.char, n, -q.coeff(0)
 

@@ -116,6 +116,17 @@ def test_primitive_element_subcommand(capsys):
     assert res["degree_over_f"] == 2 and res["property_p"]
 
 
+def test_primitive_element_certify_flag(capsys):
+    # --certify runs irred.irreducible on q before the primitive element: an
+    # irreducible q passes, a reducible one exits 2 and is accepted without it
+    argv = ("primitive-element", "--field", "GF(2)(Z)", "--n", "1", "--subspace", "1")
+    code, out, _ = run_cli(capsys, *argv, "--a", "Z", "--certify")
+    assert code == 0 and json.loads(out)["result"]["degree_over_f"] == 1
+    code, _, err = run_cli(capsys, *argv, "--a", "Z^2-Z", "--certify")
+    assert code == 2 and "q is reducible" in err
+    assert run_cli(capsys, *argv, "--a", "Z^2-Z")[0] == 0
+
+
 def test_primitive_element_over_a_larger_field(capsys):
     # the subspace lives in GF(4), embedded into GF(16)
     code, out, _ = run_cli(

@@ -18,7 +18,6 @@ from aslab.dickson import (
     gaussian_binomial,
     intermediate_minpoly_product,
     primitive_element,
-    property_p,
 )
 from aslab.errors import CapExceededError, ConsistencyError, InputError
 from aslab.fields import embed_subfield, enumerate_elements, frobenius, make_field
@@ -27,6 +26,11 @@ from aslab.poly import Poly, gas_poly, min_poly_in_quotient
 
 def standard_q(field, n):
     return gas_poly(field, n, 0, field.gen())
+
+
+def in_prime_field(poly):
+    """Whether every coefficient of poly is fixed by Frobenius."""
+    return all(poly.field.frobenius(c) == c for c in poly.raw)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +83,7 @@ def test_rank_4_char_3_coefficients_match_product_route():
             r = SubspaceR.from_basis(f729, basis)
         except InputError:
             continue
-        fr, _ = f_r_polynomial(r)
+        fr = f_r_polynomial(r)
         for j in range(4):
             assert form.evaluate_coefficient(j, basis) == fr.coeff(3**j), (j, r)
         checked += 1
@@ -248,16 +252,16 @@ def test_from_basis_rejects_dependent_vectors():
 
 def test_f_r_of_zero_subspace():
     f9 = make_field("GF(9)")
-    poly, in_prime = f_r_polynomial(SubspaceR.from_basis(f9, []))
-    assert poly.to_string("Y") == "Y" and in_prime
+    poly = f_r_polynomial(SubspaceR.from_basis(f9, []))
+    assert poly.to_string("Y") == "Y" and in_prime_field(poly)
 
 
 def test_f_r_of_subfield_is_additive_power():
     f9 = make_field("GF(9)")
     r = SubspaceR.from_basis(f9, [f9.element(1)])
-    poly, in_prime = f_r_polynomial(r)
+    poly = f_r_polynomial(r)
     assert poly == Poly.x_power(f9, 3) - Poly.x(f9)
-    assert in_prime
+    assert in_prime_field(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,7 @@ def test_linear_product_matches_the_mul_loop_on_every_subspace(spec):
             payloads = [b.payload for b in r.elements]
             expected = _mul_product(field, payloads)
             assert fields._linear_product(field, payloads) == expected, r
-            assert f_r_polynomial(r)[0].raw == expected, r
+            assert f_r_polynomial(r).raw == expected, r
 
 
 @pytest.mark.parametrize("spec", ["GF(4)", "GF(9)", "GF(625)", "GF(729)", "GF(727)"])
@@ -320,10 +324,10 @@ def test_f_r_polynomial_makes_no_field_method_call(monkeypatch):
             return original(self, a, b)
 
         monkeypatch.setattr(fields.ExtensionField, name, counting)
-    poly, in_prime = f_r_polynomial(r)
+    poly = f_r_polynomial(r)
     assert calls == []
     # the product over all of GF(81) is Y^81 - Y
-    assert poly == Poly.x_power(f81, 81) - Poly.x(f81) and in_prime
+    assert poly == Poly.x_power(f81, 81) - Poly.x(f81) and in_prime_field(poly)
 
 
 def test_property_p_for_subfields():
@@ -332,7 +336,7 @@ def test_property_p_for_subfields():
         f16, [x for x in enumerate_elements(f16) if x**4 == x]
     )
     assert r.dim == 2 and r.is_subfield()
-    assert property_p(r)
+    assert r.is_frobenius_invariant()
 
 
 def test_property_p_nonfield_line_in_gf9():
@@ -344,7 +348,7 @@ def test_property_p_nonfield_line_in_gf9():
         roots = [x for x in enumerate_elements(f9) if x**3 - x * c == f9(0)]
         if len(roots) == 3:
             r = SubspaceR.from_elements(f9, roots)
-            if property_p(r) and not r.is_subfield():
+            if r.is_frobenius_invariant() and not r.is_subfield():
                 usable.append(c)
     assert usable == [2]
 
@@ -356,11 +360,32 @@ def test_property_p_fails_for_some_line_and_coefficients_leave_prime_field():
     findings = []
     for r in enumerate_subspaces(f9, 1):
         res = primitive_element(r, q)
-        assert property_p(r) == res.property_p
-        if not property_p(r):
+        assert r.is_frobenius_invariant() == res.property_p
+        if not res.property_p:
             findings.append(res)
     assert findings  # some line is not Frobenius-invariant
     assert any(c != f9(0) and frobenius(c) != c for res in findings for c in res.coefficients)
+
+
+def _fields_up_to_81():
+    """Every GF(p^n) with p^n <= 81 whose subspaces enumerate_subspaces
+    sweeps (n <= 4: GF(32) and GF(64) are over that cap)."""
+    primes = [p for p in range(2, 82) if all(p % d for d in range(2, p))]
+    return [f"GF({p**n})" for p in primes for n in range(1, 5) if p**n <= 81]
+
+
+@pytest.mark.parametrize("spec", _fields_up_to_81())
+def test_property_p_three_ways_on_every_subspace(spec):
+    # primitive_element reads property P off the Dickson recursion; the
+    # subspace's Frobenius test and the product's coefficients are the
+    # other two ways, and all three must agree
+    ambient = make_field(spec)
+    field = make_field(f"{spec}(Z)")
+    q = standard_q(field, ambient.n)
+    for m in range(ambient.n + 1):
+        for r in enumerate_subspaces(ambient, m):
+            flag = primitive_element(r, q).property_p
+            assert flag == r.is_frobenius_invariant() == in_prime_field(f_r_polynomial(r)), r
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +510,9 @@ def test_a_changed_product_is_refused(monkeypatch, degree):
     product = f_r_polynomial
 
     def changed(subspace):
-        poly, in_prime = product(subspace)
-        raw = list(poly.raw)
+        raw = list(product(subspace).raw)
         raw[degree] = f27.add(raw[degree], f27.one)
-        return Poly.from_raw(f27, raw), in_prime
+        return Poly.from_raw(f27, raw)
 
     monkeypatch.setattr(dickson, "f_r_polynomial", changed)
     with pytest.raises(ConsistencyError, match="product route and Dickson recursion disagree"):
@@ -500,7 +524,7 @@ def test_linearized_cofactor_composes_back():
     f27 = make_field("GF(27)")
     for m in range(4):
         for r in enumerate_subspaces(f27, m)[:5]:
-            fr, _ = f_r_polynomial(r)
+            fr = f_r_polynomial(r)
             fs = [fr.raw[3**j] for j in range(m + 1)]
             g = dickson._linearized_cofactor(f27, fs, 3)
             raw = [f27.zero] * (3 ** (3 - m) + 1)
@@ -521,19 +545,6 @@ def test_linearized_cofactor_refuses_a_non_divisor():
     # g_R = Y^3 + c^6 Y
     s = c * c
     assert dickson._linearized_cofactor(f9, [(-s).payload, f9.one], 2) == [(s**3).payload, f9.one]
-
-
-def test_primitive_element_certify_flag():
-    f2z = make_field("GF(2)(Z)")
-    q = standard_q(f2z, 1)
-    f2 = f2z.base
-    r = SubspaceR.from_basis(f2, [f2.element(1)])
-    res = primitive_element(r, q, check_irreducible=True)
-    assert res.degree_over_f == 1
-    # a reducible q is rejected when certification is requested
-    bad = Poly.from_string(f2z, "X^2-X-(Z^2-Z)")
-    with pytest.raises(InputError):
-        primitive_element(r, bad, check_irreducible=True)
 
 
 def test_primitive_element_rejects_wrong_ambient():
@@ -627,8 +638,8 @@ def test_root_plane_of_additive_product_in_gf729():
     assert r.dim == 2
     assert r.is_frobenius_invariant()
     assert not r.is_subfield()
-    poly, in_prime = f_r_polynomial(r)
-    assert in_prime
+    poly = f_r_polynomial(r)
+    assert in_prime_field(poly)
     assert poly == Poly.x_power(f729, 9) + Poly.x_power(f729, 3) + Poly.x(f729)
     # and the product of the three degree-3 additive shifts reproduces it
     prod = Poly.one(f729)

@@ -384,6 +384,15 @@ def test_embed_rejects_non_divisible_degrees():
         embed_subfield(make_field("GF(4)"), make_field("GF(8)"))
 
 
+@pytest.mark.parametrize("spec", ["GF(2)(Z)", "GF(9)(Z)"])
+def test_embed_refuses_a_rational_function_field_into_itself(spec):
+    # K(Z) is no finite field, so it has no subfield embedding, itself
+    # included: embed_subfield has no shortcut for small == big
+    field = make_field(spec)
+    with pytest.raises(InputError, match="finite fields only"):
+        embed_subfield(field, field)
+
+
 # ---------------------------------------------------------------------------
 # log/Zech tables against the polynomial reference
 

@@ -13,6 +13,7 @@ from aslab.irred import (
     coprime_difference_irreducible,
     gas_irreducible,
     irreducible,
+    oracle_factor,
 )
 from aslab.poly import Poly, is_irreducible_finite
 
@@ -82,8 +83,8 @@ def test_oracle_basic_irreducible():
 def test_oracle_counterexample_with_linear_factor():
     f2z = make_field("GF(2)(Z)")
     h = Poly.from_string(f2z, "X^2-X-(Z^2-Z)")
-    verdict, factor = bivariate_irreducible_oracle(h, return_factor=True)
-    assert not verdict
+    factor = oracle_factor(h)
+    assert factor is not None and not bivariate_irreducible_oracle(h)
     assert (h % factor).is_zero()
     # X - Z divides: substituting X = Z kills the polynomial
     assert (h % Poly.from_string(f2z, "X-Z")).is_zero()
@@ -118,11 +119,10 @@ def test_oracle_on_constant_coefficients_matches_rabin(spec):
         inputs += [(1, 1, 0, 2), (1, 0, 2), (2, 0, 2), (0, 1, 0, 0, 2)]  # 2*X^3+X+1, ...
     for raw in inputs:
         h = Poly(F, [F.constant(FieldElement(k, c)) for c in raw])
-        verdict, factor = bivariate_irreducible_oracle(h, return_factor=True)
-        assert verdict == is_irreducible_finite(Poly(k, list(raw))), raw
-        if verdict:
-            assert factor is None
-        else:
+        factor = oracle_factor(h)
+        verdict = is_irreducible_finite(Poly(k, list(raw)))
+        assert bivariate_irreducible_oracle(h) == verdict == (factor is None), raw
+        if not verdict:
             assert factor.is_monic() and 1 <= factor.degree() < h.degree(), raw
             assert (h % factor).is_zero(), raw
 
@@ -207,14 +207,14 @@ def test_oracle_handles_fraction_coefficients():
     # substitution X -> Y/lead reduces to the polynomial case
     f2z = make_field("GF(2)(Z)")
     f = Poly.from_string(f2z, "X^2 - (1/Z)*X")
-    verdict, factor = bivariate_irreducible_oracle(f, return_factor=True)
-    assert not verdict and (f % factor).is_zero()
+    factor = oracle_factor(f)
+    assert factor.is_monic() and (f % factor).is_zero()
 
     h = Poly.from_string(f2z, "X^4 - X^2 - Z^2/(Z+1)^2")
     base = Poly.from_string(f2z, "X^2-X-Z/(Z+1)")
     assert base * base == h
-    verdict, factor = bivariate_irreducible_oracle(h, return_factor=True)
-    assert not verdict and (h % factor).is_zero()
+    factor = oracle_factor(h)
+    assert factor.is_monic() and (h % factor).is_zero()
 
     assert bivariate_irreducible_oracle(Poly.from_string(f2z, "X^2-X-1/Z"))
 

@@ -107,9 +107,10 @@ def test_square_and_multiply_counts_and_leaves_n_zero_to_the_caller():
         got = rp.square_and_multiply(3, n, lambda x, y: calls.append(1) or x * y)
         assert got == 3**n, n
         assert len(calls) == n.bit_length() - 1 + bin(n).count("1") - 1, n
-    # a negative exponent used to shift forever: -1 >> 1 is -1
+    # a negative exponent used to shift forever: -1 >> 1 is -1; the Poly
+    # boundary refuses it as bad input before _ringops sees it
     field = make_field("GF(3)")
-    with pytest.raises(ValueError, match="negative exponent"):
+    with pytest.raises(InputError, match="negative exponent"):
         Poly.x(field).pow_mod(-1, Poly.from_string(field, "X^2+1"))
     with pytest.raises(ValueError, match="negative exponent"):
         rp.power(field, (0, 1), -2)
@@ -147,6 +148,27 @@ def test_compose_shift_derivative():
     g = Poly.from_string(f3, "X^2")
     assert f.compose(g) == Poly.from_string(f3, "X^4+X^2+1")
     assert f.substitute_x_power(3) == Poly.from_string(f3, "X^6+X^3+1")
+
+
+@pytest.mark.parametrize("spec, s", [("GF(2)", "X+1"), ("GF(3)", "X^2+X+1"), ("GF(3)", "0")])
+@pytest.mark.parametrize("k", [0, -1])
+def test_substitute_x_power_refuses_k_below_1(spec, s, k):
+    # X -> X^0 would sum the coefficients (X+1 over GF(2) is 0 at X = 1),
+    # not overwrite them; no caller needs k < 1, so it is refused
+    with pytest.raises(InputError, match="k >= 1"):
+        Poly.from_string(make_field(spec), s).substitute_x_power(k)
+
+
+def test_negative_exponents_are_refused_at_the_poly_boundary():
+    f3 = make_field("GF(3)")
+    x = Poly.x(f3)
+    with pytest.raises(InputError, match="negative exponent"):
+        Poly.x_power(f3, -1)
+    with pytest.raises(InputError, match="negative exponent"):
+        x.pow_mod(-1, Poly.from_string(f3, "X^2+1"))
+    assert x.__pow__(-1) is NotImplemented
+    with pytest.raises(TypeError):
+        x ** -1
 
 
 # ---------------------------------------------------------------------------

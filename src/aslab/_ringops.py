@@ -52,8 +52,6 @@ def sub(k, a, b):
 
 
 def scale(k, a, c):
-    if c == k.zero:
-        return ()
     return trim(k, tuple(k.mul(x, c) for x in a))
 
 
@@ -244,11 +242,8 @@ def derivative(k, a):
 
 
 def compose(k, a, b):
-    """a(b(X))."""
-    acc = ()
-    for c in reversed(a):
-        acc = add(k, mul(k, acc, b), (c,) if c != k.zero else ())
-    return acc
+    """a(b(X)): Horner in k[X], a's coefficients as constants."""
+    return evaluate(PolyRing(k), [trim(k, (c,)) for c in a], b)
 
 
 class PolyRing:

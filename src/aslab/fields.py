@@ -44,7 +44,8 @@ generator's pow tests take _ringops' GF(p) path (inline % p, see there),
 and the exp, log and Zech entries are read off one list of full-length
 payloads.
 
-The finite-field kernels shared by the package live here: is_prime,
+The finite-field kernels shared by the package live here: _least_divisor,
+the one trial division (is_prime, and the p of a field order q = p^n),
 p_power_split (n = m * p^s), rabin_irreducible (for monic raw polynomials
 over any finite descriptor; poly.is_irreducible_finite wraps it),
 monic_irreducibles, whose locked cache also supplies default_modulus, the
@@ -70,7 +71,7 @@ order finds.  Beside it, _linear_product is the one product of linear
 factors prod (Y + b) over a finite field (dickson's f_R), written the same
 way: one pass per factor, on ints over GF(p) and in the log domain over a
 tabulated field.  _subfield_check is the one test whether a finite set of
-elements is a subfield (analyze's c2 and SubspaceR.is_subfield).
+elements holding 0 is a subfield (analyze's c2 and SubspaceR.is_subfield).
 
 residues is also the one payload form of every tabulated field: coefficient
 tuples of full length d, zeros included.  Each field kind has one power,
@@ -149,19 +150,13 @@ def _check_field_size(p, n):
         raise CapExceededError(f"field size {size} exceeds cap {MAX_FIELD_SIZE}")
 
 
+def _least_divisor(n):
+    """The least divisor f >= 2 of n >= 2: n itself when none is at most sqrt(n)."""
+    return next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
+
+
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and _least_divisor(n) == n
 
 
 def _needs_parens(s):
@@ -848,8 +843,7 @@ def make_field(spec):
 def _prime_power(q):
     if q < 2:
         raise InputError(f"{q} is not a prime power")
-    # prime: the least divisor, q itself when none is at most sqrt(q)
-    p = next((f for f in range(2, math.isqrt(q) + 1) if q % f == 0), q)
+    p = _least_divisor(q)
     n, rest = p_power_split(q, p)
     if rest != 1:
         raise InputError("field order is not a prime power")
@@ -889,15 +883,14 @@ def is_pth_power_coeffs(g) -> bool:
 
 
 def _subfield_check(values):
-    """Is this finite set of field elements a subfield?  Returns (bool, witness)."""
-    if not values:
-        return False, "empty eigenvalue set"
+    """Is this finite set of field elements, 0 among them, a subfield?
+    Returns (bool, witness).  Both callers hold 0: analyze's eigenvalues
+    (ad A kills the identity, so X divides mu_ad) and a span
+    (SubspaceR.is_subfield)."""
     field = values[0].field
     have = {v.payload for v in values}
     if field.one not in have:
         return False, "eigenvalue set does not contain 1"
-    if field.zero not in have:
-        return False, "eigenvalue set does not contain 0"
     for x in values:
         for y in values:
             if (x - y).payload not in have:

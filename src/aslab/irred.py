@@ -18,15 +18,18 @@ one is found this way (Gauss's lemma, the input being primitive with unit
 leading coefficient).  Every input, made monic by X -> Y / lead, takes
 this search, constant coefficients included (one modulus of degree 1): it
 never reaches Rabin's test, so the oracle and the criterion are two
-routes.  The moduli are the first monic
-irreducibles of the largest degree d with |K|^d <= 729, plus one of the
-remaining degree, so their degrees sum to deg_Z + 1.  Caps: |K| <= 9 and
-total degree <= 12.  On a GAS instance the one decision whether the
-oracle can run is GasInstance.oracle_reaches, made from (K, p^(n+e),
-r * deg g) before h is built; the oracle's own check after clearing
-denominators serves every other input.  The p-th root witness is
-capped at X-degree p^(n+e) <= WITNESS_MAX_X_DEGREE and Z-degree
-r * deg g <= WITNESS_MAX_Z_DEGREE, checked before it is built.
+routes.  The moduli are the first monic irreducibles of the largest
+degree d with |K|^d <= 729, plus one of the remaining degree, so their
+degrees sum to deg_Z + 1.  So the CRT columns of a candidate need no
+degree or lead test: each is reduced mod the product of the moduli, of
+degree deg_Z + 1, and the top one is 1, since every divisor is monic and
+the CRT basis sums to 1.  Caps: |K| <= 9 and total degree <= 12.  On a
+GAS instance the one decision whether the oracle can run is
+GasInstance.oracle_reaches, made from (K, p^(n+e), r * deg g) before h is
+built; the oracle's own check after clearing denominators serves every
+other input.  The p-th root witness is capped at X-degree
+p^(n+e) <= WITNESS_MAX_X_DEGREE and Z-degree r * deg g <=
+WITNESS_MAX_Z_DEGREE, checked before it is built.
 
 The univariate factorizations run over K[Z]/(m), fields._TabulatedField
 of (K, m), on the log tables cached per (K, m) as for GF(p^n); its
@@ -290,21 +293,15 @@ def oracle_factor(h: Poly):
             raise CapExceededError("candidate combination count exceeds the oracle cap")
         for combo in itertools.product(*options):
             cand_cols = []
-            ok = True
-            for j in range(kdeg + 1):
+            for j in range(kdeg):
                 acc = ()
                 for basis, divc in zip(crt_basis, combo):
                     # divc has degree kdeg; rp.mul trims its coefficient
                     acc = rp.add(k, acc, rp.mul(k, divc[j], basis))
-                acc = rp.rem(k, acc, big_m)
-                if len(acc) - 1 > degz:
-                    ok = False
-                    break
-                cand_cols.append(acc)
-            if not ok:
-                continue
-            if cand_cols[-1] != (k.one,):
-                continue
+                # deg big_m = degz + 1 bounds the column's Z-degree by degz
+                cand_cols.append(rp.rem(k, acc, big_m))
+            # every divc is monic and the CRT basis sums to 1 mod big_m
+            cand_cols.append((k.one,))
             # exact division in K[Z][X] by the monic-in-X candidate
             if not rp.divmod_(kz, cols, cand_cols)[1]:
                 return _lift_factor(h.field, k, cand_cols, lead_powers)

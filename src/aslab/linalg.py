@@ -510,7 +510,10 @@ def _diagonalize(ring, rows):
     Pivot rule: smallest size, then leftmost column, then topmost row.  A
     pivot is accepted as soon as its row and column are clear; whether it
     divides the rest is left to _close_diagonal.  Rows are sparse so that
-    each pivot search and sweep costs the nonzero entries only.
+    each pivot search and sweep costs the nonzero entries only.  Every
+    quotient of a sweep is nonzero: the pivot has the least size in the
+    trailing block, and each entry it divides (below it in column s, or in
+    its own row) lies in that block, untouched so far in this sweep.
     """
     size, zero = ring.size, ring.zero
     n = len(rows)
@@ -542,17 +545,15 @@ def _diagonalize(ring, rows):
             for row in rows[s + 1:]:
                 if s in row:
                     q, r = ring.divmod(row[s], piv)
-                    if q:
-                        for j, e in top.items():
-                            _put(row, j, ring.sub(row.get(j, zero), ring.mul(q, e)))
+                    for j, e in top.items():
+                        _put(row, j, ring.sub(row.get(j, zero), ring.mul(q, e)))
                     if r:
                         dirty = True
             for j in [j for j in top if j != s]:
                 q, r = ring.divmod(top[j], piv)
-                if q:
-                    for row in rows[s:]:
-                        if s in row:
-                            _put(row, j, ring.sub(row.get(j, zero), ring.mul(q, row[s])))
+                for row in rows[s:]:
+                    if s in row:
+                        _put(row, j, ring.sub(row.get(j, zero), ring.mul(q, row[s])))
                 if r:
                     dirty = True
             if not dirty:

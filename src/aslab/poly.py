@@ -228,8 +228,7 @@ class Poly:
         """self(X^k), for k >= 1."""
         if k < 1:
             raise InputError(f"X -> X^k needs k >= 1, got {k}")
-        if not self.raw:
-            return self
+        # the zero polynomial gives [zero] * (1 - k), trimmed to zero
         out = [self.field.zero] * ((len(self.raw) - 1) * k + 1)
         for i, c in enumerate(self.raw):
             out[i * k] = c
@@ -456,13 +455,11 @@ def _berlekamp_split(field, g, d):
             remaining = piece
             for s in shifts:
                 h = rp.gcd(field, rp.sub(field, btrim, (s,)), remaining)
+                # a proper divisor only, so remaining keeps degree >= 1
                 if 1 < len(h) < len(remaining):
                     next_pieces.append(h)
                     remaining = rp.divmod_(field, remaining, h)[0]
-                if len(remaining) == 1:
-                    break
-            if len(remaining) > 1:
-                next_pieces.append(remaining)
+            next_pieces.append(remaining)
         pieces = next_pieces
         if all(len(piece) - 1 == d for piece in pieces):
             return pieces
@@ -669,10 +666,7 @@ class _PrimeRows(_PayloadRows):
     """_PayloadRows over GF(p), p odd, with the field arithmetic written
     inline: payloads are the ints 0 .. p-1, so a reduction step is
     (v[i] - a * y) % p with no method call.  Rows, combos and the pivot
-    dict are those of _PayloadRows, and so is F[X]."""
-
-    def low(self, v):
-        return next((i for i, a in enumerate(v) if a), None)
+    dict are those of _PayloadRows, and so are F[X] and low (zero is 0)."""
 
     def extend(self, echelon, v, c):
         p = self.field.p

@@ -38,6 +38,15 @@ def test_analyze_ad_matrix_input(capsys):
     assert json.loads(out)["result"]["c3"] is True
 
 
+def test_analyze_ad_matrix_from_a_file(capsys, tmp_path):
+    mat = json.dumps({"entries": [["1", "2", "0"], ["0", "1", "1"], ["2", "0", "2"]]})
+    path = tmp_path / "matrix.json"
+    path.write_text(mat)
+    inline = run_cli(capsys, "analyze-ad", "--field", "GF(3)", "--matrix", mat)
+    from_file = run_cli(capsys, "analyze-ad", "--field", "GF(3)", "--matrix", str(path))
+    assert inline[0] == 0 and from_file == inline
+
+
 @pytest.mark.parametrize(
     "field, doc_field",
     [

@@ -282,6 +282,15 @@ def test_element_parse_print_roundtrip():
             assert field.element(str(x)) == x
 
 
+def test_trailing_whitespace_is_read_as_the_stripped_input():
+    # the tokenizer stops at trailing whitespace, in every parse path
+    f3 = make_field("GF(3)")
+    assert Poly.from_string(f3, "X^2+1  ") == Poly.from_string(f3, "X^2+1")
+    f4 = make_field("GF(4)")
+    assert f4.parse_element("t+1 ") == f4.parse_element("t+1")
+    assert make_field("GF(2^3; mod=t^3+t+1 )") == make_field("GF(2^3; mod=t^3+t+1)")
+
+
 def test_division_by_zero():
     f = make_field("GF(9)")
     with pytest.raises(ZeroDivisionError):
@@ -787,6 +796,29 @@ def test_prime_power_of_field_orders():
         else:
             with pytest.raises(InputError, match="not a prime power"):
                 fields._prime_power(q)
+
+
+def _brute_force_prime(n):
+    return n >= 2 and all(n % f for f in range(2, n))
+
+
+def test_one_trial_division_matches_brute_force():
+    # is_prime and _prime_power both read fields._least_divisor
+    for n in range(-2, 3000):
+        assert fields.is_prime(n) == _brute_force_prime(n), n
+    for n in range(2, 3000):
+        assert fields._least_divisor(n) == next(f for f in range(2, n + 1) if n % f == 0), n
+    primes = [p for p in range(3000) if _brute_force_prime(p)]
+    powers = {p**n: (p, n) for p in primes for n in range(1, 12) if p**n < 3000}
+    for q in range(2, 3000):
+        if q in powers:
+            assert fields._prime_power(q) == powers[q], q
+        else:
+            with pytest.raises(InputError, match="^field order is not a prime power$"):
+                fields._prime_power(q)
+    for q in (-2, -1, 0, 1):
+        with pytest.raises(InputError, match=f"^{q} is not a prime power$"):
+            fields._prime_power(q)
 
 
 def test_minus_in_a_modulus():

@@ -350,3 +350,78 @@ def test_witness_caps_refuse_before_building():
     assert gas_irreducible(GasInstance(f2, 1, 1, 1024, "Z")).condition == "pth-power"
     with pytest.raises(CapExceededError, match="Z-degree r \\* deg g = 1026, over cap 1024"):
         gas_irreducible(GasInstance(f2, 1, 1, 342, "Z^3+Z+1"))
+
+
+# ---------------------------------------------------------------------------
+# the CRT loop of oracle_factor: columns reduced mod the product of the
+# moduli, with the top column 1
+
+def _kz_columns(k, rng, degx, degz, lead):
+    """Raw K[Z] columns of a polynomial of X-degree degx whose non-lead
+    columns have Z-degree at most degz, at least one of them non-constant;
+    the top column is lead."""
+    while True:
+        cols = [rp.trim(k, tuple(k.random_payload(rng) for _ in range(degz + 1)))
+                for _ in range(degx)]
+        if any(len(col) > 1 for col in cols):
+            return cols + [lead]
+
+
+def _monicized_total_degree(cols):
+    """X-degree plus Z-degree of the input after X -> Y / lead, as the
+    oracle's cap reads it."""
+    degx, lead_deg = len(cols) - 1, len(cols[-1]) - 1
+    return degx + max(len(col) - 1 + (degx - 1 - j) * lead_deg
+                      for j, col in enumerate(cols[:-1]) if col)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])
+def test_oracle_factor_finds_a_factor_of_seeded_products(spec):
+    # f * g with non-constant Z-coefficients in both; a third of the factors
+    # have the Z-lead Z + c, so the product takes the monicizing substitution
+    k = make_field(spec)
+    F = make_field(f"{spec}(Z)")
+    kz = rp.PolyRing(k)
+    units = [c for c in k.enumerate_payloads() if c != k.zero]
+    rng = random.Random(("crt", spec).__repr__())
+    found, non_unit_leads = 0, 0
+    while found < 8:
+        factors = []
+        for degx in (rng.choice((1, 2)), rng.choice((1, 2))):
+            lead = (rng.choice(units), k.one) if rng.randrange(3) == 0 else (k.one,)
+            factors.append(_kz_columns(k, rng, degx, rng.choice((1, 2)), lead))
+        cols = list(rp.mul(kz, *factors))
+        if _monicized_total_degree(cols) > 12:
+            continue
+        h = Poly(F, [F.fraction(col, (k.one,)) for col in cols])
+        factor = oracle_factor(h)
+        assert factor is not None, h
+        assert factor.is_monic() and 1 <= factor.degree() < h.degree(), (h, factor)
+        assert (h % factor).is_zero(), (h, factor)
+        found += 1
+        non_unit_leads += len(cols[-1]) > 1
+    assert non_unit_leads > 0
+
+
+def test_oracle_factor_over_gf2_matches_literal_enumeration():
+    # monic in X, deg_X <= 4 and deg_Z <= 2, reducible and irreducible
+    k = make_field("GF(2)")
+    F = make_field("GF(2)(Z)")
+    rng = random.Random(31)
+    verdicts = []
+    for _ in range(40):
+        cols = _kz_columns(k, rng, rng.randrange(2, 5), rng.randrange(1, 3), (k.one,))
+        h = Poly(F, [F.fraction(col, (k.one,)) for col in cols])
+        factor = oracle_factor(h)
+        assert (factor is None) == _literal_enumeration_oracle(h), h
+        if factor is not None:
+            assert factor.is_monic() and (h % factor).is_zero(), (h, factor)
+        verdicts.append(factor is None)
+    assert any(verdicts) and not all(verdicts)
+
+
+@pytest.mark.parametrize("spec, poly", [("GF(2)(Z)", "X+Z"), ("GF(3)(Z)", "X+Z^2+1")])
+def test_oracle_factor_of_degree_one_is_none(spec, poly):
+    h = Poly.from_string(make_field(spec), poly)
+    assert oracle_factor(h) is None
+    assert bivariate_irreducible_oracle(h)

@@ -164,8 +164,9 @@ def _rational_roots(f: Poly):
     the count is capped.  The sorted divisors put nd = dd = 1 first, so the
     constants follow zero in enumeration order."""
     F = f.field
+    ring = _row_algebra(F)
     roots = []
-    work, mult = _divide_out(F, f.raw, (F.zero, F.one))
+    work, mult = _divide_out(ring, f.raw, (F.zero, F.one))
     if mult:
         roots.append(F.zero_element())
     cols, k = _clear_denominators(Poly.from_raw(F, work))
@@ -187,7 +188,7 @@ def _rational_roots(f: Poly):
         for dd in den_divs:
             for u in units:
                 cand = F.fraction(rp.scale(k, nd, u), dd)
-                work, mult = _divide_out(F, work, (F.neg(cand.payload), F.one))
+                work, mult = _divide_out(ring, work, (F.neg(cand.payload), F.one))
                 if mult:
                     roots.append(cand)
     return roots

@@ -142,10 +142,12 @@ def power_exceeds(p, n, bound):
 
 
 def _check_field_size(p, n):
-    """Refuse a field of p^n elements over MAX_FIELD_SIZE.  Run before any
-    primality test, divisor search or power, so a huge p or n costs
-    nothing; p < 2 or n < 1 passes, for the callers' own messages."""
-    if p >= 2 and n >= 1 and power_exceeds(p, n, MAX_FIELD_SIZE):
+    """Refuse a field of p^n elements over MAX_FIELD_SIZE, and an exponent
+    n < 1.  Run before any primality test, divisor search or power, so a
+    huge p or n costs nothing; p < 2 passes, for the callers' own messages."""
+    if n < 1:
+        raise InputError("extension degree must be at least 2; use GF(p) for n=1")
+    if p >= 2 and power_exceeds(p, n, MAX_FIELD_SIZE):
         size = p if n == 1 else f"{p}^{n}"
         raise CapExceededError(f"field size {size} exceeds cap {MAX_FIELD_SIZE}")
 

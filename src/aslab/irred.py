@@ -224,8 +224,11 @@ def oracle_factor(h: Poly):
     Independent of the criterion: clears denominators, makes the input
     monic in X by one substitution, factors it at irreducible moduli m(Z)
     with degrees summing past its Z-degree, stitches candidate divisors by
-    Chinese remaindering, and trial-divides.  Every input takes this path,
-    constant coefficients included.
+    Chinese remaindering, and trial-divides.  Before the K[Z][X] division a
+    candidate's constant term must divide h's in K[Z] (Abbott, Shoup and
+    Zimmermann, ISSAC 2000: cheap tests before trial division); every true
+    factor passes, so the first one found is the same.  Every input takes
+    this path, constant coefficients included.
     """
     cols, k = _clear_denominators(h)
     if k.order > ORACLE_MAX_FIELD:
@@ -302,10 +305,19 @@ def oracle_factor(h: Poly):
                 cand_cols.append(rp.rem(k, acc, big_m))
             # every divc is monic and the CRT basis sums to 1 mod big_m
             cand_cols.append((k.one,))
+            # a monic factor f of the monic h has f(0) | h(0) in K[Z]: one
+            # K[Z] division rules most candidates out, and no factor
+            if not _divides(k, cand_cols[0], cols[0]):
+                continue
             # exact division in K[Z][X] by the monic-in-X candidate
             if not rp.divmod_(kz, cols, cand_cols)[1]:
                 return _lift_factor(h.field, k, cand_cols, lead_powers)
     return None
+
+
+def _divides(k, d, a):
+    """Whether d divides a in K[Z], k = K: zero divides only zero."""
+    return not a or bool(d) and not rp.divmod_(k, a, d)[1]
 
 
 def _lift_factor(F, k, cand_cols, lead_powers):

@@ -11,7 +11,7 @@ only interface to the incremental echelon, and _kernel on top of it, which
 also serves poly's Berlekamp split), one representation per field: over
 GF(2) a vector, a combination and a polynomial are each one Python int,
 over every other field payload lists and _ringops tuples, with the mod-p
-arithmetic of the lists written inline over GF(p) for odd p.
+arithmetic of both written inline over GF(p) for odd p.
 invariant_factors runs the Smith normal form over F[X] (_smith_diagonal)
 only on the small matrix of chain relations (Storjohann, "An O(n^3)
 algorithm for the Frobenius normal form", ISSAC 1998), read off the
@@ -422,7 +422,10 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
     """Invariant factors of m from Krylov chains over its field.
 
     F^n splits into chains v, mv, m^2 v, ... started from e_0, e_1, ...,
-    skipping every e_i already in the span.  Each new vector is reduced by
+    skipping every e_i already in the span, and the loop stops once the
+    span is F^n: the span grows only inside a chain, so it can become full
+    only as a chain closes, and every later e_i would reduce to zero,
+    starting no chain and adding no relation.  Each new vector is reduced by
     the incremental echelon (poly._row_algebra), whose combination records
     what the reduced vector stands for, so chain j ends in one relation
     X^(d_j) v_j + sum_s c_s X^(l_s) v_(chain s) = 0.  These relations present
@@ -465,6 +468,8 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
                 if entry:
                     relation[s] = entry
             relations.append(relation)
+            if len(echelon) == n:
+                break
     nontrivial = [
         Poly.from_raw(k, rows.unpack(d, rows.size(d)))
         for d in _smith_diagonal(rows, relations)

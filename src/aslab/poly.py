@@ -21,7 +21,8 @@ other field a list of payloads, whose arithmetic over GF(p), p odd, is
 written inline mod p (_PrimeRows) and goes through the field's methods
 over GF(p^n) and K(Z) (_PayloadRows).  The same algebra is F[X] for
 linalg's Smith finish and analyze's multiplicities, bit i over GF(2)
-holding the coefficient of X^i and _ringops tuples elsewhere.  Poly.from_string reads
+holding the coefficient of X^i and _ringops tuples elsewhere, whose
+arithmetic over GF(p), p odd, is again inline mod p.  Poly.from_string reads
 its constants from the field's parse atoms (FieldDescriptor.atoms).
 Poly's binary operators are one body, _binary, over Poly._coerce, and
 compose, pow_mod and gcd read their operand through Poly._operand: the
@@ -33,6 +34,7 @@ that is not a Poly with the same InputError (_unreadable).
 Irreducibility comes from fields.rabin_irreducible.
 """
 
+import itertools
 import operator
 
 from . import _ringops as rp
@@ -384,7 +386,7 @@ def _factor_raw(field, m):
         g = rp.gcd(field, rp.sub(field, xq, x), m)
         if len(g) > 1:
             for piece in _equal_degree_split(field, g, d):
-                m, mult = _divide_out(field, m, piece)
+                m, mult = _divide_out(_PayloadRows(field), m, piece)
                 found.append((piece, mult))
         d += 1
     found.sort(key=lambda fm: _raw_sort_key(field, fm[0]))
@@ -474,14 +476,17 @@ def roots_in_finite_field(f: Poly):
         raise InputError("root scan requires a finite field")
     if f.is_zero():
         raise InputError("cannot scan the roots of the zero polynomial")
+    ring = _PayloadRows(field)
     return [
-        (FieldElement(field, a), _divide_out(field, f.raw, (field.neg(a), field.one))[1])
+        (FieldElement(field, a), _divide_out(ring, f.raw, (field.neg(a), field.one))[1])
         for a in _raw_roots(field, f.raw)
     ]
 
 
-def _divide_out(k, f, d):
-    """(f / d^m, m) for the largest m with d^m dividing the nonzero raw f.
+def _divide_out(ring, f, d):
+    """(f / d^m, m) for the largest m with d^m dividing the nonzero raw f,
+    in ring, an F[X] on raw tuples with divmod and mul (_PayloadRows or
+    _PrimeRows).
 
     d is divided out one power at a time up to d^8, so m < 8, which is what
     the root and invariant-factor multiplicities of analyze nearly always
@@ -492,15 +497,15 @@ def _divide_out(k, f, d):
     """
     mult, powers = 0, [d]  # powers[i] = d^(2^i)
     while len(f) >= len(powers[-1]):
-        quo, remdr = rp.divmod_(k, f, powers[-1])
+        quo, remdr = ring.divmod(f, powers[-1])
         if remdr:
             break
         f, mult = quo, mult + (1 << len(powers) - 1)
         if mult >= 8:
-            powers.append(rp.mul(k, powers[-1], powers[-1]))
+            powers.append(ring.mul(powers[-1], powers[-1]))
     for i in range(len(powers) - 2, -1, -1):
         if len(f) >= len(powers[i]):
-            quo, remdr = rp.divmod_(k, f, powers[i])
+            quo, remdr = ring.divmod(f, powers[i])
             if not remdr:
                 f, mult = quo, mult + (1 << i)
     return f, mult
@@ -561,8 +566,9 @@ def _kernel(field, columns):
 def _row_algebra(field):
     """The echelon's rows, vectors and combos and linalg's Smith finish's F[X]
     over field, the one place the field kinds are told apart: packed ints
-    over GF(2), payload lists with inline mod-p arithmetic over GF(p) for
-    odd p, and payload lists and _ringops tuples over every other field."""
+    over GF(2), payload lists and int tuples with inline mod-p arithmetic
+    over GF(p) for odd p, and payload lists and _ringops tuples, through
+    the field's methods, over every other field."""
     if field.kind == "prime":
         return _BIT_ROWS if field.p == 2 else _PrimeRows(field)
     return _PayloadRows(field)
@@ -655,7 +661,7 @@ class _PayloadRows:
 
     def multiplicity(self, a, b):
         """The largest m with b^m dividing the nonzero a."""
-        return _divide_out(self.field, a, b)[1]
+        return _divide_out(self, a, b)[1]
 
 
 def _scaled_nonzeros(field, vec, c):
@@ -666,7 +672,10 @@ class _PrimeRows(_PayloadRows):
     """_PayloadRows over GF(p), p odd, with the field arithmetic written
     inline: payloads are the ints 0 .. p-1, so a reduction step is
     (v[i] - a * y) % p with no method call.  Rows, combos and the pivot
-    dict are those of _PayloadRows, and so are F[X] and low (zero is 0)."""
+    dict are those of _PayloadRows, and so is low (zero is 0).  F[X] is
+    on the same trimmed int tuples that _ringops returns, each sum taken
+    % p only where a coefficient is read or returned, as in
+    _ringops._mulmod_prime; multiplicity is _divide_out on these."""
 
     def extend(self, echelon, v, c):
         p = self.field.p
@@ -697,6 +706,54 @@ class _PrimeRows(_PayloadRows):
                 for i, y in col:
                     out[i] = (out[i] + y * a) % p
         return out
+
+    def sub(self, a, b):
+        p = self.field.p
+        diff = [(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)]
+        return rp.trim(self.field, diff)
+
+    def mul(self, a, b):
+        # the operands are trimmed, so the top coefficient is nonzero
+        if not a or not b:
+            return ()
+        p = self.field.p
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return tuple(u % p for u in out)
+
+    def divmod(self, a, b):
+        if not b:
+            raise ZeroDivisionError("division by zero polynomial")
+        d = len(b) - 1
+        if len(a) <= d:
+            return (), a
+        p = self.field.p
+        binv, tail = pow(b[-1], p - 2, p), b[:-1]
+        rem = list(a)
+        q = [0] * (len(a) - d)
+        for i in range(len(q) - 1, -1, -1):
+            c = rem[i + d] * binv % p
+            if c:
+                q[i] = c
+                for j, y in enumerate(tail, i):
+                    rem[j] -= c * y
+        # a's top coefficient over b's is nonzero, so q is trimmed
+        return tuple(q), rp.trim(self.field, [u % p for u in rem[:d]])
+
+    def monic(self, a):
+        if not a or a[-1] == 1:
+            return a
+        p = self.field.p
+        inv = pow(a[-1], p - 2, p)
+        return tuple(x * inv % p for x in a)
+
+    def gcd(self, a, b):
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a)
 
 
 # GF(2) payloads 0 and 1 to the binary digits int(_, 2) reads, and back

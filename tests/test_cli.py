@@ -250,12 +250,18 @@ def test_refusal_is_one_error_line_before_the_work(capsys, argv, message):
         # cancels still counts
         (("analyze-ad", "--field", "GF(3)(Z)", "--poly", "X^10-X^10+X"),
          "matrix size exceeds cap 9 over K(Z)"),
+        # degree 0 is refused before the primality test, which trial-divided
+        # the prime up to its square root
+        (("analyze-ad", "--field", "GF(1000000000000000003^0)", "--poly", "X"),
+         "extension degree must be at least 2"),
+        (("analyze-ad", "--field", "GF(1000000000000000003^0)(Z)", "--poly", "X"),
+         "extension degree must be at least 2"),
     ],
     ids=["prime-order-1e9", "huge-prime-squared", "3-to-the-1e8", "tensor-huge-prime",
          "primitive-huge-n", "tensor-p-4", "witness-n-26", "witness-x-edge-2",
          "witness-x-edge-3", "witness-z-edge", "witness-huge-r", "tensor-formula-1e8",
          "tensor-formula-edge", "kz-poly-over-size-cap", "finite-poly-over-size-cap",
-         "poly-bound-over-size-cap"],
+         "poly-bound-over-size-cap", "huge-prime-degree-0", "kz-huge-prime-degree-0"],
 )
 def test_caps_are_refused_before_the_work(capsys, argv, message):
     # each of these ran past a 5-10 s timeout, or ended in a MemoryError

@@ -883,6 +883,24 @@ def test_small_bad_specs_keep_their_messages(spec, message):
     assert not isinstance(info.value, CapExceededError)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_field("GF(1000000000000000003^0)"),
+        lambda: make_field("GF(1000000000000000003^0)(Z)"),
+        lambda: fields.ExtensionField(10**18 + 3, 0),
+    ],
+    ids=["spec", "kz-spec", "extension-field"],
+)
+def test_degree_zero_is_refused_before_the_primality_test(build):
+    # trial division of this prime up to its square root never ends
+    t0 = time.perf_counter()
+    with pytest.raises(InputError, match="extension degree must be at least 2") as info:
+        build()
+    assert not isinstance(info.value, CapExceededError)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_embed_subfield_takes_the_first_of_the_raw_roots():
     for small, big in (("GF(4)", "GF(16)"), ("GF(8)", "GF(64)"), ("GF(9)", "GF(729)")):
         small, big = make_field(small), make_field(big)

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from aslab import _ringops as rp
+from aslab import irred
 from aslab.errors import CapExceededError, InputError
 from aslab.fields import FieldElement, make_field
 from aslab.irred import (
@@ -171,23 +172,25 @@ def _literal_enumeration_oracle(h):
     return True
 
 
+LITERAL_INSTANCES = (
+    "X^2-X-Z",
+    "X^2-X-(Z^2-Z)",
+    "X^2+Z*X+1",
+    "X^2+Z*X+Z",
+    "X^3+X+Z",
+    "X^3+Z*X+Z^2",
+    "X^4-X^2-Z^2",
+    "X^4-X^2-Z",
+    "X^4+X^2+Z^2+Z",
+    "X^4+Z^2*X+Z",
+    "X^2+(Z^2+Z)*X+Z^2",
+    "X^3+(Z+1)*X^2+X+Z",
+)
+
+
 def test_oracle_against_literal_enumeration():
     f2z = make_field("GF(2)(Z)")
-    instances = [
-        "X^2-X-Z",
-        "X^2-X-(Z^2-Z)",
-        "X^2+Z*X+1",
-        "X^2+Z*X+Z",
-        "X^3+X+Z",
-        "X^3+Z*X+Z^2",
-        "X^4-X^2-Z^2",
-        "X^4-X^2-Z",
-        "X^4+X^2+Z^2+Z",
-        "X^4+Z^2*X+Z",
-        "X^2+(Z^2+Z)*X+Z^2",
-        "X^3+(Z+1)*X^2+X+Z",
-    ]
-    for s in instances:
+    for s in LITERAL_INSTANCES:
         h = Poly.from_string(f2z, s)
         assert bivariate_irreducible_oracle(h) == _literal_enumeration_oracle(h), s
 
@@ -375,16 +378,16 @@ def _monicized_total_degree(cols):
                       for j, col in enumerate(cols[:-1]) if col)
 
 
-@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])
-def test_oracle_factor_finds_a_factor_of_seeded_products(spec):
-    # f * g with non-constant Z-coefficients in both; a third of the factors
-    # have the Z-lead Z + c, so the product takes the monicizing substitution
+def _seeded_products(spec):
+    """Eight products f * g over spec(Z), with non-constant Z-coefficients
+    in both; a third of the factors have the Z-lead Z + c, so the product
+    takes the monicizing substitution."""
     k = make_field(spec)
     F = make_field(f"{spec}(Z)")
     kz = rp.PolyRing(k)
     units = [c for c in k.enumerate_payloads() if c != k.zero]
     rng = random.Random(("crt", spec).__repr__())
-    found, non_unit_leads = 0, 0
+    found = 0
     while found < 8:
         factors = []
         for degx in (rng.choice((1, 2)), rng.choice((1, 2))):
@@ -393,25 +396,36 @@ def test_oracle_factor_finds_a_factor_of_seeded_products(spec):
         cols = list(rp.mul(kz, *factors))
         if _monicized_total_degree(cols) > 12:
             continue
-        h = Poly(F, [F.fraction(col, (k.one,)) for col in cols])
+        found += 1
+        yield Poly(F, [F.fraction(col, (k.one,)) for col in cols])
+
+
+def _gf2_monic_inputs():
+    """Forty polynomials over GF(2)(Z), monic in X, deg_X <= 4 and
+    deg_Z <= 2, reducible and irreducible."""
+    k = make_field("GF(2)")
+    F = make_field("GF(2)(Z)")
+    rng = random.Random(31)
+    for _ in range(40):
+        cols = _kz_columns(k, rng, rng.randrange(2, 5), rng.randrange(1, 3), (k.one,))
+        yield Poly(F, [F.fraction(col, (k.one,)) for col in cols])
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])
+def test_oracle_factor_finds_a_factor_of_seeded_products(spec):
+    non_unit_leads = 0
+    for h in _seeded_products(spec):
         factor = oracle_factor(h)
         assert factor is not None, h
         assert factor.is_monic() and 1 <= factor.degree() < h.degree(), (h, factor)
         assert (h % factor).is_zero(), (h, factor)
-        found += 1
-        non_unit_leads += len(cols[-1]) > 1
+        non_unit_leads += not h.is_monic()
     assert non_unit_leads > 0
 
 
 def test_oracle_factor_over_gf2_matches_literal_enumeration():
-    # monic in X, deg_X <= 4 and deg_Z <= 2, reducible and irreducible
-    k = make_field("GF(2)")
-    F = make_field("GF(2)(Z)")
-    rng = random.Random(31)
     verdicts = []
-    for _ in range(40):
-        cols = _kz_columns(k, rng, rng.randrange(2, 5), rng.randrange(1, 3), (k.one,))
-        h = Poly(F, [F.fraction(col, (k.one,)) for col in cols])
+    for h in _gf2_monic_inputs():
         factor = oracle_factor(h)
         assert (factor is None) == _literal_enumeration_oracle(h), h
         if factor is not None:
@@ -425,3 +439,46 @@ def test_oracle_factor_of_degree_one_is_none(spec, poly):
     h = Poly.from_string(make_field(spec), poly)
     assert oracle_factor(h) is None
     assert bivariate_irreducible_oracle(h)
+
+
+# ---------------------------------------------------------------------------
+# the constant-column test before each trial division: f(0) | h(0)
+
+def test_divides_in_kz_matches_the_remainder():
+    k = make_field("GF(3)")
+    rng = random.Random(32)
+    polys = [()] + [rp.trim(k, tuple(rng.randrange(3) for _ in range(rng.randrange(1, 5))))
+                    for _ in range(20)]
+    for a in polys:
+        for d in polys:
+            expected = not rp.divmod_(k, a, d)[1] if d else not a
+            assert irred._divides(k, d, a) == expected, (d, a)
+
+
+def _oracle_inputs():
+    yield from (h for spec in ("GF(2)", "GF(3)", "GF(4)") for h in _seeded_products(spec))
+    f2z = make_field("GF(2)(Z)")
+    yield from (Poly.from_string(f2z, s) for s in LITERAL_INSTANCES)
+    yield from _gf2_monic_inputs()
+
+
+def test_constant_column_test_keeps_the_first_factor(monkeypatch):
+    # every true factor passes the test, so oracle_factor finds the factor
+    # (or None) that it finds with the test switched off; the test must rule
+    # some candidates out, or it is not exercised
+    real_divides = irred._divides
+    ruled_out = []
+
+    def counted(k, d, a):
+        ok = real_divides(k, d, a)
+        ruled_out.append(not ok)
+        return ok
+
+    for h in _oracle_inputs():
+        with monkeypatch.context() as patch:
+            patch.setattr(irred, "_divides", lambda k, d, a: True)
+            expected = oracle_factor(h)
+        with monkeypatch.context() as patch:
+            patch.setattr(irred, "_divides", counted)
+            assert oracle_factor(h) == expected, h
+    assert any(ruled_out) and not all(ruled_out)

@@ -34,6 +34,7 @@ from aslab.poly import (
     min_poly_in_quotient,
     roots_in_finite_field,
 )
+from aslab.tensor import blocksum_ad_matrix
 
 
 def random_matrix(field, size, rng):
@@ -1043,19 +1044,25 @@ def test_a_singular_matrix_makes_the_capped_tries_then_one_exact_rank(spec, trie
 # references: _PayloadRows(field), the row algebra over GF(p^n) and K(Z),
 # stands in for the field's own (_BitRows over GF(2), _PrimeRows over odd p)
 
-DIFFERENTIAL_FIELDS = ("GF(2)", "GF(3)", "GF(5)", "GF(727)")
+DIFFERENTIAL_FIELDS = ("GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(727)")
 
 
 def _differential_matrices(field):
     """Seeded random ad matrices (m <= 12 over GF(2), m <= 8 over odd p, to
-    keep the payload reference fast) and three 196 x 196 block sums of
-    seven size-2 Jordan blocks, all over the prime field."""
+    keep the payload reference fast), three 196 x 196 block sums of seven
+    size-2 Jordan blocks, and tensor's block sums of two or three
+    J_(p^e)(a) of size at most 15, all over the prime field."""
     rng = random.Random(181)
-    for m in (1, 2, 3, 4, 5, 5, 6, 7, 8) + ((10, 12) if field.p == 2 else ()):
+    p = field.p
+    for m in (1, 2, 3, 4, 5, 5, 6, 7, 8) + ((10, 12) if p == 2 else ()):
         yield ad_matrix(random_matrix(field, m, rng))
     for _ in range(3):
-        blocks = [jordan_block(field, rng.randrange(field.p), 2) for _ in range(7)]
+        blocks = [jordan_block(field, rng.randrange(p), 2) for _ in range(7)]
         yield ad_matrix(direct_sum(*blocks))
+    for e in range(3):
+        for count in (2, 3):
+            if count * p**e <= 15:
+                yield blocksum_ad_matrix([rng.randrange(p) for _ in range(count)], e, p)
 
 
 def _with_payload_rows(monkeypatch, run):
@@ -1226,6 +1233,90 @@ def _divide_out_count(k, f, d):
         if r:
             return mult
         f, mult = q, mult + 1
+
+
+# ---------------------------------------------------------------------------
+# _PrimeRows' F[X] on ints against _ringops' method calls, and the Krylov
+# loop's exit once the span is full
+
+PRIME_RING_FIELDS = ("GF(3)", "GF(5)", "GF(7)", "GF(727)")
+
+
+def _random_raw(field, deg, rng, monic=False):
+    """A raw polynomial of degree deg over GF(p), with a random nonzero lead
+    unless monic."""
+    lead = 1 if monic else rng.randrange(1, field.p)
+    return tuple(rng.randrange(field.p) for _ in range(deg)) + (lead,)
+
+
+@pytest.mark.parametrize("spec", PRIME_RING_FIELDS)
+def test_prime_rows_polynomials_match_ringops(spec):
+    field = make_field(spec)
+    ring = poly._PrimeRows(field)
+    rng = random.Random(("prime-ring", spec).__repr__())
+    polys = [(), (1,), (field.p - 1,)]
+    polys += [_random_raw(field, rng.randrange(13), rng, rng.randrange(2)) for _ in range(30)]
+    shorter = non_monic = inexact = 0
+    for a in polys:
+        assert ring.monic(a) == rp.monic(field, a)
+        for b in rng.sample(polys, 8) + [(), a]:
+            assert ring.sub(a, b) == rp.sub(field, a, b)
+            assert ring.mul(a, b) == rp.mul(field, a, b)
+            if not b:
+                continue
+            q, r = ring.divmod(a, b)
+            assert (q, r) == rp.divmod_(field, a, b)
+            # exact: a * b over b leaves a and no remainder
+            assert ring.divmod(ring.mul(a, b), b) == (a, ())
+            g = ring.gcd(a, b)
+            assert g == rp.gcd(field, a, b) and g[-1] == 1
+            shorter += len(a) < len(b)
+            non_monic += b[-1] != 1
+            inexact += bool(r)
+    assert shorter and non_monic and inexact
+    with pytest.raises(ZeroDivisionError):
+        ring.divmod((1,), ())
+
+
+@pytest.mark.parametrize("spec", PRIME_RING_FIELDS)
+def test_prime_rows_multiplicity_matches_one_division_at_a_time(spec):
+    # past m = 8 _divide_out divides by d^2, d^4, ...: m = 9 and 20 take
+    # that path, m = 8 reaches it exactly
+    field = make_field(spec)
+    ring = poly._PrimeRows(field)
+    rng = random.Random(("prime-multiplicity", spec).__repr__())
+    for mult in (0, 1, 7, 8, 9, 20):
+        for monic in (True, False):
+            d = _random_raw(field, rng.randrange(1, 3), rng, monic)
+            while True:
+                cofactor = _random_raw(field, rng.randrange(4), rng)
+                if rp.divmod_(field, cofactor, d)[1]:
+                    break
+            f = rp.mul(field, rp.power(field, d, mult), cofactor)
+            assert ring.multiplicity(f, d) == mult == _divide_out_count(field, f, d)
+
+
+@pytest.mark.parametrize(
+    "spec, poly_str", [("GF(3)", "X^6+2*X^4+X+2"), ("GF(3)(Z)", "X^5+Z*X^2+2*X+Z^2+1")]
+)
+def test_invariant_factors_stop_once_the_span_is_full(spec, poly_str, monkeypatch):
+    # the companion's chain from e_0 spans F^n after n vectors; the (n+1)-th
+    # extend closes it, and e_1 .. e_(n-1) are never reduced
+    field = make_field(spec)
+    f = Poly.from_string(field, poly_str)
+    n = f.degree()
+    rows_class = type(poly._row_algebra(field))
+    real_extend = rows_class.extend
+    calls = []
+
+    def counted(self, *args):
+        calls.append(args)
+        return real_extend(self, *args)
+
+    monkeypatch.setattr(rows_class, "extend", counted)
+    got = invariant_factors(companion(f))
+    assert list(got) == [f]
+    assert len(calls) == n + 1
 
 
 @pytest.mark.parametrize("build", ["ad_matrix", "kron", "direct_sum"])

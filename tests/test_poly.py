@@ -10,6 +10,8 @@ from aslab.poly import (
     MINUS_INFINITY,
     Poly,
     _divide_out,
+    _PayloadRows,
+    _PrimeRows,
     _equal_degree_split,
     factor_finite,
     gas_poly,
@@ -528,15 +530,20 @@ def _one_power_at_a_time(k, f, d):
 @pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(9)", "GF(3)(Z)"])
 def test_divide_out_matches_one_power_at_a_time(spec):
     # d^mult times a random quadratic, d monic of degree 1-3 (linear over
-    # K(Z)); the cofactor may hold d again, so only >= mult is known
+    # K(Z)); the cofactor may hold d again, so only >= mult is known; over
+    # odd p both F[X] rings that _divide_out runs on
     field = make_field(spec)
+    rings = [_PayloadRows(field)]
+    if field.kind == "prime" and field.p > 2:
+        rings.append(_PrimeRows(field))
     rng = random.Random(7)
     for mult in range(41):
         d = random_poly(field, 1 if field.order is None else 1 + mult % 3, rng, monic=True).raw
         f = rp.mul(field, rp.power(field, d, mult), random_poly(field, 2, rng).raw)
-        quo, got = _divide_out(field, f, d)
-        assert (quo, got) == _one_power_at_a_time(field, f, d)
-        assert got >= mult
+        for ring in rings:
+            quo, got = _divide_out(ring, f, d)
+            assert (quo, got) == _one_power_at_a_time(field, f, d)
+            assert got >= mult
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ reduction mod m runs on lists of ints with % p (one pass of Rabin's test,
 the log tables' powers of g and the generator search, Berlekamp's
 Frobenius columns, poly._min_dependence), and the results are the same
 trimmed tuples; in pow_mod that path is only its product, _mulmod_prime,
-under the same loop.  The field-kind test runs once
-per pow_mod call or power sequence, never per product: mul and divmod_
-keep no such test, since there every call, GF(2) ones included, would pay
-it and the inline path gained nothing on analyze's Krylov and Smith loops.
+under the same loop.  Its unreduced int product, _mul_prime, is also the
+product of poly._PrimeRows.mul, the Smith finish's GF(p)[X].  The
+field-kind test runs once per pow_mod call or power sequence, never per
+product: mul and divmod_ keep no such test, since there every call, GF(2)
+ones included, would pay it and the inline path gained nothing on
+analyze's Krylov and Smith loops.
 """
 
 import operator
@@ -198,16 +200,22 @@ def _monic_tail(p, m):
     return [-c * lead_inv % p for c in m[:-1]]
 
 
-def _mulmod_prime(p, a, b, tail):
-    """a * b mod m over GF(p) on int lists, as a list of at most d = deg m
-    ints in [0, p); tail is _monic_tail(p, m).  Sums are taken % p only
-    where a coefficient is read or returned."""
-    d = len(tail)
+def _mul_prime(a, b):
+    """a * b over GF(p) on int sequences, unreduced: a list of len(a) +
+    len(b) - 1 sums of products that the caller takes % p."""
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b, i):
                 out[j] += x * y
+    return out
+
+
+def _mulmod_prime(p, a, b, tail):
+    """a * b mod m over GF(p) on int lists, as a list of at most d = deg m
+    ints in [0, p); tail is _monic_tail(p, m).  Sums are taken % p only
+    where a coefficient is read or returned."""
+    d, out = len(tail), _mul_prime(a, b)
     for i in range(len(out) - 1, d - 1, -1):
         c = out[i] % p
         if c:

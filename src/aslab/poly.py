@@ -16,13 +16,16 @@ min_poly_in_quotient, linalg's ranks and invariant factors, and _kernel
 (the Berlekamp split's and linalg's kernels) pack their vectors once and
 call it directly.  The echelon is a dict from pivot to (row, combination),
 whose representation is chosen per field: over GF(2) a Python int with bit
-i holding coordinate i, reduced by XOR at the vector's set bits; over every
-other field a list of payloads, whose arithmetic over GF(p), p odd, is
-written inline mod p (_PrimeRows) and goes through the field's methods
-over GF(p^n) and K(Z) (_PayloadRows).  The same algebra is F[X] for
+i holding coordinate i, reduced by XOR at the vector's set bits (_BitRows);
+over every other field a list of payloads, reduced by the one payload
+echelon step, _PayloadRows.extend, on two row kernels that each kind
+supplies: through the field's methods over GF(p^n) and K(Z) (_PayloadRows),
+inline mod p over GF(p), p odd (_PrimeRows).  The same algebra is F[X] for
 linalg's Smith finish and analyze's multiplicities, bit i over GF(2)
-holding the coefficient of X^i and _ringops tuples elsewhere, whose
-arithmetic over GF(p), p odd, is again inline mod p.  Poly.from_string reads
+holding the coefficient of X^i and _ringops tuples elsewhere.  Each kind
+supplies sub, mul, divmod and monic (inline mod p over GF(p), p odd, the
+product shared with _ringops); gcd (Euclid) and multiplicity (_divide_out)
+are written once on them for all three.  Poly.from_string reads
 its constants from the field's parse atoms (FieldDescriptor.atoms).
 Poly's binary operators are one body, _binary, over Poly._coerce, and
 compose, pow_mod and gcd read their operand through Poly._operand: the
@@ -484,9 +487,9 @@ def roots_in_finite_field(f: Poly):
 
 
 def _divide_out(ring, f, d):
-    """(f / d^m, m) for the largest m with d^m dividing the nonzero raw f,
-    in ring, an F[X] on raw tuples with divmod and mul (_PayloadRows or
-    _PrimeRows).
+    """(f / d^m, m) for the largest m with d^m dividing the nonzero f, in
+    ring, a row algebra's F[X] with size, divmod and mul (_PayloadRows,
+    _PrimeRows or _BitRows, whose multiplicity it is), f and d in its form.
 
     d is divided out one power at a time up to d^8, so m < 8, which is what
     the root and invariant-factor multiplicities of analyze nearly always
@@ -495,8 +498,8 @@ def _divide_out(ring, f, d):
     power that failed, and the powers below it take it out by its binary
     digits, so m in the thousands costs a few dozen divisions.
     """
-    mult, powers = 0, [d]  # powers[i] = d^(2^i)
-    while len(f) >= len(powers[-1]):
+    size, mult, powers = ring.size, 0, [d]  # powers[i] = d^(2^i)
+    while size(f) >= size(powers[-1]):
         quo, remdr = ring.divmod(f, powers[-1])
         if remdr:
             break
@@ -504,7 +507,7 @@ def _divide_out(ring, f, d):
         if mult >= 8:
             powers.append(ring.mul(powers[-1], powers[-1]))
     for i in range(len(powers) - 2, -1, -1):
-        if len(f) >= len(powers[i]):
+        if size(f) >= size(powers[i]):
             quo, remdr = ring.divmod(f, powers[i])
             if not remdr:
                 f, mult = quo, mult + (1 << i)
@@ -584,8 +587,12 @@ class _PayloadRows:
     """Vectors as lists of payloads.  The echelon maps each pivot to its
     (row, combo), both stored as their nonzero (index, value) pairs, so
     sparse rows cost only their nonzeros; a combo is updated in place.
-    As F[X] for the Smith finish, polynomials are _ringops raw tuples and
-    size is the coefficient count (0 for zero).
+    extend is the one echelon step on payloads, written on the row kernels
+    subtract_row and scaled_pairs, here through the field's methods.  As
+    F[X] for the Smith finish, polynomials are _ringops raw tuples and size
+    is the coefficient count (0 for zero): sub, mul, divmod and monic are
+    _ringops', and gcd and multiplicity, written on them, serve _PrimeRows
+    and _BitRows too.
     """
 
     def __init__(self, field):
@@ -618,27 +625,35 @@ class _PayloadRows:
     def extend(self, echelon, v, c):
         """(whether v is independent of the echelon, c reduced alike); an
         independent v is appended, scaled to a unit pivot."""
-        field = self.field
-        zero = field.zero
+        zero, subtract_row = self.field.zero, self.subtract_row
         v = list(v)
         # in insertion order: a row is zero at the pivots of earlier rows
         for piv, (row, ecombo) in echelon.items():
             a = v[piv]
             if a != zero:
-                for i, y in row:
-                    v[i] = field.sub(v[i], field.mul(a, y))
+                subtract_row(v, a, row)
                 if c is not None:
-                    for i, y in ecombo:
-                        c[i] = field.sub(c[i], field.mul(a, y))
+                    subtract_row(c, a, ecombo)
         piv = self.low(v)
         if piv is None:
             return False, c
-        inv = field.inv(v[piv])
+        inv = self.field.inv(v[piv])
         echelon[piv] = (
-            _scaled_nonzeros(field, v, inv),
-            None if c is None else _scaled_nonzeros(field, c, inv),
+            self.scaled_pairs(v, inv),
+            None if c is None else self.scaled_pairs(c, inv),
         )
         return True, c
+
+    def subtract_row(self, v, a, row):
+        """v - a * row in place, row as its nonzero (index, value) pairs."""
+        field = self.field
+        for i, y in row:
+            v[i] = field.sub(v[i], field.mul(a, y))
+
+    def scaled_pairs(self, v, c):
+        """The nonzero (index, x * c) pairs of v, c nonzero."""
+        field = self.field
+        return [(i, field.mul(x, c)) for i, x in enumerate(v) if x != field.zero]
 
     def columns(self, matrix_rows):
         """The matrix's columns as their nonzero (row, entry) pairs."""
@@ -657,46 +672,38 @@ class _PayloadRows:
 
     zero = ()
     size = len
-    sub, mul, divmod, monic, gcd = map(_ringop, ("sub", "mul", "divmod_", "monic", "gcd"))
+    sub, mul, divmod, monic = map(_ringop, ("sub", "mul", "divmod_", "monic"))
+
+    def gcd(self, a, b):
+        """The monic gcd of a and b, by Euclid on divmod."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a)
 
     def multiplicity(self, a, b):
         """The largest m with b^m dividing the nonzero a."""
         return _divide_out(self, a, b)[1]
 
 
-def _scaled_nonzeros(field, vec, c):
-    return [(i, field.mul(x, c)) for i, x in enumerate(vec) if x != field.zero]
-
-
 class _PrimeRows(_PayloadRows):
     """_PayloadRows over GF(p), p odd, with the field arithmetic written
-    inline: payloads are the ints 0 .. p-1, so a reduction step is
-    (v[i] - a * y) % p with no method call.  Rows, combos and the pivot
-    dict are those of _PayloadRows, and so is low (zero is 0).  F[X] is
-    on the same trimmed int tuples that _ringops returns, each sum taken
-    % p only where a coefficient is read or returned, as in
-    _ringops._mulmod_prime; multiplicity is _divide_out on these."""
+    inline: payloads are the ints 0 .. p-1, so the row kernels and apply
+    reduce (v[i] - a * y) % p with no method call.  Rows, combos, the pivot
+    dict and extend are those of _PayloadRows, and so is low (zero is 0);
+    the pivot inverse PrimeField.inv is pow(a, p - 2, p).  F[X] is on the
+    same trimmed int tuples that _ringops returns, each sum taken % p only
+    where a coefficient is read or returned: mul reduces _ringops._mul_prime,
+    the product of _ringops._mulmod_prime.  gcd and multiplicity are
+    _PayloadRows' on these."""
 
-    def extend(self, echelon, v, c):
+    def subtract_row(self, v, a, row):
         p = self.field.p
-        v = list(v)
-        for piv, (row, ecombo) in echelon.items():
-            a = v[piv]
-            if a:
-                for i, y in row:
-                    v[i] = (v[i] - a * y) % p
-                if c is not None:
-                    for i, y in ecombo:
-                        c[i] = (c[i] - a * y) % p
-        piv = self.low(v)
-        if piv is None:
-            return False, c
-        inv = pow(v[piv], p - 2, p)
-        echelon[piv] = (
-            [(i, x * inv % p) for i, x in enumerate(v) if x],
-            None if c is None else [(i, x * inv % p) for i, x in enumerate(c) if x],
-        )
-        return True, c
+        for i, y in row:
+            v[i] = (v[i] - a * y) % p
+
+    def scaled_pairs(self, v, c):
+        p = self.field.p
+        return [(i, x * c % p) for i, x in enumerate(v) if x]
 
     def apply(self, columns, v):
         p = self.field.p
@@ -717,12 +724,7 @@ class _PrimeRows(_PayloadRows):
         if not a or not b:
             return ()
         p = self.field.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
-        return tuple(u % p for u in out)
+        return tuple(u % p for u in rp._mul_prime(a, b))
 
     def divmod(self, a, b):
         if not b:
@@ -750,11 +752,6 @@ class _PrimeRows(_PayloadRows):
         inv = pow(a[-1], p - 2, p)
         return tuple(x * inv % p for x in a)
 
-    def gcd(self, a, b):
-        while b:
-            a, b = b, self.divmod(a, b)[1]
-        return self.monic(a)
-
 
 # GF(2) payloads 0 and 1 to the binary digits int(_, 2) reads, and back
 _TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -771,7 +768,8 @@ class _BitRows:
     looks up only the set bits of the vector.  The same packing is GF(2)[X]
     for the Smith finish, bit i the coefficient of X^i: subtraction is XOR,
     multiplication and division shift and XOR, every nonzero polynomial is
-    monic, and size is the coefficient count (0 for zero).
+    monic, and size is the coefficient count (0 for zero); gcd and
+    multiplicity are _PayloadRows' on these.
     """
 
     @staticmethod
@@ -858,18 +856,7 @@ class _BitRows:
             shift = a.bit_length() - n
         return q, a
 
-    @staticmethod
-    def gcd(a, b):
-        while b:
-            a, b = b, _BitRows.divmod(a, b)[1]
-        return a
-
-    @staticmethod
-    def multiplicity(a, b):
-        mult, (q, r) = 0, _BitRows.divmod(a, b)
-        while not r:
-            mult, (q, r) = mult + 1, _BitRows.divmod(q, b)
-        return mult
+    gcd, multiplicity = _PayloadRows.gcd, _PayloadRows.multiplicity
 
 
 _BIT_ROWS = _BitRows()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
@@ -127,13 +128,16 @@ def test_primitive_element_subcommand(capsys):
 
 def test_primitive_element_certify_flag(capsys):
     # --certify runs irred.irreducible on q before the primitive element: an
-    # irreducible q passes, a reducible one exits 2 and is accepted without it
+    # irreducible q passes, a reducible one exits 2 and is accepted without
+    # it, over GF(2)(Z) and for X^9-X-(Z^3-Z) over GF(9)(Z)
     argv = ("primitive-element", "--field", "GF(2)(Z)", "--n", "1", "--subspace", "1")
     code, out, _ = run_cli(capsys, *argv, "--a", "Z", "--certify")
     assert code == 0 and json.loads(out)["result"]["degree_over_f"] == 1
-    code, _, err = run_cli(capsys, *argv, "--a", "Z^2-Z", "--certify")
-    assert code == 2 and "q is reducible" in err
-    assert run_cli(capsys, *argv, "--a", "Z^2-Z")[0] == 0
+    gf9 = ("primitive-element", "--field", "GF(9)(Z)", "--n", "2", "--subspace", "1")
+    for argv, reducible in [(argv, "Z^2-Z"), (gf9, "Z^3-Z")]:
+        code, _, err = run_cli(capsys, *argv, "--a", reducible, "--certify")
+        assert code == 2 and "q is reducible" in err
+        assert run_cli(capsys, *argv, "--a", reducible)[0] == 0
 
 
 def test_primitive_element_over_a_larger_field(capsys):
@@ -180,6 +184,67 @@ def test_subfield_lattice_output_is_pinned(capsys):
         code, out, _ = run_cli(capsys, *argv, "subfield-lattice", "--p", "2", "--n", "4")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _random_matrix(seed, p, n):
+    # the n x n matrix of random.Random(seed) draws mod p, row by row, as
+    # the JSON document --matrix reads
+    rng = random.Random(seed)
+    return json.dumps({"entries": [[rng.randrange(p) for _ in range(n)] for _ in range(n)]})
+
+
+_GF9_MATRIX = '{"entries": [["1","1","0","2*t"],["t+1","1","0","t"],["0","1","t","0"],["t","2*t","1","2*t"]]}'
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # the 400 x 400 ad of a GF(3) matrix through the inline mod-p rows,
+        # its Smith finish on a 20-row block in GF(3)[X] on ints
+        (("analyze-ad", "--field", "GF(3)", "--matrix", _random_matrix(20, 3, 20)), "0ed10b371aaa1c81"),
+        # every f_R(Y) = prod (Y + b) multiplied out on the Zech tables
+        (("subfield-lattice", "--p", "3", "--n", "4", "--a", "Z"), "b108de560a7cbf32"),
+        (("subfield-lattice", "--p", "2", "--n", "4", "--a", "Z+1"), "8f18abae91e4b49f"),
+        # f_R's coefficients mapped into F by a non-identity embedding table
+        (("primitive-element", "--field", "GF(16)(Z)", "--n", "2", "--a", "Z", "--subspace", "t"),
+         "7796b6fb22d64546"),
+        (("primitive-element", "--field", "GF(64)(Z)", "--n", "3", "--a", "Z+1", "--subspace", "t,t^2"),
+         "ee5f647d2a4bda28"),
+        (("primitive-element", "--field", "GF(729)(Z)", "--n", "3", "--a", "Z", "--subspace", "t"),
+         "a2533c5d280152a3"),
+        (("primitive-element", "--field", "GF(16)", "--n", "2", "--a", "t", "--subspace", "t+1"),
+         "5805c0dcf0444ed5"),
+        # an irreducible q under --certify
+        (("primitive-element", "--field", "GF(4)(Z)", "--n", "2", "--a", "Z", "--subspace", "t", "--certify"),
+         "a101ce67e6348c71"),
+        (("primitive-element", "--field", "GF(9)(Z)", "--n", "2", "--a", "Z", "--subspace", "1", "--certify"),
+         "057d9dd0362297db"),
+        # the oracle's CRT search: three p-th powers and one exhaustive search
+        (("irreducible", "--K", "GF(3)", "--n", "1", "--e", "1", "--r", "3", "--g", "Z"), "2e7b8876412c932a"),
+        (("irreducible", "--K", "GF(2)", "--n", "1", "--e", "1", "--r", "2", "--g", "Z^3+Z+1"), "b7b3cc3169a146d9"),
+        (("irreducible", "--K", "GF(9)", "--n", "1", "--e", "1", "--r", "3", "--g", "Z+t"), "ad38198b60791475"),
+        (("irreducible", "--K", "GF(4)", "--n", "1", "--e", "1", "--r", "1", "--g", "Z^3+t"), "d4345fe5c76091f4"),
+        # degree-1 companions reaching c3 through the oracle
+        (("analyze-ad", "--field", "GF(2)(Z)", "--poly", "X+Z"), "1e0e72a1385629bd"),
+        (("analyze-ad", "--field", "GF(3)(Z)", "--poly", "X+Z^2+1"), "6d66e174e3c5e8d0"),
+        # the Smith finish over GF(9)[X], with row and column sweeps on a
+        # 5 x 5 block for the matrix
+        (("analyze-ad", "--field", "GF(9)", "--poly", "X^9-X-t"), "8ea662cf53df2d6b"),
+        (("analyze-ad", "--field", "GF(9)", "--matrix", _GF9_MATRIX), "7cd3e55788d881b9"),
+        # the odd-p Smith finish on ints, on blocks of 6 and 5 rows
+        (("analyze-ad", "--field", "GF(5)", "--matrix", _random_matrix(6, 5, 6)), "acc929ef7f8b5f61"),
+        (("analyze-ad", "--field", "GF(7)", "--matrix", _random_matrix(5, 7, 5)), "8ca255b9d006955f"),
+    ],
+)
+def test_end_to_end_result_digest_is_pinned(capsys, argv, digest):
+    # the first 16 hex digits of the SHA-256 of the canonical "result" JSON,
+    # as the method-call row algebras, the rp.mul f_R product, the
+    # per-element Horner embedding and the degree- and lead-testing CRT
+    # loop gave it
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    canonical = json.dumps(json.loads(out)["result"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from aslab.fields import enumerate_elements, make_field, p_power_split, rabin_ir
 from aslab.poly import (
     MINUS_INFINITY,
     Poly,
+    _BIT_ROWS,
     _divide_out,
     _PayloadRows,
     _PrimeRows,
@@ -531,17 +532,19 @@ def _one_power_at_a_time(k, f, d):
 def test_divide_out_matches_one_power_at_a_time(spec):
     # d^mult times a random quadratic, d monic of degree 1-3 (linear over
     # K(Z)); the cofactor may hold d again, so only >= mult is known; over
-    # odd p both F[X] rings that _divide_out runs on
+    # a prime field every F[X] ring that _divide_out runs on, over GF(2)
+    # the packed one on f and d packed and the quotient unpacked
     field = make_field(spec)
     rings = [_PayloadRows(field)]
-    if field.kind == "prime" and field.p > 2:
-        rings.append(_PrimeRows(field))
+    if field.kind == "prime":
+        rings.append(_BIT_ROWS if field.p == 2 else _PrimeRows(field))
     rng = random.Random(7)
     for mult in range(41):
         d = random_poly(field, 1 if field.order is None else 1 + mult % 3, rng, monic=True).raw
         f = rp.mul(field, rp.power(field, d, mult), random_poly(field, 2, rng).raw)
         for ring in rings:
-            quo, got = _divide_out(ring, f, d)
+            quo, got = _divide_out(ring, ring.pack(f), ring.pack(d))
+            quo = tuple(ring.unpack(quo, ring.size(quo)))
             assert (quo, got) == _one_power_at_a_time(field, f, d)
             assert got >= mult
 

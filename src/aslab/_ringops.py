@@ -11,19 +11,20 @@ k[T] or k[T]/(m): so these functions also run in K[Z][X] (the bivariate
 oracle's trial division) and in F[alpha][X] with F[alpha] = F[X]/(q).
 
 square_and_multiply is the one power loop of the package, on a product
-passed in: power's, pow_mod's, dickson's multivariate pow_int and the
-Smith diagonal's in linalg.  pow_mod and powers_mod have a GF(p) path:
-when k is a prime field and m has degree at least 1, every product and
-reduction mod m runs on lists of ints with % p (one pass of Rabin's test,
-the log tables' powers of g and the generator search, Berlekamp's
-Frobenius columns, poly._min_dependence), and the results are the same
-trimmed tuples; in pow_mod that path is only its product, _mulmod_prime,
-under the same loop.  Its unreduced int product, _mul_prime, is also the
+passed in: power's, pow_mod's, frobenius_chain's, dickson's multivariate
+pow_int and the Smith diagonal's in linalg.  pow_mod, powers_mod and
+frobenius_chain have a GF(p) path: when k is a prime field and m has
+degree at least 1, every product and reduction mod m runs on lists of ints
+with % p (the log tables' powers of g and the generator search,
+Berlekamp's Frobenius columns, poly._min_dependence, and the x^(q^i) of
+Rabin's test), and the results are the same trimmed tuples; in pow_mod
+and frobenius_chain that path is only their product, _mulmod_prime, under
+the same loops.  Its unreduced int product, _mul_prime, is also the
 product of poly._PrimeRows.mul, the Smith finish's GF(p)[X].  The
-field-kind test runs once per pow_mod call or power sequence, never per
-product: mul and divmod_ keep no such test, since there every call, GF(2)
-ones included, would pay it and the inline path gained nothing on
-analyze's Krylov and Smith loops.
+field-kind test runs once per call or power sequence, never per product:
+mul and divmod_ keep no such test, since there every call, GF(2) ones
+included, would pay it and the inline path gained nothing on analyze's
+Krylov and Smith loops.
 """
 
 import operator
@@ -186,6 +187,36 @@ def powers_mod(k, a, m):
     while True:
         yield cur
         cur = rem(k, mul(k, cur, a), m)
+
+
+def frobenius_chain(k, m):
+    """x^q, x^(q^2), x^(q^3), ... reduced modulo the monic m (degree at
+    least 1) over the finite field k of q elements, without end.
+
+    h_1 = x^q by square-and-multiply, and h_(i+1) = h_i^q = h_i(h_1): the
+    q-power map is a ring map that fixes k (von zur Gathen and Shoup,
+    "Computing Frobenius maps and factoring polynomials", Comput.
+    Complexity 2, 1992).  Each step takes whichever needs fewer products
+    mod m: the composition with h_1 by Horner, deg h_i products, or the
+    q-th power, bit_length(q) - 1 squarings and popcount(q) - 1 products.
+    Over GF(p) every product is _mulmod_prime's, on int lists."""
+    q = k.order
+    power_cost = q.bit_length() + bin(q).count("1") - 2
+    if _prime_modulus(k, m):
+        p, tail = k.p, _monic_tail(k.p, m)
+        times = lambda a, b: _mulmod_prime(p, a, b, tail)
+    else:
+        times = lambda a, b: rem(k, mul(k, a, b), m)
+    h1 = h = trim(k, square_and_multiply((k.zero, k.one), q, times))
+    while True:
+        yield h
+        if len(h) - 1 < power_cost:
+            acc = h[-1:]
+            for c in reversed(h[:-1]):
+                acc = add(k, times(acc, h1), (c,))
+            h = acc
+        else:
+            h = trim(k, square_and_multiply(h, q, times))
 
 
 def _prime_modulus(k, m):

@@ -47,7 +47,8 @@ payloads.
 The finite-field kernels shared by the package live here: _least_divisor,
 the one trial division (is_prime, and the p of a field order q = p^n),
 p_power_split (n = m * p^s), rabin_irreducible (for monic raw polynomials
-over any finite descriptor; poly.is_irreducible_finite wraps it),
+over any finite descriptor, every x^(q^i) read off one Frobenius chain,
+_ringops.frobenius_chain; poly.is_irreducible_finite wraps it),
 monic_irreducibles, whose locked cache also supplies default_modulus, the
 tables of _log_tables, _TabulatedField, the one k[T]/(m) field on those
 tables (the oracle's K[Z]/(m), with kind "quotient" and a sort key on the
@@ -378,21 +379,20 @@ class PrimeField(FieldDescriptor):
 
 def rabin_irreducible(k, f):
     """Rabin's test: whether the monic raw polynomial f is irreducible over
-    the finite field k (x^(q^n) == x, and gcd(x^(q^(n/l)) - x, f) = 1 for
-    every prime l dividing n = deg f)."""
+    the finite field k of q elements (x^(q^n) == x, and gcd(x^(q^(n/l)) - x,
+    f) = 1 for every prime l dividing n = deg f).  Every x^(q^i) is read
+    off one Frobenius chain mod f (_ringops.frobenius_chain), each gcd as
+    the chain passes n/l, so a failed gcd ends the walk early."""
     n = len(f) - 1
     if n < 2:
         return n == 1
-    q = k.order
     x = (k.zero, k.one)
-    if rp.pow_mod(k, x, q**n, f) != rp.rem(k, x, f):
-        return False
-    for ell in range(2, n + 1):
-        if n % ell == 0 and is_prime(ell):
-            xd = rp.pow_mod(k, x, q ** (n // ell), f)
-            if rp.gcd(k, rp.sub(k, xd, x), f) != (k.one,):
-                return False
-    return True
+    gcd_at = {n // ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)}
+    for i, h in enumerate(rp.frobenius_chain(k, f), 1):
+        if i == n:
+            return h == x
+        if i in gcd_at and rp.gcd(k, rp.sub(k, h, x), f) != (k.one,):
+            return False
 
 
 _irreducible_cache = {}

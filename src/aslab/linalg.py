@@ -16,10 +16,12 @@ invariant_factors runs the Smith normal form over F[X] (_smith_diagonal)
 only on the small matrix of chain relations (Storjohann, "An O(n^3)
 algorithm for the Frobenius normal form", ISSAC 1998), read off the
 echelon's combinations.  That Smith form has two phases: row and column
-sweeps reach some diagonal form, and factor refinement of its entries into
-a pairwise coprime base closes it into the divisibility chain (Bach,
-Driscoll and Shallit, "Factor refinement", J. Algorithms 1993), so no pivot
-is tested against the rest of the matrix.
+sweeps reach some diagonal form, and the closing turns it into the
+divisibility chain, so no pivot is tested against the rest of the matrix.
+A diagonal whose entries, sorted by degree, already divide one another
+is that chain; any other is closed by factor refinement of its entries
+into a pairwise coprime base (Bach, Driscoll and Shallit, "Factor
+refinement", J. Algorithms 1993).
 
 Matrix(field, rows) converts and validates every entry (FieldDescriptor.
 payload_of) and is meant for values from outside; every matrix computed
@@ -389,8 +391,10 @@ class InvariantFactorList:
 
     def __init__(self, factors):
         factors = tuple(factors)
-        for a, b in zip(factors, factors[1:]):
-            if not (b % a).is_zero():
+        if factors:
+            ring = _row_algebra(factors[0].field)
+            packed = [ring.pack(f.raw) for f in factors]
+            if any(ring.divmod(b, a)[1] for a, b in zip(packed, packed[1:])):
                 raise ConsistencyError("invariant factor chain broken")
         self.factors = factors
 
@@ -570,12 +574,26 @@ def _diagonalize(ring, rows):
 def _close_diagonal(ring, diag):
     """Smith diagonal, monic, over ring, equivalent to the diagonal matrix diag.
 
-    The distinct nonzero entries, made monic, are refined into a pairwise
-    coprime base (_coprime_base).  Each base element b occurs in each entry
-    to some power; the i-th invariant factor takes b to the i-th smallest of
-    those exponents, so each factor divides the next.
+    The nonzero entries, made monic, are sorted by size; when each divides
+    the next (k - 1 divisions), they are the Smith diagonal as they stand,
+    as most diagonals of invariant_factors are.  Only otherwise are they
+    refined (_refine_diagonal).  Zero entries go last.
     """
-    entries = [ring.monic(d) for d in diag if d]
+    entries = sorted((ring.monic(d) for d in diag if d), key=ring.size)
+    zeros = [ring.zero] * (len(diag) - len(entries))
+    if any(ring.divmod(b, a)[1] for a, b in zip(entries, entries[1:])):
+        entries = _refine_diagonal(ring, entries)
+    return entries + zeros
+
+
+def _refine_diagonal(ring, entries):
+    """Smith diagonal of the diagonal matrix of the monic nonzero entries.
+
+    The distinct entries are refined into a pairwise coprime base
+    (_coprime_base).  Each base element b occurs in each entry to some
+    power; the i-th invariant factor takes b to the i-th smallest of those
+    exponents, so each factor divides the next.
+    """
     distinct = list(dict.fromkeys(entries))
     base = _coprime_base(ring, distinct)
     mults = {e: [ring.multiplicity(e, b) for b in base] for e in distinct}
@@ -587,7 +605,7 @@ def _close_diagonal(ring, diag):
             if column[i]:
                 f = ring.mul(f, rp.square_and_multiply(b, column[i], ring.mul))
         out.append(f)
-    return out + [ring.zero] * (len(diag) - len(entries))
+    return out
 
 
 def _coprime_base(ring, polys):

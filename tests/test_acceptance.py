@@ -7,6 +7,7 @@ criterion reruns every suite and compares the JSON byte for byte.
 
 import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -103,6 +104,20 @@ def test_criterion_8_determinism(suite_results):
             print(f"  suite {name} hashes to {digest}, pinned {SUITE_HASHES[name]}")
     print(f"criterion 8 (determinism): {'PASS' if ok else 'FAIL'}")
     assert ok
+
+
+BENCH_FILES = sorted((pathlib.Path(__file__).resolve().parent.parent).glob("BENCH_*.json"))
+
+
+def test_bench_files_are_committed():
+    assert BENCH_FILES
+
+
+@pytest.mark.parametrize("path", BENCH_FILES, ids=lambda path: path.name)
+def test_bench_file_records_the_pinned_suite_hashes(path):
+    # each committed measurement ran on code whose suites hash as pinned here
+    suites = json.loads(path.read_text())["acceptance_suites"]["suites"]
+    assert {name: suite["hash"] for name, suite in suites.items()} == SUITE_HASHES
 
 
 @pytest.mark.parametrize(

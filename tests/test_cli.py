@@ -234,13 +234,21 @@ _GF9_MATRIX = '{"entries": [["1","1","0","2*t"],["t+1","1","0","t"],["0","1","t"
         # the odd-p Smith finish on ints, on blocks of 6 and 5 rows
         (("analyze-ad", "--field", "GF(5)", "--matrix", _random_matrix(6, 5, 6)), "acc929ef7f8b5f61"),
         (("analyze-ad", "--field", "GF(7)", "--matrix", _random_matrix(5, 7, 5)), "8ca255b9d006955f"),
+        # c3 by Rabin's test over GF(p^n), on the Frobenius chain: an
+        # irreducible and a reducible quadratic over GF(729), an irreducible
+        # one over a custom modulus, and a quintic over GF(625)
+        (("analyze-ad", "--field", "GF(729)", "--poly", "X^2-X-t"), "d498006f6496e0b5"),
+        (("analyze-ad", "--field", "GF(729)", "--poly", "X^2-t"), "9c90a0419e5f7acb"),
+        (("analyze-ad", "--field", "GF(2^9; mod=t^9+t^4+1)", "--poly", "X^2+X+1"), "5409587303f40e99"),
+        (("analyze-ad", "--field", "GF(625)", "--poly", "X^5-X-1"), "c608b9e2fffa46ff"),
     ],
 )
 def test_end_to_end_result_digest_is_pinned(capsys, argv, digest):
     # the first 16 hex digits of the SHA-256 of the canonical "result" JSON,
     # as the method-call row algebras, the rp.mul f_R product, the
-    # per-element Horner embedding and the degree- and lead-testing CRT
-    # loop gave it
+    # per-element Horner embedding, the degree- and lead-testing CRT loop,
+    # Rabin's test with a fresh pow_mod per exponent and the coprime-base
+    # closing of every Smith diagonal gave it
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     canonical = json.dumps(json.loads(out)["result"], sort_keys=True, separators=(",", ":"))

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import random
@@ -71,6 +72,118 @@ def test_rabin_test_counts_match_gauss_formula(spec, max_degree):
             for tail in itertools.product(k.enumerate_payloads(), repeat=d)
         )
         assert accepted == expected, (spec, d)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "GF(256)", "GF(512)", "GF(625)", "GF(727)", "GF(729)",
+        "GF(2^9; mod=t^9+t^4+1)", "GF(23^2; mod=t^2+22*t+15)",
+    ],
+)
+def test_rabin_test_at_degrees_2_and_3_is_having_no_root(spec):
+    # a quadratic or cubic is irreducible exactly when it has no root
+    k = make_field(spec)
+    rng = random.Random(spec)
+    verdicts = set()
+    for d in (2, 3):
+        for _ in range(200):
+            f = tuple(k.random_payload(rng) for _ in range(d)) + (k.one,)
+            irreducible = rabin_irreducible(k, f)
+            assert irreducible == (not fields._raw_roots(k, f)), (spec, f)
+            verdicts.add((d, irreducible))
+    assert len(verdicts) == 4, verdicts
+
+
+def _reference_rabin(k, f):
+    """Rabin's test with each x^(q^i) by a fresh pow_mod."""
+    n = len(f) - 1
+    q, x = k.order, (k.zero, k.one)
+    if rp.pow_mod(k, x, q**n, f) != x:
+        return False
+    for ell in range(2, n + 1):
+        if n % ell == 0 and fields.is_prime(ell):
+            h = rp.pow_mod(k, x, q ** (n // ell), f)
+            if rp.gcd(k, rp.sub(k, h, x), f) != (k.one,):
+                return False
+    return True
+
+
+def _rabin_chain_field(name):
+    if name == "GF(4)[Z]/(m)":
+        gf4 = make_field("GF(4)")
+        return fields._TabulatedField(gf4, fields.monic_irreducibles(gf4, 2, 1)[0])
+    return make_field(name)
+
+
+def _rabin_chain_inputs(k, n, rng):
+    """Seeded monic polynomials of degree n over k, two irreducibles by the
+    reference, and for each prime l dividing n the product of l distinct
+    irreducibles of degree n/l: x^(q^n) = x mod that product, and only the
+    gcd at n/l shows it reducible."""
+    pays = list(k.enumerate_payloads())
+
+    def monic(d):
+        return tuple(rng.choice(pays) for _ in range(d)) + (k.one,)
+
+    def irreducibles(d, count):
+        if d == 1:
+            return [(c, k.one) for c in pays[:count]]
+        out = set()
+        for _ in range(50 * d * count):
+            if len(out) == count:
+                break
+            f = monic(d)
+            if _reference_rabin(k, f):
+                out.add(f)
+        return sorted(out)
+
+    inputs = [monic(n) for _ in range(20)] + irreducibles(n, 2)
+    for ell in range(2, n + 1):
+        if n % ell == 0 and fields.is_prime(ell):
+            factors = irreducibles(n // ell, ell)
+            if len(factors) == ell:
+                inputs.append(functools.reduce(lambda a, b: rp.mul(k, a, b), factors))
+    return inputs
+
+
+@pytest.mark.parametrize("name", ["GF(2)", "GF(3)", "GF(4)", "GF(9)", "GF(4)[Z]/(m)"])
+def test_rabin_test_on_the_chain_matches_fresh_powers(name):
+    k, rng = _rabin_chain_field(name), random.Random(name)
+    verdicts = collections.Counter()
+    for n in range(4, 10):
+        for f in _rabin_chain_inputs(k, n, rng):
+            expected = _reference_rabin(k, f)
+            assert rabin_irreducible(k, f) == expected, (name, f)
+            verdicts[expected] += 1
+    assert verdicts[True] >= 12 and verdicts[False] >= 12, verdicts
+
+
+def test_frobenius_chain_steps_by_the_cheaper_method(monkeypatch):
+    # each element is x^(q^i) mod f; square-and-multiply runs for h_1 and
+    # for each step where the q-th power needs fewer products than Horner's
+    # composition with h_1 (deg h_i of them)
+    real, exponents = rp.square_and_multiply, []
+
+    def counting(a, n, times):
+        exponents.append(n)
+        return real(a, n, times)
+
+    monkeypatch.setattr(rp, "square_and_multiply", counting)
+    cases = [
+        ("GF(729)", "X^2-X-t", [729]),  # compose: deg h <= 1 < 14 products
+        ("GF(727)", "X^3-X-5", [727]),  # compose: deg h <= 2 < 15
+        ("GF(2)", "X^9+X^4+1", [2] * 6),  # power: 1 squaring < deg h
+        ("GF(9)", "X^4+X+t", [9]),  # compose: deg h <= 3 < 4 products
+    ]
+    for spec, text, steps in cases:
+        k = make_field(spec)
+        f = Poly.from_string(k, text).raw
+        chain = rp.frobenius_chain(k, f)
+        exponents.clear()
+        got = [next(chain) for _ in range(6)]
+        assert exponents == steps, spec
+        assert got == [rp.pow_mod(k, (k.zero, k.one), k.order**i, f) for i in range(1, 7)]
 
 
 def test_monic_irreducibles_skipping_constant_zero_matches_full_scan():

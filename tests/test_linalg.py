@@ -493,13 +493,81 @@ def _smith_test_matrices(k, rng):
     yield rows
 
 
-def test_smith_diagonal_matches_reference_finish():
+def _smith_cases():
     rng = random.Random(89)
     for spec in ("GF(2)", "GF(3)", "GF(9)", "GF(3)(Z)"):
         k = make_field(spec)
         for rows in _smith_test_matrices(k, rng):
-            expected = _reference_smith_diagonal(k, [dict(r) for r in rows])
-            assert _raw_smith_diagonal(k, [dict(r) for r in rows]) == expected, (spec, rows)
+            yield spec, k, rows
+
+
+def test_smith_diagonal_matches_reference_finish():
+    for spec, k, rows in _smith_cases():
+        expected = _reference_smith_diagonal(k, [dict(r) for r in rows])
+        assert _raw_smith_diagonal(k, [dict(r) for r in rows]) == expected, (spec, rows)
+
+
+def _is_chain(ring, diag):
+    entries = sorted((ring.monic(d) for d in diag if d), key=ring.size)
+    return not any(ring.divmod(b, a)[1] for a, b in zip(entries, entries[1:]))
+
+
+def test_close_diagonal_matches_refinement_on_the_reference_diagonals(monkeypatch):
+    # every diagonal that the reference-finish test hands the closing,
+    # closed by the chain exit and by factor refinement alone
+    close, seen = linalg._close_diagonal, []
+
+    def recording(ring, diag):
+        seen.append((ring, list(diag)))
+        return close(ring, diag)
+
+    monkeypatch.setattr(linalg, "_close_diagonal", recording)
+    cases = 0
+    for _, k, rows in _smith_cases():
+        _raw_smith_diagonal(k, rows)
+        cases += 1
+    assert len(seen) == cases
+    for ring, diag in seen:
+        entries = sorted((ring.monic(d) for d in diag if d), key=ring.size)
+        refined = linalg._refine_diagonal(ring, entries) + [ring.zero] * (len(diag) - len(entries))
+        assert close(ring, diag) == refined, diag
+    chains = sum(_is_chain(ring, diag) for ring, diag in seen)
+    assert 0 < chains < len(seen), (chains, len(seen))
+
+
+@pytest.mark.parametrize("spec, unit", [("GF(2)", "1"), ("GF(3)", "2"), ("GF(9)", "t"), ("GF(3)(Z)", "Z+1")])
+def test_close_diagonal_on_hand_made_diagonals(spec, unit, monkeypatch):
+    k = make_field(spec)
+    ring = poly._row_algebra(k)
+    refinements = []
+    coprime_base = linalg._coprime_base
+
+    def counting(ring, polys):
+        refinements.append(polys)
+        return coprime_base(ring, polys)
+
+    monkeypatch.setattr(linalg, "_coprime_base", counting)
+
+    def packed(texts):
+        return [ring.pack(Poly.from_string(k, t).raw) for t in texts]
+
+    cases = [
+        # not chains: refined
+        (["X", "X+1"], ["1", "X^2+X"], False),
+        (["X^2", "X+1", "X"], ["1", "X", "X^3+X^2"], False),
+        ([f"({unit})*(X+1)", "X", "X+1"], ["1", "X+1", "X^2+X"], False),
+        (["0", f"({unit})*X", "X^2+1", "0", unit], ["1", "1", "X^3+X", "0", "0"], False),
+        # chains, duplicates, units and zeros: returned as they stand
+        ([f"({unit})*X", "X^2", "X", unit], ["1", "X", "X", "X^2"], True),
+        (["X^2+X", "0", f"({unit})*(X+1)", "X+1"], ["X+1", "X+1", "X^2+X", "0"], True),
+        (["0", "0"], ["0", "0"], True),
+        ([unit, unit], ["1", "1"], True),
+        ([], [], True),
+    ]
+    for diag, expected, chain in cases:
+        refinements.clear()
+        assert linalg._close_diagonal(ring, packed(diag)) == packed(expected), (spec, diag)
+        assert (not refinements) == chain, (spec, diag)
 
 
 def test_invariant_factor_list_validates_chain():

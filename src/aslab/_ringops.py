@@ -12,19 +12,16 @@ oracle's trial division) and in F[alpha][X] with F[alpha] = F[X]/(q).
 
 square_and_multiply is the one power loop of the package, on a product
 passed in: power's, pow_mod's, frobenius_chain's, dickson's multivariate
-pow_int and the Smith diagonal's in linalg.  pow_mod, powers_mod and
-frobenius_chain have a GF(p) path: when k is a prime field and m has
-degree at least 1, every product and reduction mod m runs on lists of ints
-with % p (the log tables' powers of g and the generator search,
-Berlekamp's Frobenius columns, poly._min_dependence, and the x^(q^i) of
-Rabin's test), and the results are the same trimmed tuples; in pow_mod
-and frobenius_chain that path is only their product, _mulmod_prime, under
-the same loops.  Its unreduced int product, _mul_prime, is also the
-product of poly._PrimeRows.mul, the Smith finish's GF(p)[X].  The
-field-kind test runs once per call or power sequence, never per product:
-mul and divmod_ keep no such test, since there every call, GF(2) ones
-included, would pay it and the inline path gained nothing on analyze's
-Krylov and Smith loops.
+pow_int and the Smith diagonal's in linalg.  _mulmod is the one product
+mod m of pow_mod and frobenius_chain, chosen once per modulus: over GF(p),
+m of degree at least 1, _mulmod_prime on int lists with % p, else rem of
+mul.  powers_mod keeps its own GF(p) step, dot products on int lists (the
+log tables, Berlekamp's Frobenius columns, poly._min_dependence).  Rabin's
+test and poly._factor_raw walk the Frobenius chain; _factor_raw sends it
+each cofactor left after a factor is divided out.  _mul_prime, the
+unreduced int product, is also poly._PrimeRows.mul's.  mul and divmod_
+keep no field-kind test: every call, GF(2) ones included, would pay it,
+and the inline path gained nothing on analyze's Krylov and Smith loops.
 """
 
 import operator
@@ -167,14 +164,9 @@ def power(k, a, n):
 
 
 def pow_mod(k, a, n, m):
-    """a**n reduced modulo m (m nonzero)."""
-    if _prime_modulus(k, m):
-        p, tail = k.p, _monic_tail(k.p, m)
-        base = _mulmod_prime(p, a, (1,), tail)
-        result = square_and_multiply(base, n, lambda x, y: _mulmod_prime(p, x, y, tail))
-        return (k.one,) if result is None else trim(k, result)
-    result = square_and_multiply(rem(k, a, m), n, lambda x, y: rem(k, mul(k, x, y), m))
-    return rem(k, (k.one,), m) if result is None else result
+    """a**n reduced modulo m (m nonzero), on the product _mulmod(k, m)."""
+    result = square_and_multiply(rem(k, a, m), n, _mulmod(k, m))
+    return rem(k, (k.one,), m) if result is None else trim(k, result)
 
 
 def powers_mod(k, a, m):
@@ -198,18 +190,17 @@ def frobenius_chain(k, m):
     "Computing Frobenius maps and factoring polynomials", Comput.
     Complexity 2, 1992).  Each step takes whichever needs fewer products
     mod m: the composition with h_1 by Horner, deg h_i products, or the
-    q-th power, bit_length(q) - 1 squarings and popcount(q) - 1 products.
-    Over GF(p) every product is _mulmod_prime's, on int lists."""
+    q-th power, bit_length(q) - 1 squarings and popcount(q) - 1 products,
+    each _mulmod(k, m)'s.  send(m'), m' a divisor of m, in place of next
+    reduces h_1 and h_i mod m', and the chain goes on modulo m'."""
     q = k.order
     power_cost = q.bit_length() + bin(q).count("1") - 2
-    if _prime_modulus(k, m):
-        p, tail = k.p, _monic_tail(k.p, m)
-        times = lambda a, b: _mulmod_prime(p, a, b, tail)
-    else:
-        times = lambda a, b: rem(k, mul(k, a, b), m)
+    times = _mulmod(k, m)
     h1 = h = trim(k, square_and_multiply((k.zero, k.one), q, times))
     while True:
-        yield h
+        m = yield h
+        if m is not None:
+            times, h1, h = _mulmod(k, m), rem(k, h1, m), rem(k, h, m)
         if len(h) - 1 < power_cost:
             acc = h[-1:]
             for c in reversed(h[:-1]):
@@ -217,6 +208,15 @@ def frobenius_chain(k, m):
             h = acc
         else:
             h = trim(k, square_and_multiply(h, q, times))
+
+
+def _mulmod(k, m):
+    """a * b mod m (m nonzero), maybe untrimmed: _mulmod_prime on int lists
+    when _prime_modulus(k, m), else rem of mul."""
+    if _prime_modulus(k, m):
+        p, tail = k.p, _monic_tail(k.p, m)
+        return lambda a, b: _mulmod_prime(p, a, b, tail)
+    return lambda a, b: rem(k, mul(k, a, b), m)
 
 
 def _prime_modulus(k, m):

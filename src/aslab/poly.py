@@ -18,11 +18,12 @@ call it directly.  The echelon is a dict from pivot to (row, combination),
 whose representation is chosen per field: over GF(2) a Python int with bit
 i holding coordinate i, reduced by XOR at the vector's set bits (_BitRows);
 over every other field a list of payloads, reduced by the one payload
-echelon step, _PayloadRows.extend, on two row kernels that each kind
-supplies: through the field's methods over GF(p^n) and K(Z) (_PayloadRows),
-inline mod p over GF(p), p odd (_PrimeRows).  The same algebra is F[X] for
-linalg's Smith finish and analyze's multiplicities, bit i over GF(2)
-holding the coefficient of X^i and _ringops tuples elsewhere.  Each kind
+echelon step, _PayloadRows.extend, and matrix-vector product, apply, on
+two row kernels that each kind supplies: through the field's methods over
+GF(p^n) and K(Z) (_PayloadRows), inline mod p over GF(p), p odd
+(_PrimeRows).  The same algebra is F[X] for linalg's Smith finish and
+analyze's multiplicities, bit i over GF(2) holding the coefficient of X^i
+and _ringops tuples elsewhere.  Each kind
 supplies sub, mul, divmod and monic (inline mod p over GF(p), p odd, the
 product shared with _ringops); gcd (Euclid) and multiplicity (_divide_out)
 are written once on them for all three.  Poly.from_string reads
@@ -34,7 +35,8 @@ NotImplemented from an operator and InputError elsewhere.  The module
 functions (gcd, separable_part, is_irreducible_finite, factor_finite,
 roots_in_finite_field, min_poly_in_quotient) refuse a polynomial argument
 that is not a Poly with the same InputError (_unreadable).
-Irreducibility comes from fields.rabin_irreducible.
+Irreducibility comes from fields.rabin_irreducible; _factor_raw walks its
+Frobenius chain.
 """
 
 import itertools
@@ -371,27 +373,24 @@ def factor_finite(f: Poly):
 
 
 def _factor_raw(field, m):
-    """(raw monic irreducible, multiplicity) pairs, canonically sorted."""
-    q = field.order
-    found = []
+    """(raw monic irreducible, multiplicity) pairs, canonically sorted: the
+    degree-d ones split out of gcd(x^(q^d) - x, m), d = 1, 2, ..., on one
+    Frobenius chain (_ringops.frobenius_chain), sent each cofactor."""
+    found, x = [], (field.zero, field.one)
+    chain, cofactor = rp.frobenius_chain(field, m), None
     d = 1
-    x = (field.zero, field.one)
-    xq = None
-    while len(m) - 1 > 0:
-        if 2 * d > len(m) - 1:
-            found.append((m, 1))
-            break
-        # maintain x^(q^d) mod m incrementally; recompute after m shrinks
-        if xq is None:
-            xq = rp.pow_mod(field, x, q**d, m)
-        else:
-            xq = rp.pow_mod(field, xq, q, m)
+    while 2 * d <= len(m) - 1:
+        # send(None) is next: a new cofactor is sent only when a step needs it
+        xq, cofactor = chain.send(cofactor), None
         g = rp.gcd(field, rp.sub(field, xq, x), m)
         if len(g) > 1:
             for piece in _equal_degree_split(field, g, d):
                 m, mult = _divide_out(_PayloadRows(field), m, piece)
                 found.append((piece, mult))
+            cofactor = m
         d += 1
+    if len(m) > 1:
+        found.append((m, 1))
     found.sort(key=lambda fm: _raw_sort_key(field, fm[0]))
     return found
 
@@ -587,8 +586,9 @@ class _PayloadRows:
     """Vectors as lists of payloads.  The echelon maps each pivot to its
     (row, combo), both stored as their nonzero (index, value) pairs, so
     sparse rows cost only their nonzeros; a combo is updated in place.
-    extend is the one echelon step on payloads, written on the row kernels
-    subtract_row and scaled_pairs, here through the field's methods.  As
+    extend is the one echelon step on payloads, on the row kernels
+    subtract_row and scaled_pairs, and apply the one matrix-vector product,
+    on subtract_row; here the kernels use the field's methods.  As
     F[X] for the Smith finish, polynomials are _ringops raw tuples and size
     is the coefficient count (0 for zero): sub, mul, divmod and monic are
     _ringops', and gcd and multiplicity, written on them, serve _PrimeRows
@@ -661,13 +661,13 @@ class _PayloadRows:
         return [[(i, a) for i, a in enumerate(col) if a != zero] for col in zip(*matrix_rows)]
 
     def apply(self, columns, v):
-        """The matrix with these columns times v."""
+        """The matrix with these columns times v: out - (-a) * column for
+        each nonzero coordinate a of v, on the row kernel subtract_row."""
         field = self.field
         out = [field.zero] * len(v)
         for a, col in zip(v, columns):
             if a != field.zero:
-                for i, y in col:
-                    out[i] = field.add(out[i], field.mul(y, a))
+                self.subtract_row(out, field.neg(a), col)
         return out
 
     zero = ()
@@ -687,9 +687,9 @@ class _PayloadRows:
 
 class _PrimeRows(_PayloadRows):
     """_PayloadRows over GF(p), p odd, with the field arithmetic written
-    inline: payloads are the ints 0 .. p-1, so the row kernels and apply
-    reduce (v[i] - a * y) % p with no method call.  Rows, combos, the pivot
-    dict and extend are those of _PayloadRows, and so is low (zero is 0);
+    inline: payloads are the ints 0 .. p-1, so the row kernels reduce
+    (v[i] - a * y) % p with no method call.  Rows, combos, the pivot dict,
+    extend and apply are those of _PayloadRows, and so is low (zero is 0);
     the pivot inverse PrimeField.inv is pow(a, p - 2, p).  F[X] is on the
     same trimmed int tuples that _ringops returns, each sum taken % p only
     where a coefficient is read or returned: mul reduces _ringops._mul_prime,
@@ -704,15 +704,6 @@ class _PrimeRows(_PayloadRows):
     def scaled_pairs(self, v, c):
         p = self.field.p
         return [(i, x * c % p) for i, x in enumerate(v) if x]
-
-    def apply(self, columns, v):
-        p = self.field.p
-        out = [0] * len(v)
-        for a, col in zip(v, columns):
-            if a:
-                for i, y in col:
-                    out[i] = (out[i] + y * a) % p
-        return out
 
     def sub(self, a, b):
         p = self.field.p

@@ -186,6 +186,45 @@ def test_frobenius_chain_steps_by_the_cheaper_method(monkeypatch):
         assert got == [rp.pow_mod(k, (k.zero, k.one), k.order**i, f) for i in range(1, 7)]
 
 
+def test_frobenius_chain_goes_on_modulo_a_sent_divisor(monkeypatch):
+    # after send(m') every element is x^(q^i) mod m', and every product mod
+    # m' takes operands already reduced mod m' (h_1 and h_i included); the
+    # step after the send is the power over GF(2), the composition with h_1
+    # over GF(729) and GF(727)
+    real_power, exponents = rp.square_and_multiply, []
+    monkeypatch.setattr(
+        rp, "square_and_multiply", lambda a, n, times: exponents.append(n) or real_power(a, n, times)
+    )
+    real_mulmod = rp._mulmod
+
+    def checked_mulmod(k, m):
+        times = real_mulmod(k, m)
+
+        def checked(a, b):
+            assert len(a) <= len(m) - 1 and len(b) <= len(m) - 1, (a, b, m)
+            return times(a, b)
+
+        return checked
+
+    monkeypatch.setattr(rp, "_mulmod", checked_mulmod)
+    cases = [
+        ("GF(2)", "X^9+X^4+1", "X^5+X^2+1", [2]),
+        ("GF(729)", "X^5-X-t", "X^6+t*X^2+1", []),
+        ("GF(727)", "X^4-X-5", "X^7+3*X+11", []),
+    ]
+    for spec, divisor, cofactor, steps in cases:
+        k = make_field(spec)
+        m2 = Poly.from_string(k, divisor).raw
+        m = rp.mul(k, m2, Poly.from_string(k, cofactor).raw)
+        x = (k.zero, k.one)
+        chain = rp.frobenius_chain(k, m)
+        assert [next(chain) for _ in range(3)] == [rp.pow_mod(k, x, k.order**i, m) for i in (1, 2, 3)]
+        exponents.clear()
+        got = [chain.send(m2)] + [next(chain) for _ in range(5)]
+        assert exponents == steps * 6, spec
+        assert got == [rp.pow_mod(k, x, k.order**i, m2) for i in range(4, 10)], spec
+
+
 def test_monic_irreducibles_skipping_constant_zero_matches_full_scan():
     # the reference scans every tail, constant term zero included
     def full_scan(k, degree, count):
@@ -1349,6 +1388,8 @@ def test_pow_mod_edge_cases_match_repeated_products(spec):
     for a, m in cases:
         expected = _repeated_products(k, a, 12, m)
         assert [rp.pow_mod(k, a, n, m) for n in range(12)] == expected, (a, m)
+        # pow_mod is one body on _mulmod's product: also the power reduced once
+        assert expected == [rp.rem(k, rp.power(k, a, n), m) for n in range(12)], (a, m)
         assert rp.pow_mod(k, a, 0, m) == rp.rem(k, (k.one,), m)
         if len(m) > 1:
             assert list(itertools.islice(rp.powers_mod(k, a, m), 12)) == expected, (a, m)

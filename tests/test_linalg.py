@@ -1168,6 +1168,39 @@ def test_pivot_table_echelon_matches_payload_rows(monkeypatch):
                 assert run() == _with_payload_rows(monkeypatch, run), (spec, u, m)
 
 
+def _reference_apply(field, rows, vec):
+    """The matrix times vec, one dot product of field methods per row."""
+    out = []
+    for row in rows:
+        acc = field.zero
+        for a, b in zip(row, vec):
+            acc = field.add(acc, field.mul(a, b))
+        out.append(acc)
+    return out
+
+
+def test_apply_matches_a_reference_matrix_vector_product():
+    # apply is written once on subtract_row, as out - (-a) * column; the
+    # field's own row algebra and the payload lists against dot products,
+    # on the differential matrices and on random matrices over GF(3)(Z)
+    cases = [
+        (make_field(spec), mat.rows)
+        for spec in DIFFERENTIAL_FIELDS
+        for mat in _differential_matrices(make_field(spec))
+    ]
+    f3z, rng = make_field("GF(3)(Z)"), random.Random(187)
+    cases += [(f3z, random_matrix(f3z, size, rng).rows) for size in (1, 2, 3, 4, 5)]
+    for field, rows in cases:
+        n = len(rows)
+        vecs = [[field.zero] * n, [field.one] + [field.zero] * (n - 1)]
+        vecs += [[field.random_payload(rng) for _ in range(n)] for _ in range(2)]
+        expected = [_reference_apply(field, rows, vec) for vec in vecs]
+        for algebra in (poly._row_algebra(field), poly._PayloadRows(field)):
+            columns = algebra.columns(rows)
+            got = [algebra.unpack(algebra.apply(columns, algebra.pack(v)), n) for v in vecs]
+            assert got == expected, (field, rows)
+
+
 def test_packed_segment_and_low_match_payload_rows():
     # an unmasked segment would still give the right invariant factors (it
     # adds X-shifted later chains to each entry, a unimodular column

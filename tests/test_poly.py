@@ -4,6 +4,7 @@ import random
 import pytest
 
 from aslab import _ringops as rp
+from aslab import fields, poly
 from aslab.errors import CapExceededError, InputError
 from aslab.fields import enumerate_elements, make_field, p_power_split, rabin_irreducible
 from aslab.poly import (
@@ -369,6 +370,113 @@ def test_equal_degree_split_matches_exhaustive_search(spec):
             split = _equal_degree_split(field, g, d)
             assert len(split) == len(pieces)
             assert set(split) == pieces == set(_exhaustive_equal_degree_split(field, g, d))
+
+
+def _reference_factor_raw(field, m):
+    """Distinct-degree factorization with a fresh pow_mod(xq, q, m) per
+    degree on the current cofactor, as it ran before the Frobenius chain."""
+    q, x = field.order, (field.zero, field.one)
+    found, d, xq = [], 1, None
+    while len(m) - 1 > 0:
+        if 2 * d > len(m) - 1:
+            found.append((m, 1))
+            break
+        if xq is None:
+            xq = rp.pow_mod(field, x, q**d, m)
+        else:
+            xq = rp.pow_mod(field, xq, q, m)
+        g = rp.gcd(field, rp.sub(field, xq, x), m)
+        if len(g) > 1:
+            for piece in _equal_degree_split(field, g, d):
+                m, mult = _divide_out(_PayloadRows(field), m, piece)
+                found.append((piece, mult))
+        d += 1
+    found.sort(key=lambda fm: poly._raw_sort_key(field, fm[0]))
+    return found
+
+
+def _factor_field(name):
+    if name == "GF(4)[Z]/(m)":
+        gf4 = make_field("GF(4)")
+        return fields._TabulatedField(gf4, fields.monic_irreducibles(gf4, 2, 1)[0])
+    return make_field(name)
+
+
+def _product(field, factors):
+    out = (field.one,)
+    for f in factors:
+        out = rp.mul(field, out, f)
+    return out
+
+
+def _factor_inputs(field, rng):
+    """Seeded monic polynomials of degree 1 to 64 over field: random ones,
+    squared and cubed factors times a random cofactor, and products of
+    several distinct irreducibles of one degree, drawn by seeded search."""
+    pays = list(field.enumerate_payloads())
+
+    def monic(d):
+        return tuple(rng.choice(pays) for _ in range(d)) + (field.one,)
+
+    def irreducibles(d, count):
+        # bounded: GF(2) has one irreducible quadratic and two cubics
+        out = set()
+        for _ in range(100 * count):
+            f = monic(d)
+            if len(out) < count and rabin_irreducible(field, f):
+                out.add(f)
+        return sorted(out)
+
+    small = field.order <= 9
+    inputs = [monic(d) for d in (1, 2, 3, 4, 5, 6, 8, 11, 16, 24, 64)]
+    for d in (1, 2, 3):
+        g, h = (irreducibles(d, 2) * 2)[:2]
+        inputs.append(_product(field, [g, g, h, h, h, monic(rng.randrange(1, 7))]))
+    for d, count in ((2, 3), (3, 4), (4, 2), (8, 8 if small else 3)):
+        inputs.append(_product(field, irreducibles(d, count)))
+    return inputs
+
+
+class _WatchedChain:
+    """rp.frobenius_chain that checks each element, x^(q^i) mod the current
+    modulus, against the q-th power of the one before by a fresh pow_mod,
+    and logs "next" or "send" per step."""
+
+    def __init__(self, real, log, k, m):
+        self.chain, self.log, self.k, self.m = real(k, m), log, k, m
+        self.h = (k.zero, k.one)
+
+    def send(self, m):
+        self.log.append("next" if m is None else "send")
+        self.m = self.m if m is None else m
+        want = rp.pow_mod(self.k, self.h, self.k.order, self.m)
+        self.h = self.chain.send(m)
+        assert self.h == want
+        return self.h
+
+    def __next__(self):
+        return self.send(None)
+
+
+@pytest.mark.parametrize(
+    "name", ["GF(2)", "GF(3)", "GF(4)", "GF(9)", "GF(81)", "GF(727)", "GF(729)", "GF(4)[Z]/(m)"]
+)
+def test_factor_raw_on_the_chain_matches_fresh_powers(name, monkeypatch):
+    field, rng = _factor_field(name), random.Random(name)
+    inputs = _factor_inputs(field, rng)
+    expected = [_reference_factor_raw(field, f) for f in inputs]
+    log, real = [], rp.frobenius_chain
+    monkeypatch.setattr(rp, "frobenius_chain", lambda k, m: _WatchedChain(real, log, k, m))
+    stepped_after_send = 0
+    for f, want in zip(inputs, expected):
+        log.clear()
+        assert poly._factor_raw(field, f) == want, (name, f)
+        # a cofactor was sent and the chain then went on modulo it
+        stepped_after_send += "send" in log[:-1]
+    assert stepped_after_send >= 1
+    assert {len(f) - 1 for f in inputs} >= {1, 16, 24} and any(
+        m > 1 for want in expected for _, m in want
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,15 @@ def _sympy_factors(raw, p):
     return sorted((_monic_residues(f, p), m) for f, m in factors)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + (251, 727))
 def test_factor_finite_matches_sympy(p):
+    # over GF(251) and GF(727) to degree 24: there the Frobenius chain steps
+    # by composition (a q-th power costs 13 and 15 products) after sends
     field = make_field(f"GF({p})")
     rng = random.Random(1000 + p)
+    top = 12 if p in PRIMES else 24
     for _ in range(40):
-        degree = rng.randrange(1, 13)
+        degree = rng.randrange(1, top + 1)
         raw = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
         if rng.random() < 0.3:
             # a repeated factor, so the multiplicities are exercised

@@ -10,20 +10,19 @@ The coefficients may themselves be polynomials over the descriptor PolyRing,
 k[T] or k[T]/(m): so these functions also run in K[Z][X] (the bivariate
 oracle's trial division) and in F[alpha][X] with F[alpha] = F[X]/(q).
 
-square_and_multiply is the one power loop of the package, on a product
-passed in: power's, pow_mod's, frobenius_chain's, dickson's multivariate
-pow_int and the Smith diagonal's in linalg.  _mulmod is the one product
-mod m of pow_mod and frobenius_chain, chosen once per modulus: over GF(p),
-m of degree at least 1, _mulmod_prime on int lists with % p, else rem of
-mul.  powers_mod keeps its own GF(p) step, dot products on int lists (the
-log tables, Berlekamp's Frobenius columns, poly._min_dependence).  Rabin's
-test and poly._factor_raw walk the Frobenius chain; _factor_raw sends it
-each cofactor left after a factor is divided out.  _mul_prime, the
-unreduced int product, is also poly._PrimeRows.mul's.  mul and divmod_
-keep no field-kind test: every call, GF(2) ones included, would pay it,
-and the inline path gained nothing on analyze's Krylov and Smith loops.
+ring(k) is the one choice of F[X] by field kind: PrimeRing, the only F[X]
+on ints with % p inline, over GF(p), 2 included, and PolyRing, these
+functions over k, elsewhere.  pow_mod, powers_mod and frobenius_chain take
+one ring per call, as do Rabin's test, poly's factorization and root
+multiplicities, and poly's row algebras inherit them.  square_and_multiply
+is the one power loop of the package, on a product passed in: power's,
+pow_mod's, frobenius_chain's, dickson's multivariate pow_int and the Smith
+diagonal's in linalg.  The module functions keep no field-kind test: every
+call, GF(2) ones included, would pay it, and the inline path gained
+nothing on analyze's Krylov and Smith loops.
 """
 
+import itertools
 import operator
 
 
@@ -111,10 +110,7 @@ def monic(k, a):
 
 
 def gcd(k, a, b):
-    a, b = tuple(a), tuple(b)
-    while b:
-        a, b = b, rem(k, a, b)
-    return monic(k, a)
+    return PolyRing(k).gcd(a, b)
 
 
 def xgcd(k, a, b):
@@ -164,21 +160,16 @@ def power(k, a, n):
 
 
 def pow_mod(k, a, n, m):
-    """a**n reduced modulo m (m nonzero), on the product _mulmod(k, m)."""
-    result = square_and_multiply(rem(k, a, m), n, _mulmod(k, m))
-    return rem(k, (k.one,), m) if result is None else trim(k, result)
+    """a**n reduced modulo m (m nonzero), on the product ring(k).mulmod(m)."""
+    r = ring(k)
+    result = square_and_multiply(r.rem(a, m), n, r.mulmod(m))
+    return r.rem(r.one, m) if result is None else trim(k, result)
 
 
 def powers_mod(k, a, m):
     """1, a, a^2, ... reduced modulo m (degree at least 1), without end;
-    each power costs one product and one reduction, when it is asked for."""
-    if _prime_modulus(k, m):
-        yield from _powers_mod_prime(k, a, m)
-        return
-    cur = (k.one,)
-    while True:
-        yield cur
-        cur = rem(k, mul(k, cur, a), m)
+    each power costs one product mod m, when it is asked for."""
+    return ring(k).powers_mod(a, m)
 
 
 def frobenius_chain(k, m):
@@ -191,16 +182,17 @@ def frobenius_chain(k, m):
     Complexity 2, 1992).  Each step takes whichever needs fewer products
     mod m: the composition with h_1 by Horner, deg h_i products, or the
     q-th power, bit_length(q) - 1 squarings and popcount(q) - 1 products,
-    each _mulmod(k, m)'s.  send(m'), m' a divisor of m, in place of next
-    reduces h_1 and h_i mod m', and the chain goes on modulo m'."""
-    q = k.order
+    each ring(k).mulmod(m)'s.  send(m'), m' a divisor of m, in place of
+    next reduces h_1 and h_i mod m' in the same ring, and the chain goes on
+    modulo m'."""
+    q, r = k.order, ring(k)
     power_cost = q.bit_length() + bin(q).count("1") - 2
-    times = _mulmod(k, m)
+    times = r.mulmod(m)
     h1 = h = trim(k, square_and_multiply((k.zero, k.one), q, times))
     while True:
         m = yield h
         if m is not None:
-            times, h1, h = _mulmod(k, m), rem(k, h1, m), rem(k, h, m)
+            times, h1, h = r.mulmod(m), r.rem(h1, m), r.rem(h, m)
         if len(h) - 1 < power_cost:
             acc = h[-1:]
             for c in reversed(h[:-1]):
@@ -208,20 +200,6 @@ def frobenius_chain(k, m):
             h = acc
         else:
             h = trim(k, square_and_multiply(h, q, times))
-
-
-def _mulmod(k, m):
-    """a * b mod m (m nonzero), maybe untrimmed: _mulmod_prime on int lists
-    when _prime_modulus(k, m), else rem of mul."""
-    if _prime_modulus(k, m):
-        p, tail = k.p, _monic_tail(k.p, m)
-        return lambda a, b: _mulmod_prime(p, a, b, tail)
-    return lambda a, b: rem(k, mul(k, a, b), m)
-
-
-def _prime_modulus(k, m):
-    """Whether k is a prime field GF(p) and m has degree at least 1."""
-    return getattr(k, "kind", None) == "prime" and len(m) > 1
 
 
 def _monic_tail(p, m):
@@ -255,24 +233,6 @@ def _mulmod_prime(p, a, b, tail):
     return [u % p for u in out[:d]]
 
 
-def _powers_mod_prime(k, a, m):
-    """powers_mod over GF(p): the next power is cur * a mod m, a linear map
-    of cur, so each coefficient is one dot product of cur with a column of
-    the matrix whose rows are a * T^j mod m, j < deg m."""
-    p, tail = k.p, _monic_tail(k.p, m)
-    row, rows = _mulmod_prime(p, a, (1,), tail), []
-    row += [0] * (len(tail) - len(row))
-    for _ in tail:
-        rows.append(row)
-        row = [(u + row[-1] * t) % p for u, t in zip([0] + row[:-1], tail)]
-    cols, times = list(zip(*rows)), operator.mul
-    cur = [1] + [0] * (len(tail) - 1)
-    yield (k.one,)
-    while True:
-        cur = [sum(map(times, cur, col)) % p for col in cols]
-        yield trim(k, cur)
-
-
 def derivative(k, a):
     out = []
     for i in range(1, len(a)):
@@ -285,11 +245,24 @@ def compose(k, a, b):
     return evaluate(PolyRing(k), [trim(k, (c,)) for c in a], b)
 
 
+def ring(k):
+    """k[X] on raw tuples: PrimeRing over GF(p), PolyRing over any other
+    coefficient descriptor."""
+    return PrimeRing(k) if getattr(k, "kind", None) == "prime" else PolyRing(k)
+
+
 class PolyRing:
     """k[T], or k[T]/(modulus) for a monic modulus, as a coefficient
     descriptor: payloads are trimmed raw polynomials over k, reduced modulo
     the modulus when there is one.  It has no inv, so divmod_ over it needs
-    a monic divisor."""
+    a monic divisor.
+
+    With no modulus it is also the ring k[X] of ring(k): sub, mul, divmod,
+    rem, monic and mulmod (a product mod m) run the module functions, looked
+    up at each call, and size is the coefficient count.  gcd, divide_out and
+    multiplicity, written once on them, serve PrimeRing and _BitRows too."""
+
+    size = len
 
     def __init__(self, k, modulus=None):
         self.k, self.modulus, self.zero, self.one = k, modulus, (), (k.one,)
@@ -306,3 +279,124 @@ class PolyRing:
     def mul(self, a, b):
         prod = mul(self.k, a, b)
         return prod if self.modulus is None else rem(self.k, prod, self.modulus)
+
+    def divmod(self, a, b):
+        return divmod_(self.k, a, b)
+
+    def rem(self, a, b):
+        return rem(self.k, a, b)
+
+    def monic(self, a):
+        return monic(self.k, a)
+
+    def mulmod(self, m):
+        """The product a * b mod m (m nonzero), maybe untrimmed."""
+        k = self.k
+        return lambda a, b: rem(k, mul(k, a, b), m)
+
+    def powers_mod(self, a, m):
+        return itertools.accumulate(itertools.repeat(a), self.mulmod(m), initial=self.one)
+
+    def gcd(self, a, b):
+        """The monic gcd of a and b, by Euclid."""
+        while b:
+            a, b = b, self.rem(a, b)
+        return self.monic(a)
+
+    def divide_out(self, f, d):
+        """(f / d^m, m) for the largest m with d^m dividing the nonzero f.
+
+        d is divided out one power at a time up to d^8, so m < 8, which is
+        what the root and invariant-factor multiplicities of analyze nearly
+        always see, costs m + 1 divisions and no squaring.  Beyond that f is
+        divided by d^2, d^4, ... while they divide; what is left is below
+        the first power that failed, and the powers below it take it out by
+        its binary digits, so m in the thousands costs a few dozen
+        divisions.
+        """
+        size, mult, powers = self.size, 0, [d]  # powers[i] = d^(2^i)
+        while size(f) >= size(powers[-1]):
+            quo, remdr = self.divmod(f, powers[-1])
+            if remdr:
+                break
+            f, mult = quo, mult + (1 << len(powers) - 1)
+            if mult >= 8:
+                powers.append(self.mul(powers[-1], powers[-1]))
+        for i in range(len(powers) - 2, -1, -1):
+            if size(f) >= size(powers[i]):
+                quo, remdr = self.divmod(f, powers[i])
+                if not remdr:
+                    f, mult = quo, mult + (1 << i)
+        return f, mult
+
+    def multiplicity(self, a, b):
+        """The largest m with b^m dividing the nonzero a."""
+        return self.divide_out(a, b)[1]
+
+
+class PrimeRing(PolyRing):
+    """GF(p)[X] with the arithmetic written inline on the ints 0 .. p-1, each
+    sum taken % p only where a coefficient is read or returned: the module
+    functions' trimmed tuples with no method call (mulmod's products are
+    untrimmed lists, _mulmod_prime's)."""
+
+    def sub(self, a, b):
+        p = self.k.p
+        return trim(self.k, [(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)])
+
+    def mul(self, a, b):
+        # the operands are trimmed, so the top coefficient is nonzero
+        if not a or not b:
+            return ()
+        p = self.k.p
+        return tuple(u % p for u in _mul_prime(a, b))
+
+    def divmod(self, a, b):
+        if not b:
+            raise ZeroDivisionError("division by zero polynomial")
+        d = len(b) - 1
+        if len(a) <= d:
+            return (), a
+        p = self.k.p
+        binv, tail = pow(b[-1], p - 2, p), b[:-1]
+        rem = list(a)
+        q = [0] * (len(a) - d)
+        for i in range(len(q) - 1, -1, -1):
+            c = rem[i + d] * binv % p
+            if c:
+                q[i] = c
+                for j, y in enumerate(tail, i):
+                    rem[j] -= c * y
+        # a's top coefficient over b's is nonzero, so q is trimmed
+        return tuple(q), trim(self.k, [u % p for u in rem[:d]])
+
+    def rem(self, a, b):
+        return self.divmod(a, b)[1]
+
+    def monic(self, a):
+        if not a or a[-1] == 1:
+            return a
+        p = self.k.p
+        inv = pow(a[-1], p - 2, p)
+        return tuple(x * inv % p for x in a)
+
+    def mulmod(self, m):
+        p, tail = self.k.p, _monic_tail(self.k.p, m)
+        return lambda a, b: _mulmod_prime(p, a, b, tail)
+
+    def powers_mod(self, a, m):
+        """The next power is cur * a mod m, a linear map of cur, so each
+        coefficient is one dot product of cur with a column of the matrix
+        whose rows are a * T^j mod m, j < deg m."""
+        p, tail = self.k.p, _monic_tail(self.k.p, m)
+        row, rows = _mulmod_prime(p, a, (1,), tail), []
+        row += [0] * (len(tail) - len(row))
+        for _ in tail:
+            rows.append(row)
+            row = [(u + row[-1] * t) % p for u, t in zip([0] + row[:-1], tail)]
+        cols, times = list(zip(*rows)), operator.mul
+        cur = [1] + [0] * (len(tail) - 1)
+        yield self.one
+        while True:
+            cur = [sum(map(times, cur, col)) % p for col in cols]
+            yield trim(self.k, cur)

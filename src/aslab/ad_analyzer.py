@@ -57,7 +57,6 @@ from .linalg import (
 )
 from .poly import (
     Poly,
-    _divide_out,
     _factor_raw,
     _monic_divisors,
     _raw_sort_key,
@@ -164,9 +163,9 @@ def _rational_roots(f: Poly):
     the count is capped.  The sorted divisors put nd = dd = 1 first, so the
     constants follow zero in enumeration order."""
     F = f.field
-    ring = _row_algebra(F)
+    ring = rp.ring(F)
     roots = []
-    work, mult = _divide_out(ring, f.raw, (F.zero, F.one))
+    work, mult = ring.divide_out(f.raw, (F.zero, F.one))
     if mult:
         roots.append(F.zero_element())
     cols, k = _clear_denominators(Poly.from_raw(F, work))
@@ -188,7 +187,7 @@ def _rational_roots(f: Poly):
         for dd in den_divs:
             for u in units:
                 cand = F.fraction(rp.scale(k, nd, u), dd)
-                work, mult = _divide_out(ring, work, (F.neg(cand.payload), F.one))
+                work, mult = ring.divide_out(work, (F.neg(cand.payload), F.one))
                 if mult:
                     roots.append(cand)
     return roots

@@ -40,7 +40,7 @@ power is one dict lookup and one list lookup, and a sum goes through the
 Zech table, log(1 + g^k), with g the first generator of _first_generator,
 the one search for an element of full multiplicative order (acceptance
 runs it on elements).  Over GF(p) the tables' powers of g and the
-generator's pow tests take _ringops' GF(p) path (inline % p, see there),
+generator's pow tests take _ringops.PrimeRing (inline % p, see there),
 and the exp, log and Zech entries are read off one list of full-length
 payloads.
 
@@ -381,17 +381,18 @@ def rabin_irreducible(k, f):
     """Rabin's test: whether the monic raw polynomial f is irreducible over
     the finite field k of q elements (x^(q^n) == x, and gcd(x^(q^(n/l)) - x,
     f) = 1 for every prime l dividing n = deg f).  Every x^(q^i) is read
-    off one Frobenius chain mod f (_ringops.frobenius_chain), each gcd as
-    the chain passes n/l, so a failed gcd ends the walk early."""
+    off one Frobenius chain mod f (_ringops.frobenius_chain), each gcd, in
+    _ringops.ring(k), as the chain passes n/l, so a failed gcd ends the
+    walk early."""
     n = len(f) - 1
     if n < 2:
         return n == 1
-    x = (k.zero, k.one)
+    x, ring = (k.zero, k.one), rp.ring(k)
     gcd_at = {n // ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)}
     for i, h in enumerate(rp.frobenius_chain(k, f), 1):
         if i == n:
             return h == x
-        if i in gcd_at and rp.gcd(k, rp.sub(k, h, x), f) != (k.one,):
+        if i in gcd_at and ring.gcd(ring.sub(h, x), f) != ring.one:
             return False
 
 
@@ -407,13 +408,13 @@ def monic_irreducibles(k, degree, count):
         cached = _irreducible_cache.get(key, [])
     if len(cached) >= count:
         return cached[:count]
-    out = []
-    for tail in itertools.product(k.enumerate_payloads(), repeat=degree):
-        # X divides a tail with constant term zero, and the constant term
-        # varies slowest, so these come first; only X itself is irreducible
-        if degree >= 2 and tail[0] == k.zero:
-            continue
-        cand = tuple(tail) + (k.one,)
+    out, payloads = [], list(k.enumerate_payloads())
+    # X divides a tail with constant term zero, and only X itself is
+    # irreducible; the constant term varies slowest, so the scan starts at
+    # its first nonzero value
+    constants = payloads if degree < 2 else [c for c in payloads if c != k.zero]
+    for tail in itertools.product(constants, *[payloads] * (degree - 1)):
+        cand = tail + (k.one,)
         if rabin_irreducible(k, cand):
             out.append(cand)
             if len(out) == count:

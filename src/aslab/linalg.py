@@ -10,8 +10,8 @@ and their Smith finish all run in poly's row algebra (_row_algebra, the
 only interface to the incremental echelon, and _kernel on top of it, which
 also serves poly's Berlekamp split), one representation per field: over
 GF(2) a vector, a combination and a polynomial are each one Python int,
-over every other field payload lists and _ringops tuples, with the mod-p
-arithmetic of both written inline over GF(p) for odd p.
+over every other field payload lists and the tuples of _ringops.ring, with
+the mod-p arithmetic of both written inline over GF(p) for odd p.
 invariant_factors runs the Smith normal form over F[X] (_smith_diagonal)
 only on the small matrix of chain relations (Storjohann, "An O(n^3)
 algorithm for the Frobenius normal form", ISSAC 1998), read off the

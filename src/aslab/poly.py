@@ -8,25 +8,24 @@ degree comparisons behave), never -1.
 Kernels shared with acceptance, ad_analyzer, cli, dickson, irred and linalg
 live here: gas_poly (builds X^(p^(n+e)) - X^(p^e) - a, the one place the
 paper's polynomial is constructed) and gas_shape (reads
-X^(p^n) - X - a off the coefficients), _divide_out (the multiplicity of a divisor, hence of a
-root), _monic_divisors (divisors from a factorization), and the row
-algebra of the incremental echelon, _row_algebra.  That echelon is the only
-Gaussian elimination in aslab, and the row algebra is its only interface:
-min_poly_in_quotient, linalg's ranks and invariant factors, and _kernel
-(the Berlekamp split's and linalg's kernels) pack their vectors once and
-call it directly.  The echelon is a dict from pivot to (row, combination),
-whose representation is chosen per field: over GF(2) a Python int with bit
-i holding coordinate i, reduced by XOR at the vector's set bits (_BitRows);
-over every other field a list of payloads, reduced by the one payload
-echelon step, _PayloadRows.extend, and matrix-vector product, apply, on
-two row kernels that each kind supplies: through the field's methods over
-GF(p^n) and K(Z) (_PayloadRows), inline mod p over GF(p), p odd
-(_PrimeRows).  The same algebra is F[X] for linalg's Smith finish and
-analyze's multiplicities, bit i over GF(2) holding the coefficient of X^i
-and _ringops tuples elsewhere.  Each kind
-supplies sub, mul, divmod and monic (inline mod p over GF(p), p odd, the
-product shared with _ringops); gcd (Euclid) and multiplicity (_divide_out)
-are written once on them for all three.  Poly.from_string reads
+X^(p^n) - X - a off the coefficients), _monic_divisors (divisors from a
+factorization), and the row algebra of the incremental echelon,
+_row_algebra.  That echelon is the only Gaussian elimination in aslab, and
+the row algebra is its only interface: min_poly_in_quotient, linalg's
+ranks and invariant factors, and _kernel (the Berlekamp split's and
+linalg's kernels) pack their vectors once and call it directly.  The
+echelon is a dict from pivot to (row, combination), whose representation
+is chosen per field: over GF(2) a Python int with bit i holding coordinate
+i, reduced by XOR at the vector's set bits (_BitRows); over every other
+field a list of payloads, reduced by the one payload echelon step,
+_PayloadRows.extend, and matrix-vector product, apply, on two row kernels
+that each kind supplies: through the field's methods over GF(p^n) and
+K(Z) (_PayloadRows), inline mod p over GF(p), p odd (_PrimeRows).  The
+same algebra is F[X] for linalg's Smith finish and analyze's
+multiplicities: _PayloadRows inherits _ringops.PolyRing and _PrimeRows
+PrimeRing, and over GF(2) bit i holds the coefficient of X^i, with gcd,
+divide_out and multiplicity borrowed from PolyRing.  The factorization
+code takes _ringops.ring(field) itself.  Poly.from_string reads
 its constants from the field's parse atoms (FieldDescriptor.atoms).
 Poly's binary operators are one body, _binary, over Poly._coerce, and
 compose, pow_mod and gcd read their operand through Poly._operand: the
@@ -39,7 +38,6 @@ Irreducibility comes from fields.rabin_irreducible; _factor_raw walks its
 Frobenius chain.
 """
 
-import itertools
 import operator
 
 from . import _ringops as rp
@@ -375,17 +373,18 @@ def factor_finite(f: Poly):
 def _factor_raw(field, m):
     """(raw monic irreducible, multiplicity) pairs, canonically sorted: the
     degree-d ones split out of gcd(x^(q^d) - x, m), d = 1, 2, ..., on one
-    Frobenius chain (_ringops.frobenius_chain), sent each cofactor."""
-    found, x = [], (field.zero, field.one)
+    Frobenius chain (_ringops.frobenius_chain), sent each cofactor, with
+    the gcds and divisions in one _ringops.ring."""
+    found, x, ring = [], (field.zero, field.one), rp.ring(field)
     chain, cofactor = rp.frobenius_chain(field, m), None
     d = 1
     while 2 * d <= len(m) - 1:
         # send(None) is next: a new cofactor is sent only when a step needs it
         xq, cofactor = chain.send(cofactor), None
-        g = rp.gcd(field, rp.sub(field, xq, x), m)
+        g = ring.gcd(ring.sub(xq, x), m)
         if len(g) > 1:
             for piece in _equal_degree_split(field, g, d):
-                m, mult = _divide_out(_PayloadRows(field), m, piece)
+                m, mult = ring.divide_out(m, piece)
                 found.append((piece, mult))
             cofactor = m
         d += 1
@@ -443,7 +442,7 @@ def _berlekamp_split(field, g, d):
         col[i] = field.sub(col[i], field.one)
         columns.append(col)
     basis = _kernel(field, columns)
-    pieces = [g]
+    ring, pieces = rp.ring(field), [g]
     for b in basis:
         btrim = rp.trim(field, b)
         if len(btrim) <= 1:
@@ -458,11 +457,11 @@ def _berlekamp_split(field, g, d):
                 continue
             remaining = piece
             for s in shifts:
-                h = rp.gcd(field, rp.sub(field, btrim, (s,)), remaining)
+                h = ring.gcd(ring.sub(btrim, (s,)), remaining)
                 # a proper divisor only, so remaining keeps degree >= 1
                 if 1 < len(h) < len(remaining):
                     next_pieces.append(h)
-                    remaining = rp.divmod_(field, remaining, h)[0]
+                    remaining = ring.divmod(remaining, h)[0]
             next_pieces.append(remaining)
         pieces = next_pieces
         if all(len(piece) - 1 == d for piece in pieces):
@@ -478,39 +477,11 @@ def roots_in_finite_field(f: Poly):
         raise InputError("root scan requires a finite field")
     if f.is_zero():
         raise InputError("cannot scan the roots of the zero polynomial")
-    ring = _PayloadRows(field)
+    ring = rp.ring(field)
     return [
-        (FieldElement(field, a), _divide_out(ring, f.raw, (field.neg(a), field.one))[1])
+        (FieldElement(field, a), ring.multiplicity(f.raw, (field.neg(a), field.one)))
         for a in _raw_roots(field, f.raw)
     ]
-
-
-def _divide_out(ring, f, d):
-    """(f / d^m, m) for the largest m with d^m dividing the nonzero f, in
-    ring, a row algebra's F[X] with size, divmod and mul (_PayloadRows,
-    _PrimeRows or _BitRows, whose multiplicity it is), f and d in its form.
-
-    d is divided out one power at a time up to d^8, so m < 8, which is what
-    the root and invariant-factor multiplicities of analyze nearly always
-    see, costs m + 1 divisions and no squaring.  Beyond that f is divided
-    by d^2, d^4, ... while they divide; what is left is below the first
-    power that failed, and the powers below it take it out by its binary
-    digits, so m in the thousands costs a few dozen divisions.
-    """
-    size, mult, powers = ring.size, 0, [d]  # powers[i] = d^(2^i)
-    while size(f) >= size(powers[-1]):
-        quo, remdr = ring.divmod(f, powers[-1])
-        if remdr:
-            break
-        f, mult = quo, mult + (1 << len(powers) - 1)
-        if mult >= 8:
-            powers.append(ring.mul(powers[-1], powers[-1]))
-    for i in range(len(powers) - 2, -1, -1):
-        if size(f) >= size(powers[i]):
-            quo, remdr = ring.divmod(f, powers[i])
-            if not remdr:
-                f, mult = quo, mult + (1 << i)
-    return f, mult
 
 
 def min_poly_in_quotient(u: Poly, q: Poly) -> Poly:
@@ -567,37 +538,24 @@ def _kernel(field, columns):
 
 def _row_algebra(field):
     """The echelon's rows, vectors and combos and linalg's Smith finish's F[X]
-    over field, the one place the field kinds are told apart: packed ints
-    over GF(2), payload lists and int tuples with inline mod-p arithmetic
-    over GF(p) for odd p, and payload lists and _ringops tuples, through
-    the field's methods, over every other field."""
+    over field, the one place the echelon's field kinds are told apart:
+    packed ints over GF(2), payload lists with inline mod-p row kernels on
+    _ringops.PrimeRing over GF(p) for odd p, and payload lists through the
+    field's methods on _ringops.PolyRing over every other field."""
     if field.kind == "prime":
         return _BIT_ROWS if field.p == 2 else _PrimeRows(field)
     return _PayloadRows(field)
 
 
-def _ringop(name):
-    """A _PayloadRows method running _ringops.<name> over its field; the
-    name is looked up at each call, so a tracer that rebinds it sees it."""
-    return lambda self, *args: getattr(rp, name)(self.field, *args)
-
-
-class _PayloadRows:
+class _PayloadRows(rp.PolyRing):
     """Vectors as lists of payloads.  The echelon maps each pivot to its
     (row, combo), both stored as their nonzero (index, value) pairs, so
     sparse rows cost only their nonzeros; a combo is updated in place.
     extend is the one echelon step on payloads, on the row kernels
     subtract_row and scaled_pairs, and apply the one matrix-vector product,
-    on subtract_row; here the kernels use the field's methods.  As
-    F[X] for the Smith finish, polynomials are _ringops raw tuples and size
-    is the coefficient count (0 for zero): sub, mul, divmod and monic are
-    _ringops', and gcd and multiplicity, written on them, serve _PrimeRows
-    and _BitRows too.
+    on subtract_row; here the kernels use the field's methods.  As F[X] for
+    the Smith finish it is the _ringops.PolyRing it inherits.
     """
-
-    def __init__(self, field):
-        self.field = field
-        self.one = (field.one,)
 
     def pack(self, vec):
         """vec, a sequence of payloads, in this representation."""
@@ -605,27 +563,27 @@ class _PayloadRows:
 
     def unpack(self, v, n):
         """v as a list of n payloads."""
-        return list(v) + [self.field.zero] * (n - len(v))
+        return list(v) + [self.k.zero] * (n - len(v))
 
     def unit(self, i, n):
         """The i-th unit vector of length n."""
-        v = [self.field.zero] * n
-        v[i] = self.field.one
+        v = [self.k.zero] * n
+        v[i] = self.k.one
         return v
 
     def low(self, v):
         """Index of the first nonzero coordinate of v, None when v is zero."""
-        zero = self.field.zero
+        zero = self.k.zero
         return next((i for i, a in enumerate(v) if a != zero), None)
 
     def segment(self, v, lo, hi):
         """Coordinates lo .. hi-1 of v as a polynomial, lo the constant term."""
-        return rp.trim(self.field, v[lo:hi])
+        return rp.trim(self.k, v[lo:hi])
 
     def extend(self, echelon, v, c):
         """(whether v is independent of the echelon, c reduced alike); an
         independent v is appended, scaled to a unit pivot."""
-        zero, subtract_row = self.field.zero, self.subtract_row
+        zero, subtract_row = self.k.zero, self.subtract_row
         v = list(v)
         # in insertion order: a row is zero at the pivots of earlier rows
         for piv, (row, ecombo) in echelon.items():
@@ -637,7 +595,7 @@ class _PayloadRows:
         piv = self.low(v)
         if piv is None:
             return False, c
-        inv = self.field.inv(v[piv])
+        inv = self.k.inv(v[piv])
         echelon[piv] = (
             self.scaled_pairs(v, inv),
             None if c is None else self.scaled_pairs(c, inv),
@@ -646,102 +604,46 @@ class _PayloadRows:
 
     def subtract_row(self, v, a, row):
         """v - a * row in place, row as its nonzero (index, value) pairs."""
-        field = self.field
+        field = self.k
         for i, y in row:
             v[i] = field.sub(v[i], field.mul(a, y))
 
     def scaled_pairs(self, v, c):
         """The nonzero (index, x * c) pairs of v, c nonzero."""
-        field = self.field
+        field = self.k
         return [(i, field.mul(x, c)) for i, x in enumerate(v) if x != field.zero]
 
     def columns(self, matrix_rows):
         """The matrix's columns as their nonzero (row, entry) pairs."""
-        zero = self.field.zero
+        zero = self.k.zero
         return [[(i, a) for i, a in enumerate(col) if a != zero] for col in zip(*matrix_rows)]
 
     def apply(self, columns, v):
         """The matrix with these columns times v: out - (-a) * column for
         each nonzero coordinate a of v, on the row kernel subtract_row."""
-        field = self.field
+        field = self.k
         out = [field.zero] * len(v)
         for a, col in zip(v, columns):
             if a != field.zero:
                 self.subtract_row(out, field.neg(a), col)
         return out
 
-    zero = ()
-    size = len
-    sub, mul, divmod, monic = map(_ringop, ("sub", "mul", "divmod_", "monic"))
 
-    def gcd(self, a, b):
-        """The monic gcd of a and b, by Euclid on divmod."""
-        while b:
-            a, b = b, self.divmod(a, b)[1]
-        return self.monic(a)
-
-    def multiplicity(self, a, b):
-        """The largest m with b^m dividing the nonzero a."""
-        return _divide_out(self, a, b)[1]
-
-
-class _PrimeRows(_PayloadRows):
-    """_PayloadRows over GF(p), p odd, with the field arithmetic written
-    inline: payloads are the ints 0 .. p-1, so the row kernels reduce
-    (v[i] - a * y) % p with no method call.  Rows, combos, the pivot dict,
-    extend and apply are those of _PayloadRows, and so is low (zero is 0);
-    the pivot inverse PrimeField.inv is pow(a, p - 2, p).  F[X] is on the
-    same trimmed int tuples that _ringops returns, each sum taken % p only
-    where a coefficient is read or returned: mul reduces _ringops._mul_prime,
-    the product of _ringops._mulmod_prime.  gcd and multiplicity are
-    _PayloadRows' on these."""
+class _PrimeRows(rp.PrimeRing, _PayloadRows):
+    """_PayloadRows over GF(p), p odd, with the row kernels written inline:
+    payloads are the ints 0 .. p-1, so they reduce (v[i] - a * y) % p with
+    no method call.  Rows, combos, the pivot dict, extend and apply are
+    those of _PayloadRows, and so is low (zero is 0); the pivot inverse
+    PrimeField.inv is pow(a, p - 2, p).  F[X] is _ringops.PrimeRing."""
 
     def subtract_row(self, v, a, row):
-        p = self.field.p
+        p = self.k.p
         for i, y in row:
             v[i] = (v[i] - a * y) % p
 
     def scaled_pairs(self, v, c):
-        p = self.field.p
+        p = self.k.p
         return [(i, x * c % p) for i, x in enumerate(v) if x]
-
-    def sub(self, a, b):
-        p = self.field.p
-        diff = [(x - y) % p for x, y in itertools.zip_longest(a, b, fillvalue=0)]
-        return rp.trim(self.field, diff)
-
-    def mul(self, a, b):
-        # the operands are trimmed, so the top coefficient is nonzero
-        if not a or not b:
-            return ()
-        p = self.field.p
-        return tuple(u % p for u in rp._mul_prime(a, b))
-
-    def divmod(self, a, b):
-        if not b:
-            raise ZeroDivisionError("division by zero polynomial")
-        d = len(b) - 1
-        if len(a) <= d:
-            return (), a
-        p = self.field.p
-        binv, tail = pow(b[-1], p - 2, p), b[:-1]
-        rem = list(a)
-        q = [0] * (len(a) - d)
-        for i in range(len(q) - 1, -1, -1):
-            c = rem[i + d] * binv % p
-            if c:
-                q[i] = c
-                for j, y in enumerate(tail, i):
-                    rem[j] -= c * y
-        # a's top coefficient over b's is nonzero, so q is trimmed
-        return tuple(q), rp.trim(self.field, [u % p for u in rem[:d]])
-
-    def monic(self, a):
-        if not a or a[-1] == 1:
-            return a
-        p = self.field.p
-        inv = pow(a[-1], p - 2, p)
-        return tuple(x * inv % p for x in a)
 
 
 # GF(2) payloads 0 and 1 to the binary digits int(_, 2) reads, and back
@@ -759,8 +661,8 @@ class _BitRows:
     looks up only the set bits of the vector.  The same packing is GF(2)[X]
     for the Smith finish, bit i the coefficient of X^i: subtraction is XOR,
     multiplication and division shift and XOR, every nonzero polynomial is
-    monic, and size is the coefficient count (0 for zero); gcd and
-    multiplicity are _PayloadRows' on these.
+    monic, and size is the coefficient count (0 for zero); gcd, divide_out
+    and multiplicity are _ringops.PolyRing's on these.
     """
 
     @staticmethod
@@ -847,7 +749,8 @@ class _BitRows:
             shift = a.bit_length() - n
         return q, a
 
-    gcd, multiplicity = _PayloadRows.gcd, _PayloadRows.multiplicity
+    rem = staticmethod(lambda a, b: _BitRows.divmod(a, b)[1])
+    gcd, divide_out, multiplicity = rp.PolyRing.gcd, rp.PolyRing.divide_out, rp.PolyRing.multiplicity
 
 
 _BIT_ROWS = _BitRows()

@@ -6,8 +6,10 @@ criterion reruns every suite and compares the JSON byte for byte.
 """
 
 import hashlib
+import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -118,6 +120,58 @@ def test_bench_file_records_the_pinned_suite_hashes(path):
     # each committed measurement ran on code whose suites hash as pinned here
     suites = json.loads(path.read_text())["acceptance_suites"]["suites"]
     assert {name: suite["hash"] for name, suite in suites.items()} == SUITE_HASHES
+
+
+def _load_tracer():
+    """perfbench/tracer.py, which is not a package, loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_target_and_restores_every_original():
+    # a refactor that renames or drops a traced name fails here, not only
+    # in a traced benchmark run; uninstall must leave aslab as it was
+    tracer = _load_tracer()
+    from aslab import cli, dickson  # noqa: F401  (the modules install loads)
+
+    modules = {name: mod for name, mod in sys.modules.items() if name.split(".")[0] == "aslab"}
+    targets = [(module, name) for module, names in tracer.SPAN_TARGETS.items() for name in names]
+    targets += [
+        (module, name if owner is None else f"{owner}.{name}")
+        for module, owner, names in tracer.LEAF_TARGETS.values()
+        for name in names
+    ]
+    targets += [(module, f"{owner}.{name}") for module, owner, name in tracer.COUNT_TARGETS]
+
+    def resolve(module, target):
+        """(owner, attribute name, current value) of a target."""
+        owner, attr = modules["aslab." + module], target
+        if "." in target:
+            name, attr = target.split(".")
+            owner = getattr(owner, name)
+        return owner, attr, getattr(owner, attr)
+
+    resolved = [resolve(*target) for target in targets]
+    originals = [value for _, _, value in resolved]
+    owners = {id(owner): owner for owner, _, _ in resolved}
+    owners.update((id(mod), mod) for mod in modules.values())
+    before = {key: dict(vars(owner)) for key, owner in owners.items()}
+    installed = tracer.Tracer()
+    installed.install()
+    try:
+        # every name resolved and was replaced by its wrapper
+        assert [target for target, old in zip(targets, originals) if resolve(*target)[2] is old] == []
+        assert len(installed._undo) >= len(targets)
+    finally:
+        installed.uninstall()
+    for key, owner in owners.items():
+        now = vars(owner)
+        assert now.keys() == before[key].keys(), owner
+        assert [attr for attr, value in before[key].items() if now[attr] is not value] == [], owner
+    assert all(resolve(*target)[2] is old for target, old in zip(targets, originals))
 
 
 @pytest.mark.parametrize(

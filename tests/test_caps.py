@@ -26,8 +26,8 @@ def _monic(k, d, rng):
 
 def _irreducibles(k, d, count, rng):
     """count distinct monic irreducibles of degree d by seeded random
-    search (monic_irreducibles would step through tails in order, which
-    over GF(729) at degree 8 does not end in minutes)."""
+    search (monic_irreducibles steps through tails in order, which over
+    GF(512) at degree 8 does not end in minutes)."""
     out = set()
     while len(out) < count:
         f = _monic(k, d, rng)

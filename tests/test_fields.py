@@ -159,6 +159,44 @@ def test_rabin_test_on_the_chain_matches_fresh_powers(name):
     assert verdicts[True] >= 12 and verdicts[False] >= 12, verdicts
 
 
+@pytest.mark.parametrize("name", ["GF(2)", "GF(3)", "GF(727)"])
+def test_rabin_test_over_gf_p_stays_on_ints(name, refuse_prime_ringops, monkeypatch):
+    # the gcds at n/l and their subtractions run in _ringops.PrimeRing, on
+    # reducible inputs that only a gcd shows and on irreducible ones
+    k, rng = make_field(name), random.Random(("prime-rabin", name).__repr__())
+    cases = [
+        (f, _reference_rabin(k, f)) for n in range(4, 10) for f in _rabin_chain_inputs(k, n, rng)
+    ]
+    gcds, real_gcd = [], rp.PolyRing.gcd
+    monkeypatch.setattr(
+        rp.PolyRing, "gcd", lambda ring, a, b: gcds.append(type(ring)) or real_gcd(ring, a, b)
+    )
+    refuse_prime_ringops()
+    for f, expected in cases:
+        assert rabin_irreducible(k, f) == expected, (name, f)
+    verdicts = collections.Counter(expected for _, expected in cases)
+    assert verdicts[True] >= 6 and verdicts[False] >= 6, verdicts
+    assert gcds and set(gcds) == {rp.PrimeRing}
+
+
+@pytest.mark.parametrize(
+    "spec, divisor, cofactor",
+    [("GF(2)", "X^9+X^4+1", "X^5+X^2+1"), ("GF(727)", "X^4-X-5", "X^7+3*X+11")],
+)
+def test_frobenius_chain_send_over_gf_p_stays_on_ints(spec, divisor, cofactor, refuse_prime_ringops):
+    # the reductions of h_1 and h_i mod a sent m' run in _ringops.PrimeRing
+    k = make_field(spec)
+    m2 = Poly.from_string(k, divisor).raw
+    m = rp.mul(k, m2, Poly.from_string(k, cofactor).raw)
+    x = (k.zero, k.one)
+    expected = [rp.pow_mod(k, x, k.order**i, m) for i in (1, 2, 3)]
+    expected += [rp.pow_mod(k, x, k.order**i, m2) for i in range(4, 10)]
+    refuse_prime_ringops()
+    chain = rp.frobenius_chain(k, m)
+    got = [next(chain) for _ in range(3)] + [chain.send(m2)] + [next(chain) for _ in range(5)]
+    assert got == expected, spec
+
+
 def test_frobenius_chain_steps_by_the_cheaper_method(monkeypatch):
     # each element is x^(q^i) mod f; square-and-multiply runs for h_1 and
     # for each step where the q-th power needs fewer products than Horner's
@@ -195,18 +233,24 @@ def test_frobenius_chain_goes_on_modulo_a_sent_divisor(monkeypatch):
     monkeypatch.setattr(
         rp, "square_and_multiply", lambda a, n, times: exponents.append(n) or real_power(a, n, times)
     )
-    real_mulmod = rp._mulmod
+    products = []
 
-    def checked_mulmod(k, m):
-        times = real_mulmod(k, m)
+    def checked_mulmod(real):
+        def mulmod(ring, m):
+            times = real(ring, m)
 
-        def checked(a, b):
-            assert len(a) <= len(m) - 1 and len(b) <= len(m) - 1, (a, b, m)
-            return times(a, b)
+            def checked(a, b):
+                assert len(a) <= len(m) - 1 and len(b) <= len(m) - 1, (a, b, m)
+                products.append(type(ring))
+                return times(a, b)
 
-        return checked
+            return checked
 
-    monkeypatch.setattr(rp, "_mulmod", checked_mulmod)
+        return mulmod
+
+    # the product mod m of every ring, the inline GF(p) one included
+    for ring_class in (rp.PolyRing, rp.PrimeRing):
+        monkeypatch.setattr(ring_class, "mulmod", checked_mulmod(ring_class.mulmod))
     cases = [
         ("GF(2)", "X^9+X^4+1", "X^5+X^2+1", [2]),
         ("GF(729)", "X^5-X-t", "X^6+t*X^2+1", []),
@@ -223,6 +267,23 @@ def test_frobenius_chain_goes_on_modulo_a_sent_divisor(monkeypatch):
         got = [chain.send(m2)] + [next(chain) for _ in range(5)]
         assert exponents == steps * 6, spec
         assert got == [rp.pow_mod(k, x, k.order**i, m2) for i in range(4, 10)], spec
+    assert set(products) == {rp.PolyRing, rp.PrimeRing}
+
+
+@pytest.mark.parametrize("spec", ["GF(729)", "GF(727)"])
+def test_monic_irreducibles_skips_zero_constants_at_once(spec):
+    # the q^7 tails with constant term zero come first at degree 8; they are
+    # skipped, not stepped through (over GF(729) that took beyond 20 s)
+    k, result = make_field(spec), []
+    fields._irreducible_cache.pop((k, 8), None)
+    worker = threading.Thread(
+        target=lambda: result.append(fields.monic_irreducibles(k, 8, 1)), daemon=True
+    )
+    worker.start()
+    worker.join(5.0)
+    assert not worker.is_alive() and result, spec
+    ((f,),) = result
+    assert len(f) == 9 and f[0] != k.zero and rabin_irreducible(k, f)
 
 
 def test_monic_irreducibles_skipping_constant_zero_matches_full_scan():

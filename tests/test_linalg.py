@@ -1337,10 +1337,11 @@ def _divide_out_count(k, f, d):
 
 
 # ---------------------------------------------------------------------------
-# _PrimeRows' F[X] on ints against _ringops' method calls, and the Krylov
-# loop's exit once the span is full
+# _ringops.PrimeRing, the F[X] on ints of Rabin's test, factorization and
+# _PrimeRows, against _ringops' method calls, and the Krylov loop's exit
+# once the span is full
 
-PRIME_RING_FIELDS = ("GF(3)", "GF(5)", "GF(7)", "GF(727)")
+PRIME_RING_FIELDS = ("GF(2)", "GF(3)", "GF(5)", "GF(7)", "GF(727)")
 
 
 def _random_raw(field, deg, rng, monic=False):
@@ -1353,7 +1354,8 @@ def _random_raw(field, deg, rng, monic=False):
 @pytest.mark.parametrize("spec", PRIME_RING_FIELDS)
 def test_prime_rows_polynomials_match_ringops(spec):
     field = make_field(spec)
-    ring = poly._PrimeRows(field)
+    ring = rp.ring(field)
+    assert type(ring) is rp.PrimeRing and isinstance(poly._PrimeRows(field), rp.PrimeRing)
     rng = random.Random(("prime-ring", spec).__repr__())
     polys = [(), (1,), (field.p - 1,)]
     polys += [_random_raw(field, rng.randrange(13), rng, rng.randrange(2)) for _ in range(30)]
@@ -1367,6 +1369,7 @@ def test_prime_rows_polynomials_match_ringops(spec):
                 continue
             q, r = ring.divmod(a, b)
             assert (q, r) == rp.divmod_(field, a, b)
+            assert ring.rem(a, b) == r
             # exact: a * b over b leaves a and no remainder
             assert ring.divmod(ring.mul(a, b), b) == (a, ())
             g = ring.gcd(a, b)
@@ -1374,17 +1377,41 @@ def test_prime_rows_polynomials_match_ringops(spec):
             shorter += len(a) < len(b)
             non_monic += b[-1] != 1
             inexact += bool(r)
-    assert shorter and non_monic and inexact
+    # every nonzero polynomial over GF(2) is monic
+    assert shorter and inexact and (non_monic or field.p == 2)
     with pytest.raises(ZeroDivisionError):
         ring.divmod((1,), ())
 
 
 @pytest.mark.parametrize("spec", PRIME_RING_FIELDS)
+def test_prime_ring_mulmod_matches_rem_of_mul(spec):
+    # every modulus degree from 0 (every product is 0) up, monic or not;
+    # operands reduced (up to degree deg m - 1, the chain's case) and not
+    field = make_field(spec)
+    ring = rp.ring(field)
+    rng = random.Random(("prime-mulmod", spec).__repr__())
+    top = 0
+    for deg in range(7):
+        for monic in (True, False):
+            m = _random_raw(field, deg, rng, monic)
+            times = ring.mulmod(m)
+            operands = [(), (1,)] + [_random_raw(field, rng.randrange(2 * deg + 2), rng) for _ in range(8)]
+            operands += [_random_raw(field, deg - 1, rng) for _ in range(4) if deg >= 1]
+            for a in operands:
+                for b in operands:
+                    got = times(a, b)
+                    assert len(got) <= deg
+                    assert rp.trim(field, got) == rp.rem(field, rp.mul(field, a, b), m), (a, b, m)
+                    top += len(a) == len(b) == deg
+    assert top
+
+
+@pytest.mark.parametrize("spec", PRIME_RING_FIELDS)
 def test_prime_rows_multiplicity_matches_one_division_at_a_time(spec):
-    # past m = 8 _divide_out divides by d^2, d^4, ...: m = 9 and 20 take
+    # past m = 8 divide_out divides by d^2, d^4, ...: m = 9 and 20 take
     # that path, m = 8 reaches it exactly
     field = make_field(spec)
-    ring = poly._PrimeRows(field)
+    ring = rp.ring(field)
     rng = random.Random(("prime-multiplicity", spec).__repr__())
     for mult in (0, 1, 7, 8, 9, 20):
         for monic in (True, False):

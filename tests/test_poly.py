@@ -11,7 +11,6 @@ from aslab.poly import (
     MINUS_INFINITY,
     Poly,
     _BIT_ROWS,
-    _divide_out,
     _PayloadRows,
     _PrimeRows,
     _equal_degree_split,
@@ -388,7 +387,7 @@ def _reference_factor_raw(field, m):
         g = rp.gcd(field, rp.sub(field, xq, x), m)
         if len(g) > 1:
             for piece in _equal_degree_split(field, g, d):
-                m, mult = _divide_out(_PayloadRows(field), m, piece)
+                m, mult = rp.PolyRing(field).divide_out(m, piece)
                 found.append((piece, mult))
         d += 1
     found.sort(key=lambda fm: poly._raw_sort_key(field, fm[0]))
@@ -477,6 +476,20 @@ def test_factor_raw_on_the_chain_matches_fresh_powers(name, monkeypatch):
     assert {len(f) - 1 for f in inputs} >= {1, 16, 24} and any(
         m > 1 for want in expected for _, m in want
     )
+
+
+def test_factor_raw_over_gf3_stays_on_ints(refuse_prime_ringops, monkeypatch):
+    # the chain's gcds, the cofactor divisions and Berlekamp's gcd sweep
+    # run in _ringops.PrimeRing
+    field, rng = make_field("GF(3)"), random.Random("prime-factor")
+    inputs = _factor_inputs(field, rng)
+    expected = [_reference_factor_raw(field, f) for f in inputs]
+    splits, real_split = [], poly._berlekamp_split
+    monkeypatch.setattr(poly, "_berlekamp_split", lambda *args: splits.append(args) or real_split(*args))
+    refuse_prime_ringops()
+    for f, want in zip(inputs, expected):
+        assert poly._factor_raw(field, f) == want, f
+    assert splits
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +639,7 @@ def test_gas_shape_matches_rebuilt_reference():
 
 
 def _one_power_at_a_time(k, f, d):
-    """The loop _divide_out ran before it squared: one division per power."""
+    """The loop divide_out ran before it squared: one division per power."""
     mult = 0
     while len(f) >= len(d):
         quo, remdr = rp.divmod_(k, f, d)
@@ -640,8 +653,9 @@ def _one_power_at_a_time(k, f, d):
 def test_divide_out_matches_one_power_at_a_time(spec):
     # d^mult times a random quadratic, d monic of degree 1-3 (linear over
     # K(Z)); the cofactor may hold d again, so only >= mult is known; over
-    # a prime field every F[X] ring that _divide_out runs on, over GF(2)
-    # the packed one on f and d packed and the quotient unpacked
+    # a prime field every row algebra's F[X] that divide_out runs on, over
+    # GF(2) the packed one on f and d packed and the quotient unpacked, and
+    # the field's _ringops.ring on raw tuples
     field = make_field(spec)
     rings = [_PayloadRows(field)]
     if field.kind == "prime":
@@ -651,10 +665,11 @@ def test_divide_out_matches_one_power_at_a_time(spec):
         d = random_poly(field, 1 if field.order is None else 1 + mult % 3, rng, monic=True).raw
         f = rp.mul(field, rp.power(field, d, mult), random_poly(field, 2, rng).raw)
         for ring in rings:
-            quo, got = _divide_out(ring, ring.pack(f), ring.pack(d))
+            quo, got = ring.divide_out(ring.pack(f), ring.pack(d))
             quo = tuple(ring.unpack(quo, ring.size(quo)))
             assert (quo, got) == _one_power_at_a_time(field, f, d)
             assert got >= mult
+        assert rp.ring(field).divide_out(f, d) == _one_power_at_a_time(field, f, d)
 
 
 # ---------------------------------------------------------------------------

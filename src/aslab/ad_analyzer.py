@@ -23,17 +23,28 @@ c3 is decided first, from the invariant factors of A, so an oracle refusal
 comes before ad A is built; at e = 0 its verdict on mu_A = q also certifies
 q, and only e >= 1 asks again whether q is irreducible.  The invariant
 factors of ad A give c1 and every eigenspace dimension; when all three
-conditions hold, each eigenspace is also built as a kernel, whose basis
-must have that dimension, and its vectors feed the invertibility sweep.
-The sweep runs one loop over coefficient vectors per eigenvalue, the unit
-vectors (each basis vector) and then 10 seeded combinations, and tests
-each combination, reshaped to an m x m matrix, with linalg.invertible.
-Over K(Z) that first specialises it at Z = z0 for a fixed, bounded list of
-points z0 (fields.specialisation_points: all of K, then GF(|K|^2)).  Where
-no denominator vanishes, det(M)(z0) = det(M(z0)), so an invertible M(z0)
-certifies M: the deterministic, one-sided half of Schwartz (J. ACM 27,
-1980).  Only a matrix that no point certifies is built and ranked exactly
-over K(Z), so a singular one is still found and reported.
+conditions hold, each eigenspace is also built from the paper's
+conjugator, with no kernel of the m^2 x m^2 ad A (_conjugator_eigenspaces):
+h(X + v) = h(X) for every eigenvalue v, so the Pascal matrix S_v of
+linalg.pascal_similarity(h, -v) has C S_v = S_v (C + v), C the companion
+of h = mu_A, and with the Krylov basis P of e_0 (A P = P C) the
+v-eigenspace is spanned by A^i P S_v P^(-1), i < m.  Reduced by
+poly._span_basis this is the basis the kernel would give, and its rank m
+must equal the dimension the invariant factors give; its vectors feed the
+invertibility sweep.  check_eigenvector_invertibility, for any matrix,
+still takes kernels (linalg.eigenspace).  The sweep runs one loop over
+coefficient vectors per eigenvalue, the unit vectors (each basis vector)
+and then 10 seeded combinations, and tests each combination, reshaped to
+an m x m matrix.  Over K(Z) it first specialises it at Z = z0 for a fixed,
+bounded list of points z0 (fields.specialisation_points: all of K, then
+GF(|K|^2)), starting at the point that certified the previous combination
+of the same eigenvalue (linalg.certifying_point).  Where no denominator
+vanishes, det(M)(z0) = det(M(z0)), so an invertible M(z0) certifies M: the
+deterministic, one-sided half of Schwartz (J. ACM 27, 1980).  Only a
+matrix that no point certifies is built and ranked exactly over K(Z)
+(linalg.full_rank), so a singular one is still found and reported.  Every
+ConsistencyError names the instance (field and size) and the check that
+failed.
 
 build_gas_companion goes the other way: from (p, n, e, a) it constructs the
 companion matrix of X^(p^(n+e)) - X^(p^e) - a.
@@ -48,19 +59,23 @@ from .fields import FieldElement, _raw_roots, _subfield_check, specialise
 from .irred import _clear_denominators, irreducible
 from .linalg import (
     Matrix,
+    _pascal_matrix,
     ad_matrix,
+    certifying_point,
     companion,
     eigenspace,
+    full_rank,
     invariant_factors,
-    invertible,
     similar,
 )
 from .poly import (
     Poly,
     _factor_raw,
+    _kernel,
     _monic_divisors,
     _raw_sort_key,
     _row_algebra,
+    _span_basis,
     gas_poly,
     gas_shape,
     separable_part,
@@ -261,10 +276,10 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     invertibility = None
     if c1 and c2 and c3:
         recovered = _recover_and_certify(field, m, mu_a, eigenvalues, dims, inv_ad, diagonalizable)
-        invertibility = _eigenvector_invertibility(a, _eigenspaces(ad, dims), seed)
+        invertibility = _eigenvector_invertibility(a, _conjugator_eigenspaces(a, mu_a, dims), seed)
         if not invertibility.all_invertible:
             raise ConsistencyError(
-                "certified matrix has a non-invertible ad eigenvector: "
+                f"{_instance(field, m)}: certified matrix has a non-invertible ad eigenvector: "
                 + "; ".join(invertibility.failures)
             )
 
@@ -285,85 +300,163 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     )
 
 
+def _instance(field, m):
+    """The instance a ConsistencyError of analyze names."""
+    return f"analyze over {field.spec_string()}, {m} x {m}"
+
+
 def _recover_and_certify(field, m, mu_a, eigenvalues, dims, inv_ad, diagonalizable):
+    where = _instance(field, m)
     if mu_a.degree() != m:
-        raise ConsistencyError("cyclic matrix whose minimal polynomial degree differs from its size")
+        raise ConsistencyError(
+            f"{where}: cyclic matrix whose minimal polynomial degree {mu_a.degree()} "
+            f"differs from its size"
+        )
     sep = separable_part(mu_a)
     q, e = sep.q, sep.e
     shape = gas_shape(q)
     if shape is None:
-        raise ConsistencyError(f"separable part {q} is not of the form X^(p^n) - X - a")
+        raise ConsistencyError(f"{where}: separable part {q} is not of the form X^(p^n) - X - a")
     p, n, a_const = shape
     deg_q = q.degree()
     if len(eigenvalues) != deg_q:
         raise ConsistencyError(
-            f"eigenvalue count {len(eigenvalues)} differs from p^n = {deg_q}"
+            f"{where}: eigenvalue count {len(eigenvalues)} differs from p^n = {deg_q}"
         )
     for v in eigenvalues:
         if v ** deg_q != v:
-            raise ConsistencyError(f"eigenvalue {v} lies outside the subfield of {deg_q} elements")
+            raise ConsistencyError(
+                f"{where}: eigenvalue {v} lies outside the subfield of {deg_q} elements"
+            )
     pne = p ** (n + e)
     for v, d in dims:
         if d != pne:
-            raise ConsistencyError(f"eigenspace at {v} has dimension {d}, expected {pne}")
+            raise ConsistencyError(f"{where}: eigenspace at {v} has dimension {d}, expected {pne}")
     expected_factor = gas_poly(field, n, e, 0)
     if len(inv_ad) != pne or any(f != expected_factor for f in inv_ad):
-        raise ConsistencyError("invariant factors of ad A differ from the certified shape")
+        raise ConsistencyError(
+            f"{where}: invariant factors of ad A differ from the certified shape, "
+            f"{pne} copies of {expected_factor}"
+        )
     if diagonalizable != (e == 0):
-        raise ConsistencyError("diagonalizability disagrees with the separability exponent")
+        raise ConsistencyError(
+            f"{where}: diagonalizability ({diagonalizable}) disagrees with the "
+            f"separability exponent e = {e}"
+        )
     # at e = 0, q is mu_A, whose irreducibility c3 has just decided
     if e and not irreducible(q):
-        raise ConsistencyError(f"recovered polynomial {q} is reducible")
+        raise ConsistencyError(f"{where}: recovered polynomial {q} is reducible")
     return {"p": p, "n": n, "e": e, "a": a_const, "q": q, "h": mu_a}
 
 
 def check_eigenvector_invertibility(a: Matrix, seed: int = 0) -> InvertibilityVerdict:
     """Reshape every ad-eigenvector to an m x m matrix and test invertibility.
 
-    Checks each basis vector of every eigenspace plus 10 seeded random
-    nonzero combinations per eigenvalue; failures are reported as witnesses,
-    never raised, so the reducible cases can be inspected too.
+    Checks each basis vector of every eigenspace, a kernel of ad A, plus 10
+    seeded random nonzero combinations per eigenvalue; failures are
+    reported as witnesses, never raised, so the reducible cases can be
+    inspected too.
     """
     _check_caps(a)
     ad = ad_matrix(a)
     mu = invariant_factors(ad).minimal_polynomial()
-    bases = [(r, eigenspace(ad, r)) for r in _poly_roots_in_field(mu)]
+    bases = [
+        (r, [[x.payload for x in vec] for vec in eigenspace(ad, r)])
+        for r in _poly_roots_in_field(mu)
+    ]
     return _eigenvector_invertibility(a, bases, seed)
 
 
-def _eigenspaces(ad, dims):
-    """(v, eigenspace basis) for each (v, dim) read off the invariant
-    factors; the kernel is a second route to that dimension."""
+def _conjugator_eigenspaces(a, mu_a, dims):
+    """(v, eigenspace basis) for each (v, d) that the invariant factors of
+    ad A give, built from the paper's conjugator, with no kernel of the
+    m^2 x m^2 ad A; the basis is the one that kernel would give (poly.
+    _span_basis), as payload vectors.
+
+    h = mu_A has h(X - v) = h(X) for each eigenvalue v, so the Pascal
+    matrix S_v of linalg.pascal_similarity(h, -v) has C S_v = S_v (C + v),
+    C the companion of h.  mu_A is irreducible of degree m (c3), so e_0 is
+    cyclic: its Krylov basis P has rank m and A P = P C, both checked.  Then
+    T_v = P S_v P^(-1) has A T_v = T_v (A + v), checked (this one check
+    certifies T_v whatever built it), so it is a v-eigenvector of ad A, and
+    so is Y T_v for each Y in the centralizer of A, which is F[A] and has
+    dimension m (Frobenius's formula for a cyclic matrix).  So A^i T_v,
+    i < m, lie in the eigenspace and span it once their rank is d, the
+    dimension the invariant factors give: rank m is the second route to d."""
+    field, m = a.field, a.nrows
+    where = _instance(field, m)
+    c = companion(mu_a)
+    columns = list(zip(*a.rows))
+    krylov = [[field.one] + [field.zero] * (m - 1)]
+    for _ in range(m - 1):
+        krylov.append(_combination(field, krylov[-1], columns) or [field.zero] * m)
+    p_mat = Matrix.from_raw(field, list(zip(*krylov)))
+    identity = Matrix.identity(field, m)
+    # a companion A has P = I, where A P = P C reads A = C
+    if (a != c) if p_mat == identity else (a * p_mat != p_mat * c):
+        raise ConsistencyError(f"{where}: the Krylov basis P of e_0 has A P != P C")
+    p_inv = None
+    if p_mat != identity:
+        # [P | I] has the kernel vectors (-P^(-1) e_i, e_i) when P has rank m
+        kernel = _kernel(field, krylov + [list(row) for row in identity.rows])
+        if len(kernel) != m:
+            raise ConsistencyError(
+                f"{where}: the Krylov basis of e_0 has rank {2 * m - len(kernel)}, not {m}"
+            )
+        inverse_columns = [[field.neg(x) for x in vec[:m]] for vec in kernel]
+        p_inv = Matrix.from_raw(field, list(zip(*inverse_columns)))
     bases = []
     for v, d in dims:
-        basis = eigenspace(ad, v)
+        s = _pascal_matrix(field, m, field.neg(v.payload))
+        t = s if p_inv is None else p_mat * s * p_inv
+        if a * t != t * a.scalar_shift(v):
+            raise ConsistencyError(f"{where}: T_v is not an eigenvector of ad A at {v}")
+        basis = _span_basis(field, _left_powers(field, a.rows, t.rows))
         if len(basis) != d:
             raise ConsistencyError(
-                f"eigenspace at {v} has a basis of {len(basis)} vectors, but "
+                f"{where}: eigenspace at {v} has a basis of {len(basis)} vectors, but "
                 f"the invariant factors of ad A give dimension {d}"
             )
         bases.append((v, basis))
     return bases
 
 
+def _left_powers(field, a_rows, t_rows):
+    """T, A T, ..., A^(m-1) T as row-major payload vectors: each row of a
+    product is one _combination of T's rows, so it costs A's nonzero
+    entries only."""
+    powers = []
+    rows = t_rows
+    for _ in range(len(a_rows)):
+        powers.append([x for row in rows for x in row])
+        rows = [_combination(field, a_row, rows) or [field.zero] * len(a_rows) for a_row in a_rows]
+    return powers
+
+
 def _eigenvector_invertibility(a, bases, seed):
-    """check_eigenvector_invertibility on given (eigenvalue, basis) pairs.
+    """check_eigenvector_invertibility on given (eigenvalue, basis) pairs,
+    each basis vector a sequence of payloads.
 
     One loop per eigenvalue over coefficient vectors, the unit vectors and
-    then 10 seeded draws, each through linalg.invertible: at a K(Z)
-    specialisation point the combination is formed from the specialised
-    coefficients and basis (each vector specialised once per point).  The
-    basis is independent and no draw is all zero, so every combination is
-    nonzero; checks draw nothing from the rng, so the draws come first."""
+    then 10 seeded draws.  Over K(Z) each combination is first tried at the
+    specialisation points (linalg.certifying_point), where it is formed
+    from the specialised coefficients and basis (each vector specialised
+    once per point); the point that certified the previous combination of
+    the same eigenvalue is tried first, then the rest in their order.  Only
+    a combination that no point certifies, and every combination over a
+    finite field, is formed over the field and ranked exactly (linalg.
+    full_rank).  The basis is independent and no draw is all zero, so every
+    combination is nonzero; checks draw nothing from the rng, so the draws
+    come first."""
     field = a.field
     m = a.nrows
+    rational = field.kind == "rational-function"
     rng = random.Random(seed)
     failures = []
     checked = 0
     sampled = 0
     zero = field.zero
     for v, basis in bases:
-        basis = [[x.payload for x in vec] for vec in basis]
         basis_at = _specialised_basis(field, basis)
         vectors = []
         for idx in range(len(basis)):
@@ -377,13 +470,19 @@ def _eigenvector_invertibility(a, bases, seed):
             vectors.append(("sampled combination", coeffs))
         checked += len(basis)
         sampled += len(vectors) - len(basis)
+        first = 0
         for label, coeffs in vectors:
-            if not invertible(
-                field,
-                m,
-                lambda: _combination(field, coeffs, basis),
-                lambda i, point: _combination_at(field, coeffs, basis_at(i, point), point),
-            ):
+            if rational:
+                point = certifying_point(
+                    field,
+                    m,
+                    lambda i, pt: _combination_at(field, coeffs, basis_at(i, pt), pt),
+                    first,
+                )
+                if point is not None:
+                    first = point
+                    continue
+            if not full_rank(field, m, _combination(field, coeffs, basis)):
                 failures.append(f"{label} at eigenvalue {v} is singular")
     return InvertibilityVerdict(not failures, checked, sampled, failures)
 
@@ -417,7 +516,7 @@ def _combination(field, coeffs, vecs):
     combo = None
     for c, vec in zip(coeffs, vecs):
         if c != field.zero:
-            term = [field.mul(c, x) for x in vec]
+            term = vec if c == field.one else [field.mul(c, x) for x in vec]
             combo = term if combo is None else [field.add(s, t) for s, t in zip(combo, term)]
     return combo
 

@@ -7,7 +7,12 @@ FieldElement wrappers around canonical payloads:
   * GF(p^n)    -- length-n tuples of integers, coefficients of the residue
                   class modulo a fixed monic irreducible, low degree first
   * K(Z)       -- reduced fractions (num, den) of coefficient tuples over the
-                  finite base field K, denominator monic, gcd(num, den) = 1
+                  finite base field K, denominator monic, gcd(num, den) = 1;
+                  a linear denominator is reduced by one Horner pass at its
+                  root, a longer one by Euclid's gcd, and none is taken
+                  where lowest terms are known: a sum with a polynomial,
+                  an inverse, a constant numerator; a product reduces each
+                  numerator against the other factor's denominator
 
 Two descriptors denote the same field exactly when they are structurally
 equal (same p, n, modulus, base), and elements of structurally different
@@ -676,7 +681,10 @@ class RationalFunctionField(FieldDescriptor):
             if den[0] != k.one:
                 num = rp.scale(k, num, k.inv(den[0]))
             return (num, (k.one,))
-        g = rp.gcd(k, num, den)
+        if len(den) == 2:
+            return self._canon_linear(num, den)
+        # a constant numerator is coprime to den
+        g = rp.gcd(k, num, den) if len(num) > 1 else (k.one,)
         if len(g) > 1:
             num = rp.divmod_(k, num, g)[0]
             den = rp.divmod_(k, den, g)[0]
@@ -685,6 +693,27 @@ class RationalFunctionField(FieldDescriptor):
             c = k.inv(lead)
             num = rp.scale(k, num, c)
             den = rp.scale(k, den, c)
+        return (num, den)
+
+    def _canon_linear(self, num, den):
+        """_canon for a linear denominator d1 * (Z - r): the gcd is Z - r
+        exactly when num(r) = 0, so one Horner pass at r, which is also the
+        synthetic division by Z - r, takes the place of Euclid's gcd."""
+        k = self.base
+        c = k.inv(den[1])
+        r = k.neg(k.mul(den[0], c))
+        # partial sums: the quotient's coefficients from the top, then num(r)
+        acc = k.zero
+        sums = []
+        for x in reversed(num):
+            acc = k.add(k.mul(acc, r), x)
+            sums.append(acc)
+        if acc == k.zero:
+            num, den = tuple(reversed(sums[:-1])), (k.one,)
+        else:
+            den = (k.neg(r), k.one)
+        if c != k.one:
+            num = rp.scale(k, num, c)
         return (num, den)
 
     def fraction(self, num, den):
@@ -699,6 +728,13 @@ class RationalFunctionField(FieldDescriptor):
         bn, bd = b
         if len(ad) == 1 and len(bd) == 1:
             return (op(k, an, bn), (k.one,))
+        # with one denominator 1 the sum keeps the other: gcd(an + bn * ad,
+        # ad) = gcd(an, ad) = 1, and the numerator is not zero, since ad is
+        # not constant and cannot divide an
+        if len(bd) == 1:
+            return (op(k, an, rp.mul(k, bn, ad)), ad)
+        if len(ad) == 1:
+            return (op(k, rp.mul(k, an, bd), bn), bd)
         return self._canon(op(k, rp.mul(k, an, bd), rp.mul(k, bn, ad)), rp.mul(k, ad, bd))
 
     def add(self, a, b):
@@ -718,13 +754,22 @@ class RationalFunctionField(FieldDescriptor):
             return self.zero
         if len(ad) == 1 and len(bd) == 1:
             return (rp.mul(k, an, bn), (k.one,))
-        return self._canon(rp.mul(k, an, bn), rp.mul(k, ad, bd))
+        # both factors are in lowest terms, so the product is once each
+        # numerator is reduced against the other factor's (monic) denominator
+        an, bd = self._canon(an, bd)
+        bn, ad = self._canon(bn, ad)
+        return (rp.mul(k, an, bn), rp.mul(k, ad, bd))
 
     def inv(self, a):
         an, ad = a
         if not an:
             raise ZeroDivisionError("inverse of zero")
-        return self._canon(ad, an)
+        # (ad, an) is already coprime: only an is made monic
+        k = self.base
+        if an[-1] == k.one:
+            return (ad, an)
+        c = k.inv(an[-1])
+        return (rp.scale(k, ad, c), rp.scale(k, an, c))
 
     def pow_int(self, a, n):
         # a coprime pair stays coprime, a monic denominator monic: no gcd

@@ -29,14 +29,18 @@ here from payloads is built with Matrix.from_raw, which checks only the
 shape and the size caps: 100x100 over rational function fields (entry
 growth), 1024x1024 over finite fields.
 
-invertible (Matrix.is_invertible, ad_analyzer's sweep) over K(Z) tries the
-specialisations Z -> z0 first (specialised_invertible on fields.specialise);
-an invertible M(z0) with no pole proves M invertible.  Only when no point
-certifies, or over a finite field, are the entries built and ranked exactly.
+invertible (Matrix.is_invertible) over K(Z) tries the specialisations
+Z -> z0 first (specialised_invertible, certifying_point on
+fields.specialise); an invertible M(z0) with no pole proves M invertible.
+Only when no point certifies, or over a finite field, are the entries built
+and ranked exactly (full_rank).  ad_analyzer's sweep calls certifying_point
+and full_rank itself, so that it can start at the point that certified its
+previous combination.
 """
 
 import bisect
 import collections
+import itertools
 import math
 
 from . import _ringops as rp
@@ -132,18 +136,18 @@ class Matrix:
                 raise InputError("matrix operands must share the field")
             if self.ncols != other.nrows:
                 raise InputError("inner dimensions differ")
-            bt = list(zip(*other.rows))
+            # each row of the product sums the rows of other at the
+            # nonzero entries of self's row, in column order
             out = []
             zero = k.zero
             for row in self.rows:
-                orow = []
-                for col in bt:
-                    acc = zero
-                    for a, b in zip(row, col):
-                        if a != zero and b != zero:
-                            acc = k.add(acc, k.mul(a, b))
-                    orow.append(acc)
-                out.append(orow)
+                acc = [zero] * other.ncols
+                for a, orow in zip(row, other.rows):
+                    if a != zero:
+                        for j, b in enumerate(orow):
+                            if b != zero:
+                                acc[j] = k.add(acc[j], k.mul(a, b))
+                out.append(acc)
             return Matrix.from_raw(k, out)
         if isinstance(other, (FieldElement, int)):
             c = k.payload_of(other)
@@ -231,25 +235,40 @@ def invertible(field, m, entries, entries_at):
     """Whether an m x m matrix over field is invertible.  Over K(Z) the
     specialisation points decide first (specialised_invertible, entries_at);
     only when none certifies, or over a finite field, are its m*m payloads
-    built by entries(), row-major, and ranked exactly with Matrix.rank."""
+    built by entries(), row-major, and ranked exactly (full_rank)."""
     if field.kind == "rational-function" and specialised_invertible(field, m, entries_at):
         return True
-    vec = entries()
+    return full_rank(field, m, entries())
+
+
+def full_rank(field, m, vec):
+    """Whether the m x m matrix of the m*m payloads vec, row-major, has rank
+    m, by Matrix.rank."""
     return Matrix.from_raw(field, [vec[r * m:(r + 1) * m] for r in range(m)]).rank() == m
 
 
 def specialised_invertible(field, m, entries_at):
     """Whether an m x m matrix over K(Z) is invertible at one of the
-    specialisation points of its base field, which proves it invertible
-    (fields.specialise).  entries_at(i, point) gives its m*m entries,
-    row-major, at the i-th point, as payloads of the point's field, or None
-    when a denominator vanishes there.  One-sided: a singular matrix never
-    certifies, and it costs at most fields.SPECIALISATION_TRIES tries."""
-    for i, point in enumerate(specialisation_points(field.base)):
-        vec = entries_at(i, point)
-        if vec is not None and _rank(point[0], [vec[r * m:(r + 1) * m] for r in range(m)]) == m:
-            return True
-    return False
+    specialisation points of its base field, tried in their fixed order:
+    certifying_point from the first point."""
+    return certifying_point(field, m, entries_at) is not None
+
+
+def certifying_point(field, m, entries_at, first=0):
+    """The index of a specialisation point of the base field of K(Z) at
+    which an m x m matrix over K(Z) is invertible, which proves it
+    invertible (fields.specialise), or None.  entries_at(i, point) gives
+    its m*m entries, row-major, at the i-th point, as payloads of the
+    point's field, or None when a denominator vanishes there.  The point at
+    index first is tried first, then the others in order.  One-sided: a
+    singular matrix never certifies, and it costs at most
+    fields.SPECIALISATION_TRIES tries."""
+    points = specialisation_points(field.base)
+    for i in itertools.chain((first,), (i for i in range(len(points)) if i != first)):
+        vec = entries_at(i, points[i])
+        if vec is not None and _rank(points[i][0], [vec[r * m:(r + 1) * m] for r in range(m)]) == m:
+            return i
+    return None
 
 
 def _checked_rows(field, rows):
@@ -392,10 +411,17 @@ class InvariantFactorList:
     def __init__(self, factors):
         factors = tuple(factors)
         if factors:
-            ring = _row_algebra(factors[0].field)
+            field = factors[0].field
+            ring = _row_algebra(field)
             packed = [ring.pack(f.raw) for f in factors]
-            if any(ring.divmod(b, a)[1] for a, b in zip(packed, packed[1:])):
-                raise ConsistencyError("invariant factor chain broken")
+            for i in range(len(packed) - 1):
+                if ring.divmod(packed[i + 1], packed[i])[1]:
+                    size = sum(f.degree() for f in factors)
+                    raise ConsistencyError(
+                        f"invariant factor chain broken over {field.spec_string()}, size "
+                        f"{size}: factor {i} ({factors[i]}) does not divide factor {i + 1} "
+                        f"({factors[i + 1]})"
+                    )
         self.factors = factors
 
     def __iter__(self):
@@ -481,7 +507,10 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
     ]
     total = sum(f.degree() for f in nontrivial)
     if total != n:
-        raise ConsistencyError("Smith normal form degrees do not sum to the size")
+        raise ConsistencyError(
+            f"Smith normal form degrees do not sum to the size: {total} against "
+            f"{n} x {n} over {k.spec_string()}"
+        )
     return InvariantFactorList(nontrivial)
 
 
@@ -665,16 +694,28 @@ def pascal_similarity(f: Poly, b) -> Matrix:
     k = f.field
     b = k.element(b)
     m = f.degree()
-    rows = [[k.zero] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            rows[i][j] = (k.element(math.comb(j, i)) * b ** (j - i)).payload
-    s = Matrix.from_raw(k, rows)
+    s = _pascal_matrix(k, m, b.payload)
     lhs = companion(f.shifted(b)).scalar_shift(b) * s
     rhs = s * companion(f)
     if lhs != rhs:
-        raise ConsistencyError("Pascal similarity identity failed")
+        raise ConsistencyError(
+            f"Pascal similarity identity failed for f = {f}, b = {b} over "
+            f"{k.spec_string()}, {m} x {m}"
+        )
     return s
+
+
+def _pascal_matrix(field, m, b):
+    """The upper triangular m x m Pascal matrix of pascal_similarity, entry
+    (i, j) = C(j, i) b^(j - i) for the payload b, with no identity checked."""
+    powers = [field.one]  # b^0 .. b^(m-1)
+    for _ in range(m - 1):
+        powers.append(field.mul(powers[-1], b))
+    rows = [[field.zero] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            rows[i][j] = field.mul(field.from_int(math.comb(j, i)), powers[j - i])
+    return Matrix.from_raw(field, rows)
 
 
 def verify_companion_composition(f: Poly, g: Poly) -> bool:

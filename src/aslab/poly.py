@@ -12,8 +12,9 @@ X^(p^n) - X - a off the coefficients), _monic_divisors (divisors from a
 factorization), and the row algebra of the incremental echelon,
 _row_algebra.  That echelon is the only Gaussian elimination in aslab, and
 the row algebra is its only interface: min_poly_in_quotient, linalg's
-ranks and invariant factors, and _kernel (the Berlekamp split's and
-linalg's kernels) pack their vectors once and call it directly.  The
+ranks and invariant factors, _kernel (the Berlekamp split's and
+linalg's kernels) and _span_basis (ad_analyzer's eigenspaces, in the
+basis _kernel would give) pack their vectors once and call it directly.  The
 echelon is a dict from pivot to (row, combination), whose representation
 is chosen per field: over GF(2) a Python int with bit i holding coordinate
 i, reduced by XOR at the vector's set bits (_BitRows); over every other
@@ -536,6 +537,28 @@ def _kernel(field, columns):
     return basis
 
 
+def _span_basis(field, vectors):
+    """The basis of the span of these payload vectors that _kernel gives for
+    the same subspace: the reduced echelon form with each vector's pivot at
+    its last nonzero coordinate, a one, where every other vector is zero.
+    Dependent vectors give fewer basis vectors.
+
+    The vectors enter the echelon reversed, so that pivot is the echelon's
+    lowest; its rows then enter a second echelon from the last pivot down,
+    so each is reduced at the pivots after its own (back-substitution) and
+    keeps its unit pivot.
+    """
+    rows = _row_algebra(field)
+    n = len(vectors[0])
+    echelon = {}
+    for vec in vectors:
+        rows.extend(echelon, rows.pack(vec[::-1]), None)
+    reduced = {}
+    for piv in sorted(echelon, reverse=True):
+        rows.extend(reduced, rows.expand(echelon[piv][0], n), None)
+    return [tuple(rows.unpack(rows.expand(row, n), n)[::-1]) for row, _ in reduced.values()]
+
+
 def _row_algebra(field):
     """The echelon's rows, vectors and combos and linalg's Smith finish's F[X]
     over field, the one place the echelon's field kinds are told apart:
@@ -602,15 +625,29 @@ class _PayloadRows(rp.PolyRing):
         )
         return True, c
 
+    def expand(self, row, n):
+        """An echelon row, kept as its nonzero (index, value) pairs, as a
+        vector of length n."""
+        v = [self.k.zero] * n
+        for i, x in row:
+            v[i] = x
+        return v
+
     def subtract_row(self, v, a, row):
         """v - a * row in place, row as its nonzero (index, value) pairs."""
         field = self.k
+        if a == field.one:
+            for i, y in row:
+                v[i] = field.sub(v[i], y)
+            return
         for i, y in row:
             v[i] = field.sub(v[i], field.mul(a, y))
 
     def scaled_pairs(self, v, c):
         """The nonzero (index, x * c) pairs of v, c nonzero."""
         field = self.k
+        if c == field.one:
+            return [(i, x) for i, x in enumerate(v) if x != field.zero]
         return [(i, field.mul(x, c)) for i, x in enumerate(v) if x != field.zero]
 
     def columns(self, matrix_rows):
@@ -678,6 +715,10 @@ class _BitRows:
     @staticmethod
     def unit(i, n):
         return 1 << i
+
+    @staticmethod
+    def expand(row, n):
+        return row
 
     @staticmethod
     def low(v):

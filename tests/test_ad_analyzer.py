@@ -23,6 +23,7 @@ from aslab.linalg import (
     direct_sum,
     eigenspace,
     jordan_block,
+    similar,
 )
 from aslab.poly import Poly, factor_finite
 
@@ -340,13 +341,141 @@ def test_eigenspace_dims_equal_corank_of_ad_shift():
 
 
 def test_eigenspace_basis_short_of_the_invariant_factor_dimension(monkeypatch):
-    def short_eigenspace(m, lam):
-        return eigenspace(m, lam)[:-1]
+    # the mutant of the conjugator route drops one basis vector
+    real = ad_analyzer._span_basis
 
-    monkeypatch.setattr(ad_analyzer, "eigenspace", short_eigenspace)
+    def short_basis(field, vectors):
+        return real(field, vectors)[:-1]
+
+    monkeypatch.setattr(ad_analyzer, "_span_basis", short_basis)
     f2z = make_field("GF(2)(Z)")
-    with pytest.raises(ConsistencyError, match=r"eigenspace at 0 .* 1 vectors.* dimension 2"):
+    with pytest.raises(
+        ConsistencyError,
+        match=r"GF\(2\)\(Z\), 2 x 2: eigenspace at 0 .* 1 vectors.* dimension 2",
+    ):
         analyze(build_gas_companion(f2z, 1, 0, "Z"))
+
+
+# ---------------------------------------------------------------------------
+# eigenspaces from the paper's conjugator
+
+def _kernel_bases(a, report):
+    """The route check_eigenvector_invertibility takes: a kernel of ad A
+    per eigenvalue."""
+    ad = ad_matrix(a)
+    return [
+        (v, [tuple(x.payload for x in vec) for vec in eigenspace(ad, v)])
+        for v, _ in report.eigenspace_dims
+    ]
+
+
+def _assert_conjugator_bases_are_the_kernels(a):
+    report = analyze(a)
+    assert report.passed(), a
+    bases = ad_analyzer._conjugator_eigenspaces(a, report.recovered["h"], report.eigenspace_dims)
+    assert bases == _kernel_bases(a, report)
+
+
+@pytest.mark.parametrize("p, n, e", FORWARD_GRID)
+def test_conjugator_bases_are_the_kernels_on_the_forward_grid(p, n, e):
+    _assert_conjugator_bases_are_the_kernels(
+        build_gas_companion(make_field(f"GF({p**n})(Z)"), n, e, "Z")
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, a",
+    [("GF(2)", 1), ("GF(3)", 1), ("GF(4)", "t"), ("GF(5)", 1), ("GF(7)", 1), ("GF(9)", 1),
+     ("GF(13)", 1)],
+)
+def test_conjugator_bases_are_the_kernels_on_finite_companions(spec, a):
+    # X^p - X - a with a of nonzero trace: certified, and the Krylov basis
+    # of a companion is the identity
+    _assert_conjugator_bases_are_the_kernels(build_gas_companion(make_field(spec), 1, 0, a))
+
+
+def _seeded_conjugate(c, seed):
+    """Q C Q^(-1) for Q a product of seeded elementary matrices I + x E_ij,
+    each inverted as I - x E_ij."""
+    field, m = c.field, c.nrows
+    rng = random.Random(seed)
+    a = c
+    for _ in range(3):
+        i, j = rng.sample(range(m), 2)
+        x = field.random_payload(rng) if field.order is None else rng.randrange(1, field.p)
+        unit = Matrix.from_raw(field, [[x if (r, s) == (i, j) else field.zero
+                                        for s in range(m)] for r in range(m)])
+        q = Matrix.identity(field, m) + unit
+        q_inv = Matrix.identity(field, m) - unit
+        a = q * a * q_inv
+    return a
+
+
+@pytest.mark.parametrize(
+    "spec, poly, seed",
+    [("GF(2)", "X^2-X-1", 1), ("GF(2)", "X^2-X-1", 2), ("GF(3)", "X^3-X-1", 1),
+     ("GF(3)", "X^3-X-1", 2), ("GF(3)(Z)", "X^3-X-Z", 1), ("GF(3)(Z)", "X^3-X-Z", 2)],
+)
+def test_conjugator_bases_are_the_kernels_on_seeded_conjugates(spec, poly, seed):
+    c = companion(Poly.from_string(make_field(spec), poly))
+    a = _seeded_conjugate(c, seed)
+    assert a != c  # the Krylov basis is not the identity
+    _assert_conjugator_bases_are_the_kernels(a)
+
+
+def test_certified_conjugate_sweep_over_gf3z():
+    # the matrix of CI's non-companion sweep step: a conjugate of the
+    # X^3 - X - Z companion
+    f = make_field("GF(3)(Z)")
+    a = Matrix(f, [["2*Z", "2", "Z+1"], ["0", "2", "1"], ["2*Z", "0", "Z+1"]])
+    assert similar(a, companion(Poly.from_string(f, "X^3-X-Z")))
+    verdict = analyze(a).eigenvector_invertibility
+    assert verdict.all_invertible
+    assert (verdict.checked, verdict.sampled) == (9, 30)
+
+
+def test_analyze_builds_no_kernel_of_ad(monkeypatch):
+    monkeypatch.setattr(ad_analyzer, "eigenspace", lambda *args: pytest.fail("kernel of ad A"))
+    report = analyze(build_gas_companion(make_field("GF(3)(Z)"), 1, 1, "Z"))
+    assert report.eigenvector_invertibility.all_invertible
+
+
+def test_a_wrong_companion_breaks_the_krylov_conjugation(monkeypatch):
+    # the mutant: C is the companion of X^2 - X - (Z + 1), not of mu_A
+    f2z = make_field("GF(2)(Z)")
+    a = build_gas_companion(f2z, 1, 0, "Z")
+    monkeypatch.setattr(
+        ad_analyzer, "companion", lambda f: companion(Poly.from_string(f2z, "X^2-X-Z-1"))
+    )
+    with pytest.raises(ConsistencyError, match=r"GF\(2\)\(Z\), 2 x 2: .* A P != P C"):
+        analyze(a)
+
+
+def test_a_singular_krylov_basis_is_caught(monkeypatch):
+    # the mutant: the kernel of [P | I] gains a vector, as when P has rank 2
+    real = ad_analyzer._kernel
+
+    def one_more(field, columns):
+        kernel = real(field, columns)
+        return kernel[:1] + kernel
+
+    monkeypatch.setattr(ad_analyzer, "_kernel", one_more)
+    a = _seeded_conjugate(companion(Poly.from_string(make_field("GF(3)"), "X^3-X-1")), 1)
+    with pytest.raises(ConsistencyError, match=r"GF\(3\), 3 x 3: .* rank 2, not 3"):
+        analyze(a)
+
+
+def test_a_pascal_matrix_of_another_eigenvalue_is_caught(monkeypatch):
+    # the mutant: S is taken at the shift of v + 1, a (v + 1)-eigenvector
+    real = ad_analyzer._pascal_matrix
+    monkeypatch.setattr(
+        ad_analyzer, "_pascal_matrix", lambda field, m, b: real(field, m, field.sub(b, field.one))
+    )
+    f3z = make_field("GF(3)(Z)")
+    with pytest.raises(
+        ConsistencyError, match=r"GF\(3\)\(Z\), 3 x 3: T_v is not an eigenvector of ad A at 0"
+    ):
+        analyze(build_gas_companion(f3z, 1, 0, "Z"))
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +537,26 @@ def test_certified_kz_sweep_needs_no_exact_rank(spec, n, e, monkeypatch):
     verdict = check_eigenvector_invertibility(a, seed=4)
     assert verdict.all_invertible and verdict.failures == []
     assert verdict.sampled == 10 * a.field.char**n  # 10 per eigenvalue
+
+
+# specialisation tries (entries_at calls) of the seed-0 sweeps of the forward
+# suite's GF(2)(Z) and GF(3)(Z) companions, at most; a sweep that starts
+# every combination at the first point makes 46, 55, 73 and 142
+SWEEP_TRY_BUDGET = {(2, 1, 0): 30, (2, 1, 1): 35, (3, 1, 0): 71, (3, 1, 1): 91}
+
+
+@pytest.mark.parametrize("p, n, e", sorted(SWEEP_TRY_BUDGET))
+def test_sweep_specialisation_tries_stay_within_budget(p, n, e, monkeypatch):
+    tries = []
+    real = ad_analyzer.certifying_point
+
+    def counted(field, m, entries_at, first=0):
+        return real(field, m, lambda i, point: tries.append(i) or entries_at(i, point), first)
+
+    monkeypatch.setattr(ad_analyzer, "certifying_point", counted)
+    report = analyze(build_gas_companion(make_field(f"GF({p})(Z)"), n, e, "Z"), seed=0)
+    assert report.eigenvector_invertibility.all_invertible
+    assert len(tries) <= SWEEP_TRY_BUDGET[p, n, e]
 
 
 @pytest.mark.parametrize(

@@ -486,6 +486,109 @@ def test_fraction_canonical_form_after_ops():
                 assert den == (base.one,)
 
 
+def _canon_by_gcd(field, num, den):
+    """RationalFunctionField._canon's general body: divide out the gcd,
+    then make the denominator monic."""
+    k = field.base
+    if not num:
+        return ((), (k.one,))
+    g = rp.gcd(k, num, den)
+    if len(g) > 1:
+        num = rp.divmod_(k, num, g)[0]
+        den = rp.divmod_(k, den, g)[0]
+    lead = den[-1]
+    if lead != k.one:
+        c = k.inv(lead)
+        num = rp.scale(k, num, c)
+        den = rp.scale(k, den, c)
+    return (num, den)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)", "GF(7)", "GF(9)", "GF(727)"])
+def test_linear_denominators_canonicalise_as_the_gcd_does(spec):
+    # one Horner pass at the root of d1 * Z + d0 replaces Euclid's gcd;
+    # d1 runs over every unit, so most denominators are not monic, and a
+    # third of the numerators are multiples of the denominator
+    field = make_field(spec + "(Z)")
+    k = field.base
+    rng = random.Random(spec)
+    units = [u for u in k.enumerate_payloads() if u != k.zero]
+    cases = 0
+    for _ in range(600):
+        den = (k.random_payload(rng), rng.choice(units))
+        kind = rng.randrange(3)
+        if kind == 0:
+            quotient = rp.trim(k, tuple(k.random_payload(rng) for _ in range(rng.randrange(4))))
+            num = rp.mul(k, quotient, den)
+        elif kind == 1:
+            num = rp.trim(k, (k.random_payload(rng),))  # zero or a constant
+        else:
+            num = rp.trim(k, tuple(k.random_payload(rng) for _ in range(rng.randrange(1, 6))))
+        got = field._canon(num, den)
+        assert got == _canon_by_gcd(field, num, den), (num, den)
+        cases += bool(num) and rp.divmod_(k, num, den)[1] == ()
+    assert cases >= 100  # the divisible path is exercised
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)", "GF(7)", "GF(9)", "GF(727)"])
+def test_fraction_arithmetic_matches_the_gcd_route(spec):
+    # add, sub, mul and inv skip the gcd where lowest terms are known (a
+    # polynomial summand, cross-cancelled factors, an inverted pair, a
+    # constant numerator); each must give the pair the gcd route gives
+    field = make_field(spec + "(Z)")
+    k = field.base
+    rng = random.Random(spec + "ops")
+
+    def draw():
+        num = rp.trim(k, tuple(k.random_payload(rng) for _ in range(rng.randrange(5))))
+        den = ()
+        while not den:
+            den = rp.trim(k, tuple(k.random_payload(rng) for _ in range(rng.randrange(1, 5))))
+        return _canon_by_gcd(field, num, den)
+
+    for _ in range(300):
+        (an, ad), (bn, bd) = a, b = draw(), draw()
+        cross = (rp.mul(k, an, bd), rp.mul(k, bn, ad))
+        assert field.add(a, b) == _canon_by_gcd(field, rp.add(k, *cross), rp.mul(k, ad, bd))
+        assert field.sub(a, b) == _canon_by_gcd(field, rp.sub(k, *cross), rp.mul(k, ad, bd))
+        assert field.mul(a, b) == _canon_by_gcd(field, rp.mul(k, an, bn), rp.mul(k, ad, bd))
+        if an:
+            assert field.inv(a) == _canon_by_gcd(field, ad, an)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)(Z)", "GF(3)(Z)", "GF(9)(Z)"])
+def test_a_sum_with_a_polynomial_keeps_the_denominator_without_a_gcd(spec, monkeypatch):
+    field = make_field(spec)
+    k = field.base
+    rng = random.Random(spec)
+    pairs = []
+    while len(pairs) < 150:
+        num = rp.trim(k, tuple(k.random_payload(rng) for _ in range(rng.randrange(1, 5))))
+        den = rp.trim(k, tuple(k.random_payload(rng) for _ in range(rng.randrange(3, 5))))
+        poly = rp.trim(k, tuple(k.random_payload(rng) for _ in range(rng.randrange(4))))
+        a = _canon_by_gcd(field, num, den) if num and den else None
+        if a is not None and len(a[1]) > 1:
+            pairs.append((a, (poly, (k.one,))))
+    expected = [
+        (_canon_by_gcd(field, rp.add(k, a[0], rp.mul(k, b[0], a[1])), a[1]),
+         _canon_by_gcd(field, rp.sub(k, rp.mul(k, b[0], a[1]), a[0]), a[1]))
+        for a, b in pairs
+    ]
+    monkeypatch.setattr(rp, "gcd", lambda *args: pytest.fail("gcd in a sum with a polynomial"))
+    assert [(field.add(a, b), field.sub(b, a)) for a, b in pairs] == expected
+
+
+def test_random_payload_denominators_are_at_most_linear(monkeypatch):
+    # so no draw of the eigenvector sweep runs a gcd
+    monkeypatch.setattr(rp, "gcd", lambda *args: pytest.fail("gcd in random_payload"))
+    rng = random.Random(5)
+    for spec in ("GF(2)(Z)", "GF(3)(Z)", "GF(9)(Z)"):
+        field = make_field(spec)
+        for _ in range(300):
+            num, den = field.random_payload(rng)
+            assert len(den) <= 2 and den[-1] == field.base.one
+
+
 def test_element_parse_print_roundtrip():
     rng = random.Random(7)
     for spec in ("GF(7)", "GF(9)", "GF(16)", "GF(2)(Z)", "GF(9)(Z)"):

@@ -5,7 +5,7 @@ import pytest
 
 from aslab import _ringops as rp
 from aslab import ad_analyzer, fields, linalg, poly
-from aslab.errors import CapExceededError, InputError
+from aslab.errors import CapExceededError, ConsistencyError, InputError
 from aslab.fields import SPECIALISATION_TRIES, enumerate_elements, make_field, specialise
 from aslab.linalg import (
     InvariantFactorList,
@@ -576,6 +576,29 @@ def test_invariant_factor_list_validates_chain():
         InvariantFactorList([Poly.from_string(f2, "X+1"), Poly.from_string(f2, "X^2+X+1")])
 
 
+def test_a_broken_chain_names_the_field_the_size_and_the_factors():
+    f3 = make_field("GF(3)")
+    factors = [Poly.from_string(f3, s) for s in ("X", "X^2", "X^2+1")]
+    with pytest.raises(
+        ConsistencyError,
+        match=r"invariant factor chain broken over GF\(3\), size 5: factor 1 \(X\^2\) "
+        r"does not divide factor 2 \(X\^2\+1\)",
+    ):
+        InvariantFactorList(factors)
+
+
+def test_smith_degrees_short_of_the_size_name_the_instance(monkeypatch):
+    # the mutant: the Smith diagonal loses its last entry
+    real = linalg._smith_diagonal
+    monkeypatch.setattr(linalg, "_smith_diagonal", lambda ring, rows: real(ring, rows)[:-1])
+    f2z = make_field("GF(2)(Z)")
+    with pytest.raises(
+        ConsistencyError,
+        match=r"Smith normal form degrees do not sum to the size: 0 against 2 x 2 over GF\(2\)\(Z\)",
+    ):
+        invariant_factors(companion(Poly.from_string(f2z, "X^2-X-Z")))
+
+
 def _krylov_min_poly(field, a):
     """Independent minimal polynomial: first dependence among I, A, A^2, ..."""
     n = a.nrows
@@ -680,6 +703,18 @@ def test_pascal_identity_seeded():
             b = field.element(field.random_payload(rng))
             s = pascal_similarity(f, b)  # verifies the identity internally
             assert s.nrows == f.degree()
+
+
+def test_a_failed_pascal_identity_names_f_b_and_the_field(monkeypatch):
+    # the mutant: every shift also adds 1 to the constant term
+    real = Poly.shifted
+    monkeypatch.setattr(Poly, "shifted", lambda f, b: real(f, b) + 1)
+    f3 = make_field("GF(3)")
+    with pytest.raises(
+        ConsistencyError,
+        match=r"Pascal similarity identity failed for f = X\^3\+2\*X\+2, b = 1 over GF\(3\), 3 x 3",
+    ):
+        pascal_similarity(Poly.from_string(f3, "X^3-X-1"), 1)
 
 
 def test_companion_composition_similarity():

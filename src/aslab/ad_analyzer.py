@@ -32,10 +32,12 @@ v-eigenspace is spanned by A^i P S_v P^(-1), i < m.  Reduced by
 poly._span_basis this is the basis the kernel would give, and its rank m
 must equal the dimension the invariant factors give; its vectors feed the
 invertibility sweep.  check_eigenvector_invertibility, for any matrix,
-still takes kernels (linalg.eigenspace).  The sweep runs one loop over
-coefficient vectors per eigenvalue, the unit vectors (each basis vector)
-and then 10 seeded combinations, and tests each combination, reshaped to
-an m x m matrix.  Over K(Z) it first specialises it at Z = z0 for a fixed,
+still takes kernels (linalg.eigenspace).  Every sum c * vec here (Krylov
+vectors, left powers A^i T, the sweep's combinations) is one apply of
+poly._row_algebra.  The sweep runs one loop over coefficient vectors per
+eigenvalue, the unit vectors (each basis vector) and then 10 seeded
+combinations, and tests each combination, reshaped to an m x m matrix
+(linalg.full_rank).  Over K(Z) it first specialises it at Z = z0 for a fixed,
 bounded list of points z0 (fields.specialisation_points: all of K, then
 GF(|K|^2)), starting at the point that certified the previous combination
 of the same eigenvalue (linalg.certifying_point).  Where no denominator
@@ -50,6 +52,7 @@ build_gas_companion goes the other way: from (p, n, e, a) it constructs the
 companion matrix of X^(p^(n+e)) - X^(p^e) - a.
 """
 
+import functools
 import math
 import random
 
@@ -386,10 +389,11 @@ def _conjugator_eigenspaces(a, mu_a, dims):
     field, m = a.field, a.nrows
     where = _instance(field, m)
     c = companion(mu_a)
-    columns = list(zip(*a.rows))
-    krylov = [[field.one] + [field.zero] * (m - 1)]
-    for _ in range(m - 1):
-        krylov.append(_combination(field, krylov[-1], columns) or [field.zero] * m)
+    rows = _row_algebra(field)
+    a_columns = rows.columns(zip(*a.rows))
+    # the Krylov vectors A^i e_0 are the left powers of e_0, an m x 1 matrix
+    e_0 = Matrix.from_raw(field, [[field.one]] + [[field.zero]] * (m - 1))
+    krylov = _left_powers(rows, a_columns, e_0)
     p_mat = Matrix.from_raw(field, list(zip(*krylov)))
     identity = Matrix.identity(field, m)
     # a companion A has P = I, where A P = P C reads A = C
@@ -411,7 +415,7 @@ def _conjugator_eigenspaces(a, mu_a, dims):
         t = s if p_inv is None else p_mat * s * p_inv
         if a * t != t * a.scalar_shift(v):
             raise ConsistencyError(f"{where}: T_v is not an eigenvector of ad A at {v}")
-        basis = _span_basis(field, _left_powers(field, a.rows, t.rows))
+        basis = _span_basis(field, _left_powers(rows, a_columns, t))
         if len(basis) != d:
             raise ConsistencyError(
                 f"{where}: eigenspace at {v} has a basis of {len(basis)} vectors, but "
@@ -421,16 +425,15 @@ def _conjugator_eigenspaces(a, mu_a, dims):
     return bases
 
 
-def _left_powers(field, a_rows, t_rows):
-    """T, A T, ..., A^(m-1) T as row-major payload vectors: each row of a
-    product is one _combination of T's rows, so it costs A's nonzero
-    entries only."""
-    powers = []
-    rows = t_rows
-    for _ in range(len(a_rows)):
-        powers.append([x for row in rows for x in row])
-        rows = [_combination(field, a_row, rows) or [field.zero] * len(a_rows) for a_row in a_rows]
-    return powers
+def _left_powers(rows, a_columns, t):
+    """T, A T, ..., A^(m-1) T, T m x k, as row-major payload vectors: each
+    column of A^(i+1) T is apply of A's columns (a_columns) to A^i T's."""
+    m = t.nrows
+    powers = [[rows.pack(col) for col in zip(*t.rows)]]
+    while len(powers) < m:
+        powers.append([rows.apply(a_columns, col, m) for col in powers[-1]])
+    # each power's packed columns as its rows, flattened
+    return [[x for row in zip(*(rows.unpack(c, m) for c in cols)) for x in row] for cols in powers]
 
 
 def _eigenvector_invertibility(a, bases, seed):
@@ -438,16 +441,15 @@ def _eigenvector_invertibility(a, bases, seed):
     each basis vector a sequence of payloads.
 
     One loop per eigenvalue over coefficient vectors, the unit vectors and
-    then 10 seeded draws.  Over K(Z) each combination is first tried at the
-    specialisation points (linalg.certifying_point), where it is formed
-    from the specialised coefficients and basis (each vector specialised
-    once per point); the point that certified the previous combination of
-    the same eigenvalue is tried first, then the rest in their order.  Only
-    a combination that no point certifies, and every combination over a
-    finite field, is formed over the field and ranked exactly (linalg.
-    full_rank).  The basis is independent and no draw is all zero, so every
-    combination is nonzero; checks draw nothing from the rng, so the draws
-    come first."""
+    then 10 seeded draws, packed.  Over K(Z) each combination is first tried
+    at the specialisation points (linalg.certifying_point), formed from the
+    specialised coefficients and basis (_basis_sums); the point that
+    certified the previous combination of the same eigenvalue is tried
+    first, then the rest in their order.  Only a combination that no point
+    certifies, and every combination over a finite field, is formed over
+    the field and ranked exactly, packed (linalg.full_rank).  The basis is
+    independent and no draw is all zero, so every combination is nonzero;
+    checks draw nothing from the rng, so the draws come first."""
     field = a.field
     m = a.nrows
     rational = field.kind == "rational-function"
@@ -456,69 +458,54 @@ def _eigenvector_invertibility(a, bases, seed):
     checked = 0
     sampled = 0
     zero = field.zero
+    rows = _row_algebra(field)
     for v, basis in bases:
-        basis_at = _specialised_basis(field, basis)
-        vectors = []
-        for idx in range(len(basis)):
-            unit = [zero] * len(basis)
-            unit[idx] = field.one
-            vectors.append((f"basis vector {idx}", unit))
+        exact, at = _basis_sums(field, basis, m * m)
+        vectors = [(f"basis vector {i}", rows.unit(i, len(basis))) for i in range(len(basis))]
         for _ in range(10 if basis else 0):
             coeffs = [field.random_payload(rng) for _ in basis]
             if all(c == zero for c in coeffs):
                 coeffs[0] = field.one
-            vectors.append(("sampled combination", coeffs))
+            vectors.append(("sampled combination", rows.pack(coeffs)))
         checked += len(basis)
         sampled += len(vectors) - len(basis)
         first = 0
         for label, coeffs in vectors:
             if rational:
-                point = certifying_point(
-                    field,
-                    m,
-                    lambda i, pt: _combination_at(field, coeffs, basis_at(i, pt), pt),
-                    first,
-                )
+                point = certifying_point(field, m, lambda i, pt: at(coeffs, i, pt), first)
                 if point is not None:
                     first = point
                     continue
-            if not full_rank(field, m, _combination(field, coeffs, basis)):
+            if not full_rank(field, m, exact(coeffs)):
                 failures.append(f"{label} at eigenvalue {v} is singular")
     return InvertibilityVerdict(not failures, checked, sampled, failures)
 
 
-def _specialised_basis(field, basis):
-    """basis_at(i, point): the K(Z) basis at the i-th specialisation point,
-    None for a vector with a pole there, computed once per point."""
+def _basis_sums(field, basis, n):
+    """(exact, at): the sweep's sums c * vec of the basis (vectors of n
+    payloads) for coeffs packed in the field's row algebra, exact(coeffs)
+    over the field and at(coeffs, i, point) at the i-th specialisation
+    point of K(Z), or None where a vector with a nonzero coefficient has a
+    pole.  Each is one apply, packed, on the basis as columns (once per point)."""
+    rows = _row_algebra(field)
+    exact = functools.partial(rows.apply, rows.columns(basis), n=n)
     at_point = {}
 
-    def basis_at(i, point):
+    def at(coeffs, i, point):
         if i not in at_point:
-            at_point[i] = [specialise(field, vec, point) for vec in basis]
-        return at_point[i]
+            vecs = [specialise(field, vec, point) for vec in basis]
+            point_rows = _row_algebra(point[0])
+            poles = [j for j, vec in enumerate(vecs) if vec is None]
+            # a vector with a pole enters as a zero column
+            at_point[i] = point_rows, point_rows.columns(vec or () for vec in vecs), poles
+        point_rows, point_columns, poles = at_point[i]
+        cs = specialise(field, coeffs, point)
+        # a nonzero coefficient that vanishes at z0 still needs its vector there
+        if cs is None or any(coeffs[j] != field.zero for j in poles):
+            return None
+        return point_rows.apply(point_columns, point_rows.pack(cs), n)
 
-    return basis_at
-
-
-def _combination_at(field, coeffs, vecs, point):
-    """sum c * vec over the K(Z) coefficients and the specialised vectors
-    at the point, or None when a term cannot be specialised there."""
-    cs = specialise(field, coeffs, point)
-    # a nonzero coefficient that vanishes at z0 still needs its vector there
-    if cs is None or any(vec is None for c, vec in zip(coeffs, vecs) if c != field.zero):
-        return None
-    return _combination(point[0], cs, vecs)
-
-
-def _combination(field, coeffs, vecs):
-    """sum c * vec over the field, skipping zero coefficients (whose vectors
-    may be None); None when every coefficient is zero."""
-    combo = None
-    for c, vec in zip(coeffs, vecs):
-        if c != field.zero:
-            term = vec if c == field.one else [field.mul(c, x) for x in vec]
-            combo = term if combo is None else [field.add(s, t) for s, t in zip(combo, term)]
-    return combo
+    return exact, at
 
 
 def check_similarity_shift(a: Matrix, b) -> bool:

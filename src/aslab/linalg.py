@@ -29,13 +29,14 @@ here from payloads is built with Matrix.from_raw, which checks only the
 shape and the size caps: 100x100 over rational function fields (entry
 growth), 1024x1024 over finite fields.
 
-invertible (Matrix.is_invertible) over K(Z) tries the specialisations
-Z -> z0 first (specialised_invertible, certifying_point on
+Every matrix-vector product (Matrix.__mul__, invariant_factors' Krylov
+vectors, ad_analyzer's) is the row algebra's apply.  Matrix.is_invertible
+over K(Z) tries the specialisations Z -> z0 first (certifying_point on
 fields.specialise); an invertible M(z0) with no pole proves M invertible.
-Only when no point certifies, or over a finite field, are the entries built
-and ranked exactly (full_rank).  ad_analyzer's sweep calls certifying_point
-and full_rank itself, so that it can start at the point that certified its
-previous combination.
+Only when no point certifies, or over a finite field, is M ranked exactly.
+ad_analyzer's sweep calls certifying_point and full_rank, which ranks a
+packed vector as its rows (reshape), so that it can start at the point
+that certified its previous combination.
 """
 
 import bisect
@@ -136,19 +137,12 @@ class Matrix:
                 raise InputError("matrix operands must share the field")
             if self.ncols != other.nrows:
                 raise InputError("inner dimensions differ")
-            # each row of the product sums the rows of other at the
-            # nonzero entries of self's row, in column order
-            out = []
-            zero = k.zero
-            for row in self.rows:
-                acc = [zero] * other.ncols
-                for a, orow in zip(row, other.rows):
-                    if a != zero:
-                        for j, b in enumerate(orow):
-                            if b != zero:
-                                acc[j] = k.add(acc[j], k.mul(a, b))
-                out.append(acc)
-            return Matrix.from_raw(k, out)
+            # row i of the product: other's rows, as columns, times row i of self
+            rows, n = _row_algebra(k), other.ncols
+            columns = rows.columns(other.rows)
+            return Matrix.from_raw(
+                k, [rows.unpack(rows.apply(columns, rows.pack(row), n), n) for row in self.rows]
+            )
         if isinstance(other, (FieldElement, int)):
             c = k.payload_of(other)
             return Matrix.from_raw(k, [[k.mul(v, c) for v in row] for row in self.rows])
@@ -171,17 +165,25 @@ class Matrix:
         return Matrix.from_raw(k, out)
 
     def rank(self):
-        return _rank(self.field, self.rows)
+        return _rank(self.field, map(_row_algebra(self.field).pack, self.rows))
 
     def is_invertible(self):
-        """invertible on the entries, row-major."""
+        """Whether the matrix is square and invertible.  Over K(Z) the
+        specialisation points decide first (certifying_point); only when
+        none certifies, or over a finite field, is it ranked exactly."""
         if not self.is_square():
             return False
-        k = self.field
-        entries = [x for row in self.rows for x in row]
-        return invertible(
-            k, self.nrows, lambda: entries, lambda i, point: specialise(k, entries, point)
-        )
+        k, m = self.field, self.nrows
+        if k.kind == "rational-function":
+            entries = [x for row in self.rows for x in row]
+
+            def entries_at(i, point):
+                vec = specialise(k, entries, point)
+                return None if vec is None else _row_algebra(point[0]).pack(vec)
+
+            if certifying_point(k, m, entries_at) is not None:
+                return True
+        return self.rank() == m
 
     def kernel_basis(self):
         """Canonical kernel basis (one vector per free column of the RREF)."""
@@ -225,48 +227,31 @@ class Matrix:
 
 
 def _rank(field, rows):
-    """Rank of the payload rows over field."""
+    """Rank of the rows, packed in poly._row_algebra(field)."""
     algebra = _row_algebra(field)
     echelon = {}
-    return sum(algebra.extend(echelon, algebra.pack(row), None)[0] for row in rows)
-
-
-def invertible(field, m, entries, entries_at):
-    """Whether an m x m matrix over field is invertible.  Over K(Z) the
-    specialisation points decide first (specialised_invertible, entries_at);
-    only when none certifies, or over a finite field, are its m*m payloads
-    built by entries(), row-major, and ranked exactly (full_rank)."""
-    if field.kind == "rational-function" and specialised_invertible(field, m, entries_at):
-        return True
-    return full_rank(field, m, entries())
+    return sum(algebra.extend(echelon, row, None)[0] for row in rows)
 
 
 def full_rank(field, m, vec):
-    """Whether the m x m matrix of the m*m payloads vec, row-major, has rank
-    m, by Matrix.rank."""
-    return Matrix.from_raw(field, [vec[r * m:(r + 1) * m] for r in range(m)]).rank() == m
-
-
-def specialised_invertible(field, m, entries_at):
-    """Whether an m x m matrix over K(Z) is invertible at one of the
-    specialisation points of its base field, tried in their fixed order:
-    certifying_point from the first point."""
-    return certifying_point(field, m, entries_at) is not None
+    """Whether the m x m matrix of the m*m coordinates of vec, row-major,
+    packed in poly._row_algebra(field), has rank m."""
+    return _rank(field, _row_algebra(field).reshape(vec, m)) == m
 
 
 def certifying_point(field, m, entries_at, first=0):
     """The index of a specialisation point of the base field of K(Z) at
     which an m x m matrix over K(Z) is invertible, which proves it
     invertible (fields.specialise), or None.  entries_at(i, point) gives
-    its m*m entries, row-major, at the i-th point, as payloads of the
-    point's field, or None when a denominator vanishes there.  The point at
-    index first is tried first, then the others in order.  One-sided: a
-    singular matrix never certifies, and it costs at most
+    its m*m entries, row-major, at the i-th point, packed in the row algebra
+    of the point's field, or None when a denominator vanishes there.  The
+    point at index first is tried first, then the others in order.
+    One-sided: a singular matrix never certifies, and it costs at most
     fields.SPECIALISATION_TRIES tries."""
     points = specialisation_points(field.base)
     for i in itertools.chain((first,), (i for i in range(len(points)) if i != first)):
         vec = entries_at(i, points[i])
-        if vec is not None and _rank(points[i][0], [vec[r * m:(r + 1) * m] for r in range(m)]) == m:
+        if vec is not None and full_rank(points[i][0], m, vec):
             return i
     return None
 
@@ -471,7 +456,7 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
     k = m.field
     n = m.nrows
     rows = _row_algebra(k)
-    columns = rows.columns(m.rows)
+    columns = rows.columns(zip(*m.rows))
     echelon = {}
     starts = []  # echelon index of each chain's first vector
     relations = []
@@ -483,7 +468,7 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
             added, combo = rows.extend(echelon, vec, rows.unit(index, index + 1))
             if not added:
                 break
-            vec = rows.apply(columns, vec)
+            vec = rows.apply(columns, vec, n)
         # vec lies in the span: combo closes the chain, unless the chain is
         # empty because e_i itself was already spanned
         if index > start:

@@ -19,9 +19,10 @@ echelon is a dict from pivot to (row, combination), whose representation
 is chosen per field: over GF(2) a Python int with bit i holding coordinate
 i, reduced by XOR at the vector's set bits (_BitRows); over every other
 field a list of payloads, reduced by the one payload echelon step,
-_PayloadRows.extend, and matrix-vector product, apply, on two row kernels
-that each kind supplies: through the field's methods over GF(p^n) and
-K(Z) (_PayloadRows), inline mod p over GF(p), p odd (_PrimeRows).  The
+_PayloadRows.extend, on two row kernels that each kind supplies: through
+the field's methods over GF(p^n) and K(Z) (_PayloadRows), inline mod p
+over GF(p), p odd (_PrimeRows).  apply, one per representation, is the
+only sum c * vec of linalg and ad_analyzer.  The
 same algebra is F[X] for linalg's Smith finish and analyze's
 multiplicities: _PayloadRows inherits _ringops.PolyRing and _PrimeRows
 PrimeRing, and over GF(2) bit i holds the coefficient of X^i, with gcd,
@@ -575,9 +576,9 @@ class _PayloadRows(rp.PolyRing):
     (row, combo), both stored as their nonzero (index, value) pairs, so
     sparse rows cost only their nonzeros; a combo is updated in place.
     extend is the one echelon step on payloads, on the row kernels
-    subtract_row and scaled_pairs, and apply the one matrix-vector product,
-    on subtract_row; here the kernels use the field's methods.  As F[X] for
-    the Smith finish it is the _ringops.PolyRing it inherits.
+    subtract_row and scaled_pairs, and apply the matrix-vector product, of
+    any shape; here both use the field's methods.  As F[X] for the Smith
+    finish it is the _ringops.PolyRing it inherits.
     """
 
     def pack(self, vec):
@@ -650,28 +651,37 @@ class _PayloadRows(rp.PolyRing):
             return [(i, x) for i, x in enumerate(v) if x != field.zero]
         return [(i, field.mul(x, c)) for i, x in enumerate(v) if x != field.zero]
 
-    def columns(self, matrix_rows):
-        """The matrix's columns as their nonzero (row, entry) pairs."""
-        zero = self.k.zero
-        return [[(i, a) for i, a in enumerate(col) if a != zero] for col in zip(*matrix_rows)]
+    def reshape(self, v, m):
+        """The m*m coordinates of v as m rows of m, row-major."""
+        return [v[i:i + m] for i in range(0, m * m, m)]
 
-    def apply(self, columns, v):
-        """The matrix with these columns times v: out - (-a) * column for
-        each nonzero coordinate a of v, on the row kernel subtract_row."""
+    def columns(self, vectors):
+        """These payload vectors as apply's columns: nonzero (row, entry) pairs."""
+        zero = self.k.zero
+        return [[(i, a) for i, a in enumerate(vec) if a != zero] for vec in vectors]
+
+    def apply(self, columns, v, n):
+        """The n x len(v) matrix with these columns times v: the sum of
+        a * column over the nonzero coordinates a of v, a product by one
+        skipped."""
         field = self.k
-        out = [field.zero] * len(v)
+        out = [field.zero] * n
         for a, col in zip(v, columns):
-            if a != field.zero:
-                self.subtract_row(out, field.neg(a), col)
+            if a == field.one:
+                for i, y in col:
+                    out[i] = field.add(out[i], y)
+            elif a != field.zero:
+                for i, y in col:
+                    out[i] = field.add(out[i], field.mul(a, y))
         return out
 
 
 class _PrimeRows(rp.PrimeRing, _PayloadRows):
-    """_PayloadRows over GF(p), p odd, with the row kernels written inline:
-    payloads are the ints 0 .. p-1, so they reduce (v[i] - a * y) % p with
-    no method call.  Rows, combos, the pivot dict, extend and apply are
-    those of _PayloadRows, and so is low (zero is 0); the pivot inverse
-    PrimeField.inv is pow(a, p - 2, p).  F[X] is _ringops.PrimeRing."""
+    """_PayloadRows over GF(p), p odd, with the row kernels and apply written
+    inline: payloads are the ints 0 .. p-1, so they reduce (v[i] - a * y) % p
+    and (v[i] + a * y) % p with no method call.  Rows, combos, the pivot
+    dict, extend and low are those of _PayloadRows (zero is 0); the pivot
+    inverse PrimeField.inv is pow(a, p - 2, p).  F[X] is _ringops.PrimeRing."""
 
     def subtract_row(self, v, a, row):
         p = self.k.p
@@ -681,6 +691,15 @@ class _PrimeRows(rp.PrimeRing, _PayloadRows):
     def scaled_pairs(self, v, c):
         p = self.k.p
         return [(i, x * c % p) for i, x in enumerate(v) if x]
+
+    def apply(self, columns, v, n):
+        p = self.k.p
+        out = [0] * n
+        for a, col in zip(v, columns):
+            if a:
+                for i, y in col:
+                    out[i] = (out[i] + a * y) % p
+        return out
 
 
 # GF(2) payloads 0 and 1 to the binary digits int(_, 2) reads, and back
@@ -749,11 +768,16 @@ class _BitRows:
         echelon[self.low(v)] = (v, c)
         return True, c
 
-    def columns(self, matrix_rows):
-        return [self.pack(col) for col in zip(*matrix_rows)]
+    @staticmethod
+    def reshape(v, m):
+        mask = (1 << m) - 1
+        return [v >> i & mask for i in range(0, m * m, m)]
+
+    def columns(self, vectors):
+        return [self.pack(vec) for vec in vectors]
 
     @staticmethod
-    def apply(columns, v):
+    def apply(columns, v, n):
         """XOR of the columns at the set bits of v."""
         out = 0
         while v:

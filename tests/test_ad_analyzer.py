@@ -15,7 +15,7 @@ from aslab.ad_analyzer import (
     contains_subfield,
 )
 from aslab.errors import CapExceededError, ConsistencyError, InputError
-from aslab.fields import make_field
+from aslab.fields import make_field, specialisation_points, specialise
 from aslab.linalg import (
     Matrix,
     ad_matrix,
@@ -25,7 +25,7 @@ from aslab.linalg import (
     jordan_block,
     similar,
 )
-from aslab.poly import Poly, factor_finite
+from aslab.poly import Poly, _row_algebra, factor_finite
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +533,66 @@ def test_reducible_kz_witnesses_are_kept_by_the_fallback(spec, seed, counts, sin
 @pytest.mark.parametrize("spec, n, e", [("GF(3)(Z)", 1, 0), ("GF(3)(Z)", 1, 1), ("GF(4)(Z)", 2, 0)])
 def test_certified_kz_sweep_needs_no_exact_rank(spec, n, e, monkeypatch):
     a = build_gas_companion(make_field(spec), n, e, "Z")
-    monkeypatch.setattr(Matrix, "rank", lambda self: pytest.fail("exact rank reached"))
+    # the sweep's exact rank over K(Z); certifying_point ranks at the points
+    # through linalg's own full_rank
+    monkeypatch.setattr(ad_analyzer, "full_rank", lambda *args: pytest.fail("exact rank reached"))
     verdict = check_eigenvector_invertibility(a, seed=4)
     assert verdict.all_invertible and verdict.failures == []
     assert verdict.sampled == 10 * a.field.char**n  # 10 per eigenvalue
+
+
+def _reference_combination(field, coeffs, vecs):
+    """sum c * vec by field method calls, as the sweep formed it before the
+    row algebra: zero coefficients (whose vectors may be None) skipped,
+    None when every coefficient is zero."""
+    combo = None
+    for c, vec in zip(coeffs, vecs):
+        if c != field.zero:
+            term = vec if c == field.one else [field.mul(c, x) for x in vec]
+            combo = term if combo is None else [field.add(s, t) for s, t in zip(combo, term)]
+    return combo
+
+
+def _reference_combination_at(field, coeffs, basis, point):
+    """_reference_combination at a specialisation point, None when a term
+    cannot be specialised there, and the zero vector when every coefficient
+    vanishes there (which certifies nothing either)."""
+    vecs = [specialise(field, vec, point) for vec in basis]
+    cs = specialise(field, coeffs, point)
+    if cs is None or any(vec is None for c, vec in zip(coeffs, vecs) if c != field.zero):
+        return None
+    combo = _reference_combination(point[0], cs, vecs)
+    return [point[0].zero] * len(basis[0]) if combo is None else combo
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(9)", "GF(2)(Z)", "GF(3)(Z)", "GF(4)(Z)"])
+def test_sweep_combinations_match_the_field_method_sums(spec):
+    # seeded bases of m^2-vectors and coefficient vectors, mostly 0 and 1,
+    # packed as the sweep packs them (payload lists over K(Z)); over K(Z)
+    # the denominators of degree 1 put poles at some points
+    field, rng = make_field(spec), random.Random(189)
+    rational = field.kind == "rational-function"
+    points = specialisation_points(field.base) if rational else []
+    poles = 0
+    for d, n in ((1, 1), (1, 4), (2, 4), (3, 9), (4, 16)):
+        basis = [[field.random_payload(rng) for _ in range(n)] for _ in range(d)]
+        exact, at = ad_analyzer._basis_sums(field, basis, n)
+        for _ in range(6):
+            coeffs = [rng.choice([field.zero, field.one, field.random_payload(rng)]) for _ in basis]
+            if all(c == field.zero for c in coeffs):
+                coeffs[0] = field.one
+            expected = _reference_combination(field, coeffs, basis)
+            rows = _row_algebra(field)
+            assert rows.unpack(exact(rows.pack(coeffs)), n) == expected, (spec, basis, coeffs)
+            for i, point in enumerate(points):
+                expected = _reference_combination_at(field, coeffs, basis, point)
+                got = at(coeffs, i, point)
+                if expected is None:
+                    poles += 1
+                    assert got is None, (spec, basis, coeffs, i)
+                else:
+                    assert _row_algebra(point[0]).unpack(got, n) == expected, (spec, basis, coeffs, i)
+    assert poles or not rational
 
 
 # specialisation tries (entries_at calls) of the seed-0 sweeps of the forward

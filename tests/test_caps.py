@@ -1,6 +1,8 @@
 """Documented caps reached at their edge in a bounded time, and refused past
-it before any work: README "Size caps", one row at a time.  So far the
-first row, factor_finite at degree 64 over finite fields to 729."""
+it before any work: README "Size caps", one row at a time.  So far two
+rows: factor_finite at degree 64 over finite fields to 729, and the
+certified analyze of the largest companion a finite field certifies under
+the 32 x 32 cap (m = p <= 31), X^31 - X - 1 over GF(31)."""
 
 import functools
 import random
@@ -10,6 +12,7 @@ import pytest
 
 from aslab import _ringops as rp
 from aslab import poly
+from aslab.ad_analyzer import analyze, build_gas_companion
 from aslab.errors import CapExceededError
 from aslab.fields import make_field, rabin_irreducible
 from aslab.poly import FACTOR_MAX_DEGREE, Poly, factor_finite
@@ -18,6 +21,9 @@ CAP_FIELDS = ["GF(729)", "GF(512)", "GF(625)", "GF(727)"]
 
 # measured 0.14-2.0 s per input on a 2-core VM
 FACTOR_BOUND_S = 10.0
+
+# measured 3.1-5.3 s, cold and warm, on a 2-core VM
+CERTIFIED_BOUND_S = 15.0
 
 
 def _monic(k, d, rng):
@@ -78,3 +84,17 @@ def test_factor_finite_refuses_degree_65_before_any_work(spec, monkeypatch):
     with pytest.raises(CapExceededError, match="degree 65 exceeds cap 64"):
         factor_finite(f)
     assert time.perf_counter() - start < 0.1
+
+
+def test_certified_analyze_of_the_gf31_companion_in_bounded_time():
+    # X^31 - X - 1 is irreducible over GF(31) (a = 1 has trace 1), so c1, c2
+    # and c3 hold: 31 eigenspaces of dimension 31, each swept whole
+    a = build_gas_companion(make_field("GF(31)"), 1, 0, 1)
+    start = time.perf_counter()
+    report = analyze(a)
+    elapsed = time.perf_counter() - start
+    assert elapsed < CERTIFIED_BOUND_S, elapsed
+    assert report.passed() and report.eigenspace_dims[0][1] == 31
+    assert [report.recovered[key] for key in ("p", "n", "e")] == [31, 1, 0]
+    verdict = report.eigenvector_invertibility
+    assert verdict.all_invertible and (verdict.checked, verdict.sampled) == (961, 310)

@@ -12,6 +12,7 @@ from aslab.linalg import (
     Matrix,
     _smith_diagonal,
     ad_matrix,
+    certifying_point,
     companion,
     direct_sum,
     eigenspace,
@@ -23,7 +24,6 @@ from aslab.linalg import (
     pascal_similarity,
     poly_at_matrix,
     similar,
-    specialised_invertible,
     verify_companion_composition,
 )
 from aslab.poly import (
@@ -1044,23 +1044,21 @@ def test_kz_invertibility_is_mostly_certified_without_the_exact_rank(spec, monke
 
 
 @pytest.mark.parametrize("spec", ["GF(2)(Z)", "GF(3)(Z)", "GF(4)(Z)", "GF(3)", "GF(9)"])
-def test_invertible_matches_the_determinant_and_builds_nothing_once_certified(spec):
+def test_invertible_matches_the_determinant_and_builds_nothing_once_certified(spec, monkeypatch):
     # the same seeded construction serves the finite fields, where no
-    # point is tried and the exact rank decides every matrix
+    # point is tried and the exact rank decides every matrix; once a point
+    # certifies, is_invertible takes no exact rank
     field = make_field(spec)
     rational = field.kind == "rational-function"
     for m, expected in _kz_matrices(field, 17):
-        entries = [x for row in m.rows for x in row]
-
-        def at(i, point):
-            assert rational, "a specialisation point tried over a finite field"
-            return specialise(field, entries, point)
-
-        if rational and specialised_invertible(field, m.nrows, at):
-            exact = lambda: pytest.fail("entries built after a point certified")  # noqa: E731
-        else:
-            exact = lambda: entries  # noqa: E731
-        got = linalg.invertible(field, m.nrows, exact, at)
+        with monkeypatch.context() as patch:
+            if not rational:
+                patch.setattr(
+                    linalg, "certifying_point", lambda *args: pytest.fail("a point tried over a finite field")
+                )
+            elif _certifying_points(field, m.nrows, m.rows)[1]:
+                patch.setattr(Matrix, "rank", lambda self: pytest.fail("exact rank after a point certified"))
+            got = m.is_invertible()
         assert got == bool(_laplace_det(m)) and expected in (None, got)
 
 
@@ -1073,16 +1071,18 @@ def test_a_specialised_rank_that_overclaims_is_caught(monkeypatch):
     assert _invertibility_disagreements("GF(3)(Z)", 11)
 
 
-def _certifying_points(field, m, entries):
-    """Indices of the points specialised_invertible tries before it
-    certifies, and its verdict."""
+def _certifying_points(field, m, rows):
+    """Indices of the points certifying_point tries, from the first, before
+    it certifies the matrix of these payload rows, and whether one does."""
     tried = []
+    entries = [x for row in rows for x in row]
 
     def at(i, point):
         tried.append(i)
-        return specialise(field, entries, point)
+        vec = specialise(field, entries, point)
+        return None if vec is None else poly._row_algebra(point[0]).pack(vec)
 
-    return tried, specialised_invertible(field, m, at)
+    return tried, certifying_point(field, m, at) is not None
 
 
 @pytest.mark.parametrize("spec, det", [("GF(2)(Z)", "Z^2+Z"), ("GF(3)(Z)", "Z^3-Z")])
@@ -1090,7 +1090,7 @@ def test_a_determinant_vanishing_on_k_is_certified_at_the_extension_points(spec,
     field = make_field(spec)
     m = Matrix(field, [[det]])
     k = field.base.order
-    tried, verdict = _certifying_points(field, 1, [m.rows[0][0]])
+    tried, verdict = _certifying_points(field, 1, m.rows)
     assert verdict and tried == list(range(k + 1))
     assert fields.specialisation_points(field.base)[k][0].order == k * k
     monkeypatch.setattr(Matrix, "rank", lambda self: pytest.fail("exact rank reached"))
@@ -1104,7 +1104,7 @@ def test_denominators_vanishing_on_k_skip_those_points(monkeypatch):
     entries = [x for row in m.rows for x in row]
     points = fields.specialisation_points(f2z.base)
     assert [specialise(f2z, entries, pt) is None for pt in points] == [True, True, False, False]
-    tried, verdict = _certifying_points(f2z, 2, entries)
+    tried, verdict = _certifying_points(f2z, 2, m.rows)
     assert verdict and tried == [0, 1, 2]
     monkeypatch.setattr(Matrix, "rank", lambda self: pytest.fail("exact rank reached"))
     assert m.is_invertible()
@@ -1116,7 +1116,7 @@ def test_denominators_vanishing_everywhere_fall_back_to_the_exact_rank():
     m = Matrix(f2z, [["1/(Z^4+Z)", 0], [0, 1]])
     entries = [x for row in m.rows for x in row]
     assert all(specialise(f2z, entries, pt) is None for pt in fields.specialisation_points(f2z.base))
-    assert _certifying_points(f2z, 2, entries) == ([0, 1, 2, 3], False)
+    assert _certifying_points(f2z, 2, m.rows) == ([0, 1, 2, 3], False)
     assert m.is_invertible()
     assert not Matrix(f2z, [["1/(Z^4+Z)", 1], ["1/(Z^4+Z)", 1]]).is_invertible()
 
@@ -1185,7 +1185,7 @@ def test_pivot_table_echelon_matches_payload_rows(monkeypatch):
 
             def run():
                 return (
-                    linalg._rank(field, mat.rows),
+                    mat.rank(),
                     _kernel(field, columns),
                     invariant_factors(mat),
                 )
@@ -1214,10 +1214,25 @@ def _reference_apply(field, rows, vec):
     return out
 
 
+def _unit_heavy_rows(field, nrows, ncols, rng):
+    """Seeded nrows x ncols payload rows, the first one zero, whose entries
+    are mostly 0, 1 (whose product apply skips) and -1."""
+    pool = [field.zero, field.one, field.neg(field.one)]
+    rows = [[field.zero] * ncols]
+    for _ in range(nrows - 1):
+        rows.append([rng.choice(pool) if rng.random() < 0.7 else field.random_payload(rng)
+                     for _ in range(ncols)])
+    return rows
+
+
+NON_SQUARE_SHAPES = ((4, 2), (9, 3), (16, 4), (2, 5), (5, 3), (1, 4), (3, 1))
+
+
 def test_apply_matches_a_reference_matrix_vector_product():
-    # apply is written once on subtract_row, as out - (-a) * column; the
-    # field's own row algebra and the payload lists against dot products,
-    # on the differential matrices and on random matrices over GF(3)(Z)
+    # apply is written once per representation; the field's own row
+    # algebra and the payload lists against dot products,
+    # on the differential matrices, on random matrices over GF(3)(Z), and on
+    # non-square ones: m^2 x d, the sweep's combinations, and n x k
     cases = [
         (make_field(spec), mat.rows)
         for spec in DIFFERENTIAL_FIELDS
@@ -1225,15 +1240,45 @@ def test_apply_matches_a_reference_matrix_vector_product():
     ]
     f3z, rng = make_field("GF(3)(Z)"), random.Random(187)
     cases += [(f3z, random_matrix(f3z, size, rng).rows) for size in (1, 2, 3, 4, 5)]
+    for spec in ("GF(2)", "GF(3)", "GF(9)", "GF(3)(Z)"):
+        field = make_field(spec)
+        cases += [(field, _unit_heavy_rows(field, n, k, rng)) for n, k in NON_SQUARE_SHAPES]
     for field, rows in cases:
-        n = len(rows)
-        vecs = [[field.zero] * n, [field.one] + [field.zero] * (n - 1)]
-        vecs += [[field.random_payload(rng) for _ in range(n)] for _ in range(2)]
+        n, k = len(rows), len(rows[0])
+        minus_one = field.neg(field.one)
+        vecs = [[field.zero] * k, [field.one] + [field.zero] * (k - 1), [minus_one] * k]
+        vecs += [[field.random_payload(rng) for _ in range(k)] for _ in range(2)]
         expected = [_reference_apply(field, rows, vec) for vec in vecs]
         for algebra in (poly._row_algebra(field), poly._PayloadRows(field)):
-            columns = algebra.columns(rows)
-            got = [algebra.unpack(algebra.apply(columns, algebra.pack(v)), n) for v in vecs]
+            columns = algebra.columns(zip(*rows))
+            got = [algebra.unpack(algebra.apply(columns, algebra.pack(v), n), n) for v in vecs]
             assert got == expected, (field, rows)
+
+
+def _reference_product(a, b):
+    """a * b by the triple loop of field methods."""
+    k = a.field
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = k.zero
+            for t in range(a.ncols):
+                acc = k.add(acc, k.mul(a.rows[i][t], b.rows[t][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(9)", "GF(727)", "GF(3)(Z)"])
+def test_matrix_product_matches_the_triple_loop(spec):
+    field, rng = make_field(spec), random.Random(188)
+    shapes = [(n, n, n) for n in (1, 2, 3, 5)]
+    shapes += [(n, k, j) for n, k in NON_SQUARE_SHAPES for j in (1, 3)]
+    for n, k, j in shapes:
+        a = Matrix.from_raw(field, _unit_heavy_rows(field, n, k, rng))
+        b = Matrix.from_raw(field, _unit_heavy_rows(field, k, j, rng))
+        assert (a * b).rows == _reference_product(a, b), (spec, a, b)
 
 
 def test_packed_segment_and_low_match_payload_rows():

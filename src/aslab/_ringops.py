@@ -13,8 +13,10 @@ oracle's trial division) and in F[alpha][X] with F[alpha] = F[X]/(q).
 ring(k) is the one choice of F[X] by field kind: PrimeRing, the only F[X]
 on ints with % p inline, over GF(p), 2 included, and PolyRing, these
 functions over k, elsewhere.  pow_mod, powers_mod and frobenius_chain take
-one ring per call, as do Rabin's test, poly's factorization and root
-multiplicities, and poly's row algebras inherit them.  square_and_multiply
+one ring per call, as do Ben-Or's test, poly's factorization and root
+multiplicities, and poly's row algebras inherit them.  frobenius_chain is
+the one source of x^(q^i) mod m: Ben-Or's test, distinct-degree
+factorization and Berlekamp's x^q read it.  square_and_multiply
 is the one power loop of the package, on a product passed in: power's,
 pow_mod's, frobenius_chain's, dickson's multivariate pow_int and the Smith
 diagonal's in linalg.  The module functions keep no field-kind test: every

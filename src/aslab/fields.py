@@ -51,8 +51,9 @@ payloads.
 
 The finite-field kernels shared by the package live here: _least_divisor,
 the one trial division (is_prime, and the p of a field order q = p^n),
-p_power_split (n = m * p^s), rabin_irreducible (for monic raw polynomials
-over any finite descriptor, every x^(q^i) read off one Frobenius chain,
+p_power_split (n = m * p^s), ben_or_irreducible (for monic raw
+polynomials over any finite descriptor: the gcd of f with x^(q^d) - x at
+each d <= deg f / 2, the rule of poly._factor_raw, on one Frobenius chain,
 _ringops.frobenius_chain; poly.is_irreducible_finite wraps it),
 monic_irreducibles, whose locked cache also supplies default_modulus, the
 tables of _log_tables, _TabulatedField, the one k[T]/(m) field on those
@@ -382,23 +383,23 @@ class PrimeField(FieldDescriptor):
         return f"GF({self.p})"
 
 
-def rabin_irreducible(k, f):
-    """Rabin's test: whether the monic raw polynomial f is irreducible over
-    the finite field k of q elements (x^(q^n) == x, and gcd(x^(q^(n/l)) - x,
-    f) = 1 for every prime l dividing n = deg f).  Every x^(q^i) is read
-    off one Frobenius chain mod f (_ringops.frobenius_chain), each gcd, in
-    _ringops.ring(k), as the chain passes n/l, so a failed gcd ends the
-    walk early."""
+def ben_or_irreducible(k, f):
+    """Ben-Or's test: whether the monic raw polynomial f of degree n is
+    irreducible over the finite field k of q elements, that is n >= 1 and
+    gcd(x^(q^d) - x, f) = 1 for d = 1, ..., n // 2 (a reducible f has a
+    factor of degree at most n/2, and x^(q^d) - x is the product of the
+    monic irreducibles of degree dividing d).  Every x^(q^d) is read off one
+    Frobenius chain mod f (_ringops.frobenius_chain), each gcd in
+    _ringops.ring(k), and the walk stops at the first common factor (Ben-Or,
+    "Probabilistic algorithms in finite fields", FOCS 1981; Gao and
+    Panario, "Tests and constructions of irreducible polynomials over
+    finite fields", FoCM 1997)."""
     n = len(f) - 1
-    if n < 2:
-        return n == 1
     x, ring = (k.zero, k.one), rp.ring(k)
-    gcd_at = {n // ell for ell in range(2, n + 1) if n % ell == 0 and is_prime(ell)}
-    for i, h in enumerate(rp.frobenius_chain(k, f), 1):
-        if i == n:
-            return h == x
-        if i in gcd_at and ring.gcd(ring.sub(h, x), f) != ring.one:
+    for _, h in zip(range(n // 2), rp.frobenius_chain(k, f)):
+        if ring.gcd(ring.sub(h, x), f) != ring.one:
             return False
+    return n >= 1
 
 
 _irreducible_cache = {}
@@ -407,7 +408,16 @@ _irreducible_lock = threading.Lock()
 
 def monic_irreducibles(k, degree, count):
     """First `count` monic irreducible raw polynomials of the degree over the
-    finite field k, in enumeration order of their coefficient tails."""
+    finite field k, in enumeration order of their coefficient tails.
+
+    The scan may pass many candidates before its first find.  At degree 8
+    over GF(2^j) the first q^2 candidates with a nonzero constant term c are
+    X^8 + a X^7 + b X^6 + c, and none is irreducible: reversed, c X^8 +
+    b X^2 + a X + 1 is a square (a = 0) or an affine 2-polynomial, whose 8
+    roots are a coset of a 3-dimensional GF(2)-space; Frobenius acts on it
+    as an element of AGL(3, 2), of order 1, 2, 3, 4, 6 or 7, never 8 (Lidl
+    and Niederreiter, Finite Fields, ch. 3).  Over GF(512) that is 262,144
+    candidates."""
     key = (k, degree)
     with _irreducible_lock:
         cached = _irreducible_cache.get(key, [])
@@ -420,7 +430,7 @@ def monic_irreducibles(k, degree, count):
     constants = payloads if degree < 2 else [c for c in payloads if c != k.zero]
     for tail in itertools.product(constants, *[payloads] * (degree - 1)):
         cand = tail + (k.one,)
-        if rabin_irreducible(k, cand):
+        if ben_or_irreducible(k, cand):
             out.append(cand)
             if len(out) == count:
                 break
@@ -496,7 +506,10 @@ def _build_log_tables(k, modulus):
     last = exp.pop()
     log = {a: i for i, a in enumerate(exp)}
     if last != exp[0] or len(log) != q1:
-        raise ConsistencyError("log tables: the modulus is not irreducible")
+        raise ConsistencyError(
+            f"log tables: the modulus is not irreducible: degree {d} over GF({k.order}),"
+            f" {len(log)} distinct powers of the generator, expected {q1}"
+        )
     log[zero] = _LOG_ZERO
     zech = [log[(k.add(a[0], k.one),) + a[1:]] for a in exp]
     neg = log[(k.neg(k.one),) + zero[1:]]
@@ -602,7 +615,7 @@ class ExtensionField(_TabulatedField, FieldDescriptor):
             modulus = rp.trim(base, tuple(c % p for c in modulus))
             if len(modulus) != n + 1 or modulus[-1] != 1:
                 raise InputError("modulus must be monic of the stated degree")
-            if not rabin_irreducible(base, modulus):
+            if not ben_or_irreducible(base, modulus):
                 raise InputError("modulus is reducible over the prime field")
         self.modulus = modulus
         _TabulatedField.__init__(self, base, modulus)

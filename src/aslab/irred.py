@@ -17,7 +17,7 @@ coefficient ring _ringops.PolyRing(K)); a factor exists in K(Z)[X] iff
 one is found this way (Gauss's lemma, the input being primitive with unit
 leading coefficient).  Every input, made monic by X -> Y / lead, takes
 this search, constant coefficients included (one modulus of degree 1): it
-never reaches Rabin's test, so the oracle and the criterion are two
+never reaches Ben-Or's test, so the oracle and the criterion are two
 routes.  The moduli are the first monic irreducibles of the largest
 degree d with |K|^d <= 729, plus one of the remaining degree, so their
 degrees sum to deg_Z + 1.  So the CRT columns of a candidate need no
@@ -332,7 +332,7 @@ def _lift_factor(F, k, cand_cols, lead_powers):
 
 
 def irreducible(f: Poly) -> bool:
-    """Irreducibility of f over its field: Rabin's test over a finite field;
+    """Irreducibility of f over its field: Ben-Or's test over a finite field;
     over K(Z), False when X divides f, else the bivariate oracle (unit X-lead)."""
     if f.field.order is not None:
         return is_irreducible_finite(f)

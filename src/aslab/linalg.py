@@ -165,7 +165,8 @@ class Matrix:
         return Matrix.from_raw(k, out)
 
     def rank(self):
-        return _rank(self.field, map(_row_algebra(self.field).pack, self.rows))
+        rows = _row_algebra(self.field)
+        return _rank(rows, map(rows.pack, self.rows))
 
     def is_invertible(self):
         """Whether the matrix is square and invertible.  Over K(Z) the
@@ -226,9 +227,8 @@ class Matrix:
         return f"Matrix({self.field.spec_string()}, {self.nrows}x{self.ncols})"
 
 
-def _rank(field, rows):
-    """Rank of the rows, packed in poly._row_algebra(field)."""
-    algebra = _row_algebra(field)
+def _rank(algebra, rows):
+    """Rank of the rows, packed in the row algebra (poly._row_algebra)."""
     echelon = {}
     return sum(algebra.extend(echelon, row, None)[0] for row in rows)
 
@@ -236,7 +236,8 @@ def _rank(field, rows):
 def full_rank(field, m, vec):
     """Whether the m x m matrix of the m*m coordinates of vec, row-major,
     packed in poly._row_algebra(field), has rank m."""
-    return _rank(field, _row_algebra(field).reshape(vec, m)) == m
+    rows = _row_algebra(field)
+    return _rank(rows, rows.reshape(vec, m)) == m
 
 
 def certifying_point(field, m, entries_at, first=0):

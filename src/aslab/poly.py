@@ -36,8 +36,9 @@ NotImplemented from an operator and InputError elsewhere.  The module
 functions (gcd, separable_part, is_irreducible_finite, factor_finite,
 roots_in_finite_field, min_poly_in_quotient) refuse a polynomial argument
 that is not a Poly with the same InputError (_unreadable).
-Irreducibility comes from fields.rabin_irreducible; _factor_raw walks its
-Frobenius chain.
+Irreducibility comes from fields.ben_or_irreducible, whose rule, the gcd
+with x^(q^d) - x at each d, _factor_raw applies too, on the same Frobenius
+chain; Berlekamp's x^q mod g is the chain's first element, reduced.
 """
 
 import operator
@@ -45,7 +46,7 @@ import operator
 from . import _ringops as rp
 from ._exprparse import parse_expression
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, _raw_poly_str, _raw_roots, p_power_split, rabin_irreducible
+from .fields import FieldElement, _raw_poly_str, _raw_roots, ben_or_irreducible, p_power_split
 
 MINUS_INFINITY = float("-inf")
 
@@ -327,9 +328,7 @@ def is_irreducible_finite(f: Poly) -> bool:
     _require_polys(f)
     if f.field.order is None:
         raise InputError("irreducibility test requires a finite field")
-    if f.degree() < 2:
-        return f.degree() == 1
-    return rabin_irreducible(f.field, rp.monic(f.field, f.raw))
+    return ben_or_irreducible(f.field, rp.monic(f.field, f.raw))
 
 
 def gas_poly(field, n, e, a) -> Poly:
@@ -376,16 +375,18 @@ def _factor_raw(field, m):
     """(raw monic irreducible, multiplicity) pairs, canonically sorted: the
     degree-d ones split out of gcd(x^(q^d) - x, m), d = 1, 2, ..., on one
     Frobenius chain (_ringops.frobenius_chain), sent each cofactor, with
-    the gcds and divisions in one _ringops.ring."""
+    the gcds and divisions in one _ringops.ring.  The chain's first
+    element, x^q mod the input, serves every Berlekamp split."""
     found, x, ring = [], (field.zero, field.one), rp.ring(field)
     chain, cofactor = rp.frobenius_chain(field, m), None
     d = 1
     while 2 * d <= len(m) - 1:
         # send(None) is next: a new cofactor is sent only when a step needs it
-        xq, cofactor = chain.send(cofactor), None
-        g = ring.gcd(ring.sub(xq, x), m)
+        h, cofactor = chain.send(cofactor), None
+        xq = h if d == 1 else xq
+        g = ring.gcd(ring.sub(h, x), m)
         if len(g) > 1:
-            for piece in _equal_degree_split(field, g, d):
+            for piece in _equal_degree_split(field, g, d, xq):
                 m, mult = ring.divide_out(m, piece)
                 found.append((piece, mult))
             cofactor = m
@@ -423,28 +424,29 @@ def _monic_divisors(field, factors, deg=None):
     return [d for d in divisors if deg is None or len(d) - 1 == deg]
 
 
-def _equal_degree_split(field, g, d):
-    """Split a squarefree product of degree-d irreducibles into its factors."""
+def _equal_degree_split(field, g, d, xq):
+    """Split a squarefree product of degree-d irreducibles into its factors;
+    xq is x^q modulo a multiple of g."""
     if len(g) - 1 == d:
         return [g]
     if d == 1:
         return [(field.neg(a), field.one) for a in _raw_roots(field, g)]
-    return _berlekamp_split(field, g, d)
+    return _berlekamp_split(field, g, d, xq)
 
 
-def _berlekamp_split(field, g, d):
-    """Deterministic Berlekamp splitting: sweep gcd(g, b - s) over all s."""
-    n = len(g) - 1
-    q = field.order
+def _berlekamp_split(field, g, d, xq):
+    """Deterministic Berlekamp splitting: sweep gcd(g, b - s) over all s;
+    xq is x^q modulo a multiple of g."""
+    n, ring = len(g) - 1, rp.ring(field)
     # columns of the Frobenius-minus-identity matrix acting on F_q[X]/(g)
-    xq = rp.pow_mod(field, (field.zero, field.one), q, g)
+    xq = ring.rem(xq, g)
     columns = []
     for i, xi in zip(range(n), rp.powers_mod(field, xq, g)):
         col = list(xi) + [field.zero] * (n - len(xi))
         col[i] = field.sub(col[i], field.one)
         columns.append(col)
     basis = _kernel(field, columns)
-    ring, pieces = rp.ring(field), [g]
+    pieces = [g]
     for b in basis:
         btrim = rp.trim(field, b)
         if len(btrim) <= 1:
@@ -468,7 +470,11 @@ def _berlekamp_split(field, g, d):
         pieces = next_pieces
         if all(len(piece) - 1 == d for piece in pieces):
             return pieces
-    raise ConsistencyError("Berlekamp sweep failed to separate equal-degree factors")
+    raise ConsistencyError(
+        "Berlekamp sweep failed to separate equal-degree factors:"
+        f" a degree-{n} product of degree-{d} irreducibles over GF({field.order}),"
+        f" {len(pieces)} pieces after {len(basis)} kernel vectors"
+    )
 
 
 def roots_in_finite_field(f: Poly):
@@ -516,7 +522,11 @@ def _min_dependence(field, u, m):
         if not added:
             # combo[j] is still one: already monic
             return tuple(rows.unpack(combo, j + 1))
-    raise ConsistencyError("no linear dependence found within the dimension bound")
+    name = field.spec_string() if field.order is None else f"GF({field.order})"
+    raise ConsistencyError(
+        "no linear dependence found within the dimension bound:"
+        f" the powers of a residue mod a degree-{n} modulus over {name}"
+    )
 
 
 def _kernel(field, columns):

@@ -234,7 +234,7 @@ _GF9_MATRIX = '{"entries": [["1","1","0","2*t"],["t+1","1","0","t"],["0","1","t"
         # the odd-p Smith finish on ints, on blocks of 6 and 5 rows
         (("analyze-ad", "--field", "GF(5)", "--matrix", _random_matrix(6, 5, 6)), "acc929ef7f8b5f61"),
         (("analyze-ad", "--field", "GF(7)", "--matrix", _random_matrix(5, 7, 5)), "8ca255b9d006955f"),
-        # c3 by Rabin's test over GF(p^n), on the Frobenius chain: an
+        # c3 by Ben-Or's test over GF(p^n), on the Frobenius chain: an
         # irreducible and a reducible quadratic over GF(729), an irreducible
         # one over a custom modulus, and a quintic over GF(625)
         (("analyze-ad", "--field", "GF(729)", "--poly", "X^2-X-t"), "d498006f6496e0b5"),
@@ -269,9 +269,12 @@ def test_end_to_end_result_digest_is_pinned(capsys, argv, digest):
             "root candidate count exceeds",
         ),
         (("dickson", "--p", "2", "--m", "-1"), "m >= 0"),
+        # (t^3+t+1)(t^6+t+1): no factor below degree 3
+        (("analyze-ad", "--field", "GF(2^9; mod=t^9+t^7+t^6+t^4+t^3+t^2+1)", "--poly", "X"),
+         "modulus is reducible over the prime field"),
     ],
     ids=["lattice-over-cap", "lattice-n-0", "lattice-n-negative", "lattice-p-4",
-         "lattice-huge-n", "root-candidate-cap", "dickson-m-negative"],
+         "lattice-huge-n", "root-candidate-cap", "dickson-m-negative", "reducible-modulus"],
 )
 def test_refusal_is_one_error_line_before_the_work(capsys, argv, message):
     # the p = 3, n = 6 lattice used to compute every primitive element of

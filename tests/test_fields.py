@@ -11,15 +11,15 @@ import pytest
 from aslab import _ringops as rp
 from aslab import fields
 from aslab._exprparse import parse_expression
-from aslab.errors import CapExceededError, InputError
+from aslab.errors import CapExceededError, ConsistencyError, InputError
 from aslab.fields import (
     FieldElement,
+    ben_or_irreducible,
     embed_subfield,
     enumerate_elements,
     frobenius,
     is_pth_power_coeffs,
     make_field,
-    rabin_irreducible,
 )
 from aslab.poly import Poly
 
@@ -62,13 +62,13 @@ def _mobius(n):
 )
 def test_rabin_test_counts_match_gauss_formula(spec, max_degree):
     # Gauss: GF(q) has (1/d) * sum over j | d of mu(d/j) q^j monic
-    # irreducibles of degree d; count what the Rabin test accepts
+    # irreducibles of degree d; count what Ben-Or's test accepts
     k = make_field(spec)
     q = k.order
     for d in range(1, max_degree + 1):
         expected = sum(_mobius(d // j) * q**j for j in range(1, d + 1) if d % j == 0) // d
         accepted = sum(
-            rabin_irreducible(k, tail + (k.one,))
+            ben_or_irreducible(k, tail + (k.one,))
             for tail in itertools.product(k.enumerate_payloads(), repeat=d)
         )
         assert accepted == expected, (spec, d)
@@ -89,7 +89,7 @@ def test_rabin_test_at_degrees_2_and_3_is_having_no_root(spec):
     for d in (2, 3):
         for _ in range(200):
             f = tuple(k.random_payload(rng) for _ in range(d)) + (k.one,)
-            irreducible = rabin_irreducible(k, f)
+            irreducible = ben_or_irreducible(k, f)
             assert irreducible == (not fields._raw_roots(k, f)), (spec, f)
             verdicts.add((d, irreducible))
     assert len(verdicts) == 4, verdicts
@@ -98,7 +98,7 @@ def test_rabin_test_at_degrees_2_and_3_is_having_no_root(spec):
 def _reference_rabin(k, f):
     """Rabin's test with each x^(q^i) by a fresh pow_mod."""
     n = len(f) - 1
-    q, x = k.order, (k.zero, k.one)
+    q, x = k.order, rp.rem(k, (k.zero, k.one), f)
     if rp.pow_mod(k, x, q**n, f) != x:
         return False
     for ell in range(2, n + 1):
@@ -154,15 +154,78 @@ def test_rabin_test_on_the_chain_matches_fresh_powers(name):
     for n in range(4, 10):
         for f in _rabin_chain_inputs(k, n, rng):
             expected = _reference_rabin(k, f)
-            assert rabin_irreducible(k, f) == expected, (name, f)
+            assert ben_or_irreducible(k, f) == expected, (name, f)
             verdicts[expected] += 1
     assert verdicts[True] >= 12 and verdicts[False] >= 12, verdicts
 
 
+@pytest.mark.parametrize(
+    "spec, max_degree", [("GF(2)", 5), ("GF(3)", 5), ("GF(4)", 5), ("GF(5)", 5), ("GF(9)", 3)]
+)
+def test_ben_or_test_matches_rabin_on_every_small_polynomial(spec, max_degree):
+    # Ben-Or's gcds at d <= n/2 against Rabin's test on fresh powers, on
+    # every monic polynomial of each degree, constant term zero included
+    k = make_field(spec)
+    verdicts = collections.Counter()
+    for d in range(1, max_degree + 1):
+        for tail in itertools.product(k.enumerate_payloads(), repeat=d):
+            f = tail + (k.one,)
+            expected = _reference_rabin(k, f)
+            assert ben_or_irreducible(k, f) == expected, (spec, f)
+            verdicts[d, expected] += 1
+    assert all(verdicts[d, True] and verdicts[d, False] for d in range(2, max_degree + 1)), verdicts
+
+
+class _CountedChain:
+    """rp.frobenius_chain that counts the elements drawn from it."""
+
+    def __init__(self, real, k, m):
+        self.chain, self.steps = real(k, m), 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.steps += 1
+        return next(self.chain)
+
+
+@pytest.mark.parametrize("name", ["GF(2)", "GF(3)", "GF(4)", "GF(727)", "GF(4)[Z]/(m)"])
+def test_ben_or_test_stops_at_the_first_common_factor(name, monkeypatch):
+    # at most n // 2 steps, all of them on an irreducible input; one step
+    # when f has a root, two on a product of two irreducible quadratics
+    k, rng = _rabin_chain_field(name), random.Random(("ben-or-steps", name).__repr__())
+    pays = list(k.enumerate_payloads())
+    # GF(2) has one irreducible quadratic
+    quadratics = (fields.monic_irreducibles(k, 2, 2) * 2)[:2]
+    cases = [(f, None) for n in range(1, 10) for f in _rabin_chain_inputs(k, n, rng)]
+    for n in range(2, 8):
+        root = (rng.choice(pays), k.one)
+        cofactor = tuple(rng.choice(pays) for _ in range(n - 1)) + (k.one,)
+        cases.append((rp.mul(k, root, cofactor), 1))
+    for g, h in [quadratics, quadratics[:1] * 2]:
+        cases.append((rp.mul(k, g, h), 2))
+    expected = [_reference_rabin(k, f) for f, _ in cases]
+    chains, real = [], rp.frobenius_chain
+    monkeypatch.setattr(
+        rp, "frobenius_chain", lambda k, m: chains.append(_CountedChain(real, k, m)) or chains[-1]
+    )
+    for (f, steps), irreducible in zip(cases, expected):
+        chains.clear()
+        assert ben_or_irreducible(k, f) == irreducible, (name, f)
+        n, (chain,) = len(f) - 1, chains
+        assert chain.steps <= n // 2, (name, f, chain.steps)
+        if irreducible:
+            assert chain.steps == n // 2, (name, f)
+        if steps is not None:
+            assert not irreducible and chain.steps == steps, (name, f, chain.steps)
+    assert sum(expected) >= 10 and len(expected) - sum(expected) >= 10
+
+
 @pytest.mark.parametrize("name", ["GF(2)", "GF(3)", "GF(727)"])
 def test_rabin_test_over_gf_p_stays_on_ints(name, refuse_prime_ringops, monkeypatch):
-    # the gcds at n/l and their subtractions run in _ringops.PrimeRing, on
-    # reducible inputs that only a gcd shows and on irreducible ones
+    # the gcds at d <= n/2 and their subtractions run in _ringops.PrimeRing,
+    # on reducible inputs that only one gcd shows and on irreducible ones
     k, rng = make_field(name), random.Random(("prime-rabin", name).__repr__())
     cases = [
         (f, _reference_rabin(k, f)) for n in range(4, 10) for f in _rabin_chain_inputs(k, n, rng)
@@ -173,7 +236,7 @@ def test_rabin_test_over_gf_p_stays_on_ints(name, refuse_prime_ringops, monkeypa
     )
     refuse_prime_ringops()
     for f, expected in cases:
-        assert rabin_irreducible(k, f) == expected, (name, f)
+        assert ben_or_irreducible(k, f) == expected, (name, f)
     verdicts = collections.Counter(expected for _, expected in cases)
     assert verdicts[True] >= 6 and verdicts[False] >= 6, verdicts
     assert gcds and set(gcds) == {rp.PrimeRing}
@@ -283,7 +346,7 @@ def test_monic_irreducibles_skips_zero_constants_at_once(spec):
     worker.join(5.0)
     assert not worker.is_alive() and result, spec
     ((f,),) = result
-    assert len(f) == 9 and f[0] != k.zero and rabin_irreducible(k, f)
+    assert len(f) == 9 and f[0] != k.zero and ben_or_irreducible(k, f)
 
 
 def test_monic_irreducibles_skipping_constant_zero_matches_full_scan():
@@ -292,7 +355,7 @@ def test_monic_irreducibles_skipping_constant_zero_matches_full_scan():
         out = []
         for tail in itertools.product(k.enumerate_payloads(), repeat=degree):
             cand = tuple(tail) + (k.one,)
-            if rabin_irreducible(k, cand):
+            if ben_or_irreducible(k, cand):
                 out.append(cand)
                 if len(out) == count:
                     break
@@ -307,6 +370,49 @@ def test_monic_irreducibles_skipping_constant_zero_matches_full_scan():
                 assert fields.monic_irreducibles(k, d, count) == full_scan(k, d, count), (
                     spec, d, count,
                 )
+
+
+@pytest.mark.parametrize("spec", ["GF(4)", "GF(8)", "GF(16)"])
+def test_degree_8_family_over_gf_2_power_has_no_irreducible(spec):
+    # X^8 + a X^7 + b X^6 + c reversed is c X^8 + b X^2 + a X + 1, a square
+    # or an affine 2-polynomial whose roots Frobenius moves by an element of
+    # AGL(3, 2), which has no element of order 8: these are the first q^2
+    # candidates of monic_irreducibles at degree 8 for each constant term
+    k = make_field(spec)
+    pays = list(k.enumerate_payloads())
+    zeros = (k.zero,) * 5
+    for c in pays[1:]:
+        for b, a in itertools.product(pays, repeat=2):
+            f = (c,) + zeros + (b, a, k.one)
+            assert not ben_or_irreducible(k, f), (spec, f)
+
+
+def test_first_degree_8_irreducible_over_gf4_comes_after_the_family():
+    k = make_field("GF(4)")
+    fields._irreducible_cache.pop((k, 8), None)
+    (f,) = fields.monic_irreducibles(k, 8, 1)
+    assert f[0] == k.one and f[5] != k.zero and ben_or_irreducible(k, f)
+
+
+@pytest.mark.parametrize(
+    "spec, modulus",
+    [
+        ("GF(2)", "(t^3+t+1)*(t^6+t+1)"),
+        ("GF(3)", "(t^2+1)^2"),
+        ("GF(3)", "(t^2+1)*(t^3-t+1)"),
+        ("GF(5)", "t^2-1"),
+    ],
+)
+def test_log_tables_of_a_reducible_modulus_name_the_instance(spec, modulus):
+    # the build is called directly, past ExtensionField's own test and the
+    # memoised cache
+    k = make_field(spec)
+    m = Poly.from_string(k, modulus.replace("t", "X")).raw
+    d = len(m) - 1
+    with pytest.raises(ConsistencyError, match="log tables: the modulus is not irreducible") as err:
+        fields._build_log_tables(k, m)
+    assert f"degree {d} over GF({k.order})" in str(err.value)
+    assert f"expected {k.order**d - 1}" in str(err.value)
 
 
 def test_irreducible_cache_under_threads():

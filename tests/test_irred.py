@@ -108,7 +108,7 @@ def test_oracle_univariate_fallback():
 @pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])
 def test_oracle_on_constant_coefficients_matches_rabin(spec):
     # constant coefficients take the CRT search with one modulus of degree
-    # 1, monicized like every input; Rabin's test over K is the other route
+    # 1, monicized like every input; Ben-Or's test over K is the other route
     k = make_field(spec)
     F = make_field(f"{spec}(Z)")
     elements = list(k.enumerate_payloads())
@@ -196,7 +196,7 @@ def test_oracle_against_literal_enumeration():
 
 
 def test_rational_poly_irreducible_wrapper():
-    # irreducible() dispatches: the oracle over K(Z), Rabin over a finite field
+    # irreducible() dispatches: the oracle over K(Z), Ben-Or's test over a finite field
     f3z = make_field("GF(3)(Z)")
     assert irreducible(Poly.from_string(f3z, "X^3-X-Z"))
     assert not irreducible(Poly.from_string(f3z, "X^2-Z^2"))

@@ -1066,7 +1066,9 @@ def test_a_specialised_rank_that_overclaims_is_caught(monkeypatch):
     # the mutant: every specialised M(z0) has full rank, singular or not
     real = linalg._rank
     monkeypatch.setattr(
-        linalg, "_rank", lambda field, rows: len(rows) if field.order is not None else real(field, rows)
+        linalg,
+        "_rank",
+        lambda algebra, rows: len(rows) if algebra.k.order is not None else real(algebra, rows),
     )
     assert _invertibility_disagreements("GF(3)(Z)", 11)
 
@@ -1083,6 +1085,29 @@ def _certifying_points(field, m, rows):
         return None if vec is None else poly._row_algebra(point[0]).pack(vec)
 
     return tried, certifying_point(field, m, at) is not None
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(9)", "GF(2)(Z)", "GF(3)(Z)"])
+def test_one_rank_builds_one_row_algebra(spec, monkeypatch):
+    # full_rank reshapes and ranks in the one algebra it looks up, and
+    # Matrix.rank packs and ranks in one; both agree with the ranks taken
+    # before the count
+    rng = random.Random(spec)
+    field = make_field(spec)
+    pays = list(enumerate_elements(field)) if field.order else [field(0), field(1), field("Z")]
+    mats = [Matrix(field, [[rng.choice(pays) for _ in range(m)] for _ in range(m)]) for m in (1, 2, 3, 4)]
+    mats.append(Matrix(field, [[1, 1], [1, 1]]))
+    packed = [(m, poly._row_algebra(field).pack([x for row in m.rows for x in row])) for m in mats]
+    ranks = [m.rank() for m in mats]
+    built, real = [], linalg._row_algebra
+    monkeypatch.setattr(linalg, "_row_algebra", lambda k: built.append(k) or real(k))
+    for (m, vec), rank in zip(packed, ranks):
+        built.clear()
+        assert linalg.full_rank(field, m.nrows, vec) == (rank == m.nrows), (spec, m)
+        assert built == [field], spec
+        built.clear()
+        assert m.rank() == rank and built == [field], spec
+    assert {rank == m.nrows for m, rank in zip(mats, ranks)} == {True, False}, ranks
 
 
 @pytest.mark.parametrize("spec, det", [("GF(2)(Z)", "Z^2+Z"), ("GF(3)(Z)", "Z^3-Z")])
@@ -1417,7 +1442,7 @@ def _divide_out_count(k, f, d):
 
 
 # ---------------------------------------------------------------------------
-# _ringops.PrimeRing, the F[X] on ints of Rabin's test, factorization and
+# _ringops.PrimeRing, the F[X] on ints of Ben-Or's test, factorization and
 # _PrimeRows, against _ringops' method calls, and the Krylov loop's exit
 # once the span is full
 

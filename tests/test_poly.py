@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -5,8 +6,8 @@ import pytest
 
 from aslab import _ringops as rp
 from aslab import fields, poly
-from aslab.errors import CapExceededError, InputError
-from aslab.fields import enumerate_elements, make_field, p_power_split, rabin_irreducible
+from aslab.errors import CapExceededError, ConsistencyError, InputError
+from aslab.fields import ben_or_irreducible, enumerate_elements, make_field, p_power_split
 from aslab.poly import (
     MINUS_INFINITY,
     Poly,
@@ -357,7 +358,7 @@ def test_equal_degree_split_matches_exhaustive_search(spec):
             pieces = set()
             for _ in range(200):
                 cand = tuple(field.random_payload(rng) for _ in range(d)) + (field.one,)
-                if rabin_irreducible(field, cand):
+                if ben_or_irreducible(field, cand):
                     pieces.add(cand)
                     if len(pieces) == want:
                         break
@@ -366,7 +367,9 @@ def test_equal_degree_split_matches_exhaustive_search(spec):
             g = (field.one,)
             for piece in pieces:
                 g = rp.mul(field, g, piece)
-            split = _equal_degree_split(field, g, d)
+            # x^q mod g by its own pow_mod, not the Frobenius chain's
+            xq = rp.pow_mod(field, (field.zero, field.one), field.order, g)
+            split = _equal_degree_split(field, g, d, xq)
             assert len(split) == len(pieces)
             assert set(split) == pieces == set(_exhaustive_equal_degree_split(field, g, d))
 
@@ -386,7 +389,7 @@ def _reference_factor_raw(field, m):
             xq = rp.pow_mod(field, xq, q, m)
         g = rp.gcd(field, rp.sub(field, xq, x), m)
         if len(g) > 1:
-            for piece in _equal_degree_split(field, g, d):
+            for piece in _equal_degree_split(field, g, d, rp.pow_mod(field, x, q, g)):
                 m, mult = rp.PolyRing(field).divide_out(m, piece)
                 found.append((piece, mult))
         d += 1
@@ -422,7 +425,7 @@ def _factor_inputs(field, rng):
         out = set()
         for _ in range(100 * count):
             f = monic(d)
-            if len(out) < count and rabin_irreducible(field, f):
+            if len(out) < count and ben_or_irreducible(field, f):
                 out.add(f)
         return sorted(out)
 
@@ -490,6 +493,53 @@ def test_factor_raw_over_gf3_stays_on_ints(refuse_prime_ringops, monkeypatch):
     for f, want in zip(inputs, expected):
         assert poly._factor_raw(field, f) == want, f
     assert splits
+
+
+@pytest.mark.parametrize("spec", ["GF(3)", "GF(9)", "GF(625)"])
+def test_factor_finite_takes_x_to_the_q_off_the_chain(spec, monkeypatch):
+    # Berlekamp's x^q mod g is the chain's first element, reduced mod g, so
+    # no pow_mod runs; every equal-degree piece has degree >= 2, and a
+    # squared quadratic leaves one piece of its degree unsplit
+    field = make_field(spec)
+    quad, cub = (fields.monic_irreducibles(field, d, 3) for d in (2, 3))
+    cases = [quad, cub[:2] + quad[:1] * 2, quad[:2] + cub]
+    cases = [(collections.Counter(pieces), _product(field, pieces)) for pieces in cases]
+    splits, real_split = [], poly._berlekamp_split
+    monkeypatch.setattr(poly, "_berlekamp_split", lambda *args: splits.append(args) or real_split(*args))
+    monkeypatch.setattr(rp, "pow_mod", lambda *args: pytest.fail("_ringops.pow_mod called"))
+    for want, f in cases:
+        got = factor_finite(Poly.from_raw(field, f))
+        assert {g.raw: m for g, m in got} == dict(want), spec
+    assert [len(args[1]) - 1 for args in splits] == [6, 6, 4, 9], spec
+
+
+@pytest.mark.parametrize("spec", ["GF(3)", "GF(9)"])
+def test_berlekamp_sweep_failure_names_the_field_and_the_degrees(spec, monkeypatch):
+    # a mutant root scan that finds no shift splits nothing
+    field = make_field(spec)
+    f = _product(field, fields.monic_irreducibles(field, 2, 3))
+    monkeypatch.setattr(poly, "_raw_roots", lambda *args: [])
+    with pytest.raises(
+        ConsistencyError, match="Berlekamp sweep failed to separate equal-degree factors"
+    ) as err:
+        factor_finite(Poly.from_raw(field, f))
+    assert f"a degree-6 product of degree-2 irreducibles over GF({field.order})" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "spec, modulus, u",
+    [("GF(2)(Z)", "X^2-X-Z", "X"), ("GF(3)", "X^3-X-1", "X^2+1"), ("GF(9)", "X^3-X-t", "X^2+t")],
+)
+def test_min_dependence_failure_names_the_field_and_the_degree(spec, modulus, u, monkeypatch):
+    # a mutant echelon step that takes every vector finds no dependence
+    field = make_field(spec)
+    q, u = Poly.from_string(field, modulus), Poly.from_string(field, u)
+    monkeypatch.setattr(_PayloadRows, "extend", lambda self, echelon, vec, combo: (True, combo))
+    with pytest.raises(
+        ConsistencyError, match="no linear dependence found within the dimension bound"
+    ) as err:
+        min_poly_in_quotient(u, q)
+    assert f"a degree-{q.degree()} modulus over {spec}" in str(err.value)
 
 
 # ---------------------------------------------------------------------------

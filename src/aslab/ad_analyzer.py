@@ -19,10 +19,25 @@ X^(p^(n+e)) - X^(p^e), ad A is diagonalizable exactly when e = 0, and every
 eigenvector of ad A is invertible.  Any certification failure raises
 ConsistencyError since it would contradict a proven statement.
 
-c3 is decided first, from the invariant factors of A, so an oracle refusal
-comes before ad A is built; at e = 0 its verdict on mu_A = q also certifies
-q, and only e >= 1 asks again whether q is irreducible.  The invariant
-factors of ad A give c1 and every eigenspace dimension; when all three
+Two routes give the invariant factors of ad A, and with them c1 and every
+eigenspace dimension; the field decides which runs.  Over a finite field
+ad A is never built (_ad_by_divisors).  A's invariant factors give its
+elementary divisors pi^r: one factorization of mu_A, then each prime's
+multiplicity in each factor (linalg._elementary_divisors).
+linalg.ad_elementary_divisors turns them into those of ad A: on each
+Hom(V_j, V_i), a semisimple Sylvester part from the pair of primes and a
+nilpotent part of type λ(r_i, r_j), the paper's tensor problem
+(linalg.nilpotent_tensor_type).  linalg.invariant_factors_from_elementary
+assembles them with no Smith form.  c3 is then one prime in mu_A, of
+multiplicity 1, in a cyclic A, with no separate irreducibility test, and
+the linear divisors X - v give the eigenvalues.  Over K(Z), which is not
+perfect and has no factorization, c3 is decided first, from the invariant
+factors of A and the oracle, so an oracle refusal comes before ad A is
+built; then ad A keeps the Krylov route (_ad_by_krylov): the invariant
+factors of the m^2 x m^2 ad_matrix, the roots of the last one and their
+multiplicities in each.  That route stays the tests' reference over finite
+fields too.  At e = 0 the verdict of c3 on mu_A = q also certifies q, and
+only e >= 1 asks again whether q is irreducible.  When all three
 conditions hold, each eigenspace is also built from the paper's
 conjugator, with no kernel of the m^2 x m^2 ad A (_conjugator_eigenspaces):
 h(X + v) = h(X) for every eigenvalue v, so the Pascal matrix S_v of
@@ -62,13 +77,16 @@ from .fields import FieldElement, _raw_roots, _subfield_check, specialise
 from .irred import _clear_denominators, irreducible
 from .linalg import (
     Matrix,
+    _elementary_divisors,
     _pascal_matrix,
+    ad_elementary_divisors,
     ad_matrix,
     certifying_point,
     companion,
     eigenspace,
     full_rank,
     invariant_factors,
+    invariant_factors_from_elementary,
     similar,
 )
 from .poly import (
@@ -236,26 +254,14 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     inv_a = invariant_factors(a)
     cyclic = len(inv_a) == 1
     mu_a = inv_a.minimal_polynomial()
-    c3 = cyclic and irreducible(mu_a)
-
-    ad = ad_matrix(a)
-    inv_ad = invariant_factors(ad)
-
-    mu_ad = inv_ad.minimal_polynomial()
-    eigenvalues = sorted(_poly_roots_in_field(mu_ad), key=lambda v: v.sort_key())
-
-    # one pass over the (eigenvalue v, invariant factor f) pairs: c1 counts
-    # the multiplicity of X - v in each f, and every f that X - v divides is
-    # one cyclic summand F[X]/(f) adding one dimension to ker(ad - vI)
-    ring = _row_algebra(field)
-    packed = [ring.pack(f.raw) for f in inv_ad]
-    accounted = 0
-    dims = []
-    for v in eigenvalues:
-        lin = ring.pack((field.neg(v.payload), field.one))
-        mults = [ring.multiplicity(f, lin) for f in packed]
-        accounted += sum(mults)
-        dims.append((v, sum(1 for mult in mults if mult)))
+    if field.order is None:
+        c3 = cyclic and irreducible(mu_a)
+        inv_ad, spectrum = _ad_by_krylov(a)
+    else:
+        c3, inv_ad, spectrum = _ad_by_divisors(a, inv_a)
+    eigenvalues = [v for v, _, _ in spectrum]
+    dims = [(v, d) for v, _, d in spectrum]
+    accounted = sum(mult for _, mult, _ in spectrum)
     c1 = accounted == m * m
     diagonalizable = sum(d for _, d in dims) == m * m
 
@@ -301,6 +307,56 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
         eigenvector_invertibility=invertibility,
         failures=failures,
     )
+
+
+def _ad_by_krylov(a):
+    """(invariant factors of ad A, spectrum) from Krylov on the m^2 x m^2
+    ad_matrix(a), the route over K(Z) and the tests' reference.  The
+    spectrum lists (v, multiplicity of X - v in the characteristic
+    polynomial, eigenspace dimension) by eigenvalue v in sort order: one
+    pass over the (v, invariant factor f) pairs, where every f that X - v
+    divides is one cyclic summand F[X]/(f) adding one dimension to
+    ker(ad - vI)."""
+    field = a.field
+    inv_ad = invariant_factors(ad_matrix(a))
+    ring = _row_algebra(field)
+    packed = [ring.pack(f.raw) for f in inv_ad]
+    spectrum = []
+    for v in sorted(_poly_roots_in_field(inv_ad.minimal_polynomial()), key=lambda v: v.sort_key()):
+        lin = ring.pack((field.neg(v.payload), field.one))
+        mults = [ring.multiplicity(f, lin) for f in packed]
+        spectrum.append((v, sum(mults), sum(1 for mult in mults if mult)))
+    return inv_ad, spectrum
+
+
+def _ad_by_divisors(a, inv_a):
+    """(c3, invariant factors of ad A, spectrum as _ad_by_krylov gives it)
+    over a finite field, from A's elementary divisors, with no ad_matrix:
+    one factorization of mu_A, the multiplicity of each prime in each
+    invariant factor of A (linalg._elementary_divisors), and ad A's
+    elementary divisors g^t from them (linalg.ad_elementary_divisors).  c3
+    is one prime in mu_A, of multiplicity 1, in a cyclic A; the
+    eigenvalues are the v of the linear g = X - v, whose exponents sum to
+    the multiplicity of X - v and count its eigenspace dimension."""
+    field, m = a.field, a.nrows
+    raw = [f.raw for f in inv_a]
+    primes = _factor_raw(field, raw[-1])
+    c3 = len(raw) == 1 and [mult for _, mult in primes] == [1]
+    exponents = ad_elementary_divisors(
+        field, _elementary_divisors(field, raw, [g for g, _ in primes])
+    )
+    inv_ad = invariant_factors_from_elementary(
+        field, exponents, m * m, f"{_instance(field, m)}: ad A"
+    )
+    spectrum = sorted(
+        (
+            (FieldElement(field, field.neg(g[0])), sum(ts), len(ts))
+            for g, ts in exponents.items()
+            if len(g) == 2
+        ),
+        key=lambda entry: entry[0].sort_key(),
+    )
+    return c3, inv_ad, spectrum
 
 
 def _instance(field, m):

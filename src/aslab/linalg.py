@@ -23,6 +23,19 @@ is that chain; any other is closed by factor refinement of its entries
 into a pairwise coprime base (Bach, Driscoll and Shallit, "Factor
 refinement", J. Algorithms 1993).
 
+Over a finite field the invariant factors of ad A come without the m^2 x
+m^2 ad A (ad_elementary_divisors, then invariant_factors_from_elementary).
+A's elementary divisors pi^r come from one factorization of its last
+invariant factor and each prime's multiplicity in every factor
+(_elementary_divisors, which elementary_divisors_from_invariant reads
+too).  Each pair of them gives a semisimple part from its two primes
+(_sylvester_divisors: closed forms when the primes are equal or one is
+linear, a Krylov run on at most 256 dimensions otherwise) and a nilpotent
+part of type λ(r, s) (nilpotent_tensor_type: closed forms for r or s = 1
+and r + s <= p + 1, otherwise kronecker_tensor_type, built once per
+(p, r, s) and shared with tensor's oracle).  The i-th largest invariant factor takes
+each prime to its i-th largest exponent, so no Smith form runs.
+
 Matrix(field, rows) converts and validates every entry (FieldDescriptor.
 payload_of) and is meant for values from outside; every matrix computed
 here from payloads is built with Matrix.from_raw, which checks only the
@@ -46,8 +59,23 @@ import math
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, make_field, specialisation_points, specialise
-from .poly import Poly, _kernel, _row_algebra, factor_finite
+from .fields import (
+    FieldElement,
+    PrimeField,
+    make_field,
+    memoised,
+    specialisation_points,
+    specialise,
+)
+from .poly import (
+    Poly,
+    _factor_raw,
+    _kernel,
+    _min_dependence,
+    _raw_sort_key,
+    _row_algebra,
+    factor_finite,
+)
 
 MAX_FINITE_DIM = 1024
 MAX_RATIONAL_DIM = 100
@@ -772,15 +800,175 @@ def nilpotent_jordan_type(n: Matrix) -> JordanType:
 
 
 def elementary_divisors_from_invariant(inv: InvariantFactorList):
-    """Prime-power decomposition of the invariant factors (finite fields).
+    """Prime-power decomposition of the invariant factors (finite fields):
+    the last factor is factored once (factor_finite, with its degree cap)
+    and each prime's multiplicity is read off every factor
+    (_elementary_divisors).
 
     Returns a sorted list of ((prime Poly, exponent), multiplicity).
     """
-    counts = {}
-    order = {}
-    for f in inv:
-        for prime, mult in factor_finite(f):
-            key = (prime, mult)
-            counts[key] = counts.get(key, 0) + 1
-            order[key] = (prime.degree(), prime.sort_key(), mult)
-    return sorted(counts.items(), key=lambda it: order[it[0]])
+    field = inv[0].field
+    primes = [g.raw for g, _ in factor_finite(inv.minimal_polynomial())]
+    counts = _elementary_divisors(field, [f.raw for f in inv], primes)
+    keys = sorted(counts, key=lambda key: (_raw_sort_key(field, key[0]), key[1]))
+    return [((Poly.from_raw(field, g), r), counts[g, r]) for g, r in keys]
+
+
+def _elementary_divisors(field, factors, primes):
+    """{(prime, exponent): count} of the raw invariant factors, each dividing
+    the next, given the raw monic primes of the last one: the exponent of
+    each prime in each factor, read from the last factor down until the
+    prime no longer divides (then it divides no earlier factor either)."""
+    ring = rp.ring(field)
+    counts = collections.Counter()
+    for g in primes:
+        for f in reversed(factors):
+            r = ring.multiplicity(f, g)
+            if not r:
+                break
+            counts[g, r] += 1
+    return counts
+
+
+def nilpotent_tensor_type(p, r, s):
+    """λ(r, s): the block sizes, largest first, of the nilpotent
+    J_r(0) ⊗ I + I ⊗ J_s(0) over GF(p), which has the type of
+    J_r(0) ⊗ I - I ⊗ J_s(0) (J_s(0) is similar to -J_s(0)).  For r <= s it
+    is (s) when r = 1, and the characteristic-0 Clebsch-Gordan sizes
+    s + r - 1, s + r - 3, ..., s - r + 1 when r + s <= p + 1, where no block
+    exceeds p (the tests check both rules against the Kronecker operator);
+    otherwise the Kronecker operator gives it (kronecker_tensor_type).  No
+    cap: analyze asks for r, s <= 32, at most 1024 dimensions."""
+    r, s = min(r, s), max(r, s)
+    if r == 1:
+        return (s,)
+    if r + s <= p + 1:
+        return tuple(range(s + r - 1, s - r, -2))
+    return kronecker_tensor_type(p, r, s)
+
+
+_tensor_type_cache = {}
+
+
+@memoised(_tensor_type_cache)
+def kronecker_tensor_type(p, r, s):
+    """The block sizes, largest first, of J_r(0) ⊗ I + I ⊗ J_s(0) over
+    GF(p), read off the invariant factors of the explicit Kronecker
+    operator, built once per (p, r, s); λ(r, s) = λ(s, r), so callers pass
+    r <= s."""
+    k = PrimeField(p)
+    op = kron(jordan_block(k, 0, r), Matrix.identity(k, s)) + kron(
+        Matrix.identity(k, r), jordan_block(k, 0, s)
+    )
+    return tuple(nilpotent_jordan_type(op).sizes())
+
+
+def ad_elementary_divisors(field, divisors):
+    """{g: [t, ...]}: the elementary divisors g^t of ad A, with repeats, g
+    raw monic irreducible, from A's elementary divisors over a finite field
+    ({(pi, r): count}, raw, as _elementary_divisors gives them).
+
+    F is perfect, so F[X]/(pi^r) is K[T]/(T^r), K = F[X]/(pi), with X acting
+    as a root of pi plus T.  On each summand Hom(V_j, V_i) of gl(m), ad A is
+    then S + N with commuting parts: S the Sylvester operator
+    Y -> C(pi_i) Y - Y C(pi_j), semisimple, on r_i r_j copies of the
+    d_i x d_j matrices, and N the nilpotent J_(r_i) ⊗ I - I ⊗ J_(r_j), of
+    Jordan type λ(r_i, r_j) (nilpotent_tensor_type).  So each elementary
+    divisor g of S (_sylvester_divisors) gives g^t for each t in
+    λ(r_i, r_j) (Gantmacher, The Theory of Matrices I, ch. VIII).  The pair
+    (j, i) is the pair (i, j) with X -> -X."""
+    p = field.char
+    exponents = collections.defaultdict(list)
+    sylvester = {}
+    items = list(divisors.items())
+    for a, ((pi, r), ci) in enumerate(items):
+        for (pj, s), cj in items[a:]:
+            if (pi, pj) not in sylvester:
+                sylvester[pi, pj] = _sylvester_divisors(field, pi, pj)
+            lam = nilpotent_tensor_type(p, r, s)
+            reverse = (pj, s) != (pi, r)
+            for g, copies in sylvester[pi, pj]:
+                ts = lam * (copies * ci * cj)
+                exponents[g].extend(ts)
+                if reverse:
+                    exponents[_negated(field, g)].extend(ts)
+    return exponents
+
+
+def _sylvester_divisors(field, pi, pj):
+    """[(g, copies)]: the elementary divisors of Y -> C(pi) Y - Y C(pj) on
+    deg pi x deg pj matrices, pi and pj raw monic irreducible over the
+    finite field, all of exponent 1 (the operator is semisimple).
+
+    - pi = pj of degree d: K ⊗ K, K = F[X]/(pi), is d copies of K, on which
+      the operator is multiplication by x - x^(q^k) mod pi, k < d.  So d
+      copies of X, and d / deg g_k copies of g_k, its minimal polynomial,
+      for k = 1..d-1; the x^(q^k) come off _ringops.frobenius_chain (at
+      d = 2, x^q = -x - pi[1]) and g_k from poly._min_dependence.
+    - pi = X - a: the operator is a - x on F[X]/(pj), so one copy of
+      pj(X + a) with X -> -X.  pj = X - b: one copy of pi(X + b).
+    - Otherwise from the invariant factors of the operator itself,
+      kron(C(pi), I) - kron(I, C(pj)), at most 256 dimensions since
+      deg pi + deg pj <= 32 under analyze's cap.  K_i ⊗ K_j is gcd(d_i, d_j)
+      copies of GF(q^lcm(d_i, d_j)), so when d_i and d_j are coprime it is a
+      field, every invariant factor is the one minimal polynomial of x ⊗ 1 -
+      1 ⊗ x in it, and nothing is factored; otherwise the last invariant
+      factor is factored and each prime counted in every factor."""
+    k = field
+    if pi == pj:
+        d = len(pi) - 1
+        counts = collections.Counter({(k.zero, k.one): d})
+        x, ring = (k.zero, k.one), rp.ring(k)
+        # at d = 2 the conjugate of x is -pi[1] - x, with no chain
+        chain = [(k.neg(pi[1]), k.neg(k.one))] if d == 2 else rp.frobenius_chain(k, pi)
+        for _, h in zip(range(d - 1), chain):
+            g = _min_dependence(k, ring.sub(x, h), pi)
+            counts[g] += d // (len(g) - 1)
+        return list(counts.items())
+    if len(pi) == 2:
+        return [(_negated(k, rp.compose(k, pj, (k.neg(pi[0]), k.one))), 1)]
+    if len(pj) == 2:
+        return [(rp.compose(k, pi, (k.neg(pj[0]), k.one)), 1)]
+    ci, cj = companion(Poly.from_raw(k, pi)), companion(Poly.from_raw(k, pj))
+    op = kron(ci, Matrix.identity(k, cj.nrows)) - kron(Matrix.identity(k, ci.nrows), cj)
+    factors = [f.raw for f in invariant_factors(op)]
+    if math.gcd(len(pi) - 1, len(pj) - 1) == 1:
+        return [(factors[-1], len(factors))]
+    primes = [g for g, _ in _factor_raw(k, factors[-1])]
+    return [(g, count) for (g, _), count in _elementary_divisors(k, factors, primes).items()]
+
+
+def _negated(field, g):
+    """g(-X) made monic, for g raw monic: coefficient i changes sign when
+    deg g - i is odd."""
+    d = len(g) - 1
+    return tuple(field.neg(c) if (d - i) % 2 else c for i, c in enumerate(g))
+
+
+def invariant_factors_from_elementary(field, exponents, n, where):
+    """The invariant factors, as an InvariantFactorList, of the F[X]-module
+    of dimension n with the elementary divisors g^t of exponents ({g: [t,
+    ...]}, raw): the i-th largest factor takes each g to its i-th largest
+    exponent, so each factor divides the next and no Smith closing is
+    needed.  Raises ConsistencyError, naming where, when the degrees do not
+    sum to n."""
+    total = sum((len(g) - 1) * sum(ts) for g, ts in exponents.items())
+    if total != n:
+        raise ConsistencyError(
+            f"{where}: elementary divisors of degree {total} against dimension {n}"
+        )
+    ring = rp.ring(field)
+    columns = [(g, sorted(ts, reverse=True)) for g, ts in exponents.items()]
+    count = max(len(ts) for _, ts in columns)
+    built = {}
+    factors = []
+    for i in range(count):
+        key = tuple(ts[i] if i < len(ts) else 0 for _, ts in columns)
+        if key not in built:
+            f = ring.one
+            for (g, _), t in zip(columns, key):
+                if t:
+                    f = ring.mul(f, rp.square_and_multiply(g, t, ring.mul))
+            built[key] = Poly.from_raw(field, f)
+        factors.append(built[key])
+    return InvariantFactorList(reversed(factors))

@@ -9,6 +9,7 @@ if str(src) not in sys.path:
 import pytest  # noqa: E402
 
 from aslab import _ringops as rp  # noqa: E402
+from aslab import linalg  # noqa: E402
 
 
 @pytest.fixture
@@ -29,3 +30,13 @@ def refuse_prime_ringops(monkeypatch):
             monkeypatch.setattr(rp, name, refusing)
 
     return install
+
+
+@pytest.fixture
+def cold_tensor_types():
+    """The Kronecker tensor types (linalg.kronecker_tensor_type) built afresh
+    in this test, and their cache restored after it."""
+    saved = dict(linalg._tensor_type_cache)
+    linalg._tensor_type_cache.clear()
+    yield
+    linalg._tensor_type_cache.update(saved)

@@ -211,9 +211,9 @@ def test_analyze_caps():
 
 
 def test_analyze_gf2_20x20_in_bounded_time():
-    # ad of a 20 x 20 matrix is 400 x 400; over GF(2) its Krylov chains and
-    # ranks run on packed rows (payload-list rows took 4.6-5.8 s on a 2-core
-    # Xeon VM, packed rows about 0.2 s)
+    # ad of a 20 x 20 matrix is 400 x 400; Krylov on it took 4.6-5.8 s on
+    # payload-list rows and about 0.2 s on packed GF(2) rows (2-core Xeon
+    # VM); analyze now reads it off A's elementary divisors
     f2 = make_field("GF(2)")
     rng = random.Random(20)
     a = Matrix(f2, [[rng.randrange(2) for _ in range(20)] for _ in range(20)])
@@ -265,9 +265,9 @@ def test_analyze_gf2_at_the_32x32_cap_in_bounded_time(build, digest):
     ids=["gf3-16", "gf5-14", "gf727-12"],
 )
 def test_analyze_odd_prime_reports_in_bounded_time(spec, m, digest):
-    # ad of random.Random(m)'s m x m matrix runs the inline mod-p row
-    # algebra; the digests are those of the reports on payload-list rows
-    # (1.1-1.9 s there, 0.4-0.8 s inline, on a 2-core Xeon VM)
+    # random.Random(m)'s m x m matrix; the digests are those of the reports
+    # of Krylov on ad A over payload-list rows (1.1-1.9 s there, 0.4-0.8 s
+    # on the inline mod-p rows, on a 2-core Xeon VM)
     a = _seeded(spec, m, m)
     t0 = time.perf_counter()
     report = analyze(a)

@@ -1,8 +1,10 @@
 """Documented caps reached at their edge in a bounded time, and refused past
-it before any work: README "Size caps", one row at a time.  So far two
-rows: factor_finite at degree 64 over finite fields to 729, and the
-certified analyze of the largest companion a finite field certifies under
-the 32 x 32 cap (m = p <= 31), X^31 - X - 1 over GF(31)."""
+it before any work: README "Size caps", one row at a time.  So far three
+rows: factor_finite at degree 64 over finite fields to 729; analyze at the
+32 x 32 cap over finite fields (seeded random matrices over GF(2), GF(3),
+GF(9) and GF(727), the irreducible degree-32 companion and J_32(0) over
+GF(3)); and the certified analyze of the largest companion a finite field
+certifies under that cap (m = p <= 31), X^31 - X - 1 over GF(31)."""
 
 import functools
 import random
@@ -11,10 +13,11 @@ import time
 import pytest
 
 from aslab import _ringops as rp
-from aslab import poly
-from aslab.ad_analyzer import analyze, build_gas_companion
+from aslab import linalg, poly
+from aslab.ad_analyzer import MAX_DIM_FINITE, analyze, build_gas_companion
 from aslab.errors import CapExceededError
 from aslab.fields import ben_or_irreducible, make_field
+from aslab.linalg import Matrix, companion, jordan_block
 from aslab.poly import FACTOR_MAX_DEGREE, Poly, factor_finite
 
 CAP_FIELDS = ["GF(729)", "GF(512)", "GF(625)", "GF(727)"]
@@ -24,6 +27,10 @@ FACTOR_BOUND_S = 10.0
 
 # measured 3.1-5.3 s, cold and warm, on a 2-core VM
 CERTIFIED_BOUND_S = 15.0
+
+# measured 0.02-1.3 s per input, λ(r, s) built cold, on a 2-core VM;
+# Krylov on the 1024 x 1024 ad_matrix took 20.4 s at GF(3) alone
+ANALYZE_BOUND_S = 10.0
 
 
 def _monic(k, d, rng):
@@ -98,3 +105,41 @@ def test_certified_analyze_of_the_gf31_companion_in_bounded_time():
     assert [report.recovered[key] for key in ("p", "n", "e")] == [31, 1, 0]
     verdict = report.eigenvector_invertibility
     assert verdict.all_invertible and (verdict.checked, verdict.sampled) == (961, 310)
+
+
+def _analyze_edge_input(spec, kind):
+    """A 32 x 32 matrix over spec: seeded random, the companion of a seeded
+    irreducible of degree 32, or J_32(0)."""
+    k, m = make_field(spec), MAX_DIM_FINITE
+    rng = random.Random(f"{spec} {kind}")
+    if kind == "random":
+        return Matrix.from_raw(k, [[k.random_payload(rng) for _ in range(m)] for _ in range(m)])
+    if kind == "irreducible companion":
+        return companion(Poly.from_raw(k, _irreducibles(k, m, 1, rng)[0]))
+    return jordan_block(k, 0, m)
+
+
+@pytest.mark.parametrize(
+    "spec, kind",
+    [("GF(2)", "random"), ("GF(3)", "random"), ("GF(9)", "random"), ("GF(727)", "random"),
+     ("GF(3)", "irreducible companion"), ("GF(3)", "J_32(0)")],
+)
+def test_analyze_at_the_32x32_cap_in_bounded_time(spec, kind, cold_tensor_types):
+    a = _analyze_edge_input(spec, kind)
+    start = time.perf_counter()
+    report = analyze(a)
+    elapsed = time.perf_counter() - start
+    assert elapsed < ANALYZE_BOUND_S, (spec, kind, elapsed)
+    factors = report.invariant_factors
+    assert sum(f.degree() for f in factors) == MAX_DIM_FINITE**2
+    if kind == "random":
+        return
+    # A is cyclic, so its centralizer F[A] has dimension 32: 32 invariant
+    # factors, X divides each, and 0 is the only eigenvalue in F (the
+    # irreducible companion's others are x - x^(3^k), k = 1..31, outside F)
+    assert len(factors) == MAX_DIM_FINITE and report.c3 == (kind == "irreducible companion")
+    assert [(str(v), d) for v, d in report.eigenspace_dims] == [("0", MAX_DIM_FINITE)]
+    if kind == "J_32(0)":
+        # ad J_32(0) is nilpotent of type λ(32, 32) over GF(3)
+        assert sorted(f.degree() for f in factors) == sorted(linalg.nilpotent_tensor_type(3, 32, 32))
+        assert all(f.raw[-1] == 1 and not any(f.raw[:-1]) for f in factors)

@@ -33,8 +33,7 @@ too).  Each pair of them gives a semisimple part from its two primes
 linear, a Krylov run on at most 256 dimensions otherwise) and a nilpotent
 part of type λ(r, s) (nilpotent_tensor_type: closed forms for r or s = 1
 and r + s <= p + 1, otherwise kronecker_tensor_type, built once per
-(p, r, s) and shared with tensor's oracle).  The i-th largest invariant factor takes
-each prime to its i-th largest exponent, so no Smith form runs.
+(p, r, s)).  The i-th largest invariant factor takes each prime to its i-th largest exponent, so no Smith form runs.
 
 Matrix(field, rows) converts and validates every entry (FieldDescriptor.
 payload_of) and is meant for values from outside; every matrix computed
@@ -903,8 +902,8 @@ def _sylvester_divisors(field, pi, pj):
     - pi = pj of degree d: K ⊗ K, K = F[X]/(pi), is d copies of K, on which
       the operator is multiplication by x - x^(q^k) mod pi, k < d.  So d
       copies of X, and d / deg g_k copies of g_k, its minimal polynomial,
-      for k = 1..d-1; the x^(q^k) come off _ringops.frobenius_chain (at
-      d = 2, x^q = -x - pi[1]) and g_k from poly._min_dependence.
+      for k = 1..d-1; the x^(q^k) come off _ringops.frobenius_chain and
+      g_k from poly._min_dependence.
     - pi = X - a: the operator is a - x on F[X]/(pj), so one copy of
       pj(X + a) with X -> -X.  pj = X - b: one copy of pi(X + b).
     - Otherwise from the invariant factors of the operator itself,
@@ -919,9 +918,7 @@ def _sylvester_divisors(field, pi, pj):
         d = len(pi) - 1
         counts = collections.Counter({(k.zero, k.one): d})
         x, ring = (k.zero, k.one), rp.ring(k)
-        # at d = 2 the conjugate of x is -pi[1] - x, with no chain
-        chain = [(k.neg(pi[1]), k.neg(k.one))] if d == 2 else rp.frobenius_chain(k, pi)
-        for _, h in zip(range(d - 1), chain):
+        for _, h in zip(range(d - 1), rp.frobenius_chain(k, pi)):
             g = _min_dependence(k, ring.sub(x, h), pi)
             counts[g] += d // (len(g) - 1)
         return list(counts.items())

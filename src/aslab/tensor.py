@@ -5,12 +5,11 @@ product splits as n isomorphic indecomposables of dimension p^e with the
 single eigenvalue alpha + beta; tensor_jordan_type_formula returns that
 closed answer.  tensor_jordan_type_oracle computes the decomposition for
 arbitrary block sizes, up to n*m = 256, from the invariant factors of the
-explicit Kronecker operator and serves as the independent check; it reads
-them from linalg.kronecker_tensor_type, built once per (p, n, m) and shared
-with analyze, whose λ(r, s) for ad A over a finite field takes it where no
-closed form applies (linalg.nilpotent_tensor_type).  The
-oracle also covers sizes with no closed form, e.g. J_2 tensor J_3 over
-GF(2) splits as [4, 2], and the characteristic-0 Clebsch-Gordan pattern
+explicit Kronecker operator and serves as the independent check: it builds
+the shifted operator afresh on every call, so it is also the reference for
+analyze's memoised λ(r, s) (linalg.nilpotent_tensor_type).  The oracle
+also covers sizes with no closed form, e.g. J_2 tensor J_3 over GF(2)
+splits as [4, 2], and the characteristic-0 Clebsch-Gordan pattern
 (m+n-1, m+n-3, ...) fails here.  The closed answer lists n blocks, so it
 is capped at FORMULA_MAX_BLOCKS, checked before the list is built.
 
@@ -29,7 +28,8 @@ from .linalg import (
     ad_matrix,
     direct_sum,
     jordan_block,
-    kronecker_tensor_type,
+    kron,
+    nilpotent_jordan_type,
 )
 from .poly import Poly
 
@@ -74,15 +74,18 @@ def tensor_jordan_type_formula(inst: TensorInstance) -> JordanType:
 
 
 def tensor_jordan_type_oracle(inst: TensorInstance) -> JordanType:
-    """Jordan type of the explicit Kronecker operator: its nilpotent part
-    J_n(0) ⊗ I + I ⊗ J_m(0) has the block sizes linalg.kronecker_tensor_type
-    reads off its invariant factors, at alpha + beta (n*m at most
-    ORACLE_MAX_DIM)."""
+    """Jordan type of the explicit Kronecker operator, read off the
+    invariant factors of its nilpotent part (n*m at most ORACLE_MAX_DIM)."""
     if inst.n * inst.m > ORACLE_MAX_DIM:
         raise CapExceededError(f"dimension {inst.n * inst.m} exceeds cap {ORACLE_MAX_DIM}")
+    k = inst.field
+    a = kron(jordan_block(k, inst.alpha, inst.n), Matrix.identity(k, inst.m))
+    b = kron(Matrix.identity(k, inst.n), jordan_block(k, inst.beta, inst.m))
+    op = a + b
     ev = inst.alpha + inst.beta
-    sizes = kronecker_tensor_type(inst.p, min(inst.n, inst.m), max(inst.n, inst.m))
-    return JordanType([(ev, sz) for sz in sizes])
+    nil = op.scalar_shift(-ev)
+    jt = nilpotent_jordan_type(nil)
+    return JordanType([(ev, sz) for _, sz in jt])
 
 
 def binomial_divisibility(p, e, i) -> bool:

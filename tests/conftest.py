@@ -39,4 +39,5 @@ def cold_tensor_types():
     saved = dict(linalg._tensor_type_cache)
     linalg._tensor_type_cache.clear()
     yield
+    linalg._tensor_type_cache.clear()
     linalg._tensor_type_cache.update(saved)

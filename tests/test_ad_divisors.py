@@ -168,10 +168,14 @@ def test_lambda_is_built_once_per_prime_and_pair(cold_tensor_types, monkeypatch)
     # (1, 5) and (5, 1) are (5); (2, 2) over GF(3) is Clebsch-Gordan's (3, 1)
     for r, s in ((2, 3), (3, 2), (2, 3), (1, 5), (5, 1), (2, 2)):
         nilpotent_tensor_type(3, r, s)
-    tensor_jordan_type_oracle(TensorInstance(3, 3, 2))
     assert built == [6]
-    tensor_jordan_type_oracle(TensorInstance(3, 2, 2))
-    assert built == [6, 4]
+
+
+def test_the_oracle_reads_no_cached_lambda(cold_tensor_types):
+    # the oracle is the reference for λ, so a wrong cached λ must not reach it
+    linalg._tensor_type_cache[3, 2, 3] = (5, 1)
+    assert nilpotent_tensor_type(3, 2, 3) == (5, 1)
+    assert tensor_jordan_type_oracle(TensorInstance(3, 2, 3, alpha=1, beta=1)).sizes() == [3, 3]
 
 
 @pytest.mark.parametrize("spec", FIELDS)

@@ -32,12 +32,17 @@ assembles them with no Smith form.  c3 is then one prime in mu_A, of
 multiplicity 1, in a cyclic A, with no separate irreducibility test, and
 the linear divisors X - v give the eigenvalues.  Over K(Z), which is not
 perfect and has no factorization, c3 is decided first, from the invariant
-factors of A and the oracle, so an oracle refusal comes before ad A is
-built; then ad A keeps the Krylov route (_ad_by_krylov): the invariant
-factors of the m^2 x m^2 ad_matrix, the roots of the last one and their
-multiplicities in each.  That route stays the tests' reference over finite
-fields too.  At e = 0 the verdict of c3 on mu_A = q also certifies q, and
-only e >= 1 asks again whether q is irreducible.  When all three
+factors of A and the oracle, so an oracle refusal comes before ad A's;
+then ad A comes from A's invariant factors f_i, again with no ad_matrix
+(_ad_by_sylvester): ad A is the direct sum over pairs (i, j) of
+Y -> C(f_i) Y - Y C(f_j), whose invariant factors are the Smith form of
+the block diagonal of the f_i(C(f_j) + T) over K(Z)[T]
+(linalg.sylvester_invariant_factors).  The spectrum, the roots of the
+last factor and their multiplicities in each (_spectrum), is read off
+them as off the factors of the tests' reference route, Krylov on the
+m^2 x m^2 ad_matrix (_ad_by_krylov).  At e = 0 the verdict of c3 on
+mu_A = q also certifies q, and only e >= 1 asks again whether q is
+irreducible.  When all three
 conditions hold, each eigenspace is also built from the paper's
 conjugator, with no kernel of the m^2 x m^2 ad A (_conjugator_eigenspaces):
 h(X + v) = h(X) for every eigenvalue v, so the Pascal matrix S_v of
@@ -73,9 +78,10 @@ import random
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
-from .fields import FieldElement, _raw_roots, _subfield_check, specialise
+from .fields import FieldElement, _raw_roots, _subfield_check, specialisation_points, specialise
 from .irred import _clear_denominators, irreducible
 from .linalg import (
+    InvariantFactorList,
     Matrix,
     _elementary_divisors,
     _pascal_matrix,
@@ -88,6 +94,7 @@ from .linalg import (
     invariant_factors,
     invariant_factors_from_elementary,
     similar,
+    sylvester_invariant_factors,
 )
 from .poly import (
     Poly,
@@ -197,9 +204,20 @@ def _rational_roots(f: Poly):
     X is divided out (the zero root), then every u * nd / dd is tried, nd and
     dd monic divisors of the cleared constant term and lead, u in K*, after
     the count is capped.  The sorted divisors put nd = dd = 1 first, so the
-    constants follow zero in enumeration order."""
+    constants follow zero in enumeration order.
+
+    Before its exact division a candidate c is evaluated at the
+    specialisation points where neither f nor c has a pole: Z -> z0 is a
+    ring map there, so a root c gives f(z0)(c(z0)) = 0, and a nonzero value
+    rules c out (_rules_out).  The exact division decides every candidate
+    kept."""
     F = f.field
     ring = rp.ring(F)
+    points = []
+    for point in specialisation_points(F.base):
+        coeffs = specialise(F, f.raw, point)
+        if coeffs is not None:
+            points.append((point, coeffs))
     roots = []
     work, mult = ring.divide_out(f.raw, (F.zero, F.one))
     if mult:
@@ -223,10 +241,22 @@ def _rational_roots(f: Poly):
         for dd in den_divs:
             for u in units:
                 cand = F.fraction(rp.scale(k, nd, u), dd)
+                if _rules_out(F, points, cand.payload):
+                    continue
                 work, mult = ring.divide_out(work, (F.neg(cand.payload), F.one))
                 if mult:
                     roots.append(cand)
     return roots
+
+
+def _rules_out(field, points, c):
+    """Whether some (point, coefficients of f specialised there) of points
+    has f(z0)(c(z0)) != 0, the payload c over K(Z) having no pole at z0."""
+    for point, coeffs in points:
+        value = specialise(field, (c,), point)
+        if value is not None and rp.evaluate(point[0], coeffs, value[0]) != point[0].zero:
+            return True
+    return False
 
 
 def size_cap(field):
@@ -256,7 +286,8 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     mu_a = inv_a.minimal_polynomial()
     if field.order is None:
         c3 = cyclic and irreducible(mu_a)
-        inv_ad, spectrum = _ad_by_krylov(a)
+        inv_ad = _ad_by_sylvester(field, inv_a)
+        spectrum = _spectrum(inv_ad)
     else:
         c3, inv_ad, spectrum = _ad_by_divisors(a, inv_a)
     eigenvalues = [v for v, _, _ in spectrum]
@@ -311,14 +342,30 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
 
 def _ad_by_krylov(a):
     """(invariant factors of ad A, spectrum) from Krylov on the m^2 x m^2
-    ad_matrix(a), the route over K(Z) and the tests' reference.  The
-    spectrum lists (v, multiplicity of X - v in the characteristic
-    polynomial, eigenspace dimension) by eigenvalue v in sort order: one
-    pass over the (v, invariant factor f) pairs, where every f that X - v
-    divides is one cyclic summand F[X]/(f) adding one dimension to
-    ker(ad - vI)."""
-    field = a.field
+    ad_matrix(a): the tests' reference route, which analyze does not take."""
     inv_ad = invariant_factors(ad_matrix(a))
+    return inv_ad, _spectrum(inv_ad)
+
+
+def _ad_by_sylvester(field, inv_a):
+    """The invariant factors of ad A over K(Z), with no ad_matrix: ad A is
+    the direct sum over pairs (f_i, f_j) of A's invariant factors of
+    Y -> C(f_i) Y - Y C(f_j) on Hom(V_j, V_i), whose invariant factors come
+    from one Smith form of the matrices f_i(C(f_j) + T) over K(Z)[T]
+    (linalg.sylvester_invariant_factors)."""
+    raw = [f.raw for f in inv_a]
+    return InvariantFactorList(
+        Poly.from_raw(field, f) for f in sylvester_invariant_factors(field, raw, raw)
+    )
+
+
+def _spectrum(inv_ad):
+    """The spectrum of ad A from its invariant factors: (v, multiplicity of
+    X - v in the characteristic polynomial, eigenspace dimension) by
+    eigenvalue v in sort order, v over the roots of the last factor.  Every
+    factor f that X - v divides is one cyclic summand F[X]/(f), adding one
+    dimension to ker(ad - vI)."""
+    field = inv_ad[0].field
     ring = _row_algebra(field)
     packed = [ring.pack(f.raw) for f in inv_ad]
     spectrum = []
@@ -326,11 +373,11 @@ def _ad_by_krylov(a):
         lin = ring.pack((field.neg(v.payload), field.one))
         mults = [ring.multiplicity(f, lin) for f in packed]
         spectrum.append((v, sum(mults), sum(1 for mult in mults if mult)))
-    return inv_ad, spectrum
+    return spectrum
 
 
 def _ad_by_divisors(a, inv_a):
-    """(c3, invariant factors of ad A, spectrum as _ad_by_krylov gives it)
+    """(c3, invariant factors of ad A, spectrum as _spectrum gives it)
     over a finite field, from A's elementary divisors, with no ad_matrix:
     one factorization of mu_A, the multiplicity of each prime in each
     invariant factor of A (linalg._elementary_divisors), and ad A's

@@ -35,6 +35,12 @@ part of type λ(r, s) (nilpotent_tensor_type: closed forms for r or s = 1
 and r + s <= p + 1, otherwise kronecker_tensor_type, built once per
 (p, r, s)).  The i-th largest invariant factor takes each prime to its i-th largest exponent, so no Smith form runs.
 
+Over any field, sylvester_invariant_factors gives the invariant factors of
+a direct sum of Sylvester operators Y -> C_f Y - Y C_g from one Smith form
+of the deg g x deg g matrices f(C_g + T) over F[T], with no Kronecker
+operator: analyze reads ad A over K(Z) from it, and the tensor oracle its
+Jordan types.
+
 Matrix(field, rows) converts and validates every entry (FieldDescriptor.
 payload_of) and is meant for values from outside; every matrix computed
 here from payloads is built with Matrix.from_raw, which checks only the
@@ -933,6 +939,64 @@ def _sylvester_divisors(field, pi, pj):
         return [(factors[-1], len(factors))]
     primes = [g for g, _ in _factor_raw(k, factors[-1])]
     return [(g, count) for (g, _), count in _elementary_divisors(k, factors, primes).items()]
+
+
+def sylvester_invariant_factors(field, fs, gs):
+    """The raw nontrivial invariant factors, each dividing the next, of the
+    direct sum over f in fs and g in gs of Y -> C_f Y - Y C_g, the f and g
+    raw monic of degree >= 1, with no Kronecker operator.
+
+    As an F[T]-module, T acting as the operator, each summand is
+    F[x, y]/(f(x), g(y)) with T = x - y (C_g is similar to its transpose).
+    Putting x = y + T presents it as the cokernel of multiplication by
+    f(y + T) on the free F[T]-module F[T][y]/(g): the deg g x deg g matrix
+    f(C_g + T) over F[T] (Gantmacher, The Theory of Matrices I, ch. VIII).
+    By the Hasse expansion f(y + T) = sum_t (D^t f)(y) T^t, its entry
+    (r, c) has as coefficient of T^t the coordinate r of (D^t f)(y) y^c
+    mod g.  One Smith form (_smith_diagonal) of the block diagonal of these
+    matrices, entries packed in the field's row algebra, gives the
+    invariant factors.  Its determinant, prod f(T + root of g), is monic of
+    degree deg f deg g, so no diagonal entry is zero; ConsistencyError if
+    the degrees do not sum to that."""
+    k = field
+    rows, ring = _row_algebra(k), rp.ring(k)
+    matrix = []
+    for f in fs:
+        df = len(f) - 1
+        # D^t f = sum_i C(i, t) f_i y^(i - t)
+        hasse = [
+            rp.trim(k, [k.mul(k.from_int(math.comb(i, t)), c) for i, c in enumerate(f[t:], t)])
+            for t in range(df + 1)
+        ]
+        for g in gs:
+            dg = len(g) - 1
+            # images[t][c]: (D^t f)(y) y^c mod g, as dg coordinates
+            images = []
+            for h in hasse:
+                h = ring.rem(h, g)
+                image = []
+                for _ in range(dg):
+                    image.append(list(h) + [k.zero] * (dg - len(h)))
+                    h = ring.rem((k.zero,) + h, g) if h else h
+                images.append(image)
+            offset = len(matrix)
+            for r in range(dg):
+                row = {}
+                for c in range(dg):
+                    entry = rp.trim(k, [image[c][r] for image in images])
+                    if entry:
+                        row[offset + c] = rows.pack(entry)
+                matrix.append(row)
+    diag = [d for d in _smith_diagonal(rows, matrix) if rows.size(d) > 1]
+    factors = [tuple(rows.unpack(d, rows.size(d))) for d in diag]
+    total = sum(len(f) - 1 for f in factors)
+    expected = sum(len(f) - 1 for f in fs) * sum(len(g) - 1 for g in gs)
+    if total != expected:
+        raise ConsistencyError(
+            f"Sylvester invariant factors over {k.spec_string()}: degrees sum to "
+            f"{total} against dimension {expected}"
+        )
+    return factors
 
 
 def _negated(field, g):

@@ -4,13 +4,17 @@ For blocks J_n(alpha) and J_m(beta) over GF(p) with m = p^e and n <= m, the
 product splits as n isomorphic indecomposables of dimension p^e with the
 single eigenvalue alpha + beta; tensor_jordan_type_formula returns that
 closed answer.  tensor_jordan_type_oracle computes the decomposition for
-arbitrary block sizes, up to n*m = 256, from the invariant factors of the
-explicit Kronecker operator and serves as the independent check: it builds
-the shifted operator afresh on every call, so it is also the reference for
-analyze's memoised λ(r, s) (linalg.nilpotent_tensor_type).  The oracle
-also covers sizes with no closed form, e.g. J_2 tensor J_3 over GF(2)
-splits as [4, 2], and the characteristic-0 Clebsch-Gordan pattern
-(m+n-1, m+n-3, ...) fails here.  The closed answer lists n blocks, so it
+arbitrary block sizes, up to n*m = 256, with no Kronecker operator: the
+product is the Sylvester operator of (X - alpha)^n and (X + beta)^m, whose
+invariant factors are the Smith form of the min(n, m) x min(n, m) matrix
+f(C_g + T) over GF(p)[T] (linalg.sylvester_invariant_factors).  It serves
+as the independent check: it reads the eigenvalues on every call and no
+cache, and analyze's memoised λ(r, s) (linalg.nilpotent_tensor_type)
+presents the same module another way, by Krylov chains of the Kronecker
+operator, so each is the other's reference.  The oracle also covers
+sizes with no closed form, e.g. J_2 tensor J_3 over GF(2) splits as
+[4, 2], and the characteristic-0 Clebsch-Gordan pattern (m+n-1, m+n-3,
+...) fails here.  The closed answer lists n blocks, so it
 is capped at FORMULA_MAX_BLOCKS, checked before the list is built.
 
 ad_elementary_divisors_blocksum gives the elementary divisors of the
@@ -20,7 +24,8 @@ commutator operator on a direct sum of equal-size blocks J_(p^e)(alpha_i):
 
 import math
 
-from .errors import CapExceededError, InputError
+from . import _ringops as rp
+from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import PrimeField, make_field, p_power_split
 from .linalg import (
     JordanType,
@@ -28,8 +33,7 @@ from .linalg import (
     ad_matrix,
     direct_sum,
     jordan_block,
-    kron,
-    nilpotent_jordan_type,
+    sylvester_invariant_factors,
 )
 from .poly import Poly
 
@@ -74,18 +78,33 @@ def tensor_jordan_type_formula(inst: TensorInstance) -> JordanType:
 
 
 def tensor_jordan_type_oracle(inst: TensorInstance) -> JordanType:
-    """Jordan type of the explicit Kronecker operator, read off the
-    invariant factors of its nilpotent part (n*m at most ORACLE_MAX_DIM)."""
+    """Jordan type of J_n(alpha) ⊗ I + I ⊗ J_m(beta), n*m at most
+    ORACLE_MAX_DIM, with no Kronecker operator.
+
+    The operator is x + y on F[x]/((x - alpha)^n) ⊗ F[y]/((y - beta)^m),
+    that is x - y' with y' = -y a root of g = (X + beta)^m: the Sylvester
+    operator of f = (X - alpha)^n and g, whose invariant factors are the
+    Smith form of the deg g x deg g matrix f(C_g + T)
+    (linalg.sylvester_invariant_factors).  The two blocks enter
+    symmetrically, so the smaller one is g.  Each factor must be a power of
+    X - (alpha + beta), and its degree is one block size."""
     if inst.n * inst.m > ORACLE_MAX_DIM:
         raise CapExceededError(f"dimension {inst.n * inst.m} exceeds cap {ORACLE_MAX_DIM}")
     k = inst.field
-    a = kron(jordan_block(k, inst.alpha, inst.n), Matrix.identity(k, inst.m))
-    b = kron(Matrix.identity(k, inst.n), jordan_block(k, inst.beta, inst.m))
-    op = a + b
+    (a, n), (b, m) = sorted(((inst.alpha, inst.n), (inst.beta, inst.m)), key=lambda e: -e[1])
+    f = rp.power(k, (k.neg(a.payload), k.one), n)
+    g = rp.power(k, (b.payload, k.one), m)
     ev = inst.alpha + inst.beta
-    nil = op.scalar_shift(-ev)
-    jt = nilpotent_jordan_type(nil)
-    return JordanType([(ev, sz) for _, sz in jt])
+    lin = (k.neg(ev.payload), k.one)
+    blocks = []
+    for h in sylvester_invariant_factors(k, [f], [g]):
+        if h != rp.power(k, lin, len(h) - 1):
+            raise ConsistencyError(
+                f"tensor oracle on {inst}: invariant factor {Poly.from_raw(k, h)} is not a "
+                f"power of X - ({ev})"
+            )
+        blocks.append((ev, len(h) - 1))
+    return JordanType(blocks)
 
 
 def binomial_divisibility(p, e, i) -> bool:

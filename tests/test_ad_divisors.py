@@ -1,5 +1,6 @@
-"""ad A over a finite field from A's elementary divisors and λ(r, s), against
-the reference route: Krylov on the m^2 x m^2 ad_matrix(a)."""
+"""ad A over a finite field from A's elementary divisors and λ(r, s), and
+over K(Z) from the Smith form of the f_i(C(f_j) + T), against the reference
+route: Krylov on the m^2 x m^2 ad_matrix(a)."""
 
 import random
 
@@ -8,11 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from aslab import ad_analyzer, linalg
+from aslab.acceptance import FORWARD_GRID
 from aslab.ad_analyzer import analyze, build_gas_companion
-from aslab.errors import ConsistencyError
+from aslab.errors import CapExceededError, ConsistencyError
 from aslab.fields import FieldElement, make_field, monic_irreducibles
 from aslab.linalg import (
     Matrix,
+    ad_matrix,
     companion,
     direct_sum,
     invariant_factors,
@@ -24,6 +27,7 @@ from aslab.poly import Poly, is_irreducible_finite
 from aslab.tensor import TensorInstance, tensor_jordan_type_oracle
 
 FIELDS = ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(25)", "GF(27)"]
+KZ_FIELDS = ["GF(2)(Z)", "GF(3)(Z)", "GF(4)(Z)", "GF(5)(Z)"]
 
 
 def _random_matrix(field, m, rng):
@@ -193,12 +197,80 @@ def test_analyze_builds_no_ad_matrix_over_a_finite_field(spec, monkeypatch):
     assert report.c1 and report.c2 and report.c3 == (field.n % field.char != 0)
 
 
-def test_analyze_over_kz_still_builds_ad_matrix(monkeypatch):
-    built = []
-    real = ad_analyzer.ad_matrix
-    monkeypatch.setattr(ad_analyzer, "ad_matrix", lambda a: built.append(a.nrows) or real(a))
-    report = analyze(build_gas_companion(make_field("GF(2)(Z)"), 1, 0, "Z"))
-    assert report.passed() and built == [2]
+def _random_kz_matrix(field, m, rng):
+    """Entries a + b Z or (a + b Z) / (c + Z), a, b, c in K: small enough
+    that the c3 oracle and the root search take every 2 x 2 input."""
+    k = field.base
+
+    def entry():
+        den = rng.choice([(k.one,), (k.random_payload(rng), k.one)])
+        return field.fraction((k.random_payload(rng), k.random_payload(rng)), den)
+
+    return Matrix(field, [[entry() for _ in range(m)] for _ in range(m)])
+
+
+def _kz_inputs(spec, largest=3):
+    """Seeded random matrices of size 1 to largest, the forward grid's
+    companions over this field, and non-cyclic direct sums."""
+    field = make_field(spec)
+    rng = random.Random(f"kz sylvester {spec}")
+    out = [_random_kz_matrix(field, rng.randint(1, largest), rng) for _ in range(6)]
+    out += [
+        build_gas_companion(field, n, e, "Z")
+        for p, n, e in FORWARD_GRID
+        if make_field(f"GF({p**n})(Z)") == field
+    ]
+    z = field.element("Z")
+    out += [
+        direct_sum(jordan_block(field, z, 2), jordan_block(field, z, 1)),
+        direct_sum(jordan_block(field, 0, 1), jordan_block(field, 1, 1), jordan_block(field, z, 1)),
+        direct_sum(*[companion(Poly.from_string(field, "X^2-X-Z"))] * 2),
+    ]
+    return out
+
+
+def _spectrum_or_refusal(inv_ad):
+    try:
+        return ad_analyzer._spectrum(inv_ad)
+    except CapExceededError as refusal:
+        return str(refusal)
+
+
+@pytest.mark.parametrize("spec", KZ_FIELDS)
+def test_ad_over_kz_equals_krylov_on_ad_matrix(spec):
+    for a in _kz_inputs(spec):
+        inv_ad = ad_analyzer._ad_by_sylvester(a.field, invariant_factors(a))
+        reference = invariant_factors(ad_matrix(a))
+        assert inv_ad == reference, a
+        assert _spectrum_or_refusal(inv_ad) == _spectrum_or_refusal(reference), a
+
+
+def test_rational_roots_point_filter_keeps_every_root(monkeypatch):
+    # the filter rules candidates out before their exact division, and
+    # with it off the roots are the same
+    field = make_field("GF(3)(Z)")
+    f = Poly.from_string(field, "X*(X-Z)*(X+Z)*(X-1/Z)*(X-(Z+1)/(Z+2))*(X^2+Z)")
+    real, verdicts = ad_analyzer._rules_out, []
+    monkeypatch.setattr(ad_analyzer, "_rules_out", lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+    filtered = ad_analyzer._rational_roots(f)
+    assert verdicts.count(True) > len(verdicts) // 2
+    monkeypatch.setattr(ad_analyzer, "_rules_out", lambda *args: False)
+    assert filtered == ad_analyzer._rational_roots(f)
+    assert sorted(str(v) for v in filtered) == sorted(["0", "Z", "2*Z", "1/Z", "(Z+1)/(Z+2)"])
+
+
+def test_analyze_builds_no_ad_matrix_over_kz(monkeypatch):
+    def no_ad(*args):
+        raise AssertionError("ad_matrix built over K(Z)")
+
+    monkeypatch.setattr(ad_analyzer, "ad_matrix", no_ad)
+    monkeypatch.setattr(linalg, "ad_matrix", no_ad)
+    for spec in KZ_FIELDS:
+        for a in _kz_inputs(spec, largest=2):
+            analyze(a)
+        # a certified companion: c1, c2 and c3 hold, and the sweep runs
+        assert analyze(build_gas_companion(make_field(spec), 1, 0, "Z")).passed()
+    assert analyze(build_gas_companion(make_field("GF(2)(Z)"), 1, 1, "Z")).passed()
 
 
 def test_degrees_short_of_m_squared_raise_a_named_consistency_error(monkeypatch):

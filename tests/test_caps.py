@@ -1,10 +1,11 @@
 """Documented caps reached at their edge in a bounded time, and refused past
-it before any work: README "Size caps", one row at a time.  So far three
+it before any work: README "Size caps", one row at a time.  So far four
 rows: factor_finite at degree 64 over finite fields to 729; analyze at the
 32 x 32 cap over finite fields (seeded random matrices over GF(2), GF(3),
 GF(9) and GF(727), the irreducible degree-32 companion and J_32(0) over
-GF(3)); and the certified analyze of the largest companion a finite field
-certifies under that cap (m = p <= 31), X^31 - X - 1 over GF(31)."""
+GF(3)); the certified analyze of the largest companion a finite field
+certifies under that cap (m = p <= 31), X^31 - X - 1 over GF(31); and
+analyze of a seeded random 4 x 4 matrix over GF(3)(Z)."""
 
 import functools
 import random
@@ -31,6 +32,20 @@ CERTIFIED_BOUND_S = 15.0
 # measured 0.02-1.3 s per input, λ(r, s) built cold, on a 2-core VM;
 # Krylov on the 1024 x 1024 ad_matrix took 20.4 s at GF(3) alone
 ANALYZE_BOUND_S = 10.0
+
+
+# measured 0.1-0.2 s on a 2-core VM; Krylov on the 16 x 16 ad_matrix over
+# K(Z) and an exact division per root candidate took 36 s
+KZ_ANALYZE_BOUND_S = 2.0
+
+# a seeded random GF(3)(Z) matrix: the last invariant factor of ad A has
+# degree 13 and 1,345 root candidates, of which only 0 is a root
+KZ_4X4 = [
+    ["0", "0", "2", "0"],
+    ["0", "2*Z^2+2*Z", "0", "0"],
+    ["2*Z^2+1", "(2*Z^2+Z+2)/Z", "Z/(Z+2)", "2*Z+2"],
+    ["1", "2*Z^2+2*Z+2", "2*Z^2+2*Z+1", "0"],
+]
 
 
 def _monic(k, d, rng):
@@ -143,3 +158,13 @@ def test_analyze_at_the_32x32_cap_in_bounded_time(spec, kind, cold_tensor_types)
         # ad J_32(0) is nilpotent of type λ(32, 32) over GF(3)
         assert sorted(f.degree() for f in factors) == sorted(linalg.nilpotent_tensor_type(3, 32, 32))
         assert all(f.raw[-1] == 1 and not any(f.raw[:-1]) for f in factors)
+
+
+def test_analyze_of_a_random_kz_4x4_in_bounded_time():
+    a = Matrix.from_json_dict({"entries": KZ_4X4}, make_field("GF(3)(Z)"))
+    start = time.perf_counter()
+    report = analyze(a)
+    elapsed = time.perf_counter() - start
+    assert elapsed < KZ_ANALYZE_BOUND_S, elapsed
+    assert [f.degree() for f in report.invariant_factors] == [1, 1, 1, 13]
+    assert [str(v) for v in report.eigenvalues] == ["0"]

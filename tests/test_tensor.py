@@ -83,7 +83,8 @@ def test_oracle_cap():
 
 def test_oracle_at_its_cap_in_bounded_time():
     # n*m = 256 = ORACLE_MAX_DIM: ranks of dense matrix powers took 15-20 s
-    # on a 2-core Xeon VM, the invariant factors of the operator about 0.2 s
+    # on a 2-core Xeon VM, Krylov on the 256 x 256 operator 0.05-0.44 s, and
+    # the Smith form of the 16 x 16 f(C_g + T) over GF(3)[T] takes about 0.01 s
     t0 = time.perf_counter()
     jt = tensor_jordan_type_oracle(TensorInstance(3, 16, 16))
     elapsed = time.perf_counter() - t0

@@ -39,15 +39,20 @@ Poly.from_string reads the same table.
 Finite fields are capped at 3^6 = 729 elements, checked before any
 primality test, divisor search or power (_check_field_size, on
 power_exceeds, which never forms a huge p^n).  GF(p^n) arithmetic runs
-through exp/log/Zech-log tables built once per (p, n, modulus) from the
-polynomial operations in _ringops (see _log_tables): a product, inverse or
-power is one dict lookup and one list lookup, and a sum goes through the
-Zech table, log(1 + g^k), with g the first generator of _first_generator,
-the one search for an element of full multiplicative order (acceptance
-runs it on elements).  Over GF(p) the tables' powers of g and the
-generator's pow tests take _ringops.PrimeRing (inline % p, see there),
-and the exp, log and Zech entries are read off one list of full-length
-payloads.
+through exp/log/Zech-log tables built once per (k, modulus) (see
+_build_log_tables): a product, inverse or power is one dict lookup and one
+list lookup, and a sum goes through the Zech table, log(1 + g^k), with g
+the first primitive element in enumeration order.  _first_generator is the
+one search loop for an element of full multiplicative order; acceptance
+runs it on elements with its default pow tests, and the tables with a test
+on the subgroup generated by T: one walk of T's powers gives ord T and
+log_T, and each candidate costs one power of small exponent, looked up in
+it (_generator_on_t).  The tables are built on residue indices, the places
+of the payloads in residues: the powers of T and of g are walked on packed
+ints over GF(2) and on split indices, four lookups a step, over any other
+base (_packed_powers, _split_powers), and every entry is one of residues'
+tuples.  A modulus of degree 1 keeps the pow tests and
+_ringops.powers_mod.
 
 The finite-field kernels shared by the package live here: _least_divisor,
 the one trial division (is_prime, and the p of a field order q = p^n),
@@ -98,6 +103,7 @@ _embedding's table, at most SPECIALISATION_TRIES); it reports a pole as None.
 import functools
 import itertools
 import math
+import operator
 import re
 import threading
 
@@ -459,20 +465,203 @@ def residues(k, d):
     varying fastest.  Every tabulated field enumerates its payloads here."""
     # itertools.product varies its last slot fastest; reversed, the lowest
     # coefficient varies fastest
-    for digits in itertools.product(k.enumerate_payloads(), repeat=d):
-        yield digits[::-1]
+    return map(_REVERSED, itertools.product(k.enumerate_payloads(), repeat=d))
 
 
-def _first_generator(candidates, order, power, one):
-    """The first nonzero candidate g with power(g, order // l) != one for
-    every prime l dividing order: an element of multiplicative order
-    `order` when the candidates lie in a field with order + 1 elements
-    (Lidl and Niederreiter, Finite Fields, Thm 2.8)."""
-    ells = [ell for ell in range(2, order + 1) if order % ell == 0 and is_prime(ell)]
+_REVERSED = operator.itemgetter(slice(None, None, -1))
+
+
+def _prime_factors(n):
+    """The distinct primes dividing n >= 1, increasing."""
+    out = []
+    while n > 1:
+        ell = _least_divisor(n)
+        out.append(ell)
+        while n % ell == 0:
+            n //= ell
+    return out
+
+
+def _first_generator(candidates, order, power, one, primitive=None):
+    """The first nonzero candidate g that passes primitive(g): an element of
+    multiplicative order `order` when the candidates lie in a field with
+    order + 1 elements and the test is exact.  The default test is
+    power(g, order // l) != one for every prime l dividing order (Lidl and
+    Niederreiter, Finite Fields, Thm 2.8); the log tables pass their own,
+    on the subgroup generated by T (_generator_on_t)."""
+    if primitive is None:
+        ells = _prime_factors(order)
+
+        def primitive(g):
+            return all(power(g, order // ell) != one for ell in ells)
+
     for g in candidates:
-        if g and all(power(g, order // ell) != one for ell in ells):
+        if g and primitive(g):
             return g
     raise ConsistencyError(f"no element of multiplicative order {order}")
+
+
+@memoised({})
+def _digits(k):
+    """k's elements as the digits 0 .. |k|-1 of residue indices, in
+    enumeration order: (position of each element, add, mul), add[a][b] and
+    mul[a][b] the digits of the sum and the product.  A residue of k[T]/(m)
+    with coefficient digits x_i has index sum x_i |k|^i, its place in
+    residues(k, d).  Built only for a k that is the base of a degree d >= 2,
+    so |k| <= 27."""
+    if k.kind == "prime":
+        p = k.p
+        add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        mul = [[a * b % p for b in range(p)] for a in range(p)]
+        return {a: a for a in range(p)}, add, mul
+    els = list(k.enumerate_payloads())
+    pos = {c: i for i, c in enumerate(els)}
+    add = [[pos[k.add(a, b)] for b in els] for a in els]
+    mul = [[pos[k.mul(a, b)] for b in els] for a in els]
+    return pos, add, mul
+
+
+@memoised({})
+def _digit_sums(k, s):
+    """sums[a][b]: the index of the digitwise sum of the s-digit residue
+    indices a and b (_digits)."""
+    add = _digits(k)[1]
+    if s == 1:
+        return add
+    size, lower = len(add), _digit_sums(k, s - 1)
+    return [
+        [add[a % size][b % size] + size * lower[a // size][b // size] for b in range(size**s)]
+        for a in range(size**s)
+    ]
+
+
+def _packed_powers(g, modulus):
+    """Over GF(2): the residue indices of 1, g, g^2, ... mod the modulus,
+    without end.  An index is the packed residue, bit i the coefficient of
+    T^i, and so is g; a product by g is one shift, and one XOR with the
+    modulus when the top bit is set, per coefficient of g below its top."""
+    top = 1 << len(modulus) - 1
+    m = sum(c << i for i, c in enumerate(modulus))
+    low = [g >> j & 1 for j in range(g.bit_length() - 1)]
+    x = 1
+    while True:
+        yield x
+        acc = 0
+        for bit in low:
+            if bit:
+                acc ^= x
+            x <<= 1
+            if x & top:
+                x ^= m
+        x ^= acc
+
+
+def _split_powers(columns, size, sums, mul):
+    """The residue indices of 1, g, g^2, ... without end, over a k with the
+    digit tables of _digits, columns[i] the digits of g T^i mod m (i < d)
+    and sums = _digit_sums(k, h), h = ceil(d/2).
+
+    A product by g is linear over k, so on an index x = lo + B hi, lo its
+    low h digits and B = |k|^h, it is the digitwise sum of the images of lo
+    and of B hi.  Both images are tabulated once, split into the same two
+    halves, so each step is four lookups and two digitwise sums, whatever
+    g is."""
+    h = (len(columns) + 1) // 2
+    weights = [size**i for i in range(h)]
+
+    def images(cols):
+        # the halves of the image of every index below size^len(cols), in
+        # index order: the digit of cols[j] varies slowest when added last
+        table = [(0, 0)]
+        for col in cols:
+            scaled = [[mul[c][x] for x in col] for c in range(size)]
+            scaled = [(sum(map(operator.mul, v[:h], weights)), sum(map(operator.mul, v[h:], weights)))
+                      for v in scaled]
+            table = [(sums[a][u], sums[b][w]) for u, w in scaled for a, b in table]
+        return list(zip(*table))
+
+    (ll, lh), (hl, hh), big = images(columns[:h]), images(columns[h:]), size**h
+    x = 1
+    while True:
+        yield x
+        hi, lo = divmod(x, big)
+        x = sums[ll[lo]][hl[hi]] + big * sums[lh[lo]][hh[hi]]
+
+
+def _generator_on_t(k, modulus, res):
+    """(g, powers) for k[T]/(modulus) of degree d >= 2: g the index in
+    residues(k, d) of the first primitive element in enumeration order,
+    and powers the residue indices of 1, g, g^2, ...
+
+    T is walked once: its powers give o = ord T and log_T on H = <T>, the
+    elements of order dividing o.  With r = (q - 1) / o, c = g^e is
+    primitive iff gcd(e, q - 1) = 1, that is iff gcd(log_T(c^r), o) = 1
+    and c^(r/l) is not in H for each prime l of r that does not divide o;
+    so every power in the search has an exponent at most r, and a
+    candidate in k, never primitive, is skipped.  When T is primitive
+    (r = 1) the powers of g re-index T's walk.  Every walk steps on
+    indices: packed ints over GF(2) (_packed_powers), split indices over
+    any other k (_split_powers)."""
+    d, size = len(modulus) - 1, k.order
+    q1 = size**d - 1
+    pos, add, mul = _digits(k)
+    if k.kind == "prime" and k.p == 2:
+
+        def powers(g):
+            return _packed_powers(g, modulus)
+
+    else:
+        tail = [pos[k.neg(c)] for c in modulus[:-1]]
+        sums = _digit_sums(k, (d + 1) // 2)
+
+        def powers(g):
+            v, columns = [g // size**i % size for i in range(d)], []
+            for _ in range(d):
+                columns.append(v)
+                v = [add[a][mul[v[-1]][t]] for a, t in zip([0] + v, tail)]
+            return _split_powers(columns, size, sums, mul)
+
+    t_powers = powers(size)  # T is the residue of index |k|
+    walk = [next(t_powers)]
+    for x in itertools.islice(t_powers, q1):
+        if x == 1:
+            break
+        walk.append(x)
+    o = len(walk)
+    if x != 1 or q1 % o:
+        order = o if x == 1 else f"above {q1}"
+        raise _not_irreducible(k, d, f"T of order {order}, not a divisor of the expected {q1}")
+    log_t = [-1] * (q1 + 1)
+    for i, x in enumerate(walk):
+        log_t[x] = i
+    r = q1 // o
+    if r == 1:
+        g = _first_generator(range(size, q1 + 1), q1, None, None, lambda c: math.gcd(log_t[c], q1) == 1)
+        e = log_t[g]
+        return g, (walk[i * e % q1] for i in range(q1 + 1))
+    weights = [size**i for i in range(d)]
+
+    def log_of_power(c, e):
+        a = rp.pow_mod(k, rp.trim(k, res[c]), e, modulus)
+        return log_t[sum(pos[x] * w for x, w in zip(a, weights))]
+
+    others = [ell for ell in _prime_factors(r) if o % ell]
+
+    def primitive(c):
+        y = log_of_power(c, r)
+        return y >= 0 and math.gcd(y, o) == 1 and all(log_of_power(c, r // ell) < 0 for ell in others)
+
+    try:
+        g = _first_generator(range(size, q1 + 1), q1, None, None, primitive)
+    except ConsistencyError:
+        raise _not_irreducible(k, d, f"T of order {o} and no generator of the expected {q1}") from None
+    return g, powers(g)
+
+
+def _not_irreducible(k, d, found):
+    return ConsistencyError(
+        f"log tables: the modulus is not irreducible: degree {d} over GF({k.order}), {found}"
+    )
 
 
 def _build_log_tables(k, modulus):
@@ -481,38 +670,49 @@ def _build_log_tables(k, modulus):
 
     k is a finite descriptor and modulus a monic irreducible raw polynomial
     of degree d over it.  Payloads are the length-d coefficient tuples of
-    residues.  Returns (q1, exp, log, zech, neg) with q1 = k.order^d - 1
-    and g the first primitive element in enumeration order:
+    residues, each table entry one of its tuples.  Returns (q1, exp, log,
+    zech, neg) with q1 = k.order^d - 1 and g the first primitive element in
+    enumeration order:
       exp[i] = g^i for 0 <= i < 2*q1 (doubled: a sum of two logs needs no
                modulo);
-      log[a] = i with g^i = a, and _LOG_ZERO for zero;
+      log[a] = i with g^i = a, and _LOG_ZERO for zero, inserted in exp
+               order;
       zech[j] = log(1 + g^j), with period q1 and length 2*q1, so that every
                difference of logs in (-2*q1, 2*q1) indexes it directly;
       neg = log(-1).
     There is no addition table: a q x q table would hold 531441 entries at
     q = 729, where these hold about 5q.
+
+    The tables are built on residue indices, the places of the payloads in
+    residues.  For d >= 2, g and its powers come from _generator_on_t.  For
+    d = 1, g is found by _first_generator's pow tests and its powers by
+    _ringops.powers_mod.  A reducible modulus raises ConsistencyError.
     """
     d = len(modulus) - 1
     q1 = k.order**d - 1
-    zero = (k.zero,) * d
-    # trimmed: the zero residue (0, ..., 0) is truthy, () is not
-    g = _first_generator(
-        (rp.trim(k, a) for a in residues(k, d)),
-        q1,
-        lambda a, e: rp.pow_mod(k, a, e, modulus),
-        (k.one,),
-    )
-    exp = [a + zero[len(a):] for a in itertools.islice(rp.powers_mod(k, g, modulus), q1 + 1)]
+    res = list(residues(k, d))
+    if d == 1:
+        pos = {c: i for i, c in enumerate(k.enumerate_payloads())}
+        g = _first_generator(range(1, q1 + 1), q1, lambda c, e: rp.pow_mod(k, res[c], e, modulus), (k.one,))
+        powers = (pos[a[0]] for a in rp.powers_mod(k, res[g], modulus))
+        inc = [pos[k.add(c, k.one)] for c in pos]
+    else:
+        g, powers = _generator_on_t(k, modulus, res)
+        inc = [row[1] for row in _digits(k)[1]]
+    exp = list(itertools.islice(powers, q1 + 1))
     last = exp.pop()
-    log = {a: i for i, a in enumerate(exp)}
-    if last != exp[0] or len(log) != q1:
-        raise ConsistencyError(
-            f"log tables: the modulus is not irreducible: degree {d} over GF({k.order}),"
-            f" {len(log)} distinct powers of the generator, expected {q1}"
-        )
-    log[zero] = _LOG_ZERO
-    zech = [log[(k.add(a[0], k.one),) + a[1:]] for a in exp]
-    neg = log[(k.neg(k.one),) + zero[1:]]
+    logs = list(range(q1))  # one int per log, shared by log and zech
+    log = dict(zip(map(res.__getitem__, exp), logs))
+    if last != 1 or len(log) != q1:
+        raise _not_irreducible(k, d, f"{len(log)} distinct powers of the generator, expected {q1}")
+    log[res[0]] = _LOG_ZERO
+    log_index = [_LOG_ZERO] * (q1 + 1)
+    for i, x in zip(logs, exp):
+        log_index[x] = i
+    size = k.order
+    zech = [log_index[x - x % size + inc[x % size]] for x in exp]
+    exp = [res[x] for x in exp]
+    neg = log_index[inc.index(0)]
     return q1, exp + exp, log, zech + zech, neg
 
 

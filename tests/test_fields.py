@@ -401,6 +401,10 @@ def test_first_degree_8_irreducible_over_gf4_comes_after_the_family():
         ("GF(3)", "(t^2+1)^2"),
         ("GF(3)", "(t^2+1)*(t^3-t+1)"),
         ("GF(5)", "t^2-1"),
+        # T is no unit, so its powers never return to 1
+        ("GF(2)", "t^3+t"),
+        # a quotient over a tabulated base: T^2 = 1, and 2 does not divide 15
+        ("GF(4)", "(t+1)^2"),
     ],
 )
 def test_log_tables_of_a_reducible_modulus_name_the_instance(spec, modulus):
@@ -1711,9 +1715,14 @@ def _reference_log_tables(k, modulus):
 
 
 def _log_table_cases():
-    """(k, modulus): every GF(p^n) up to 729 with up to 3 moduli each, and
-    quotients of degree 1 to 3 over GF(4), GF(8) and GF(9)."""
+    """(k, modulus): the degree-1 moduli over GF(2), GF(3), GF(5) and
+    GF(727) (the oracle's last CRT modulus can be one), every GF(p^n) up to
+    729 with up to 3 moduli each, and quotients of degree 1 to 3 over
+    GF(4), GF(8) and GF(9)."""
     cases = []
+    for spec in ("GF(2)", "GF(3)", "GF(5)", "GF(727)"):
+        k = make_field(spec)
+        cases += [(k, m) for m in fields.monic_irreducibles(k, 1, 3)]
     for q in range(4, fields.MAX_FIELD_SIZE + 1):
         p = next(f for f in range(2, q + 1) if q % f == 0)
         n, rest = fields.p_power_split(q, p)
@@ -1740,6 +1749,70 @@ def test_log_tables_match_the_method_call_reference_on_every_field_to_729():
     for spec in ("GF(9)", "GF(625)", "GF(729)"):
         f = make_field(spec)
         assert f._exp[1] == _reference_log_tables(f.base, f.modulus)[1][1]
+
+
+def _search_regime(k, m):
+    """Which test of the generator search on <T> decides k[T]/(m), from
+    o = ord T by repeated products and r = (q - 1) / o."""
+    x = (k.zero, k.one)
+    power, o = x, 1
+    while power != (k.one,):
+        power, o = rp.rem(k, rp.mul(k, power, x), m), o + 1
+    r = (k.order ** (len(m) - 1) - 1) // o
+    if r == 1:
+        return "T primitive"
+    ells = [ell for ell in range(2, r + 1) if r % ell == 0 and fields.is_prime(ell)]
+    if all(o % ell == 0 for ell in ells):
+        return "every prime of r divides ord T"
+    return "some prime of r does not divide ord T"
+
+
+def test_log_table_cases_reach_every_regime_of_the_generator_search():
+    cases = _log_table_cases()
+    for spec, regime in [
+        ("GF(243)", "T primitive"),
+        ("GF(625)", "every prime of r divides ord T"),
+        ("GF(25)", "some prime of r does not divide ord T"),
+        ("GF(49)", "some prime of r does not divide ord T"),
+    ]:
+        f = make_field(spec)
+        assert (f.base, f.modulus) in cases, spec
+        assert _search_regime(f.base, f.modulus) == regime, spec
+    # and the degree-1 moduli, which keep the pow tests
+    assert {k.order for k, m in cases if len(m) == 2} >= {2, 3, 5, 727}
+
+
+@pytest.mark.parametrize(
+    "spec, searched, walked",
+    [
+        # GF(625): r = 8, g = T + T^2 is the 26th candidate past the constants,
+        # each tested by one c^8 (3 products); T's walk has 78 steps
+        ("GF(625)", (26, 78), [78, 624]),
+        # GF(729): r = 2, g = 1 + T is the second candidate; T's walk has 364
+        ("GF(729)", (2, 2), [364, 728]),
+    ],
+)
+def test_cold_table_build_makes_a_pinned_number_of_products(spec, searched, walked, monkeypatch):
+    # the products mod m of one cold build: the search's pow_mod calls and
+    # their products (_mulmod_prime), and the steps of each walk, one per
+    # power past the first
+    f = make_field(spec)
+    calls, products, steps = [], [], []
+    real_pow_mod, real_mulmod, real_walk = rp.pow_mod, rp._mulmod_prime, fields._split_powers
+
+    def counted_walk(*args):
+        steps.append(-1)
+        for x in real_walk(*args):
+            steps[-1] += 1
+            yield x
+
+    monkeypatch.setattr(rp, "pow_mod", lambda *args: calls.append(1) or real_pow_mod(*args))
+    monkeypatch.setattr(rp, "_mulmod_prime", lambda *args: products.append(1) or real_mulmod(*args))
+    monkeypatch.setattr(fields, "_split_powers", counted_walk)
+    tables = fields._build_log_tables(f.base, f.modulus)
+    assert tables[1][1] == f._exp[1]
+    assert (len(calls), len(products)) == searched
+    assert steps == walked
 
 
 def _scan_roots(field, f):

@@ -508,29 +508,30 @@ def _digits(k):
     mul[a][b] the digits of the sum and the product.  A residue of k[T]/(m)
     with coefficient digits x_i has index sum x_i |k|^i, its place in
     residues(k, d).  Built only for a k that is the base of a degree d >= 2,
-    so |k| <= 27."""
+    so |k| <= 27, and kept as bytes rows."""
     if k.kind == "prime":
         p = k.p
-        add = [[(a + b) % p for b in range(p)] for a in range(p)]
-        mul = [[a * b % p for b in range(p)] for a in range(p)]
+        add = [bytes((a + b) % p for b in range(p)) for a in range(p)]
+        mul = [bytes(a * b % p for b in range(p)) for a in range(p)]
         return {a: a for a in range(p)}, add, mul
     els = list(k.enumerate_payloads())
     pos = {c: i for i, c in enumerate(els)}
-    add = [[pos[k.add(a, b)] for b in els] for a in els]
-    mul = [[pos[k.mul(a, b)] for b in els] for a in els]
+    add = [bytes(pos[k.add(a, b)] for b in els) for a in els]
+    mul = [bytes(pos[k.mul(a, b)] for b in els) for a in els]
     return pos, add, mul
 
 
 @memoised({})
 def _digit_sums(k, s):
     """sums[a][b]: the index of the digitwise sum of the s-digit residue
-    indices a and b (_digits)."""
+    indices a and b (_digits), at most 81 rows of bytes (s = 2 over
+    GF(9))."""
     add = _digits(k)[1]
     if s == 1:
         return add
     size, lower = len(add), _digit_sums(k, s - 1)
     return [
-        [add[a % size][b % size] + size * lower[a // size][b // size] for b in range(size**s)]
+        bytes(add[a % size][b % size] + size * lower[a // size][b // size] for b in range(size**s))
         for a in range(size**s)
     ]
 
@@ -569,14 +570,16 @@ def _split_powers(columns, size, sums, mul):
     h = (len(columns) + 1) // 2
     weights = [size**i for i in range(h)]
 
+    def split(v):
+        # digits -> the indices of the low h digits and of the rest
+        return sum(map(operator.mul, v[:h], weights)), sum(map(operator.mul, v[h:], weights))
+
     def images(cols):
         # the halves of the image of every index below size^len(cols), in
         # index order: the digit of cols[j] varies slowest when added last
         table = [(0, 0)]
         for col in cols:
-            scaled = [[mul[c][x] for x in col] for c in range(size)]
-            scaled = [(sum(map(operator.mul, v[:h], weights)), sum(map(operator.mul, v[h:], weights)))
-                      for v in scaled]
+            scaled = [split([mul[c][x] for x in col]) for c in range(size)]
             table = [(sums[a][u], sums[b][w]) for u, w in scaled for a, b in table]
         return list(zip(*table))
 
@@ -659,6 +662,8 @@ def _generator_on_t(k, modulus, res):
 
 
 def _not_irreducible(k, d, found):
+    """The error of a reducible modulus of degree d over k, naming what the
+    build found."""
     return ConsistencyError(
         f"log tables: the modulus is not irreducible: degree {d} over GF({k.order}), {found}"
     )

@@ -504,8 +504,9 @@ def _first_generator(candidates, order, power, one, primitive=None):
 @memoised({})
 def _digits(k):
     """k's elements as the digits 0 .. |k|-1 of residue indices, in
-    enumeration order: (position of each element, add, mul), add[a][b] and
-    mul[a][b] the digits of the sum and the product.  A residue of k[T]/(m)
+    enumeration order: (pos, add, mul), pos[c] the digit of the element c
+    (c itself over GF(p)), add[a][b] and mul[a][b] the digits of the sum and
+    the product.  A residue of k[T]/(m)
     with coefficient digits x_i has index sum x_i |k|^i, its place in
     residues(k, d).  Built only for a k that is the base of a degree d >= 2,
     so |k| <= 27, and kept as bytes rows."""
@@ -513,7 +514,7 @@ def _digits(k):
         p = k.p
         add = [bytes((a + b) % p for b in range(p)) for a in range(p)]
         mul = [bytes(a * b % p for b in range(p)) for a in range(p)]
-        return {a: a for a in range(p)}, add, mul
+        return range(p), add, mul
     els = list(k.enumerate_payloads())
     pos = {c: i for i, c in enumerate(els)}
     add = [bytes(pos[k.add(a, b)] for b in els) for a in els]

@@ -471,17 +471,6 @@ def residues(k, d):
 _REVERSED = operator.itemgetter(slice(None, None, -1))
 
 
-def _prime_factors(n):
-    """The distinct primes dividing n >= 1, increasing."""
-    out = []
-    while n > 1:
-        ell = _least_divisor(n)
-        out.append(ell)
-        while n % ell == 0:
-            n //= ell
-    return out
-
-
 def _first_generator(candidates, order, power, one, primitive=None):
     """The first nonzero candidate g that passes primitive(g): an element of
     multiplicative order `order` when the candidates lie in a field with
@@ -490,7 +479,7 @@ def _first_generator(candidates, order, power, one, primitive=None):
     Niederreiter, Finite Fields, Thm 2.8); the log tables pass their own,
     on the subgroup generated by T (_generator_on_t)."""
     if primitive is None:
-        ells = _prime_factors(order)
+        ells = [ell for ell in range(2, order + 1) if order % ell == 0 and is_prime(ell)]
 
         def primitive(g):
             return all(power(g, order // ell) != one for ell in ells)
@@ -505,11 +494,11 @@ def _first_generator(candidates, order, power, one, primitive=None):
 def _digits(k):
     """k's elements as the digits 0 .. |k|-1 of residue indices, in
     enumeration order: (pos, add, mul), pos[c] the digit of the element c
-    (c itself over GF(p)), add[a][b] and mul[a][b] the digits of the sum and
-    the product.  A residue of k[T]/(m)
-    with coefficient digits x_i has index sum x_i |k|^i, its place in
-    residues(k, d).  Built only for a k that is the base of a degree d >= 2,
-    so |k| <= 27, and kept as bytes rows."""
+    (c itself over GF(p)), add[a][b] and mul[a][b] the digits of the sum
+    and the product.  A residue of k[T]/(m) with coefficient digits x_i has
+    index sum x_i |k|^i, its place in residues(k, d).  Built only for a k
+    that is the base of a degree d >= 2, so |k| <= 27, and kept as bytes
+    rows."""
     if k.kind == "prime":
         p = k.p
         add = [bytes((a + b) % p for b in range(p)) for a in range(p)]
@@ -558,7 +547,7 @@ def _packed_powers(g, modulus):
         x ^= acc
 
 
-def _split_powers(columns, size, sums, mul):
+def _split_powers(columns, sums, mul):
     """The residue indices of 1, g, g^2, ... without end, over a k with the
     digit tables of _digits, columns[i] the digits of g T^i mod m (i < d)
     and sums = _digit_sums(k, h), h = ceil(d/2).
@@ -568,7 +557,7 @@ def _split_powers(columns, size, sums, mul):
     and of B hi.  Both images are tabulated once, split into the same two
     halves, so each step is four lookups and two digitwise sums, whatever
     g is."""
-    h = (len(columns) + 1) // 2
+    size, h = len(mul), (len(columns) + 1) // 2
     weights = [size**i for i in range(h)]
 
     def split(v):
@@ -605,7 +594,14 @@ def _generator_on_t(k, modulus, res):
     candidate in k, never primitive, is skipped.  When T is primitive
     (r = 1) the powers of g re-index T's walk.  Every walk steps on
     indices: packed ints over GF(2) (_packed_powers), split indices over
-    any other k (_split_powers)."""
+    any other k (_split_powers).
+
+    The walk and the search also test the modulus.  If T returns to 1 after
+    o steps, o dividing q - 1, and c passes the test, then c has order
+    q - 1 in any commutative ring: ord(c^r) = o fixes the l-part of ord c
+    for each prime l of o, and c^(r/l) outside H for each other prime l of
+    r.  So k[T]/(modulus) has q - 1 units and is a field.  A reducible
+    modulus fails one of the three, and raises ConsistencyError."""
     d, size = len(modulus) - 1, k.order
     q1 = size**d - 1
     pos, add, mul = _digits(k)
@@ -623,7 +619,7 @@ def _generator_on_t(k, modulus, res):
             for _ in range(d):
                 columns.append(v)
                 v = [add[a][mul[v[-1]][t]] for a, t in zip([0] + v, tail)]
-            return _split_powers(columns, size, sums, mul)
+            return _split_powers(columns, sums, mul)
 
     t_powers = powers(size)  # T is the residue of index |k|
     walk = [next(t_powers)]
@@ -632,9 +628,10 @@ def _generator_on_t(k, modulus, res):
             break
         walk.append(x)
     o = len(walk)
-    if x != 1 or q1 % o:
-        order = o if x == 1 else f"above {q1}"
-        raise _not_irreducible(k, d, f"T of order {order}, not a divisor of the expected {q1}")
+    if x != 1:
+        raise _not_irreducible(k, d, f"no power of T is 1 up to the expected {q1}")
+    if q1 % o:
+        raise _not_irreducible(k, d, f"T of order {o}, not a divisor of the expected {q1}")
     log_t = [-1] * (q1 + 1)
     for i, x in enumerate(walk):
         log_t[x] = i
@@ -642,14 +639,14 @@ def _generator_on_t(k, modulus, res):
     if r == 1:
         g = _first_generator(range(size, q1 + 1), q1, None, None, lambda c: math.gcd(log_t[c], q1) == 1)
         e = log_t[g]
-        return g, (walk[i * e % q1] for i in range(q1 + 1))
+        return g, (walk[i * e % q1] for i in range(q1))
     weights = [size**i for i in range(d)]
 
     def log_of_power(c, e):
         a = rp.pow_mod(k, rp.trim(k, res[c]), e, modulus)
         return log_t[sum(pos[x] * w for x, w in zip(a, weights))]
 
-    others = [ell for ell in _prime_factors(r) if o % ell]
+    others = [ell for ell in range(2, r + 1) if r % ell == 0 and o % ell and is_prime(ell)]
 
     def primitive(c):
         y = log_of_power(c, r)
@@ -690,9 +687,9 @@ def _build_log_tables(k, modulus):
     q = 729, where these hold about 5q.
 
     The tables are built on residue indices, the places of the payloads in
-    residues.  For d >= 2, g and its powers come from _generator_on_t.  For
-    d = 1, g is found by _first_generator's pow tests and its powers by
-    _ringops.powers_mod.  A reducible modulus raises ConsistencyError.
+    residues.  For d >= 2, g and its powers come from _generator_on_t, which
+    raises ConsistencyError for a reducible modulus.  For d = 1, g is found
+    by _first_generator's pow tests and its powers by _ringops.powers_mod.
     """
     d = len(modulus) - 1
     q1 = k.order**d - 1
@@ -705,12 +702,9 @@ def _build_log_tables(k, modulus):
     else:
         g, powers = _generator_on_t(k, modulus, res)
         inc = [row[1] for row in _digits(k)[1]]
-    exp = list(itertools.islice(powers, q1 + 1))
-    last = exp.pop()
+    exp = list(itertools.islice(powers, q1))
     logs = list(range(q1))  # one int per log, shared by log and zech
     log = dict(zip(map(res.__getitem__, exp), logs))
-    if last != 1 or len(log) != q1:
-        raise _not_irreducible(k, d, f"{len(log)} distinct powers of the generator, expected {q1}")
     log[res[0]] = _LOG_ZERO
     log_index = [_LOG_ZERO] * (q1 + 1)
     for i, x in zip(logs, exp):

@@ -1786,10 +1786,11 @@ def test_log_table_cases_reach_every_regime_of_the_generator_search():
     "spec, searched, walked",
     [
         # GF(625): r = 8, g = T + T^2 is the 26th candidate past the constants,
-        # each tested by one c^8 (3 products); T's walk has 78 steps
-        ("GF(625)", (26, 78), [78, 624]),
-        # GF(729): r = 2, g = 1 + T is the second candidate; T's walk has 364
-        ("GF(729)", (2, 2), [364, 728]),
+        # each tested by one c^8 (3 products); T's walk takes 78 steps back
+        # to 1, g's 623 steps to g^623
+        ("GF(625)", (26, 78), [78, 623]),
+        # GF(729): r = 2, g = 1 + T is the second candidate; T has order 364
+        ("GF(729)", (2, 2), [364, 727]),
     ],
 )
 def test_cold_table_build_makes_a_pinned_number_of_products(spec, searched, walked, monkeypatch):

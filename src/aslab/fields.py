@@ -582,9 +582,8 @@ def _split_powers(columns, sums, mul):
 
 
 def _generator_on_t(k, modulus, res):
-    """(g, powers) for k[T]/(modulus) of degree d >= 2: g the index in
-    residues(k, d) of the first primitive element in enumeration order,
-    and powers the residue indices of 1, g, g^2, ...
+    """The residue indices of 1, g, g^2, ... in k[T]/(modulus) of degree
+    d >= 2, g the first primitive element in enumeration order.
 
     T is walked once: its powers give o = ord T and log_T on H = <T>, the
     elements of order dividing o.  With r = (q - 1) / o, c = g^e is
@@ -639,7 +638,7 @@ def _generator_on_t(k, modulus, res):
     if r == 1:
         g = _first_generator(range(size, q1 + 1), q1, None, None, lambda c: math.gcd(log_t[c], q1) == 1)
         e = log_t[g]
-        return g, (walk[i * e % q1] for i in range(q1))
+        return (walk[i * e % q1] for i in range(q1))
     weights = [size**i for i in range(d)]
 
     def log_of_power(c, e):
@@ -656,7 +655,7 @@ def _generator_on_t(k, modulus, res):
         g = _first_generator(range(size, q1 + 1), q1, None, None, primitive)
     except ConsistencyError:
         raise _not_irreducible(k, d, f"T of order {o} and no generator of the expected {q1}") from None
-    return g, powers(g)
+    return powers(g)
 
 
 def _not_irreducible(k, d, found):
@@ -700,7 +699,7 @@ def _build_log_tables(k, modulus):
         powers = (pos[a[0]] for a in rp.powers_mod(k, res[g], modulus))
         inc = [pos[k.add(c, k.one)] for c in pos]
     else:
-        g, powers = _generator_on_t(k, modulus, res)
+        powers = _generator_on_t(k, modulus, res)
         inc = [row[1] for row in _digits(k)[1]]
     exp = list(itertools.islice(powers, q1))
     logs = list(range(q1))  # one int per log, shared by log and zech
@@ -710,6 +709,7 @@ def _build_log_tables(k, modulus):
     for i, x in zip(logs, exp):
         log_index[x] = i
     size = k.order
+    # 1 + x changes only the constant digit x % size, to inc[x % size]
     zech = [log_index[x - x % size + inc[x % size]] for x in exp]
     exp = [res[x] for x in exp]
     neg = log_index[inc.index(0)]

@@ -31,15 +31,16 @@ invariant factor and each prime's multiplicity in every factor
 too).  Each pair of them gives a semisimple part from its two primes
 (_sylvester_divisors: closed forms when the primes are equal or one is
 linear, a Krylov run on at most 256 dimensions otherwise) and a nilpotent
-part of type λ(r, s) (nilpotent_tensor_type: closed forms for r or s = 1
-and r + s <= p + 1, otherwise kronecker_tensor_type, built once per
-(p, r, s)).  The i-th largest invariant factor takes each prime to its i-th largest exponent, so no Smith form runs.
+part of type λ(r, s) (nilpotent_tensor_type: closed forms, Heller's
+reduction, otherwise the Smith form below).  The i-th largest invariant
+factor takes each prime to its i-th largest exponent, so no Smith form
+runs on ad A.
 
 Over any field, sylvester_invariant_factors gives the invariant factors of
 a direct sum of Sylvester operators Y -> C_f Y - Y C_g from one Smith form
 of the deg g x deg g matrices f(C_g + T) over F[T], with no Kronecker
-operator: analyze reads ad A over K(Z) from it, and the tensor oracle its
-Jordan types.
+operator: analyze reads ad A over K(Z) and the λ(r, s) no closed form
+gives from it, and the tensor oracle its Jordan types.
 
 Matrix(field, rows) converts and validates every entry (FieldDescriptor.
 payload_of) and is meant for values from outside; every matrix computed
@@ -68,7 +69,6 @@ from .fields import (
     FieldElement,
     PrimeField,
     make_field,
-    memoised,
     specialisation_points,
     specialise,
 )
@@ -838,34 +838,29 @@ def _elementary_divisors(field, factors, primes):
 def nilpotent_tensor_type(p, r, s):
     """λ(r, s): the block sizes, largest first, of the nilpotent
     J_r(0) ⊗ I + I ⊗ J_s(0) over GF(p), which has the type of
-    J_r(0) ⊗ I - I ⊗ J_s(0) (J_s(0) is similar to -J_s(0)).  For r <= s it
-    is (s) when r = 1, and the characteristic-0 Clebsch-Gordan sizes
-    s + r - 1, s + r - 3, ..., s - r + 1 when r + s <= p + 1, where no block
-    exceeds p (the tests check both rules against the Kronecker operator);
-    otherwise the Kronecker operator gives it (kronecker_tensor_type).  No
-    cap: analyze asks for r, s <= 32, at most 1024 dimensions."""
+    J_r(0) ⊗ I - I ⊗ J_s(0) (J_s(0) is similar to -J_s(0)).  For r <= s:
+    () or (s) when r = 0 or 1; the characteristic-0 Clebsch-Gordan sizes
+    s + r - 1, s + r - 3, ..., s - r + 1 when r + s <= p + 1; Heller's
+    reduction when r + s > q, the least power of p with q >= s: q repeated
+    r + s - q times, then λ(q - s, q - r), since V_q is free over
+    k[x]/(x^q), Ω(V_r) = V_(q - r) and Ω(M) ⊗ Ω(N) is M ⊗ N plus a free
+    summand (Green, Illinois J. Math. 6 (1962); Renaud, J. Algebra 58
+    (1979)); otherwise the invariant factors of the Sylvester operator of
+    X^s and X^r, one Smith form over GF(p)[T] (sylvester_invariant_factors).
+    No cap: analyze asks for r, s <= 32."""
     r, s = min(r, s), max(r, s)
-    if r == 1:
-        return (s,)
+    if r <= 1:
+        return (s,) * r
     if r + s <= p + 1:
         return tuple(range(s + r - 1, s - r, -2))
-    return kronecker_tensor_type(p, r, s)
-
-
-_tensor_type_cache = {}
-
-
-@memoised(_tensor_type_cache)
-def kronecker_tensor_type(p, r, s):
-    """The block sizes, largest first, of J_r(0) ⊗ I + I ⊗ J_s(0) over
-    GF(p), read off the invariant factors of the explicit Kronecker
-    operator, built once per (p, r, s); λ(r, s) = λ(s, r), so callers pass
-    r <= s."""
+    q = p
+    while q < s:
+        q *= p
+    if r + s > q:
+        return (q,) * (r + s - q) + nilpotent_tensor_type(p, q - s, q - r)
     k = PrimeField(p)
-    op = kron(jordan_block(k, 0, r), Matrix.identity(k, s)) + kron(
-        Matrix.identity(k, r), jordan_block(k, 0, s)
-    )
-    return tuple(nilpotent_jordan_type(op).sizes())
+    f, g = ((k.zero,) * n + (k.one,) for n in (s, r))
+    return tuple(len(h) - 1 for h in reversed(sylvester_invariant_factors(k, [f], [g])))
 
 
 def ad_elementary_divisors(field, divisors):

@@ -8,10 +8,10 @@ arbitrary block sizes, up to n*m = 256, with no Kronecker operator: the
 product is the Sylvester operator of (X - alpha)^n and (X + beta)^m, whose
 invariant factors are the Smith form of the min(n, m) x min(n, m) matrix
 f(C_g + T) over GF(p)[T] (linalg.sylvester_invariant_factors).  It serves
-as the independent check: it reads the eigenvalues on every call and no
-cache, and analyze's memoised λ(r, s) (linalg.nilpotent_tensor_type)
-presents the same module another way, by Krylov chains of the Kronecker
-operator, so each is the other's reference.  The oracle also covers
+as the check of analyze's λ(r, s) (linalg.nilpotent_tensor_type), which
+takes the same Smith form only where no closed form or Heller's reduction
+applies: the oracle reads the eigenvalues on every call, and the tests
+check it against the explicit shifted Kronecker operator.  It also covers
 sizes with no closed form, e.g. J_2 tensor J_3 over GF(2) splits as
 [4, 2], and the characteristic-0 Clebsch-Gordan pattern (m+n-1, m+n-3,
 ...) fails here.  The closed answer lists n blocks, so it

@@ -9,7 +9,6 @@ if str(src) not in sys.path:
 import pytest  # noqa: E402
 
 from aslab import _ringops as rp  # noqa: E402
-from aslab import linalg  # noqa: E402
 
 
 @pytest.fixture
@@ -31,13 +30,3 @@ def refuse_prime_ringops(monkeypatch):
 
     return install
 
-
-@pytest.fixture
-def cold_tensor_types():
-    """The Kronecker tensor types (linalg.kronecker_tensor_type) built afresh
-    in this test, and their cache restored after it."""
-    saved = dict(linalg._tensor_type_cache)
-    linalg._tensor_type_cache.clear()
-    yield
-    linalg._tensor_type_cache.clear()
-    linalg._tensor_type_cache.update(saved)

@@ -165,21 +165,28 @@ def _rank_sequence_sizes(n):
     return [k for k in range(len(at_least) - 1, 0, -1) for _ in range(at_least[k - 1] - at_least[k])]
 
 
-def test_lambda_is_built_once_per_prime_and_pair(cold_tensor_types, monkeypatch):
-    built = []
-    real = linalg.nilpotent_jordan_type
-    monkeypatch.setattr(linalg, "nilpotent_jordan_type", lambda n: built.append(n.nrows) or real(n))
-    # (1, 5) and (5, 1) are (5); (2, 2) over GF(3) is Clebsch-Gordan's (3, 1)
-    for r, s in ((2, 3), (3, 2), (2, 3), (1, 5), (5, 1), (2, 2)):
-        nilpotent_tensor_type(3, r, s)
-    assert built == [6]
+@pytest.mark.parametrize("p", [2, 3])
+def test_lambda_equals_the_oracle_at_nonzero_eigenvalues(p):
+    # every r * s <= 256: Heller's reduction past r * s = 64, and the
+    # oracle shifted off 0 by alpha + beta
+    rng = random.Random(f"lambda {p}")
+    for r in range(1, 257):
+        for s in range(1, 256 // r + 1):
+            inst = TensorInstance(p, r, s, rng.randrange(1, p), rng.randrange(1, p))
+            assert list(nilpotent_tensor_type(p, r, s)) == tensor_jordan_type_oracle(inst).sizes(), inst
 
 
-def test_the_oracle_reads_no_cached_lambda(cold_tensor_types):
-    # the oracle is the reference for λ, so a wrong cached λ must not reach it
-    linalg._tensor_type_cache[3, 2, 3] = (5, 1)
-    assert nilpotent_tensor_type(3, 2, 3) == (5, 1)
-    assert tensor_jordan_type_oracle(TensorInstance(3, 2, 3, alpha=1, beta=1)).sizes() == [3, 3]
+def test_lambda_at_the_cap_builds_no_kronecker_operator(monkeypatch):
+    monkeypatch.setattr(linalg, "kron", lambda *args: pytest.fail("Kronecker operator built"))
+    monkeypatch.setattr(linalg, "invariant_factors", lambda *args: pytest.fail("Krylov run"))
+    for p in (2, 3, 5, 7):
+        lam = nilpotent_tensor_type(p, 32, 32)
+        # 32 blocks of dimension 1024, none past 2 * 32 - 1 or past the
+        # least power of p that is at least 32
+        q = min(p**e for e in range(6) if p**e >= 32)
+        assert (len(lam), sum(lam)) == (32, 1024) and max(lam) <= min(q, 63), p
+    # J_32(0) over GF(2) is a free GF(2)[C_32]-module: 32 blocks of size 32
+    assert nilpotent_tensor_type(2, 32, 32) == (32,) * 32
 
 
 @pytest.mark.parametrize("spec", FIELDS)
@@ -282,11 +289,12 @@ def test_degrees_short_of_m_squared_raise_a_named_consistency_error(monkeypatch)
         analyze(a)
 
 
-# upper bounds on the invariant_factors calls, and on the sum of their
-# dimensions, of the seed-0 GF(2) and GF(3) analyze calls below with λ built
-# cold: 74 of the calls are on A itself; Krylov on ad_matrix(a) made 148
-# calls of dimension sum 2,482
-INVARIANT_FACTORS_BUDGET = {"calls": 94, "dim_sum": 647}
+# the invariant_factors calls, and the sum of their dimensions, of the
+# seed-0 GF(2) and GF(3) analyze calls below: 74 on A itself and 10 on the
+# small Sylvester operators of two distinct primes; λ(r, s) runs none.
+# Krylov on ad_matrix(a) made 148 calls of dimension sum 2,482, and λ by
+# the Kronecker operator 94 calls of dimension sum 647
+INVARIANT_FACTORS_BUDGET = {"calls": 84, "dim_sum": 465}
 
 
 def _budget_inputs():
@@ -299,7 +307,7 @@ def _budget_inputs():
     return out
 
 
-def test_invariant_factors_stay_within_budget(cold_tensor_types, monkeypatch):
+def test_invariant_factors_stay_within_budget(monkeypatch):
     dims = []
     real = linalg.invariant_factors
 

@@ -54,24 +54,30 @@ must equal the dimension the invariant factors give; its vectors feed the
 invertibility sweep.  check_eigenvector_invertibility, for any matrix,
 still takes kernels (linalg.eigenspace).  Every sum c * vec here (Krylov
 vectors, left powers A^i T, the sweep's combinations) is one apply of
-poly._row_algebra.  The sweep runs one loop over coefficient vectors per
-eigenvalue, the unit vectors (each basis vector) and then 10 seeded
-combinations, and tests each combination, reshaped to an m x m matrix
-(linalg.full_rank).  Over K(Z) it first specialises it at Z = z0 for a fixed,
-bounded list of points z0 (fields.specialisation_points: all of K, then
-GF(|K|^2)), starting at the point that certified the previous combination
-of the same eigenvalue (linalg.certifying_point).  Where no denominator
-vanishes, det(M)(z0) = det(M(z0)), so an invertible M(z0) certifies M: the
-deterministic, one-sided half of Schwartz (J. ACM 27, 1980).  Only a
-matrix that no point certifies is built and ranked exactly over K(Z)
-(linalg.full_rank), so a singular one is still found and reported.  Every
-ConsistencyError names the instance (field and size) and the check that
-failed.
+poly._row_algebra.  The sweep runs one loop per eigenvalue over its
+combinations, the unit vectors (each basis vector, read off the basis) and
+then 10 seeded combinations, and tests each as an m x m matrix
+(linalg.full_rank, a dense elimination that stops at the first column with
+no pivot).  Over K(Z) the coefficients are raw draws
+(fields.RationalFunctionField.random_raw: random_payload's element and rng
+calls, with no canonical form), and each combination is first specialised
+at Z = z0 for a fixed, bounded list of points z0
+(fields.specialisation_points: all of K, then GF(|K|^2)), each payload once
+per point for the whole sweep, tried cyclically from the point that
+certified the previous combination of any eigenvalue
+(linalg.certifying_point).  Where no denominator vanishes, det(M)(z0) =
+det(M(z0)), so an invertible M(z0) certifies M: the deterministic,
+one-sided half of Schwartz (J. ACM 27, 1980).  Only a matrix that no point
+certifies is built from canonical coefficients and ranked exactly over
+K(Z) (linalg.full_rank), so a singular one is still found and reported.
+Every ConsistencyError names the instance (field and size) and the check
+that failed.
 
 build_gas_companion goes the other way: from (p, n, e, a) it constructs the
 companion matrix of X^(p^(n+e)) - X^(p^e) - a.
 """
 
+import collections
 import functools
 import math
 import random
@@ -209,15 +215,19 @@ def _rational_roots(f: Poly):
     Before its exact division a candidate c is evaluated at the
     specialisation points where neither f nor c has a pole: Z -> z0 is a
     ring map there, so a root c gives f(z0)(c(z0)) = 0, and a nonzero value
-    rules c out (_rules_out).  The exact division decides every candidate
+    rules c out (_rules_out).  f is specialised at a point only when a
+    candidate first reaches it.  The exact division decides every candidate
     kept."""
     F = f.field
     ring = rp.ring(F)
-    points = []
-    for point in specialisation_points(F.base):
-        coeffs = specialise(F, f.raw, point)
-        if coeffs is not None:
-            points.append((point, coeffs))
+    points = specialisation_points(F.base)
+    f_points = {}
+
+    def f_at(i):
+        if i not in f_points:
+            f_points[i] = specialise(F, f.raw, points[i])
+        return f_points[i]
+
     roots = []
     work, mult = ring.divide_out(f.raw, (F.zero, F.one))
     if mult:
@@ -241,7 +251,7 @@ def _rational_roots(f: Poly):
         for dd in den_divs:
             for u in units:
                 cand = F.fraction(rp.scale(k, nd, u), dd)
-                if _rules_out(F, points, cand.payload):
+                if _rules_out(F, points, f_at, cand.payload):
                     continue
                 work, mult = ring.divide_out(work, (F.neg(cand.payload), F.one))
                 if mult:
@@ -249,12 +259,16 @@ def _rational_roots(f: Poly):
     return roots
 
 
-def _rules_out(field, points, c):
-    """Whether some (point, coefficients of f specialised there) of points
-    has f(z0)(c(z0)) != 0, the payload c over K(Z) having no pole at z0."""
-    for point, coeffs in points:
+def _rules_out(field, points, f_at, c):
+    """Whether some specialisation point z0, the i-th of points, where
+    neither the payload c over K(Z) nor f has a pole, has f(z0)(c(z0)) !=
+    0; f_at(i) gives f's coefficients at the i-th point, None at a pole."""
+    for i, point in enumerate(points):
         value = specialise(field, (c,), point)
-        if value is not None and rp.evaluate(point[0], coeffs, value[0]) != point[0].zero:
+        if value is None:
+            continue
+        coeffs = f_at(i)
+        if coeffs is not None and rp.evaluate(point[0], coeffs, value[0]) != point[0].zero:
             return True
     return False
 
@@ -543,70 +557,91 @@ def _eigenvector_invertibility(a, bases, seed):
     """check_eigenvector_invertibility on given (eigenvalue, basis) pairs,
     each basis vector a sequence of payloads.
 
-    One loop per eigenvalue over coefficient vectors, the unit vectors and
-    then 10 seeded draws, packed.  Over K(Z) each combination is first tried
-    at the specialisation points (linalg.certifying_point), formed from the
-    specialised coefficients and basis (_basis_sums); the point that
-    certified the previous combination of the same eigenvalue is tried
-    first, then the rest in their order.  Only a combination that no point
-    certifies, and every combination over a finite field, is formed over
-    the field and ranked exactly, packed (linalg.full_rank).  The basis is
-    independent and no draw is all zero, so every combination is nonzero;
-    checks draw nothing from the rng, so the draws come first."""
+    One loop per eigenvalue over its combinations: the unit vectors, each
+    a basis vector read off the basis, then 10 seeded draws of
+    coefficients.  The draws come first; checks draw nothing from the rng.
+    Over K(Z) a draw is RationalFunctionField.random_raw's (num, den): the
+    element and the rng calls of random_payload, with no canonical form.
+    Each combination is first tried at the specialisation points
+    (linalg.certifying_point), formed from the specialised coefficients
+    and basis (_basis_sums), each payload specialised once per point for
+    the whole sweep.  The points are tried cyclically from the one that
+    certified the previous combination, of any eigenvalue.  Only a
+    combination that no point certifies, and every combination over a
+    finite field, is formed over the field, from canonical coefficients,
+    and ranked exactly (linalg.full_rank).  The basis is independent and no
+    draw is all zero, so every combination is nonzero."""
     field = a.field
     m = a.nrows
     rational = field.kind == "rational-function"
     rng = random.Random(seed)
+    rows = _row_algebra(field)
+    draw = field.random_raw if rational else field.random_payload
+    # a raw draw is zero when its numerator is
+    is_zero = (lambda c: not c[0]) if rational else (lambda c: c == field.zero)
+    seen = collections.defaultdict(dict)
     failures = []
     checked = 0
     sampled = 0
-    zero = field.zero
-    rows = _row_algebra(field)
+    first = 0
     for v, basis in bases:
-        exact, at = _basis_sums(field, basis, m * m)
-        vectors = [(f"basis vector {i}", rows.unit(i, len(basis))) for i in range(len(basis))]
+        combos = [(f"basis vector {i}", i) for i in range(len(basis))]
         for _ in range(10 if basis else 0):
-            coeffs = [field.random_payload(rng) for _ in basis]
-            if all(c == zero for c in coeffs):
+            coeffs = [draw(rng) for _ in basis]
+            if all(map(is_zero, coeffs)):
                 coeffs[0] = field.one
-            vectors.append(("sampled combination", rows.pack(coeffs)))
+            combos.append(("sampled combination", coeffs))
         checked += len(basis)
-        sampled += len(vectors) - len(basis)
-        first = 0
-        for label, coeffs in vectors:
+        sampled += len(combos) - len(basis)
+        exact, at = _basis_sums(field, basis, m * m, seen)
+        for label, combo in combos:
             if rational:
-                point = certifying_point(field, m, lambda i, pt: at(coeffs, i, pt), first)
+                point = certifying_point(field, m, functools.partial(at, combo), first)
                 if point is not None:
                     first = point
                     continue
-            if not full_rank(field, m, exact(coeffs)):
+                if not isinstance(combo, int):
+                    combo = [field.fraction(*c).payload for c in combo]
+            vec = rows.pack(basis[combo]) if isinstance(combo, int) else exact(rows.pack(combo))
+            if not full_rank(field, m, vec):
                 failures.append(f"{label} at eigenvalue {v} is singular")
     return InvertibilityVerdict(not failures, checked, sampled, failures)
 
 
-def _basis_sums(field, basis, n):
+def _basis_sums(field, basis, n, seen=None):
     """(exact, at): the sweep's sums c * vec of the basis (vectors of n
     payloads) for coeffs packed in the field's row algebra, exact(coeffs)
-    over the field and at(coeffs, i, point) at the i-th specialisation
-    point of K(Z), or None where a vector with a nonzero coefficient has a
-    pole.  Each is one apply, packed, on the basis as columns (once per point)."""
+    over the field, and at(combo, i, point) at the i-th specialisation
+    point of K(Z), packed in the row algebra of the point's field, or None
+    where a vector with a nonzero coefficient has a pole.  combo is a list
+    of payloads, reduced or not, or an index: that basis vector itself.
+    Each sum is one apply, packed, on the basis as columns, specialised
+    once per point.  seen[i] is the i-th point's fields.specialise memo,
+    fresh when seen is None."""
     rows = _row_algebra(field)
     exact = functools.partial(rows.apply, rows.columns(basis), n=n)
+    seen = collections.defaultdict(dict) if seen is None else seen
     at_point = {}
 
-    def at(coeffs, i, point):
+    def at(combo, i, point):
         if i not in at_point:
-            vecs = [specialise(field, vec, point) for vec in basis]
+            vecs = [specialise(field, vec, point, seen[i]) for vec in basis]
             point_rows = _row_algebra(point[0])
-            poles = [j for j, vec in enumerate(vecs) if vec is None]
             # a vector with a pole enters as a zero column
-            at_point[i] = point_rows, point_rows.columns(vec or () for vec in vecs), poles
-        point_rows, point_columns, poles = at_point[i]
-        cs = specialise(field, coeffs, point)
+            at_point[i] = (
+                point_rows,
+                [None if vec is None else point_rows.pack(vec) for vec in vecs],
+                point_rows.columns(vec or () for vec in vecs),
+                [j for j, vec in enumerate(vecs) if vec is None],
+            )
+        point_rows, packed, columns, poles = at_point[i]
+        if isinstance(combo, int):
+            return packed[combo]
+        cs = specialise(field, combo, point, seen[i])
         # a nonzero coefficient that vanishes at z0 still needs its vector there
-        if cs is None or any(coeffs[j] != field.zero for j in poles):
+        if cs is None or any(combo[j][0] for j in poles):
             return None
-        return point_rows.apply(point_columns, point_rows.pack(cs), n)
+        return point_rows.apply(columns, point_rows.pack(cs), n)
 
     return exact, at
 

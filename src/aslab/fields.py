@@ -375,6 +375,10 @@ class PrimeField(FieldDescriptor):
     def random_payload(self, rng):
         return rng.randrange(self.p)
 
+    def random_payloads(self, rng, count):
+        """count random_payload draws, as a tuple, by the same rng calls."""
+        return tuple(map(rng.randrange, (self.p,) * count))
+
     def sort_key(self, a):
         return (a,)
 
@@ -846,7 +850,11 @@ class ExtensionField(_TabulatedField, FieldDescriptor):
         return FieldElement(self, (0, 1) + (0,) * (self.n - 2))
 
     def random_payload(self, rng):
-        return tuple(rng.randrange(self.p) for _ in range(self.n))
+        return tuple(map(rng.randrange, (self.p,) * self.n))
+
+    def random_payloads(self, rng, count):
+        # one iterator of count * n coefficients, grouped n at a time by zip
+        return tuple(zip(*[map(rng.randrange, (self.p,) * (self.n * count))] * self.n))
 
     def sort_key(self, a):
         # consistent with enumeration order (low coefficient least significant)
@@ -1023,13 +1031,19 @@ class RationalFunctionField(FieldDescriptor):
         k = self.base
         return FieldElement(self, ((k.zero, k.one), (k.one,)))
 
-    def random_payload(self, rng):
+    def random_raw(self, rng):
+        """random_payload's draw before _canon: (num, den), trimmed, den
+        nonzero and of degree at most 1, but neither reduced nor monic.  It
+        is the same element of K(Z) and makes the same rng calls."""
         k = self.base
-        num = rp.trim(k, tuple(k.random_payload(rng) for _ in range(rng.randrange(1, 4))))
+        num = rp.trim(k, k.random_payloads(rng, rng.randrange(1, 4)))
         den = ()
         while not den:
-            den = rp.trim(k, tuple(k.random_payload(rng) for _ in range(rng.randrange(1, 3))))
-        return self._canon(num, den)
+            den = rp.trim(k, k.random_payloads(rng, rng.randrange(1, 3)))
+        return num, den
+
+    def random_payload(self, rng):
+        return self._canon(*self.random_raw(rng))
 
     def sort_key(self, a):
         num, den = a
@@ -1252,8 +1266,9 @@ def _embedding(small, big):
     """The embedding GF(p^m) -> F for m | n as a table: {payload of small:
     its image in big}, where big is F = GF(p^n) or GF(p^n)(Z).
 
-    A field maps into itself by the identity (t is the first root of its
-    own modulus) and GF(p) by from_int.  Otherwise t maps to r, the first
+    GF(p) maps by from_int, and a field into itself by the identity (t is
+    the first root of its own modulus), keyed on its log tables' payloads.
+    Otherwise t maps to r, the first
     root in enumeration order of small's modulus in big (_raw_roots), and
     c_0 + c_1 t + ... to c_0 + c_1 r + ..., by _ringops.evaluate at r.
     Into K(Z), the base's table is taken as constants.  Built once per
@@ -1264,10 +1279,11 @@ def _embedding(small, big):
         return {c: big.constant(u).payload for c, u in _embedding(small, big.base).items()}
     if small.char != big.char or big.n % small.n != 0:
         raise InputError(f"{small.spec_string()} does not embed in {big.spec_string()}")
-    if small == big:
-        return {c: c for c in small.enumerate_payloads()}
     if small.kind == "prime":
         return {c: big.from_int(c) for c in small.enumerate_payloads()}
+    if small == big:
+        # keyed on the log tables' own payload tuples, in enumeration order
+        return {c: c for c in sorted(small._log, key=small.sort_key)}
     roots = _raw_roots(big, tuple(big.from_int(c) for c in small.modulus))
     if not roots:
         raise InputError("modulus has no root in the big field")
@@ -1313,22 +1329,41 @@ def specialisation_points(k):
     return points[:SPECIALISATION_TRIES]
 
 
-def specialise(field, payloads, point):
+def specialise(field, payloads, point, seen=None):
     """The K(Z) payloads at Z = z0, as payloads of the point's target field
     (a point of specialisation_points(field.base)), or None when a
     denominator vanishes at z0.  Where no denominator vanishes, Z -> z0 is
     a ring map, so it commutes with sums, products and determinants:
-    det(M)(z0) = det(M(z0)), and an invertible M(z0) proves M invertible."""
+    det(M)(z0) = det(M(z0)), and an invertible M(z0) proves M invertible.
+    A payload (num, den) need not be in lowest terms.
+
+    seen, {payload: its value at z0, or _POLE}, is kept by a caller that
+    specialises many vectors at one point; each payload is evaluated once."""
     target, coeff, z0 = point
+    add, mul, zero = target.add, target.mul, target.zero
     out = []
-    seen = {}  # a vector repeats its entries, zero above all
+    if seen is None:
+        seen = {}  # a vector repeats its entries, zero above all
     for a in payloads:
         x = seen.get(a)
         if x is None:
+            # num(z0) / den(z0) by Horner, on the images of the coefficients
             num, den = a
-            d = rp.evaluate(target, [coeff[c] for c in den], z0)
-            if d == target.zero:
-                return None
-            x = seen[a] = target.div(rp.evaluate(target, [coeff[c] for c in num], z0), d)
+            d = zero
+            for c in reversed(den):
+                d = add(mul(d, z0), coeff[c])
+            if d == zero:
+                x = _POLE
+            else:
+                x = zero
+                for c in reversed(num):
+                    x = add(mul(x, z0), coeff[c])
+                x = target.div(x, d)
+            seen[a] = x
+        if x is _POLE:
+            return None
         out.append(x)
     return out
+
+
+_POLE = object()

@@ -53,9 +53,11 @@ vectors, ad_analyzer's) is the row algebra's apply.  Matrix.is_invertible
 over K(Z) tries the specialisations Z -> z0 first (certifying_point on
 fields.specialise); an invertible M(z0) with no pole proves M invertible.
 Only when no point certifies, or over a finite field, is M ranked exactly.
-ad_analyzer's sweep calls certifying_point and full_rank, which ranks a
-packed vector as its rows (reshape), so that it can start at the point
-that certified its previous combination.
+ad_analyzer's sweep calls certifying_point and full_rank, which tests a
+packed row-major vector by the row algebra's dense elimination
+(poly._row_algebra(k).invertible, stopping at the first column with no
+pivot), so that it can start at the point that certified its previous
+combination.
 """
 
 import bisect
@@ -268,9 +270,9 @@ def _rank(algebra, rows):
 
 def full_rank(field, m, vec):
     """Whether the m x m matrix of the m*m coordinates of vec, row-major,
-    packed in poly._row_algebra(field), has rank m."""
-    rows = _row_algebra(field)
-    return _rank(rows, rows.reshape(vec, m)) == m
+    packed in poly._row_algebra(field), has rank m: the row algebra's dense
+    elimination, which stops at the first column with no pivot."""
+    return _row_algebra(field).invertible(vec, m)
 
 
 def certifying_point(field, m, entries_at, first=0):
@@ -279,11 +281,11 @@ def certifying_point(field, m, entries_at, first=0):
     invertible (fields.specialise), or None.  entries_at(i, point) gives
     its m*m entries, row-major, at the i-th point, packed in the row algebra
     of the point's field, or None when a denominator vanishes there.  The
-    point at index first is tried first, then the others in order.
-    One-sided: a singular matrix never certifies, and it costs at most
-    fields.SPECIALISATION_TRIES tries."""
+    points are tried cyclically from the index first: first, first + 1,
+    ..., the last, then 0 .. first - 1.  One-sided: a singular matrix never
+    certifies, and it costs at most fields.SPECIALISATION_TRIES tries."""
     points = specialisation_points(field.base)
-    for i in itertools.chain((first,), (i for i in range(len(points)) if i != first)):
+    for i in itertools.chain(range(first, len(points)), range(first)):
         vec = entries_at(i, points[i])
         if vec is not None and full_rank(points[i][0], m, vec):
             return i

@@ -22,7 +22,8 @@ field a list of payloads, reduced by the one payload echelon step,
 _PayloadRows.extend, on two row kernels that each kind supplies: through
 the field's methods over GF(p^n) and K(Z) (_PayloadRows), inline mod p
 over GF(p), p odd (_PrimeRows).  apply, one per representation, is the
-only sum c * vec of linalg and ad_analyzer.  The
+only sum c * vec of linalg and ad_analyzer, and invertible, one per
+representation, the dense elimination of linalg.full_rank.  The
 same algebra is F[X] for linalg's Smith finish and analyze's
 multiplicities: _PayloadRows inherits _ringops.PolyRing and _PrimeRows
 PrimeRing, and over GF(2) bit i holds the coefficient of X^i, with gcd,
@@ -661,9 +662,28 @@ class _PayloadRows(rp.PolyRing):
             return [(i, x) for i, x in enumerate(v) if x != field.zero]
         return [(i, field.mul(x, c)) for i, x in enumerate(v) if x != field.zero]
 
-    def reshape(self, v, m):
-        """The m*m coordinates of v as m rows of m, row-major."""
-        return [v[i:i + m] for i in range(0, m * m, m)]
+    def invertible(self, v, m):
+        """Whether the m x m matrix of the m*m coordinates of v, row-major,
+        is invertible: Gaussian elimination on its dense rows, which stops
+        at the first column with no pivot."""
+        field = self.k
+        zero, sub, mul = field.zero, field.sub, field.mul
+        rows = [list(v[i:i + m]) for i in range(0, m * m, m)]
+        for j in range(m):
+            for t, piv in enumerate(rows):
+                if piv[j] != zero:
+                    break
+            else:
+                return False
+            del rows[t]
+            inv = field.inv(piv[j])
+            for row in rows:
+                a = row[j]
+                if a != zero:
+                    a = mul(a, inv)
+                    for c in range(j + 1, m):
+                        row[c] = sub(row[c], mul(a, piv[c]))
+        return True
 
     def columns(self, vectors):
         """These payload vectors as apply's columns: nonzero (row, entry) pairs."""
@@ -701,6 +721,25 @@ class _PrimeRows(rp.PrimeRing, _PayloadRows):
     def scaled_pairs(self, v, c):
         p = self.k.p
         return [(i, x * c % p) for i, x in enumerate(v) if x]
+
+    def invertible(self, v, m):
+        p = self.k.p
+        rows = [list(v[i:i + m]) for i in range(0, m * m, m)]
+        for j in range(m):
+            for t, piv in enumerate(rows):
+                if piv[j]:
+                    break
+            else:
+                return False
+            del rows[t]
+            inv = pow(piv[j], p - 2, p)
+            for row in rows:
+                a = row[j]
+                if a:
+                    a = a * inv
+                    for c in range(j + 1, m):
+                        row[c] = (row[c] - a * piv[c]) % p
+        return True
 
     def apply(self, columns, v, n):
         p = self.k.p
@@ -779,9 +818,19 @@ class _BitRows:
         return True, c
 
     @staticmethod
-    def reshape(v, m):
+    def invertible(v, m):
         mask = (1 << m) - 1
-        return [v >> i & mask for i in range(0, m * m, m)]
+        rows = [v >> i & mask for i in range(0, m * m, m)]
+        for j in range(m):
+            bit = 1 << j
+            for t, piv in enumerate(rows):
+                if piv & bit:
+                    break
+            else:
+                return False
+            del rows[t]
+            rows = [row ^ piv if row & bit else row for row in rows]
+        return True
 
     def columns(self, vectors):
         return [self.pack(vec) for vec in vectors]

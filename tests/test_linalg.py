@@ -1062,14 +1062,40 @@ def test_invertible_matches_the_determinant_and_builds_nothing_once_certified(sp
         assert got == bool(_laplace_det(m)) and expected in (None, got)
 
 
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)", "GF(9)", "GF(625)", "GF(3)(Z)"])
+def test_full_rank_matches_the_determinant(spec):
+    # _kz_matrices' seeded matrices and their rank-deficient twins, then
+    # seeded matrices of mostly zeros and ones, where the pivot search
+    # passes over zero entries; the dense elimination of full_rank, on the
+    # packed row-major entries, against the Laplace expansion
+    field = make_field(spec)
+    rng = random.Random(spec)
+    cases = [m for m, _ in _kz_matrices(field, 23)]
+    for size in (1, 2, 3, 4, 5):
+        for _ in range(8):
+            pick = [field.zero, field.zero, field.one, field.random_payload(rng)]
+            rows = [[rng.choice(pick) for _ in range(size)] for _ in range(size)]
+            cases.append(Matrix.from_raw(field, rows))
+    rows_algebra = poly._row_algebra(field)
+    verdicts = set()
+    for m in cases:
+        vec = rows_algebra.pack([x for row in m.rows for x in row])
+        got = linalg.full_rank(field, m.nrows, vec)
+        assert got == bool(_laplace_det(m)), (spec, m)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_a_specialised_rank_that_overclaims_is_caught(monkeypatch):
-    # the mutant: every specialised M(z0) has full rank, singular or not
-    real = linalg._rank
-    monkeypatch.setattr(
-        linalg,
-        "_rank",
-        lambda algebra, rows: len(rows) if algebra.k.order is not None else real(algebra, rows),
-    )
+    # the mutant: every specialised M(z0) has full rank, singular or not,
+    # in the dense kernel that full_rank runs at the points (GF(3) and GF(9))
+    for rows in (poly._PayloadRows, poly._PrimeRows):
+        real = rows.invertible
+        monkeypatch.setattr(
+            rows,
+            "invertible",
+            lambda self, v, m, real=real: self.k.order is not None or real(self, v, m),
+        )
     assert _invertibility_disagreements("GF(3)(Z)", 11)
 
 

@@ -608,7 +608,7 @@ def _eigenvector_invertibility(a, bases, seed):
     return InvertibilityVerdict(not failures, checked, sampled, failures)
 
 
-def _basis_sums(field, basis, n, seen=None):
+def _basis_sums(field, basis, n, seen):
     """(exact, at): the sweep's sums c * vec of the basis (vectors of n
     payloads) for coeffs packed in the field's row algebra, exact(coeffs)
     over the field, and at(combo, i, point) at the i-th specialisation
@@ -616,11 +616,10 @@ def _basis_sums(field, basis, n, seen=None):
     where a vector with a nonzero coefficient has a pole.  combo is a list
     of payloads, reduced or not, or an index: that basis vector itself.
     Each sum is one apply, packed, on the basis as columns, specialised
-    once per point.  seen[i] is the i-th point's fields.specialise memo,
-    fresh when seen is None."""
+    once per point.  seen, a defaultdict(dict), holds at seen[i] the i-th
+    point's fields.specialise memo."""
     rows = _row_algebra(field)
     exact = functools.partial(rows.apply, rows.columns(basis), n=n)
-    seen = collections.defaultdict(dict) if seen is None else seen
     at_point = {}
 
     def at(combo, i, point):

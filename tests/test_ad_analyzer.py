@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import random
@@ -576,7 +577,7 @@ def test_sweep_combinations_match_the_field_method_sums(spec):
     poles = 0
     for d, n in ((1, 1), (1, 4), (2, 4), (3, 9), (4, 16)):
         basis = [[field.random_payload(rng) for _ in range(n)] for _ in range(d)]
-        exact, at = ad_analyzer._basis_sums(field, basis, n)
+        exact, at = ad_analyzer._basis_sums(field, basis, n, collections.defaultdict(dict))
         for _ in range(6):
             coeffs = [rng.choice([field.zero, field.one, field.random_payload(rng)]) for _ in basis]
             if all(c == field.zero for c in coeffs):

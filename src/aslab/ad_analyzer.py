@@ -29,22 +29,23 @@ Hom(V_j, V_i), a semisimple Sylvester part from the pair of primes and a
 nilpotent part of type λ(r_i, r_j), the paper's tensor problem
 (linalg.nilpotent_tensor_type).  linalg.invariant_factors_from_elementary
 assembles them with no Smith form.  c3 is then one prime in mu_A, of
-multiplicity 1, in a cyclic A, with no separate irreducibility test, and
-the linear divisors X - v give the eigenvalues.  Over K(Z), which is not
-perfect and has no factorization, c3 is decided first, from the invariant
-factors of A and the oracle, so an oracle refusal comes before ad A's;
-then ad A comes from A's invariant factors f_i, again with no ad_matrix
-(_ad_by_sylvester): ad A is the direct sum over pairs (i, j) of
-Y -> C(f_i) Y - Y C(f_j), whose invariant factors are the Smith form of
+multiplicity 1, in a cyclic A, with no separate irreducibility test.  Over
+K(Z), which is not perfect and has no factorization, c3 is decided first,
+from the invariant factors of A and the oracle, so an oracle refusal comes
+before ad A's; then ad A comes from A's invariant factors f_i, again with
+no ad_matrix (_ad_by_sylvester): ad A is the direct sum over pairs (i, j)
+of Y -> C(f_i) Y - Y C(f_j), whose invariant factors are the Smith form of
 the block diagonal of the f_i(C(f_j) + T) over K(Z)[T]
-(linalg.sylvester_invariant_factors).  The spectrum, the roots of the
-last factor and their multiplicities in each (_spectrum), is read off
-them as off the factors of the tests' reference route, Krylov on the
-m^2 x m^2 ad_matrix (_ad_by_krylov).  At e = 0 the verdict of c3 on
-mu_A = q also certifies q, and only e >= 1 asks again whether q is
-irreducible.  When all three
-conditions hold, each eigenspace is also built from the paper's
-conjugator, with no kernel of the m^2 x m^2 ad A (_conjugator_eigenspaces):
+(linalg.sylvester_invariant_factors).  One reader, _spectrum, gives the
+spectrum on every route from the exponents of ad A's linear elementary
+divisors X - v: the finite route passes the exponents it assembled; the
+K(Z) route, like the tests' reference route, Krylov on the m^2 x m^2
+ad_matrix (_ad_by_krylov), passes the exponent of X - v in each invariant
+factor for each root v of the last one (_linear_exponents).  At e = 0 the
+verdict of c3 on mu_A = q also certifies q, and only e >= 1 asks again
+whether q is irreducible.  When all three conditions hold, each
+eigenspace is also built from the paper's conjugator, with no kernel of
+the m^2 x m^2 ad A (_conjugator_eigenspaces):
 h(X + v) = h(X) for every eigenvalue v, so the Pascal matrix S_v of
 linalg.pascal_similarity(h, -v) has C S_v = S_v (C + v), C the companion
 of h = mu_A, and with the Krylov basis P of e_0 (A P = P C) the
@@ -90,6 +91,7 @@ from .linalg import (
     InvariantFactorList,
     Matrix,
     _elementary_divisors,
+    _exponents,
     _pascal_matrix,
     ad_elementary_divisors,
     ad_matrix,
@@ -215,19 +217,13 @@ def _rational_roots(f: Poly):
     Before its exact division a candidate c is evaluated at the
     specialisation points where neither f nor c has a pole: Z -> z0 is a
     ring map there, so a root c gives f(z0)(c(z0)) = 0, and a nonzero value
-    rules c out (_rules_out).  f is specialised at a point only when a
-    candidate first reaches it.  The exact division decides every candidate
+    rules c out (_rules_out).  f is specialised at every point once, before
+    the first candidate.  The exact division decides every candidate
     kept."""
     F = f.field
     ring = rp.ring(F)
     points = specialisation_points(F.base)
-    f_points = {}
-
-    def f_at(i):
-        if i not in f_points:
-            f_points[i] = specialise(F, f.raw, points[i])
-        return f_points[i]
-
+    f_points = [specialise(F, f.raw, point) for point in points]
     roots = []
     work, mult = ring.divide_out(f.raw, (F.zero, F.one))
     if mult:
@@ -235,7 +231,10 @@ def _rational_roots(f: Poly):
     cols, k = _clear_denominators(Poly.from_raw(F, work))
     const, lead = cols[0], cols[-1]
     if not const:
-        raise ConsistencyError("zero root should have been removed already")
+        raise ConsistencyError(
+            f"zero root should have been removed already: root search over "
+            f"{F.spec_string()}, degree {f.degree()}"
+        )
     factorisations = [_factor_raw(k, rp.monic(k, a)) for a in (const, lead)]
     # a product of distinct irreducible pieces has prod (mult + 1) monic
     # divisors: count them before expanding and sorting any
@@ -251,7 +250,7 @@ def _rational_roots(f: Poly):
         for dd in den_divs:
             for u in units:
                 cand = F.fraction(rp.scale(k, nd, u), dd)
-                if _rules_out(F, points, f_at, cand.payload):
+                if _rules_out(F, points, f_points, cand.payload):
                     continue
                 work, mult = ring.divide_out(work, (F.neg(cand.payload), F.one))
                 if mult:
@@ -259,16 +258,15 @@ def _rational_roots(f: Poly):
     return roots
 
 
-def _rules_out(field, points, f_at, c):
-    """Whether some specialisation point z0, the i-th of points, where
-    neither the payload c over K(Z) nor f has a pole, has f(z0)(c(z0)) !=
-    0; f_at(i) gives f's coefficients at the i-th point, None at a pole."""
-    for i, point in enumerate(points):
-        value = specialise(field, (c,), point)
-        if value is None:
+def _rules_out(field, points, f_points, c):
+    """Whether some specialisation point z0 of points, where neither the
+    payload c over K(Z) nor f has a pole, has f(z0)(c(z0)) != 0; f_points
+    holds f's coefficients at each point, None at a pole."""
+    for point, coeffs in zip(points, f_points):
+        if coeffs is None:
             continue
-        coeffs = f_at(i)
-        if coeffs is not None and rp.evaluate(point[0], coeffs, value[0]) != point[0].zero:
+        value = specialise(field, (c,), point)
+        if value is not None and rp.evaluate(point[0], coeffs, value[0]) != point[0].zero:
             return True
     return False
 
@@ -301,7 +299,7 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
     if field.order is None:
         c3 = cyclic and irreducible(mu_a)
         inv_ad = _ad_by_sylvester(field, inv_a)
-        spectrum = _spectrum(inv_ad)
+        spectrum = _spectrum(field, _linear_exponents(inv_ad))
     else:
         c3, inv_ad, spectrum = _ad_by_divisors(a, inv_a)
     eigenvalues = [v for v, _, _ in spectrum]
@@ -358,7 +356,7 @@ def _ad_by_krylov(a):
     """(invariant factors of ad A, spectrum) from Krylov on the m^2 x m^2
     ad_matrix(a): the tests' reference route, which analyze does not take."""
     inv_ad = invariant_factors(ad_matrix(a))
-    return inv_ad, _spectrum(inv_ad)
+    return inv_ad, _spectrum(a.field, _linear_exponents(inv_ad))
 
 
 def _ad_by_sylvester(field, inv_a):
@@ -373,32 +371,29 @@ def _ad_by_sylvester(field, inv_a):
     )
 
 
-def _spectrum(inv_ad):
-    """The spectrum of ad A from its invariant factors: (v, multiplicity of
-    X - v in the characteristic polynomial, eigenspace dimension) by
-    eigenvalue v in sort order, v over the roots of the last factor.  Every
-    factor f that X - v divides is one cyclic summand F[X]/(f), adding one
-    dimension to ker(ad - vI)."""
+def _linear_exponents(inv_ad):
+    """The exponents of X - v in inv_ad, v over the roots of its last factor."""
     field = inv_ad[0].field
-    ring = _row_algebra(field)
-    packed = [ring.pack(f.raw) for f in inv_ad]
-    spectrum = []
-    for v in sorted(_poly_roots_in_field(inv_ad.minimal_polynomial()), key=lambda v: v.sort_key()):
-        lin = ring.pack((field.neg(v.payload), field.one))
-        mults = [ring.multiplicity(f, lin) for f in packed]
-        spectrum.append((v, sum(mults), sum(1 for mult in mults if mult)))
-    return spectrum
+    lins = [(field.neg(v.payload), field.one) for v in _poly_roots_in_field(inv_ad[-1])]
+    return _exponents(rp.ring(field), [f.raw for f in inv_ad], lins)
+
+
+def _spectrum(field, exponents):
+    """(v, multiplicity of X - v in the characteristic polynomial,
+    eigenspace dimension) by eigenvalue v in sort order, from the exponents
+    ({g: [t, ...]}) of ad A's elementary divisors g = X - v: each t is one
+    summand F[X]/((X - v)^t), adding one dimension to ker(ad - vI)."""
+    linear = [(g, ts) for g, ts in exponents.items() if len(g) == 2]
+    spectrum = [(FieldElement(field, field.neg(g[0])), sum(ts), len(ts)) for g, ts in linear]
+    return sorted(spectrum, key=lambda entry: entry[0].sort_key())
 
 
 def _ad_by_divisors(a, inv_a):
-    """(c3, invariant factors of ad A, spectrum as _spectrum gives it)
-    over a finite field, from A's elementary divisors, with no ad_matrix:
-    one factorization of mu_A, the multiplicity of each prime in each
-    invariant factor of A (linalg._elementary_divisors), and ad A's
-    elementary divisors g^t from them (linalg.ad_elementary_divisors).  c3
-    is one prime in mu_A, of multiplicity 1, in a cyclic A; the
-    eigenvalues are the v of the linear g = X - v, whose exponents sum to
-    the multiplicity of X - v and count its eigenspace dimension."""
+    """(c3, invariant factors of ad A, spectrum) over a finite field, with
+    no ad_matrix: one factorization of mu_A gives A's elementary divisors
+    (linalg._elementary_divisors), and ad A's, from ad_elementary_divisors,
+    give its invariant factors and the spectrum.  c3 is one prime in mu_A,
+    of multiplicity 1, in a cyclic A."""
     field, m = a.field, a.nrows
     raw = [f.raw for f in inv_a]
     primes = _factor_raw(field, raw[-1])
@@ -409,15 +404,7 @@ def _ad_by_divisors(a, inv_a):
     inv_ad = invariant_factors_from_elementary(
         field, exponents, m * m, f"{_instance(field, m)}: ad A"
     )
-    spectrum = sorted(
-        (
-            (FieldElement(field, field.neg(g[0])), sum(ts), len(ts))
-            for g, ts in exponents.items()
-            if len(g) == 2
-        ),
-        key=lambda entry: entry[0].sort_key(),
-    )
-    return c3, inv_ad, spectrum
+    return c3, inv_ad, _spectrum(field, exponents)
 
 
 def _instance(field, m):

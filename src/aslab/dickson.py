@@ -426,9 +426,15 @@ def _linearized_cofactor(k, f, n):
         elif want != k.zero:
             raise ConsistencyError(
                 f"right division of Y^({p}^{n}) - Y by f_R fails at the "
-                f"coefficient of Y^({p}^{t}), f_R of degree {p}^{m}"
+                f"coefficient of Y^({p}^{t}), f_R of degree {p}^{m}: "
+                f"f_R = {_raw_poly_str(k, _spread(k, f, p), 'Y')} over {k.spec_string()}"
             )
     return g
+
+
+def _inconsistent(check, name, r, q):
+    """The ConsistencyError of a failed check in name, naming F and R."""
+    return ConsistencyError(f"{check}: {name} over {q.field.spec_string()}, {r}")
 
 
 def _spread(k, coeffs, p):
@@ -465,7 +471,7 @@ def primitive_element(r: SubspaceR, q: Poly) -> PrimitiveElementResult:
     # not a power of p also shows here
     phi = _dickson_recursion(k, [b.payload for b in r.basis])
     if _spread(k, phi, p) != fr.raw:
-        raise ConsistencyError("product route and Dickson recursion disagree")
+        raise _inconsistent("product route and Dickson recursion disagree", "primitive_element", r, q)
     coeffs = [FieldElement(k, c) for c in phi[:m]]
 
     # alpha_R = f_R(alpha), the one step over F
@@ -479,9 +485,9 @@ def primitive_element(r: SubspaceR, q: Poly) -> PrimitiveElementResult:
     # independent over F, and no polynomial of lower degree annihilates
     # alpha_R.  For m = n, alpha_R = a and the degree 1 needs no bound.
     if m < n and len(prod) - 1 != p**m:
-        raise ConsistencyError(
+        raise _inconsistent(
             f"lower bound on [F(alpha_R):F]: alpha_R has X-degree {len(prod) - 1}, "
-            f"expected {p}^{m}"
+            f"expected {p}^{m}", "primitive_element", r, q
         )
     g = _linearized_cofactor(k, phi, n)  # phi[m] = 1
     degree = p ** (n - m)
@@ -510,6 +516,7 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     qraw = q.raw
     m = r.dim
     fa = rp.PolyRing(field, qraw)  # F[alpha] = F[X]/(q)
+    where = "intermediate_minpoly_product"
 
     def mu_for_shift(c_payload):
         # prod over b in R of X - (alpha + b + c), over F[alpha]
@@ -530,10 +537,10 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
         return Matrix.from_raw(field, [v + (field.zero,) * (p**n - len(v)) for v in vecs]).rank()
 
     if rank(powers) != dim_e:
-        raise ConsistencyError("powers of alpha_R are linearly dependent too early")
+        raise _inconsistent("powers of alpha_R are linearly dependent too early", where, r, q)
     coeffs_in_e = rank(powers + list(mu)) == dim_e
     if not coeffs_in_e:
-        raise ConsistencyError("a coefficient of mu lies outside F[alpha_R]")
+        raise _inconsistent("a coefficient of mu lies outside F[alpha_R]", where, r, q)
 
     # product over coset representatives must reconstruct q
     covered = set()
@@ -549,7 +556,7 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
         big = rp.mul(fa, big, mu_for_shift(to_f[c.payload]))
     ok_product = big == tuple(rp.trim(field, (c,)) for c in qraw)
     if not ok_product:
-        raise ConsistencyError("conjugate product does not reconstruct q")
+        raise _inconsistent("conjugate product does not reconstruct q", where, r, q)
 
     mu_str_parts = []
     for i in range(len(mu) - 1, -1, -1):

@@ -48,11 +48,10 @@ runs it on elements with its default pow tests, and the tables with a test
 on the subgroup generated by T: one walk of T's powers gives ord T and
 log_T, and each candidate costs one power of small exponent, looked up in
 it (_generator_on_t).  The tables are built on residue indices, the places
-of the payloads in residues: the powers of T and of g are walked on packed
-ints over GF(2) and on split indices, four lookups a step, over any other
-base (_packed_powers, _split_powers), and every entry is one of residues'
-tuples.  A modulus of degree 1 keeps the pow tests and
-_ringops.powers_mod.
+of the payloads in residues: the powers of T and of g are walked on split
+indices, four lookups a step, over every base, GF(2) included
+(_split_powers), and every entry is one of residues' tuples.  A modulus of
+degree 1 keeps the pow tests and _ringops.powers_mod.
 
 The finite-field kernels shared by the package live here: _least_divisor,
 the one trial division (is_prime, and the p of a field order q = p^n),
@@ -530,27 +529,6 @@ def _digit_sums(k, s):
     ]
 
 
-def _packed_powers(g, modulus):
-    """Over GF(2): the residue indices of 1, g, g^2, ... mod the modulus,
-    without end.  An index is the packed residue, bit i the coefficient of
-    T^i, and so is g; a product by g is one shift, and one XOR with the
-    modulus when the top bit is set, per coefficient of g below its top."""
-    top = 1 << len(modulus) - 1
-    m = sum(c << i for i, c in enumerate(modulus))
-    low = [g >> j & 1 for j in range(g.bit_length() - 1)]
-    x = 1
-    while True:
-        yield x
-        acc = 0
-        for bit in low:
-            if bit:
-                acc ^= x
-            x <<= 1
-            if x & top:
-                x ^= m
-        x ^= acc
-
-
 def _split_powers(columns, sums, mul):
     """The residue indices of 1, g, g^2, ... without end, over a k with the
     digit tables of _digits, columns[i] the digits of g T^i mod m (i < d)
@@ -594,10 +572,9 @@ def _generator_on_t(k, modulus, res):
     primitive iff gcd(e, q - 1) = 1, that is iff gcd(log_T(c^r), o) = 1
     and c^(r/l) is not in H for each prime l of r that does not divide o;
     so every power in the search has an exponent at most r, and a
-    candidate in k, never primitive, is skipped.  When T is primitive
-    (r = 1) the powers of g re-index T's walk.  Every walk steps on
-    indices: packed ints over GF(2) (_packed_powers), split indices over
-    any other k (_split_powers).
+    candidate in k, never primitive, is skipped.  A primitive T (r = 1)
+    takes the same search, and g gets a walk of its own.  Every walk steps
+    on split indices (_split_powers), over GF(2) as over any other k.
 
     The walk and the search also test the modulus.  If T returns to 1 after
     o steps, o dividing q - 1, and c passes the test, then c has order
@@ -608,21 +585,15 @@ def _generator_on_t(k, modulus, res):
     d, size = len(modulus) - 1, k.order
     q1 = size**d - 1
     pos, add, mul = _digits(k)
-    if k.kind == "prime" and k.p == 2:
+    tail = [pos[k.neg(c)] for c in modulus[:-1]]
+    sums = _digit_sums(k, (d + 1) // 2)
 
-        def powers(g):
-            return _packed_powers(g, modulus)
-
-    else:
-        tail = [pos[k.neg(c)] for c in modulus[:-1]]
-        sums = _digit_sums(k, (d + 1) // 2)
-
-        def powers(g):
-            v, columns = [g // size**i % size for i in range(d)], []
-            for _ in range(d):
-                columns.append(v)
-                v = [add[a][mul[v[-1]][t]] for a, t in zip([0] + v, tail)]
-            return _split_powers(columns, sums, mul)
+    def powers(g):
+        v, columns = [g // size**i % size for i in range(d)], []
+        for _ in range(d):
+            columns.append(v)
+            v = [add[a][mul[v[-1]][t]] for a, t in zip([0] + v, tail)]
+        return _split_powers(columns, sums, mul)
 
     t_powers = powers(size)  # T is the residue of index |k|
     walk = [next(t_powers)]
@@ -639,10 +610,6 @@ def _generator_on_t(k, modulus, res):
     for i, x in enumerate(walk):
         log_t[x] = i
     r = q1 // o
-    if r == 1:
-        g = _first_generator(range(size, q1 + 1), q1, None, None, lambda c: math.gcd(log_t[c], q1) == 1)
-        e = log_t[g]
-        return (walk[i * e % q1] for i in range(q1))
     weights = [size**i for i in range(d)]
 
     def log_of_power(c, e):
@@ -690,9 +657,11 @@ def _build_log_tables(k, modulus):
     q = 729, where these hold about 5q.
 
     The tables are built on residue indices, the places of the payloads in
-    residues.  For d >= 2, g and its powers come from _generator_on_t, which
-    raises ConsistencyError for a reducible modulus.  For d = 1, g is found
-    by _first_generator's pow tests and its powers by _ringops.powers_mod.
+    residues.  For d >= 2, g and its powers come from _generator_on_t: one
+    search on the subgroup generated by T and split-index walks of T and g
+    over every base k, GF(2) included; it raises ConsistencyError for a
+    reducible modulus.  For d = 1, g is found by _first_generator's pow
+    tests and its powers by _ringops.powers_mod.
     """
     d = len(modulus) - 1
     q1 = k.order**d - 1

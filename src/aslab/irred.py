@@ -188,7 +188,7 @@ def gas_irreducible(inst: GasInstance) -> GasIrreducibility:
     qg = Poly.from_raw(K, roots).substitute_x_power(r0 * p ** (s - 1))
     witness = gas_poly(F, inst.n, inst.e - 1, F.fraction(qg.raw, (K.one,)))
     if witness**p != inst.build_h():
-        raise ConsistencyError("constructed p-th root does not recompose the input")
+        raise ConsistencyError(f"constructed p-th root does not recompose the input: {inst}")
     return GasIrreducibility(
         False,
         "pth-power",

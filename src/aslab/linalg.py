@@ -21,7 +21,9 @@ divisibility chain, so no pivot is tested against the rest of the matrix.
 A diagonal whose entries, sorted by degree, already divide one another
 is that chain; any other is closed by factor refinement of its entries
 into a pairwise coprime base (Bach, Driscoll and Shallit, "Factor
-refinement", J. Algorithms 1993).
+refinement", J. Algorithms 1993).  One reader of exponents (_exponents)
+and one assembler of factors from them (_assemble) serve the refinement,
+invariant_factors_from_elementary and _elementary_divisors.
 
 Over a finite field the invariant factors of ad A come without the m^2 x
 m^2 ad A (ad_elementary_divisors, then invariant_factors_from_elementary).
@@ -32,9 +34,8 @@ too).  Each pair of them gives a semisimple part from its two primes
 (_sylvester_divisors: closed forms when the primes are equal or one is
 linear, a Krylov run on at most 256 dimensions otherwise) and a nilpotent
 part of type λ(r, s) (nilpotent_tensor_type: closed forms, Heller's
-reduction, otherwise the Smith form below).  The i-th largest invariant
-factor takes each prime to its i-th largest exponent, so no Smith form
-runs on ad A.
+reduction, otherwise the Smith form below).  _assemble turns their
+exponents into the invariant factors, so no Smith form runs on ad A.
 
 Over any field, sylvester_invariant_factors gives the invariant factors of
 a direct sum of Sylvester operators Y -> C_f Y - Y C_g from one Smith form
@@ -637,25 +638,37 @@ def _close_diagonal(ring, diag):
 
 
 def _refine_diagonal(ring, entries):
-    """Smith diagonal of the diagonal matrix of the monic nonzero entries.
+    """Smith diagonal of the diagonal matrix of the monic nonzero entries,
+    assembled from their exponents in a pairwise coprime base."""
+    base = _coprime_base(ring, list(dict.fromkeys(entries)))
+    return _assemble(ring, _exponents(ring, entries, base), len(entries))
 
-    The distinct entries are refined into a pairwise coprime base
-    (_coprime_base).  Each base element b occurs in each entry to some
-    power; the i-th invariant factor takes b to the i-th smallest of those
-    exponents, so each factor divides the next.
-    """
-    distinct = list(dict.fromkeys(entries))
-    base = _coprime_base(ring, distinct)
-    mults = {e: [ring.multiplicity(e, b) for b in base] for e in distinct}
-    columns = [sorted(mults[e][t] for e in entries) for t in range(len(base))]
-    out = []
-    for i in range(len(entries)):
-        f = ring.one
-        for b, column in zip(base, columns):
-            if column[i]:
-                f = ring.mul(f, rp.square_and_multiply(b, column[i], ring.mul))
-        out.append(f)
-    return out
+
+def _exponents(ring, polys, base):
+    """{b: [exponent of b in each poly that b divides]}, in the order of
+    polys, for the elements b of base; one multiplicity per distinct poly."""
+    distinct = dict.fromkeys(polys)
+    mults = {b: {f: ring.multiplicity(f, b) for f in distinct} for b in base}
+    return {b: [mult[f] for f in polys if mult[f]] for b, mult in mults.items()}
+
+
+def _assemble(ring, exponents, count):
+    """count factors over ring, each dividing the next, from exponents ({b:
+    [t, ...]}): the i-th largest takes each b to its i-th largest exponent,
+    or 0.  Each distinct exponent vector is built once."""
+    columns = [(b, sorted(ts, reverse=True)) for b, ts in exponents.items()]
+    built = {}
+    factors = []
+    for i in range(count):
+        key = tuple(ts[i] if i < len(ts) else 0 for _, ts in columns)
+        if key not in built:
+            f = ring.one
+            for (b, _), t in zip(columns, key):
+                if t:
+                    f = ring.mul(f, rp.square_and_multiply(b, t, ring.mul))
+            built[key] = f
+        factors.append(built[key])
+    return factors[::-1]
 
 
 def _coprime_base(ring, polys):
@@ -822,19 +835,10 @@ def elementary_divisors_from_invariant(inv: InvariantFactorList):
 
 
 def _elementary_divisors(field, factors, primes):
-    """{(prime, exponent): count} of the raw invariant factors, each dividing
-    the next, given the raw monic primes of the last one: the exponent of
-    each prime in each factor, read from the last factor down until the
-    prime no longer divides (then it divides no earlier factor either)."""
-    ring = rp.ring(field)
-    counts = collections.Counter()
-    for g in primes:
-        for f in reversed(factors):
-            r = ring.multiplicity(f, g)
-            if not r:
-                break
-            counts[g, r] += 1
-    return counts
+    """{(prime, exponent): count} of the raw invariant factors, given the
+    raw monic primes of the last one."""
+    exponents = _exponents(rp.ring(field), factors, primes)
+    return collections.Counter((g, t) for g, ts in exponents.items() for t in ts)
 
 
 def nilpotent_tensor_type(p, r, s):
@@ -1015,18 +1019,6 @@ def invariant_factors_from_elementary(field, exponents, n, where):
         raise ConsistencyError(
             f"{where}: elementary divisors of degree {total} against dimension {n}"
         )
-    ring = rp.ring(field)
-    columns = [(g, sorted(ts, reverse=True)) for g, ts in exponents.items()]
-    count = max(len(ts) for _, ts in columns)
-    built = {}
-    factors = []
-    for i in range(count):
-        key = tuple(ts[i] if i < len(ts) else 0 for _, ts in columns)
-        if key not in built:
-            f = ring.one
-            for (g, _), t in zip(columns, key):
-                if t:
-                    f = ring.mul(f, rp.square_and_multiply(g, t, ring.mul))
-            built[key] = Poly.from_raw(field, f)
-        factors.append(built[key])
-    return InvariantFactorList(reversed(factors))
+    factors = _assemble(rp.ring(field), exponents, max(map(len, exponents.values())))
+    polys = {f: Poly.from_raw(field, f) for f in dict.fromkeys(factors)}
+    return InvariantFactorList(map(polys.get, factors))

@@ -115,6 +115,57 @@ def test_analyze_report_equals_the_reference_route(spec):
         assert report.c1 == (sum(mult for _, mult, _ in spectrum) == m * m)
 
 
+def _partitions(n):
+    """table[k]: the partitions of k <= n, largest part first, built by a
+    loop over k."""
+    table = [[()]]
+    for k in range(1, n + 1):
+        table.append(
+            [(a,) + rest for a in range(k, 0, -1) for rest in table[k - a] if not rest or rest[0] <= a]
+        )
+    return table
+
+
+def similarity_classes(field, largest):
+    """Every similarity class of m x m matrices over the finite field, m from
+    1 to largest, as its elementary divisors: a tuple of (pi, r), pi raw
+    monic irreducible, whose exponents r for each pi form a partition.  A
+    loop over the primes extends every class built so far, so it needs no
+    recursion."""
+    parts = _partitions(largest)
+    classes = [((), 0)]  # (blocks, size)
+    for d in range(1, largest + 1):
+        for pi in monic_irreducibles(field, d, field.order**d):
+            classes += [
+                (blocks + tuple((pi, r) for r in lam), size + d * k)
+                for blocks, size in classes
+                for k in range(1, (largest - size) // d + 1)
+                for lam in parts[k]
+            ]
+    return [blocks for blocks, size in classes if size]
+
+
+def class_mismatches(spec, largest):
+    """(number of classes, those on which _ad_by_divisors and _ad_by_krylov
+    differ in c3, the invariant factors or the spectrum), A the direct sum
+    of the companions of the pi^r of each class."""
+    field = make_field(spec)
+    classes = similarity_classes(field, largest)
+    wrong = []
+    for blocks in classes:
+        a = _companion_sum(field, blocks)
+        if not _same(_by_divisors(a), _reference(a)):
+            wrong.append(blocks)
+    return len(classes), wrong
+
+
+@pytest.mark.parametrize("spec, largest, count", [("GF(2)", 4, 56), ("GF(3)", 3, 54), ("GF(4)", 3, 108)])
+def test_every_similarity_class_takes_both_routes_alike(spec, largest, count):
+    # 2 + 6 + 14 + 34 classes over GF(2), 3 + 12 + 39 over GF(3) and
+    # 4 + 20 + 84 over GF(4): the class numbers of M_m(GF(q))
+    assert class_mismatches(spec, largest) == (count, [])
+
+
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
@@ -238,7 +289,7 @@ def _kz_inputs(spec, largest=3):
 
 def _spectrum_or_refusal(inv_ad):
     try:
-        return ad_analyzer._spectrum(inv_ad)
+        return ad_analyzer._spectrum(inv_ad[0].field, ad_analyzer._linear_exponents(inv_ad))
     except CapExceededError as refusal:
         return str(refusal)
 

@@ -570,6 +570,32 @@ def test_close_diagonal_on_hand_made_diagonals(spec, unit, monkeypatch):
         assert (not refinements) == chain, (spec, diag)
 
 
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)", "GF(9)"])
+def test_refinement_and_elementary_assembly_give_the_same_chain(spec):
+    # the two entry points of linalg._assemble: _refine_diagonal of seeded
+    # monic products of prime powers, and invariant_factors_from_elementary
+    # of their prime-power exponents
+    k = make_field(spec)
+    ring = poly._row_algebra(k)
+    pool = [g for d in (1, 2) for g in fields.monic_irreducibles(k, d, 3)]
+    rng = random.Random(f"assemble {spec}")
+    for _ in range(40):
+        entries, exponents = [], {}
+        for _ in range(rng.randint(1, 5)):
+            f = (k.one,)
+            for g in rng.sample(pool, rng.randint(1, 3)):
+                t = rng.randint(1, 3)
+                f = rp.mul(k, f, rp.power(k, g, t))
+                exponents.setdefault(g, []).append(t)
+            entries.append(f)
+        refined = linalg._refine_diagonal(ring, [ring.pack(f) for f in entries])
+        assert _is_chain(ring, refined), entries
+        n = sum(len(f) - 1 for f in entries)
+        assembled = linalg.invariant_factors_from_elementary(k, exponents, n, "assembly test")
+        nontrivial = [tuple(ring.unpack(d, ring.size(d))) for d in refined if ring.size(d) > 1]
+        assert nontrivial == [f.raw for f in assembled], entries
+
+
 def test_invariant_factor_list_validates_chain():
     f2 = make_field("GF(2)")
     with pytest.raises(Exception):

@@ -63,14 +63,15 @@ no pivot).  Over K(Z) the coefficients are raw draws
 (fields.RationalFunctionField.random_raw: random_payload's element and rng
 calls, with no canonical form), and each combination is first specialised
 at Z = z0 for a fixed, bounded list of points z0
-(fields.specialisation_points: all of K, then GF(|K|^2)), each payload once
-per point for the whole sweep, tried cyclically from the point that
-certified the previous combination of any eigenvalue
-(linalg.certifying_point).  Where no denominator vanishes, det(M)(z0) =
-det(M(z0)), so an invertible M(z0) certifies M: the deterministic,
-one-sided half of Schwartz (J. ACM 27, 1980).  Only a matrix that no point
-certifies is built from canonical coefficients and ranked exactly over
-K(Z) (linalg.full_rank), so a singular one is still found and reported.
+(fields.specialisation_points: all of K, then GF(|K|^2)), the basis once
+per point and eigenvalue, each coefficient vector once per point it meets,
+tried cyclically from the point that certified the previous combination of
+any eigenvalue (linalg.certifying_point).  Where no denominator vanishes,
+det(M)(z0) = det(M(z0)), so an invertible M(z0) certifies M: the
+deterministic, one-sided half of Schwartz (J. ACM 27, 1980).  Only a matrix
+that no point certifies is built from canonical coefficients and ranked
+exactly over K(Z) (linalg.full_rank), so a singular one is still found and
+reported.
 Every ConsistencyError names the instance (field and size) and the check
 that failed.
 
@@ -78,7 +79,6 @@ build_gas_companion goes the other way: from (p, n, e, a) it constructs the
 companion matrix of X^(p^(n+e)) - X^(p^e) - a.
 """
 
-import collections
 import functools
 import math
 import random
@@ -101,7 +101,6 @@ from .linalg import (
     full_rank,
     invariant_factors,
     invariant_factors_from_elementary,
-    similar,
     sylvester_invariant_factors,
 )
 from .poly import (
@@ -551,13 +550,14 @@ def _eigenvector_invertibility(a, bases, seed):
     element and the rng calls of random_payload, with no canonical form.
     Each combination is first tried at the specialisation points
     (linalg.certifying_point), formed from the specialised coefficients
-    and basis (_basis_sums), each payload specialised once per point for
-    the whole sweep.  The points are tried cyclically from the one that
-    certified the previous combination, of any eigenvalue.  Only a
-    combination that no point certifies, and every combination over a
-    finite field, is formed over the field, from canonical coefficients,
-    and ranked exactly (linalg.full_rank).  The basis is independent and no
-    draw is all zero, so every combination is nonzero."""
+    and basis (_basis_sums): the basis once per point and eigenvalue, the
+    coefficients once per point they meet.  The points are tried
+    cyclically from the one that certified the previous combination, of
+    any eigenvalue.  Only a combination that no point certifies, and every
+    combination over a finite field, is formed over the field, from
+    canonical coefficients, and ranked exactly (linalg.full_rank).  The
+    basis is independent and no draw is all zero, so every combination is
+    nonzero."""
     field = a.field
     m = a.nrows
     rational = field.kind == "rational-function"
@@ -566,7 +566,6 @@ def _eigenvector_invertibility(a, bases, seed):
     draw = field.random_raw if rational else field.random_payload
     # a raw draw is zero when its numerator is
     is_zero = (lambda c: not c[0]) if rational else (lambda c: c == field.zero)
-    seen = collections.defaultdict(dict)
     failures = []
     checked = 0
     sampled = 0
@@ -580,7 +579,7 @@ def _eigenvector_invertibility(a, bases, seed):
             combos.append(("sampled combination", coeffs))
         checked += len(basis)
         sampled += len(combos) - len(basis)
-        exact, at = _basis_sums(field, basis, m * m, seen)
+        exact, at = _basis_sums(field, basis, m * m)
         for label, combo in combos:
             if rational:
                 point = certifying_point(field, m, functools.partial(at, combo), first)
@@ -595,7 +594,7 @@ def _eigenvector_invertibility(a, bases, seed):
     return InvertibilityVerdict(not failures, checked, sampled, failures)
 
 
-def _basis_sums(field, basis, n, seen):
+def _basis_sums(field, basis, n):
     """(exact, at): the sweep's sums c * vec of the basis (vectors of n
     payloads) for coeffs packed in the field's row algebra, exact(coeffs)
     over the field, and at(combo, i, point) at the i-th specialisation
@@ -603,15 +602,14 @@ def _basis_sums(field, basis, n, seen):
     where a vector with a nonzero coefficient has a pole.  combo is a list
     of payloads, reduced or not, or an index: that basis vector itself.
     Each sum is one apply, packed, on the basis as columns, specialised
-    once per point.  seen, a defaultdict(dict), holds at seen[i] the i-th
-    point's fields.specialise memo."""
+    once per point."""
     rows = _row_algebra(field)
     exact = functools.partial(rows.apply, rows.columns(basis), n=n)
     at_point = {}
 
     def at(combo, i, point):
         if i not in at_point:
-            vecs = [specialise(field, vec, point, seen[i]) for vec in basis]
+            vecs = [specialise(field, vec, point) for vec in basis]
             point_rows = _row_algebra(point[0])
             # a vector with a pole enters as a zero column
             at_point[i] = (
@@ -623,25 +621,13 @@ def _basis_sums(field, basis, n, seen):
         point_rows, packed, columns, poles = at_point[i]
         if isinstance(combo, int):
             return packed[combo]
-        cs = specialise(field, combo, point, seen[i])
+        cs = specialise(field, combo, point)
         # a nonzero coefficient that vanishes at z0 still needs its vector there
         if cs is None or any(combo[j][0] for j in poles):
             return None
         return point_rows.apply(columns, point_rows.pack(cs), n)
 
     return exact, at
-
-
-def check_similarity_shift(a: Matrix, b) -> bool:
-    """Whether A is similar to A + b*I.
-
-    Equal invariant factors decide this outright, so no precondition on the
-    minimal polynomial is needed; when mu_A(X) != mu_A(X+b) the answer is
-    False for free.
-    """
-    if not a.is_square():
-        raise InputError("similarity shift needs a square matrix")
-    return similar(a, a.scalar_shift(a.field.element(b)))
 
 
 def contains_subfield(field, n) -> bool:

@@ -1298,21 +1298,18 @@ def specialisation_points(k):
     return points[:SPECIALISATION_TRIES]
 
 
-def specialise(field, payloads, point, seen=None):
+def specialise(field, payloads, point):
     """The K(Z) payloads at Z = z0, as payloads of the point's target field
     (a point of specialisation_points(field.base)), or None when a
     denominator vanishes at z0.  Where no denominator vanishes, Z -> z0 is
     a ring map, so it commutes with sums, products and determinants:
     det(M)(z0) = det(M(z0)), and an invertible M(z0) proves M invertible.
-    A payload (num, den) need not be in lowest terms.
-
-    seen, {payload: its value at z0, or _POLE}, is kept by a caller that
-    specialises many vectors at one point; each payload is evaluated once."""
+    A payload (num, den) need not be in lowest terms.  Each distinct
+    payload is evaluated once per call; the first pole returns None."""
     target, coeff, z0 = point
     add, mul, zero = target.add, target.mul, target.zero
     out = []
-    if seen is None:
-        seen = {}  # a vector repeats its entries, zero above all
+    seen = {}  # a vector repeats its entries, zero above all
     for a in payloads:
         x = seen.get(a)
         if x is None:
@@ -1322,17 +1319,10 @@ def specialise(field, payloads, point, seen=None):
             for c in reversed(den):
                 d = add(mul(d, z0), coeff[c])
             if d == zero:
-                x = _POLE
-            else:
-                x = zero
-                for c in reversed(num):
-                    x = add(mul(x, z0), coeff[c])
-                x = target.div(x, d)
-            seen[a] = x
-        if x is _POLE:
-            return None
+                return None
+            x = zero
+            for c in reversed(num):
+                x = add(mul(x, z0), coeff[c])
+            x = seen[a] = target.div(x, d)
         out.append(x)
     return out
-
-
-_POLE = object()

@@ -38,13 +38,11 @@ GF(p^n).
 """
 
 import itertools
-import math
 
 from . import _ringops as rp
 from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import (
     MAX_FIELD_SIZE,
-    FieldElement,
     RationalFunctionField,
     _TabulatedField,
     monic_irreducibles,
@@ -340,20 +338,3 @@ def irreducible(f: Poly) -> bool:
         return False
     return bivariate_irreducible_oracle(f)
 
-
-def coprime_difference_irreducible(f: Poly, g: Poly) -> bool:
-    """Oracle verdict for f(X) - g(Z) when gcd(deg f, deg g) = 1.
-
-    The classical criterion promises irreducibility; the caller asserts the
-    returned verdict, keeping criterion and search independent.
-    """
-    if f.field != g.field or f.field.order is None:
-        raise InputError("f and g must be polynomials over one finite field")
-    if math.gcd(f.degree(), g.degree()) != 1:
-        raise InputError("degrees of f and g must be coprime")
-    K = f.field
-    F = RationalFunctionField(K)
-    h = Poly(F, [F.constant(FieldElement(K, c)) for c in f.raw])
-    gz = F.fraction(g.raw, (K.one,))
-    h = h - Poly.constant(F, gz)
-    return bivariate_irreducible_oracle(h)

@@ -31,8 +31,8 @@ A's elementary divisors pi^r come from one factorization of its last
 invariant factor and each prime's multiplicity in every factor
 (_elementary_divisors, which elementary_divisors_from_invariant reads
 too).  Each pair of them gives a semisimple part from its two primes
-(_sylvester_divisors: closed forms when the primes are equal or one is
-linear, a Krylov run on at most 256 dimensions otherwise) and a nilpotent
+(_sylvester_divisors: closed forms when the primes are equal or the first
+is linear, a Krylov run on at most 256 dimensions otherwise) and a nilpotent
 part of type λ(r, s) (nilpotent_tensor_type: closed forms, Heller's
 reduction, otherwise the Smith form below).  _assemble turns their
 exponents into the invariant factors, so no Smith form runs on ad A.
@@ -201,8 +201,8 @@ class Matrix:
         return Matrix.from_raw(k, out)
 
     def rank(self):
-        rows = _row_algebra(self.field)
-        return _rank(rows, map(rows.pack, self.rows))
+        rows, echelon = _row_algebra(self.field), {}
+        return sum(rows.extend(echelon, rows.pack(row), None)[0] for row in self.rows)
 
     def is_invertible(self):
         """Whether the matrix is square and invertible.  Over K(Z) the
@@ -261,12 +261,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field.spec_string()}, {self.nrows}x{self.ncols})"
-
-
-def _rank(algebra, rows):
-    """Rank of the rows, packed in the row algebra (poly._row_algebra)."""
-    echelon = {}
-    return sum(algebra.extend(echelon, row, None)[0] for row in rows)
 
 
 def full_rank(field, m, vec):
@@ -905,6 +899,8 @@ def _sylvester_divisors(field, pi, pj):
     """[(g, copies)]: the elementary divisors of Y -> C(pi) Y - Y C(pj) on
     deg pi x deg pj matrices, pi and pj raw monic irreducible over the
     finite field, all of exponent 1 (the operator is semisimple).
+    ad_elementary_divisors pairs each prime only with itself and the later
+    ones of _factor_raw's order, degree ascending, so deg pi <= deg pj.
 
     - pi = pj of degree d: K ⊗ K, K = F[X]/(pi), is d copies of K, on which
       the operator is multiplication by x - x^(q^k) mod pi, k < d.  So d
@@ -912,7 +908,8 @@ def _sylvester_divisors(field, pi, pj):
       for k = 1..d-1; the x^(q^k) come off _ringops.frobenius_chain and
       g_k from poly._min_dependence.
     - pi = X - a: the operator is a - x on F[X]/(pj), so one copy of
-      pj(X + a) with X -> -X.  pj = X - b: one copy of pi(X + b).
+      pj(X + a) with X -> -X.  A linear pj after a nonlinear pi, in any
+      other order, has coprime degrees and takes the branch below.
     - Otherwise from the invariant factors of the operator itself,
       kron(C(pi), I) - kron(I, C(pj)), at most 256 dimensions since
       deg pi + deg pj <= 32 under analyze's cap.  K_i ⊗ K_j is gcd(d_i, d_j)
@@ -931,8 +928,6 @@ def _sylvester_divisors(field, pi, pj):
         return list(counts.items())
     if len(pi) == 2:
         return [(_negated(k, rp.compose(k, pj, (k.neg(pi[0]), k.one))), 1)]
-    if len(pj) == 2:
-        return [(rp.compose(k, pi, (k.neg(pj[0]), k.one)), 1)]
     ci, cj = companion(Poly.from_raw(k, pi)), companion(Poly.from_raw(k, pj))
     op = kron(ci, Matrix.identity(k, cj.nrows)) - kron(Matrix.identity(k, ci.nrows), cj)
     factors = [f.raw for f in invariant_factors(op)]

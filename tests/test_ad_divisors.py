@@ -23,7 +23,7 @@ from aslab.linalg import (
     kron,
     nilpotent_tensor_type,
 )
-from aslab.poly import Poly, is_irreducible_finite
+from aslab.poly import Poly, _factor_raw, is_irreducible_finite
 from aslab.tensor import TensorInstance, tensor_jordan_type_oracle
 
 FIELDS = ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(25)", "GF(27)"]
@@ -101,6 +101,29 @@ def _same(route, reference):
 def test_route_equals_krylov_on_seeded_inputs(spec):
     for a in _inputs(spec):
         assert _same(_by_divisors(a), _reference(a)), a
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)", "GF(9)"])
+def test_ad_divisors_do_not_depend_on_the_pair_order(spec):
+    # ad_elementary_divisors pairs each divisor with the later ones; in
+    # _factor_raw's degree-ascending order a linear second prime means a
+    # linear first one, reversed a (nonlinear, linear) pair takes
+    # _sylvester_divisors' coprime-degree branch
+    field = make_field(spec)
+    mixed = 0
+    for a in _inputs(spec):
+        raw = [f.raw for f in invariant_factors(a)]
+        primes = [g for g, _ in _factor_raw(field, raw[-1])]
+        divisors = linalg._elementary_divisors(field, raw, primes)
+        degrees = {len(pi) - 1 for pi, _ in divisors}
+        mixed += 1 in degrees and len(degrees) > 1
+        results = []
+        for items in (list(divisors.items()), list(reversed(divisors.items()))):
+            exponents = linalg.ad_elementary_divisors(field, dict(items))
+            inv = linalg.invariant_factors_from_elementary(field, exponents, a.nrows ** 2, spec)
+            results.append((inv, ad_analyzer._spectrum(field, exponents)))
+        assert results[0] == results[1], (spec, a)
+    assert mixed >= 5, (spec, mixed)
 
 
 @pytest.mark.parametrize("spec", FIELDS)

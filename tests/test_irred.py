@@ -11,7 +11,6 @@ from aslab.fields import FieldElement, make_field
 from aslab.irred import (
     GasInstance,
     bivariate_irreducible_oracle,
-    coprime_difference_irreducible,
     gas_irreducible,
     irreducible,
     oracle_factor,
@@ -249,22 +248,9 @@ def test_criterion_oracle_agreement_sample():
 # difference polynomials with coprime degrees
 
 def test_coprime_difference_examples():
-    f5 = make_field("GF(5)")
-    assert coprime_difference_irreducible(
-        Poly.from_string(f5, "X^2-X"), Poly.from_string(f5, "Z^3", var="Z")
-    )
-    f2 = make_field("GF(2)")
-    assert coprime_difference_irreducible(
-        Poly.from_string(f2, "X^4-X^2"), Poly.from_string(f2, "Z^3", var="Z")
-    )
-
-
-def test_coprime_difference_rejects_common_degree_factor():
-    f3 = make_field("GF(3)")
-    with pytest.raises(InputError):
-        coprime_difference_irreducible(
-            Poly.from_string(f3, "X^2"), Poly.from_string(f3, "Z^2", var="Z")
-        )
+    # f(X) - g(Z) with gcd(deg f, deg g) = 1 is irreducible
+    assert bivariate_irreducible_oracle(Poly.from_string(make_field("GF(5)(Z)"), "X^2-X-Z^3"))
+    assert bivariate_irreducible_oracle(Poly.from_string(make_field("GF(2)(Z)"), "X^4-X^2-Z^3"))
 
 
 # ---------------------------------------------------------------------------

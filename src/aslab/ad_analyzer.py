@@ -493,7 +493,7 @@ def _conjugator_eigenspaces(a, mu_a, dims):
     where = _instance(field, m)
     c = companion(mu_a)
     rows = _row_algebra(field)
-    a_columns = rows.columns(zip(*a.rows))
+    a_columns = rows.matrix_columns(a.rows)
     # the Krylov vectors A^i e_0 are the left powers of e_0, an m x 1 matrix
     e_0 = Matrix.from_raw(field, [[field.one]] + [[field.zero]] * (m - 1))
     krylov = _left_powers(rows, a_columns, e_0)
@@ -530,9 +530,10 @@ def _conjugator_eigenspaces(a, mu_a, dims):
 
 def _left_powers(rows, a_columns, t):
     """T, A T, ..., A^(m-1) T, T m x k, as row-major payload vectors: each
-    column of A^(i+1) T is apply of A's columns (a_columns) to A^i T's."""
+    column of A^(i+1) T is apply of A's columns (a_columns) to A^i T's, and
+    T's columns are its apply columns expanded to vectors."""
     m = t.nrows
-    powers = [[rows.pack(col) for col in zip(*t.rows)]]
+    powers = [[rows.expand(col, m) for col in rows.matrix_columns(t.rows)]]
     while len(powers) < m:
         powers.append([rows.apply(a_columns, col, m) for col in powers[-1]])
     # each power's packed columns as its rows, flattened

@@ -21,9 +21,11 @@ divisibility chain, so no pivot is tested against the rest of the matrix.
 A diagonal whose entries, sorted by degree, already divide one another
 is that chain; any other is closed by factor refinement of its entries
 into a pairwise coprime base (Bach, Driscoll and Shallit, "Factor
-refinement", J. Algorithms 1993).  One reader of exponents (_exponents)
-and one assembler of factors from them (_assemble) serve the refinement,
-invariant_factors_from_elementary and _elementary_divisors.
+refinement", J. Algorithms 1993): _exponents reads the exponent of each
+base element in each entry, and _assemble, which also serves
+invariant_factors_from_elementary, builds the chain from them.
+_elementary_divisors counts each prime's exponents over an invariant
+factor chain in one loop, one multiplicity per run of equal factors.
 
 Over a finite field the invariant factors of ad A come without the m^2 x
 m^2 ad A (ad_elementary_divisors, then invariant_factors_from_elementary).
@@ -429,15 +431,20 @@ class InvariantFactorList:
         if factors:
             field = factors[0].field
             ring = _row_algebra(field)
-            packed = [ring.pack(f.raw) for f in factors]
-            for i in range(len(packed) - 1):
-                if ring.divmod(packed[i + 1], packed[i])[1]:
+            # a factor divides an equal one: one division per run of equals
+            previous = ring.pack(factors[0].raw)
+            for i in range(len(factors) - 1):
+                if factors[i + 1].raw == factors[i].raw:
+                    continue
+                packed = ring.pack(factors[i + 1].raw)
+                if ring.divmod(packed, previous)[1]:
                     size = sum(f.degree() for f in factors)
                     raise ConsistencyError(
                         f"invariant factor chain broken over {field.spec_string()}, size "
                         f"{size}: factor {i} ({factors[i]}) does not divide factor {i + 1} "
                         f"({factors[i + 1]})"
                     )
+                previous = packed
         self.factors = factors
 
     def __iter__(self):
@@ -487,7 +494,7 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
     k = m.field
     n = m.nrows
     rows = _row_algebra(k)
-    columns = rows.columns(zip(*m.rows))
+    columns = rows.matrix_columns(m.rows)
     echelon = {}
     starts = []  # echelon index of each chain's first vector
     relations = []
@@ -516,11 +523,14 @@ def invariant_factors(m: Matrix) -> InvariantFactorList:
             relations.append(relation)
             if len(echelon) == n:
                 break
-    nontrivial = [
-        Poly.from_raw(k, rows.unpack(d, rows.size(d)))
-        for d in _smith_diagonal(rows, relations)
-        if rows.size(d) > 1
-    ]
+    # equal entries of the Smith diagonal are neighbours: one Poly per run
+    nontrivial = []
+    previous = None
+    for d in _smith_diagonal(rows, relations):
+        if rows.size(d) > 1:
+            if d != previous:
+                f, previous = Poly.from_raw(k, rows.unpack(d, rows.size(d))), d
+            nontrivial.append(f)
     total = sum(f.degree() for f in nontrivial)
     if total != n:
         raise ConsistencyError(
@@ -830,9 +840,18 @@ def elementary_divisors_from_invariant(inv: InvariantFactorList):
 
 def _elementary_divisors(field, factors, primes):
     """{(prime, exponent): count} of the raw invariant factors, given the
-    raw monic primes of the last one."""
-    exponents = _exponents(rp.ring(field), factors, primes)
-    return collections.Counter((g, t) for g, ts in exponents.items() for t in ts)
+    raw monic primes of the last one; one multiplicity per run of equal
+    factors."""
+    ring = rp.ring(field)
+    counts = {}
+    for g in primes:
+        previous = None
+        for f in factors:
+            if f != previous:
+                t, previous = ring.multiplicity(f, g), f
+            if t:
+                counts[g, t] = counts.get((g, t), 0) + 1
+    return counts
 
 
 def nilpotent_tensor_type(p, r, s):

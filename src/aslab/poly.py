@@ -690,6 +690,10 @@ class _PayloadRows(rp.PolyRing):
         zero = self.k.zero
         return [[(i, a) for i, a in enumerate(vec) if a != zero] for vec in vectors]
 
+    def matrix_columns(self, rows):
+        """apply's columns of the matrix with these payload rows."""
+        return self.columns(zip(*rows))
+
     def apply(self, columns, v, n):
         """The n x len(v) matrix with these columns times v: the sum of
         a * column over the nonzero coordinates a of v, a product by one
@@ -834,6 +838,17 @@ class _BitRows:
 
     def columns(self, vectors):
         return [self.pack(vec) for vec in vectors]
+
+    @staticmethod
+    def matrix_columns(rows):
+        """The packed columns of the matrix with these rows, nonempty, read
+        off one digit string of the rows, bottom row first: column j is
+        every width-th digit from j, the bottom row its top bit.  A row
+        reaches the string as a bytearray, which reads a tuple of ints in
+        half the time bytes takes."""
+        width = len(rows[0])
+        digits = b"".join(map(bytearray, reversed(rows))).translate(_TO_DIGITS)
+        return [int(digits[j::width], 2) for j in range(width)]
 
     @staticmethod
     def apply(columns, v, n):

@@ -599,17 +599,27 @@ def test_consistency_failure_exits_3(capsys, monkeypatch):
     assert "consistency" in err
 
 
-def _fresh_process(argv):
-    """(exit code, stdout, stderr) of the CLI run in a new interpreter."""
+def _fresh_python(*args):
+    """(exit code, stdout, stderr) of python3 args in a new interpreter."""
     env = dict(os.environ)
     src = str(pathlib.Path(aslab.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env["COLUMNS"] = "80"
     done = subprocess.run(
-        [sys.executable, "-m", "aslab.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
     return done.returncode, done.stdout, done.stderr
+
+
+def _fresh_process(argv):
+    """(exit code, stdout, stderr) of the CLI run in a new interpreter."""
+    return _fresh_python("-m", "aslab.cli", *argv)
+
+
+def test_importing_the_cli_leaves_the_acceptance_suites_unloaded():
+    # only grid runs the suites, so only grid imports them
+    code = "import sys, aslab.cli; print('aslab.acceptance' in sys.modules)"
+    assert _fresh_python("-c", code) == (0, "False\n", "")
 
 
 def test_consecutive_calls_print_what_a_fresh_process_prints(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -611,6 +612,24 @@ def test_a_broken_chain_names_the_field_the_size_and_the_factors():
         r"does not divide factor 2 \(X\^2\+1\)",
     ):
         InvariantFactorList(factors)
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])
+def test_a_run_of_equal_factors_is_checked_against_the_next(spec):
+    # the chain check divides once per run of equal neighbours; a break
+    # after the run still names the pair it falls between, and the run is
+    # checked against the factor before it, not an earlier one: X divides
+    # X^3+X, X^2 does not
+    field = make_field(spec)
+    x, f, g = (Poly.from_string(field, s) for s in ("X", "X^2", "X^3+X"))
+    for factors, size, i in (([f, f, g], 7, 1), ([x, f, f, g], 8, 2)):
+        with pytest.raises(
+            ConsistencyError,
+            match=rf"invariant factor chain broken over {re.escape(spec)}, size {size}: "
+            rf"factor {i} \(X\^2\) does not divide factor {i + 1} \(X\^3\+X\)",
+        ):
+            InvariantFactorList(factors)
+    assert list(InvariantFactorList([f, f, f])) == [f, f, f]
 
 
 def test_smith_degrees_short_of_the_size_name_the_instance(monkeypatch):
@@ -1330,6 +1349,46 @@ def test_apply_matches_a_reference_matrix_vector_product():
             columns = algebra.columns(zip(*rows))
             got = [algebra.unpack(algebra.apply(columns, algebra.pack(v), n), n) for v in vecs]
             assert got == expected, (field, rows)
+
+
+def _gf2_shapes():
+    """(nrows, ncols) of the shapes matrix_columns must pack: 1 x 1, then
+    1 x n, n x 1, n x n and two non-square shapes for each width n around
+    the byte and word boundaries, up to the 196 of the block sums."""
+    yield 1, 1
+    for n in (2, 7, 8, 9, 63, 64, 65, 196):
+        yield from ((1, n), (n, 1), (n, n), (n, n // 2 + 1), (n // 3 + 1, n))
+
+
+def test_matrix_columns_match_the_columns_of_the_transposed_rows():
+    # the GF(2) packer reads one digit string of the rows; the reference is
+    # the per-column pack of zip(*rows); all-zero and all-one rows included
+    field, rng = make_field("GF(2)"), random.Random(191)
+    bits = poly._row_algebra(field)
+    for nrows, ncols in _gf2_shapes():
+        for fill in ("random", "zero", "one", "mixed"):
+            if fill == "random":
+                rows = [[rng.randrange(2) for _ in range(ncols)] for _ in range(nrows)]
+            else:
+                rows = [[int(fill == "one" or (fill == "mixed" and i % 2))] * ncols
+                        for i in range(nrows)]
+            rows = tuple(map(tuple, rows))
+            assert bits.matrix_columns(rows) == bits.columns(zip(*rows)), (nrows, ncols, fill)
+
+
+def test_gf2_invariant_factors_match_payload_rows(monkeypatch):
+    # the packed columns and the one Poly per run of equal factors against
+    # the payload-list row algebra: seeded block sums of the benchmark's
+    # tail shape (p = 2, e = 1, seven blocks, 196 x 196, many equal
+    # factors) and random matrices up to the 32 x 32 cap
+    field, rng = make_field("GF(2)"), random.Random(193)
+    mats = [blocksum_ad_matrix([rng.randrange(2) for _ in range(7)], 1, 2) for _ in range(4)]
+    mats += [random_matrix(field, size, rng) for size in (1, 2, 3, 8, 9, 16, 31, 32)]
+    # a low-rank one: repeated factors X, X, ...
+    mats.append(Matrix(field, [[int(i == j == 0) for j in range(20)] for i in range(20)]))
+    for mat in mats:
+        expected = _with_payload_rows(monkeypatch, lambda: invariant_factors(mat))
+        assert invariant_factors(mat) == expected, mat
 
 
 def _reference_product(a, b):

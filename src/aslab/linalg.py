@@ -34,7 +34,10 @@ invariant factor and each prime's multiplicity in every factor
 (_elementary_divisors, which elementary_divisors_from_invariant reads
 too).  Each pair of them gives a semisimple part from its two primes
 (_sylvester_divisors: closed forms when the primes are equal or the first
-is linear, a Krylov run on at most 256 dimensions otherwise) and a nilpotent
+is linear, a Krylov run on at most 256 dimensions otherwise; it depends on
+the pair alone, so it is memoised process-wide on (field, pi, pj) in an
+lru_cache of SYLVESTER_MEMO_SIZE entries, bounded because its keys are
+data, unlike fields.memoised's, which the field cap bounds) and a nilpotent
 part of type λ(r, s) (nilpotent_tensor_type: closed forms, Heller's
 reduction, otherwise the Smith form below).  _assemble turns their
 exponents into the invariant factors, so no Smith form runs on ad A.
@@ -65,6 +68,7 @@ combination.
 
 import bisect
 import collections
+import functools
 import itertools
 import math
 
@@ -898,15 +902,12 @@ def ad_elementary_divisors(field, divisors):
     (j, i) is the pair (i, j) with X -> -X."""
     p = field.char
     exponents = collections.defaultdict(list)
-    sylvester = {}
     items = list(divisors.items())
     for a, ((pi, r), ci) in enumerate(items):
         for (pj, s), cj in items[a:]:
-            if (pi, pj) not in sylvester:
-                sylvester[pi, pj] = _sylvester_divisors(field, pi, pj)
             lam = nilpotent_tensor_type(p, r, s)
             reverse = (pj, s) != (pi, r)
-            for g, copies in sylvester[pi, pj]:
+            for g, copies in _sylvester_divisors(field, pi, pj):
                 ts = lam * (copies * ci * cj)
                 exponents[g].extend(ts)
                 if reverse:
@@ -914,18 +915,35 @@ def ad_elementary_divisors(field, divisors):
     return exponents
 
 
+# bound of _sylvester_divisors' memo: an entry holds about 0.5 KB on the
+# benchmark's inputs and 12 KB for a degree-32 prime paired with itself,
+# so a full memo takes about 0.5 MB, 12 MB at worst; one pass of a
+# benchmark workload fills at most 347 entries
+SYLVESTER_MEMO_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=SYLVESTER_MEMO_SIZE)
 def _sylvester_divisors(field, pi, pj):
-    """[(g, copies)]: the elementary divisors of Y -> C(pi) Y - Y C(pj) on
-    deg pi x deg pj matrices, pi and pj raw monic irreducible over the
+    """((g, copies), ...): the elementary divisors of Y -> C(pi) Y - Y C(pj)
+    on deg pi x deg pj matrices, pi and pj raw monic irreducible over the
     finite field, all of exponent 1 (the operator is semisimple).
     ad_elementary_divisors pairs each prime only with itself and the later
     ones of _factor_raw's order, degree ascending, so deg pi <= deg pj.
 
+    The result depends on the pair alone, not on the matrix it came from,
+    so it is memoised process-wide, keyed on (field, pi, pj), and returned
+    as tuples that no caller can change.  The memo is an lru_cache of
+    SYLVESTER_MEMO_SIZE entries, not fields.memoised: those caches are
+    keyed by fields, which the field cap bounds, but this one is keyed by
+    data, the primes of every matrix analyzed, and must be bounded.
+
     - pi = pj of degree d: K ⊗ K, K = F[X]/(pi), is d copies of K, on which
-      the operator is multiplication by x - x^(q^k) mod pi, k < d.  So d
-      copies of X, and d / deg g_k copies of g_k, its minimal polynomial,
-      for k = 1..d-1; the x^(q^k) come off _ringops.frobenius_chain and
-      g_k from poly._min_dependence.
+      the operator is multiplication by h_k = x - x^(q^k) mod pi, k < d.
+      So d copies of X, and d / deg g_k copies of g_k, its minimal
+      polynomial, for k = 1..d-1.  h_(d-k) = -σ^(-k)(h_k), σ the Frobenius
+      of K, is conjugate to -h_k, so g_(d-k) is g_k(-X) made monic
+      (_negated): only the x^(q^k) with k <= d / 2 come off
+      _ringops.frobenius_chain, with their g_k from poly._min_dependence.
     - pi = X - a: the operator is a - x on F[X]/(pj), so one copy of
       pj(X + a) with X -> -X.  A linear pj after a nonlinear pi, in any
       other order, has coprime degrees and takes the branch below.
@@ -939,21 +957,24 @@ def _sylvester_divisors(field, pi, pj):
     k = field
     if pi == pj:
         d = len(pi) - 1
-        counts = collections.Counter({(k.zero, k.one): d})
         x, ring = (k.zero, k.one), rp.ring(k)
-        for _, h in zip(range(d - 1), rp.frobenius_chain(k, pi)):
-            g = _min_dependence(k, ring.sub(x, h), pi)
+        # g_1 .. g_(d // 2), then g_k = _negated(g_(d-k)) up to g_(d-1)
+        chain = zip(range(d // 2), rp.frobenius_chain(k, pi))
+        gs = [_min_dependence(k, ring.sub(x, h), pi) for _, h in chain]
+        gs += [_negated(k, g) for g in reversed(gs[: (d - 1) // 2])]
+        counts = collections.Counter({(k.zero, k.one): d})
+        for g in gs:
             counts[g] += d // (len(g) - 1)
-        return list(counts.items())
+        return tuple(counts.items())
     if len(pi) == 2:
-        return [(_negated(k, rp.compose(k, pj, (k.neg(pi[0]), k.one))), 1)]
+        return ((_negated(k, rp.compose(k, pj, (k.neg(pi[0]), k.one))), 1),)
     ci, cj = companion(Poly.from_raw(k, pi)), companion(Poly.from_raw(k, pj))
     op = kron(ci, Matrix.identity(k, cj.nrows)) - kron(Matrix.identity(k, ci.nrows), cj)
     factors = [f.raw for f in invariant_factors(op)]
     if math.gcd(len(pi) - 1, len(pj) - 1) == 1:
-        return [(factors[-1], len(factors))]
+        return ((factors[-1], len(factors)),)
     primes = [g for g, _ in _factor_raw(k, factors[-1])]
-    return [(g, count) for (g, _), count in _elementary_divisors(k, factors, primes).items()]
+    return tuple((g, count) for (g, _), count in _elementary_divisors(k, factors, primes).items())
 
 
 def sylvester_invariant_factors(field, fs, gs):

@@ -776,7 +776,7 @@ class _BitRows:
 
     @staticmethod
     def pack(vec):
-        return int(bytes(vec[::-1]).translate(_TO_DIGITS) or b"0", 2)
+        return int(bytearray(vec[::-1]).translate(_TO_DIGITS) or b"0", 2)
 
     @staticmethod
     def unpack(v, n):

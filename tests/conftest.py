@@ -9,6 +9,18 @@ if str(src) not in sys.path:
 import pytest  # noqa: E402
 
 from aslab import _ringops as rp  # noqa: E402
+from aslab import linalg  # noqa: E402
+
+
+@pytest.fixture(autouse=True)
+def cold_sylvester_memo():
+    """Every test starts and ends with linalg._sylvester_divisors' process-wide
+    memo empty: what a test counts or patches under it (invariant_factors,
+    kron) does not depend on the tests run before it, and a patched run
+    leaves no entry behind."""
+    linalg._sylvester_divisors.cache_clear()
+    yield
+    linalg._sylvester_divisors.cache_clear()
 
 
 @pytest.fixture

@@ -2,12 +2,15 @@
 over K(Z) from the Smith form of the f_i(C(f_j) + T), against the reference
 route: Krylov on the m^2 x m^2 ad_matrix(a)."""
 
+import collections
+import json
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from aslab import _ringops as rp
 from aslab import ad_analyzer, linalg
 from aslab.acceptance import FORWARD_GRID
 from aslab.ad_analyzer import analyze, build_gas_companion
@@ -23,7 +26,7 @@ from aslab.linalg import (
     kron,
     nilpotent_tensor_type,
 )
-from aslab.poly import Poly, _factor_raw, is_irreducible_finite
+from aslab.poly import Poly, _factor_raw, _min_dependence, is_irreducible_finite
 from aslab.tensor import TensorInstance, tensor_jordan_type_oracle
 
 FIELDS = ["GF(2)", "GF(3)", "GF(4)", "GF(5)", "GF(7)", "GF(8)", "GF(9)", "GF(25)", "GF(27)"]
@@ -395,3 +398,66 @@ def test_invariant_factors_stay_within_budget(monkeypatch):
         analyze(a)
     assert len(dims) <= INVARIANT_FACTORS_BUDGET["calls"], dims
     assert sum(dims) <= INVARIANT_FACTORS_BUDGET["dim_sum"], sum(dims)
+
+
+def test_analyze_reports_are_the_same_cold_and_warm():
+    # linalg._sylvester_divisors is memoised process-wide: each report with
+    # the memo emptied first, then every report again with the memo full
+    memo, inputs = linalg._sylvester_divisors, _budget_inputs()
+    cold = []
+    for a in inputs:
+        memo.cache_clear()
+        cold.append(json.dumps(analyze(a).to_json_dict()))
+    for a in inputs:
+        analyze(a)
+    misses = memo.cache_info().misses
+    assert [json.dumps(analyze(a).to_json_dict()) for a in inputs] == cold
+    assert memo.cache_info().misses == misses and memo.cache_info().hits > 0
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])
+def test_sylvester_memo_returns_tuples_equal_to_the_function_it_wraps(spec):
+    # every ordered pair of monic irreducibles of degree <= 3, the
+    # (nonlinear, linear) pairs that ad_elementary_divisors never asks for
+    # included
+    field, memo = make_field(spec), linalg._sylvester_divisors
+    primes = [pi for d in (1, 2, 3) for pi in monic_irreducibles(field, d, field.order**d)]
+    for pi in primes:
+        for pj in primes:
+            got = memo(field, pi, pj)
+            assert all(isinstance(pair, tuple) and isinstance(pair[0], tuple) for pair in got)
+            assert isinstance(got, tuple) and got == memo.__wrapped__(field, pi, pj), (pi, pj)
+            assert memo(field, pi, pj) is got
+    assert memo.cache_info().currsize == len(primes) ** 2
+
+
+def _frobenius_loop(field, pi):
+    """[g_1, ..., g_(d-1)]: the minimal polynomial of x - x^(q^k) mod pi for
+    every k < d, each x^(q^k) off the Frobenius chain."""
+    d, x, ring = len(pi) - 1, (field.zero, field.one), rp.ring(field)
+    chain = zip(range(d - 1), rp.frobenius_chain(field, pi))
+    return [_min_dependence(field, ring.sub(x, h), pi) for _, h in chain]
+
+
+# (field, largest degree) of the equal-prime sweep: every monic irreducible
+EQUAL_PRIME_SWEEP = (("GF(2)", 7), ("GF(3)", 5), ("GF(4)", 4), ("GF(5)", 4), ("GF(7)", 3), ("GF(9)", 3))
+
+
+def test_equal_prime_divisors_equal_the_full_frobenius_loop():
+    # g_(d-k) is g_k(-X) made monic, since h_(d-k) = -σ^(-k)(h_k); the
+    # branch walks the chain for k <= d / 2 only and must give the loop's
+    # divisors in the loop's order
+    pairs = 0
+    for spec, largest in EQUAL_PRIME_SWEEP:
+        field = make_field(spec)
+        for d in range(1, largest + 1):
+            for pi in monic_irreducibles(field, d, field.order**d):
+                gs = _frobenius_loop(field, pi)
+                for k in range(1, d):
+                    assert gs[d - k - 1] == linalg._negated(field, gs[k - 1]), (spec, pi, k)
+                pairs += d - 1
+                counts = collections.Counter({(field.zero, field.one): d})
+                for g in gs:
+                    counts[g] += d // (len(g) - 1)
+                assert linalg._sylvester_divisors.__wrapped__(field, pi, pi) == tuple(counts.items()), (spec, pi)
+    assert pairs == 1983

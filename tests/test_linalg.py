@@ -1360,6 +1360,17 @@ def _gf2_shapes():
         yield from ((1, n), (n, 1), (n, n), (n, n // 2 + 1), (n // 3 + 1, n))
 
 
+def test_gf2_pack_matches_the_digit_string_of_the_vector():
+    # bit i is coordinate i: the digits, highest coordinate first, read in
+    # base 2; the empty vector is 0; tuples and lists alike
+    bits, rng = poly._row_algebra(make_field("GF(2)")), random.Random(779)
+    for n in (0, 1, 4, 25, 196):
+        for fill in ("random", "zero", "one"):
+            vec = [rng.randrange(2) if fill == "random" else int(fill == "one") for _ in range(n)]
+            expected = int("".join(map(str, reversed(vec))) or "0", 2)
+            assert bits.pack(vec) == bits.pack(tuple(vec)) == expected, (n, fill)
+
+
 def test_matrix_columns_match_the_columns_of_the_transposed_rows():
     # the GF(2) packer reads one digit string of the rows; the reference is
     # the per-column pack of zip(*rows); all-zero and all-one rows included

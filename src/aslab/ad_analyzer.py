@@ -19,6 +19,16 @@ X^(p^(n+e)) - X^(p^e), ad A is diagonalizable exactly when e = 0, and every
 eigenvector of ad A is invertible.  Any certification failure raises
 ConsistencyError since it would contradict a proven statement.
 
+A's invariant factors name its similarity class, and ad(P A P^(-1)) is
+ad A conjugated by Y -> P Y P^(-1), so all but the eigenvectors is work per
+class: _ad_of_class, memoised process-wide on the invariant factors (an
+lru_cache of AD_CLASS_MEMO_SIZE entries), gives c1-c3, ad A's invariant
+factors and spectrum on either route below, the c2 check and, when all
+three hold, the recovered data and their certification.  Per matrix are
+A's own invariant factors, the memo's key, and for a certified A the
+conjugator eigenspaces and the seeded invertibility sweep, which depend on
+A and the seed.
+
 Two routes give the invariant factors of ad A, and with them c1 and every
 eigenspace dimension; the field decides which runs.  Over a finite field
 ad A is never built (_ad_by_divisors).  A's invariant factors give its
@@ -286,23 +296,79 @@ def _check_caps(a: Matrix):
 
 
 def analyze(a: Matrix, seed: int = 0) -> AdReport:
-    """Full ad-operator analysis of a square matrix over F finite or K(Z)."""
+    """Full ad-operator analysis of a square matrix over F finite or K(Z).
+    A's invariant factors are its own work; everything they determine comes
+    from the class memo (_ad_of_class), and a certified A adds its
+    conjugator eigenspaces and the seeded sweep."""
     _check_caps(a)
     field = a.field
     m = a.nrows
-    # c3 first: over K(Z) it may end in the oracle's cap, which is then
-    # refused before ad A is built
     inv_a = invariant_factors(a)
+    c1, c2, c3, eigenvalues, dims, inv_ad, diagonalizable, recovered, failures = _ad_of_class(inv_a)
+    invertibility = None
+    if recovered is not None:
+        recovered = dict(recovered)
+        invertibility = _eigenvector_invertibility(
+            a, _conjugator_eigenspaces(a, recovered["h"], dims), seed
+        )
+        if not invertibility.all_invertible:
+            raise ConsistencyError(
+                f"{_instance(field, m)}: certified matrix has a non-invertible ad eigenvector: "
+                + "; ".join(invertibility.failures)
+            )
+
+    return AdReport(
+        field=field,
+        size=m,
+        c1=c1,
+        c2=c2,
+        c3=c3,
+        eigenvalues=eigenvalues,
+        eigenvalue_set_is_subfield=c2,
+        eigenspace_dims=dims,
+        invariant_factors=inv_ad,
+        diagonalizable=diagonalizable,
+        recovered=recovered,
+        eigenvector_invertibility=invertibility,
+        failures=list(failures),
+    )
+
+
+# bound of _ad_of_class' memo: an entry holds about 1.5 KB on the
+# benchmark's inputs, 6-10 KB for a random 32 x 32 matrix over GF(2) or
+# GF(3) and 77 KB for 32 distinct diagonal entries over GF(729) (567
+# eigenvalues; at most 729), so a full memo takes about 0.4 MB, 25 MB at
+# worst; one pass of a benchmark workload fills at most 182 entries
+AD_CLASS_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=AD_CLASS_MEMO_SIZE)
+def _ad_of_class(inv_a):
+    """(c1, c2, c3, eigenvalues, eigenspace dims, invariant factors of ad A,
+    diagonalizable, recovered data as (key, value) pairs or None, failures)
+    for every A with these invariant factors: they name A's similarity
+    class, and ad(P A P^(-1)) is ad A conjugated by Y -> P Y P^(-1), so
+    the spectrum, the eigenspace dimensions, the invariant factors of ad A
+    and c1-c3 are the class's.
+
+    Memoised process-wide on inv_a, in an lru_cache of AD_CLASS_MEMO_SIZE
+    entries (bounded: its keys are data, as linalg._sylvester_divisors'
+    are), and made of immutable values only, so reports can share them.
+    An exception (an oracle refusal, a ConsistencyError) is not cached."""
+    field = inv_a[0].field
+    m = sum(f.degree() for f in inv_a)
     cyclic = len(inv_a) == 1
     mu_a = inv_a.minimal_polynomial()
     if field.order is None:
+        # c3 first: it may end in the oracle's cap, which is then refused
+        # before ad A is built
         c3 = cyclic and irreducible(mu_a)
         inv_ad = _ad_by_sylvester(field, inv_a)
         spectrum = _spectrum(field, _linear_exponents(inv_ad))
     else:
-        c3, inv_ad, spectrum = _ad_by_divisors(a, inv_a)
-    eigenvalues = [v for v, _, _ in spectrum]
-    dims = [(v, d) for v, _, d in spectrum]
+        c3, inv_ad, spectrum = _ad_by_divisors(field, inv_a)
+    eigenvalues = tuple(v for v, _, _ in spectrum)
+    dims = tuple((v, d) for v, _, d in spectrum)
     accounted = sum(mult for _, mult, _ in spectrum)
     c1 = accounted == m * m
     diagonalizable = sum(d for _, d in dims) == m * m
@@ -324,31 +390,11 @@ def analyze(a: Matrix, seed: int = 0) -> AdReport:
             failures.append(f"c3: minimal polynomial {mu_a} is reducible")
 
     recovered = None
-    invertibility = None
     if c1 and c2 and c3:
-        recovered = _recover_and_certify(field, m, mu_a, eigenvalues, dims, inv_ad, diagonalizable)
-        invertibility = _eigenvector_invertibility(a, _conjugator_eigenspaces(a, mu_a, dims), seed)
-        if not invertibility.all_invertible:
-            raise ConsistencyError(
-                f"{_instance(field, m)}: certified matrix has a non-invertible ad eigenvector: "
-                + "; ".join(invertibility.failures)
-            )
-
-    return AdReport(
-        field=field,
-        size=m,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        eigenvalues=tuple(eigenvalues),
-        eigenvalue_set_is_subfield=c2,
-        eigenspace_dims=tuple(dims),
-        invariant_factors=inv_ad,
-        diagonalizable=diagonalizable,
-        recovered=recovered,
-        eigenvector_invertibility=invertibility,
-        failures=failures,
-    )
+        recovered = tuple(
+            _recover_and_certify(field, m, mu_a, eigenvalues, dims, inv_ad, diagonalizable).items()
+        )
+    return c1, c2, c3, eigenvalues, dims, inv_ad, diagonalizable, recovered, tuple(failures)
 
 
 def _ad_by_krylov(a):
@@ -387,13 +433,13 @@ def _spectrum(field, exponents):
     return sorted(spectrum, key=lambda entry: entry[0].sort_key())
 
 
-def _ad_by_divisors(a, inv_a):
-    """(c3, invariant factors of ad A, spectrum) over a finite field, with
-    no ad_matrix: one factorization of mu_A gives A's elementary divisors
-    (linalg._elementary_divisors), and ad A's, from ad_elementary_divisors,
-    give its invariant factors and the spectrum.  c3 is one prime in mu_A,
-    of multiplicity 1, in a cyclic A."""
-    field, m = a.field, a.nrows
+def _ad_by_divisors(field, inv_a):
+    """(c3, invariant factors of ad A, spectrum) over a finite field, from
+    A's invariant factors inv_a, with no ad_matrix: one factorization of
+    mu_A gives A's elementary divisors (linalg._elementary_divisors), and
+    ad A's, from ad_elementary_divisors, give its invariant factors and the
+    spectrum.  c3 is one prime in mu_A, of multiplicity 1, in a cyclic A."""
+    m = sum(f.degree() for f in inv_a)
     raw = [f.raw for f in inv_a]
     primes = _factor_raw(field, raw[-1])
     c3 = len(raw) == 1 and [mult for _, mult in primes] == [1]

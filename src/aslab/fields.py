@@ -1130,16 +1130,20 @@ def _subfield_check(values):
     """Is this finite set of field elements, 0 among them, a subfield?
     Returns (bool, witness).  Both callers hold 0: analyze's eigenvalues
     (ad A kills the identity, so X divides mu_ad) and a span
-    (SubspaceR.is_subfield)."""
+    (SubspaceR.is_subfield).  The closure runs on payloads, through the
+    descriptor's sub and mul; only a witness is written with the elements."""
     field = values[0].field
     have = {v.payload for v in values}
     if field.one not in have:
         return False, "eigenvalue set does not contain 1"
+    sub, mul = field.sub, field.mul
     for x in values:
+        a = x.payload
         for y in values:
-            if (x - y).payload not in have:
+            b = y.payload
+            if sub(a, b) not in have:
                 return False, f"not closed under subtraction: ({x}) - ({y}) missing"
-            if (x * y).payload not in have:
+            if mul(a, b) not in have:
                 return False, f"not closed under multiplication: ({x}) * ({y}) missing"
     return True, None
 

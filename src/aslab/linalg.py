@@ -426,7 +426,8 @@ def eigenspace(m: Matrix, lam) -> list:
 
 
 class InvariantFactorList:
-    """Nontrivial invariant factors, each monic, each dividing the next."""
+    """Nontrivial invariant factors, each monic, each dividing the next;
+    immutable, like Poly, so one list can key a memo and be shared."""
 
     __slots__ = ("factors",)
 
@@ -449,7 +450,10 @@ class InvariantFactorList:
                         f"({factors[i + 1]})"
                     )
                 previous = packed
-        self.factors = factors
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, *args):
+        raise AttributeError("InvariantFactorList is immutable")
 
     def __iter__(self):
         return iter(self.factors)

@@ -9,18 +9,23 @@ if str(src) not in sys.path:
 import pytest  # noqa: E402
 
 from aslab import _ringops as rp  # noqa: E402
-from aslab import linalg  # noqa: E402
+from aslab import ad_analyzer, linalg  # noqa: E402
+
+MEMOS = (linalg._sylvester_divisors, ad_analyzer._ad_of_class)
 
 
 @pytest.fixture(autouse=True)
-def cold_sylvester_memo():
-    """Every test starts and ends with linalg._sylvester_divisors' process-wide
-    memo empty: what a test counts or patches under it (invariant_factors,
-    kron) does not depend on the tests run before it, and a patched run
-    leaves no entry behind."""
-    linalg._sylvester_divisors.cache_clear()
+def cold_memos():
+    """Every test starts and ends with the process-wide memos empty
+    (linalg._sylvester_divisors, ad_analyzer._ad_of_class): what a test
+    counts or patches under them (invariant_factors, kron, irreducible)
+    does not depend on the tests run before it, and a patched run leaves no
+    entry behind."""
+    for memo in MEMOS:
+        memo.cache_clear()
     yield
-    linalg._sylvester_divisors.cache_clear()
+    for memo in MEMOS:
+        memo.cache_clear()
 
 
 @pytest.fixture

@@ -92,7 +92,7 @@ def _reference(a):
 
 
 def _by_divisors(a):
-    return ad_analyzer._ad_by_divisors(a, invariant_factors(a))
+    return ad_analyzer._ad_by_divisors(a.field, invariant_factors(a))
 
 
 def _same(route, reference):
@@ -401,18 +401,103 @@ def test_invariant_factors_stay_within_budget(monkeypatch):
 
 
 def test_analyze_reports_are_the_same_cold_and_warm():
-    # linalg._sylvester_divisors is memoised process-wide: each report with
-    # the memo emptied first, then every report again with the memo full
-    memo, inputs = linalg._sylvester_divisors, _budget_inputs()
+    # linalg._sylvester_divisors and ad_analyzer._ad_of_class are memoised
+    # process-wide: each report with both memos emptied first, then every
+    # report again with them full, when each class is a hit and its primes
+    # never reach the Sylvester memo
+    memos, inputs = (linalg._sylvester_divisors, ad_analyzer._ad_of_class), _budget_inputs()
     cold = []
     for a in inputs:
-        memo.cache_clear()
+        for memo in memos:
+            memo.cache_clear()
         cold.append(json.dumps(analyze(a).to_json_dict()))
     for a in inputs:
         analyze(a)
-    misses = memo.cache_info().misses
+    classes = ad_analyzer._ad_of_class.cache_info()
     assert [json.dumps(analyze(a).to_json_dict()) for a in inputs] == cold
-    assert memo.cache_info().misses == misses and memo.cache_info().hits > 0
+    after = ad_analyzer._ad_of_class.cache_info()
+    assert after.misses == classes.misses and after.hits == classes.hits + len(inputs)
+
+
+def _conjugator(field, m, rng):
+    """(P, P^(-1)) for a seeded invertible m x m P: a product of 2m
+    transvections I + c E_ij, i != j, and a diagonal of units, each with
+    its inverse at hand; the units are the field's, GF(p)'s over K(Z)."""
+    if field.order is None:
+        units = [field.from_int(i) for i in range(1, field.char)]
+    else:
+        units = [u for u in field.enumerate_payloads() if u != field.zero]
+    p = p_inv = Matrix.identity(field, m)
+    for _ in range(2 * m):
+        i, j = rng.sample(range(m), 2)
+        c = rng.choice(units)
+        rows = [list(row) for row in Matrix.identity(field, m).rows]
+        inverse = [list(row) for row in rows]
+        rows[i][j], inverse[i][j] = c, field.neg(c)
+        p, p_inv = p * Matrix.from_raw(field, rows), Matrix.from_raw(field, inverse) * p_inv
+    d = [rng.choice(units) for _ in range(m)]
+    diagonal = [[d[i] if i == j else field.zero for j in range(m)] for i in range(m)]
+    inverse = [[field.inv(d[i]) if i == j else field.zero for j in range(m)] for i in range(m)]
+    return p * Matrix.from_raw(field, diagonal), Matrix.from_raw(field, inverse) * p_inv
+
+
+def _similar_pairs():
+    """(A, P A P^(-1)) over GF(2), GF(3), GF(4) and GF(9), random and
+    certified A, plus a certified companion over GF(3)(Z)."""
+    pairs = []
+    for spec in ("GF(2)", "GF(3)", "GF(4)", "GF(9)"):
+        field, rng = make_field(spec), random.Random(spec)
+        inputs = [_random_matrix(field, m, rng) for m in (2, 3, 4, 5)]
+        inputs += [
+            jordan_block(field, 0, 3),
+            direct_sum(companion(Poly.from_string(field, "X^2")), jordan_block(field, 1, 2)),
+        ]
+        if spec != "GF(4)":
+            inputs.append(build_gas_companion(field, 1, 0, 1))
+        for a in inputs:
+            p, p_inv = _conjugator(field, a.nrows, rng)
+            assert p * p_inv == Matrix.identity(field, a.nrows)
+            pairs.append((a, p * a * p_inv))
+    field = make_field("GF(3)(Z)")
+    a = companion(Poly.from_string(field, "X^3-X-Z"))
+    p, p_inv = _conjugator(field, 3, random.Random(3))
+    assert p * p_inv == Matrix.identity(field, 3)
+    pairs.append((a, p * a * p_inv))
+    return pairs
+
+
+def test_similar_matrices_share_one_class_entry():
+    # ad(P A P^(-1)) is ad A conjugated by Y -> P Y P^(-1): B = P A P^(-1)
+    # after A is one hit on A's entry, and its report is its cold one
+    memo, certified, moved = ad_analyzer._ad_of_class, 0, 0
+    for a, b in _similar_pairs():
+        moved += a != b
+        memo.cache_clear()
+        cold = json.dumps(analyze(b).to_json_dict())
+        memo.cache_clear()
+        certified += analyze(a).passed()
+        assert json.dumps(analyze(b).to_json_dict()) == cold, b
+        info = memo.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1), (a, info)
+    assert (certified, moved) == (5, 27)
+
+
+@pytest.mark.parametrize(
+    "spec, first, second",
+    [("GF(2)", ["X^2", "X^2"], ["X", "X", "X^2"]), ("GF(3)", ["X-1", "X^2-2*X+1"], ["X^2-2*X+1"])],
+)
+def test_classes_with_one_minimal_polynomial_keep_their_own_entries(spec, first, second):
+    # mu_A alone does not name the class: each report, warm, is its cold one
+    field, memo = make_field(spec), ad_analyzer._ad_of_class
+    a, b = (direct_sum(*(companion(Poly.from_string(field, f)) for f in fs)) for fs in (first, second))
+    cold = []
+    for m in (a, b):
+        memo.cache_clear()
+        cold.append(json.dumps(analyze(m).to_json_dict()))
+    assert cold[0] != cold[1]
+    memo.cache_clear()
+    assert [json.dumps(analyze(m).to_json_dict()) for m in (a, b, a, b)] == cold + cold
+    assert memo.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])

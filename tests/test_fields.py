@@ -2007,3 +2007,56 @@ def test_operators_look_up_the_descriptor_method_at_each_call(monkeypatch):
     monkeypatch.setattr(fields.ExtensionField, "mul", counting)
     assert x * y == FieldElement(f9, original(f9, x.payload, y.payload))
     assert calls == [(x.payload, y.payload)]
+
+
+# ---------------------------------------------------------------------------
+# the subfield test on payloads
+
+
+def _operator_subfield_check(values):
+    """The subfield test on FieldElement operators, as fields._subfield_check
+    ran it before it worked on payloads."""
+    field = values[0].field
+    have = {v.payload for v in values}
+    if field.one not in have:
+        return False, "eigenvalue set does not contain 1"
+    for x in values:
+        for y in values:
+            if (x - y).payload not in have:
+                return False, f"not closed under subtraction: ({x}) - ({y}) missing"
+            if (x * y).payload not in have:
+                return False, f"not closed under multiplication: ({x}) * ({y}) missing"
+    return True, None
+
+
+@pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])
+def test_subfield_check_on_payloads_matches_operators_on_every_subset(spec):
+    # every subset holding 0, in enumeration order and reversed
+    zero, *rest = enumerate_elements(make_field(spec))
+    verdicts = []
+    for r in range(len(rest) + 1):
+        for subset in itertools.combinations(rest, r):
+            for values in ([zero, *subset], [*subset[::-1], zero]):
+                got = fields._subfield_check(values)
+                assert got == _operator_subfield_check(values), values
+                verdicts.append(got[0])
+    # the subfields, each in two orders: the field itself, and GF(2) in GF(4)
+    assert verdicts.count(True) == (4 if spec == "GF(4)" else 2)
+
+
+@pytest.mark.parametrize("spec", ["GF(9)", "GF(27)"])
+def test_subfield_check_on_payloads_matches_operators_on_seeded_subsets(spec):
+    field = make_field(spec)
+    zero, *rest = enumerate_elements(field)
+    prime = [FieldElement(field, field.from_int(i)) for i in range(field.char)]
+    rng = random.Random(spec)
+    cases = [[zero, *rest], prime, prime[::-1]]
+    for _ in range(200):
+        subset = rng.sample(rest, rng.randint(0, len(rest)))
+        subset.insert(rng.randint(0, len(subset)), zero)
+        cases.append(subset)
+        # with 1 and the prime field in, the test reaches the closure loop
+        cases.append(list(dict.fromkeys(prime + subset)))
+    for values in cases:
+        assert fields._subfield_check(values) == _operator_subfield_check(values), values
+    assert sum(fields._subfield_check(values)[0] for values in cases) >= 3

@@ -614,6 +614,17 @@ def test_a_broken_chain_names_the_field_the_size_and_the_factors():
         InvariantFactorList(factors)
 
 
+def test_invariant_factor_list_is_immutable_and_hashable():
+    # ad_analyzer's class memo keys on it and shares it across reports
+    f2 = make_field("GF(2)")
+    factors = [Poly.from_string(f2, s) for s in ("X", "X^2")]
+    inv = InvariantFactorList(factors)
+    with pytest.raises(AttributeError, match="immutable"):
+        inv.factors = ()
+    assert inv.factors == tuple(factors)
+    assert hash(inv) == hash(InvariantFactorList(factors)) and inv == InvariantFactorList(factors)
+
+
 @pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])
 def test_a_run_of_equal_factors_is_checked_against_the_next(spec):
     # the chain check divides once per run of equal neighbours; a break

@@ -59,11 +59,15 @@ p_power_split (n = m * p^s), ben_or_irreducible (for monic raw
 polynomials over any finite descriptor: the gcd of f with x^(q^d) - x at
 each d <= deg f / 2, the rule of poly._factor_raw, on one Frobenius chain,
 _ringops.frobenius_chain; poly.is_irreducible_finite wraps it),
-monic_irreducibles, whose locked cache also supplies default_modulus, the
-tables of _log_tables, _TabulatedField, the one k[T]/(m) field on those
-tables (the oracle's K[Z]/(m), with kind "quotient" and a sort key on the
-coefficients lowest first; ExtensionField is its subclass, with its own
-kind and the reversed key), and residues, the enumeration order of every
+monic_irreducibles (the search for the oracle's moduli, behind a locked
+cache that starts with default_modulus's table), default_modulus (a
+constant table, _DEFAULT_MODULI: the search's first answer for each
+GF(p^n) under the cap, so a default field is built with no search; every
+log-table build re-verifies its entry, and a custom modulus keeps Ben-Or's
+test), the tables of _log_tables, _TabulatedField, the one k[T]/(m) field
+on those tables (the oracle's K[Z]/(m), with kind "quotient" and a sort
+key on the coefficients lowest first; ExtensionField is its subclass, with
+its own kind and the reversed key), and residues, the enumeration order of every
 such field.  memoised is the one build-once cache: the log tables, the
 embedding tables, the specialisation points and dickson's symbolic forms
 are each built once per argument tuple, also under threads.
@@ -411,7 +415,40 @@ def ben_or_irreducible(k, f):
     return n >= 1
 
 
-_irreducible_cache = {}
+# the lexicographically smallest monic irreducible of degree n over GF(p),
+# low degree first, for every n >= 2 with p^n <= MAX_FIELD_SIZE: what
+# monic_irreducibles(PrimeField(p), n, 1)[0] finds, kept as data as
+# table-based finite-field systems keep their defining polynomials (Heath
+# and Loehr, J. Symbolic Comput. 38, 2004); every log-table build checks
+# its entry again (_generator_on_t)
+_DEFAULT_MODULI = {
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 0, 1, 1),
+    (2, 4): (1, 0, 0, 1, 1),
+    (2, 5): (1, 0, 0, 1, 0, 1),
+    (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1),
+    (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 0, 2, 1),
+    (3, 4): (1, 0, 1, 1, 1),
+    (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1),
+    (5, 2): (1, 1, 1),
+    (5, 3): (1, 0, 1, 1),
+    (5, 4): (1, 0, 1, 1, 1),
+    (7, 2): (1, 0, 1),
+    (7, 3): (1, 0, 1, 1),
+    (11, 2): (1, 0, 1),
+    (13, 2): (1, 3, 1),
+    (17, 2): (1, 1, 1),
+    (19, 2): (1, 0, 1),
+    (23, 2): (1, 0, 1),
+}
+
+# the search's cache starts with the table's answers
+_irreducible_cache = {(PrimeField(p), n): [m] for (p, n), m in _DEFAULT_MODULI.items()}
 _irreducible_lock = threading.Lock()
 
 
@@ -450,8 +487,11 @@ def monic_irreducibles(k, degree, count):
 
 
 def default_modulus(p, n):
-    """Lexicographically smallest monic irreducible of degree n over GF(p)."""
-    return monic_irreducibles(PrimeField(p), n, 1)[0]
+    """Lexicographically smallest monic irreducible of degree n >= 2 over
+    GF(p), p^n within the cap: the entry of _DEFAULT_MODULI, with no search.
+    A wrong entry cannot pass unseen: the log tables of a reducible modulus
+    raise ConsistencyError."""
+    return _DEFAULT_MODULI[p, n]
 
 
 # log of zero: far enough below every log that a sum or difference with it
@@ -518,15 +558,20 @@ def _digits(k):
 def _digit_sums(k, s):
     """sums[a][b]: the index of the digitwise sum of the s-digit residue
     indices a and b (_digits), at most 81 rows of bytes (s = 2 over
-    GF(9))."""
+    GF(9)).
+
+    With B = |k|^(s-1), a = lo + B top and b = lo' + B top', the sum is
+    lower[lo][lo'] + B add[top][top'], lower the (s-1)-digit table: row a
+    is the row lower[lo] once per top', each copy shifted by one
+    bytes.translate, every index below 256."""
     add = _digits(k)[1]
     if s == 1:
         return add
-    size, lower = len(add), _digit_sums(k, s - 1)
-    return [
-        bytes(add[a % size][b % size] + size * lower[a // size][b // size] for b in range(size**s))
-        for a in range(size**s)
-    ]
+    lower = _digit_sums(k, s - 1)
+    big = len(lower)
+    # shifts[t] adds big * t to every byte
+    shifts = [bytes(range(c, 256)) + bytes(range(c)) for c in range(0, big * len(add), big)]
+    return [b"".join([low.translate(shifts[t]) for t in row]) for row in add for low in lower]
 
 
 def _split_powers(columns, sums, mul):

@@ -420,10 +420,13 @@ def test_log_tables_of_a_reducible_modulus_name_the_instance(spec, modulus):
     assert f"expected {k.order**d - 1}" in str(err.value)
 
 
-def test_irreducible_cache_under_threads():
+def test_irreducible_cache_under_threads(monkeypatch):
     # more threads than cores fill and read the shared cache at once, with a
     # tiny switch interval; each must get the sequential answer and the
-    # cache must end up holding the longest list asked for
+    # cache must end up holding the longest list asked for; the test clears
+    # a cache of its own, so the module's, which starts with the default
+    # moduli, is left as it was
+    monkeypatch.setattr(fields, "_irreducible_cache", {})
     k = make_field("GF(3)")
     expected = {c: fields.monic_irreducibles(k, 3, c) for c in (1, 4, 8)}
     old_interval = sys.getswitchinterval()
@@ -477,6 +480,86 @@ def test_default_modulus_lex_smallest_low_degree_first():
                 first = tuple(tail) + (1,)
                 break
         assert make_field(spec).modulus == first
+
+
+def test_default_moduli_cover_every_extension_under_the_cap():
+    expected = {
+        (p, n)
+        for p in range(2, fields.MAX_FIELD_SIZE + 1)
+        if fields.is_prime(p)
+        for n in range(2, fields.MAX_FIELD_SIZE.bit_length())
+        if p**n <= fields.MAX_FIELD_SIZE
+    }
+    assert set(fields._DEFAULT_MODULI) == expected
+
+
+def test_default_moduli_are_the_first_answers_of_the_search(monkeypatch):
+    # an empty cache, so that every answer comes from the search itself
+    monkeypatch.setattr(fields, "_irreducible_cache", {})
+    for (p, n), modulus in fields._DEFAULT_MODULI.items():
+        assert fields.monic_irreducibles(fields.PrimeField(p), n, 1)[0] == modulus, (p, n)
+
+
+def test_a_reducible_default_modulus_fails_the_log_table_build(monkeypatch):
+    # (t^2 + t + 1)^2 over GF(2): the build is the check on every entry
+    monkeypatch.setitem(fields._DEFAULT_MODULI, (2, 4), (1, 0, 1, 0, 1))
+    with pytest.raises(ConsistencyError, match="log tables: the modulus is not irreducible"):
+        make_field("GF(16)")
+
+
+# every (k, s) a log-table build reaches, s = ceil(d/2) for GF(|k|^d) under
+# the cap: the default fields over GF(p) and the oracle's quotients over
+# GF(4), GF(8) and GF(9)
+DIGIT_SUM_REACH = [
+    ("GF(2)", 5), ("GF(3)", 3), ("GF(5)", 2), ("GF(7)", 2),
+    ("GF(11)", 1), ("GF(13)", 1), ("GF(17)", 1), ("GF(19)", 1), ("GF(23)", 1),
+    ("GF(4)", 2), ("GF(8)", 2), ("GF(9)", 2),
+]
+
+
+@pytest.mark.parametrize("spec, largest", DIGIT_SUM_REACH)
+def test_digit_sums_are_the_digitwise_sums(spec, largest):
+    # index x = sum x_i |k|^i; the sum of x and y has digits x_i + y_i in k
+    k = make_field(spec)
+    els = list(k.enumerate_payloads())
+    place = {c: i for i, c in enumerate(els)}
+    size = len(els)
+
+    def digits(x, s):
+        return [x // size**i % size for i in range(s)]
+
+    for s in range(1, largest + 1):
+        expected = [
+            bytes(
+                sum(
+                    place[k.add(els[u], els[v])] * size**i
+                    for i, (u, v) in enumerate(zip(digits(a, s), digits(b, s)))
+                )
+                for b in range(size**s)
+            )
+            for a in range(size**s)
+        ]
+        assert fields._digit_sums(k, s) == expected, (spec, s)
+
+
+# SHA-256 (first 16 hex digits) of the repr of the log tables (q1, exp, log,
+# zech, neg) of the 23 default fields in (p, n) order, then of the oracle's
+# quotients over GF(4) and GF(9): the first two monic irreducibles of each
+# degree under the cap
+LOG_TABLE_DIGEST = "7ed57f70dc1ddbd8"
+
+
+def test_log_tables_of_the_default_fields_and_the_oracle_quotients_are_pinned():
+    builds = [(fields.PrimeField(p), m) for (p, _), m in sorted(fields._DEFAULT_MODULI.items())]
+    for spec in ("GF(4)", "GF(9)"):
+        k = make_field(spec)
+        d = 1
+        while k.order**d <= fields.MAX_FIELD_SIZE:
+            builds += [(k, m) for m in fields.monic_irreducibles(k, d, 2)]
+            d += 1
+    assert len(builds) == 37
+    tables = [fields._log_tables(k, m) for k, m in builds]
+    assert hashlib.sha256(repr(tables).encode()).hexdigest()[:16] == LOG_TABLE_DIGEST
 
 
 def test_make_field_rational():

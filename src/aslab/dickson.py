@@ -42,10 +42,13 @@ conjugate product with _ringops over the coefficient ring
 F[alpha] = F[X]/(q) (_ringops.PolyRing).  Both map payloads of GF(p^n)
 into F by a lookup in fields._embedding, the one table per field pair,
 whether F is finite or K(Z); elements are wrapped only at the boundary.
-A subspace is spanned once, by the one helper _span on payloads, whether
-it comes from enumerate_subspaces's echelon rows, a basis or its elements;
-SubspaceR keeps the span's sort keys, in order, for its sort key,
-equality, hash and Frobenius test.  SubspaceR.is_subfield is
+A subspace is spanned once, by the one helper _span on residue indices
+(fields._index_table, one per field: its payloads in enumeration order,
+their sort keys and a digitwise index sum), whether it comes from
+enumerate_subspaces's echelon rows, a basis or its elements; SubspaceR
+keeps the span's payloads and sort keys, in order, both shared with the
+table, for f_R, its sort key, equality, hash and Frobenius test, and
+wraps its elements only when they are read.  SubspaceR.is_subfield is
 fields._subfield_check, the test analyze applies to eigenvalue sets.
 """
 
@@ -56,6 +59,7 @@ from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import (
     FieldElement,
     _embedding,
+    _index_table,
     _linear_product,
     _subfield_check,
     _raw_poly_str,
@@ -244,53 +248,72 @@ def _dickson_form(m, p):
 # ---------------------------------------------------------------------------
 # subspaces of GF(p^n) over GF(p)
 
-def _span(ambient, payloads):
-    """(basis, span): the payloads that enlarge the GF(p)-span, in order,
-    and that span as {sort key: payload}, grown one vector at a time."""
-    add, mul, key = ambient.add, ambient.mul, ambient.sort_key
-    span, basis = {key(ambient.zero): ambient.zero}, []
-    for x in payloads:
-        if key(x) not in span:
-            basis.append(x)
-            steps = [mul(x, ambient.from_int(c)) for c in range(1, ambient.char)]
-            span.update((key(u), u) for u in [add(v, w) for v in span.values() for w in steps])
-    return basis, span
+def _span(table, basis):
+    """(independent, span): the indices of basis (of table, the field's
+    fields._index_table) that enlarge the GF(p)-span, in order, and that
+    span as a list of indices.  Each vector x that enlarges it appends
+    p - 1 translates, span + x, span + 2x, ..., each the one before it
+    shifted by x on the table's digitwise index sum."""
+    shift, p = table.shift(), table.char
+    span, have, independent = [0], {0}, []
+    for x in basis:
+        if x not in have:
+            independent.append(x)
+            layer, grown = span, list(span)
+            for _ in range(p - 1):
+                layer = shift(layer, x)
+                grown += layer
+            span = grown
+            have.update(span)
+    return independent, span
 
 
 class SubspaceR:
-    """GF(p)-subspace of a finite field: a basis, the elements in sort-key
-    order and their sort keys, made from basis payloads and their span as
-    _span returns it.  Each element is wrapped once and each key computed
-    once."""
+    """GF(p)-subspace of a finite field: a basis, and the payloads of its
+    elements in sort-key order with their sort keys, each shared with the
+    field's fields._index_table, made from the basis and span indices that
+    _span returns.  The elements are wrapped on first read."""
 
-    __slots__ = ("ambient", "dim", "basis", "elements", "_keys")
+    __slots__ = ("ambient", "dim", "basis", "payloads", "_keys", "_elements")
 
-    def __init__(self, ambient, basis, span):
+    def __init__(self, ambient, table, basis, span):
+        payloads, span = table.payloads, sorted(span)
         self.ambient = ambient
-        self.basis = tuple(FieldElement(ambient, b) for b in basis)
+        self.basis = tuple(FieldElement(ambient, payloads[i]) for i in basis)
         self.dim = len(self.basis)
-        self._keys = tuple(sorted(span))
-        self.elements = tuple(FieldElement(ambient, span[k]) for k in self._keys)
+        self.payloads = tuple(map(payloads.__getitem__, span))
+        self._keys = tuple(map(table.keys.__getitem__, span))
+        self._elements = None
+
+    @property
+    def elements(self):
+        if self._elements is None:
+            ambient = self.ambient
+            self._elements = tuple(FieldElement(ambient, c) for c in self.payloads)
+        return self._elements
 
     @classmethod
     def from_basis(cls, ambient, basis):
-        basis = [ambient.payload_of(b) for b in basis]
-        independent, span = _span(ambient, basis)
+        table = _index_table(ambient)
+        basis = [table.index[ambient.payload_of(b)] for b in basis]
+        independent, span = _span(table, basis)
         if len(independent) != len(basis):
             raise InputError("basis is linearly dependent over the prime field")
-        return cls(ambient, basis, span)
+        return cls(ambient, table, basis, span)
 
     @classmethod
     def from_elements(cls, ambient, elements):
-        seen = {ambient.sort_key(u): u for u in map(ambient.payload_of, elements)}
-        basis, span = _span(ambient, [seen[k] for k in sorted(seen)])
-        if span.keys() != seen.keys():
+        table = _index_table(ambient)
+        seen = sorted({table.index[ambient.payload_of(u)] for u in elements})
+        basis, span = _span(table, seen)
+        # span holds every index seen, so only a larger span is not closed
+        if len(span) != len(seen):
             raise InputError("element set is not closed under addition and scaling")
-        return cls(ambient, basis, span)
+        return cls(ambient, table, basis, span)
 
     def is_frobenius_invariant(self):
-        key, frob = self.ambient.sort_key, self.ambient.frobenius
-        return {key(frob(v.payload)) for v in self.elements} == set(self._keys)
+        payloads = set(self.payloads)
+        return set(map(self.ambient.frobenius, payloads)) == payloads
 
     def is_subfield(self):
         return _subfield_check(self.elements)[0]
@@ -321,25 +344,24 @@ def _check_subspace_caps(field, m):
 
 
 def enumerate_subspaces(field, m: int):
-    """All m-dimensional GF(p)-subspaces, via reduced-row-echelon bases."""
+    """All m-dimensional GF(p)-subspaces, via reduced-row-echelon bases,
+    each row taken as its residue index sum_c row[c] p^c."""
     _check_subspace_caps(field, m)
     n = field.n
     p = field.char
+    table = _index_table(field)
     out = []
     for pivots in itertools.combinations(range(n), m):
         free_positions = []
         for r, pc in enumerate(pivots):
             for c in range(pc + 1, n):
                 if c not in pivots:
-                    free_positions.append((r, c))
+                    free_positions.append((r, p**c))
         for assignment in itertools.product(range(p), repeat=len(free_positions)):
-            rows = [[0] * n for _ in range(m)]
-            for r, pc in enumerate(pivots):
-                rows[r][pc] = 1
-            for (r, c), v in zip(free_positions, assignment):
-                rows[r][c] = v
-            basis = [row[0] for row in rows] if field.kind == "prime" else list(map(tuple, rows))
-            out.append(SubspaceR(field, basis, _span(field, basis)[1]))
+            basis = [p**pc for pc in pivots]
+            for (r, weight), v in zip(free_positions, assignment):
+                basis[r] += v * weight
+            out.append(SubspaceR(field, table, basis, _span(table, basis)[1]))
     out.sort(key=lambda s: s.sort_key())
     return out
 
@@ -361,7 +383,7 @@ def f_r_polynomial(r: SubspaceR):
     as a Poly over the ambient field.
     """
     field = r.ambient
-    return Poly.from_raw(field, _linear_product(field, [b.payload for b in r.elements]))
+    return Poly.from_raw(field, _linear_product(field, r.payloads))
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +543,8 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     def mu_for_shift(c_payload):
         # prod over b in R of X - (alpha + b + c), over F[alpha]
         acc = (fa.one,)
-        for b in r.elements:
-            shift = field.add(to_f[b.payload], c_payload)
+        for b in r.payloads:
+            shift = field.add(to_f[b], c_payload)
             acc = rp.mul(fa, acc, (fa.neg((shift, field.one)), fa.one))
         return acc
 
@@ -545,15 +567,14 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     # product over coset representatives must reconstruct q
     covered = set()
     reps = []
-    for c in enumerate_elements(ambient):
-        if c.sort_key() in covered:
+    for c in (x.payload for x in enumerate_elements(ambient)):
+        if c in covered:
             continue
         reps.append(c)
-        for v in r.elements:
-            covered.add((v + c).sort_key())
+        covered.update(ambient.add(v, c) for v in r.payloads)
     big = (fa.one,)
     for c in reps:
-        big = rp.mul(fa, big, mu_for_shift(to_f[c.payload]))
+        big = rp.mul(fa, big, mu_for_shift(to_f[c]))
     ok_product = big == tuple(rp.trim(field, (c,)) for c in qraw)
     if not ok_product:
         raise _inconsistent("conjugate product does not reconstruct q", where, r, q)

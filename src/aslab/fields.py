@@ -69,8 +69,13 @@ on those tables (the oracle's K[Z]/(m), with kind "quotient" and a sort
 key on the coefficients lowest first; ExtensionField is its subclass, with
 its own kind and the reversed key), and residues, the enumeration order of every
 such field.  memoised is the one build-once cache: the log tables, the
-embedding tables, the specialisation points and dickson's symbolic forms
-are each built once per argument tuple, also under threads.
+index tables, the embedding tables, the specialisation points and
+dickson's symbolic forms are each built once per argument tuple, also
+under threads.  _index_table is a prime or extension field on residue
+indices: its payloads in enumeration order (the log tables' own tuples),
+their sort keys, and the digitwise sum of indices on _digit_sums rows,
+split in halves above 256 elements; dickson spans its subspaces on it,
+and _embedding of a field into itself reads its payloads.
 _embedding is the one embedding of GF(p^m) into GF(p^n) or into
 GF(p^n)(Z): a table from each payload of the small field to its image,
 built once per field pair, each image c_0 + c_1 r + ... evaluated by
@@ -557,8 +562,8 @@ def _digits(k):
 @memoised({})
 def _digit_sums(k, s):
     """sums[a][b]: the index of the digitwise sum of the s-digit residue
-    indices a and b (_digits), at most 81 rows of bytes (s = 2 over
-    GF(9)).
+    indices a and b (_digits), at most 256 rows of bytes (s = 8 over
+    GF(2), for the index table of GF(256)).
 
     With B = |k|^(s-1), a = lo + B top and b = lo' + B top', the sum is
     lower[lo][lo'] + B add[top][top'], lower the (s-1)-digit table: row a
@@ -1276,6 +1281,60 @@ def _linear_product(field, payloads):
     return tuple(exp[a] if a >= 0 else zero for a in acc)
 
 
+class _IndexTable:
+    """A prime or extension field k on residue indices, the places of its
+    payloads in residues (the payload itself over GF(p)), which follow its
+    sort key: payloads[i] and keys[i] are the payload and the sort key of
+    index i, index is the inverse map, and shift() is the digitwise sum of
+    indices, (layer, x) -> [v + x for v in layer], built on first use:
+    (v + x) % p over GF(p), a row of _digit_sums(GF(p), n) up to 256
+    elements, and above that the sums of the low and high halves of the
+    digits, as _split_powers takes them, so no table is q x q."""
+
+    __slots__ = ("char", "payloads", "keys", "index", "_field", "_shift")
+
+    def __init__(self, k):
+        self.char, self._field, self._shift = k.char, k, None
+        if k.kind == "prime":
+            self.payloads = self.index = range(k.p)
+            self.keys = tuple((c,) for c in self.payloads)
+        else:
+            # the log tables' own payload tuples, sorted once by their keys
+            self.keys, self.payloads = zip(*sorted(zip(map(k.sort_key, k._log), k._log)))
+            self.index = dict(zip(self.payloads, range(k.order)))
+
+    def shift(self):
+        if self._shift is None:
+            self._shift = _index_shift(self._field)
+        return self._shift
+
+
+def _index_shift(k):
+    """_IndexTable.shift of the field k."""
+    if k.kind == "prime":
+        p = k.p
+        return lambda layer, x: [(v + x) % p for v in layer]
+    if k.order <= 256:
+        rows = _digit_sums(k.base, k.n)
+        return lambda layer, x: list(map(rows[x].__getitem__, layer))
+    h = (k.n + 1) // 2
+    sums, big = _digit_sums(k.base, h), k.p**h
+
+    def shift(layer, x):
+        lo, hi = sums[x % big], sums[x // big]
+        return [lo[v % big] + big * hi[v // big] for v in layer]
+
+    return shift
+
+
+@memoised({})
+def _index_table(k):
+    """The one _IndexTable of the finite field k, built once per field."""
+    if k.order is None:
+        raise InputError("subspaces need a finite field")
+    return _IndexTable(k)
+
+
 _embedding_cache = {}
 
 
@@ -1301,7 +1360,7 @@ def _embedding(small, big):
         return {c: big.from_int(c) for c in small.enumerate_payloads()}
     if small == big:
         # keyed on the log tables' own payload tuples, in enumeration order
-        return {c: c for c in sorted(small._log, key=small.sort_key)}
+        return {c: c for c in _index_table(small).payloads}
     roots = _raw_roots(big, tuple(big.from_int(c) for c in small.modulus))
     if not roots:
         raise InputError("modulus has no root in the big field")

@@ -708,3 +708,158 @@ def test_from_basis_and_from_elements_keep_their_messages():
         SubspaceR.from_basis(f9, [t, t * 2])
     with pytest.raises(InputError, match="not closed under addition"):
         SubspaceR.from_elements(f9, [f9.zero_element(), t, t * 2, f9.one_element()])
+
+
+# ---------------------------------------------------------------------------
+# subspaces on residue indices against the span on field operations
+
+
+def _field_op_span(ambient, payloads):
+    """(basis, span): the span that _span grew on field.add, field.mul and
+    field.sort_key before it ran on residue indices, {sort key: payload}."""
+    add, mul, key = ambient.add, ambient.mul, ambient.sort_key
+    span, basis = {key(ambient.zero): ambient.zero}, []
+    for x in payloads:
+        if key(x) not in span:
+            basis.append(x)
+            steps = [mul(x, ambient.from_int(c)) for c in range(1, ambient.char)]
+            span.update((key(u), u) for u in [add(v, w) for v in span.values() for w in steps])
+    return basis, span
+
+
+def _reference_subspaces(ambient, m):
+    """(basis, payloads, keys) of every m-dimensional subspace, from the
+    echelon rows as payloads and _field_op_span, in sort-key order."""
+    n, p = ambient.n, ambient.char
+    out = []
+    for pivots in itertools.combinations(range(n), m):
+        free = [(r, c) for r, pc in enumerate(pivots) for c in range(pc + 1, n) if c not in pivots]
+        for assignment in itertools.product(range(p), repeat=len(free)):
+            rows = [[int(c == pc) for c in range(n)] for pc in pivots]
+            for (r, c), v in zip(free, assignment):
+                rows[r][c] = v
+            basis = [row[0] for row in rows] if ambient.kind == "prime" else list(map(tuple, rows))
+            span = _field_op_span(ambient, basis)[1]
+            keys = tuple(sorted(span))
+            out.append((tuple(basis), tuple(span[k] for k in keys), keys))
+    return sorted(out, key=lambda entry: entry[2])
+
+
+def _admitted_sweeps():
+    """Every (GF(q), m) the subspace caps admit, and GF(2^3) on its other
+    modulus."""
+    specs = [
+        f"GF({p}^{n})"
+        for p in filter(fields.is_prime, range(2, fields.MAX_FIELD_SIZE + 1))
+        for n in range(1, 10)
+        if p**n <= fields.MAX_FIELD_SIZE
+    ]
+    specs.append("GF(2^3; mod=t^3+t^2+1)")
+    for spec in specs:
+        ambient = make_field(spec)
+        for m in range(ambient.n + 1):
+            try:
+                dickson._check_subspace_caps(ambient, m)
+            except CapExceededError:
+                continue
+            yield ambient, m
+
+
+def _as_reference(r):
+    return (
+        tuple(b.payload for b in r.basis),
+        tuple(v.payload for v in r.elements),
+        r.sort_key(),
+    )
+
+
+def test_subspaces_on_indices_match_the_span_on_field_operations():
+    # enumerate_subspaces, from_basis and from_elements against the span on
+    # field operations: basis, elements, payloads, sort keys and dim, over
+    # every sweep the caps admit, GF(625) and GF(729) among them
+    sweeps = 0
+    for ambient, m in _admitted_sweeps():
+        sweeps += 1
+        expected = _reference_subspaces(ambient, m)
+        got = enumerate_subspaces(ambient, m)
+        assert [_as_reference(r) for r in got] == expected, (ambient, m)
+        assert all(r.dim == m and r.payloads == ref[1] for r, ref in zip(got, expected))
+        for r, (basis, payloads, keys) in zip(got, expected):
+            by_basis = SubspaceR.from_basis(ambient, r.basis)
+            assert _as_reference(by_basis) == (basis, payloads, keys) and by_basis.dim == m
+            shuffled = list(r.elements[::-1])
+            by_elements = SubspaceR.from_elements(ambient, shuffled)
+            ref_basis, ref_span = _field_op_span(ambient, sorted(payloads, key=ambient.sort_key))
+            assert tuple(b.payload for b in by_elements.basis) == tuple(ref_basis)
+            assert by_elements.payloads == payloads and by_elements.sort_key() == keys
+            assert by_elements.dim == m and len(ref_span) == len(payloads)
+    # 129 primes (m = 0, 1), the 16 extensions with n <= 4 (n + 1 each),
+    # GF(729) at m <= 2, and the custom GF(2^3)
+    assert sweeps == 129 * 2 + (9 * 3 + 4 * 4 + 3 * 5) + 3 + 4
+
+
+def test_an_enumerated_subspace_wraps_its_elements_on_first_read(monkeypatch):
+    # only the basis is wrapped until elements is read, and then each
+    # element once
+    made = []
+
+    class Counting(fields.FieldElement):
+        def __init__(self, field, payload):
+            made.append(payload)
+            super().__init__(field, payload)
+
+    monkeypatch.setattr(dickson, "FieldElement", Counting)
+    f81 = make_field("GF(81)")
+    subs = enumerate_subspaces(f81, 2)
+    assert len(made) == 2 * len(subs) == 2 * gaussian_binomial(4, 2, 3)
+    r = subs[7]
+    del made[:]
+    assert r.elements is r.elements
+    assert made == list(r.payloads) and len(made) == 9
+    assert [v.payload for v in r.elements] == list(r.payloads)
+
+
+def test_subspaces_share_the_index_table_payloads_and_keys():
+    # payloads and sort keys are the field's own objects, taken from its
+    # log tables, not new tuples
+    f16 = make_field("GF(16)")
+    table = fields._index_table(f16)
+    held = {id(c) for c in f16._log}
+    assert list(table.payloads) == list(f16.enumerate_payloads())
+    assert list(table.keys) == [f16.sort_key(c) for c in f16.enumerate_payloads()]
+    for m in range(5):
+        for r in enumerate_subspaces(f16, m):
+            assert all(id(c) in held for c in r.payloads)
+            assert all(any(k is key for key in table.keys) for k in r.sort_key())
+    # the embedding of the field into itself is keyed on the same payloads
+    assert all(a is b for a, b in zip(fields._embedding(f16, f16), table.payloads))
+
+
+def test_index_table_under_threads():
+    # threads that sweep the planes of an uncached field at once all get the
+    # one index table, with its digitwise sum built on first use, and the
+    # sequential answer; each round takes a field on a modulus of its own
+    k = make_field("GF(3)")
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for modulus in fields.monic_irreducibles(k, 4, 4)[1:]:
+            field = make_field(f"GF(3^4; mod={fields._raw_poly_str(k, modulus, 't')})")
+            expected = [keys for _, _, keys in _reference_subspaces(field, 2)]
+            results = []
+
+            def sweep():
+                table = fields._index_table(field)
+                results.append((table, [r.sort_key() for r in enumerate_subspaces(field, 2)]))
+
+            threads = [threading.Thread(target=sweep) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(results) == 6
+            assert all(table is fields._index_table(field) for table, _ in results)
+            assert all(keys == expected for _, keys in results)
+    finally:
+        sys.setswitchinterval(old_interval)

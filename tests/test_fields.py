@@ -1158,8 +1158,11 @@ def test_quotient_field_tables_match_polynomial_reference(spec):
 
 def test_log_table_cache_under_threads():
     # threads that build the same field at once must all end up with the one
-    # cached table object, equal to a sequential build
+    # cached table object, equal to a sequential build; the module's tables
+    # are put back afterwards, so the tables built on their payloads (the
+    # index tables, the embeddings) stay those of every later field
     expected = fields._build_log_tables(make_field("GF(3)"), fields.default_modulus(3, 6))
+    saved = dict(fields._table_cache)
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1182,6 +1185,8 @@ def test_log_table_cache_under_threads():
             assert all(f._exp is cached[1] and f._log is cached[2] for f in results)
     finally:
         sys.setswitchinterval(old_interval)
+        fields._table_cache.clear()
+        fields._table_cache.update(saved)
 
 
 # ---------------------------------------------------------------------------

@@ -258,12 +258,12 @@ def _rational_roots(f: Poly):
     for nd in num_divs:
         for dd in den_divs:
             for u in units:
-                cand = F.fraction(rp.scale(k, nd, u), dd)
-                if _rules_out(F, points, f_points, cand.payload):
+                cand = F._canon(rp.scale(k, nd, u), dd)
+                if _rules_out(F, points, f_points, cand):
                     continue
-                work, mult = ring.divide_out(work, (F.neg(cand.payload), F.one))
+                work, mult = ring.divide_out(work, (F.neg(cand), F.one))
                 if mult:
-                    roots.append(cand)
+                    roots.append(FieldElement(F, cand))
     return roots
 
 
@@ -373,7 +373,7 @@ def _ad_of_class(inv_a):
     c1 = accounted == m * m
     diagonalizable = sum(d for _, d in dims) == m * m
 
-    c2, c2_witness = _subfield_check(eigenvalues)
+    c2, c2_witness = _subfield_check(field, [v.payload for v in eigenvalues])
 
     failures = []
     if not c1:

@@ -43,13 +43,14 @@ F[alpha] = F[X]/(q) (_ringops.PolyRing).  Both map payloads of GF(p^n)
 into F by a lookup in fields._embedding, the one table per field pair,
 whether F is finite or K(Z); elements are wrapped only at the boundary.
 A subspace is spanned once, by the one helper _span on residue indices
-(fields._index_table, one per field: its payloads in enumeration order,
-their sort keys and a digitwise index sum), whether it comes from
-enumerate_subspaces's echelon rows, a basis or its elements; SubspaceR
-keeps the span's payloads and sort keys, in order, both shared with the
-table, for f_R, its sort key, equality, hash and Frobenius test, and
-wraps its elements only when they are read.  SubspaceR.is_subfield is
-fields._subfield_check, the test analyze applies to eigenvalue sets.
+(fields._index_table, one per field: its payloads in enumeration order
+and their sort keys; the span steps on fields._index_shift, the digitwise
+index sum), whether it comes from enumerate_subspaces's echelon rows, a
+basis or its elements; SubspaceR keeps the span's payloads and sort keys,
+in order, both shared with the table, for f_R, its sort key, equality,
+hash, Frobenius test and subfield test, and wraps its elements only when
+they are read.  SubspaceR.is_subfield is fields._subfield_check on those
+payloads, the test analyze applies to eigenvalue payloads.
 """
 
 import itertools
@@ -59,11 +60,11 @@ from .errors import CapExceededError, ConsistencyError, InputError
 from .fields import (
     FieldElement,
     _embedding,
+    _index_shift,
     _index_table,
     _linear_product,
     _subfield_check,
     _raw_poly_str,
-    enumerate_elements,
     memoised,
 )
 from .linalg import Matrix
@@ -248,19 +249,19 @@ def _dickson_form(m, p):
 # ---------------------------------------------------------------------------
 # subspaces of GF(p^n) over GF(p)
 
-def _span(table, basis):
-    """(independent, span): the indices of basis (of table, the field's
-    fields._index_table) that enlarge the GF(p)-span, in order, and that
+def _span(field, basis):
+    """(independent, span): the residue indices of basis (fields._index_table)
+    that enlarge the GF(p)-span in the finite field, in order, and that
     span as a list of indices.  Each vector x that enlarges it appends
     p - 1 translates, span + x, span + 2x, ..., each the one before it
-    shifted by x on the table's digitwise index sum."""
-    shift, p = table.shift(), table.char
+    shifted by x on the field's digitwise index sum (fields._index_shift)."""
+    shift = _index_shift(field)
     span, have, independent = [0], {0}, []
     for x in basis:
         if x not in have:
             independent.append(x)
             layer, grown = span, list(span)
-            for _ in range(p - 1):
+            for _ in range(field.char - 1):
                 layer = shift(layer, x)
                 grown += layer
             span = grown
@@ -296,7 +297,7 @@ class SubspaceR:
     def from_basis(cls, ambient, basis):
         table = _index_table(ambient)
         basis = [table.index[ambient.payload_of(b)] for b in basis]
-        independent, span = _span(table, basis)
+        independent, span = _span(ambient, basis)
         if len(independent) != len(basis):
             raise InputError("basis is linearly dependent over the prime field")
         return cls(ambient, table, basis, span)
@@ -305,7 +306,7 @@ class SubspaceR:
     def from_elements(cls, ambient, elements):
         table = _index_table(ambient)
         seen = sorted({table.index[ambient.payload_of(u)] for u in elements})
-        basis, span = _span(table, seen)
+        basis, span = _span(ambient, seen)
         # span holds every index seen, so only a larger span is not closed
         if len(span) != len(seen):
             raise InputError("element set is not closed under addition and scaling")
@@ -316,7 +317,7 @@ class SubspaceR:
         return set(map(self.ambient.frobenius, payloads)) == payloads
 
     def is_subfield(self):
-        return _subfield_check(self.elements)[0]
+        return _subfield_check(self.ambient, self.payloads)[0]
 
     def sort_key(self):
         return self._keys
@@ -361,7 +362,7 @@ def enumerate_subspaces(field, m: int):
             basis = [p**pc for pc in pivots]
             for (r, weight), v in zip(free_positions, assignment):
                 basis[r] += v * weight
-            out.append(SubspaceR(field, table, basis, _span(table, basis)[1]))
+            out.append(SubspaceR(field, table, basis, _span(field, basis)[1]))
     out.sort(key=lambda s: s.sort_key())
     return out
 
@@ -567,7 +568,7 @@ def intermediate_minpoly_product(r: SubspaceR, q: Poly):
     # product over coset representatives must reconstruct q
     covered = set()
     reps = []
-    for c in (x.payload for x in enumerate_elements(ambient)):
+    for c in ambient.enumerate_payloads():
         if c in covered:
             continue
         reps.append(c)

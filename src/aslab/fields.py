@@ -71,11 +71,11 @@ its own kind and the reversed key), and residues, the enumeration order of every
 such field.  memoised is the one build-once cache: the log tables, the
 index tables, the embedding tables, the specialisation points and
 dickson's symbolic forms are each built once per argument tuple, also
-under threads.  _index_table is a prime or extension field on residue
-indices: its payloads in enumeration order (the log tables' own tuples),
-their sort keys, and the digitwise sum of indices on _digit_sums rows,
-split in halves above 256 elements; dickson spans its subspaces on it,
-and _embedding of a field into itself reads its payloads.
+under threads.  _index_table is the one residue index of a prime or
+extension field: its payloads in enumeration order (the log tables' own
+tuples), their sort keys and the map back, read by _digits, the degree-1
+log tables, dickson's spans and _embedding of a field into itself; the
+spans step on _index_shift, the digitwise index sum, split above 256.
 _embedding is the one embedding of GF(p^m) into GF(p^n) or into
 GF(p^n)(Z): a table from each payload of the small field to its image,
 built once per field pair, each image c_0 + c_1 r + ... evaluated by
@@ -91,7 +91,7 @@ order finds.  Beside it, _linear_product is the one product of linear
 factors prod (Y + b) over a finite field (dickson's f_R), written the same
 way: one pass per factor, on ints over GF(p) and in the log domain over a
 tabulated field.  _subfield_check is the one test whether a finite set of
-elements holding 0 is a subfield (analyze's c2 and SubspaceR.is_subfield).
+payloads holding 0 is a subfield (analyze's c2 and SubspaceR.is_subfield).
 
 residues is also the one payload form of every tabulated field: coefficient
 tuples of full length d, zeros included.  Each field kind has one power,
@@ -552,8 +552,8 @@ def _digits(k):
         add = [bytes((a + b) % p for b in range(p)) for a in range(p)]
         mul = [bytes(a * b % p for b in range(p)) for a in range(p)]
         return range(p), add, mul
-    els = list(k.enumerate_payloads())
-    pos = {c: i for i, c in enumerate(els)}
+    table = _index_table(k)
+    els, pos = table.payloads, table.index
     add = [bytes(pos[k.add(a, b)] for b in els) for a in els]
     mul = [bytes(pos[k.mul(a, b)] for b in els) for a in els]
     return pos, add, mul
@@ -717,7 +717,7 @@ def _build_log_tables(k, modulus):
     q1 = k.order**d - 1
     res = list(residues(k, d))
     if d == 1:
-        pos = {c: i for i, c in enumerate(k.enumerate_payloads())}
+        pos = _index_table(k).index
         g = _first_generator(range(1, q1 + 1), q1, lambda c, e: rp.pow_mod(k, res[c], e, modulus), (k.one,))
         powers = (pos[a[0]] for a in rp.powers_mod(k, res[g], modulus))
         inc = [pos[k.add(c, k.one)] for c in pos]
@@ -1176,25 +1176,22 @@ def is_pth_power_coeffs(g) -> bool:
     return pth_roots(field, g.raw) is not None
 
 
-def _subfield_check(values):
-    """Is this finite set of field elements, 0 among them, a subfield?
+def _subfield_check(field, payloads):
+    """Is this finite set of payloads of field, 0 among them, a subfield?
     Returns (bool, witness).  Both callers hold 0: analyze's eigenvalues
     (ad A kills the identity, so X divides mu_ad) and a span
-    (SubspaceR.is_subfield).  The closure runs on payloads, through the
-    descriptor's sub and mul; only a witness is written with the elements."""
-    field = values[0].field
-    have = {v.payload for v in values}
+    (SubspaceR.is_subfield).  The closure runs through the descriptor's sub
+    and mul, and a witness is written with payload_str."""
+    have = set(payloads)
     if field.one not in have:
         return False, "eigenvalue set does not contain 1"
-    sub, mul = field.sub, field.mul
-    for x in values:
-        a = x.payload
-        for y in values:
-            b = y.payload
+    sub, mul, text = field.sub, field.mul, field.payload_str
+    for a in payloads:
+        for b in payloads:
             if sub(a, b) not in have:
-                return False, f"not closed under subtraction: ({x}) - ({y}) missing"
+                return False, f"not closed under subtraction: ({text(a)}) - ({text(b)}) missing"
             if mul(a, b) not in have:
-                return False, f"not closed under multiplication: ({x}) * ({y}) missing"
+                return False, f"not closed under multiplication: ({text(a)}) * ({text(b)}) missing"
     return True, None
 
 
@@ -1285,16 +1282,11 @@ class _IndexTable:
     """A prime or extension field k on residue indices, the places of its
     payloads in residues (the payload itself over GF(p)), which follow its
     sort key: payloads[i] and keys[i] are the payload and the sort key of
-    index i, index is the inverse map, and shift() is the digitwise sum of
-    indices, (layer, x) -> [v + x for v in layer], built on first use:
-    (v + x) % p over GF(p), a row of _digit_sums(GF(p), n) up to 256
-    elements, and above that the sums of the low and high halves of the
-    digits, as _split_powers takes them, so no table is q x q."""
+    index i, and index is the inverse map."""
 
-    __slots__ = ("char", "payloads", "keys", "index", "_field", "_shift")
+    __slots__ = ("payloads", "keys", "index")
 
     def __init__(self, k):
-        self.char, self._field, self._shift = k.char, k, None
         if k.kind == "prime":
             self.payloads = self.index = range(k.p)
             self.keys = tuple((c,) for c in self.payloads)
@@ -1303,14 +1295,14 @@ class _IndexTable:
             self.keys, self.payloads = zip(*sorted(zip(map(k.sort_key, k._log), k._log)))
             self.index = dict(zip(self.payloads, range(k.order)))
 
-    def shift(self):
-        if self._shift is None:
-            self._shift = _index_shift(self._field)
-        return self._shift
 
-
+@memoised({})
 def _index_shift(k):
-    """_IndexTable.shift of the field k."""
+    """The digitwise sum of residue indices of the finite field k,
+    (layer, x) -> [v + x for v in layer], built once per field: (v + x) % p
+    over GF(p), a row of _digit_sums(GF(p), n) up to 256 elements, and
+    above that the sums of the low and high halves of the digits, as
+    _split_powers takes them, so no table is q x q."""
     if k.kind == "prime":
         p = k.p
         return lambda layer, x: [(v + x) % p for v in layer]
@@ -1353,7 +1345,8 @@ def _embedding(small, big):
     if small.kind == "rational-function":
         raise InputError("subfield embeddings are defined for finite fields only")
     if big.kind == "rational-function":
-        return {c: big.constant(u).payload for c, u in _embedding(small, big.base).items()}
+        one = (big.base.one,)
+        return {c: (rp.trim(big.base, (u,)), one) for c, u in _embedding(small, big.base).items()}
     if small.char != big.char or big.n % small.n != 0:
         raise InputError(f"{small.spec_string()} does not embed in {big.spec_string()}")
     if small.kind == "prime":
@@ -1361,10 +1354,8 @@ def _embedding(small, big):
     if small == big:
         # keyed on the log tables' own payload tuples, in enumeration order
         return {c: c for c in _index_table(small).payloads}
-    roots = _raw_roots(big, tuple(big.from_int(c) for c in small.modulus))
-    if not roots:
-        raise InputError("modulus has no root in the big field")
-    r = roots[0]
+    # m | n, so small's modulus splits in big
+    r = _raw_roots(big, tuple(big.from_int(c) for c in small.modulus))[0]
     return {x: rp.evaluate(big, [big.from_int(c) for c in x], r) for x in small.enumerate_payloads()}
 
 

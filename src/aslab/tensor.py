@@ -3,7 +3,8 @@
 For blocks J_n(alpha) and J_m(beta) over GF(p) with m = p^e and n <= m, the
 product splits as n isomorphic indecomposables of dimension p^e with the
 single eigenvalue alpha + beta; tensor_jordan_type_formula returns that
-closed answer.  tensor_jordan_type_oracle computes the decomposition for
+closed answer, read off linalg.nilpotent_tensor_type, where λ's closed
+forms live.  tensor_jordan_type_oracle computes the decomposition for
 arbitrary block sizes, up to n*m = 256, with no Kronecker operator: the
 product is the Sylvester operator of (X - alpha)^n and (X + beta)^m, whose
 invariant factors are the Smith form of the min(n, m) x min(n, m) matrix
@@ -33,6 +34,7 @@ from .linalg import (
     ad_matrix,
     direct_sum,
     jordan_block,
+    nilpotent_tensor_type,
     sylvester_invariant_factors,
 )
 from .poly import Poly
@@ -68,13 +70,14 @@ def closed_formula_applies(p, n, m) -> bool:
 
 
 def tensor_jordan_type_formula(inst: TensorInstance) -> JordanType:
-    """Closed form for n <= m = p^e: n blocks of size p^e at alpha + beta."""
+    """Closed form for n <= m = p^e: n blocks of size p^e at alpha + beta,
+    λ(n, m) by Heller's rule with q = m (linalg.nilpotent_tensor_type)."""
     if not closed_formula_applies(inst.p, inst.n, inst.m):
         raise InputError(f"no closed formula: needs n <= m and m a power of {inst.p}")
     if inst.n > FORMULA_MAX_BLOCKS:
         raise CapExceededError(f"{inst.n} blocks exceed cap {FORMULA_MAX_BLOCKS}")
     ev = inst.alpha + inst.beta
-    return JordanType([(ev, inst.m)] * inst.n)
+    return JordanType([(ev, size) for size in nilpotent_tensor_type(inst.p, inst.n, inst.m)])
 
 
 def tensor_jordan_type_oracle(inst: TensorInstance) -> JordanType:

@@ -73,8 +73,8 @@ def _fake_alpha(text):
 def _reconstruct(monkeypatch):
     # one coset representative: the product is mu alone, not q
     r, q = _gf4_line()
-    real = dickson.enumerate_elements
-    monkeypatch.setattr(dickson, "enumerate_elements", lambda field: list(real(field))[:1])
+    real = r.ambient.enumerate_payloads
+    monkeypatch.setattr(r.ambient, "enumerate_payloads", lambda: list(real())[:1])
     intermediate_minpoly_product(r, q)
 
 

@@ -627,6 +627,54 @@ def test_minpoly_product_span_certificate_rejects_a_wrong_alpha(monkeypatch, fak
         intermediate_minpoly_product(r, q)
 
 
+def _rendered_mu(field, mu):
+    """mu over F[alpha] written as intermediate_minpoly_product writes it:
+    zero coefficients skipped, 1 * X^i as X^i, alpha as a, and a
+    coefficient in parentheses when it is not one term of F."""
+    terms = []
+    for i in range(len(mu) - 1, -1, -1):
+        c = rp.trim(field, mu[i])
+        if not c:
+            continue
+        power = "" if i == 0 else "X" if i == 1 else f"X^{i}"
+        if i and c == (field.one,):
+            terms.append(power)
+            continue
+        text = fields._raw_poly_str(field, c, "a")
+        if len(c) > 1 or (i and "+" in text):
+            text = f"({text})"
+        terms.append(f"{text}*{power}" if i else text)
+    return "+".join(terms)
+
+
+@pytest.mark.parametrize(
+    "spec, n, first",
+    [
+        ("GF(16)(Z)", 4, "X^4+(t^2+t+1)*X^2+(t^2+t)*X+(a^4+(t^2+t+1)*a^2+(t^2+t)*a)"),
+        ("GF(9)(Z)", 2, "X^9+2*X+2*Z"),
+    ],
+)
+def test_minpoly_product_on_planes_with_zero_coefficients(spec, n, first):
+    # mu = f_R(X - alpha) for a plane R: f_R(Y) has terms at Y^(p^j) only,
+    # so mu has zero coefficients below the top (X^3 over GF(16), X^8 ..
+    # X^2 over GF(9)); rebuilt here by composition over F[alpha], with the
+    # constants of K(Z) for the coefficients of f_R
+    field = make_field(spec)
+    q = standard_q(field, n)
+    fa = rp.PolyRing(field, q.raw)
+    alpha = (field.zero, field.one)
+    for r in enumerate_subspaces(field.base, 2):
+        f_r = [rp.trim(field, (field.constant(c).payload,)) for c in f_r_polynomial(r).coeffs]
+        mu = rp.compose(fa, tuple(f_r), (fa.neg(alpha), fa.one))
+        rep = intermediate_minpoly_product(r, q)
+        assert rep["mu_degree"] == len(mu) - 1 == field.char**2
+        assert rep["coefficients_in_fixed_field"] and rep["reconstructs_q"]
+        assert not mu[-2] and rep["mu"] == _rendered_mu(field, mu)
+        assert f"X^{len(mu) - 2}" not in rep["mu"]
+    # over GF(16) the coefficients (c)*X^i of the first plane take parentheses
+    assert intermediate_minpoly_product(enumerate_subspaces(field.base, 2)[0], q)["mu"] == first
+
+
 # ---------------------------------------------------------------------------
 # the large-field example
 
@@ -817,6 +865,28 @@ def test_an_enumerated_subspace_wraps_its_elements_on_first_read(monkeypatch):
     assert r.elements is r.elements
     assert made == list(r.payloads) and len(made) == 9
     assert [v.payload for v in r.elements] == list(r.payloads)
+
+
+def test_is_subfield_wraps_no_element(monkeypatch):
+    # the subfield test reads the span's payloads: no FieldElement is made
+    # and elements stays unread, where reading elements wraps each payload
+    made = []
+    real = fields.FieldElement.__init__
+
+    def counting(self, field, payload):
+        made.append(payload)
+        real(self, field, payload)
+
+    for spec in ("GF(9)", "GF(16)", "GF(27)"):
+        ambient = make_field(spec)
+        subs = [r for m in range(ambient.n + 1) for r in enumerate_subspaces(ambient, m)]
+        monkeypatch.setattr(fields.FieldElement, "__init__", counting)
+        subfields = sum(r.is_subfield() for r in subs)
+        assert made == [] and all(r._elements is None for r in subs)
+        assert len(subs[-1].elements) == len(made) == ambient.order
+        monkeypatch.undo()
+        del made[:]
+        assert subfields == sum(1 for d in range(1, ambient.n + 1) if ambient.n % d == 0)
 
 
 def test_subspaces_share_the_index_table_payloads_and_keys():

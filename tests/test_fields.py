@@ -2120,12 +2120,13 @@ def _operator_subfield_check(values):
 @pytest.mark.parametrize("spec", ["GF(2)", "GF(3)", "GF(4)"])
 def test_subfield_check_on_payloads_matches_operators_on_every_subset(spec):
     # every subset holding 0, in enumeration order and reversed
-    zero, *rest = enumerate_elements(make_field(spec))
+    field = make_field(spec)
+    zero, *rest = enumerate_elements(field)
     verdicts = []
     for r in range(len(rest) + 1):
         for subset in itertools.combinations(rest, r):
             for values in ([zero, *subset], [*subset[::-1], zero]):
-                got = fields._subfield_check(values)
+                got = fields._subfield_check(field, [v.payload for v in values])
                 assert got == _operator_subfield_check(values), values
                 verdicts.append(got[0])
     # the subfields, each in two orders: the field itself, and GF(2) in GF(4)
@@ -2145,6 +2146,7 @@ def test_subfield_check_on_payloads_matches_operators_on_seeded_subsets(spec):
         cases.append(subset)
         # with 1 and the prime field in, the test reaches the closure loop
         cases.append(list(dict.fromkeys(prime + subset)))
-    for values in cases:
-        assert fields._subfield_check(values) == _operator_subfield_check(values), values
-    assert sum(fields._subfield_check(values)[0] for values in cases) >= 3
+    verdicts = [fields._subfield_check(field, [v.payload for v in values]) for values in cases]
+    for values, got in zip(cases, verdicts):
+        assert got == _operator_subfield_check(values), values
+    assert sum(got[0] for got in verdicts) >= 3

@@ -119,6 +119,12 @@ CASES = {
     # dickson
     "dickson: enumerate_subspaces over K(Z)": (
         lambda: dickson.enumerate_subspaces(make_field("GF(4)(Z)"), 1), "needs a finite field"),
+    "dickson: SubspaceR.from_basis over K(Z)": (
+        lambda: dickson.SubspaceR.from_basis(make_field("GF(4)(Z)"), []),
+        "subspaces need a finite field"),
+    "dickson: SubspaceR.from_elements over K(Z)": (
+        lambda: dickson.SubspaceR.from_elements(make_field("GF(4)(Z)"), []),
+        "subspaces need a finite field"),
     "dickson: enumerate_subspaces with m out of range": (
         lambda: dickson.enumerate_subspaces(make_field("GF(4)"), 3),
         "subspace dimension out of range"),
@@ -165,6 +171,44 @@ ANSWERS = {
         mat("GF(9)", [["t", "t^2"], [0, "t"]])),
     "poly: coeff past the degree": (
         lambda: px("GF(3)", "X^2+1").coeff(3), make_field("GF(3)").element(0)),
+    "poly: coeffs": (
+        lambda: px("GF(3)", "X^2+1").coeffs, tuple(map(make_field("GF(3)").element, (1, 0, 1)))),
+    "poly: bool of zero": (lambda: bool(px("GF(3)", "0")), False),
+    "poly: floor division": (
+        lambda: px("GF(3)", "X^2+1") // px("GF(3)", "X+1"), px("GF(3)", "X+2")),
+    # degree + 1, then the coefficients' keys from the constant up
+    "poly: sort_key": (lambda: px("GF(9)", "t*X+2").sort_key(), (2, ((0, 2), (1, 0)))),
+    # an operand of another type gets NotImplemented
+    "linalg: Matrix == int": (lambda: mat("GF(3)", SQUARE).__eq__(1), NotImplemented),
+    "linalg: JordanType == int": (lambda: linalg.JordanType([]).__eq__(1), NotImplemented),
+    "linalg: InvariantFactorList == int": (
+        lambda: linalg.InvariantFactorList([]).__eq__(1), NotImplemented),
+    "dickson: SubspaceR == int": (
+        lambda: dickson.SubspaceR.from_basis(make_field("GF(4)"), []).__eq__(1), NotImplemented),
+    "fields: element ** float": (
+        lambda: make_field("GF(3)").element(2).__pow__(1.5), NotImplemented),
+    # reprs
+    "linalg: repr of a Matrix": (lambda: repr(mat("GF(3)", WIDE)), "Matrix(GF(3), 2x3)"),
+    "linalg: repr of a JordanType": (
+        lambda: repr(linalg.JordanType(
+            [(make_field("GF(3)").element(c), size) for c, size in ((1, 1), (0, 2))])),
+        "JordanType[J_2(0), J_1(1)]"),
+    "linalg: repr of an InvariantFactorList": (
+        lambda: repr(linalg.invariant_factors(mat("GF(3)", [[1, 0, 0], [0, 1, 0], [0, 0, 2]]))),
+        "[X+2, X^2+2]"),
+    "poly: repr of a SeparableDecomposition": (
+        lambda: repr(poly.separable_part(px("GF(3)", "X^3+1"))),
+        "SeparableDecomposition(q=X+1, e=1)"),
+    "irred: repr of a GasIrreducibility": (
+        lambda: repr(irred.gas_irreducible(irred.GasInstance(make_field("GF(2)"), 1, 0, 1, "Z"))),
+        "GasIrreducibility(True, 'r-coprime-to-p')"),
+    "tensor: repr of a TensorInstance": (
+        lambda: repr(tensor.TensorInstance(3, 2, 3, 1, 2)),
+        "TensorInstance(p=3, n=2, m=3, alpha=1, beta=2)"),
+    "dickson: repr of a PrimitiveElementResult": (
+        lambda: repr(dickson.primitive_element(
+            dickson.SubspaceR.from_basis(make_field("GF(4)"), [1]), px("GF(4)(Z)", "X^4+X+Z"))),
+        "PrimitiveElementResult(dim=1, degree=2, property_p=True)"),
 }
 
 
